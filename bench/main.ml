@@ -588,28 +588,6 @@ let usage () =
     (String.concat "|" targets);
   exit 2
 
-let parse_policy s =
-  match String.lowercase_ascii s with
-  | "fail" -> Some Vblu_precond.Block_jacobi.Fail
-  | "identity" -> Some Vblu_precond.Block_jacobi.Identity_block
-  | s when String.length s > 8 && String.sub s 0 8 = "perturb:" -> (
-    match float_of_string_opt (String.sub s 8 (String.length s - 8)) with
-    | Some eps when eps > 0.0 -> Some (Vblu_precond.Block_jacobi.Perturb eps)
-    | _ -> None)
-  | _ -> None
-
-let parse_recovery s =
-  let module Bj = Vblu_precond.Block_jacobi in
-  match String.lowercase_ascii s with
-  | "recompute" -> Some (Bj.Recompute 1)
-  | "degrade" -> Some Bj.Degrade_to_identity
-  | "fail" -> Some (Bj.Fail : Bj.recovery_policy)
-  | s when String.length s > 10 && String.sub s 0 10 = "recompute:" -> (
-    match int_of_string_opt (String.sub s 10 (String.length s - 10)) with
-    | Some n when n > 0 -> Some (Bj.Recompute n)
-    | _ -> None)
-  | _ -> None
-
 let parse_faults s =
   match Vblu_fault.Fault.Plan.of_spec s with
   | Ok p -> Some p
@@ -633,8 +611,10 @@ let parse_args () =
     | Some v -> store v; go rest
     | None -> usage ()
   in
-  let set_policy = set parse_policy (fun p -> policy := p) in
-  let set_recovery = set parse_recovery (fun r -> recovery := r) in
+  let ok parse s = Result.to_option (parse s) in
+  let module Bj = Vblu_precond.Block_jacobi in
+  let set_policy = set (ok Bj.policy_of_string) (fun p -> policy := p) in
+  let set_recovery = set (ok Bj.recovery_of_string) (fun r -> recovery := r) in
   let set_faults = set parse_faults (fun p -> faults := Some p) in
   let set_layout = set parse_layout (fun l -> layout := l) in
   let prefixed arg name =

@@ -25,28 +25,15 @@ let domains_arg =
     & opt int (Domain.recommended_domain_count ())
     & info [ "domains" ] ~docv:"N" ~doc)
 
+(* A cmdliner converter from a library parser returning [(_, string)
+   result] and its printer. *)
+let conv_of parse print =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (parse s)),
+      fun ppf v -> Format.pp_print_string ppf (print v) )
+
 let policy_conv =
-  let parse s =
-    let module Bj = Vblu_precond.Block_jacobi in
-    match String.lowercase_ascii s with
-    | "fail" -> Ok Bj.Fail
-    | "identity" -> Ok Bj.Identity_block
-    | s when String.length s > 8 && String.sub s 0 8 = "perturb:" -> (
-      match float_of_string_opt (String.sub s 8 (String.length s - 8)) with
-      | Some eps when eps > 0.0 -> Ok (Bj.Perturb eps)
-      | _ -> Error (`Msg "perturb epsilon must be a positive number"))
-    | _ ->
-      Error
-        (`Msg
-           (Printf.sprintf
-              "invalid breakdown policy %S: expected fail, identity, or \
-               perturb:EPS"
-              s))
-  in
-  let print ppf p =
-    Format.pp_print_string ppf (Vblu_precond.Block_jacobi.policy_name p)
-  in
-  Arg.conv (parse, print)
+  Vblu_precond.Block_jacobi.(conv_of policy_of_string policy_name)
 
 let policy_arg =
   let doc =
@@ -60,16 +47,7 @@ let policy_arg =
     & opt policy_conv Vblu_precond.Block_jacobi.Identity_block
     & info [ "breakdown-policy" ] ~docv:"POLICY" ~doc)
 
-let faults_conv =
-  let parse s =
-    match Vblu_fault.Fault.Plan.of_spec s with
-    | Ok p -> Ok p
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf p =
-    Format.pp_print_string ppf (Vblu_fault.Fault.Plan.to_spec p)
-  in
-  Arg.conv (parse, print)
+let faults_conv = Vblu_fault.Fault.Plan.(conv_of of_spec to_spec)
 
 let faults_arg =
   let doc =
@@ -92,28 +70,7 @@ let abft_arg =
   Arg.(value & flag & info [ "abft" ] ~doc)
 
 let recovery_conv =
-  let parse s =
-    let module Bj = Vblu_precond.Block_jacobi in
-    match String.lowercase_ascii s with
-    | "recompute" -> Ok (Bj.Recompute 1)
-    | "degrade" -> Ok Bj.Degrade_to_identity
-    | "fail" -> Ok (Bj.Fail : Bj.recovery_policy)
-    | s when String.length s > 10 && String.sub s 0 10 = "recompute:" -> (
-      match int_of_string_opt (String.sub s 10 (String.length s - 10)) with
-      | Some n when n > 0 -> Ok (Bj.Recompute n)
-      | _ -> Error (`Msg "recompute retry count must be a positive integer"))
-    | _ ->
-      Error
-        (`Msg
-           (Printf.sprintf
-              "invalid recovery policy %S: expected recompute[:N], degrade, \
-               or fail"
-              s))
-  in
-  let print ppf p =
-    Format.pp_print_string ppf (Vblu_precond.Block_jacobi.recovery_name p)
-  in
-  Arg.conv (parse, print)
+  Vblu_precond.Block_jacobi.(conv_of recovery_of_string recovery_name)
 
 let recovery_arg =
   let doc =
@@ -186,16 +143,7 @@ let kernel_cmd name doc driver =
   Cmd.v (Cmd.info name ~doc)
     Term.(const run $ quick_arg $ domains_arg $ trace_arg $ metrics_arg)
 
-let layout_conv =
-  let parse s =
-    match Vblu_core.Batch.layout_of_string s with
-    | Ok l -> Ok l
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf l =
-    Format.pp_print_string ppf (Vblu_core.Batch.layout_name l)
-  in
-  Arg.conv (parse, print)
+let layout_conv = Vblu_core.Batch.(conv_of layout_of_string layout_name)
 
 let layout_arg =
   let doc =
@@ -1092,26 +1040,10 @@ let loadgen_cmd =
 (* Time-stepping workload: amortized preconditioner setup              *)
 
 let ts_refresh_conv =
-  let parse s =
-    match Vblu_workloads.Timestep.refresh_of_string s with
-    | Ok r -> Ok r
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf r =
-    Format.pp_print_string ppf (Vblu_workloads.Timestep.refresh_name r)
-  in
-  Arg.conv (parse, print)
+  Vblu_workloads.Timestep.(conv_of refresh_of_string refresh_name)
 
 let ts_family_conv =
-  let parse s =
-    match Vblu_workloads.Timestep.family_of_string s with
-    | Ok f -> Ok f
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf f =
-    Format.pp_print_string ppf (Vblu_workloads.Timestep.family_name f)
-  in
-  Arg.conv (parse, print)
+  Vblu_workloads.Timestep.(conv_of family_of_string family_name)
 
 let timestep_cmd =
   let module T = Vblu_workloads.Timestep in
@@ -1207,9 +1139,9 @@ let timestep_cmd =
   Cmd.v
     (Cmd.info "timestep"
        ~doc:
-         "Time-stepping workload: re-solve a drifting convection\\xe2\\x80\\x93\
-          diffusion system over N steps, amortizing preconditioner setup \
-          with dirty-block tracking and partial batched \
+         "Time-stepping workload: re-solve a drifting \
+          convection–diffusion system over N steps, amortizing \
+          preconditioner setup with dirty-block tracking and partial batched \
           refactorization.")
     Term.(
       const run $ steps_arg $ nx_arg $ ny_arg $ peclet_arg $ drift_arg

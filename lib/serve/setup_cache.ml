@@ -1,13 +1,26 @@
 open Vblu_sparse
+open Vblu_precond
 
-type jacobi_entry = {
-  j_values : float array;
-  j_factors : (Vblu_smallblas.Matrix.t * int array) option array;
-}
+type _ family =
+  | Jacobi : Block_jacobi.handle family
+  | Ilu0 : Block_ilu0.handle family
 
 type data =
-  | Jacobi of jacobi_entry
-  | Ilu0 of Vblu_precond.Block_ilu0.handle
+  | Jacobi_setup of Block_jacobi.handle
+  | Ilu0_setup of Block_ilu0.handle
+
+let tag : type h. h family -> int = function Jacobi -> 0 | Ilu0 -> 1
+
+let wrap : type h. h family -> h -> data =
+ fun family h ->
+  match family with Jacobi -> Jacobi_setup h | Ilu0 -> Ilu0_setup h
+
+let unwrap : type h. h family -> data -> h option =
+ fun family d ->
+  match (family, d) with
+  | Jacobi, Jacobi_setup h -> Some h
+  | Ilu0, Ilu0_setup h -> Some h
+  | _ -> None
 
 type entry = {
   e_row_ptr : int array;
@@ -37,17 +50,18 @@ let key ~tag ~max_block_size (a : Csr.t) =
        (tag, a.Csr.n_rows, max_block_size, a.Csr.row_ptr, a.Csr.col_idx)
        [])
 
-let find t ~tag ~max_block_size (a : Csr.t) =
-  match Hashtbl.find_opt t.tbl (key ~tag ~max_block_size a) with
+let find (type h) t (family : h family) ~a ~max_block_size : h option =
+  match Hashtbl.find_opt t.tbl (key ~tag:(tag family) ~max_block_size a) with
   | Some e when e.e_row_ptr = a.Csr.row_ptr && e.e_col_idx = a.Csr.col_idx ->
     t.hits <- t.hits + 1;
-    Some e
+    unwrap family e.e_data
   | _ ->
     t.misses <- t.misses + 1;
     None
 
-let store t ~tag ~max_block_size (a : Csr.t) data =
-  let k = key ~tag ~max_block_size a in
+let store t family ~a ~max_block_size h =
+  let k = key ~tag:(tag family) ~max_block_size a in
+  let data = wrap family h in
   match Hashtbl.find_opt t.tbl k with
   | Some e -> e.e_data <- data
   | None ->
@@ -61,21 +75,5 @@ let store t ~tag ~max_block_size (a : Csr.t) data =
     Hashtbl.replace t.tbl k
       { e_row_ptr = a.Csr.row_ptr; e_col_idx = a.Csr.col_idx; e_data = data };
     t.order <- t.order @ [ k ]
-
-let find_jacobi t ~a ~max_block_size =
-  match find t ~tag:0 ~max_block_size a with
-  | Some { e_data = Jacobi e; _ } -> Some e
-  | _ -> None
-
-let store_jacobi t ~a ~max_block_size factors =
-  store t ~tag:0 ~max_block_size a
-    (Jacobi { j_values = Array.copy a.Csr.values; j_factors = factors })
-
-let find_ilu0 t ~a ~max_block_size =
-  match find t ~tag:1 ~max_block_size a with
-  | Some { e_data = Ilu0 h; _ } -> Some h
-  | _ -> None
-
-let store_ilu0 t ~a ~max_block_size h = store t ~tag:1 ~max_block_size a (Ilu0 h)
 
 let stats t = (t.hits, t.misses)

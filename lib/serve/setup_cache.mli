@@ -3,19 +3,16 @@
     Time-stepping tenants resubmit the same problem with drifted values
     wave after wave.  The cache keys each problem by its {e structural
     fingerprint} — dimension, sparsity pattern, blocking bound, family —
-    and keeps the previous setup alive so the next wave refactors only
-    what moved (see {!Vblu_precond.Block_jacobi.update}):
-
-    - block-Jacobi entries hold the value snapshot plus the per-block
-      factors of the last wave; clean blocks skip the coalesced LU
-      launch entirely;
-    - block-ILU(0) entries hold a live {!Vblu_precond.Block_ilu0.handle}
-      whose [update ~tol:0.] re-eliminates only the dirty DAG closure.
+    and keeps that problem's setup handle alive
+    ({!Vblu_precond.Block_jacobi.handle} or
+    {!Vblu_precond.Block_ilu0.handle}), so the next wave's refresh of
+    that handle refactors only what moved: the dirty diagonal blocks for
+    block-Jacobi, the dirty DAG closure for block-ILU(0).
 
     Reused factors are bitwise the ones a fresh setup would compute, so
     cached waves keep the service's bit-identity contract.  Eviction is
-    FIFO at [capacity] fingerprints.  Not thread-safe — callers hold the
-    service lock. *)
+    FIFO at [capacity] fingerprints.  One cache serves one precision and
+    one pool.  Not thread-safe — callers hold the service lock. *)
 
 open Vblu_sparse
 
@@ -24,27 +21,22 @@ type t
 val create : ?capacity:int -> unit -> t
 (** Default capacity 256 fingerprints. *)
 
-type jacobi_entry = {
-  j_values : float array;  (** CSR value snapshot of the cached wave. *)
-  j_factors : (Vblu_smallblas.Matrix.t * int array) option array;
-      (** per-block packed LU + pivots; [None] = block broke down or was
-          fault-flagged, so it must refactor. *)
-}
+(** The preconditioner family an entry belongs to, indexed by the type
+    of its handle: one entry per fingerprint and family. *)
+type _ family =
+  | Jacobi : Vblu_precond.Block_jacobi.handle family
+      (** a handle refreshed by the wave's coalesced multi-handle
+          {!Vblu_precond.Block_jacobi.refresh}. *)
+  | Ilu0 : Vblu_precond.Block_ilu0.handle family
+      (** a handle whose [update ~tol:0.] re-eliminates only the dirty
+          DAG closure. *)
 
-val find_jacobi : t -> a:Csr.t -> max_block_size:int -> jacobi_entry option
+val find : t -> 'h family -> a:Csr.t -> max_block_size:int -> 'h option
+(** The live handle stored for [a]'s fingerprint, if any (counts a hit or
+    a miss). *)
 
-val store_jacobi :
-  t ->
-  a:Csr.t ->
-  max_block_size:int ->
-  (Vblu_smallblas.Matrix.t * int array) option array ->
-  unit
-
-val find_ilu0 :
-  t -> a:Csr.t -> max_block_size:int -> Vblu_precond.Block_ilu0.handle option
-
-val store_ilu0 :
-  t -> a:Csr.t -> max_block_size:int -> Vblu_precond.Block_ilu0.handle -> unit
+val store : t -> 'h family -> a:Csr.t -> max_block_size:int -> 'h -> unit
+(** Keep [h] for [a]'s fingerprint, replacing any handle stored there. *)
 
 val stats : t -> int * int
 (** [(hits, misses)] over the cache's lifetime. *)

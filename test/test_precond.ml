@@ -260,6 +260,46 @@ let test_breakdown_policy_scalar () =
     info_pe.Block_jacobi.perturbed_blocks;
   check_float "1/eps apply" 14.0 (Preconditioner.apply p_pe [| 7.0; 2.0 |]).(0)
 
+(* One parser pair serves both front ends: every spelling [policy_name] /
+   [recovery_name] print parses back to the same policy, and rejections
+   carry the messages the CLI prints. *)
+let test_policy_strings () =
+  let module Bj = Block_jacobi in
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (Bj.policy_name p ^ " round-trips")
+        true
+        (Bj.policy_of_string (Bj.policy_name p) = Ok p))
+    [ Bj.Fail; Bj.Identity_block; Bj.Perturb 1e-8; Bj.Perturb 0.5 ];
+  List.iter
+    (fun r ->
+      Alcotest.(check bool)
+        (Bj.recovery_name r ^ " round-trips")
+        true
+        (Bj.recovery_of_string (Bj.recovery_name r) = Ok r))
+    [ Bj.Recompute 1; Bj.Recompute 7; Bj.Degrade_to_identity;
+      (Bj.Fail : Bj.recovery_policy) ];
+  Alcotest.(check bool) "case-insensitive" true
+    (Bj.policy_of_string "Identity" = Ok Bj.Identity_block);
+  Alcotest.(check bool) "bare recompute = recompute:1" true
+    (Bj.recovery_of_string "recompute" = Ok (Bj.Recompute 1));
+  let err = function Ok _ -> "accepted" | Error m -> m in
+  Alcotest.(check string) "non-positive eps"
+    "perturb epsilon must be a positive number"
+    (err (Bj.policy_of_string "perturb:0"));
+  Alcotest.(check string) "unknown policy"
+    "invalid breakdown policy \"bogus\": expected fail, identity, or \
+     perturb:EPS"
+    (err (Bj.policy_of_string "bogus"));
+  Alcotest.(check string) "non-positive retries"
+    "recompute retry count must be a positive integer"
+    (err (Bj.recovery_of_string "recompute:0"));
+  Alcotest.(check string) "unknown recovery"
+    "invalid recovery policy \"Skip\": expected recompute[:N], degrade, or \
+     fail"
+    (err (Bj.recovery_of_string "Skip"))
+
 let test_breakdown_deterministic_across_domains () =
   (* The outcome lists and the preconditioned solve are identical whatever
      the domain count (the per-block outcomes are recorded race-free). *)
@@ -439,6 +479,17 @@ let qcheck_tests =
         let blk = Supervariable.blocking ~max_block_size:bound a in
         Supervariable.validate ~n blk
         && Array.for_all (fun s -> s <= max bound 1) blk.Supervariable.sizes);
+    QCheck.Test.make ~count:100
+      ~name:"policy spellings round-trip through the one parser pair"
+      QCheck.(
+        triple (int_range 1 999_999) (int_range (-12) 3) (int_range 1 10_000))
+      (fun (mantissa, exp, retries) ->
+        let module Bj = Block_jacobi in
+        let eps = float_of_string (Printf.sprintf "%de%d" mantissa exp) in
+        let p = Bj.Perturb eps in
+        let r = Bj.Recompute retries in
+        Bj.policy_of_string (Bj.policy_name p) = Ok p
+        && Bj.recovery_of_string (Bj.recovery_name r) = Ok r);
     QCheck.Test.make ~count:20
       ~name:"block-jacobi apply is linear (M⁻¹(αr) = αM⁻¹r)"
       QCheck.(int_bound 1000)
@@ -487,6 +538,8 @@ let () =
             test_breakdown_policy_perturb;
           Alcotest.test_case "policy: scalar variant" `Quick
             test_breakdown_policy_scalar;
+          Alcotest.test_case "policy: string round-trip" `Quick
+            test_policy_strings;
           Alcotest.test_case "policy: deterministic across domains" `Quick
             test_breakdown_deterministic_across_domains;
           Alcotest.test_case "variants agree" `Quick test_variants_agree;
