@@ -154,15 +154,11 @@ let of_matrices ?layout ms =
       let s = sizes.(i) and off = b.offsets.(i) and st = b.widths.(i) in
       for j = 0 to s - 1 do
         for r = 0 to s - 1 do
-          b.values.(off + (st * (r + (j * s)))) <- Matrix.unsafe_get m r j
+          b.values.(off + (st * (r + (j * s)))) <- m.Matrix.a.(r + (j * s))
         done
       done)
     ms;
   b
-
-let get_matrix b i =
-  let s = b.sizes.(i) and off = b.offsets.(i) and st = b.widths.(i) in
-  Matrix.init s s (fun r j -> b.values.(off + (st * (r + (j * s)))))
 
 let get_matrix_into b i m =
   let r, c = Matrix.dims m in
@@ -171,9 +167,14 @@ let get_matrix_into b i m =
   let s = b.sizes.(i) and off = b.offsets.(i) and st = b.widths.(i) in
   for j = 0 to s - 1 do
     for row = 0 to s - 1 do
-      Matrix.unsafe_set m row j b.values.(off + (st * (row + (j * s))))
+      m.Matrix.a.(row + (j * s)) <- b.values.(off + (st * (row + (j * s))))
     done
   done
+
+let get_matrix b i =
+  let m = Matrix.create b.sizes.(i) b.sizes.(i) in
+  get_matrix_into b i m;
+  m
 
 let to_matrices b = Array.init b.count (get_matrix b)
 
@@ -184,7 +185,7 @@ let set_matrix b i m =
   let s = b.sizes.(i) and off = b.offsets.(i) and st = b.widths.(i) in
   for j = 0 to s - 1 do
     for row = 0 to s - 1 do
-      b.values.(off + (st * (row + (j * s)))) <- Matrix.unsafe_get m row j
+      b.values.(off + (st * (row + (j * s)))) <- m.Matrix.a.(row + (j * s))
     done
   done
 

@@ -8,6 +8,20 @@ type result = {
   exact : bool;
 }
 
+(* Rounded arithmetic inlined into this unit, bitwise equal to
+   [Precision]'s: under [-opaque] a call into another unit boxes every
+   float it passes or returns (DESIGN §5i). *)
+module R = struct
+  let[@inline] round p x =
+    match p with
+    | Precision.Double -> x
+    | Single -> Int32.float_of_bits (Int32.bits_of_float x)
+
+  let[@inline] add p a b = round p (a +. b)
+  let[@inline] sub p a b = round p (a -. b)
+  let[@inline] div p a b = round p (a /. b)
+end
+
 (* Factor arena slots: 0..p-1 hold the matrix columns, 64 the pivot
    broadcast, 65 the trailing-update multiplier. *)
 let t_d = 64
@@ -133,6 +147,7 @@ let t_bk = 3
 let t_prods = 4
 
 let kernel_solve w gmat gvec gout ~moff ~mst ~voff ~vst ~s =
+  let prec = Warp.prec w in
   let p = Warp.size w in
   let active = Warp.mask_slot w 0 in
   let from_k = Warp.mask_slot w 1 in
@@ -195,12 +210,9 @@ let kernel_solve w gmat gvec gout ~moff ~mst ~voff ~vst ~s =
        Warp.charge_fma w 5.0;
        let acc = ref 0.0 in
        for lane = k + 1 to s - 1 do
-         acc := Precision.add (Warp.prec w) prods.(lane) !acc
+         acc := R.add prec prods.(lane) !acc
        done;
-       b.(k) <-
-         Precision.div (Warp.prec w)
-           (Precision.sub (Warp.prec w) b.(k) !acc)
-           d.(k);
+       b.(k) <- R.div prec (R.sub prec b.(k) !acc) d.(k);
        Warp.charge_div w 1.0
      done
    with Exit -> ());

@@ -12,6 +12,20 @@ type result = {
   exact : bool;
 }
 
+(* Rounded arithmetic inlined into this unit, bitwise equal to
+   [Precision]'s: under [-opaque] a call into another unit boxes every
+   float it passes or returns (DESIGN §5i). *)
+module R = struct
+  let[@inline] round p x =
+    match p with
+    | Precision.Double -> x
+    | Single -> Int32.float_of_bits (Int32.bits_of_float x)
+
+  let[@inline] add p a b = round p (a +. b)
+  let[@inline] sub p a b = round p (a -. b)
+  let[@inline] div p a b = round p (a /. b)
+end
+
 (* Arena slot map: reg 0 = b (solution in progress), 1 = P·b snapshot for
    ABFT, 2 = column/row load, 3 = diagonal broadcast, 4 = solution-element
    broadcast, 5-9 = ABFT temporaries, 10 = lazy dot products.  Mask 0 =
@@ -167,6 +181,7 @@ let kernel_eager w gmat gvec gout ~moff ~mst ~voff ~vst ~s ~perm ~abft =
 (* Lazy (DOT) schedule: per step one non-coalesced row load and a warp
    reduction; the ablation showing why the paper prefers the eager form. *)
 let kernel_lazy w gmat gvec gout ~moff ~mst ~voff ~vst ~s ~perm ~abft =
+  let prec = Warp.prec w in
   let p = Warp.size w in
   let active = Warp.mask_slot w 0 in
   fill_lt w active s;
@@ -196,7 +211,7 @@ let kernel_lazy w gmat gvec gout ~moff ~mst ~voff ~vst ~s ~perm ~abft =
     Warp.charge_fma w (float_of_int rounds);
     let acc = ref 0.0 in
     for lane = 0 to upto_excl - 1 do
-      acc := Precision.add (Warp.prec w) prod.(lane) !acc
+      acc := R.add prec prod.(lane) !acc
     done;
     !acc
   in
@@ -204,7 +219,7 @@ let kernel_lazy w gmat gvec gout ~moff ~mst ~voff ~vst ~s ~perm ~abft =
   for k = 1 to s - 1 do
     Warp.fault_step w k;
     let d = dot_row ~upto_excl:k k in
-    b.(k) <- Precision.sub (Warp.prec w) b.(k) d;
+    b.(k) <- R.sub prec b.(k) d;
     (* One predicated subtract on the owning lane. *)
     Warp.charge_fma w 1.0
   done;
@@ -230,17 +245,14 @@ let kernel_lazy w gmat gvec gout ~moff ~mst ~voff ~vst ~s ~perm ~abft =
        Warp.charge_fma w 5.0;
        let acc = ref 0.0 in
        for lane = k + 1 to s - 1 do
-         acc := Precision.add (Warp.prec w) prod.(lane) !acc
+         acc := R.add prec prod.(lane) !acc
        done;
        let diag = row.(k) in
        if diag = 0.0 then begin
          info := k + 1;
          raise Exit
        end;
-       b.(k) <-
-         Precision.div (Warp.prec w)
-           (Precision.sub (Warp.prec w) b.(k) !acc)
-           diag;
+       b.(k) <- R.div prec (R.sub prec b.(k) !acc) diag;
        Warp.charge_div w 1.0
      done
    with Exit -> ());

@@ -1,6 +1,20 @@
 open Vblu_smallblas
 open Vblu_precond
 
+(* Rounded arithmetic inlined into this unit, bitwise equal to
+   [Precision]'s: under [-opaque] a call into another unit boxes every
+   float it passes or returns (DESIGN §5i). *)
+module R = struct
+  let[@inline] round p x =
+    match p with
+    | Precision.Double -> x
+    | Single -> Int32.float_of_bits (Int32.bits_of_float x)
+
+  let[@inline] mul p a b = round p (a *. b)
+  let[@inline] div p a b = round p (a /. b)
+  let[@inline] fma p a b c = round p ((a *. b) +. c)
+end
+
 let solve ?(prec = Precision.Double) ?precond
     ?(config = Solver.default_config) ?refresh_precond ?obs a b =
   let ctx = Solver.make_ctx ~prec ?precond ?obs ~name:"bicgstab" a b config in
@@ -58,12 +72,12 @@ let solve ?(prec = Precision.Double) ?precond
     let rho1 = Vector.dot ~prec rstar r in
     if rho1 = 0.0 then outcome := Some (Solver.Breakdown "rho = 0")
     else begin
-      let beta = Precision.mul prec (rho1 /. !rho) (!alpha /. !om) in
+      let beta = R.mul prec (rho1 /. !rho) (!alpha /. !om) in
       (* p = r + beta (p - om v) *)
       for i = 0 to n - 1 do
         p.(i) <-
-          Precision.fma prec beta
-            (Precision.fma prec (-. !om) v.(i) p.(i))
+          R.fma prec beta
+            (R.fma prec (-. !om) v.(i) p.(i))
             r.(i)
       done;
       let phat = apply_m p in
@@ -73,7 +87,7 @@ let solve ?(prec = Precision.Double) ?precond
       let denom = Vector.dot ~prec rstar v in
       if denom = 0.0 then outcome := Some (Solver.Breakdown "r*ᵀv = 0")
       else begin
-        alpha := Precision.div prec rho1 denom;
+        alpha := R.div prec rho1 denom;
         let s = Vector.copy r in
         Vector.axpy ~prec (-. !alpha) v s;
         let snorm = Vector.nrm2 ~prec s in
@@ -89,7 +103,7 @@ let solve ?(prec = Precision.Double) ?precond
           let tt = Vector.dot ~prec t t in
           if tt = 0.0 then outcome := Some (Solver.Breakdown "t = 0")
           else begin
-            om := Precision.div prec (Vector.dot ~prec t s) tt;
+            om := R.div prec (Vector.dot ~prec t s) tt;
             Vector.axpy ~prec !alpha phat x;
             Vector.axpy ~prec !om shat x;
             Array.blit s 0 r 0 n;

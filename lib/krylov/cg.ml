@@ -1,6 +1,19 @@
 open Vblu_smallblas
 open Vblu_precond
 
+(* Rounded arithmetic inlined into this unit, bitwise equal to
+   [Precision]'s: under [-opaque] a call into another unit boxes every
+   float it passes or returns (DESIGN §5i). *)
+module R = struct
+  let[@inline] round p x =
+    match p with
+    | Precision.Double -> x
+    | Single -> Int32.float_of_bits (Int32.bits_of_float x)
+
+  let[@inline] div p a b = round p (a /. b)
+  let[@inline] fma p a b c = round p ((a *. b) +. c)
+end
+
 let solve ?(prec = Precision.Double) ?precond
     ?(config = Solver.default_config) ?refresh_precond ?obs a b =
   let ctx = Solver.make_ctx ~prec ?precond ?obs ~name:"cg" a b config in
@@ -54,7 +67,7 @@ let solve ?(prec = Precision.Double) ?precond
         let pap = Vector.dot ~prec p ap in
         if pap = 0.0 then outcome := Some (Solver.Breakdown "pᵀAp = 0")
         else begin
-          let alpha = Precision.div prec !rz pap in
+          let alpha = R.div prec !rz pap in
           Vector.axpy ~prec alpha p x;
           Vector.axpy ~prec (-.alpha) ap r;
           let rnorm = Vector.nrm2 ~prec r in
@@ -69,10 +82,10 @@ let solve ?(prec = Precision.Double) ?precond
               let rz' = Vector.dot ~prec r z in
               if !rz = 0.0 then outcome := Some (Solver.Breakdown "rᵀz = 0")
               else begin
-                let beta = Precision.div prec rz' !rz in
+                let beta = R.div prec rz' !rz in
                 rz := rz';
                 for i = 0 to n - 1 do
-                  p.(i) <- Precision.fma prec beta p.(i) z.(i)
+                  p.(i) <- R.fma prec beta p.(i) z.(i)
                 done
               end
             end

@@ -1,6 +1,19 @@
 open Vblu_smallblas
 open Vblu_precond
 
+(* Rounded arithmetic inlined into this unit, bitwise equal to
+   [Precision]'s: under [-opaque] a call into another unit boxes every
+   float it passes or returns (DESIGN §5i). *)
+module R = struct
+  let[@inline] round p x =
+    match p with
+    | Precision.Double -> x
+    | Single -> Int32.float_of_bits (Int32.bits_of_float x)
+
+  let[@inline] div p a b = round p (a /. b)
+  let[@inline] fma p a b c = round p ((a *. b) +. c)
+end
+
 let solve ?(prec = Precision.Double) ?precond ?(restart = 30)
     ?(config = Solver.default_config) ?refresh_precond ?obs a b =
   if restart < 1 then invalid_arg "Gmres.solve: restart < 1";
@@ -103,9 +116,9 @@ let solve ?(prec = Precision.Double) ?precond ?(restart = 30)
         for i = k - 1 downto 0 do
           let acc = ref g.(i) in
           for l = i + 1 to k - 1 do
-            acc := Precision.fma prec (-.h.(i).(l)) y.(l) !acc
+            acc := R.fma prec (-.h.(i).(l)) y.(l) !acc
           done;
-          y.(i) <- Precision.div prec !acc h.(i).(i)
+          y.(i) <- R.div prec !acc h.(i).(i)
         done;
         let z = Vector.create n in
         for i = 0 to k - 1 do

@@ -1,6 +1,19 @@
 open Vblu_smallblas
 open Vblu_precond
 
+(* Rounded arithmetic inlined into this unit, bitwise equal to
+   [Precision]'s: under [-opaque] a call into another unit boxes every
+   float it passes or returns (DESIGN §5i). *)
+module R = struct
+  let[@inline] round p x =
+    match p with
+    | Precision.Double -> x
+    | Single -> Int32.float_of_bits (Int32.bits_of_float x)
+
+  let[@inline] div p a b = round p (a /. b)
+  let[@inline] fma p a b c = round p ((a *. b) +. c)
+end
+
 (* Orthonormalize s random columns by modified Gram-Schmidt. *)
 let shadow_space ~prec ~seed n s =
   let st = Random.State.make [| 0x1d2; seed |] in
@@ -25,10 +38,10 @@ let solve_lower ~prec ms f k s =
   for i = k to s - 1 do
     let acc = ref f.(i) in
     for j = k to i - 1 do
-      acc := Precision.fma prec (-.ms.(i).(j)) c.(j - k) !acc
+      acc := R.fma prec (-.ms.(i).(j)) c.(j - k) !acc
     done;
     if ms.(i).(i) = 0.0 then raise Exit;
-    c.(i - k) <- Precision.div prec !acc ms.(i).(i)
+    c.(i - k) <- R.div prec !acc ms.(i).(i)
   done;
   c
 
@@ -59,7 +72,7 @@ let solve ?(prec = Precision.Double) ?precond ?(s = 4) ?(seed = 1)
       let d = Vector.sub ~prec rs r in
       let dd = Vector.dot ~prec d d in
       if dd > 0.0 then begin
-        let eta = Precision.div prec (Vector.dot ~prec rs d) dd in
+        let eta = R.div prec (Vector.dot ~prec rs d) dd in
         Vector.axpy ~prec (-.eta) d rs;
         let dx = Vector.sub ~prec xs x in
         Vector.axpy ~prec (-.eta) dx xs
@@ -141,7 +154,7 @@ let solve ?(prec = Precision.Double) ?precond ?(s = 4) ?(seed = 1)
            (* Bi-orthogonalize the new direction against p_0..p_{k-1}. *)
            for i = 0 to kk - 1 do
              let alpha =
-               Precision.div prec (Vector.dot ~prec p.(i) gk) ms.(i).(i)
+               R.div prec (Vector.dot ~prec p.(i) gk) ms.(i).(i)
              in
              Vector.axpy ~prec (-.alpha) g.(i) gk;
              Vector.axpy ~prec (-.alpha) u.(i) uk
@@ -154,7 +167,7 @@ let solve ?(prec = Precision.Double) ?precond ?(s = 4) ?(seed = 1)
            if ms.(kk).(kk) = 0.0 then
              outcome := Some (Solver.Breakdown "zero pivot in IDR recurrence")
            else begin
-             let beta = Precision.div prec f.(kk) ms.(kk).(kk) in
+             let beta = R.div prec f.(kk) ms.(kk).(kk) in
              Vector.axpy ~prec (-.beta) gk r;
              Vector.axpy ~prec beta uk x;
              rnorm := Vector.nrm2 ~prec r;
@@ -165,7 +178,7 @@ let solve ?(prec = Precision.Double) ?precond ?(s = 4) ?(seed = 1)
                outcome := Some Solver.Max_iterations;
              if !outcome = None then check_guard ();
              for i = kk + 1 to s - 1 do
-               f.(i) <- Precision.fma prec (-.beta) ms.(i).(kk) f.(i)
+               f.(i) <- R.fma prec (-.beta) ms.(i).(kk) f.(i)
              done;
              f.(kk) <- 0.0
            end;

@@ -7,6 +7,18 @@ let log_src = Logs.Src.create "vblu.block_jacobi" ~doc:"block-Jacobi setup"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* Rounded product inlined into this unit, bitwise equal to
+   [Precision.mul]: under [-opaque] a call into another unit boxes every
+   float it passes or returns (DESIGN §5i). *)
+module R = struct
+  let[@inline] round p x =
+    match p with
+    | Precision.Double -> x
+    | Single -> Int32.float_of_bits (Int32.bits_of_float x)
+
+  let[@inline] mul p a b = round p (a *. b)
+end
+
 type variant = Lu | Gh | Ght | Gje_inverse | Cholesky | Scalar
 
 let variant_name = function
@@ -150,15 +162,17 @@ let into_of_solve ~s solve =
 
 (* The in-place LU apply: permuted gather, unit-lower sweep, upper sweep
    — [Lu.solve] step for step (a clean factorization has no zero pivot,
-   so the upper sweep cannot raise). *)
+   so the upper sweep cannot raise).  The [Some prec] the sweeps take is
+   built here once, not on every apply. *)
 let solver_of_factors ~prec s (f : Lu.factors) =
   let buf = Array.make s 0.0 in
+  let oprec = Some prec in
   let solve_into r st y =
     for k = 0 to s - 1 do
       buf.(k) <- r.(st + f.Lu.perm.(k))
     done;
-    Trsv.lower_unit_in_place ~prec f.Lu.lu buf;
-    Trsv.upper_in_place ~prec f.Lu.lu buf;
+    Trsv.lower_unit_in_place ?prec:oprec f.Lu.lu buf;
+    Trsv.upper_in_place ?prec:oprec f.Lu.lu buf;
     Array.blit buf 0 y st s
   in
   { solve = (fun rhs -> Lu.solve ~prec f rhs); solve_into }
@@ -167,18 +181,18 @@ let solver_of_factors ~prec s (f : Lu.factors) =
    the largest absolute entry of the block (1.0 for an all-zero block) —
    the standard diagonal-shift rescue for a broken-down factorization. *)
 let perturbed_copy ~eps m =
-  let n, _ = Matrix.dims m in
+  let n = m.Matrix.rows in
   let scale = ref 0.0 in
   for r = 0 to n - 1 do
     for c = 0 to n - 1 do
-      let v = Float.abs (Matrix.unsafe_get m r c) in
+      let v = Float.abs m.Matrix.a.(r + (c * n)) in
       if v > !scale then scale := v
     done
   done;
   let scale = if !scale = 0.0 then 1.0 else !scale in
   let m' = Matrix.copy m in
   for r = 0 to n - 1 do
-    Matrix.unsafe_set m' r r (Matrix.unsafe_get m' r r +. (eps *. scale))
+    m'.Matrix.a.(r + (r * n)) <- m'.Matrix.a.(r + (r * n)) +. (eps *. scale)
   done;
   m'
 
@@ -206,7 +220,7 @@ let abft_ok ~prec mfact (solver : block_solver) =
   for r = 0 to s - 1 do
     let scale = ref (Float.abs w.(r)) in
     for c = 0 to s - 1 do
-      scale := !scale +. Float.abs (Matrix.unsafe_get mfact r c *. u.(c))
+      scale := !scale +. Float.abs (mfact.Matrix.a.(r + (c * s)) *. u.(c))
     done;
     let tol = 1024.0 *. float_of_int s *. eps *. !scale in
     if (not (Float.is_finite au.(r))) || Float.abs (au.(r) -. w.(r)) > tol then
@@ -252,9 +266,10 @@ let block_solvers ~pool ~prec ~variant ~policy ~faults ~abft ~recovery blocks =
       if inf = 0 then
         let s, _ = Matrix.dims m in
         let xb = Array.make s 0.0 and yb = Array.make s 0.0 in
+        let oprec = Some prec in
         let solve_into r st y =
           Array.blit r st xb 0 s;
-          Matrix.gemv_into ~prec inv xb yb;
+          Matrix.gemv_into ?prec:oprec inv xb yb;
           Array.blit yb 0 y st s
         in
         Some
@@ -273,7 +288,7 @@ let block_solvers ~pool ~prec ~variant ~policy ~faults ~abft ~recovery blocks =
         let ok = ref true in
         for r = 0 to n - 1 do
           for c = r + 1 to n - 1 do
-            if Matrix.unsafe_get m r c <> Matrix.unsafe_get m c r then
+            if m.Matrix.a.(r + (c * n)) <> m.Matrix.a.(c + (r * n)) then
               ok := false
           done
         done;
@@ -285,9 +300,10 @@ let block_solvers ~pool ~prec ~variant ~policy ~faults ~abft ~recovery blocks =
         if inf = 0 then
           let s, _ = Matrix.dims m in
           let buf = Array.make s 0.0 in
+          let oprec = Some prec in
           let solve_into r st y =
             Array.blit r st buf 0 s;
-            Cholesky.solve_in_place ~prec f buf;
+            Cholesky.solve_in_place ?prec:oprec f buf;
             Array.blit buf 0 y st s
           in
           Some
@@ -422,7 +438,11 @@ let create ?(pool = Pool.sequential) ?(prec = Precision.Double) ?(variant = Lu)
           in
           let blk = Supervariable.uniform ~n ~block_size:1 in
           let apply r =
-            Array.init n (fun i -> Precision.mul prec inv.(i) r.(i))
+            let y = Array.make n 0.0 in
+            for i = 0 to n - 1 do
+              y.(i) <- R.mul prec inv.(i) r.(i)
+            done;
+            y
           in
           ("jacobi", blk, apply, outcomes)
         | Lu | Gh | Ght | Gje_inverse | Cholesky ->

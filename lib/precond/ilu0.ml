@@ -9,6 +9,20 @@ type factors = {
 
 let values f = f.values
 
+(* Rounded arithmetic inlined into this unit, bitwise equal to
+   [Precision]'s: under [-opaque] a call into another unit boxes every
+   float it passes or returns (DESIGN §5i). *)
+module R = struct
+  let[@inline] round p x =
+    match p with
+    | Precision.Double -> x
+    | Single -> Int32.float_of_bits (Int32.bits_of_float x)
+
+  let[@inline] sub p a b = round p (a -. b)
+  let[@inline] mul p a b = round p (a *. b)
+  let[@inline] div p a b = round p (a /. b)
+end
+
 let factorize ?(prec = Precision.Double)
     ?(policy = (Block_jacobi.Identity_block : Block_jacobi.breakdown_policy))
     (a : Csr.t) =
@@ -45,14 +59,14 @@ let factorize ?(prec = Precision.Double)
       if k < !i then begin
         (* Earlier breakdown rows were already patched (or froze the
            sweep), so the pivot here is nonzero by construction. *)
-        v.(p) <- Precision.div prec v.(p) v.(diag_pos.(k));
+        v.(p) <- R.div prec v.(p) v.(diag_pos.(k));
         let lik = v.(p) in
         (* Update the intersection of row i's pattern with row k's tail. *)
         for q = diag_pos.(k) + 1 to a.Csr.row_ptr.(k + 1) - 1 do
           let j = a.Csr.col_idx.(q) in
           let pj = where.(j) in
           if pj >= 0 then
-            v.(pj) <- Precision.sub prec v.(pj) (Precision.mul prec lik v.(q))
+            v.(pj) <- R.sub prec v.(pj) (R.mul prec lik v.(q))
         done
       end
     done;
@@ -85,8 +99,8 @@ let solve ?(prec = Precision.Double) f b =
     let acc = ref x.(i) in
     for p = a.Csr.row_ptr.(i) to f.diag_pos.(i) - 1 do
       acc :=
-        Precision.sub prec !acc
-          (Precision.mul prec f.values.(p) x.(a.Csr.col_idx.(p)))
+        R.sub prec !acc
+          (R.mul prec f.values.(p) x.(a.Csr.col_idx.(p)))
     done;
     x.(i) <- !acc
   done;
@@ -95,10 +109,10 @@ let solve ?(prec = Precision.Double) f b =
     let acc = ref x.(i) in
     for p = f.diag_pos.(i) + 1 to a.Csr.row_ptr.(i + 1) - 1 do
       acc :=
-        Precision.sub prec !acc
-          (Precision.mul prec f.values.(p) x.(a.Csr.col_idx.(p)))
+        R.sub prec !acc
+          (R.mul prec f.values.(p) x.(a.Csr.col_idx.(p)))
     done;
-    x.(i) <- Precision.div prec !acc f.values.(f.diag_pos.(i))
+    x.(i) <- R.div prec !acc f.values.(f.diag_pos.(i))
   done;
   x
 

@@ -2,9 +2,24 @@ open Vblu_smallblas
 
 type t = { data : float array; prec : Precision.t }
 
+(* [Precision.round] inlined into this unit, bitwise equal to it: under
+   [-opaque] a call into another unit boxes every float it passes or
+   returns (DESIGN §5i). *)
+module R = struct
+  let[@inline] round p x =
+    match p with
+    | Precision.Double -> x
+    | Single -> Int32.float_of_bits (Int32.bits_of_float x)
+end
+
 let create prec n = { data = Array.make n 0.0; prec }
 
-let of_array prec a = { data = Array.map (Precision.round prec) a; prec }
+let of_array prec a =
+  let data = Array.copy a in
+  for i = 0 to Array.length data - 1 do
+    data.(i) <- R.round prec data.(i)
+  done;
+  { data; prec }
 
 let length t = Array.length t.data
 
@@ -12,7 +27,7 @@ let prec t = t.prec
 
 let get t i = t.data.(i)
 
-let set t i v = t.data.(i) <- Precision.round t.prec v
+let set t i v = t.data.(i) <- R.round t.prec v
 
 let corrupt t i f = t.data.(i) <- f t.data.(i)
 

@@ -18,6 +18,19 @@ let addr_slots = 4
    factor at or below ~0.6 in the worst case. *)
 let seg_slots = 512
 
+(* Rounded arithmetic inlined into this unit, bitwise equal to
+   [Precision]'s: under [-opaque] a call into another unit boxes every
+   float it passes or returns (DESIGN §5i). *)
+module R = struct
+  let[@inline] round p x =
+    match p with
+    | Precision.Double -> x
+    | Single -> Int32.float_of_bits (Int32.bits_of_float x)
+
+  let[@inline] div p a b = round p (a /. b)
+  let[@inline] fma p a b c = round p ((a *. b) +. c)
+end
+
 type t = {
   cfg : Config.t;
   prec : Precision.t;
@@ -234,7 +247,7 @@ let fma_into t ?active ~dst a b c =
   let act = active_or_all t active in
   charge_fma t 1.0;
   for i = 0 to t.size - 1 do
-    dst.(i) <- (if act.(i) then Precision.fma t.prec a.(i) b.(i) c.(i) else c.(i))
+    dst.(i) <- (if act.(i) then R.fma t.prec a.(i) b.(i) c.(i) else c.(i))
   done;
   ignore (apply_fault t Register dst)
 
@@ -247,9 +260,13 @@ let fnma_into t ?active ~dst a b c =
   charge_fma t 1.0;
   for i = 0 to t.size - 1 do
     dst.(i) <-
-      (if act.(i) then Precision.fma t.prec (-.a.(i)) b.(i) c.(i) else c.(i))
+      (if act.(i) then R.fma t.prec (-.a.(i)) b.(i) c.(i) else c.(i))
   done;
   ignore (apply_fault t Register dst)
+
+(* The operator is a tag, not a closure: a closure call per lane would box
+   both operands and the result. *)
+type lane_op = Add | Sub | Mul
 
 let lanewise2_into t ?active op name ~dst a b =
   check_lanes t a name;
@@ -258,13 +275,18 @@ let lanewise2_into t ?active op name ~dst a b =
   let act = active_or_all t active in
   charge_fma t 1.0;
   for i = 0 to t.size - 1 do
-    dst.(i) <- (if act.(i) then Precision.round t.prec (op a.(i) b.(i)) else a.(i))
+    dst.(i) <-
+      (if act.(i) then
+         let x = a.(i) and y = b.(i) in
+         R.round t.prec
+           (match op with Add -> x +. y | Sub -> x -. y | Mul -> x *. y)
+       else a.(i))
   done;
   ignore (apply_fault t Register dst)
 
-let add_into t ?active ~dst a b = lanewise2_into t ?active ( +. ) "Warp.add" ~dst a b
-let sub_into t ?active ~dst a b = lanewise2_into t ?active ( -. ) "Warp.sub" ~dst a b
-let mul_into t ?active ~dst a b = lanewise2_into t ?active ( *. ) "Warp.mul" ~dst a b
+let add_into t ?active ~dst a b = lanewise2_into t ?active Add "Warp.add" ~dst a b
+let sub_into t ?active ~dst a b = lanewise2_into t ?active Sub "Warp.sub" ~dst a b
+let mul_into t ?active ~dst a b = lanewise2_into t ?active Mul "Warp.mul" ~dst a b
 
 let div_into t ?active ~dst a b =
   check_lanes t a "Warp.div";
@@ -273,7 +295,7 @@ let div_into t ?active ~dst a b =
   let act = active_or_all t active in
   charge_div t 1.0;
   for i = 0 to t.size - 1 do
-    dst.(i) <- (if act.(i) then Precision.div t.prec a.(i) b.(i) else a.(i))
+    dst.(i) <- (if act.(i) then R.div t.prec a.(i) b.(i) else a.(i))
   done;
   ignore (apply_fault t Register dst)
 
@@ -283,7 +305,7 @@ let sqrt_into t ?active ~dst a =
   let act = active_or_all t active in
   charge_div t 1.0;
   for i = 0 to t.size - 1 do
-    dst.(i) <- (if act.(i) then Precision.round t.prec (sqrt a.(i)) else a.(i))
+    dst.(i) <- (if act.(i) then R.round t.prec (sqrt a.(i)) else a.(i))
   done;
   ignore (apply_fault t Register dst)
 
@@ -393,6 +415,21 @@ let argmax_abs t ?active x =
    the union of those strips and charge this problem its 1/width share of
    the collective transactions, bytes and replays.  [gmem_elems] (the
    logical pre-coalescing volume) stays per-problem. *)
+(* Stamp segment [s] into the table for generation [stamp]; true when it
+   was not there yet.  A top-level function rather than a closure over the
+   access's count, so an access allocates nothing. *)
+let seg_insert t stamp s =
+  let h = ref (s * 0x9e3779b1 land (seg_slots - 1)) in
+  while t.seg_gen.(!h) = stamp && t.seg_slot.(!h) <> s do
+    h := (!h + 1) land (seg_slots - 1)
+  done;
+  let fresh = t.seg_gen.(!h) <> stamp in
+  if fresh then begin
+    t.seg_gen.(!h) <- stamp;
+    t.seg_slot.(!h) <- s
+  end;
+  fresh
+
 let count_transactions t mem addrs act =
   t.ev_gmem <- t.ev_gmem + 1;
   if t.charging then begin
@@ -401,25 +438,11 @@ let count_transactions t mem addrs act =
     let stamp = t.gen in
     let n = ref 0 in
     let active = ref 0 in
-    let insert s =
-      let h = ref (s * 0x9e3779b1 land (seg_slots - 1)) in
-      let scanning = ref true in
-      while !scanning do
-        if t.seg_gen.(!h) <> stamp then begin
-          t.seg_gen.(!h) <- stamp;
-          t.seg_slot.(!h) <- s;
-          incr n;
-          scanning := false
-        end
-        else if t.seg_slot.(!h) = s then scanning := false
-        else h := (!h + 1) land (seg_slots - 1)
-      done
-    in
     if t.co_width <= 1 then begin
       for i = 0 to t.size - 1 do
         if act.(i) then begin
           incr active;
-          insert (addrs.(i) / seg_elems)
+          if seg_insert t stamp (addrs.(i) / seg_elems) then incr n
         end
       done;
       let n = !n in
@@ -444,7 +467,7 @@ let count_transactions t mem addrs act =
           let lo = addrs.(i) - slot in
           let s0 = lo / seg_elems and s1 = (lo + width - 1) / seg_elems in
           for s = s0 to s1 do
-            insert s
+            if seg_insert t stamp s then incr n
           done
         end
       done;
@@ -475,8 +498,9 @@ let load_into t mem ?active addrs ~dst =
   check_lanes t dst "Warp.load";
   let act = active_or_all t active in
   count_transactions t mem addrs act;
+  let data = Gmem.raw mem in
   for i = 0 to t.size - 1 do
-    dst.(i) <- (if act.(i) then Gmem.get mem addrs.(i) else 0.0)
+    dst.(i) <- (if act.(i) then data.(addrs.(i)) else 0.0)
   done;
   ignore (apply_fault t Global dst)
 
@@ -490,7 +514,11 @@ let store t mem ?active addrs values =
   check_lanes t values "Warp.store";
   let act = active_or_all t active in
   count_transactions t mem addrs act;
-  Array.iteri (fun i a -> if act.(i) then Gmem.set mem a values.(i)) addrs;
+  (* [Gmem.set]'s rounding, inlined. *)
+  let data = Gmem.raw mem and prec = Gmem.prec mem in
+  for i = 0 to t.size - 1 do
+    if act.(i) then data.(addrs.(i)) <- R.round prec values.(i)
+  done;
   (* A global-memory fault on a store corrupts the cell in DRAM itself,
      after (and bypassing) the precision rounding of the store path. *)
   match t.inject with
@@ -520,9 +548,10 @@ let charge_smem_access t sm addrs act =
     let banks = t.cfg.Config.smem_banks in
     let hits = t.bank_hits in
     Array.fill hits 0 banks 0;
-    Array.iteri
-      (fun i a -> if act.(i) then hits.(a mod banks) <- hits.(a mod banks) + 1)
-      addrs;
+    for i = 0 to t.size - 1 do
+      if act.(i) then
+        hits.(addrs.(i) mod banks) <- hits.(addrs.(i) mod banks) + 1
+    done;
     let passes = Array.fold_left max 1 hits in
     t.counter.Counter.smem_accesses <-
       t.counter.Counter.smem_accesses +. float_of_int passes
@@ -533,9 +562,9 @@ let smem_store t sm ?active addrs values =
   check_lanes t values "Warp.smem_store";
   let act = active_or_all t active in
   charge_smem_access t sm addrs act;
-  Array.iteri
-    (fun i a -> if act.(i) then sm.data.(a) <- Precision.round t.prec values.(i))
-    addrs;
+  for i = 0 to t.size - 1 do
+    if act.(i) then sm.data.(addrs.(i)) <- R.round t.prec values.(i)
+  done;
   (match t.inject with
   | None -> ()
   | Some inj -> (

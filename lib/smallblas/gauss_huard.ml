@@ -2,66 +2,76 @@ type storage = Normal | Transposed
 
 type factors = { gh : Matrix.t; cperm : int array; storage : storage }
 
-(* Element accessors that hide the GH-T transposed layout. *)
-let fget f i j =
+(* Rounded arithmetic inlined into this unit, bitwise equal to
+   [Precision]'s: under [-opaque] a call into another unit boxes every
+   float it passes or returns (DESIGN §5i). *)
+module R = struct
+  let[@inline] round p x =
+    match p with
+    | Precision.Double -> x
+    | Single -> Int32.float_of_bits (Int32.bits_of_float x)
+
+  let[@inline] div p a b = round p (a /. b)
+  let[@inline] fma p a b c = round p ((a *. b) +. c)
+end
+
+(* Element accessor that hides the GH-T transposed layout. *)
+let[@inline] fget f i j =
+  let n = f.gh.Matrix.rows in
   match f.storage with
-  | Normal -> Matrix.unsafe_get f.gh i j
-  | Transposed -> Matrix.unsafe_get f.gh j i
+  | Normal -> f.gh.Matrix.a.(i + (j * n))
+  | Transposed -> f.gh.Matrix.a.(j + (i * n))
 
 let factor_status ?(prec = Precision.Double) ?(storage = Normal) m =
   let rows, cols = Matrix.dims m in
   if rows <> cols then invalid_arg "Gauss_huard.factor: matrix not square";
   let n = rows in
   let w = Matrix.copy m in
+  let wa = w.Matrix.a in
   let cperm = Array.init n (fun j -> j) in
   let info = ref 0 in
   (try
   for k = 0 to n - 1 do
     (* Lazy update of row k, columns k..n-1, against the processed rows. *)
     for j = k to n - 1 do
-      let acc = ref (Matrix.unsafe_get w k j) in
+      let acc = ref wa.(k + (j * n)) in
       for i = 0 to k - 1 do
-        acc :=
-          Precision.fma prec
-            (-.Matrix.unsafe_get w k i)
-            (Matrix.unsafe_get w i j)
-            !acc
+        acc := R.fma prec (-.wa.(k + (i * n))) wa.(i + (j * n)) !acc
       done;
-      Matrix.unsafe_set w k j !acc
+      wa.(k + (j * n)) <- !acc
     done;
     (* Column pivoting: largest magnitude in row k, columns k..n-1. *)
     let piv = ref k in
     for j = k + 1 to n - 1 do
-      if Float.abs (Matrix.unsafe_get w k j) > Float.abs (Matrix.unsafe_get w k !piv)
-      then piv := j
+      if Float.abs wa.(k + (j * n)) > Float.abs wa.(k + (!piv * n)) then
+        piv := j
     done;
     if !piv <> k then begin
       for i = 0 to n - 1 do
-        let tmp = Matrix.unsafe_get w i k in
-        Matrix.unsafe_set w i k (Matrix.unsafe_get w i !piv);
-        Matrix.unsafe_set w i !piv tmp
+        let tmp = wa.(i + (k * n)) in
+        wa.(i + (k * n)) <- wa.(i + (!piv * n));
+        wa.(i + (!piv * n)) <- tmp
       done;
       let tmp = cperm.(k) in
       cperm.(k) <- cperm.(!piv);
       cperm.(!piv) <- tmp
     end;
-    let d = Matrix.unsafe_get w k k in
+    let d = wa.(k + (k * n)) in
     if d = 0.0 then begin
       info := k + 1;
       raise Exit
     end;
     (* Scale the trailing part of row k by the pivot. *)
     for j = k + 1 to n - 1 do
-      Matrix.unsafe_set w k j (Precision.div prec (Matrix.unsafe_get w k j) d)
+      wa.(k + (j * n)) <- R.div prec wa.(k + (j * n)) d
     done;
     (* Eager elimination of column k above the diagonal.  The multipliers
        w(i,k) stay in place: the solve needs them. *)
     for i = 0 to k - 1 do
-      let l = Matrix.unsafe_get w i k in
+      let l = wa.(i + (k * n)) in
       if l <> 0.0 then
         for j = k + 1 to n - 1 do
-          Matrix.unsafe_set w i j
-            (Precision.fma prec (-.l) (Matrix.unsafe_get w k j) (Matrix.unsafe_get w i j))
+          wa.(i + (j * n)) <- R.fma prec (-.l) wa.(k + (j * n)) wa.(i + (j * n))
         done
     done
   done
@@ -90,18 +100,18 @@ let solve_permuted_status ?(prec = Precision.Double) f b =
        (* DOT against the lower multipliers, then the pivot division ... *)
        let acc = ref y.(k) in
        for j = 0 to k - 1 do
-         acc := Precision.fma prec (-.fget f k j) y.(j) !acc
+         acc := R.fma prec (-.fget f k j) y.(j) !acc
        done;
        let d = fget f k k in
        if d = 0.0 then begin
          info := k + 1;
          raise Exit
        end;
-       y.(k) <- Precision.div prec !acc d;
+       y.(k) <- R.div prec !acc d;
        (* ... then the eager AXPY against the upper multipliers. *)
        let yk = y.(k) in
        for i = 0 to k - 1 do
-         y.(i) <- Precision.fma prec (-.fget f i k) yk y.(i)
+         y.(i) <- R.fma prec (-.fget f i k) yk y.(i)
        done
      done
    with Exit -> ());

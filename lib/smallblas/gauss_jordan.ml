@@ -4,17 +4,29 @@
    the clearest correct reference, and only the reference is used for
    numerics. *)
 
+(* Rounded arithmetic inlined into this unit, bitwise equal to
+   [Precision]'s: under [-opaque] a call into another unit boxes every
+   float it passes or returns (DESIGN §5i). *)
+module R = struct
+  let[@inline] round p x =
+    match p with
+    | Precision.Double -> x
+    | Single -> Int32.float_of_bits (Int32.bits_of_float x)
+
+  let[@inline] div p a b = round p (a /. b)
+  let[@inline] fma p a b c = round p ((a *. b) +. c)
+end
+
 let invert_status ?(prec = Precision.Double) m =
   let rows, cols = Matrix.dims m in
   if rows <> cols then invalid_arg "Gauss_jordan.invert: matrix not square";
   let n = rows in
   let w = Array.make (n * 2 * n) 0.0 in
-  let get i j = w.((j * n) + i) in
-  let set i j v = w.((j * n) + i) <- v in
+  let at i j = (j * n) + i in
   for j = 0 to n - 1 do
     for i = 0 to n - 1 do
-      set i j (Matrix.unsafe_get m i j);
-      set i (n + j) (if i = j then 1.0 else 0.0)
+      w.(at i j) <- m.Matrix.a.(i + (j * n));
+      w.(at i (n + j)) <- (if i = j then 1.0 else 0.0)
     done
   done;
   let info = ref 0 in
@@ -22,28 +34,28 @@ let invert_status ?(prec = Precision.Double) m =
      for k = 0 to n - 1 do
        let piv = ref k in
        for i = k + 1 to n - 1 do
-         if Float.abs (get i k) > Float.abs (get !piv k) then piv := i
+         if Float.abs w.(at i k) > Float.abs w.(at !piv k) then piv := i
        done;
-       let d = get !piv k in
+       let d = w.(at !piv k) in
        if d = 0.0 then begin
          info := k + 1;
          raise Exit
        end;
        if !piv <> k then
          for j = 0 to (2 * n) - 1 do
-           let tmp = get k j in
-           set k j (get !piv j);
-           set !piv j tmp
+           let tmp = w.(at k j) in
+           w.(at k j) <- w.(at !piv j);
+           w.(at !piv j) <- tmp
          done;
        for j = 0 to (2 * n) - 1 do
-         set k j (Precision.div prec (get k j) d)
+         w.(at k j) <- R.div prec w.(at k j) d
        done;
        for i = 0 to n - 1 do
          if i <> k then begin
-           let l = get i k in
+           let l = w.(at i k) in
            if l <> 0.0 then
              for j = 0 to (2 * n) - 1 do
-               set i j (Precision.fma prec (-.l) (get k j) (get i j))
+               w.(at i j) <- R.fma prec (-.l) w.(at k j) w.(at i j)
              done
          end
        done
@@ -52,7 +64,7 @@ let invert_status ?(prec = Precision.Double) m =
   (* On breakdown at step k the reduction freezes: columns 0..k-1 of the
      left half are already identity and the right half holds the partial
      transform — returned as-is, flagged by info = k + 1. *)
-  (Matrix.init n n (fun i j -> get i (n + j)), !info)
+  (Matrix.init n n (fun i j -> w.(at i (n + j))), !info)
 
 let invert ?prec m =
   let inv, info = invert_status ?prec m in

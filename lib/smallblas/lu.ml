@@ -2,6 +2,19 @@ type factors = { lu : Matrix.t; perm : int array }
 
 exception Singular = Error.Singular
 
+(* Rounded arithmetic inlined into this unit, bitwise equal to
+   [Precision]'s: under [-opaque] a call into another unit boxes every
+   float it passes or returns (DESIGN §5i). *)
+module R = struct
+  let[@inline] round p x =
+    match p with
+    | Precision.Double -> x
+    | Single -> Int32.float_of_bits (Int32.bits_of_float x)
+
+  let[@inline] div p a b = round p (a /. b)
+  let[@inline] fma p a b c = round p ((a *. b) +. c)
+end
+
 let check_square m name =
   let rows, cols = Matrix.dims m in
   if rows <> cols then invalid_arg (name ^ ": matrix not square");
@@ -17,6 +30,7 @@ let check_square m name =
 let factor_explicit_status ?(prec = Precision.Double) m =
   let n = check_square m "Lu.factor_explicit" in
   let w = Matrix.copy m in
+  let wa = w.Matrix.a in
   let perm = Array.init n (fun i -> i) in
   let info = ref 0 in
   (try
@@ -24,36 +38,33 @@ let factor_explicit_status ?(prec = Precision.Double) m =
        (* Partial pivoting: largest magnitude in column k, rows k..n-1. *)
        let piv = ref k in
        for i = k + 1 to n - 1 do
-         if Float.abs (Matrix.unsafe_get w i k) > Float.abs (Matrix.unsafe_get w !piv k)
-         then piv := i
+         if Float.abs wa.(i + (k * n)) > Float.abs wa.(!piv + (k * n)) then
+           piv := i
        done;
        if !piv <> k then begin
          for j = 0 to n - 1 do
-           let tmp = Matrix.unsafe_get w k j in
-           Matrix.unsafe_set w k j (Matrix.unsafe_get w !piv j);
-           Matrix.unsafe_set w !piv j tmp
+           let tmp = wa.(k + (j * n)) in
+           wa.(k + (j * n)) <- wa.(!piv + (j * n));
+           wa.(!piv + (j * n)) <- tmp
          done;
          let tmp = perm.(k) in
          perm.(k) <- perm.(!piv);
          perm.(!piv) <- tmp
        end;
-       let d = Matrix.unsafe_get w k k in
+       let d = wa.(k + (k * n)) in
        if d = 0.0 then begin
          info := k + 1;
          raise Exit
        end;
        for i = k + 1 to n - 1 do
-         Matrix.unsafe_set w i k (Precision.div prec (Matrix.unsafe_get w i k) d)
+         wa.(i + (k * n)) <- R.div prec wa.(i + (k * n)) d
        done;
        for j = k + 1 to n - 1 do
-         let ukj = Matrix.unsafe_get w k j in
+         let ukj = wa.(k + (j * n)) in
          if ukj <> 0.0 then
            for i = k + 1 to n - 1 do
-             Matrix.unsafe_set w i j
-               (Precision.fma prec
-                  (-.Matrix.unsafe_get w i k)
-                  ukj
-                  (Matrix.unsafe_get w i j))
+             wa.(i + (j * n)) <-
+               R.fma prec (-.wa.(i + (k * n))) ukj wa.(i + (j * n))
            done
        done
      done
@@ -68,6 +79,7 @@ let factor_explicit ?prec m =
 let factor_implicit_status ?(prec = Precision.Double) m =
   let n = check_square m "Lu.factor_implicit" in
   let w = Matrix.copy m in
+  let wa = w.Matrix.a in
   (* step.(r) = elimination step at which original row r was chosen as
      pivot, or -1 while the row is still unpivoted (the paper's [p]). *)
   let step = Array.make n (-1) in
@@ -81,11 +93,10 @@ let factor_implicit_status ?(prec = Precision.Double) m =
          if
            step.(r) < 0
            && (!piv < 0
-               || Float.abs (Matrix.unsafe_get w r k)
-                  > Float.abs (Matrix.unsafe_get w !piv k))
+              || Float.abs wa.(r + (k * n)) > Float.abs wa.(!piv + (k * n)))
          then piv := r
        done;
-       let d = Matrix.unsafe_get w !piv k in
+       let d = wa.(!piv + (k * n)) in
        if d = 0.0 then begin
          info := k + 1;
          raise Exit
@@ -95,13 +106,11 @@ let factor_implicit_status ?(prec = Precision.Double) m =
           trailing part against the pivot row — no data movement. *)
        for r = 0 to n - 1 do
          if step.(r) < 0 then begin
-           Matrix.unsafe_set w r k (Precision.div prec (Matrix.unsafe_get w r k) d);
-           let l = Matrix.unsafe_get w r k in
+           let l = R.div prec wa.(r + (k * n)) d in
+           wa.(r + (k * n)) <- l;
            for j = k + 1 to n - 1 do
-             Matrix.unsafe_set w r j
-               (Precision.fma prec (-.l)
-                  (Matrix.unsafe_get w !piv j)
-                  (Matrix.unsafe_get w r j))
+             wa.(r + (j * n)) <-
+               R.fma prec (-.l) wa.(!piv + (j * n)) wa.(r + (j * n))
            done
          end
        done
@@ -134,26 +143,24 @@ let factor_implicit ?prec m =
 let factor_nopivot_status ?(prec = Precision.Double) m =
   let n = check_square m "Lu.factor_nopivot" in
   let w = Matrix.copy m in
+  let wa = w.Matrix.a in
   let info = ref 0 in
   (try
      for k = 0 to n - 1 do
-       let d = Matrix.unsafe_get w k k in
+       let d = wa.(k + (k * n)) in
        if d = 0.0 then begin
          info := k + 1;
          raise Exit
        end;
        for i = k + 1 to n - 1 do
-         Matrix.unsafe_set w i k (Precision.div prec (Matrix.unsafe_get w i k) d)
+         wa.(i + (k * n)) <- R.div prec wa.(i + (k * n)) d
        done;
        for j = k + 1 to n - 1 do
-         let ukj = Matrix.unsafe_get w k j in
+         let ukj = wa.(k + (j * n)) in
          if ukj <> 0.0 then
            for i = k + 1 to n - 1 do
-             Matrix.unsafe_set w i j
-               (Precision.fma prec
-                  (-.Matrix.unsafe_get w i k)
-                  ukj
-                  (Matrix.unsafe_get w i j))
+             wa.(i + (j * n)) <-
+               R.fma prec (-.wa.(i + (k * n))) ukj wa.(i + (j * n))
            done
        done
      done
@@ -205,11 +212,11 @@ let factor_implicit_view ?(prec = Precision.Double) ?(stride = 1) ~src ~dst
        step.(!piv) <- k;
        for r = 0 to n - 1 do
          if step.(r) < 0 then begin
-           let l = Precision.div prec tile.(r + (k * n)) d in
+           let l = R.div prec tile.(r + (k * n)) d in
            tile.(r + (k * n)) <- l;
            for j = k + 1 to n - 1 do
              tile.(r + (j * n)) <-
-               Precision.fma prec (-.l) tile.(!piv + (j * n)) tile.(r + (j * n))
+               R.fma prec (-.l) tile.(!piv + (j * n)) tile.(r + (j * n))
            done
          end
        done
@@ -252,7 +259,7 @@ let factor_nopivot_view ?(prec = Precision.Double) ?(stride = 1) ~src ~dst ~off
          raise Exit
        end;
        for i = k + 1 to n - 1 do
-         dst.(at i k) <- Precision.div prec dst.(at i k) d
+         dst.(at i k) <- R.div prec dst.(at i k) d
        done;
        for j = k + 1 to n - 1 do
          (* No [ukj <> 0.0] skip here: the warp kernel issues the FMA
@@ -261,7 +268,7 @@ let factor_nopivot_view ?(prec = Precision.Double) ?(stride = 1) ~src ~dst ~off
          let ukj = dst.(at k j) in
          for i = k + 1 to n - 1 do
            dst.(at i j) <-
-             Precision.fma prec (-.dst.(at i k)) ukj dst.(at i j)
+             R.fma prec (-.dst.(at i k)) ukj dst.(at i j)
          done
        done
      done
@@ -308,7 +315,7 @@ let det f =
   done;
   let d = ref !sign in
   for k = 0 to n - 1 do
-    d := !d *. Matrix.unsafe_get f.lu k k
+    d := !d *. f.lu.Matrix.a.(k + (k * n))
   done;
   !d
 

@@ -50,8 +50,27 @@ let row t i = Array.init t.cols (fun j -> t.a.(i + (j * t.rows)))
 
 let transpose t = init t.cols t.rows (fun i j -> t.a.(j + (i * t.rows)))
 
+(* Rounded arithmetic inlined into this unit, bitwise equal to
+   [Precision]'s: under [-opaque] a call into another unit boxes every
+   float it passes or returns (DESIGN §5i). *)
+module R = struct
+  let[@inline] round p x =
+    match p with
+    | Precision.Double -> x
+    | Single -> Int32.float_of_bits (Int32.bits_of_float x)
+
+  let[@inline] add p a b = round p (a +. b)
+  let[@inline] sub p a b = round p (a -. b)
+  let[@inline] mul p a b = round p (a *. b)
+  let[@inline] fma p a b c = round p ((a *. b) +. c)
+end
+
 let scale ?(prec = Precision.Double) alpha t =
-  { t with a = Array.map (fun v -> Precision.mul prec alpha v) t.a }
+  let a = Array.copy t.a in
+  for k = 0 to Array.length a - 1 do
+    a.(k) <- R.mul prec alpha a.(k)
+  done;
+  { t with a }
 
 let same_shape op x y =
   if x.rows <> y.rows || x.cols <> y.cols then
@@ -59,11 +78,19 @@ let same_shape op x y =
 
 let add ?(prec = Precision.Double) x y =
   same_shape "add" x y;
-  { x with a = Array.init (Array.length x.a) (fun k -> Precision.add prec x.a.(k) y.a.(k)) }
+  let a = Array.copy x.a in
+  for k = 0 to Array.length a - 1 do
+    a.(k) <- R.add prec a.(k) y.a.(k)
+  done;
+  { x with a }
 
 let sub ?(prec = Precision.Double) x y =
   same_shape "sub" x y;
-  { x with a = Array.init (Array.length x.a) (fun k -> Precision.sub prec x.a.(k) y.a.(k)) }
+  let a = Array.copy x.a in
+  for k = 0 to Array.length a - 1 do
+    a.(k) <- R.sub prec a.(k) y.a.(k)
+  done;
+  { x with a }
 
 let matmul ?(prec = Precision.Double) x y =
   if x.cols <> y.rows then invalid_arg "Matrix.matmul: inner dimension mismatch";
@@ -74,7 +101,7 @@ let matmul ?(prec = Precision.Double) x y =
       if ykj <> 0.0 then
         for i = 0 to x.rows - 1 do
           z.a.(i + (j * z.rows)) <-
-            Precision.fma prec x.a.(i + (k * x.rows)) ykj z.a.(i + (j * z.rows))
+            R.fma prec x.a.(i + (k * x.rows)) ykj z.a.(i + (j * z.rows))
         done
     done
   done;
@@ -87,7 +114,7 @@ let gemv_acc ~prec t x y =
     let xj = x.(j) in
     if xj <> 0.0 then
       for i = 0 to t.rows - 1 do
-        y.(i) <- Precision.fma prec t.a.(i + (j * t.rows)) xj y.(i)
+        y.(i) <- R.fma prec t.a.(i + (j * t.rows)) xj y.(i)
       done
   done
 
@@ -100,12 +127,15 @@ let gemv_into ?(prec = Precision.Double) t x y =
 let gemv ?(prec = Precision.Double) ?(trans = false) t x =
   if trans then begin
     if Array.length x <> t.rows then invalid_arg "Matrix.gemv: dimension mismatch";
-    Array.init t.cols (fun j ->
-        let acc = ref 0.0 in
-        for i = 0 to t.rows - 1 do
-          acc := Precision.fma prec t.a.(i + (j * t.rows)) x.(i) !acc
-        done;
-        !acc)
+    let y = Array.make t.cols 0.0 in
+    for j = 0 to t.cols - 1 do
+      let acc = ref 0.0 in
+      for i = 0 to t.rows - 1 do
+        acc := R.fma prec t.a.(i + (j * t.rows)) x.(i) !acc
+      done;
+      y.(j) <- !acc
+    done;
+    y
   end
   else begin
     if Array.length x <> t.cols then invalid_arg "Matrix.gemv: dimension mismatch";
@@ -128,13 +158,13 @@ let gemm_col_view ?(prec = Precision.Double) ?(stride = 1) ~alpha ~beta ?c ~a
     for i = 0 to n - 1 do
       let acc = ref 0.0 in
       for k = 0 to n - 1 do
-        acc := Precision.fma prec a.(at i k) b.(at k j) !acc
+        acc := R.fma prec a.(at i k) b.(at k j) !acc
       done;
-      let v = Precision.mul prec !acc alpha in
+      let v = R.mul prec !acc alpha in
       let v =
         match c with
         | None -> v
-        | Some c -> Precision.fma prec c.(at i j) beta v
+        | Some c -> R.fma prec c.(at i j) beta v
       in
       dst.(at i j) <- v
     done
@@ -155,7 +185,13 @@ let is_permutation perm n =
 let permute_rows t perm =
   if not (is_permutation perm t.rows) then
     invalid_arg "Matrix.permute_rows: not a permutation";
-  init t.rows t.cols (fun i j -> t.a.(perm.(i) + (j * t.rows)))
+  let z = create t.rows t.cols in
+  for j = 0 to t.cols - 1 do
+    for i = 0 to t.rows - 1 do
+      z.a.(i + (j * t.rows)) <- t.a.(perm.(i) + (j * t.rows))
+    done
+  done;
+  z
 
 let default_state = lazy (Random.State.make [| 0x5eed; 0x3a7 |])
 

@@ -6,8 +6,13 @@
     (via [Int32.bits_of_float], which performs correct round-to-nearest-even
     conversion).  This gives bit-accurate single-precision *results* for the
     straight-line kernels used here, at the cost of one extra conversion per
-    operation — the performance cost is irrelevant because kernel timing
-    comes from the {!Vblu_simt} model, not from host wall-clock. *)
+    operation.
+
+    These functions are the specification of the rounded ops.  Per-element
+    kernels in other units do not call them in their loops: under the dev
+    build's [-opaque] such a call boxes every float it passes or returns,
+    so each kernel inlines a bitwise-equal copy of the ops it uses
+    (DESIGN §5i). *)
 
 type t =
   | Single  (** IEEE binary32, emulated by rounding after every operation. *)
@@ -34,5 +39,7 @@ val mul : t -> float -> float -> float
 val div : t -> float -> float -> float
 
 val fma : t -> float -> float -> float -> float
-(** [fma p a b c] is [round p (a *. b +. c)], i.e. a fused multiply-add in
-    the target precision (GPUs issue FFMA/DFMA with a single rounding). *)
+(** [fma p a b c] is [round p (a *. b +. c)]: an unfused multiply-add.  The
+    product and the sum are each rounded to binary64, then the result to
+    [p].  In {!Double} that is two roundings, not the single rounding of a
+    hardware FFMA/DFMA, and the golden values pin this. *)

@@ -1,19 +1,34 @@
 type variant = Lazy | Eager
 
-let check m b name =
-  let rows, cols = Matrix.dims m in
-  if rows <> cols then invalid_arg (name ^ ": matrix not square");
-  if Array.length b <> rows then invalid_arg (name ^ ": dimension mismatch")
+(* Rounded arithmetic inlined into this unit, bitwise equal to
+   [Precision]'s: under [-opaque] a call into another unit boxes every
+   float it passes or returns (DESIGN §5i). *)
+module R = struct
+  let[@inline] round p x =
+    match p with
+    | Precision.Double -> x
+    | Single -> Int32.float_of_bits (Int32.bits_of_float x)
+
+  let[@inline] add p a b = round p (a +. b)
+  let[@inline] sub p a b = round p (a -. b)
+  let[@inline] mul p a b = round p (a *. b)
+  let[@inline] div p a b = round p (a /. b)
+  let[@inline] fma p a b c = round p ((a *. b) +. c)
+end
+
+let check (m : Matrix.t) b name =
+  if m.rows <> m.cols then invalid_arg (name ^ ": matrix not square");
+  if Array.length b <> m.rows then invalid_arg (name ^ ": dimension mismatch")
 
 let lower_unit_in_place ?(prec = Precision.Double) ?(variant = Eager) m b =
   check m b "Trsv.lower_unit_in_place";
-  let n = Array.length b in
+  let n = Array.length b and ma = m.Matrix.a in
   match variant with
   | Lazy ->
     for k = 1 to n - 1 do
       let acc = ref b.(k) in
       for j = 0 to k - 1 do
-        acc := Precision.fma prec (-.Matrix.unsafe_get m k j) b.(j) !acc
+        acc := R.fma prec (-.ma.(k + (j * n))) b.(j) !acc
       done;
       b.(k) <- !acc
     done
@@ -21,13 +36,15 @@ let lower_unit_in_place ?(prec = Precision.Double) ?(variant = Eager) m b =
     for k = 0 to n - 2 do
       let bk = b.(k) in
       for i = k + 1 to n - 1 do
-        b.(i) <- Precision.fma prec (-.Matrix.unsafe_get m i k) bk b.(i)
+        b.(i) <- R.fma prec (-.ma.(i + (k * n))) bk b.(i)
       done
     done
 
-let upper_in_place_status ?(prec = Precision.Double) ?(variant = Eager) m b =
+(* Shared by both public forms below: one calling the other through its
+   optional [?prec] would allocate a [Some] per call. *)
+let upper_status prec variant m b =
   check m b "Trsv.upper_in_place";
-  let n = Array.length b in
+  let n = Array.length b and ma = m.Matrix.a in
   (* On a zero diagonal entry at step [k] the sweep freezes: [info] is set
      to [k + 1], no further element of [b] is written, and the partial
      state (steps [n-1 .. k+1] already applied) is left in place — the same
@@ -40,33 +57,36 @@ let upper_in_place_status ?(prec = Precision.Double) ?(variant = Eager) m b =
        for k = n - 1 downto 0 do
          let acc = ref b.(k) in
          for j = k + 1 to n - 1 do
-           acc := Precision.fma prec (-.Matrix.unsafe_get m k j) b.(j) !acc
+           acc := R.fma prec (-.ma.(k + (j * n))) b.(j) !acc
          done;
-         let d = Matrix.unsafe_get m k k in
+         let d = ma.(k + (k * n)) in
          if d = 0.0 then begin
            info := k + 1;
            raise Exit
          end;
-         b.(k) <- Precision.div prec !acc d
+         b.(k) <- R.div prec !acc d
        done
      | Eager ->
        for k = n - 1 downto 0 do
-         let d = Matrix.unsafe_get m k k in
+         let d = ma.(k + (k * n)) in
          if d = 0.0 then begin
            info := k + 1;
            raise Exit
          end;
-         b.(k) <- Precision.div prec b.(k) d;
+         b.(k) <- R.div prec b.(k) d;
          let bk = b.(k) in
          for i = 0 to k - 1 do
-           b.(i) <- Precision.fma prec (-.Matrix.unsafe_get m i k) bk b.(i)
+           b.(i) <- R.fma prec (-.ma.(i + (k * n))) bk b.(i)
          done
        done
    with Exit -> ());
   !info
 
+let upper_in_place_status ?(prec = Precision.Double) ?(variant = Eager) m b =
+  upper_status prec variant m b
+
 let upper_in_place ?(prec = Precision.Double) ?(variant = Eager) m b =
-  let info = upper_in_place_status ~prec ~variant m b in
+  let info = upper_status prec variant m b in
   if info <> 0 then raise (Error.Singular (info - 1))
 
 (* Batch-view solves for the direct-execution fast path: the unit-lower /
@@ -81,26 +101,26 @@ let upper_in_place ?(prec = Precision.Double) ?(variant = Eager) m b =
 
 let pair_eager_view ?(prec = Precision.Double) ?(mstride = 1) ?(bstride = 1)
     ~m ~moff ~n ~b ~boff () =
-  let ma i j = m.(moff + (mstride * (i + (j * n)))) in
+  let mat i j = moff + (mstride * (i + (j * n))) in
   let bat i = boff + (bstride * i) in
   for k = 0 to n - 2 do
     let bk = b.(bat k) in
     for i = k + 1 to n - 1 do
-      b.(bat i) <- Precision.fma prec (-.ma i k) bk b.(bat i)
+      b.(bat i) <- R.fma prec (-.m.(mat i k)) bk b.(bat i)
     done
   done;
   let info = ref 0 in
   (try
      for k = n - 1 downto 0 do
-       let d = ma k k in
+       let d = m.(mat k k) in
        if d = 0.0 then begin
          info := k + 1;
          raise Exit
        end;
-       b.(bat k) <- Precision.div prec b.(bat k) d;
+       b.(bat k) <- R.div prec b.(bat k) d;
        let bk = b.(bat k) in
        for i = 0 to k - 1 do
-         b.(bat i) <- Precision.fma prec (-.ma i k) bk b.(bat i)
+         b.(bat i) <- R.fma prec (-.m.(mat i k)) bk b.(bat i)
        done
      done
    with Exit -> ());
@@ -108,28 +128,28 @@ let pair_eager_view ?(prec = Precision.Double) ?(mstride = 1) ?(bstride = 1)
 
 let pair_lazy_view ?(prec = Precision.Double) ?(mstride = 1) ?(bstride = 1)
     ~m ~moff ~n ~b ~boff () =
-  let ma i j = m.(moff + (mstride * (i + (j * n)))) in
+  let mat i j = moff + (mstride * (i + (j * n))) in
   let bat i = boff + (bstride * i) in
   for k = 1 to n - 1 do
     let acc = ref 0.0 in
     for j = 0 to k - 1 do
-      acc := Precision.add prec (Precision.mul prec (ma k j) b.(bat j)) !acc
+      acc := R.add prec (R.mul prec m.(mat k j) b.(bat j)) !acc
     done;
-    b.(bat k) <- Precision.sub prec b.(bat k) !acc
+    b.(bat k) <- R.sub prec b.(bat k) !acc
   done;
   let info = ref 0 in
   (try
      for k = n - 1 downto 0 do
        let acc = ref 0.0 in
        for j = k + 1 to n - 1 do
-         acc := Precision.add prec (Precision.mul prec (ma k j) b.(bat j)) !acc
+         acc := R.add prec (R.mul prec m.(mat k j) b.(bat j)) !acc
        done;
-       let diag = ma k k in
+       let diag = m.(mat k k) in
        if diag = 0.0 then begin
          info := k + 1;
          raise Exit
        end;
-       b.(bat k) <- Precision.div prec (Precision.sub prec b.(bat k) !acc) diag
+       b.(bat k) <- R.div prec (R.sub prec b.(bat k) !acc) diag
      done
    with Exit -> ());
   !info

@@ -1,5 +1,17 @@
 open Vblu_smallblas
 
+(* Rounded FMA inlined into this unit, bitwise equal to [Precision.fma]:
+   under [-opaque] a call into another unit boxes every float it passes or
+   returns (DESIGN §5i). *)
+module R = struct
+  let[@inline] round p x =
+    match p with
+    | Precision.Double -> x
+    | Single -> Int32.float_of_bits (Int32.bits_of_float x)
+
+  let[@inline] fma p a b c = round p ((a *. b) +. c)
+end
+
 type t = {
   n_rows : int;
   n_cols : int;
@@ -60,7 +72,7 @@ let of_dense ?(threshold = 0.0) m =
   let count = ref 0 in
   for i = rows - 1 downto 0 do
     for j = cols - 1 downto 0 do
-      let v = Matrix.unsafe_get m i j in
+      let v = m.Matrix.a.(i + (j * rows)) in
       if Float.abs v > threshold || (threshold = 0.0 && v <> 0.0) then begin
         entries := (i, j, v) :: !entries;
         incr count
@@ -85,7 +97,7 @@ let to_dense t =
   let m = Matrix.create t.n_rows t.n_cols in
   for i = 0 to t.n_rows - 1 do
     for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-      Matrix.unsafe_set m i t.col_idx.(k) t.values.(k)
+      m.Matrix.a.(i + (t.col_idx.(k) * t.n_rows)) <- t.values.(k)
     done
   done;
   m
@@ -96,7 +108,7 @@ let spmv_into ?(prec = Precision.Double) t x y =
   for i = 0 to t.n_rows - 1 do
     let acc = ref 0.0 in
     for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-      acc := Precision.fma prec t.values.(k) x.(t.col_idx.(k)) !acc
+      acc := R.fma prec t.values.(k) x.(t.col_idx.(k)) !acc
     done;
     y.(i) <- !acc
   done
@@ -180,7 +192,14 @@ let permute_symmetric t p =
 let extract_block t ~row_start ~size =
   if row_start < 0 || row_start + size > t.n_rows || row_start + size > t.n_cols
   then invalid_arg "Csr.extract_block: block out of range";
-  Matrix.init size size (fun i j -> get t (row_start + i) (row_start + j))
+  let m = Matrix.create size size in
+  for i = 0 to size - 1 do
+    for k = t.row_ptr.(row_start + i) to t.row_ptr.(row_start + i + 1) - 1 do
+      let j = t.col_idx.(k) - row_start in
+      if j >= 0 && j < size then m.Matrix.a.(i + (j * size)) <- t.values.(k)
+    done
+  done;
+  m
 
 let row_nnz t =
   Array.init t.n_rows (fun i -> t.row_ptr.(i + 1) - t.row_ptr.(i))

@@ -1,0 +1,621 @@
+(* Host numerics under the dev build: allocation guards and bit-identity.
+
+   The dev profile compiles every unit [-opaque], so a call into another
+   unit that passes or returns a float boxes it.  Each per-element kernel
+   therefore does its precision rounding inside its own unit (DESIGN §5i).
+   The "allocation" group pins that: a kernel's minor-heap words must not
+   grow with the problem size (a boxed op in the loop costs several words
+   per element).  The "bit-identity" group checks every rewritten kernel
+   against a reference written here with [Precision.*], on inputs full of
+   NaN, infinities, subnormals and signed zeros, and pins how a NaN pivot
+   flows through the direct LU/TRSV views. *)
+
+open Vblu_smallblas
+open Vblu_sparse
+open Vblu_simt
+open Vblu_core
+open Vblu_precond
+
+let precs = [ Precision.Double; Precision.Single ]
+
+(* Minor-heap words allocated by one call of [f], after a warm-up call
+   (lazily built state, such as a preconditioner's per-block solvers,
+   belongs to the first apply only). *)
+let words f =
+  f ();
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let state seed = Random.State.make [| 0xa110c; seed |]
+
+(* Block-tridiagonal CSR with dense [bs]-by-[bs] diagonal blocks and a
+   scalar coupling to the neighbouring rows: nonsingular and
+   diagonally dominant, so every block factors cleanly. *)
+let banded ~n ~bs =
+  let st = state n in
+  let rows = Array.make n [] in
+  for i = 0 to n - 1 do
+    let b0 = i / bs * bs in
+    let cols = ref [] in
+    for j = max 0 (b0 - 1) to min (n - 1) (b0 + bs) do
+      if j = i then cols := (j, 4.0 *. float_of_int bs) :: !cols
+      else if (j >= b0 && j < b0 + bs) || j = i - bs || j = i + bs then
+        cols := (j, Random.State.float st 2.0 -. 1.0) :: !cols
+    done;
+    rows.(i) <- List.rev !cols
+  done;
+  let row_ptr = Array.make (n + 1) 0 in
+  Array.iteri (fun i r -> row_ptr.(i + 1) <- row_ptr.(i) + List.length r) rows;
+  let entries = Array.concat (Array.to_list (Array.map Array.of_list rows)) in
+  Csr.create ~n_rows:n ~n_cols:n ~row_ptr ~col_idx:(Array.map fst entries)
+    ~values:(Array.map snd entries)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation guards                                                   *)
+
+(* [words_at n] must not depend on [n]: compare the two sizes exactly. *)
+let check_flat name words_at (n1, n2) =
+  let w1 = words_at n1 and w2 = words_at n2 in
+  if w1 <> w2 then
+    Alcotest.failf "%s: %.0f words at n=%d but %.0f at n=%d" name w1 n1
+      w2 n2
+
+let test_vector () =
+  List.iter
+    (fun prec ->
+      let ps = Precision.to_string prec in
+      let vecs n =
+        let st = state n in
+        (Vector.random ~state:st n, Vector.random ~state:st n)
+      in
+      let sizes = (1_000, 20_000) in
+      check_flat ("dot " ^ ps)
+        (fun n ->
+          let x, y = vecs n in
+          words (fun () -> ignore (Sys.opaque_identity (Vector.dot ~prec x y))))
+        sizes;
+      check_flat ("nrm2 " ^ ps)
+        (fun n ->
+          let x, _ = vecs n in
+          words (fun () -> ignore (Sys.opaque_identity (Vector.nrm2 ~prec x))))
+        sizes;
+      check_flat ("axpy " ^ ps)
+        (fun n ->
+          let x, y = vecs n in
+          words (fun () -> Vector.axpy ~prec 0.5 x y))
+        sizes;
+      check_flat ("scal " ^ ps)
+        (fun n ->
+          let x, _ = vecs n in
+          words (fun () -> Vector.scal ~prec 0.5 x))
+        sizes)
+    precs
+
+let test_spmv () =
+  List.iter
+    (fun prec ->
+      check_flat
+        ("spmv_into " ^ Precision.to_string prec)
+        (fun n ->
+          let a = banded ~n ~bs:8 in
+          let x = Vector.random ~state:(state 1) n and y = Vector.create n in
+          words (fun () -> Csr.spmv_into ~prec a x y))
+        (800, 8_000))
+    precs
+
+let test_trsv () =
+  List.iter
+    (fun prec ->
+      let ps = Precision.to_string prec in
+      let factors n =
+        Lu.factor_implicit ~prec (Matrix.random_diagdom ~state:(state n) n)
+      in
+      check_flat ("lower_unit_in_place + upper_in_place " ^ ps)
+        (fun n ->
+          let f = factors n in
+          let b = Vector.random ~state:(state 2) n in
+          words (fun () ->
+              Trsv.lower_unit_in_place ~prec f.Lu.lu b;
+              Trsv.upper_in_place ~prec f.Lu.lu b))
+        (16, 96);
+      check_flat ("pair_eager_view " ^ ps)
+        (fun n ->
+          let f = factors n in
+          let m = Array.append [| 0.0 |] f.Lu.lu.Matrix.a in
+          let b = Vector.random ~state:(state 3) (n + 1) in
+          words (fun () ->
+              ignore
+                (Sys.opaque_identity
+                   (Trsv.pair_eager_view ~prec ~m ~moff:1 ~n ~b ~boff:1 ()))))
+        (16, 96);
+      check_flat ("factor_implicit_view " ^ ps)
+        (fun n ->
+          let src = (Matrix.random_diagdom ~state:(state n) n).Matrix.a in
+          let dst = Array.make (n * n) 0.0 and tile = Array.make (n * n) 0.0 in
+          let step = Array.make n 0 and perm = Array.make n 0 in
+          words (fun () ->
+              ignore
+                (Sys.opaque_identity
+                   (Lu.factor_implicit_view ~prec ~src ~dst ~off:0 ~n ~tile
+                      ~step ~perm ()))))
+        (16, 96))
+    precs
+
+let test_block_jacobi_apply () =
+  (* The apply allocates its result vector (n floats plus a header) and a
+     size-independent constant — nothing per block or per element.  Both
+     sizes keep the result below [Max_young_wosize] (256 words), so it is
+     allocated on the minor heap where [words] sees it. *)
+  List.iter
+    (fun prec ->
+      check_flat
+        ("block-jacobi apply overhead " ^ Precision.to_string prec)
+        (fun n ->
+          let p, _ =
+            Block_jacobi.create ~prec ~max_block_size:8 (banded ~n ~bs:8)
+          in
+          let r = Vector.random ~state:(state 4) n in
+          words (fun () ->
+              ignore (Sys.opaque_identity (Preconditioner.apply p r)))
+          -. float_of_int (n + 1))
+        (64, 248))
+    precs
+
+let test_warp () =
+  (* The lane ops run on arena slots.  Charge-free (a cache replay) they
+     allocate nothing.  Charging, an op boxes its float counter updates
+     (the counter record has an int field, so its floats are boxed): at
+     most four, 8 words, whatever the lane count. *)
+  List.iter
+    (fun prec ->
+      let w = Warp.create prec () in
+      let a = Warp.reg w 0 and b = Warp.reg w 1 and c = Warp.reg w 2 in
+      let dst = Warp.reg w 3 and addrs = Warp.addr_slot w 0 in
+      Array.iteri (fun i _ -> a.(i) <- float_of_int (i + 1)) a;
+      Array.blit a 0 b 0 (Array.length a);
+      Array.iteri (fun i _ -> addrs.(i) <- 3 * i) addrs;
+      let mem = Gmem.create prec (3 * Warp.size w) in
+      let sm = Warp.smem_alloc w (3 * Warp.size w) in
+      let ops =
+        [
+          ("fma_into", fun () -> Warp.fma_into w ~dst a b c);
+          ("fnma_into", fun () -> Warp.fnma_into w ~dst a b c);
+          ("add_into", fun () -> Warp.add_into w ~dst a b);
+          ("sub_into", fun () -> Warp.sub_into w ~dst a b);
+          ("mul_into", fun () -> Warp.mul_into w ~dst a b);
+          ("div_into", fun () -> Warp.div_into w ~dst a b);
+          ("sqrt_into", fun () -> Warp.sqrt_into w ~dst a);
+          ("store", fun () -> Warp.store w mem addrs a);
+          ("load_into", fun () -> Warp.load_into w mem addrs ~dst);
+          ("smem_store", fun () -> Warp.smem_store w sm addrs a);
+          ("smem_load_into", fun () -> Warp.smem_load_into w sm addrs ~dst);
+        ]
+      in
+      List.iter
+        (fun (name, op) ->
+          let label = Printf.sprintf "%s %s" name (Precision.to_string prec) in
+          Warp.set_charging w false;
+          Alcotest.(check (float 0.0)) (label ^ " charge-free words") 0.0
+            (words op);
+          Warp.set_charging w true;
+          let charged = words op in
+          if charged > 8.0 then
+            Alcotest.failf "%s: %.0f words charged (lanes: %d)" label charged
+              (Warp.size w))
+        ops)
+    precs
+
+(* ------------------------------------------------------------------ *)
+(* Bit-identity against [Precision.*] references                       *)
+
+(* Specials that stress rounding and propagation: NaN, infinities,
+   binary64 and binary32 subnormals, signed zeros, values beyond the
+   binary32 range. *)
+let specials =
+  [|
+    Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0; 4.9e-324;
+    -2.2e-310; 1.0e-40; -1.4e-45; 3.5e38; -1.0e300; 1.0; -1.0;
+  |]
+
+let gen_value =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofa specials);
+        (6, map (fun x -> x -. 1.0) (float_bound_inclusive 2.0));
+      ])
+
+let gen_array n = QCheck.Gen.array_size (QCheck.Gen.return n) gen_value
+
+(* A square block [n]×[n] with a dominant diagonal most of the time, so
+   the sweeps run deep before specials spread. *)
+let gen_case =
+  QCheck.Gen.(
+    int_range 1 12 >>= fun n ->
+    gen_array (n * n) >>= fun m ->
+    gen_array n >>= fun v ->
+    gen_array n >>= fun w ->
+    bool >>= fun single ->
+    return (n, m, v, w, single))
+
+let arb_case =
+  QCheck.make gen_case ~print:(fun (n, _, _, _, single) ->
+      Printf.sprintf "n=%d %s" n (if single then "single" else "double"))
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let prec_of single = if single then Precision.Single else Precision.Double
+
+(* References: the pre-inlining formulations, op for op. *)
+module Ref = struct
+  module P = Precision
+
+  let dot p x y =
+    let acc = ref 0.0 in
+    Array.iteri (fun i xi -> acc := P.fma p xi y.(i) !acc) x;
+    !acc
+
+  let axpy p alpha x y = Array.iteri (fun i xi -> y.(i) <- P.fma p alpha xi y.(i)) x
+
+  let gemv p n m x =
+    let y = Array.make n 0.0 in
+    for j = 0 to n - 1 do
+      if x.(j) <> 0.0 then
+        for i = 0 to n - 1 do
+          y.(i) <- P.fma p m.(i + (j * n)) x.(j) y.(i)
+        done
+    done;
+    y
+
+  let lower_eager p n m b =
+    for k = 0 to n - 2 do
+      for i = k + 1 to n - 1 do
+        b.(i) <- P.fma p (-.m.(i + (k * n))) b.(k) b.(i)
+      done
+    done
+
+  let lower_lazy p n m b =
+    for k = 1 to n - 1 do
+      let acc = ref b.(k) in
+      for j = 0 to k - 1 do
+        acc := P.fma p (-.m.(k + (j * n))) b.(j) !acc
+      done;
+      b.(k) <- !acc
+    done
+
+  let upper_eager p n m b =
+    let info = ref 0 in
+    (try
+       for k = n - 1 downto 0 do
+         let d = m.(k + (k * n)) in
+         if d = 0.0 then (info := k + 1; raise Exit);
+         b.(k) <- P.div p b.(k) d;
+         for i = 0 to k - 1 do
+           b.(i) <- P.fma p (-.m.(i + (k * n))) b.(k) b.(i)
+         done
+       done
+     with Exit -> ());
+    !info
+
+  let upper_lazy p n m b =
+    let info = ref 0 in
+    (try
+       for k = n - 1 downto 0 do
+         let acc = ref b.(k) in
+         for j = k + 1 to n - 1 do
+           acc := P.fma p (-.m.(k + (j * n))) b.(j) !acc
+         done;
+         let d = m.(k + (k * n)) in
+         if d = 0.0 then (info := k + 1; raise Exit);
+         b.(k) <- P.div p !acc d
+       done
+     with Exit -> ());
+    !info
+
+  (* The view kernels' lazy pair: rounded products folded from 0.0. *)
+  let pair_lazy p n m b =
+    for k = 1 to n - 1 do
+      let acc = ref 0.0 in
+      for j = 0 to k - 1 do
+        acc := P.add p (P.mul p m.(k + (j * n)) b.(j)) !acc
+      done;
+      b.(k) <- P.sub p b.(k) !acc
+    done;
+    let info = ref 0 in
+    (try
+       for k = n - 1 downto 0 do
+         let acc = ref 0.0 in
+         for j = k + 1 to n - 1 do
+           acc := P.add p (P.mul p m.(k + (j * n)) b.(j)) !acc
+         done;
+         let d = m.(k + (k * n)) in
+         if d = 0.0 then (info := k + 1; raise Exit);
+         b.(k) <- P.div p (P.sub p b.(k) !acc) d
+       done
+     with Exit -> ());
+    !info
+
+  (* Implicit-pivoting LU, packed in pivot order, freeze on a zero pivot. *)
+  let lu_implicit p n src =
+    let w = Array.copy src and step = Array.make n (-1) in
+    let info = ref 0 in
+    (try
+       for k = 0 to n - 1 do
+         let piv = ref (-1) in
+         for r = 0 to n - 1 do
+           if step.(r) < 0
+              && (!piv < 0
+                 || Float.abs w.(r + (k * n)) > Float.abs w.(!piv + (k * n)))
+           then piv := r
+         done;
+         let d = w.(!piv + (k * n)) in
+         if d = 0.0 then (info := k + 1; raise Exit);
+         step.(!piv) <- k;
+         for r = 0 to n - 1 do
+           if step.(r) < 0 then begin
+             w.(r + (k * n)) <- P.div p w.(r + (k * n)) d;
+             for j = k + 1 to n - 1 do
+               w.(r + (j * n)) <-
+                 P.fma p (-.w.(r + (k * n))) w.(!piv + (j * n)) w.(r + (j * n))
+             done
+           end
+         done
+       done
+     with Exit -> ());
+    let next = ref (max 0 (!info - 1)) in
+    Array.iteri (fun r s -> if s < 0 then (step.(r) <- !next; incr next)) step;
+    let out = Array.make (n * n) 0.0 in
+    for j = 0 to n - 1 do
+      for r = 0 to n - 1 do
+        out.(step.(r) + (j * n)) <- w.(r + (j * n))
+      done
+    done;
+    (out, !info)
+
+  (* Right-looking Cholesky on the lower triangle, no [ljk] skip. *)
+  let cholesky p n src =
+    let w = Array.make (n * n) 0.0 in
+    for j = 0 to n - 1 do
+      for i = j to n - 1 do
+        w.(i + (j * n)) <- src.(i + (j * n))
+      done
+    done;
+    let info = ref 0 in
+    (try
+       for k = 0 to n - 1 do
+         let d = w.(k + (k * n)) in
+         if not (d > 0.0) then (info := k + 1; raise Exit);
+         let l = P.round p (sqrt d) in
+         w.(k + (k * n)) <- l;
+         for i = k + 1 to n - 1 do
+           w.(i + (k * n)) <- P.div p w.(i + (k * n)) l
+         done;
+         for j = k + 1 to n - 1 do
+           for i = j to n - 1 do
+             w.(i + (j * n)) <-
+               P.fma p (-.w.(i + (k * n))) w.(j + (k * n)) w.(i + (j * n))
+           done
+         done
+       done
+     with Exit -> ());
+    (w, !info)
+end
+
+let qcheck_bit_identity =
+  QCheck.Test.make ~count:400
+    ~name:"rewritten kernels ≡ Precision.* references, bitwise" arb_case
+    (fun (n, m, v, w, single) ->
+      let prec = prec_of single in
+      let mat = Matrix.init n n (fun i j -> m.(i + (j * n))) in
+      let expect name got want =
+        if not (bits_equal got want) then
+          QCheck.Test.fail_reportf "%s differs" name
+      in
+      let expect_int name got want =
+        if got <> want then QCheck.Test.fail_reportf "%s: %d vs %d" name got want
+      in
+      (* Vector. *)
+      expect "dot" [| Vector.dot ~prec v w |] [| Ref.dot prec v w |];
+      expect "nrm2" [| Vector.nrm2 ~prec v |]
+        [| Precision.round prec (sqrt (Ref.dot prec v v)) |];
+      (let y = Array.copy w and y' = Array.copy w in
+       Vector.axpy ~prec v.(0) v y;
+       Ref.axpy prec v.(0) v y';
+       expect "axpy" y y');
+      (let y = Array.copy w in
+       Vector.scal ~prec v.(0) y;
+       expect "scal" y (Array.map (Precision.mul prec v.(0)) w));
+      expect "vector add" (Vector.add ~prec v w)
+        (Array.map2 (Precision.add prec) v w);
+      expect "vector sub" (Vector.sub ~prec v w)
+        (Array.map2 (Precision.sub prec) v w);
+      (* Matrix. *)
+      expect "gemv" (Matrix.gemv ~prec mat v) (Ref.gemv prec n m v);
+      (let y = Array.make n 0.0 in
+       Matrix.gemv_into ~prec mat v y;
+       expect "gemv_into" y (Ref.gemv prec n m v));
+      expect "scale" (Matrix.scale ~prec v.(0) mat).Matrix.a
+        (Array.map (Precision.mul prec v.(0)) m);
+      expect "matrix add" (Matrix.add ~prec mat mat).Matrix.a
+        (Array.map2 (Precision.add prec) m m);
+      (* CSR SpMV over the dense pattern (explicit zeros dropped). *)
+      (let a = Csr.of_dense mat in
+       let y = Array.make n 0.0 in
+       Csr.spmv_into ~prec a v y;
+       let want =
+         Array.init n (fun i ->
+             let acc = ref 0.0 in
+             for j = 0 to n - 1 do
+               if m.(i + (j * n)) <> 0.0 then
+                 acc := Precision.fma prec m.(i + (j * n)) v.(j) !acc
+             done;
+             !acc)
+       in
+       expect "spmv_into" y want;
+       expect "extract_block" (Csr.extract_block a ~row_start:0 ~size:n).Matrix.a
+         (Array.map (fun x -> if x = 0.0 then 0.0 else x) m));
+      (* In-place TRSV, both schedules. *)
+      List.iter
+        (fun (vname, variant, lower, upper) ->
+          let b = Array.copy v and b' = Array.copy v in
+          Trsv.lower_unit_in_place ~prec ~variant mat b;
+          lower prec n m b';
+          let info = Trsv.upper_in_place_status ~prec ~variant mat b in
+          let info' = upper prec n m b' in
+          expect ("trsv in place " ^ vname) b b';
+          expect_int ("trsv info " ^ vname) info info')
+        [
+          ("eager", Trsv.Eager, Ref.lower_eager, Ref.upper_eager);
+          ("lazy", Trsv.Lazy, Ref.lower_lazy, Ref.upper_lazy);
+        ];
+      (* Batch-view TRSV pairs at an offset and stride 2. *)
+      (let strided a = Array.init ((2 * Array.length a) + 1) (fun e ->
+           if e >= 1 && (e - 1) mod 2 = 0 then a.((e - 1) / 2) else 7.0)
+       in
+       let sm = strided m in
+       let b = strided v in
+       let info =
+         Trsv.pair_eager_view ~prec ~mstride:2 ~bstride:2 ~m:sm ~moff:1 ~n ~b
+           ~boff:1 ()
+       in
+       let b' = Array.copy v in
+       Ref.lower_eager prec n m b';
+       let info' = Ref.upper_eager prec n m b' in
+       expect "pair_eager_view" b (strided b');
+       expect_int "pair_eager_view info" info info';
+       let b = strided v in
+       let info =
+         Trsv.pair_lazy_view ~prec ~mstride:2 ~bstride:2 ~m:sm ~moff:1 ~n ~b
+           ~boff:1 ()
+       in
+       let b' = Array.copy v in
+       let info' = Ref.pair_lazy prec n m b' in
+       expect "pair_lazy_view" b (strided b');
+       expect_int "pair_lazy_view info" info info');
+      (* LU: the reference status factorization and the batch view. *)
+      (let want, info' = Ref.lu_implicit prec n m in
+       let f, info = Lu.factor_implicit_status ~prec mat in
+       expect "factor_implicit_status" f.Lu.lu.Matrix.a want;
+       expect_int "factor_implicit_status info" info info';
+       let dst = Array.make (n * n) 0.0 in
+       let info =
+         Lu.factor_implicit_view ~prec ~src:m ~dst ~off:0 ~n
+           ~tile:(Array.make (n * n) 0.0) ~step:(Array.make n 0)
+           ~perm:(Array.make n 0) ()
+       in
+       expect "factor_implicit_view" dst want;
+       expect_int "factor_implicit_view info" info info');
+      (* Cholesky view. *)
+      (let want, info' = Ref.cholesky prec n m in
+       let dst = Array.make (n * n) 0.0 in
+       let info = Cholesky.factor_view ~prec ~src:m ~dst ~off:0 ~n () in
+       expect "cholesky factor_view" dst want;
+       expect_int "cholesky factor_view info" info info');
+      (* Simulated memory and the warp's lane ops. *)
+      (let g = Gmem.of_array prec v in
+       expect "gmem of_array" (Gmem.to_array g) (Array.map (Precision.round prec) v));
+      (let wp = Warp.create prec () in
+       let lanes a = Array.init (Warp.size wp) (fun i -> a.(i mod n)) in
+       let a = lanes v and b = lanes w and c = lanes (Array.sub m 0 n) in
+       let dst = Array.make (Warp.size wp) 0.0 in
+       Warp.fma_into wp ~dst a b c;
+       expect "warp fma" dst
+         (Array.init (Array.length a) (fun i -> Precision.fma prec a.(i) b.(i) c.(i)));
+       Warp.add_into wp ~dst a b;
+       expect "warp add" dst (Array.map2 (Precision.add prec) a b);
+       Warp.div_into wp ~dst a b;
+       expect "warp div" dst (Array.map2 (Precision.div prec) a b);
+       Warp.sqrt_into wp ~dst a;
+       expect "warp sqrt" dst (Array.map (fun x -> Precision.round prec (sqrt x)) a));
+      true)
+
+(* A NaN pivot is not a zero pivot: the direct views, the interpreter and
+   the CPU reference all return info = 0 with NaN-poisoned factors and
+   solution, bitwise alike. *)
+let test_nan_pivot () =
+  List.iter
+    (fun prec ->
+      let ps = Precision.to_string prec in
+      let n = 4 in
+      (* Inputs pre-rounded to [prec], as the interpreter stages them (a
+         NaN's payload changes on the way through binary32). *)
+      let mat =
+        Matrix.init n n (fun i j ->
+            Precision.round prec
+              (if i = 0 && j = 0 then Float.nan
+               else if i = j then 4.0
+               else 0.5))
+      in
+      let reference, info_ref = Lu.factor_implicit_status ~prec mat in
+      Alcotest.(check int) ("reference info " ^ ps) 0 info_ref;
+      Alcotest.(check bool) ("factors carry NaN " ^ ps) true
+        (Array.exists Float.is_nan reference.Lu.lu.Matrix.a);
+      let dst = Array.make (n * n) 0.0 and perm = Array.make n 0 in
+      let info_view =
+        Lu.factor_implicit_view ~prec ~src:mat.Matrix.a ~dst ~off:0 ~n
+          ~tile:(Array.make (n * n) 0.0) ~step:(Array.make n 0) ~perm ()
+      in
+      Alcotest.(check int) ("view info " ^ ps) 0 info_view;
+      Alcotest.(check bool) ("view ≡ reference " ^ ps) true
+        (bits_equal dst reference.Lu.lu.Matrix.a);
+      Launch.Cache.set_enabled false;
+      let interp =
+        Fun.protect
+          ~finally:(fun () -> Launch.Cache.set_enabled true)
+          (fun () ->
+            let b = Batch.of_matrices [| mat |] in
+            let lu = Batched_lu.factor ~prec b in
+            let rhs = Batch.vec_of_vectors [| Array.make n 1.0 |] in
+            let x =
+              Batched_trsv.solve ~prec ~factors:lu.Batched_lu.factors
+                ~pivots:lu.Batched_lu.pivots rhs
+            in
+            (lu, x))
+      in
+      let lu, x = interp in
+      Alcotest.(check (array int)) ("interpreter LU info " ^ ps) [| 0 |]
+        lu.Batched_lu.info;
+      Alcotest.(check bool) ("interpreter ≡ reference " ^ ps) true
+        (bits_equal (Batch.get_matrix lu.Batched_lu.factors 0).Matrix.a
+           reference.Lu.lu.Matrix.a);
+      let rhs = Array.map (fun k -> [| 1.0; 1.0; 1.0; 1.0 |].(k)) perm in
+      let info_trsv =
+        Trsv.pair_eager_view ~prec ~m:dst ~moff:0 ~n ~b:rhs ~boff:0 ()
+      in
+      let x_ref, info_solve =
+        Lu.solve_status ~prec reference (Array.make n 1.0)
+      in
+      Alcotest.(check int) ("trsv view info " ^ ps) 0 info_trsv;
+      Alcotest.(check int) ("reference solve info " ^ ps) 0 info_solve;
+      Alcotest.(check (array int)) ("interpreter TRSV info " ^ ps) [| 0 |]
+        x.Batched_trsv.info;
+      Alcotest.(check bool) ("solution is NaN " ^ ps) true
+        (Array.for_all Float.is_nan x_ref);
+      Alcotest.(check bool) ("trsv view ≡ reference " ^ ps) true
+        (bits_equal rhs x_ref);
+      Alcotest.(check bool) ("interpreter TRSV ≡ reference " ^ ps) true
+        (bits_equal (Batch.vec_get x.Batched_trsv.solutions 0) x_ref))
+    precs
+
+let () =
+  Alcotest.run "host numerics"
+    [
+      ( "allocation",
+        [
+          Alcotest.test_case "vector BLAS-1" `Quick test_vector;
+          Alcotest.test_case "csr spmv" `Quick test_spmv;
+          Alcotest.test_case "trsv and lu views" `Quick test_trsv;
+          Alcotest.test_case "block-jacobi apply" `Quick test_block_jacobi_apply;
+          Alcotest.test_case "warp lane ops" `Quick test_warp;
+        ] );
+      ( "bit-identity",
+        [
+          QCheck_alcotest.to_alcotest qcheck_bit_identity;
+          Alcotest.test_case "NaN pivot" `Quick test_nan_pivot;
+        ] );
+    ]
