@@ -35,7 +35,9 @@ let validate cfg (a : Csr.t) ~block_starts ~block_sizes =
     if st + s > a.Csr.n_rows || st + s > a.Csr.n_cols then
       invalid_arg "Extraction: block exceeds matrix";
     last := st + s - 1
-  done
+  done;
+  if Csr.nnz a >= 1 lsl 24 then
+    invalid_arg "Extraction: matrix too large for 32-bit index staging"
 
 (* Device staging of the CSR structure.  Indices live in a single-precision
    buffer: exact for indices < 2^24 and 4 bytes wide like the int32 arrays
@@ -47,8 +49,6 @@ type device_csr = {
 }
 
 let stage prec (a : Csr.t) =
-  if Csr.nnz a >= 1 lsl 24 then
-    invalid_arg "Extraction: matrix too large for 32-bit index staging";
   {
     d_row_ptr = Gmem.of_array Precision.Single (Array.map float_of_int a.Csr.row_ptr);
     d_col_idx = Gmem.of_array Precision.Single (Array.map float_of_int a.Csr.col_idx);
@@ -215,30 +215,116 @@ let kernel_shared w dev gout ~off ~start ~s =
   done;
   store_block w gout ~off ~s dense
 
+(* Launch.Cache signature of one block: everything either kernel's charge
+   stream reads, packed one word per row and per in-block entry.  Header:
+   [s]; [start mod e_idx] (row-pointer loads); [off mod e_val] (block
+   stores); the block's first row pointer [mod e_idx] and [mod e_val] —
+   every later index/value load address is that pointer plus row lengths
+   and positions.  Then per row [lnot len] (negative, so it also delimits
+   the row), followed by one word [(pos_in_row lsl 5) lor (col - start)]
+   per entry inside the block (columns < s <= 32 fit five bits); entries
+   outside the block only matter through the row length.  Duplicates keep
+   a word each. *)
+let signature ~e_idx ~e_val (a : Csr.t) ~off ~start ~s =
+  let rp = a.Csr.row_ptr and ci = a.Csr.col_idx in
+  let in_block k = ci.(k) >= start && ci.(k) < start + s in
+  let words = ref (5 + s) in
+  for k = rp.(start) to rp.(start + s) - 1 do
+    if in_block k then incr words
+  done;
+  let sg = Array.make !words 0 in
+  let p0 = rp.(start) in
+  sg.(0) <- s;
+  sg.(1) <- start mod e_idx;
+  sg.(2) <- off mod e_val;
+  sg.(3) <- p0 mod e_idx;
+  sg.(4) <- p0 mod e_val;
+  let w = ref 5 in
+  for r = start to start + s - 1 do
+    let lo = rp.(r) and hi = rp.(r + 1) in
+    sg.(!w) <- lnot (hi - lo);
+    incr w;
+    for k = lo to hi - 1 do
+      if in_block k then begin
+        sg.(!w) <- ((k - lo) lsl 5) lor (ci.(k) - start);
+        incr w
+      end
+    done
+  done;
+  sg
+
+(* [Precision.round] inlined into this unit, bitwise equal to it (and to
+   [Gmem.of_array]'s staging): under [-opaque] a call into another unit
+   boxes every float it passes or returns (DESIGN §5i). *)
+module R = struct
+  let[@inline] round p x =
+    match p with
+    | Precision.Double -> x
+    | Single -> Int32.float_of_bits (Int32.bits_of_float x)
+end
+
 let extract ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
     ?(prec = Precision.Double) ?(mode = Sampling.Exact)
     ?(strategy = Shared_memory) ?obs (a : Csr.t) ~block_starts ~block_sizes =
   validate cfg a ~block_starts ~block_sizes;
-  let dev = stage prec a in
   let blocks = Batch.create block_sizes in
   let gout = Gmem.create prec (Batch.total_values blocks) in
+  (* Device staging waits for the first problem that is interpreted: a
+     launch served entirely by the direct path never needs it.  Domains
+     racing to stage build equal copies; the first published one wins. *)
+  let staged = Atomic.make None in
+  let dev () =
+    match Atomic.get staged with
+    | Some d -> d
+    | None ->
+      let d = stage prec a in
+      if Atomic.compare_and_set staged None (Some d) then d
+      else Option.get (Atomic.get staged)
+  in
   let kernel w i =
     let start = block_starts.(i)
     and s = block_sizes.(i)
     and off = blocks.Batch.offsets.(i) in
     match strategy with
-    | Row_per_thread -> kernel_naive w dev gout ~off ~start ~s
-    | Shared_memory -> kernel_shared w dev gout ~off ~start ~s
+    | Row_per_thread -> kernel_naive w (dev ()) gout ~off ~start ~s
+    | Shared_memory -> kernel_shared w (dev ()) gout ~off ~start ~s
   in
-  (* No ?cache here: the charge stream depends on the CSR sparsity pattern
-     of each block, which no compact salt can encode. *)
+  (* The salt is the interned sparsity signature of the block, so two
+     blocks share a cache entry exactly when their charge streams agree. *)
+  let cache =
+    let e_idx = Config.elements_per_transaction cfg Precision.Single
+    and e_val = Config.elements_per_transaction cfg prec in
+    fun i ->
+      Launch.Cache.intern
+        (signature ~e_idx ~e_val a ~off:blocks.Batch.offsets.(i)
+           ~start:block_starts.(i) ~s:block_sizes.(i))
+  in
+  (* Direct execution: [Csr.extract_block]'s gather, written in place into
+     the output buffer and rounded as the staging rounds the values; a
+     later duplicate overwrites an earlier one, as in both kernels. *)
+  let direct =
+    let rp = a.Csr.row_ptr and ci = a.Csr.col_idx and va = a.Csr.values in
+    let out = Gmem.raw gout in
+    fun i ->
+      let start = block_starts.(i)
+      and s = block_sizes.(i)
+      and off = blocks.Batch.offsets.(i) in
+      Array.fill out off (s * s) 0.0;
+      for r = 0 to s - 1 do
+        for k = rp.(start + r) to rp.(start + r + 1) - 1 do
+          let c = ci.(k) - start in
+          if c >= 0 && c < s then out.(off + r + (c * s)) <- R.round prec va.(k)
+        done
+      done;
+      0
+  in
   let stats =
     Sampling.run ~cfg ~pool ?obs
       ~name:
         (match strategy with
         | Row_per_thread -> "extract.naive"
         | Shared_memory -> "extract.shared")
-      ~prec ~mode ~sizes:block_sizes ~kernel ()
+      ~cache ~direct ~prec ~mode ~sizes:block_sizes ~kernel ()
   in
   let out = Batch.create block_sizes in
   let values = Gmem.to_array gout in

@@ -52,7 +52,16 @@ val extract :
 
     In [Sampled] mode the representative of a size class is the block with
     that size encountered first, so modelled imbalance is workload-specific
-    only in [Exact] mode (benches use [Exact]; this kernel is cheap). *)
+    only in [Exact] mode (benches use [Exact]).
+
+    The launch uses {!Launch.Cache}: each block's salt is the
+    {!Launch.Cache.intern} id of its sparsity signature (row lengths, the
+    position and column of every in-block entry, and the transaction
+    alignment of its row pointers, start row and output offset), so a
+    block whose pattern was seen before takes the cached counters and is
+    gathered straight from the host CSR without the warp interpreter.  The
+    device copies of the CSR are staged only if some block is
+    interpreted. *)
 
 val blocks_cover : n:int -> block_starts:int array -> block_sizes:int array -> bool
 (** Whether the blocks exactly tile [0..n-1] — the supervariable-blocking

@@ -94,7 +94,32 @@ let empty_stats () =
    Hit/miss accounting is folded into [find]/[store] on atomics so the hot
    path takes the table mutex exactly once per problem: [find] counts its
    own outcome provisionally, and a caller whose replay check then fails
-   reclassifies with [demote_hit]. *)
+   reclassifies with [demote_hit].
+
+   A kernel whose charges depend on more than an int can encode (the CSR
+   sparsity pattern of an extraction block) packs that dependence into an
+   int array and takes [intern]'s id as its salt.  Interning is by
+   structural equality over a full-array hash, so distinct signatures get
+   distinct ids — nothing is hashed into the salt itself. *)
+module Signatures = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : int array) (b : int array) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec from i = i = n || (a.(i) = b.(i) && from (i + 1)) in
+    from 0
+
+  (* FNV-1a over whole words; [Hashtbl.hash] stops after ten elements. *)
+  let hash (a : int array) =
+    let h = ref (Array.length a) in
+    for i = 0 to Array.length a - 1 do
+      h := (!h lxor a.(i)) * 0x100000001b3
+    done;
+    !h land max_int
+end)
+
 module Cache = struct
   type key = {
     kernel : string;
@@ -107,6 +132,7 @@ module Cache = struct
   type entry = { counter : Counter.t; events : int array; direct_ok : bool }
 
   let tbl : (key, entry) Hashtbl.t = Hashtbl.create 64
+  let interned : int Signatures.t = Signatures.create 64
   let lock = Mutex.create ()
   let enabled_flag = ref true
   let hit_count = Atomic.make 0
@@ -134,6 +160,19 @@ module Cache = struct
        per key, so racing first executions store equal entries. *)
     Hashtbl.replace tbl k { counter; events; direct_ok };
     Mutex.unlock lock
+
+  let intern a =
+    Mutex.lock lock;
+    let id =
+      match Signatures.find_opt interned a with
+      | Some id -> id
+      | None ->
+        let id = Signatures.length interned in
+        Signatures.add interned a id;
+        id
+    in
+    Mutex.unlock lock;
+    id
 
   let demote_hit () =
     Atomic.decr hit_count;
@@ -170,6 +209,7 @@ module Cache = struct
   let clear () =
     Mutex.lock lock;
     Hashtbl.reset tbl;
+    Signatures.reset interned;
     Atomic.set hit_count 0;
     Atomic.set miss_count 0;
     Atomic.set direct_count 0;

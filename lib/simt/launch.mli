@@ -109,6 +109,16 @@ module Cache : sig
   (** [counter] and [events] are owned by the cache after the call; pass
       detached snapshots. *)
 
+  val intern : int array -> int
+  (** [intern sg] is a dense id for the signature [sg]: structurally equal
+      arrays get one id, distinct arrays distinct ids (a full-array hash
+      buckets them, structural equality decides).  For salts of kernels
+      whose charge stream depends on more than a few ints — the sparsity
+      pattern of a CSR extraction block.  The table keeps [sg], which the
+      caller must not mutate afterwards, until {!clear}; ids depend on the
+      order of first lookups, so they must only ever feed cache keys, never
+      reported output.  Takes the cache mutex. *)
+
   val enabled : unit -> bool
 
   val set_enabled : bool -> unit
@@ -141,4 +151,5 @@ module Cache : sig
       reporting window at will. *)
 
   val clear : unit -> unit
+  (** Empties the entries and the {!intern} table and zeroes the tallies. *)
 end

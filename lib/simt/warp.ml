@@ -548,13 +548,19 @@ let charge_smem_access t sm addrs act =
     let banks = t.cfg.Config.smem_banks in
     let hits = t.bank_hits in
     Array.fill hits 0 banks 0;
+    (* The int maximum is tracked in the loop: a fold with the polymorphic
+       [max] would make a compare call per bank. *)
+    let passes = ref 1 in
     for i = 0 to t.size - 1 do
-      if act.(i) then
-        hits.(addrs.(i) mod banks) <- hits.(addrs.(i) mod banks) + 1
+      if act.(i) then begin
+        let b = addrs.(i) mod banks in
+        let h = hits.(b) + 1 in
+        hits.(b) <- h;
+        if h > !passes then passes := h
+      end
     done;
-    let passes = Array.fold_left max 1 hits in
     t.counter.Counter.smem_accesses <-
-      t.counter.Counter.smem_accesses +. float_of_int passes
+      t.counter.Counter.smem_accesses +. float_of_int !passes
   end
 
 let smem_store t sm ?active addrs values =

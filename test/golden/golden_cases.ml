@@ -145,18 +145,26 @@ let lu_mixed_case ?layout ?pool ?obs () =
    raw [values]/[vvalues] streams digested here are cohort-interleaved, so
    any drift in the layout's offset/stride bookkeeping — not just in the
    numerics — breaks the digest. *)
-let trsv_mixed_case ?layout ?pool ?obs () =
+let trsv_mixed_case ?layout () =
   let sz = [| 1; 7; 16; 32; 3 |] in
-  let b = general_batch ?layout ~salt:3 sz in
-  let rhs =
-    Batch.vec_random ~state:(state ~salt:4 ~size:59) ?layout sz
-  in
-  let f = Batched_lu.factor ?pool b in
-  let r =
-    Batched_trsv.solve ?pool ?obs ~factors:f.Batched_lu.factors
-      ~pivots:f.Batched_lu.pivots rhs
-  in
-  { stats = r.Batched_trsv.stats; payload = trsv_payload r }
+  let f = lazy (Batched_lu.factor (general_batch ?layout ~salt:3 sz)) in
+  fun ?pool ?obs () ->
+    let rhs = Batch.vec_random ~state:(state ~salt:4 ~size:59) ?layout sz in
+    let f = Lazy.force f in
+    let r =
+      Batched_trsv.solve ?pool ?obs ~factors:f.Batched_lu.factors
+        ~pivots:f.Batched_lu.pivots rhs
+    in
+    { stats = r.Batched_trsv.stats; payload = trsv_payload r }
+
+(* A case's setup launch (the factorization a solve consumes) runs once,
+   on the case's first run, and later runs of the same case value reuse
+   it: the payload and stats cover the measured launch only, so a second
+   run executes that launch alone, and the direct-active parity check can
+   attribute its direct hits to it. *)
+let setup make run =
+  let input = lazy (make ()) in
+  fun ?pool ?obs () -> run (Lazy.force input) ?pool ?obs ()
 
 let cases () =
   let sizes = [ 1; 7; 16; 32 ] in
@@ -199,45 +207,42 @@ let cases () =
                 poison_singular b;
                 let r = Batched_lu.factor ~prec ?pool ?obs b in
                 { stats = r.Batched_lu.stats; payload = lu_payload r });
-            mk "trsv.eager" (fun ?pool ?obs () ->
-                let sz = sizes_for size in
-                let b = general_batch ~salt:3 sz in
-                let rhs = rhs_batch ~salt:4 sz in
-                let f = Batched_lu.factor ~prec ?pool b in
+            mk "trsv.eager" (setup (fun () ->
+                Batched_lu.factor ~prec (general_batch ~salt:3 (sizes_for size)))
+              @@ fun f ?pool ?obs () ->
+                let rhs = rhs_batch ~salt:4 (sizes_for size) in
                 let r =
                   Batched_trsv.solve ~prec ?pool ?obs
                     ~factors:f.Batched_lu.factors ~pivots:f.Batched_lu.pivots
                     rhs
                 in
                 { stats = r.Batched_trsv.stats; payload = trsv_payload r });
-            mk "trsv.eager+abft" (fun ?pool ?obs () ->
-                let sz = sizes_for size in
-                let b = general_batch ~salt:3 sz in
-                let rhs = rhs_batch ~salt:4 sz in
-                let f = Batched_lu.factor ~prec ?pool b in
+            mk "trsv.eager+abft" (setup (fun () ->
+                Batched_lu.factor ~prec (general_batch ~salt:3 (sizes_for size)))
+              @@ fun f ?pool ?obs () ->
+                let rhs = rhs_batch ~salt:4 (sizes_for size) in
                 let r =
                   Batched_trsv.solve ~prec ~abft:true ?pool ?obs
                     ~factors:f.Batched_lu.factors ~pivots:f.Batched_lu.pivots
                     rhs
                 in
                 { stats = r.Batched_trsv.stats; payload = trsv_payload r });
-            mk "trsv.lazy" (fun ?pool ?obs () ->
-                let sz = sizes_for size in
-                let b = general_batch ~salt:3 sz in
-                let rhs = rhs_batch ~salt:4 sz in
-                let f = Batched_lu.factor ~prec ?pool b in
+            mk "trsv.lazy" (setup (fun () ->
+                Batched_lu.factor ~prec (general_batch ~salt:3 (sizes_for size)))
+              @@ fun f ?pool ?obs () ->
+                let rhs = rhs_batch ~salt:4 (sizes_for size) in
                 let r =
                   Batched_trsv.solve ~prec ~variant:Batched_trsv.Lazy ?pool
                     ?obs ~factors:f.Batched_lu.factors
                     ~pivots:f.Batched_lu.pivots rhs
                 in
                 { stats = r.Batched_trsv.stats; payload = trsv_payload r });
-            mk "trsm" (fun ?pool ?obs () ->
+            mk "trsm" (setup (fun () ->
+                Batched_lu.factor ~prec (general_batch ~salt:5 (sizes_for size)))
+              @@ fun f ?pool ?obs () ->
                 let sz = sizes_for size in
-                let b = general_batch ~salt:5 sz in
                 let rhs0 = rhs_batch ~salt:6 sz
                 and rhs1 = rhs_batch ~salt:7 sz in
-                let f = Batched_lu.factor ~prec ?pool b in
                 let r =
                   Batched_trsm.solve ~prec ?pool ?obs
                     ~factors:f.Batched_lu.factors ~pivots:f.Batched_lu.pivots
@@ -294,11 +299,10 @@ let cases () =
                     of_ints r.Batched_gh.info
                     @ of_verdicts r.Batched_gh.verdicts;
                 });
-            mk "gh.solve" (fun ?pool ?obs () ->
-                let sz = sizes_for size in
-                let b = general_batch ~salt:12 sz in
-                let rhs = rhs_batch ~salt:13 sz in
-                let f = Batched_gh.factor ~prec ?pool b in
+            mk "gh.solve" (setup (fun () ->
+                Batched_gh.factor ~prec (general_batch ~salt:12 (sizes_for size)))
+              @@ fun f ?pool ?obs () ->
+                let rhs = rhs_batch ~salt:13 (sizes_for size) in
                 let r = Batched_gh.solve ~prec ?pool ?obs f rhs in
                 {
                   stats = r.Batched_gh.solve_stats;
@@ -316,11 +320,10 @@ let cases () =
                       (Array.to_list r.Batched_gje.inverses)
                     @ of_ints r.Batched_gje.info;
                 });
-            mk "gje.apply" (fun ?pool ?obs () ->
-                let sz = sizes_for size in
-                let b = general_batch ~salt:15 sz in
-                let rhs = rhs_batch ~salt:16 sz in
-                let inv = Batched_gje.invert ~prec ?pool b in
+            mk "gje.apply" (setup (fun () ->
+                Batched_gje.invert ~prec (general_batch ~salt:15 (sizes_for size)))
+              @@ fun inv ?pool ?obs () ->
+                let rhs = rhs_batch ~salt:16 (sizes_for size) in
                 let r = Batched_gje.apply ~prec ?pool ?obs inv rhs in
                 {
                   stats = r.Batched_gje.apply_stats;
@@ -335,11 +338,10 @@ let cases () =
                     batch_payload r.Batched_cholesky.factors
                     @ of_ints r.Batched_cholesky.info;
                 });
-            mk "potrs" (fun ?pool ?obs () ->
-                let sz = sizes_for size in
-                let b = spd_batch ~salt:18 sz in
-                let rhs = rhs_batch ~salt:19 sz in
-                let f = Batched_cholesky.factor ~prec ?pool b in
+            mk "potrs" (setup (fun () ->
+                Batched_cholesky.factor ~prec (spd_batch ~salt:18 (sizes_for size)))
+              @@ fun f ?pool ?obs () ->
+                let rhs = rhs_batch ~salt:19 (sizes_for size) in
                 let r =
                   Batched_cholesky.solve ~prec ?pool ?obs
                     ~factors:f.Batched_cholesky.factors rhs
@@ -355,11 +357,10 @@ let cases () =
                     @ pivots_payload r.Cublas_model.pivots
                     @ of_ints r.Cublas_model.info;
                 });
-            mk "cublas.getrs" (fun ?pool ?obs () ->
-                let sz = sizes_for size in
-                let b = general_batch ~salt:21 sz in
-                let rhs = rhs_batch ~salt:22 sz in
-                let f = Cublas_model.factor ~prec ?pool b in
+            mk "cublas.getrs" (setup (fun () ->
+                Cublas_model.factor ~prec (general_batch ~salt:21 (sizes_for size)))
+              @@ fun f ?pool ?obs () ->
+                let rhs = rhs_batch ~salt:22 (sizes_for size) in
                 let r = Cublas_model.solve ~prec ?pool ?obs f rhs in
                 {
                   stats = r.Cublas_model.solve_stats;
@@ -406,9 +407,7 @@ let cases () =
       };
       {
         name = "trsv.eager/mixed-sizes/interleaved";
-        run =
-          (fun ?pool ?obs () ->
-            trsv_mixed_case ~layout:Batch.Interleaved ?pool ?obs ());
+        run = trsv_mixed_case ~layout:Batch.Interleaved ();
       };
     ]
 

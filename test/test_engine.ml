@@ -27,7 +27,9 @@ let stats_equal (a : Launch.stats) (b : Launch.stats) =
   Float.equal a.Launch.time_us b.Launch.time_us
   && Float.equal a.Launch.gflops b.Launch.gflops
   && Float.equal a.Launch.bandwidth_gbs b.Launch.bandwidth_gbs
+  && a.Launch.warps = b.Launch.warps
   && counters_equal a.Launch.total b.Launch.total
+  && a.Launch.faults_injected = b.Launch.faults_injected
 
 (* ------------------------------------------------------------------ *)
 (* In-place ops vs allocating wrappers                                 *)
@@ -435,6 +437,205 @@ let test_direct_respects_disabled_cache () =
   Launch.Cache.clear ()
 
 (* ------------------------------------------------------------------ *)
+(* Extraction: exact sparsity-signature salts and the direct gather     *)
+
+let same_bits x y =
+  Array.length x = Array.length y
+  && Array.for_all2
+       (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+       x y
+
+(* CSR from explicit per-row column lists (values [value r k]). *)
+let csr_of_rows ~n_cols ?(value = fun _ _ -> 1.0) rows =
+  let row_ptr = Array.make (Array.length rows + 1) 0 in
+  Array.iteri (fun r cols -> row_ptr.(r + 1) <- row_ptr.(r) + List.length cols) rows;
+  let col_idx = Array.concat (Array.to_list (Array.map Array.of_list rows)) in
+  let values = Array.make (Array.length col_idx) 0.0 in
+  Array.iteri
+    (fun r cols -> List.iteri (fun k _ -> values.(row_ptr.(r) + k) <- value r k) cols)
+    rows;
+  Vblu_sparse.Csr.create ~n_rows:(Array.length rows) ~n_cols ~row_ptr ~col_idx
+    ~values
+
+(* A random pattern tiled by blocks of order 1..32: empty rows, rows longer
+   than a warp, columns in and out of the block (and past the last row),
+   non-finite, signed-zero and subnormal values.  [Csr.create] rejects
+   duplicate columns, but both kernels let the later duplicate win, so
+   some are planted afterwards by overwriting an index in place. *)
+let random_extraction_input st =
+  let sizes =
+    Array.init
+      (1 + Random.State.int st 5)
+      (fun _ ->
+        match Random.State.int st 4 with
+        | 0 -> 1
+        | 1 -> 32
+        | _ -> 1 + Random.State.int st 32)
+  in
+  let starts = Array.make (Array.length sizes) 0 in
+  for i = 1 to Array.length sizes - 1 do
+    starts.(i) <- starts.(i - 1) + sizes.(i - 1)
+  done;
+  let n = Array.fold_left ( + ) 0 sizes in
+  let n_cols = n + 64 in
+  let rows =
+    Array.concat
+      (Array.to_list
+         (Array.mapi
+            (fun b s ->
+              Array.init s (fun _ ->
+                  let picked = Array.make n_cols false in
+                  (match Random.State.int st 6 with
+                  | 0 -> ()
+                  | 1 ->
+                    (* Longer than a warp: 33 consecutive columns. *)
+                    let w = Random.State.int st (n_cols - 32) in
+                    Array.fill picked w 33 true
+                  | _ ->
+                    for _ = 0 to Random.State.int st 10 do
+                      let c =
+                        if Random.State.bool st then
+                          starts.(b) + Random.State.int st s
+                        else Random.State.int st n_cols
+                      in
+                      picked.(c) <- true
+                    done);
+                  List.filter (fun c -> picked.(c)) (List.init n_cols Fun.id)))
+            sizes))
+  in
+  let value _ _ =
+    match Random.State.int st 10 with
+    | 0 -> Float.nan
+    | 1 -> Float.infinity
+    | 2 -> Float.neg_infinity
+    | 3 -> -0.0
+    | 4 -> 1e-310
+    | _ -> Random.State.float st 2.0 -. 1.0
+  in
+  let a = csr_of_rows ~n_cols ~value rows in
+  let rp = a.Vblu_sparse.Csr.row_ptr and ci = a.Vblu_sparse.Csr.col_idx in
+  for r = 0 to n - 1 do
+    let len = rp.(r + 1) - rp.(r) in
+    if len >= 2 && Random.State.int st 3 = 0 then begin
+      let k = rp.(r) + 1 + Random.State.int st (len - 1) in
+      ci.(k) <- ci.(k - 1)
+    end
+  done;
+  (a, starts, sizes)
+
+let qcheck_extraction_direct_parity =
+  QCheck.Test.make ~count:60
+    ~name:"warm extraction bitwise = cache-off (blocks, stats), served directly"
+    QCheck.(triple (int_range 0 100_000) bool bool)
+    (fun (seed, single, naive) ->
+      let prec = if single then Precision.Single else Precision.Double in
+      let strategy =
+        if naive then Extraction.Row_per_thread else Extraction.Shared_memory
+      in
+      let a, block_starts, block_sizes = random_extraction_input (state seed) in
+      let run () = Extraction.extract ~prec ~strategy a ~block_starts ~block_sizes in
+      let reference = with_cache_off run in
+      Launch.Cache.clear ();
+      let cold = run () in
+      let dh = Launch.Cache.direct_hits () in
+      let warm = run () in
+      let served = Launch.Cache.direct_hits () - dh in
+      Launch.Cache.clear ();
+      let same (r : Extraction.result) =
+        same_bits r.Extraction.blocks.Batch.values
+          reference.Extraction.blocks.Batch.values
+        && stats_equal r.Extraction.stats reference.Extraction.stats
+      in
+      same cold && same warm && served = Array.length block_sizes)
+
+let test_intern_exact () =
+  (* Arrays agreeing in their first ten words look alike to
+     [Hashtbl.hash]; interning must still tell them apart. *)
+  Launch.Cache.clear ();
+  let a = Array.init 40 Fun.id in
+  let b = Array.mapi (fun i x -> if i = 39 then x + 1 else x) a in
+  let ia = Launch.Cache.intern a and ib = Launch.Cache.intern b in
+  Alcotest.(check bool) "distinct arrays, distinct ids" true (ia <> ib);
+  Alcotest.(check int) "equal arrays, one id" ia
+    (Launch.Cache.intern (Array.copy a));
+  Alcotest.(check bool) "a prefix is another signature" true
+    (Launch.Cache.intern (Array.sub a 0 39) <> ia);
+  Launch.Cache.clear ();
+  Alcotest.(check int) "clear restarts the ids" 0 (Launch.Cache.intern b);
+  Launch.Cache.clear ()
+
+let test_extraction_no_alias () =
+  (* Pairs of launches whose order-8 block agrees in everything the charge
+     streams read but one item: one in-block column (row 0 hits {0,1} or
+     {0,4}; 4*8 = 32 lands on bank 0 too, a shared-memory conflict), one
+     row's length (an extra column outside the block), the positions of a
+     row's matches, or the alignment of the block's start row, of its
+     first row pointer, or of its output offset.  Whichever launch warms the cache first, the other must keep
+     its cold stats. *)
+  let s = 8 in
+  (* The block after the rows [pad]; rows 1.. hit three block columns. *)
+  let mk ?(pad = []) row0 =
+    let lead = List.length pad in
+    let block =
+      List.init s (fun r ->
+          List.map (( + ) lead)
+            (if r = 0 then row0
+             else List.sort_uniq compare [ r; (r + 1) mod s; (r + 2) mod s ]))
+    in
+    (csr_of_rows ~n_cols:(lead + s + 8) (Array.of_list (pad @ block)), lead)
+  in
+  let one (a, start) = (a, [| start |], [| s |]) in
+  let base = mk [ 0; 1 ] in
+  let padded, start = mk ~pad:[ [ 0 ]; [ 1 ] ] [ 0; 1 ] in
+  (* One leading row of 1 or 8 entries: the block's row pointers start at
+     1 or 8, misaligned or aligned to a transaction. *)
+  let pointer1 = mk ~pad:[ [ s + 1 ] ] [ 0; 1 ]
+  and pointer8 = mk ~pad:[ 0 :: List.init 7 (fun k -> s + 1 + k) ] [ 0; 1 ] in
+  (* Row 0 keeps block columns {0,1} and one outside column, placed before
+     or after them: the matches sit at positions {1,2} or {0,1}, and a
+     6-entry leading row makes only the former straddle a transaction. *)
+  let six = [ List.init 6 (fun k -> s + 1 + k) ] in
+  let before = mk ~pad:six [ -1; 0; 1 ] and after = mk ~pad:six [ 0; 1; s + 3 ] in
+  let shared = Extraction.Shared_memory and naive = Extraction.Row_per_thread in
+  let pairs =
+    [
+      ("column", shared, one base, one (mk [ 0; 4 ]));
+      ("row length", shared, one base, one (mk [ 0; 1; s + 3 ]));
+      ("row length", naive, one base, one (mk [ 0; 1; s + 3 ]));
+      ("start row", shared, one base, one (mk ~pad:[ [] ] [ 0; 1 ]));
+      ("first row pointer", shared, one pointer1, one pointer8);
+      ("position in row", shared, one before, one after);
+      ("position in row", naive, one before, one after);
+      ( "output offset", shared,
+        (padded, [| 0; start |], [| 1; s |]),
+        (padded, [| 0; start |], [| 2; s |]) );
+    ]
+  in
+  List.iter
+    (fun prec ->
+      List.iter
+        (fun (what, strategy, x, y) ->
+          let run (a, block_starts, block_sizes) =
+            (Extraction.extract ~prec ~strategy a ~block_starts ~block_sizes)
+              .Extraction.stats
+          in
+          let cold_x = with_cache_off (fun () -> run x)
+          and cold_y = with_cache_off (fun () -> run y) in
+          let label = Printf.sprintf "%s (%s)" what (Precision.to_string prec) in
+          Alcotest.(check bool) (label ^ ": patterns charge differently") false
+            (stats_equal cold_x cold_y);
+          List.iter
+            (fun (first, second, cold) ->
+              Launch.Cache.clear ();
+              ignore (run first);
+              Alcotest.(check bool) (label ^ ": keeps its cold stats") true
+                (stats_equal cold (run second)))
+            [ (x, y, cold_y); (y, x, cold_x) ])
+        pairs)
+    [ Precision.Double; Precision.Single ];
+  Launch.Cache.clear ()
+
+(* ------------------------------------------------------------------ *)
 (* Config fingerprints                                                 *)
 
 let test_config_fingerprints () =
@@ -528,6 +729,13 @@ let () =
             test_direct_breakdown_heals;
           Alcotest.test_case "disabled cache disables direct" `Quick
             test_direct_respects_disabled_cache;
+        ] );
+      ( "extraction",
+        [
+          Alcotest.test_case "intern is exact" `Quick test_intern_exact;
+          qtest qcheck_extraction_direct_parity;
+          Alcotest.test_case "distinct patterns never alias" `Quick
+            test_extraction_no_alias;
         ] );
       ( "config",
         [

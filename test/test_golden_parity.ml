@@ -48,16 +48,51 @@ let test_domains n () =
   run_config ~pool ();
   run_config ~pool ~obs ()
 
+(* Kernels, named as in the case names, whose launch passes [?direct] to
+   [Sampling.run]. *)
+let direct_kernels =
+  [
+    "lu.implicit"; "lu.nopivot"; "trsv.eager"; "trsv.lazy"; "trsm"; "gemm";
+    "gh.factor"; "ght.factor"; "gh.solve"; "potrf"; "potrs";
+    "extract.shared"; "extract.naive";
+  ]
+
+(* Implicit-pivoting LU on poisoned blocks: a breakdown de-certifies its
+   class's entry, so whether a second run is served directly depends on
+   which problem of the class broke down last.  Exempt from both checks. *)
+let value_dependent = [ "lu.breakdown" ]
+
 let test_direct_active () =
-  (* The parity suite must pass WITH the direct fast path actively taken —
-     a run that never certifies an entry would vacuously agree with the
-     goldens.  Each case batches same-class problems, so a cleared cache
-     still yields certified hits within the run. *)
-  Vblu_simt.Launch.Cache.clear ();
-  run_config ();
-  let dh = Vblu_simt.Launch.Cache.direct_hits () in
-  Vblu_simt.Launch.Cache.clear ();
-  Alcotest.(check bool) "direct path exercised during parity" true (dh > 0)
+  (* The parity suite must pass WITH the direct fast path taken, kernel by
+     kernel — a kernel that silently fell off it would still agree with
+     the goldens.  The first pass over the cases warms the cache (and runs
+     each case's setup launch); on the second, every case of a
+     direct-capable kernel must add direct hits, and no other case may. *)
+  let module C = Vblu_simt.Launch.Cache in
+  C.clear ();
+  let cases = Golden_cases.cases () in
+  let run (c : Golden_cases.case) =
+    check_outcome c.Golden_cases.name (c.Golden_cases.run ())
+  in
+  List.iter run cases;
+  let served =
+    List.map
+      (fun (c : Golden_cases.case) ->
+        let before = C.direct_hits () in
+        run c;
+        let name = c.Golden_cases.name in
+        (name, List.hd (String.split_on_char '/' name), C.direct_hits () > before))
+      cases
+  in
+  C.clear ();
+  let cases_where p =
+    List.filter_map (fun (name, k, d) -> if p k d then Some name else None) served
+  in
+  Alcotest.(check (list string)) "direct-capable cases served directly" []
+    (cases_where (fun k d -> List.mem k direct_kernels && not d));
+  Alcotest.(check (list string)) "other cases never served directly" []
+    (cases_where (fun k d ->
+         d && not (List.mem k direct_kernels || List.mem k value_dependent)))
 
 let test_no_missing_goldens () =
   (* Every recorded golden corresponds to a live case — catches silently
