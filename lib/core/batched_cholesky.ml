@@ -10,7 +10,9 @@ type result = {
 
 (* Rounded arithmetic inlined into this unit, bitwise equal to
    [Precision]'s: under [-opaque] a call into another unit boxes every
-   float it passes or returns (DESIGN §5i). *)
+   float it passes or returns.  The solve kernel, the one with host-side
+   reductions, is an [@inline] body instantiated once per precision, so in
+   Double [round] folds away (DESIGN §5i). *)
 module R = struct
   let[@inline] round p x =
     match p with
@@ -146,8 +148,7 @@ let t_dv = 2
 let t_bk = 3
 let t_prods = 4
 
-let kernel_solve w gmat gvec gout ~moff ~mst ~voff ~vst ~s =
-  let prec = Warp.prec w in
+let[@inline] kernel_solve_k prec w gmat gvec gout ~moff ~mst ~voff ~vst ~s =
   let p = Warp.size w in
   let active = Warp.mask_slot w 0 in
   let from_k = Warp.mask_slot w 1 in
@@ -222,6 +223,15 @@ let kernel_solve w gmat gvec gout ~moff ~mst ~voff ~vst ~s =
   Warp.store w gout ~active addrs b;
   Warp.credit_flops w (Flops.trsv_pair s);
   !info
+
+let kernel_solve w gmat gvec gout ~moff ~mst ~voff ~vst ~s =
+  match Warp.prec w with
+  | Precision.Double ->
+    (kernel_solve_k [@inlined]) Precision.Double w gmat gvec gout ~moff ~mst
+      ~voff ~vst ~s
+  | Single ->
+    (kernel_solve_k [@inlined]) Precision.Single w gmat gvec gout ~moff ~mst
+      ~voff ~vst ~s
 
 let solve ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
     ?(prec = Precision.Double) ?(mode = Sampling.Exact) ?obs

@@ -14,7 +14,9 @@ type result = {
 
 (* Rounded arithmetic inlined into this unit, bitwise equal to
    [Precision]'s: under [-opaque] a call into another unit boxes every
-   float it passes or returns (DESIGN §5i). *)
+   float it passes or returns.  The lazy kernel, the one with host-side
+   reductions, is an [@inline] body instantiated once per precision, so in
+   Double [round] folds away (DESIGN §5i). *)
 module R = struct
   let[@inline] round p x =
     match p with
@@ -178,10 +180,30 @@ let kernel_eager w gmat gvec gout ~moff ~mst ~voff ~vst ~s ~perm ~abft =
   Warp.credit_flops w (Flops.trsv_pair s);
   (!info, verdict)
 
+(* Row k of the factor, elements [0..upto_excl), lanewise product with
+   [b] then a tree reduction (log2 p shuffle+add rounds, charged like
+   argmax). *)
+let[@inline] dot_row prec w gmat ~act ~addrs ~row ~prod ~b ~moff ~mst ~s
+    ~upto_excl k =
+  for lane = 0 to Warp.size w - 1 do
+    act.(lane) <- lane < upto_excl;
+    addrs.(lane) <- moff + (mst * (k + (min lane (s - 1) * s)))
+  done;
+  Warp.load_into w gmat ~active:act addrs ~dst:row;
+  Warp.mul_into w ~active:act ~dst:prod row b;
+  let rounds = 5 in
+  Warp.charge_shfl w (float_of_int rounds);
+  Warp.charge_fma w (float_of_int rounds);
+  let acc = ref 0.0 in
+  for lane = 0 to upto_excl - 1 do
+    acc := R.add prec prod.(lane) !acc
+  done;
+  !acc
+
 (* Lazy (DOT) schedule: per step one non-coalesced row load and a warp
    reduction; the ablation showing why the paper prefers the eager form. *)
-let kernel_lazy w gmat gvec gout ~moff ~mst ~voff ~vst ~s ~perm ~abft =
-  let prec = Warp.prec w in
+let[@inline] kernel_lazy_k prec w gmat gvec gout ~moff ~mst ~voff ~vst ~s ~perm
+    ~abft =
   let p = Warp.size w in
   let active = Warp.mask_slot w 0 in
   fill_lt w active s;
@@ -197,28 +219,13 @@ let kernel_lazy w gmat gvec gout ~moff ~mst ~voff ~vst ~s ~perm ~abft =
   Warp.round_barrier w;
   let b0 = Warp.reg w t_b0 in
   if abft then Array.blit b 0 b0 0 p;
-  let dot_row ~upto_excl k =
-    (* Row k, elements [0..upto_excl), lanewise product then a tree
-       reduction (log2 p shuffle+add rounds, charged like argmax). *)
-    for lane = 0 to p - 1 do
-      act.(lane) <- lane < upto_excl;
-      addrs.(lane) <- moff + (mst * (k + (min lane (s - 1) * s)))
-    done;
-    Warp.load_into w gmat ~active:act addrs ~dst:row;
-    Warp.mul_into w ~active:act ~dst:prod row b;
-    let rounds = 5 in
-    Warp.charge_shfl w (float_of_int rounds);
-    Warp.charge_fma w (float_of_int rounds);
-    let acc = ref 0.0 in
-    for lane = 0 to upto_excl - 1 do
-      acc := R.add prec prod.(lane) !acc
-    done;
-    !acc
-  in
   (* Unit lower solve, lazy: b(k) -= L(k, 0..k-1) · b(0..k-1). *)
   for k = 1 to s - 1 do
     Warp.fault_step w k;
-    let d = dot_row ~upto_excl:k k in
+    let d =
+      dot_row prec w gmat ~act ~addrs ~row ~prod ~b ~moff ~mst ~s ~upto_excl:k
+        k
+    in
     b.(k) <- R.sub prec b.(k) d;
     (* One predicated subtract on the owning lane. *)
     Warp.charge_fma w 1.0
@@ -266,6 +273,15 @@ let kernel_lazy w gmat gvec gout ~moff ~mst ~voff ~vst ~s ~perm ~abft =
   Warp.store w gout ~active addrs b;
   Warp.credit_flops w (Flops.trsv_pair s);
   (!info, verdict)
+
+let kernel_lazy w gmat gvec gout ~moff ~mst ~voff ~vst ~s ~perm ~abft =
+  match Warp.prec w with
+  | Precision.Double ->
+    (kernel_lazy_k [@inlined]) Precision.Double w gmat gvec gout ~moff ~mst
+      ~voff ~vst ~s ~perm ~abft
+  | Single ->
+    (kernel_lazy_k [@inlined]) Precision.Single w gmat gvec gout ~moff ~mst
+      ~voff ~vst ~s ~perm ~abft
 
 let solve ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
     ?(prec = Precision.Double) ?(mode = Sampling.Exact) ?(variant = Eager)

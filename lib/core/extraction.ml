@@ -255,13 +255,35 @@ let signature ~e_idx ~e_val (a : Csr.t) ~off ~start ~s =
 
 (* [Precision.round] inlined into this unit, bitwise equal to it (and to
    [Gmem.of_array]'s staging): under [-opaque] a call into another unit
-   boxes every float it passes or returns (DESIGN §5i). *)
+   boxes every float it passes or returns.  The gather is an [@inline]
+   body instantiated once per precision, so in Double [round] folds away
+   (DESIGN §5i). *)
 module R = struct
   let[@inline] round p x =
     match p with
     | Precision.Double -> x
     | Single -> Int32.float_of_bits (Int32.bits_of_float x)
 end
+
+(* Direct execution: [Csr.extract_block]'s gather of the [s]-by-[s] block
+   at row/column [start], written in place at [off] of the output buffer
+   and rounded as the staging rounds the values; a later duplicate
+   overwrites an earlier one, as in both kernels. *)
+let[@inline] gather_k prec (a : Csr.t) out ~start ~s ~off =
+  Array.fill out off (s * s) 0.0;
+  for r = 0 to s - 1 do
+    for k = a.Csr.row_ptr.(start + r) to a.Csr.row_ptr.(start + r + 1) - 1 do
+      let c = a.Csr.col_idx.(k) - start in
+      if c >= 0 && c < s then
+        out.(off + r + (c * s)) <- R.round prec a.Csr.values.(k)
+    done
+  done
+
+let gather prec a out ~start ~s ~off =
+  match prec with
+  | Precision.Double ->
+    (gather_k [@inlined]) Precision.Double a out ~start ~s ~off
+  | Single -> (gather_k [@inlined]) Precision.Single a out ~start ~s ~off
 
 let extract ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
     ?(prec = Precision.Double) ?(mode = Sampling.Exact)
@@ -299,23 +321,11 @@ let extract ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
         (signature ~e_idx ~e_val a ~off:blocks.Batch.offsets.(i)
            ~start:block_starts.(i) ~s:block_sizes.(i))
   in
-  (* Direct execution: [Csr.extract_block]'s gather, written in place into
-     the output buffer and rounded as the staging rounds the values; a
-     later duplicate overwrites an earlier one, as in both kernels. *)
   let direct =
-    let rp = a.Csr.row_ptr and ci = a.Csr.col_idx and va = a.Csr.values in
     let out = Gmem.raw gout in
     fun i ->
-      let start = block_starts.(i)
-      and s = block_sizes.(i)
-      and off = blocks.Batch.offsets.(i) in
-      Array.fill out off (s * s) 0.0;
-      for r = 0 to s - 1 do
-        for k = rp.(start + r) to rp.(start + r + 1) - 1 do
-          let c = ci.(k) - start in
-          if c >= 0 && c < s then out.(off + r + (c * s)) <- R.round prec va.(k)
-        done
-      done;
+      gather prec a out ~start:block_starts.(i) ~s:block_sizes.(i)
+        ~off:blocks.Batch.offsets.(i);
       0
   in
   let stats =

@@ -3,7 +3,9 @@ open Vblu_precond
 
 (* Rounded arithmetic inlined into this unit, bitwise equal to
    [Precision]'s: under [-opaque] a call into another unit boxes every
-   float it passes or returns (DESIGN §5i). *)
+   float it passes or returns.  Per-element loops are [@inline] bodies
+   instantiated once per precision, so in Double [round] folds away; the
+   once-per-iteration scalar ops keep the generic form (DESIGN §5i). *)
 module R = struct
   let[@inline] round p x =
     match p with
@@ -14,6 +16,17 @@ module R = struct
   let[@inline] div p a b = round p (a /. b)
   let[@inline] fma p a b c = round p ((a *. b) +. c)
 end
+
+(* [p <- r + beta·(p - om·v)], rounded. *)
+let[@inline] update_p_k prec ~beta ~om p v r =
+  for i = 0 to Array.length p - 1 do
+    p.(i) <- R.fma prec beta (R.fma prec (-.om) v.(i) p.(i)) r.(i)
+  done
+
+let update_p prec ~beta ~om p v r =
+  match prec with
+  | Precision.Double -> (update_p_k [@inlined]) Precision.Double ~beta ~om p v r
+  | Single -> (update_p_k [@inlined]) Precision.Single ~beta ~om p v r
 
 let solve ?(prec = Precision.Double) ?precond
     ?(config = Solver.default_config) ?refresh_precond ?obs a b =
@@ -73,13 +86,7 @@ let solve ?(prec = Precision.Double) ?precond
     if rho1 = 0.0 then outcome := Some (Solver.Breakdown "rho = 0")
     else begin
       let beta = R.mul prec (rho1 /. !rho) (!alpha /. !om) in
-      (* p = r + beta (p - om v) *)
-      for i = 0 to n - 1 do
-        p.(i) <-
-          R.fma prec beta
-            (R.fma prec (-. !om) v.(i) p.(i))
-            r.(i)
-      done;
+      update_p prec ~beta ~om:!om p v r;
       let phat = apply_m p in
       let v' = ctx.Solver.spmv phat in
       incr iters;

@@ -3,7 +3,9 @@ open Vblu_precond
 
 (* Rounded arithmetic inlined into this unit, bitwise equal to
    [Precision]'s: under [-opaque] a call into another unit boxes every
-   float it passes or returns (DESIGN §5i). *)
+   float it passes or returns.  Per-element loops are [@inline] bodies
+   instantiated once per precision, so in Double [round] folds away; the
+   once-per-iteration scalar ops keep the generic form (DESIGN §5i). *)
 module R = struct
   let[@inline] round p x =
     match p with
@@ -13,6 +15,17 @@ module R = struct
   let[@inline] div p a b = round p (a /. b)
   let[@inline] fma p a b c = round p ((a *. b) +. c)
 end
+
+(* [p <- beta·p + z], rounded. *)
+let[@inline] xpby_k prec beta p z =
+  for i = 0 to Array.length p - 1 do
+    p.(i) <- R.fma prec beta p.(i) z.(i)
+  done
+
+let xpby prec beta p z =
+  match prec with
+  | Precision.Double -> (xpby_k [@inlined]) Precision.Double beta p z
+  | Single -> (xpby_k [@inlined]) Precision.Single beta p z
 
 let solve ?(prec = Precision.Double) ?precond
     ?(config = Solver.default_config) ?refresh_precond ?obs a b =
@@ -84,9 +97,7 @@ let solve ?(prec = Precision.Double) ?precond
               else begin
                 let beta = R.div prec rz' !rz in
                 rz := rz';
-                for i = 0 to n - 1 do
-                  p.(i) <- R.fma prec beta p.(i) z.(i)
-                done
+                xpby prec beta p z
               end
             end
           end

@@ -3,7 +3,9 @@ open Vblu_precond
 
 (* Rounded arithmetic inlined into this unit, bitwise equal to
    [Precision]'s: under [-opaque] a call into another unit boxes every
-   float it passes or returns (DESIGN §5i). *)
+   float it passes or returns.  Per-element loops are [@inline] bodies
+   instantiated once per precision, so in Double [round] folds away; the
+   once-per-iteration scalar ops keep the generic form (DESIGN §5i). *)
 module R = struct
   let[@inline] round p x =
     match p with
@@ -13,6 +15,22 @@ module R = struct
   let[@inline] div p a b = round p (a /. b)
   let[@inline] fma p a b c = round p ((a *. b) +. c)
 end
+
+(* Back-substitution [H(0..k-1, 0..k-1) y = g] with the upper-triangular
+   Hessenberg factor. *)
+let[@inline] back_solve_k prec h g y k =
+  for i = k - 1 downto 0 do
+    let acc = ref g.(i) in
+    for l = i + 1 to k - 1 do
+      acc := R.fma prec (-.h.(i).(l)) y.(l) !acc
+    done;
+    y.(i) <- R.div prec !acc h.(i).(i)
+  done
+
+let back_solve prec h g y k =
+  match prec with
+  | Precision.Double -> (back_solve_k [@inlined]) Precision.Double h g y k
+  | Single -> (back_solve_k [@inlined]) Precision.Single h g y k
 
 let solve ?(prec = Precision.Double) ?precond ?(restart = 30)
     ?(config = Solver.default_config) ?refresh_precond ?obs a b =
@@ -113,13 +131,7 @@ let solve ?(prec = Precision.Double) ?precond ?(restart = 30)
       let k = !j in
       if k > 0 then begin
         let y = Array.make k 0.0 in
-        for i = k - 1 downto 0 do
-          let acc = ref g.(i) in
-          for l = i + 1 to k - 1 do
-            acc := R.fma prec (-.h.(i).(l)) y.(l) !acc
-          done;
-          y.(i) <- R.div prec !acc h.(i).(i)
-        done;
+        back_solve prec h g y k;
         let z = Vector.create n in
         for i = 0 to k - 1 do
           Vector.axpy ~prec y.(i) v.(i) z

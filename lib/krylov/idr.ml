@@ -3,7 +3,9 @@ open Vblu_precond
 
 (* Rounded arithmetic inlined into this unit, bitwise equal to
    [Precision]'s: under [-opaque] a call into another unit boxes every
-   float it passes or returns (DESIGN §5i). *)
+   float it passes or returns.  Per-element loops are [@inline] bodies
+   instantiated once per precision, so in Double [round] folds away; the
+   once-per-iteration scalar ops keep the generic form (DESIGN §5i). *)
 module R = struct
   let[@inline] round p x =
     match p with
@@ -33,8 +35,7 @@ let shadow_space ~prec ~seed n s =
 
 (* Forward substitution with the lower-triangular trailing block
    ms(k.., k..) — the small system of the biortho variant. *)
-let solve_lower ~prec ms f k s =
-  let c = Array.make (s - k) 0.0 in
+let[@inline] solve_lower_k prec ms f c k s =
   for i = k to s - 1 do
     let acc = ref f.(i) in
     for j = k to i - 1 do
@@ -42,8 +43,25 @@ let solve_lower ~prec ms f k s =
     done;
     if ms.(i).(i) = 0.0 then raise Exit;
     c.(i - k) <- R.div prec !acc ms.(i).(i)
-  done;
+  done
+
+let solve_lower ~prec ms f k s =
+  let c = Array.make (s - k) 0.0 in
+  (match prec with
+  | Precision.Double -> (solve_lower_k [@inlined]) Precision.Double ms f c k s
+  | Single -> (solve_lower_k [@inlined]) Precision.Single ms f c k s);
   c
+
+(* [f.(i) <- f.(i) - beta·ms(i, k)] for the directions after [k]. *)
+let[@inline] update_f_k prec ~beta ms f k s =
+  for i = k + 1 to s - 1 do
+    f.(i) <- R.fma prec (-.beta) ms.(i).(k) f.(i)
+  done
+
+let update_f prec ~beta ms f k s =
+  match prec with
+  | Precision.Double -> (update_f_k [@inlined]) Precision.Double ~beta ms f k s
+  | Single -> (update_f_k [@inlined]) Precision.Single ~beta ms f k s
 
 let solve ?(prec = Precision.Double) ?precond ?(s = 4) ?(seed = 1)
     ?(smoothing = false) ?(config = Solver.default_config) ?refresh_precond
@@ -177,9 +195,7 @@ let solve ?(prec = Precision.Double) ?precond ?(s = 4) ?(seed = 1)
              else if !iters >= config.Solver.max_iters then
                outcome := Some Solver.Max_iterations;
              if !outcome = None then check_guard ();
-             for i = kk + 1 to s - 1 do
-               f.(i) <- R.fma prec (-.beta) ms.(i).(kk) f.(i)
-             done;
+             update_f prec ~beta ms f kk s;
              f.(kk) <- 0.0
            end;
            incr k

@@ -9,7 +9,9 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 (* Rounded product inlined into this unit, bitwise equal to
    [Precision.mul]: under [-opaque] a call into another unit boxes every
-   float it passes or returns (DESIGN §5i). *)
+   float it passes or returns.  The scalar apply's loop is an [@inline]
+   body instantiated once per precision, so in Double [round] folds away
+   (DESIGN §5i). *)
 module R = struct
   let[@inline] round p x =
     match p with
@@ -18,6 +20,17 @@ module R = struct
 
   let[@inline] mul p a b = round p (a *. b)
 end
+
+let[@inline] scale_k prec inv r y =
+  for i = 0 to Array.length y - 1 do
+    y.(i) <- R.mul prec inv.(i) r.(i)
+  done
+
+(* [y.(i) <- inv.(i) * r.(i)], rounded: the scalar-Jacobi apply. *)
+let scale_into prec inv r y =
+  match prec with
+  | Precision.Double -> (scale_k [@inlined]) Precision.Double inv r y
+  | Single -> (scale_k [@inlined]) Precision.Single inv r y
 
 type variant = Lu | Gh | Ght | Gje_inverse | Cholesky | Scalar
 
@@ -439,9 +452,7 @@ let create ?(pool = Pool.sequential) ?(prec = Precision.Double) ?(variant = Lu)
           let blk = Supervariable.uniform ~n ~block_size:1 in
           let apply r =
             let y = Array.make n 0.0 in
-            for i = 0 to n - 1 do
-              y.(i) <- R.mul prec inv.(i) r.(i)
-            done;
+            scale_into prec inv r y;
             y
           in
           ("jacobi", blk, apply, outcomes)

@@ -11,7 +11,9 @@ let values f = f.values
 
 (* Rounded arithmetic inlined into this unit, bitwise equal to
    [Precision]'s: under [-opaque] a call into another unit boxes every
-   float it passes or returns (DESIGN §5i). *)
+   float it passes or returns.  The elimination and the sweeps are
+   [@inline] bodies instantiated once per precision, so in Double [round]
+   folds away instead of testing the precision per entry (DESIGN §5i). *)
 module R = struct
   let[@inline] round p x =
     match p with
@@ -23,20 +25,7 @@ module R = struct
   let[@inline] div p a b = round p (a /. b)
 end
 
-let factorize ?(prec = Precision.Double)
-    ?(policy = (Block_jacobi.Identity_block : Block_jacobi.breakdown_policy))
-    (a : Csr.t) =
-  let n, cols = Csr.dims a in
-  if n <> cols then invalid_arg "Ilu0.factorize: matrix not square";
-  let diag_pos = Array.make n (-1) in
-  for i = 0 to n - 1 do
-    for p = a.Csr.row_ptr.(i) to a.Csr.row_ptr.(i + 1) - 1 do
-      if a.Csr.col_idx.(p) = i then diag_pos.(i) <- p
-    done;
-    if diag_pos.(i) < 0 then
-      invalid_arg "Ilu0.factorize: structurally missing diagonal entry"
-  done;
-  let v = Array.copy a.Csr.values in
+let[@inline] factorize_k prec policy (a : Csr.t) v diag_pos n =
   (* IKJ elimination restricted to the pattern.  [where.(c)] maps a column
      to its position in the current row, -1 elsewhere.  The trailing
      update multiplies and subtracts with separate roundings — the scalar
@@ -86,13 +75,32 @@ let factorize ?(prec = Precision.Double)
     done;
     incr i
   done;
-  ({ pattern = a; values = v; diag_pos }, !info)
+  !info
 
-let solve ?(prec = Precision.Double) f b =
+let factorize ?(prec = Precision.Double)
+    ?(policy = (Block_jacobi.Identity_block : Block_jacobi.breakdown_policy))
+    (a : Csr.t) =
+  let n, cols = Csr.dims a in
+  if n <> cols then invalid_arg "Ilu0.factorize: matrix not square";
+  let diag_pos = Array.make n (-1) in
+  for i = 0 to n - 1 do
+    for p = a.Csr.row_ptr.(i) to a.Csr.row_ptr.(i + 1) - 1 do
+      if a.Csr.col_idx.(p) = i then diag_pos.(i) <- p
+    done;
+    if diag_pos.(i) < 0 then
+      invalid_arg "Ilu0.factorize: structurally missing diagonal entry"
+  done;
+  let v = Array.copy a.Csr.values in
+  let info =
+    match prec with
+    | Precision.Double ->
+      (factorize_k [@inlined]) Precision.Double policy a v diag_pos n
+    | Single -> (factorize_k [@inlined]) Precision.Single policy a v diag_pos n
+  in
+  ({ pattern = a; values = v; diag_pos }, info)
+
+let[@inline] solve_k prec f x n =
   let a = f.pattern in
-  let n, _ = Csr.dims a in
-  if Array.length b <> n then invalid_arg "Ilu0.solve: dimension mismatch";
-  let x = Array.copy b in
   (* Forward: unit-lower sweep over the strictly-lower entries
      (multiply-then-subtract, like the level-scheduled GEMM waves). *)
   for i = 0 to n - 1 do
@@ -113,7 +121,15 @@ let solve ?(prec = Precision.Double) f b =
           (R.mul prec f.values.(p) x.(a.Csr.col_idx.(p)))
     done;
     x.(i) <- R.div prec !acc f.values.(f.diag_pos.(i))
-  done;
+  done
+
+let solve ?(prec = Precision.Double) f b =
+  let n, _ = Csr.dims f.pattern in
+  if Array.length b <> n then invalid_arg "Ilu0.solve: dimension mismatch";
+  let x = Array.copy b in
+  (match prec with
+  | Precision.Double -> (solve_k [@inlined]) Precision.Double f x n
+  | Single -> (solve_k [@inlined]) Precision.Single f x n);
   x
 
 let preconditioner ?(prec = Precision.Double)

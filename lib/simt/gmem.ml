@@ -4,7 +4,8 @@ type t = { data : float array; prec : Precision.t }
 
 (* [Precision.round] inlined into this unit, bitwise equal to it: under
    [-opaque] a call into another unit boxes every float it passes or
-   returns (DESIGN §5i). *)
+   returns.  [of_array] rounds only in Single, where [round] is called
+   with a constant precision (DESIGN §5i). *)
 module R = struct
   let[@inline] round p x =
     match p with
@@ -16,9 +17,12 @@ let create prec n = { data = Array.make n 0.0; prec }
 
 let of_array prec a =
   let data = Array.copy a in
-  for i = 0 to Array.length data - 1 do
-    data.(i) <- R.round prec data.(i)
-  done;
+  (match prec with
+  | Precision.Double -> ()
+  | Single ->
+    for i = 0 to Array.length data - 1 do
+      data.(i) <- R.round Precision.Single data.(i)
+    done);
   { data; prec }
 
 let length t = Array.length t.data

@@ -20,7 +20,9 @@ let seg_slots = 512
 
 (* Rounded arithmetic inlined into this unit, bitwise equal to
    [Precision]'s: under [-opaque] a call into another unit boxes every
-   float it passes or returns (DESIGN §5i). *)
+   float it passes or returns.  Each lane loop is an [@inline] body that
+   its op instantiates once per precision, so in Double [round] folds
+   away instead of testing the precision per lane (DESIGN §5i). *)
 module R = struct
   let[@inline] round p x =
     match p with
@@ -239,34 +241,47 @@ let credit_flops t f = if t.charging then Counter.credit_flops t.counter f
 (* {1 Arithmetic} — in-place primitives first; the allocating API wraps
    them with a fresh destination, so both share one charging path. *)
 
-let fma_into t ?active ~dst a b c =
-  check_lanes t a "Warp.fma";
-  check_lanes t b "Warp.fma";
-  check_lanes t c "Warp.fma";
-  check_lanes t dst "Warp.fma";
+(* [dst <- ±a·b + c] on the active lanes; [neg] is a constant at each
+   instantiation. *)
+let[@inline] fma_k prec ~neg act ~dst a b c n =
+  for i = 0 to n - 1 do
+    dst.(i) <-
+      (if act.(i) then R.fma prec (if neg then -.a.(i) else a.(i)) b.(i) c.(i)
+       else c.(i))
+  done
+
+let fma_into_gen t ~neg ?active ~dst a b c name =
+  check_lanes t a name;
+  check_lanes t b name;
+  check_lanes t c name;
+  check_lanes t dst name;
   let act = active_or_all t active in
   charge_fma t 1.0;
-  for i = 0 to t.size - 1 do
-    dst.(i) <- (if act.(i) then R.fma t.prec a.(i) b.(i) c.(i) else c.(i))
-  done;
+  (match t.prec with
+  | Precision.Double ->
+    (fma_k [@inlined]) Precision.Double ~neg act ~dst a b c t.size
+  | Single -> (fma_k [@inlined]) Precision.Single ~neg act ~dst a b c t.size);
   ignore (apply_fault t Register dst)
 
+let fma_into t ?active ~dst a b c =
+  fma_into_gen t ~neg:false ?active ~dst a b c "Warp.fma"
+
 let fnma_into t ?active ~dst a b c =
-  check_lanes t a "Warp.fnma";
-  check_lanes t b "Warp.fnma";
-  check_lanes t c "Warp.fnma";
-  check_lanes t dst "Warp.fnma";
-  let act = active_or_all t active in
-  charge_fma t 1.0;
-  for i = 0 to t.size - 1 do
-    dst.(i) <-
-      (if act.(i) then R.fma t.prec (-.a.(i)) b.(i) c.(i) else c.(i))
-  done;
-  ignore (apply_fault t Register dst)
+  fma_into_gen t ~neg:true ?active ~dst a b c "Warp.fnma"
 
 (* The operator is a tag, not a closure: a closure call per lane would box
    both operands and the result. *)
 type lane_op = Add | Sub | Mul
+
+let[@inline] lanewise2_k prec op act ~dst a b n =
+  for i = 0 to n - 1 do
+    dst.(i) <-
+      (if act.(i) then
+         let x = a.(i) and y = b.(i) in
+         R.round prec
+           (match op with Add -> x +. y | Sub -> x -. y | Mul -> x *. y)
+       else a.(i))
+  done
 
 let lanewise2_into t ?active op name ~dst a b =
   check_lanes t a name;
@@ -274,19 +289,20 @@ let lanewise2_into t ?active op name ~dst a b =
   check_lanes t dst name;
   let act = active_or_all t active in
   charge_fma t 1.0;
-  for i = 0 to t.size - 1 do
-    dst.(i) <-
-      (if act.(i) then
-         let x = a.(i) and y = b.(i) in
-         R.round t.prec
-           (match op with Add -> x +. y | Sub -> x -. y | Mul -> x *. y)
-       else a.(i))
-  done;
+  (match t.prec with
+  | Precision.Double ->
+    (lanewise2_k [@inlined]) Precision.Double op act ~dst a b t.size
+  | Single -> (lanewise2_k [@inlined]) Precision.Single op act ~dst a b t.size);
   ignore (apply_fault t Register dst)
 
 let add_into t ?active ~dst a b = lanewise2_into t ?active Add "Warp.add" ~dst a b
 let sub_into t ?active ~dst a b = lanewise2_into t ?active Sub "Warp.sub" ~dst a b
 let mul_into t ?active ~dst a b = lanewise2_into t ?active Mul "Warp.mul" ~dst a b
+
+let[@inline] div_k prec act ~dst a b n =
+  for i = 0 to n - 1 do
+    dst.(i) <- (if act.(i) then R.div prec a.(i) b.(i) else a.(i))
+  done
 
 let div_into t ?active ~dst a b =
   check_lanes t a "Warp.div";
@@ -294,19 +310,24 @@ let div_into t ?active ~dst a b =
   check_lanes t dst "Warp.div";
   let act = active_or_all t active in
   charge_div t 1.0;
-  for i = 0 to t.size - 1 do
-    dst.(i) <- (if act.(i) then R.div t.prec a.(i) b.(i) else a.(i))
-  done;
+  (match t.prec with
+  | Precision.Double -> (div_k [@inlined]) Precision.Double act ~dst a b t.size
+  | Single -> (div_k [@inlined]) Precision.Single act ~dst a b t.size);
   ignore (apply_fault t Register dst)
+
+let[@inline] sqrt_k prec act ~dst a n =
+  for i = 0 to n - 1 do
+    dst.(i) <- (if act.(i) then R.round prec (sqrt a.(i)) else a.(i))
+  done
 
 let sqrt_into t ?active ~dst a =
   check_lanes t a "Warp.sqrt_lanes";
   check_lanes t dst "Warp.sqrt_lanes";
   let act = active_or_all t active in
   charge_div t 1.0;
-  for i = 0 to t.size - 1 do
-    dst.(i) <- (if act.(i) then R.round t.prec (sqrt a.(i)) else a.(i))
-  done;
+  (match t.prec with
+  | Precision.Double -> (sqrt_k [@inlined]) Precision.Double act ~dst a t.size
+  | Single -> (sqrt_k [@inlined]) Precision.Single act ~dst a t.size);
   ignore (apply_fault t Register dst)
 
 let select_into t ~dst m a b =
@@ -509,16 +530,26 @@ let load t mem ?active addrs =
   load_into t mem ?active addrs ~dst;
   dst
 
+(* Rounded scatter of the active lanes, shared by global and shared
+   stores. *)
+let[@inline] scatter_k prec act data addrs values n =
+  for i = 0 to n - 1 do
+    if act.(i) then data.(addrs.(i)) <- R.round prec values.(i)
+  done
+
+let scatter prec act data addrs values n =
+  match prec with
+  | Precision.Double ->
+    (scatter_k [@inlined]) Precision.Double act data addrs values n
+  | Single -> (scatter_k [@inlined]) Precision.Single act data addrs values n
+
 let store t mem ?active addrs values =
   check_lanes t addrs "Warp.store";
   check_lanes t values "Warp.store";
   let act = active_or_all t active in
   count_transactions t mem addrs act;
   (* [Gmem.set]'s rounding, inlined. *)
-  let data = Gmem.raw mem and prec = Gmem.prec mem in
-  for i = 0 to t.size - 1 do
-    if act.(i) then data.(addrs.(i)) <- R.round prec values.(i)
-  done;
+  scatter (Gmem.prec mem) act (Gmem.raw mem) addrs values t.size;
   (* A global-memory fault on a store corrupts the cell in DRAM itself,
      after (and bypassing) the precision rounding of the store path. *)
   match t.inject with
@@ -568,9 +599,7 @@ let smem_store t sm ?active addrs values =
   check_lanes t values "Warp.smem_store";
   let act = active_or_all t active in
   charge_smem_access t sm addrs act;
-  for i = 0 to t.size - 1 do
-    if act.(i) then sm.data.(addrs.(i)) <- R.round t.prec values.(i)
-  done;
+  scatter t.prec act sm.data addrs values t.size;
   (match t.inject with
   | None -> ()
   | Some inj -> (

@@ -4,7 +4,10 @@ type factors = { l : Matrix.t }
 
 (* Rounded arithmetic inlined into this unit, bitwise equal to
    [Precision]'s: under [-opaque] a call into another unit boxes every
-   float it passes or returns (DESIGN §5i). *)
+   float it passes or returns.  Each loop nest below is an [@inline] body
+   that its entry point instantiates once per precision, so in Double
+   [round] folds away instead of testing the precision per element
+   (DESIGN §5i). *)
 module R = struct
   let[@inline] round p x =
     match p with
@@ -18,18 +21,7 @@ module R = struct
   let[@inline] fma p a b c = round p ((a *. b) +. c)
 end
 
-let factor_status ?(prec = Precision.Double) m =
-  let rows, cols = Matrix.dims m in
-  if rows <> cols then invalid_arg "Cholesky.factor: matrix not square";
-  let n = rows in
-  (* Work on a lower-triangular copy; the strict upper part is ignored. *)
-  let w = Matrix.create n n in
-  let wa = w.Matrix.a in
-  for j = 0 to n - 1 do
-    for i = j to n - 1 do
-      wa.(i + (j * n)) <- m.Matrix.a.(i + (j * n))
-    done
-  done;
+let[@inline] factor_k prec wa n =
   let info = ref 0 in
   (try
      for k = 0 to n - 1 do
@@ -56,16 +48,33 @@ let factor_status ?(prec = Precision.Double) m =
        done
      done
    with Exit -> ());
-  ({ l = w }, !info)
+  !info
+
+let factor_status ?(prec = Precision.Double) m =
+  let rows, cols = Matrix.dims m in
+  if rows <> cols then invalid_arg "Cholesky.factor: matrix not square";
+  let n = rows in
+  (* Work on a lower-triangular copy; the strict upper part is ignored. *)
+  let w = Matrix.create n n in
+  let wa = w.Matrix.a in
+  for j = 0 to n - 1 do
+    for i = j to n - 1 do
+      wa.(i + (j * n)) <- m.Matrix.a.(i + (j * n))
+    done
+  done;
+  let info =
+    match prec with
+    | Precision.Double -> (factor_k [@inlined]) Precision.Double wa n
+    | Single -> (factor_k [@inlined]) Precision.Single wa n
+  in
+  ({ l = w }, info)
 
 let factor ?prec m =
   let f, info = factor_status ?prec m in
   if info <> 0 then raise (Not_positive_definite (info - 1));
   f
 
-let solve_in_place ?(prec = Precision.Double) { l } x =
-  let n = l.Matrix.rows and la = l.Matrix.a in
-  if Array.length x <> n then invalid_arg "Cholesky.solve: dimension mismatch";
+let[@inline] solve_k prec la x n =
   (* Forward: L y = b (non-unit diagonal, eager). *)
   for k = 0 to n - 1 do
     x.(k) <- R.div prec x.(k) la.(k + (k * n));
@@ -83,80 +92,111 @@ let solve_in_place ?(prec = Precision.Double) { l } x =
     x.(k) <- R.div prec !acc la.(k + (k * n))
   done
 
+(* [f], not a [{ l }] pattern: a destructured parameter after [?prec]
+   splits the function in two, and the first half allocates a closure per
+   call. *)
+let solve_in_place ?(prec = Precision.Double) f x =
+  let n = f.l.Matrix.rows and la = f.l.Matrix.a in
+  if Array.length x <> n then invalid_arg "Cholesky.solve: dimension mismatch";
+  match prec with
+  | Precision.Double -> (solve_k [@inlined]) Precision.Double la x n
+  | Single -> (solve_k [@inlined]) Precision.Single la x n
+
 let solve ?prec f b =
   let x = Array.copy b in
   solve_in_place ?prec f x;
   x
 
 (* Batch-view factor/solve for the direct-execution fast path, over the
-   column-major block layout of Vblu_core.Batch.  Both replicate the
-   batched warp kernels op-for-op: the factor is right-looking on the lower
-   triangle with no [ljk <> 0.0] skip (the kernel issues its FMAs
-   unconditionally), the solve pairs an eager forward sweep with a DOT
-   backward sweep whose products are rounded individually and folded
-   left-to-right. *)
+   column-major block layout of Vblu_core.Batch: element (i,j) of a block
+   sits at [off + stride*(i + j*n)], element i of a segment at
+   [boff + bstride*i].  Both replicate the batched warp kernels
+   op-for-op: the factor is right-looking on the lower triangle with no
+   [ljk <> 0.0] skip (the kernel issues its FMAs unconditionally), the
+   solve pairs an eager forward sweep with a DOT backward sweep whose
+   products are rounded individually and folded left-to-right. *)
 
-let factor_view ?(prec = Precision.Double) ?(stride = 1) ~src ~dst ~off ~n () =
-  let at i j = off + (stride * (i + (j * n))) in
+let[@inline] factor_view_k prec stride src dst off n =
   for j = 0 to n - 1 do
     for i = j to n - 1 do
-      dst.(at i j) <- src.(at i j)
+      let ij = off + (stride * (i + (j * n))) in
+      dst.(ij) <- src.(ij)
     done
   done;
   let info = ref 0 in
   (try
      for k = 0 to n - 1 do
-       let dkk = dst.(at k k) in
+       let kk = off + (stride * (k + (k * n))) in
+       let dkk = dst.(kk) in
        if not (dkk > 0.0) then begin
          info := k + 1;
          raise Exit
        end;
        let lkk = R.round prec (sqrt dkk) in
-       dst.(at k k) <- lkk;
+       dst.(kk) <- lkk;
        for i = k + 1 to n - 1 do
-         dst.(at i k) <- R.div prec dst.(at i k) lkk
+         let ik = kk + (stride * (i - k)) in
+         dst.(ik) <- R.div prec dst.(ik) lkk
        done;
        for j = k + 1 to n - 1 do
-         let ljk = dst.(at j k) in
+         let ljk = dst.(kk + (stride * (j - k))) in
          for i = j to n - 1 do
-           dst.(at i j) <-
-             R.fma prec (-.dst.(at i k)) ljk dst.(at i j)
+           let ij = off + (stride * (i + (j * n))) in
+           dst.(ij) <- R.fma prec (-.dst.(kk + (stride * (i - k)))) ljk dst.(ij)
          done
        done
      done
    with Exit -> ());
   !info
 
-let solve_view ?(prec = Precision.Double) ?(mstride = 1) ?(bstride = 1) ~m
-    ~moff ~n ~b ~boff () =
-  let mat i j = moff + (mstride * (i + (j * n))) in
-  let bat i = boff + (bstride * i) in
+let factor_view ?(prec = Precision.Double) ?(stride = 1) ~src ~dst ~off ~n () =
+  match prec with
+  | Precision.Double ->
+    (factor_view_k [@inlined]) Precision.Double stride src dst off n
+  | Single -> (factor_view_k [@inlined]) Precision.Single stride src dst off n
+
+let[@inline] solve_view_k prec mstride bstride m moff n b boff =
   let info = ref 0 in
   (try
      for k = 0 to n - 1 do
-       let d = m.(mat k k) in
+       let kk = moff + (mstride * (k + (k * n))) in
+       let d = m.(kk) in
        if d = 0.0 then begin
          info := k + 1;
          raise Exit
        end;
-       b.(bat k) <- R.div prec b.(bat k) d;
-       let bk = b.(bat k) in
+       let bk = boff + (bstride * k) in
+       b.(bk) <- R.div prec b.(bk) d;
+       let bk = b.(bk) in
        for i = k + 1 to n - 1 do
-         b.(bat i) <- R.fma prec (-.m.(mat i k)) bk b.(bat i)
+         let bi = boff + (bstride * i) in
+         b.(bi) <- R.fma prec (-.m.(kk + (mstride * (i - k)))) bk b.(bi)
        done
      done;
      (* Backward sweep with Lᵀ: the forward sweep has already certified
         every diagonal entry nonzero, so no further check. *)
      for k = n - 1 downto 0 do
+       let kk = moff + (mstride * (k + (k * n))) in
        let acc = ref 0.0 in
        for i = k + 1 to n - 1 do
-         acc := R.add prec (R.mul prec m.(mat i k) b.(bat i)) !acc
+         acc :=
+           R.add prec
+             (R.mul prec m.(kk + (mstride * (i - k))) b.(boff + (bstride * i)))
+             !acc
        done;
-       b.(bat k) <-
-         R.div prec (R.sub prec b.(bat k) !acc) m.(mat k k)
+       let bk = boff + (bstride * k) in
+       b.(bk) <- R.div prec (R.sub prec b.(bk) !acc) m.(kk)
      done
    with Exit -> ());
   !info
+
+let solve_view ?(prec = Precision.Double) ?(mstride = 1) ?(bstride = 1) ~m
+    ~moff ~n ~b ~boff () =
+  match prec with
+  | Precision.Double ->
+    (solve_view_k [@inlined]) Precision.Double mstride bstride m moff n b boff
+  | Single ->
+    (solve_view_k [@inlined]) Precision.Single mstride bstride m moff n b boff
 
 let flops n =
   let n = float_of_int n in

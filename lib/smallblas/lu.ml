@@ -4,7 +4,10 @@ exception Singular = Error.Singular
 
 (* Rounded arithmetic inlined into this unit, bitwise equal to
    [Precision]'s: under [-opaque] a call into another unit boxes every
-   float it passes or returns (DESIGN §5i). *)
+   float it passes or returns.  Each loop nest below is an [@inline] body
+   that its entry point instantiates once per precision, so in Double
+   [round] folds away instead of testing the precision per element
+   (DESIGN §5i). *)
 module R = struct
   let[@inline] round p x =
     match p with
@@ -27,11 +30,7 @@ let check_square m name =
    batched kernels implement the same rule, so kernel and reference stay
    bit-for-bit identical even on singular blocks. *)
 
-let factor_explicit_status ?(prec = Precision.Double) m =
-  let n = check_square m "Lu.factor_explicit" in
-  let w = Matrix.copy m in
-  let wa = w.Matrix.a in
-  let perm = Array.init n (fun i -> i) in
+let[@inline] explicit_k prec wa perm n =
   let info = ref 0 in
   (try
      for k = 0 to n - 1 do
@@ -69,20 +68,33 @@ let factor_explicit_status ?(prec = Precision.Double) m =
        done
      done
    with Exit -> ());
-  ({ lu = w; perm }, !info)
+  !info
+
+let factor_explicit_status ?(prec = Precision.Double) m =
+  let n = check_square m "Lu.factor_explicit" in
+  let w = Matrix.copy m in
+  let wa = w.Matrix.a in
+  let perm = Array.init n (fun i -> i) in
+  let info =
+    match prec with
+    | Precision.Double -> (explicit_k [@inlined]) Precision.Double wa perm n
+    | Single -> (explicit_k [@inlined]) Precision.Single wa perm n
+  in
+  ({ lu = w; perm }, info)
 
 let factor_explicit ?prec m =
   let f, info = factor_explicit_status ?prec m in
   if info <> 0 then raise (Singular (info - 1));
   f
 
-let factor_implicit_status ?(prec = Precision.Double) m =
-  let n = check_square m "Lu.factor_implicit" in
-  let w = Matrix.copy m in
-  let wa = w.Matrix.a in
-  (* step.(r) = elimination step at which original row r was chosen as
-     pivot, or -1 while the row is still unpivoted (the paper's [p]). *)
-  let step = Array.make n (-1) in
+(* Implicit-pivoting elimination of the n-by-n block [w] (column-major,
+   offset 0), shared by the reference and the batch view.
+   [step.(r)] = elimination step at which row r was chosen as pivot (the
+   paper's [p]); on return it is a total map from rows to packed rows. *)
+let[@inline] implicit_k prec w step n =
+  for r = 0 to n - 1 do
+    step.(r) <- -1
+  done;
   let info = ref 0 in
   (try
      for k = 0 to n - 1 do
@@ -93,10 +105,10 @@ let factor_implicit_status ?(prec = Precision.Double) m =
          if
            step.(r) < 0
            && (!piv < 0
-              || Float.abs wa.(r + (k * n)) > Float.abs wa.(!piv + (k * n)))
+              || Float.abs w.(r + (k * n)) > Float.abs w.(!piv + (k * n)))
          then piv := r
        done;
-       let d = wa.(!piv + (k * n)) in
+       let d = w.(!piv + (k * n)) in
        if d = 0.0 then begin
          info := k + 1;
          raise Exit
@@ -106,11 +118,11 @@ let factor_implicit_status ?(prec = Precision.Double) m =
           trailing part against the pivot row — no data movement. *)
        for r = 0 to n - 1 do
          if step.(r) < 0 then begin
-           let l = R.div prec wa.(r + (k * n)) d in
-           wa.(r + (k * n)) <- l;
+           let l = R.div prec w.(r + (k * n)) d in
+           w.(r + (k * n)) <- l;
            for j = k + 1 to n - 1 do
-             wa.(r + (j * n)) <-
-               R.fma prec (-.l) wa.(!piv + (j * n)) wa.(r + (j * n))
+             w.(r + (j * n)) <-
+               R.fma prec (-.l) w.(!piv + (j * n)) w.(r + (j * n))
            done
          end
        done
@@ -118,8 +130,8 @@ let factor_implicit_status ?(prec = Precision.Double) m =
    with Exit -> ());
   (* A breakdown at step k leaves rows unpivoted; they take the remaining
      steps k, k+1, ... in increasing row order so the fused write-back
-     permutation below stays total (and deterministic — the kernel applies
-     the same rule). *)
+     permutation stays total (and deterministic — the kernel applies the
+     same rule). *)
   if !info <> 0 then begin
     let next = ref (!info - 1) in
     for r = 0 to n - 1 do
@@ -129,21 +141,30 @@ let factor_implicit_status ?(prec = Precision.Double) m =
       end
     done
   end;
+  !info
+
+let implicit_elim prec w step n =
+  match prec with
+  | Precision.Double -> (implicit_k [@inlined]) Precision.Double w step n
+  | Single -> (implicit_k [@inlined]) Precision.Single w step n
+
+let factor_implicit_status ?(prec = Precision.Double) m =
+  let n = check_square m "Lu.factor_implicit" in
+  let w = Matrix.copy m in
+  let step = Array.make n (-1) in
+  let info = implicit_elim prec w.Matrix.a step n in
   (* Combined row swap, fused with the write-back in the real kernel:
      the row pivoted at step k lands in row k of the packed factors. *)
   let perm = Array.make n 0 in
   Array.iteri (fun r k -> perm.(k) <- r) step;
-  ({ lu = Matrix.permute_rows w perm; perm }, !info)
+  ({ lu = Matrix.permute_rows w perm; perm }, info)
 
 let factor_implicit ?prec m =
   let f, info = factor_implicit_status ?prec m in
   if info <> 0 then raise (Singular (info - 1));
   f
 
-let factor_nopivot_status ?(prec = Precision.Double) m =
-  let n = check_square m "Lu.factor_nopivot" in
-  let w = Matrix.copy m in
-  let wa = w.Matrix.a in
+let[@inline] nopivot_k prec wa n =
   let info = ref 0 in
   (try
      for k = 0 to n - 1 do
@@ -165,7 +186,17 @@ let factor_nopivot_status ?(prec = Precision.Double) m =
        done
      done
    with Exit -> ());
-  ({ lu = w; perm = Array.init n (fun i -> i) }, !info)
+  !info
+
+let factor_nopivot_status ?(prec = Precision.Double) m =
+  let n = check_square m "Lu.factor_nopivot" in
+  let w = Matrix.copy m in
+  let info =
+    match prec with
+    | Precision.Double -> (nopivot_k [@inlined]) Precision.Double w.Matrix.a n
+    | Single -> (nopivot_k [@inlined]) Precision.Single w.Matrix.a n
+  in
+  ({ lu = w; perm = Array.init n (fun i -> i) }, info)
 
 let factor_nopivot ?prec m =
   let f, info = factor_nopivot_status ?prec m in
@@ -190,47 +221,7 @@ let factor_implicit_view ?(prec = Precision.Double) ?(stride = 1) ~src ~dst
   for e = 0 to (n * n) - 1 do
     tile.(e) <- src.(off + (stride * e))
   done;
-  for r = 0 to n - 1 do
-    step.(r) <- -1
-  done;
-  let info = ref 0 in
-  (try
-     for k = 0 to n - 1 do
-       let piv = ref (-1) in
-       for r = 0 to n - 1 do
-         if
-           step.(r) < 0
-           && (!piv < 0
-              || Float.abs tile.(r + (k * n)) > Float.abs tile.(!piv + (k * n)))
-         then piv := r
-       done;
-       let d = tile.(!piv + (k * n)) in
-       if d = 0.0 then begin
-         info := k + 1;
-         raise Exit
-       end;
-       step.(!piv) <- k;
-       for r = 0 to n - 1 do
-         if step.(r) < 0 then begin
-           let l = R.div prec tile.(r + (k * n)) d in
-           tile.(r + (k * n)) <- l;
-           for j = k + 1 to n - 1 do
-             tile.(r + (j * n)) <-
-               R.fma prec (-.l) tile.(!piv + (j * n)) tile.(r + (j * n))
-           done
-         end
-       done
-     done
-   with Exit -> ());
-  if !info <> 0 then begin
-    let next = ref (!info - 1) in
-    for r = 0 to n - 1 do
-      if step.(r) < 0 then begin
-        step.(r) <- !next;
-        incr next
-      end
-    done
-  end;
+  let info = implicit_elim prec tile step n in
   for r = 0 to n - 1 do
     perm.(step.(r)) <- r
   done;
@@ -240,6 +231,35 @@ let factor_implicit_view ?(prec = Precision.Double) ?(stride = 1) ~src ~dst
       dst.(off + (stride * (step.(r) + (j * n)))) <- tile.(r + (j * n))
     done
   done;
+  info
+
+let[@inline] nopivot_view_k prec stride dst off n =
+  let info = ref 0 in
+  (try
+     for k = 0 to n - 1 do
+       let kk = off + (stride * (k + (k * n))) in
+       let d = dst.(kk) in
+       if d = 0.0 then begin
+         info := k + 1;
+         raise Exit
+       end;
+       for i = k + 1 to n - 1 do
+         let ik = kk + (stride * (i - k)) in
+         dst.(ik) <- R.div prec dst.(ik) d
+       done;
+       for j = k + 1 to n - 1 do
+         (* No [ukj <> 0.0] skip here: the warp kernel issues the FMA
+            unconditionally, and for non-finite multipliers the skipped and
+            issued forms differ bitwise. *)
+         let kj = off + (stride * (k + (j * n))) in
+         let ukj = dst.(kj) in
+         for i = k + 1 to n - 1 do
+           let ij = kj + (stride * (i - k)) and ik = kk + (stride * (i - k)) in
+           dst.(ij) <- R.fma prec (-.dst.(ik)) ukj dst.(ij)
+         done
+       done
+     done
+   with Exit -> ());
   !info
 
 let factor_nopivot_view ?(prec = Precision.Double) ?(stride = 1) ~src ~dst ~off
@@ -249,31 +269,10 @@ let factor_nopivot_view ?(prec = Precision.Double) ?(stride = 1) ~src ~dst ~off
     for e = 0 to (n * n) - 1 do
       dst.(off + (stride * e)) <- src.(off + (stride * e))
     done;
-  let at i j = off + (stride * (i + (j * n))) in
-  let info = ref 0 in
-  (try
-     for k = 0 to n - 1 do
-       let d = dst.(at k k) in
-       if d = 0.0 then begin
-         info := k + 1;
-         raise Exit
-       end;
-       for i = k + 1 to n - 1 do
-         dst.(at i k) <- R.div prec dst.(at i k) d
-       done;
-       for j = k + 1 to n - 1 do
-         (* No [ukj <> 0.0] skip here: the warp kernel issues the FMA
-            unconditionally, and for non-finite multipliers the skipped and
-            issued forms differ bitwise. *)
-         let ukj = dst.(at k j) in
-         for i = k + 1 to n - 1 do
-           dst.(at i j) <-
-             R.fma prec (-.dst.(at i k)) ukj dst.(at i j)
-         done
-       done
-     done
-   with Exit -> ());
-  !info
+  match prec with
+  | Precision.Double ->
+    (nopivot_view_k [@inlined]) Precision.Double stride dst off n
+  | Single -> (nopivot_view_k [@inlined]) Precision.Single stride dst off n
 
 let unpack { lu; _ } =
   let n, _ = Matrix.dims lu in

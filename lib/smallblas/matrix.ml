@@ -52,7 +52,10 @@ let transpose t = init t.cols t.rows (fun i j -> t.a.(j + (i * t.rows)))
 
 (* Rounded arithmetic inlined into this unit, bitwise equal to
    [Precision]'s: under [-opaque] a call into another unit boxes every
-   float it passes or returns (DESIGN §5i). *)
+   float it passes or returns.  Each loop nest below is an [@inline] body
+   that its entry point instantiates once per precision, so in Double
+   [round] folds away instead of testing the precision per element
+   (DESIGN §5i). *)
 module R = struct
   let[@inline] round p x =
     match p with
@@ -65,36 +68,46 @@ module R = struct
   let[@inline] fma p a b c = round p ((a *. b) +. c)
 end
 
-let scale ?(prec = Precision.Double) alpha t =
-  let a = Array.copy t.a in
+let[@inline] scale_k prec alpha a =
   for k = 0 to Array.length a - 1 do
     a.(k) <- R.mul prec alpha a.(k)
-  done;
+  done
+
+let scale ?(prec = Precision.Double) alpha t =
+  let a = Array.copy t.a in
+  (match prec with
+  | Precision.Double -> (scale_k [@inlined]) Precision.Double alpha a
+  | Single -> (scale_k [@inlined]) Precision.Single alpha a);
   { t with a }
 
 let same_shape op x y =
   if x.rows <> y.rows || x.cols <> y.cols then
     invalid_arg (Printf.sprintf "Matrix.%s: shape mismatch" op)
 
+(* [a.(k) <- a.(k) ± b.(k)], rounded; [sub] is a constant at each
+   instantiation. *)
+let[@inline] add_sub_k prec ~sub a b =
+  for k = 0 to Array.length a - 1 do
+    a.(k) <- (if sub then R.sub prec a.(k) b.(k) else R.add prec a.(k) b.(k))
+  done
+
 let add ?(prec = Precision.Double) x y =
   same_shape "add" x y;
   let a = Array.copy x.a in
-  for k = 0 to Array.length a - 1 do
-    a.(k) <- R.add prec a.(k) y.a.(k)
-  done;
+  (match prec with
+  | Precision.Double -> (add_sub_k [@inlined]) Precision.Double ~sub:false a y.a
+  | Single -> (add_sub_k [@inlined]) Precision.Single ~sub:false a y.a);
   { x with a }
 
 let sub ?(prec = Precision.Double) x y =
   same_shape "sub" x y;
   let a = Array.copy x.a in
-  for k = 0 to Array.length a - 1 do
-    a.(k) <- R.sub prec a.(k) y.a.(k)
-  done;
+  (match prec with
+  | Precision.Double -> (add_sub_k [@inlined]) Precision.Double ~sub:true a y.a
+  | Single -> (add_sub_k [@inlined]) Precision.Single ~sub:true a y.a);
   { x with a }
 
-let matmul ?(prec = Precision.Double) x y =
-  if x.cols <> y.rows then invalid_arg "Matrix.matmul: inner dimension mismatch";
-  let z = create x.rows y.cols in
+let[@inline] matmul_k prec x y z =
   for j = 0 to y.cols - 1 do
     for k = 0 to x.cols - 1 do
       let ykj = y.a.(k + (j * y.rows)) in
@@ -104,12 +117,19 @@ let matmul ?(prec = Precision.Double) x y =
             R.fma prec x.a.(i + (k * x.rows)) ykj z.a.(i + (j * z.rows))
         done
     done
-  done;
+  done
+
+let matmul ?(prec = Precision.Double) x y =
+  if x.cols <> y.rows then invalid_arg "Matrix.matmul: inner dimension mismatch";
+  let z = create x.rows y.cols in
+  (match prec with
+  | Precision.Double -> (matmul_k [@inlined]) Precision.Double x y z
+  | Single -> (matmul_k [@inlined]) Precision.Single x y z);
   z
 
 (* Column-order FMA accumulation into a caller buffer — shared by [gemv]
    and the allocation-free [gemv_into] so both fold identically. *)
-let gemv_acc ~prec t x y =
+let[@inline] gemv_acc_k prec t x y =
   for j = 0 to t.cols - 1 do
     let xj = x.(j) in
     if xj <> 0.0 then
@@ -118,57 +138,74 @@ let gemv_acc ~prec t x y =
       done
   done
 
+let gemv_acc prec t x y =
+  match prec with
+  | Precision.Double -> (gemv_acc_k [@inlined]) Precision.Double t x y
+  | Single -> (gemv_acc_k [@inlined]) Precision.Single t x y
+
 let gemv_into ?(prec = Precision.Double) t x y =
   if Array.length x <> t.cols || Array.length y <> t.rows then
     invalid_arg "Matrix.gemv_into: dimension mismatch";
   Array.fill y 0 t.rows 0.0;
-  gemv_acc ~prec t x y
+  gemv_acc prec t x y
+
+let[@inline] gemv_trans_k prec t x y =
+  for j = 0 to t.cols - 1 do
+    let acc = ref 0.0 in
+    for i = 0 to t.rows - 1 do
+      acc := R.fma prec t.a.(i + (j * t.rows)) x.(i) !acc
+    done;
+    y.(j) <- !acc
+  done
 
 let gemv ?(prec = Precision.Double) ?(trans = false) t x =
   if trans then begin
     if Array.length x <> t.rows then invalid_arg "Matrix.gemv: dimension mismatch";
     let y = Array.make t.cols 0.0 in
-    for j = 0 to t.cols - 1 do
-      let acc = ref 0.0 in
-      for i = 0 to t.rows - 1 do
-        acc := R.fma prec t.a.(i + (j * t.rows)) x.(i) !acc
-      done;
-      y.(j) <- !acc
-    done;
+    (match prec with
+    | Precision.Double -> (gemv_trans_k [@inlined]) Precision.Double t x y
+    | Single -> (gemv_trans_k [@inlined]) Precision.Single t x y);
     y
   end
   else begin
     if Array.length x <> t.cols then invalid_arg "Matrix.gemv: dimension mismatch";
     let y = Array.make t.rows 0.0 in
-    gemv_acc ~prec t x y;
+    gemv_acc prec t x y;
     y
   end
 
 (* Batch-view GEMM for the direct-execution fast path: the scaled product
    [alpha·A·B (+ beta·C)] of column-major n-by-n blocks all living at the
    same element offset of their batch value arrays (the layout
-   Vblu_core.Batched_gemm enforces).  Element (i,j) accumulates its k-loop
+   Vblu_core.Batched_gemm enforces); element (i,j) of a block sits at
+   [off + stride*(i + j*n)].  Element (i,j) accumulates its k-loop
    with the same once-rounded FMA sequence the warp kernel issues per
    column, then one rounded scale and an optional rounded [beta·C] FMA —
    bitwise identical to a simulated execution. *)
-let gemm_col_view ?(prec = Precision.Double) ?(stride = 1) ~alpha ~beta ?c ~a
-    ~b ~dst ~off ~n () =
-  let at i j = off + (stride * (i + (j * n))) in
+let[@inline] gemm_col_k prec stride alpha beta c a b dst off n =
   for j = 0 to n - 1 do
     for i = 0 to n - 1 do
       let acc = ref 0.0 in
       for k = 0 to n - 1 do
-        acc := R.fma prec a.(at i k) b.(at k j) !acc
+        acc :=
+          R.fma prec
+            a.(off + (stride * (i + (k * n))))
+            b.(off + (stride * (k + (j * n))))
+            !acc
       done;
+      let ij = off + (stride * (i + (j * n))) in
       let v = R.mul prec !acc alpha in
-      let v =
-        match c with
-        | None -> v
-        | Some c -> R.fma prec c.(at i j) beta v
-      in
-      dst.(at i j) <- v
+      dst.(ij) <- (match c with None -> v | Some c -> R.fma prec c.(ij) beta v)
     done
   done
+
+let gemm_col_view ?(prec = Precision.Double) ?(stride = 1) ~alpha ~beta ?c ~a
+    ~b ~dst ~off ~n () =
+  match prec with
+  | Precision.Double ->
+    (gemm_col_k [@inlined]) Precision.Double stride alpha beta c a b dst off n
+  | Single ->
+    (gemm_col_k [@inlined]) Precision.Single stride alpha beta c a b dst off n
 
 let is_permutation perm n =
   Array.length perm = n

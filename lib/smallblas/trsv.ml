@@ -2,7 +2,9 @@ type variant = Lazy | Eager
 
 (* Rounded arithmetic inlined into this unit, bitwise equal to
    [Precision]'s: under [-opaque] a call into another unit boxes every
-   float it passes or returns (DESIGN §5i). *)
+   float it passes or returns.  Each sweep below is an [@inline] body that
+   its entry point instantiates once per precision, so in Double [round]
+   folds away instead of testing the precision per element (DESIGN §5i). *)
 module R = struct
   let[@inline] round p x =
     match p with
@@ -20,9 +22,7 @@ let check (m : Matrix.t) b name =
   if m.rows <> m.cols then invalid_arg (name ^ ": matrix not square");
   if Array.length b <> m.rows then invalid_arg (name ^ ": dimension mismatch")
 
-let lower_unit_in_place ?(prec = Precision.Double) ?(variant = Eager) m b =
-  check m b "Trsv.lower_unit_in_place";
-  let n = Array.length b and ma = m.Matrix.a in
+let[@inline] lower_unit_k prec variant ma b n =
   match variant with
   | Lazy ->
     for k = 1 to n - 1 do
@@ -40,16 +40,20 @@ let lower_unit_in_place ?(prec = Precision.Double) ?(variant = Eager) m b =
       done
     done
 
-(* Shared by both public forms below: one calling the other through its
-   optional [?prec] would allocate a [Some] per call. *)
-let upper_status prec variant m b =
-  check m b "Trsv.upper_in_place";
+let lower_unit_in_place ?(prec = Precision.Double) ?(variant = Eager) m b =
+  check m b "Trsv.lower_unit_in_place";
   let n = Array.length b and ma = m.Matrix.a in
-  (* On a zero diagonal entry at step [k] the sweep freezes: [info] is set
-     to [k + 1], no further element of [b] is written, and the partial
-     state (steps [n-1 .. k+1] already applied) is left in place — the same
-     state the batched kernel stores back when a warp predicates off a dead
-     problem. *)
+  match prec with
+  | Precision.Double ->
+    (lower_unit_k [@inlined]) Precision.Double variant ma b n
+  | Single -> (lower_unit_k [@inlined]) Precision.Single variant ma b n
+
+(* On a zero diagonal entry at step [k] the sweep freezes: [info] is set
+   to [k + 1], no further element of [b] is written, and the partial
+   state (steps [n-1 .. k+1] already applied) is left in place — the same
+   state the batched kernel stores back when a warp predicates off a dead
+   problem. *)
+let[@inline] upper_k prec variant ma b n =
   let info = ref 0 in
   (try
      match variant with
@@ -82,6 +86,15 @@ let upper_status prec variant m b =
    with Exit -> ());
   !info
 
+(* Shared by both public forms below: one calling the other through its
+   optional [?prec] would allocate a [Some] per call. *)
+let upper_status prec variant m b =
+  check m b "Trsv.upper_in_place";
+  let n = Array.length b and ma = m.Matrix.a in
+  match prec with
+  | Precision.Double -> (upper_k [@inlined]) Precision.Double variant ma b n
+  | Single -> (upper_k [@inlined]) Precision.Single variant ma b n
+
 let upper_in_place_status ?(prec = Precision.Double) ?(variant = Eager) m b =
   upper_status prec variant m b
 
@@ -94,65 +107,92 @@ let upper_in_place ?(prec = Precision.Double) ?(variant = Eager) m b =
    solution segment at [boff], solved in place.  [mstride]/[bstride]
    (default 1) are the batches' element strides — 1 for the blocked
    layout, the cohort width for interleaved storage, where consecutive
-   elements of one problem sit a stride apart.  The op schedules replicate
-   the batched warp kernels exactly — the eager (AXPY) form issues one FMA
-   per column element, the lazy (DOT) form a rounded product per row
-   element folded left-to-right — so results are bitwise identical. *)
+   elements of one problem sit a stride apart: element (i,j) of the block
+   is [m.(moff + mstride*(i + j*n))], element i of the segment
+   [b.(boff + bstride*i)].  The op schedules replicate the batched warp
+   kernels exactly — the eager (AXPY) form issues one FMA per column
+   element, the lazy (DOT) form a rounded product per row element folded
+   left-to-right — so results are bitwise identical. *)
 
-let pair_eager_view ?(prec = Precision.Double) ?(mstride = 1) ?(bstride = 1)
-    ~m ~moff ~n ~b ~boff () =
-  let mat i j = moff + (mstride * (i + (j * n))) in
-  let bat i = boff + (bstride * i) in
+let[@inline] pair_eager_k prec mstride bstride m moff n b boff =
   for k = 0 to n - 2 do
-    let bk = b.(bat k) in
+    let bk = b.(boff + (bstride * k)) in
     for i = k + 1 to n - 1 do
-      b.(bat i) <- R.fma prec (-.m.(mat i k)) bk b.(bat i)
+      let bi = boff + (bstride * i) in
+      b.(bi) <- R.fma prec (-.m.(moff + (mstride * (i + (k * n))))) bk b.(bi)
     done
   done;
   let info = ref 0 in
   (try
      for k = n - 1 downto 0 do
-       let d = m.(mat k k) in
+       let d = m.(moff + (mstride * (k + (k * n)))) in
        if d = 0.0 then begin
          info := k + 1;
          raise Exit
        end;
-       b.(bat k) <- R.div prec b.(bat k) d;
-       let bk = b.(bat k) in
+       let bk = boff + (bstride * k) in
+       b.(bk) <- R.div prec b.(bk) d;
+       let bk = b.(bk) in
        for i = 0 to k - 1 do
-         b.(bat i) <- R.fma prec (-.m.(mat i k)) bk b.(bat i)
+         let bi = boff + (bstride * i) in
+         b.(bi) <-
+           R.fma prec (-.m.(moff + (mstride * (i + (k * n))))) bk b.(bi)
        done
      done
    with Exit -> ());
   !info
 
-let pair_lazy_view ?(prec = Precision.Double) ?(mstride = 1) ?(bstride = 1)
+let pair_eager_view ?(prec = Precision.Double) ?(mstride = 1) ?(bstride = 1)
     ~m ~moff ~n ~b ~boff () =
-  let mat i j = moff + (mstride * (i + (j * n))) in
-  let bat i = boff + (bstride * i) in
+  match prec with
+  | Precision.Double ->
+    (pair_eager_k [@inlined]) Precision.Double mstride bstride m moff n b boff
+  | Single ->
+    (pair_eager_k [@inlined]) Precision.Single mstride bstride m moff n b boff
+
+let[@inline] pair_lazy_k prec mstride bstride m moff n b boff =
   for k = 1 to n - 1 do
     let acc = ref 0.0 in
     for j = 0 to k - 1 do
-      acc := R.add prec (R.mul prec m.(mat k j) b.(bat j)) !acc
+      acc :=
+        R.add prec
+          (R.mul prec
+             m.(moff + (mstride * (k + (j * n))))
+             b.(boff + (bstride * j)))
+          !acc
     done;
-    b.(bat k) <- R.sub prec b.(bat k) !acc
+    let bk = boff + (bstride * k) in
+    b.(bk) <- R.sub prec b.(bk) !acc
   done;
   let info = ref 0 in
   (try
      for k = n - 1 downto 0 do
        let acc = ref 0.0 in
        for j = k + 1 to n - 1 do
-         acc := R.add prec (R.mul prec m.(mat k j) b.(bat j)) !acc
+         acc :=
+           R.add prec
+             (R.mul prec m.(moff + (mstride * (k + (j * n))))
+                b.(boff + (bstride * j)))
+             !acc
        done;
-       let diag = m.(mat k k) in
+       let diag = m.(moff + (mstride * (k + (k * n)))) in
        if diag = 0.0 then begin
          info := k + 1;
          raise Exit
        end;
-       b.(bat k) <- R.div prec (R.sub prec b.(bat k) !acc) diag
+       let bk = boff + (bstride * k) in
+       b.(bk) <- R.div prec (R.sub prec b.(bk) !acc) diag
      done
    with Exit -> ());
   !info
+
+let pair_lazy_view ?(prec = Precision.Double) ?(mstride = 1) ?(bstride = 1)
+    ~m ~moff ~n ~b ~boff () =
+  match prec with
+  | Precision.Double ->
+    (pair_lazy_k [@inlined]) Precision.Double mstride bstride m moff n b boff
+  | Single ->
+    (pair_lazy_k [@inlined]) Precision.Single mstride bstride m moff n b boff
 
 let apply_perm perm b =
   if Array.length perm <> Array.length b then

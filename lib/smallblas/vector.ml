@@ -19,7 +19,9 @@ let random ?state ?(lo = -1.0) ?(hi = 1.0) n =
 
 (* Rounded arithmetic inlined into this unit, bitwise equal to
    [Precision]'s: under [-opaque] a call into another unit boxes every
-   float it passes or returns (DESIGN §5i). *)
+   float it passes or returns.  Each loop below is an [@inline] body that
+   its entry point instantiates once per precision, so in Double [round]
+   folds away instead of testing the precision per element (DESIGN §5i). *)
 module R = struct
   let[@inline] round p x =
     match p with
@@ -32,47 +34,74 @@ module R = struct
   let[@inline] fma p a b c = round p ((a *. b) +. c)
 end
 
-let dot ?(prec = Precision.Double) x y =
-  if Array.length x <> Array.length y then
-    invalid_arg "Vector.dot: dimension mismatch";
+let[@inline] dot_k prec x y =
   let acc = ref 0.0 in
   for i = 0 to Array.length x - 1 do
     acc := R.fma prec x.(i) y.(i) !acc
   done;
   !acc
 
-let nrm2 ?(prec = Precision.Double) x = R.round prec (sqrt (dot ~prec x x))
+let dot ?(prec = Precision.Double) x y =
+  if Array.length x <> Array.length y then
+    invalid_arg "Vector.dot: dimension mismatch";
+  match prec with
+  | Precision.Double -> (dot_k [@inlined]) Precision.Double x y
+  | Single -> (dot_k [@inlined]) Precision.Single x y
+
+let[@inline] nrm2_k prec x = R.round prec (sqrt ((dot_k [@inlined]) prec x x))
+
+let nrm2 ?(prec = Precision.Double) x =
+  match prec with
+  | Precision.Double -> (nrm2_k [@inlined]) Precision.Double x
+  | Single -> (nrm2_k [@inlined]) Precision.Single x
 
 let norm_inf x = Array.fold_left (fun m v -> Float.max m (Float.abs v)) 0.0 x
 
-let scal ?(prec = Precision.Double) alpha x =
+let[@inline] scal_k prec alpha x =
   for i = 0 to Array.length x - 1 do
     x.(i) <- R.mul prec alpha x.(i)
+  done
+
+let scal ?(prec = Precision.Double) alpha x =
+  match prec with
+  | Precision.Double -> (scal_k [@inlined]) Precision.Double alpha x
+  | Single -> (scal_k [@inlined]) Precision.Single alpha x
+
+let[@inline] axpy_k prec alpha x y =
+  for i = 0 to Array.length x - 1 do
+    y.(i) <- R.fma prec alpha x.(i) y.(i)
   done
 
 let axpy ?(prec = Precision.Double) alpha x y =
   if Array.length x <> Array.length y then
     invalid_arg "Vector.axpy: dimension mismatch";
+  match prec with
+  | Precision.Double -> (axpy_k [@inlined]) Precision.Double alpha x y
+  | Single -> (axpy_k [@inlined]) Precision.Single alpha x y
+
+(* [z.(i) <- x.(i) ± y.(i)], rounded; [sub] is a constant at each
+   instantiation. *)
+let[@inline] add_sub_k prec ~sub x y z =
   for i = 0 to Array.length x - 1 do
-    y.(i) <- R.fma prec alpha x.(i) y.(i)
+    z.(i) <- (if sub then R.sub prec x.(i) y.(i) else R.add prec x.(i) y.(i))
   done
 
 let add ?(prec = Precision.Double) x y =
   if Array.length x <> Array.length y then
     invalid_arg "Vector.add: dimension mismatch";
   let z = create (Array.length x) in
-  for i = 0 to Array.length x - 1 do
-    z.(i) <- R.add prec x.(i) y.(i)
-  done;
+  (match prec with
+  | Precision.Double -> (add_sub_k [@inlined]) Precision.Double ~sub:false x y z
+  | Single -> (add_sub_k [@inlined]) Precision.Single ~sub:false x y z);
   z
 
 let sub ?(prec = Precision.Double) x y =
   if Array.length x <> Array.length y then
     invalid_arg "Vector.sub: dimension mismatch";
   let z = create (Array.length x) in
-  for i = 0 to Array.length x - 1 do
-    z.(i) <- R.sub prec x.(i) y.(i)
-  done;
+  (match prec with
+  | Precision.Double -> (add_sub_k [@inlined]) Precision.Double ~sub:true x y z
+  | Single -> (add_sub_k [@inlined]) Precision.Single ~sub:true x y z);
   z
 
 let map = Array.map

@@ -2,7 +2,8 @@ open Vblu_smallblas
 
 (* Rounded FMA inlined into this unit, bitwise equal to [Precision.fma]:
    under [-opaque] a call into another unit boxes every float it passes or
-   returns (DESIGN §5i). *)
+   returns.  [spmv_into]'s loop is an [@inline] body instantiated once per
+   precision, so in Double [round] folds away (DESIGN §5i). *)
 module R = struct
   let[@inline] round p x =
     match p with
@@ -102,9 +103,7 @@ let to_dense t =
   done;
   m
 
-let spmv_into ?(prec = Precision.Double) t x y =
-  if Array.length x <> t.n_cols || Array.length y <> t.n_rows then
-    invalid_arg "Csr.spmv: dimension mismatch";
+let[@inline] spmv_k prec t x y =
   for i = 0 to t.n_rows - 1 do
     let acc = ref 0.0 in
     for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
@@ -112,6 +111,13 @@ let spmv_into ?(prec = Precision.Double) t x y =
     done;
     y.(i) <- !acc
   done
+
+let spmv_into ?(prec = Precision.Double) t x y =
+  if Array.length x <> t.n_cols || Array.length y <> t.n_rows then
+    invalid_arg "Csr.spmv: dimension mismatch";
+  match prec with
+  | Precision.Double -> (spmv_k [@inlined]) Precision.Double t x y
+  | Single -> (spmv_k [@inlined]) Precision.Single t x y
 
 let spmv ?(prec = Precision.Double) t x =
   let y = Array.make t.n_rows 0.0 in

@@ -5,10 +5,13 @@
    therefore does its precision rounding inside its own unit (DESIGN §5i).
    The "allocation" group pins that: a kernel's minor-heap words must not
    grow with the problem size (a boxed op in the loop costs several words
-   per element).  The "bit-identity" group checks every rewritten kernel
-   against a reference written here with [Precision.*], on inputs full of
-   NaN, infinities, subnormals and signed zeros, and pins how a NaN pivot
-   flows through the direct LU/TRSV views. *)
+   per element), and a kernel writing into caller buffers must allocate
+   nothing at all per Double call (a loop body that lost its per-precision
+   inlining allocates its leftover closure).  The "bit-identity" group
+   checks every rewritten kernel, in both precisions, against a reference
+   written here with [Precision.*], on inputs full of NaN, infinities,
+   subnormals and signed zeros, and pins how NaN and infinities flow
+   through the direct views against the interpreter. *)
 
 open Vblu_smallblas
 open Vblu_sparse
@@ -205,6 +208,64 @@ let test_warp () =
               (Warp.size w))
         ops)
     precs
+
+(* Exactly zero words per Double call for every kernel that writes into
+   caller-supplied buffers.  The constant arguments are static, and no
+   [?prec] is passed (a [Some] would be the caller's allocation). *)
+let test_zero_alloc () =
+  let n = 24 in
+  let st = state 5 in
+  let x = Vector.random ~state:st n and y = Vector.random ~state:st n in
+  let mat = Matrix.random_diagdom ~state:st n in
+  let lu = (Lu.factor_implicit mat).Lu.lu in
+  let src = mat.Matrix.a in
+  let spd =
+    Matrix.init n n (fun i j ->
+        if i = j then float_of_int (2 * n) else 1.0 /. float_of_int (1 + i + j))
+  in
+  let chol = Cholesky.factor spd in
+  let a = banded ~n:96 ~bs:8 in
+  let xs = Vector.random ~state:st 96 and ys = Vector.create 96 in
+  let dst = Array.make (n * n) 0.0 and tile = Array.make (n * n) 0.0 in
+  let step = Array.make n 0 and perm = Array.make n 0 in
+  let c = Some (Array.copy src) in
+  let int_result f () = ignore (Sys.opaque_identity (f ())) in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check (float 0.0)) (name ^ " words per Double call") 0.0
+        (words f))
+    [
+      ("Vector.axpy", fun () -> Vector.axpy 0.5 x y);
+      ("Vector.scal", fun () -> Vector.scal 0.5 x);
+      ("Csr.spmv_into", fun () -> Csr.spmv_into a xs ys);
+      ("Matrix.gemv_into", fun () -> Matrix.gemv_into mat x y);
+      ( "Matrix.gemm_col_view",
+        fun () ->
+          Matrix.gemm_col_view ~alpha:1.0 ~beta:0.5 ?c ~a:src ~b:src ~dst ~off:0
+            ~n () );
+      ("Trsv.lower_unit_in_place", fun () -> Trsv.lower_unit_in_place lu y);
+      ( "Trsv.upper_in_place_status",
+        int_result (fun () -> Trsv.upper_in_place_status lu y) );
+      ( "Trsv.pair_eager_view",
+        int_result (fun () ->
+            Trsv.pair_eager_view ~m:lu.Matrix.a ~moff:0 ~n ~b:y ~boff:0 ()) );
+      ( "Trsv.pair_lazy_view",
+        int_result (fun () ->
+            Trsv.pair_lazy_view ~m:lu.Matrix.a ~moff:0 ~n ~b:y ~boff:0 ()) );
+      ( "Lu.factor_implicit_view",
+        int_result (fun () ->
+            Lu.factor_implicit_view ~src ~dst ~off:0 ~n ~tile ~step ~perm ()) );
+      ( "Lu.factor_nopivot_view",
+        int_result (fun () -> Lu.factor_nopivot_view ~src ~dst ~off:0 ~n ()) );
+      ( "Cholesky.factor_view",
+        int_result (fun () ->
+            Cholesky.factor_view ~src:spd.Matrix.a ~dst ~off:0 ~n ()) );
+      ( "Cholesky.solve_view",
+        int_result (fun () ->
+            Cholesky.solve_view ~m:chol.Cholesky.l.Matrix.a ~moff:0 ~n ~b:y
+              ~boff:0 ()) );
+      ("Cholesky.solve_in_place", fun () -> Cholesky.solve_in_place chol y);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Bit-identity against [Precision.*] references                       *)
@@ -404,7 +465,201 @@ module Ref = struct
        done
      with Exit -> ());
     (w, !info)
+
+  (* Column GEMM view: k-loop FMA from 0.0, one rounded scale, then the
+     optional rounded [beta·C] FMA. *)
+  let gemm p n ~alpha ~beta c a b =
+    let out = Array.make (n * n) 0.0 in
+    for j = 0 to n - 1 do
+      for i = 0 to n - 1 do
+        let acc = ref 0.0 in
+        for k = 0 to n - 1 do
+          acc := P.fma p a.(i + (k * n)) b.(k + (j * n)) !acc
+        done;
+        let v = P.mul p !acc alpha in
+        out.(i + (j * n)) <-
+          (match c with None -> v | Some c -> P.fma p c.(i + (j * n)) beta v)
+      done
+    done;
+    out
+
+  let matmul p n a b =
+    let out = Array.make (n * n) 0.0 in
+    for j = 0 to n - 1 do
+      for k = 0 to n - 1 do
+        if b.(k + (j * n)) <> 0.0 then
+          for i = 0 to n - 1 do
+            out.(i + (j * n)) <-
+              P.fma p a.(i + (k * n)) b.(k + (j * n)) out.(i + (j * n))
+          done
+      done
+    done;
+    out
+
+  let gemv_trans p n m x =
+    Array.init n (fun j ->
+        let acc = ref 0.0 in
+        for i = 0 to n - 1 do
+          acc := P.fma p m.(i + (j * n)) x.(i) !acc
+        done;
+        !acc)
+
+  (* No-pivot LU as the batch view runs it: no [ukj <> 0.0] skip. *)
+  let lu_nopivot p n src =
+    let w = Array.copy src in
+    let info = ref 0 in
+    (try
+       for k = 0 to n - 1 do
+         let d = w.(k + (k * n)) in
+         if d = 0.0 then (info := k + 1; raise Exit);
+         for i = k + 1 to n - 1 do
+           w.(i + (k * n)) <- P.div p w.(i + (k * n)) d
+         done;
+         for j = k + 1 to n - 1 do
+           for i = k + 1 to n - 1 do
+             w.(i + (j * n)) <-
+               P.fma p (-.w.(i + (k * n))) w.(k + (j * n)) w.(i + (j * n))
+           done
+         done
+       done
+     with Exit -> ());
+    (w, !info)
+
+  (* Gauss-Huard: lazy update of row k, column pivoting in row k, pivot
+     scaling, eager elimination above the diagonal. *)
+  let gh_factor p n src =
+    let w = Array.copy src and cperm = Array.init n Fun.id in
+    let info = ref 0 in
+    (try
+       for k = 0 to n - 1 do
+         for j = k to n - 1 do
+           for i = 0 to k - 1 do
+             w.(k + (j * n)) <-
+               P.fma p (-.w.(k + (i * n))) w.(i + (j * n)) w.(k + (j * n))
+           done
+         done;
+         let piv = ref k in
+         for j = k + 1 to n - 1 do
+           if Float.abs w.(k + (j * n)) > Float.abs w.(k + (!piv * n)) then
+             piv := j
+         done;
+         if !piv <> k then begin
+           for i = 0 to n - 1 do
+             let t = w.(i + (k * n)) in
+             w.(i + (k * n)) <- w.(i + (!piv * n));
+             w.(i + (!piv * n)) <- t
+           done;
+           let t = cperm.(k) in
+           cperm.(k) <- cperm.(!piv);
+           cperm.(!piv) <- t
+         end;
+         let d = w.(k + (k * n)) in
+         if d = 0.0 then (info := k + 1; raise Exit);
+         for j = k + 1 to n - 1 do
+           w.(k + (j * n)) <- P.div p w.(k + (j * n)) d
+         done;
+         for i = 0 to k - 1 do
+           if w.(i + (k * n)) <> 0.0 then
+             for j = k + 1 to n - 1 do
+               w.(i + (j * n)) <-
+                 P.fma p (-.w.(i + (k * n))) w.(k + (j * n)) w.(i + (j * n))
+             done
+         done
+       done
+     with Exit -> ());
+    (w, cperm, !info)
+
+  (* The Gauss-Huard solve in column-permuted order. *)
+  let gh_solve p n w b =
+    let y = Array.copy b in
+    let info = ref 0 in
+    (try
+       for k = 0 to n - 1 do
+         (* Accumulate apart: a breakdown at step k leaves y(k) as it
+            was. *)
+         let acc = ref y.(k) in
+         for j = 0 to k - 1 do
+           acc := P.fma p (-.w.(k + (j * n))) y.(j) !acc
+         done;
+         let d = w.(k + (k * n)) in
+         if d = 0.0 then (info := k + 1; raise Exit);
+         y.(k) <- P.div p !acc d;
+         for i = 0 to k - 1 do
+           y.(i) <- P.fma p (-.w.(i + (k * n))) y.(k) y.(i)
+         done
+       done
+     with Exit -> ());
+    (y, !info)
+
+  (* Gauss-Jordan on [A | I], partial pivoting; returns the right half. *)
+  let gje p n src =
+    let w = Array.make (2 * n * n) 0.0 in
+    Array.blit src 0 w 0 (n * n);
+    for i = 0 to n - 1 do
+      w.(i + ((n + i) * n)) <- 1.0
+    done;
+    let info = ref 0 in
+    (try
+       for k = 0 to n - 1 do
+         let piv = ref k in
+         for i = k + 1 to n - 1 do
+           if Float.abs w.(i + (k * n)) > Float.abs w.(!piv + (k * n)) then
+             piv := i
+         done;
+         let d = w.(!piv + (k * n)) in
+         if d = 0.0 then (info := k + 1; raise Exit);
+         if !piv <> k then
+           for j = 0 to (2 * n) - 1 do
+             let t = w.(k + (j * n)) in
+             w.(k + (j * n)) <- w.(!piv + (j * n));
+             w.(!piv + (j * n)) <- t
+           done;
+         for j = 0 to (2 * n) - 1 do
+           w.(k + (j * n)) <- P.div p w.(k + (j * n)) d
+         done;
+         for i = 0 to n - 1 do
+           if i <> k && w.(i + (k * n)) <> 0.0 then begin
+             let l = w.(i + (k * n)) in
+             for j = 0 to (2 * n) - 1 do
+               w.(i + (j * n)) <- P.fma p (-.l) w.(k + (j * n)) w.(i + (j * n))
+             done
+           end
+         done
+       done
+     with Exit -> ());
+    (Array.sub w (n * n) (n * n), !info)
+
+  (* Cholesky view solve: eager forward sweep with L, then a DOT backward
+     sweep with Lᵀ whose products are rounded and folded from 0.0. *)
+  let chol_solve p n l b =
+    let info = ref 0 in
+    (try
+       for k = 0 to n - 1 do
+         let d = l.(k + (k * n)) in
+         if d = 0.0 then (info := k + 1; raise Exit);
+         b.(k) <- P.div p b.(k) d;
+         for i = k + 1 to n - 1 do
+           b.(i) <- P.fma p (-.l.(i + (k * n))) b.(k) b.(i)
+         done
+       done;
+       for k = n - 1 downto 0 do
+         let acc = ref 0.0 in
+         for i = k + 1 to n - 1 do
+           acc := P.add p (P.mul p l.(i + (k * n)) b.(i)) !acc
+         done;
+         b.(k) <- P.div p (P.sub p b.(k) !acc) l.(k + (k * n))
+       done
+     with Exit -> ());
+    !info
 end
+
+(* [a] laid out at offset 1 with element stride 2, gaps filled with 7.0 —
+   a view's off/stride addressing must neither miss an element nor touch
+   a gap. *)
+let strided a =
+  Array.init
+    ((2 * Array.length a) + 1)
+    (fun e -> if e >= 1 && (e - 1) mod 2 = 0 then a.((e - 1) / 2) else 7.0)
 
 let qcheck_bit_identity =
   QCheck.Test.make ~count:400
@@ -474,10 +729,7 @@ let qcheck_bit_identity =
           ("lazy", Trsv.Lazy, Ref.lower_lazy, Ref.upper_lazy);
         ];
       (* Batch-view TRSV pairs at an offset and stride 2. *)
-      (let strided a = Array.init ((2 * Array.length a) + 1) (fun e ->
-           if e >= 1 && (e - 1) mod 2 = 0 then a.((e - 1) / 2) else 7.0)
-       in
-       let sm = strided m in
+      (let sm = strided m in
        let b = strided v in
        let info =
          Trsv.pair_eager_view ~prec ~mstride:2 ~bstride:2 ~m:sm ~moff:1 ~n ~b
@@ -516,6 +768,96 @@ let qcheck_bit_identity =
        let info = Cholesky.factor_view ~prec ~src:m ~dst ~off:0 ~n () in
        expect "cholesky factor_view" dst want;
        expect_int "cholesky factor_view info" info info');
+      (* Matrix: the transposed GEMV, MATMUL, SUB and the GEMM view at
+         offset 1, stride 2, with and without C. *)
+      let m2 = Array.init (n * n) (fun e -> m.((n * n) - 1 - e)) in
+      let mat2 = Matrix.init n n (fun i j -> m2.(i + (j * n))) in
+      expect "gemv trans" (Matrix.gemv ~prec ~trans:true mat v)
+        (Ref.gemv_trans prec n m v);
+      expect "matmul" (Matrix.matmul ~prec mat mat2).Matrix.a
+        (Ref.matmul prec n m m2);
+      expect "matrix sub" (Matrix.sub ~prec mat mat2).Matrix.a
+        (Array.map2 (Precision.sub prec) m m2);
+      (let alpha = v.(0) and beta = w.(0) in
+       let c = Array.init (n * n) (fun e -> w.(e mod n)) in
+       List.iter
+         (fun (cname, c) ->
+           let dst = Array.make ((2 * n * n) + 1) 7.0 in
+           Matrix.gemm_col_view ~prec ~stride:2 ~alpha ~beta
+             ?c:(Option.map strided c) ~a:(strided m) ~b:(strided m2) ~dst
+             ~off:1 ~n ();
+           expect ("gemm_col_view " ^ cname) dst
+             (strided (Ref.gemm prec n ~alpha ~beta c m m2)))
+         [ ("no C", None); ("with C", Some c) ]);
+      (* No-pivot LU view at offset 1, stride 2. *)
+      (let want, info' = Ref.lu_nopivot prec n m in
+       let dst = Array.make ((2 * n * n) + 1) 7.0 in
+       let info =
+         Lu.factor_nopivot_view ~prec ~stride:2 ~src:(strided m) ~dst ~off:1 ~n
+           ()
+       in
+       expect "factor_nopivot_view" dst (strided want);
+       expect_int "factor_nopivot_view info" info info');
+      (* Gauss-Huard factor and solve, both storages; Gauss-Jordan. *)
+      (let want, cperm, info' = Ref.gh_factor prec n m in
+       List.iter
+         (fun storage ->
+           let f, info = Gauss_huard.factor_status ~prec ~storage mat in
+           let stored =
+             match storage with
+             | Gauss_huard.Normal -> want
+             | Transposed -> Array.init (n * n) (fun e -> want.((e / n) + (e mod n * n)))
+           in
+           expect "gauss_huard factor" f.Gauss_huard.gh.Matrix.a stored;
+           if f.Gauss_huard.cperm <> cperm then
+             QCheck.Test.fail_report "gauss_huard column permutation differs";
+           expect_int "gauss_huard factor info" info info';
+           let x, sinfo = Gauss_huard.solve_status ~prec f v in
+           let y', sinfo' = Ref.gh_solve prec n want v in
+           let x' = Array.make n 0.0 in
+           Array.iteri (fun j c -> x'.(c) <- y'.(j)) cperm;
+           expect "gauss_huard solve" x x';
+           expect_int "gauss_huard solve info" sinfo sinfo')
+         [ Gauss_huard.Normal; Gauss_huard.Transposed ]);
+      (let want, info' = Ref.gje prec n m in
+       let inv, info = Gauss_jordan.invert_status ~prec mat in
+       expect "gauss_jordan invert" inv.Matrix.a want;
+       expect_int "gauss_jordan invert info" info info');
+      (* Cholesky view solve at offset 1, stride 2, on this block's lower
+         factor as computed by the reference. *)
+      (let l, _ = Ref.cholesky prec n m in
+       let b = strided v in
+       let info =
+         Cholesky.solve_view ~prec ~mstride:2 ~bstride:2 ~m:(strided l) ~moff:1
+           ~n ~b ~boff:1 ()
+       in
+       let b' = Array.copy v in
+       let info' = Ref.chol_solve prec n l b' in
+       expect "cholesky solve_view" b (strided b');
+       expect_int "cholesky solve_view info" info info');
+      (* The batched TRSM's direct closure: a warm run (certified entry,
+         served by the host view) against the interpreter. *)
+      (let factors = Batch.of_matrices [| mat |] in
+       let pivots = [| Array.init n (fun k -> n - 1 - k) |] in
+       let rhs =
+         [| Batch.vec_of_vectors [| v |]; Batch.vec_of_vectors [| w |] |]
+       in
+       let run () = Batched_trsm.solve ~prec ~factors ~pivots rhs in
+       Launch.Cache.set_enabled false;
+       let cold =
+         Fun.protect ~finally:(fun () -> Launch.Cache.set_enabled true) run
+       in
+       ignore (run ());
+       let warm = run () in
+       Array.iteri
+         (fun r (x : Batch.vec) ->
+           expect
+             (Printf.sprintf "trsm direct rhs %d" r)
+             x.Batch.vvalues
+             cold.Batched_trsm.solutions.(r).Batch.vvalues)
+         warm.Batched_trsm.solutions;
+       expect_int "trsm direct info" warm.Batched_trsm.info.(0)
+         cold.Batched_trsm.info.(0));
       (* Simulated memory and the warp's lane ops. *)
       (let g = Gmem.of_array prec v in
        expect "gmem of_array" (Gmem.to_array g) (Array.map (Precision.round prec) v));
@@ -602,6 +944,100 @@ let test_nan_pivot () =
         (bits_equal (Batch.vec_get x.Batched_trsv.solutions 0) x_ref))
     precs
 
+(* NaN and infinities through the other direct kernels (GEMM, TRSM,
+   no-pivot LU, both Cholesky views): a warm run, whose certified entries
+   the host views serve, equals the cache-off interpreter bitwise, info
+   included.  Block 0 of each batch is clean; the others carry a NaN, a
+   +inf or a −inf, in both precisions. *)
+let test_nonfinite_direct () =
+  let n = 4 in
+  let poisons = [| 0.0; Float.nan; Float.infinity; Float.neg_infinity |] in
+  (* Diagonally dominant and symmetric, with the poison at (2,1) and
+     (1,2) — below the first pivot, so the sweeps carry it on. *)
+  let block k =
+    Matrix.init n n (fun i j ->
+        if k > 0 && ((i = 2 && j = 1) || (i = 1 && j = 2)) then poisons.(k)
+        else if i = j then 4.0 +. float_of_int i
+        else 0.5 /. float_of_int (1 + i + j))
+  in
+  let batch = Batch.of_matrices (Array.init 4 block) in
+  let clean = Batch.of_matrices (Array.init 4 (fun _ -> block 0)) in
+  let sizes = Array.make 4 n in
+  let rhs = Batch.vec_random ~state:(state 6) sizes in
+  let compare_warm ?(direct = true) name ~values ~info run =
+    Launch.Cache.set_enabled false;
+    let cold =
+      Fun.protect ~finally:(fun () -> Launch.Cache.set_enabled true) run
+    in
+    Launch.Cache.clear ();
+    ignore (run ());
+    let dh = Launch.Cache.direct_hits () in
+    let warm = run () in
+    let served = Launch.Cache.direct_hits () - dh in
+    Launch.Cache.clear ();
+    if direct then
+      Alcotest.(check bool) (name ^ " served directly") true (served > 0);
+    Alcotest.(check bool) (name ^ " bitwise") true
+      (bits_equal (values warm) (values cold));
+    Alcotest.(check (array int)) (name ^ " info") (info cold) (info warm)
+  in
+  List.iter
+    (fun prec ->
+      let ps = " " ^ Precision.to_string prec in
+      compare_warm ("gemm" ^ ps)
+        ~values:(fun r -> r.Batched_gemm.products.Batch.values)
+        ~info:(fun _ -> [||])
+        (fun () ->
+          Batched_gemm.multiply ~prec ~alpha:1.5 ~beta:(-0.5) ~a:batch
+            ~b:clean ~c:batch ());
+      compare_warm ("getrf no-pivot" ^ ps)
+        ~values:(fun r -> r.Batched_lu.factors.Batch.values)
+        ~info:(fun r -> r.Batched_lu.info)
+        (fun () ->
+          Batched_lu.factor ~prec ~pivoting:Batched_lu.No_pivoting batch);
+      let pivots = Array.make 4 [| 3; 1; 0; 2 |] in
+      compare_warm ("trsm" ^ ps)
+        ~values:(fun r ->
+          Array.concat
+            (Array.to_list
+               (Array.map (fun (v : Batch.vec) -> v.Batch.vvalues)
+                  r.Batched_trsm.solutions)))
+        ~info:(fun r -> r.Batched_trsm.info)
+        (fun () ->
+          Batched_trsm.solve ~prec ~factors:batch ~pivots [| rhs; rhs |]);
+      (* Each poisoned block breaks down and de-certifies the shared
+         entry, so nothing is served directly here: the view is pinned
+         on its own below. *)
+      compare_warm ~direct:false ("potrf" ^ ps)
+        ~values:(fun r -> r.Batched_cholesky.factors.Batch.values)
+        ~info:(fun r -> r.Batched_cholesky.info)
+        (fun () -> Batched_cholesky.factor ~prec batch);
+      compare_warm ("potrs" ^ ps)
+        ~values:(fun r -> r.Batched_trsv.solutions.Batch.vvalues)
+        ~info:(fun r -> r.Batched_trsv.info)
+        (fun () -> Batched_cholesky.solve ~prec ~factors:batch rhs);
+      (* A poisoned Cholesky factor breaks down, so its warm run falls back
+         to the interpreter; pin the view's own frozen state and info
+         against the interpreter's. *)
+      Launch.Cache.set_enabled false;
+      let interp =
+        Fun.protect
+          ~finally:(fun () -> Launch.Cache.set_enabled true)
+          (fun () -> Batched_cholesky.factor ~prec batch)
+      in
+      let src = Array.map (Precision.round prec) batch.Batch.values in
+      let dst = Array.make (Array.length src) 0.0 in
+      for i = 0 to 3 do
+        let off = Batch.base batch i in
+        let info = Cholesky.factor_view ~prec ~src ~dst ~off ~n () in
+        Alcotest.(check int)
+          (Printf.sprintf "potrf view info, block %d%s" i ps)
+          interp.Batched_cholesky.info.(i) info
+      done;
+      Alcotest.(check bool) ("potrf view ≡ interpreter" ^ ps) true
+        (bits_equal dst interp.Batched_cholesky.factors.Batch.values))
+    precs
+
 let () =
   Alcotest.run "host numerics"
     [
@@ -612,10 +1048,14 @@ let () =
           Alcotest.test_case "trsv and lu views" `Quick test_trsv;
           Alcotest.test_case "block-jacobi apply" `Quick test_block_jacobi_apply;
           Alcotest.test_case "warp lane ops" `Quick test_warp;
+          Alcotest.test_case "zero words per Double call" `Quick
+            test_zero_alloc;
         ] );
       ( "bit-identity",
         [
           QCheck_alcotest.to_alcotest qcheck_bit_identity;
           Alcotest.test_case "NaN pivot" `Quick test_nan_pivot;
+          Alcotest.test_case "non-finite direct kernels" `Quick
+            test_nonfinite_direct;
         ] );
     ]
