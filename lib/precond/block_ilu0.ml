@@ -51,38 +51,30 @@ let find_dep deps j =
    generalization of patching a zero scalar pivot with [1.0]. *)
 let identity_factors s = (Matrix.identity s, Array.init s (fun r -> r))
 
-(* One level-scheduled GEMM wave of the apply sweeps.  [g_a] holds the
-   coupling blocks (constant after setup); [g_b]/[g_c] are carriers whose
-   column 0 is refilled from the iterate on every application.  Problems
-   are padded square to [max (s_i, s_src)]: the padding stays zero, and a
-   multiply-then-add chain with a zero operand leaves the live entries
-   bit-exact, so padded lanes never perturb the result. *)
-type gstep = {
-  g_rows : int array;
-  g_srcs : int array;
-  g_a : Batch.t;
-  g_b : Batch.t;
-  g_c : Batch.t;
-}
-
-type tstep = {
-  t_rows : int array;
-  t_factors : Batch.t;
-  t_pivots : int array array;
-  t_rhs : Batch.vec;
-}
+(* Whether problem [p]'s stored U factor has an exact zero on its
+   diagonal.  LU reports [info = 0] only for nonzero pivots, but an armed
+   fault plan can zero a stored diagonal after the check; such a block is
+   treated as a breakdown, so the apply's diagonal solves never meet a
+   zero pivot. *)
+let zero_diagonal (f : Batch.t) p =
+  let rec from k =
+    k < f.Batch.sizes.(p)
+    && (f.Batch.values.(Batch.index f p k k) = 0.0 || from (k + 1))
+  in
+  from 0
 
 (* Per-row elimination outcome, kept as an array so a partial refresh can
    rewrite just the re-eliminated rows and the info lists stay
    reconstructible (and deterministic) at any point. *)
 type row_outcome = Row_ok | Row_degraded | Row_perturbed | Row_recovered | Row_corrupt
 
-(* Apply staging, swapped wholesale by a refresh: the live apply closure
-   reads these fields on every call, so the [Preconditioner.t] stays
-   valid across updates. *)
-type staging = {
-  mutable forward : gstep array array;
-  mutable backward : (gstep array * tstep) array;
+(* The charges of one apply, computed once by the charge pass:
+   the published record (kept as an option so republishing it allocates
+   nothing) and, per wave, what an [?obs] replay records — the launch
+   name, its stats and its TRSV verdicts. *)
+type memo = {
+  m_published : apply_stats option;
+  m_launches : (string * Launch.stats * Fault.verdict array) array;
 }
 
 (* Everything a factorization needs to be re-run incrementally: the
@@ -117,7 +109,8 @@ type state = {
   s_tpiv : int array array;
   s_outcome : row_outcome array;
   s_breakdown : bool array;  (* rows whose LU launch flagged a breakdown *)
-  s_staging : staging;
+  s_buf : float array;  (* permuted right-hand side of one diagonal solve *)
+  mutable s_memo : memo option;
   s_last_apply : apply_stats option ref;
 }
 
@@ -158,7 +151,8 @@ let init_state ~pool ~prec ~layout ~policy ~faults ~abft ~obs ~blk (a : Csr.t) =
     s_tpiv = Array.make k [||];
     s_outcome = Array.make k Row_ok;
     s_breakdown = Array.make k false;
-    s_staging = { forward = [||]; backward = [||] };
+    s_buf = Array.make (Array.fold_left max 1 sizes) 0.0;
+    s_memo = None;
     s_last_apply = ref None;
   }
 
@@ -201,6 +195,60 @@ let fill_state st (a : Csr.t) (mask : bool array) =
       done
     end
   done
+
+(* [ranks deps rows].(t): the rows of [rows] that have a [t]-th
+   dependency, in order — the problems of dependency rank [t]'s wave. *)
+let ranks (deps : int array array) rows =
+  let max_t =
+    Array.fold_left (fun m i -> max m (Array.length deps.(i))) 0 rows
+  in
+  Array.init max_t (fun t ->
+      Array.of_list
+        (List.filter (fun i -> Array.length deps.(i) > t) (Array.to_list rows)))
+
+(* One batched GEMM wave [C_p ← C_p − A_p·B_p] over problems [(A, B, C)]
+   of shapes (s_i×s_k)·(s_k×s_j), each padded square to the largest of
+   the three orders: the padding stays zero, and a multiply-then-add chain
+   with a zero operand leaves the live entries bit-exact.  Writes the
+   products back into each [C] and returns the launch stats. *)
+let gemm_wave ?pool ~prec ~layout ?obs
+    (probs : (Matrix.t * Matrix.t * Matrix.t) array) =
+  let psz =
+    Array.map
+      (fun ((a : Matrix.t), (b : Matrix.t), (c : Matrix.t)) ->
+        max a.rows (max b.rows c.cols))
+      probs
+  in
+  let ab = Batch.create ~layout psz
+  and bb = Batch.create ~layout psz
+  and cb = Batch.create ~layout psz in
+  let stage p (d : Batch.t) (m : Matrix.t) =
+    for r = 0 to m.rows - 1 do
+      for c = 0 to m.cols - 1 do
+        d.Batch.values.(Batch.index d p r c) <- Matrix.get m r c
+      done
+    done
+  in
+  Array.iteri
+    (fun p (a, b, c) ->
+      stage p ab a;
+      stage p bb b;
+      stage p cb c)
+    probs;
+  let res =
+    Batched_gemm.multiply ?pool ~prec ?obs ~alpha:(-1.0) ~beta:1.0 ~a:ab ~b:bb
+      ~c:cb ()
+  in
+  let pr = res.Batched_gemm.products in
+  Array.iteri
+    (fun p (_, _, (c : Matrix.t)) ->
+      for r = 0 to c.rows - 1 do
+        for j = 0 to c.cols - 1 do
+          Matrix.set c r j pr.Batch.values.(Batch.index pr p r j)
+        done
+      done)
+    probs;
+  res.Batched_gemm.stats
 
 (* Elimination restricted to the masked block rows: one pass over the
    lower-DAG level sets.  Rows of a wave only write their own block row
@@ -251,18 +299,9 @@ let eliminate st (mask : bool array) =
             st.s_outcome.(i) <- Row_ok;
             st.s_breakdown.(i) <- false)
           wave_rows;
-        let max_t =
-          Array.fold_left
-            (fun m i -> max m (Array.length ldeps.(i)))
-            0 wave_rows
-        in
-        for t = 0 to max_t - 1 do
-          let sub =
-            Array.of_list
-              (List.filter
-                 (fun i -> Array.length ldeps.(i) > t)
-                 (Array.to_list wave_rows))
-          in
+        let rank = ranks ldeps wave_rows in
+        for t = 0 to Array.length rank - 1 do
+          let sub = rank.(t) in
           let srcs = Array.map (fun i -> ldeps.(i).(t)) sub in
           let vsz = Array.map (fun kb -> sizes.(kb)) srcs in
           let fb =
@@ -275,18 +314,13 @@ let eliminate st (mask : bool array) =
           let nrhs = Array.fold_left (fun m i -> max m sizes.(i)) 1 sub in
           let rhs_sets =
             Array.init nrhs (fun r ->
-                let v = Batch.vec_create ~layout vsz in
-                Array.iteri
-                  (fun p i ->
-                    if r < sizes.(i) then begin
-                      let m = lmat.(i).(t) in
-                      for e = 0 to vsz.(p) - 1 do
-                        v.Batch.vvalues.(Batch.vec_index v p e) <-
-                          Matrix.get m r e
-                      done
-                    end)
-                  sub;
-                v)
+                Batch.vec_of_vectors ~layout
+                  (Array.mapi
+                     (fun p i ->
+                       Array.init vsz.(p) (fun e ->
+                           if r < sizes.(i) then Matrix.get lmat.(i).(t) r e
+                           else 0.0))
+                     sub))
           in
           let tr =
             Batched_trsm.solve ?pool ~prec ?obs ~factors:fb ~pivots:piv
@@ -295,13 +329,10 @@ let eliminate st (mask : bool array) =
           note tr.Batched_trsm.stats;
           Array.iteri
             (fun p i ->
-              let m = lmat.(i).(t) in
               for r = 0 to sizes.(i) - 1 do
-                let sol = tr.Batched_trsm.solutions.(r) in
-                for e = 0 to vsz.(p) - 1 do
-                  Matrix.set m r e
-                    sol.Batch.vvalues.(Batch.vec_index sol p e)
-                done
+                Array.iteri
+                  (Matrix.set lmat.(i).(t) r)
+                  (Batch.vec_get tr.Batched_trsm.solutions.(r) p)
               done)
             sub;
           (* Trailing updates A_ij -= L_ik·A_kj over the intersection
@@ -312,7 +343,6 @@ let eliminate st (mask : bool array) =
           Array.iteri
             (fun p i ->
               let kb = srcs.(p) in
-              let l = lmat.(i).(t) in
               Array.iteri
                 (fun tj j ->
                   let target =
@@ -327,60 +357,14 @@ let eliminate st (mask : bool array) =
                     end
                   in
                   match target with
-                  | Some tgt ->
-                    gp :=
-                      ( tgt,
-                        l,
-                        umat.(kb).(tj),
-                        sizes.(i),
-                        sizes.(kb),
-                        sizes.(j) )
-                      :: !gp
+                  | Some tgt -> gp := (lmat.(i).(t), umat.(kb).(tj), tgt) :: !gp
                   | None -> ())
                 udeps.(kb))
             sub;
-          let gp = Array.of_list (List.rev !gp) in
-          if Array.length gp > 0 then begin
-            let psz =
-              Array.map (fun (_, _, _, si, sk, sj) -> max si (max sk sj)) gp
-            in
-            let ab = Batch.create ~layout psz in
-            let bb = Batch.create ~layout psz in
-            let cb = Batch.create ~layout psz in
-            Array.iteri
-              (fun p (tgt, l, u, si, sk, sj) ->
-                for r = 0 to si - 1 do
-                  for c = 0 to sk - 1 do
-                    ab.Batch.values.(Batch.index ab p r c) <- Matrix.get l r c
-                  done
-                done;
-                for r = 0 to sk - 1 do
-                  for c = 0 to sj - 1 do
-                    bb.Batch.values.(Batch.index bb p r c) <- Matrix.get u r c
-                  done
-                done;
-                for r = 0 to si - 1 do
-                  for c = 0 to sj - 1 do
-                    cb.Batch.values.(Batch.index cb p r c) <-
-                      Matrix.get tgt r c
-                  done
-                done)
-              gp;
-            let res =
-              Batched_gemm.multiply ?pool ~prec ?obs ~alpha:(-1.0) ~beta:1.0
-                ~a:ab ~b:bb ~c:cb ()
-            in
-            note res.Batched_gemm.stats;
-            let pr = res.Batched_gemm.products in
-            Array.iteri
-              (fun p (tgt, _, _, si, _, sj) ->
-                for r = 0 to si - 1 do
-                  for c = 0 to sj - 1 do
-                    Matrix.set tgt r c pr.Batch.values.(Batch.index pr p r c)
-                  done
-                done)
-              gp
-          end
+          if !gp <> [] then
+            note
+              (gemm_wave ?pool ~prec ~layout ?obs
+                 (Array.of_list (List.rev !gp)))
         done;
         (* One batched LU launch factors the wave's eliminated
            diagonals, normal and transposed problems side by side. *)
@@ -394,7 +378,9 @@ let eliminate st (mask : bool array) =
         let lu = Batched_lu.factor ?pool ~prec ?faults ~abft ?obs db in
         note lu.Batched_lu.stats;
         let broken p =
-          lu.Batched_lu.info.(p) <> 0 || lu.Batched_lu.info.(nw + p) <> 0
+          lu.Batched_lu.info.(p) <> 0
+          || lu.Batched_lu.info.(nw + p) <> 0
+          || zero_diagonal lu.Batched_lu.factors p
         in
         let faulted p =
           (not (broken p))
@@ -450,6 +436,7 @@ let eliminate st (mask : bool array) =
               let clean =
                 rlu.Batched_lu.info.(q) = 0
                 && rlu.Batched_lu.info.(nr + q) = 0
+                && (not (zero_diagonal rlu.Batched_lu.factors q))
                 && (not abft
                    || not
                         (failed rlu.Batched_lu.verdicts.(q)
@@ -479,159 +466,189 @@ let eliminate st (mask : bool array) =
     st.s_lower.Levels.level_sets;
   (!launches, !transactions, !modelled)
 
-(* Rebuild the apply staging from the current post-elimination arenas —
-   host-only work (no launches); the coupling batches are constant until
-   the next refresh, only the vector carriers get refilled per apply. *)
-let build_staging st =
-  let layout = st.c_layout in
-  let sizes = st.s_blk.Supervariable.sizes in
-  let ldeps = st.s_lower.Levels.deps and udeps = st.s_upper.Levels.deps in
-  let build_gsteps deps mats rows =
-    let max_t =
-      Array.fold_left (fun m i -> max m (Array.length deps.(i))) 0 rows
-    in
-    Array.init max_t (fun t ->
-        let sub =
-          Array.of_list
-            (List.filter
-               (fun i -> Array.length deps.(i) > t)
-               (Array.to_list rows))
-        in
-        let srcs = Array.map (fun i -> deps.(i).(t)) sub in
-        let psz = Array.mapi (fun p i -> max sizes.(i) sizes.(srcs.(p))) sub in
-        let ga = Batch.create ~layout psz in
-        Array.iteri
-          (fun p i ->
-            let m = mats.(i).(t) in
-            for r = 0 to sizes.(i) - 1 do
-              for c = 0 to sizes.(srcs.(p)) - 1 do
-                ga.Batch.values.(Batch.index ga p r c) <- Matrix.get m r c
-              done
-            done)
-          sub;
-        {
-          g_rows = sub;
-          g_srcs = srcs;
-          g_a = ga;
-          g_b = Batch.create ~layout psz;
-          g_c = Batch.create ~layout psz;
-        })
-  in
-  st.s_staging.forward <-
-    Array.map
-      (fun rows -> build_gsteps ldeps st.s_lmat rows)
-      st.s_lower.Levels.level_sets;
-  st.s_staging.backward <-
-    Array.map
-      (fun rows ->
-        let gs = build_gsteps udeps st.s_umat rows in
-        let ts =
-          {
-            t_rows = rows;
-            t_factors =
-              Batch.of_matrices ~layout (Array.map (fun i -> st.s_flu.(i)) rows);
-            t_pivots = Array.map (fun i -> st.s_fpiv.(i)) rows;
-            t_rhs =
-              Batch.vec_create ~layout (Array.map (fun i -> sizes.(i)) rows);
-          }
-        in
-        (gs, ts))
-      st.s_upper.Levels.level_sets
-
-(* Level-scheduled sparse block-triangular solves: forward unit sweep is
-   pure GEMM waves; backward sweep is GEMM waves plus one TRSV wave per
-   level for the diagonal solves.  All staging is sequential host code,
-   so the result is bit-identical across domain counts and layouts.  The
-   closure reads the staging record on every call, so it survives
-   refreshes. *)
-let make_apply st =
-  let pool = st.c_pool and prec = st.c_prec and obs = st.c_obs in
+(* The level-wave launches of one apply, run once per handle as its
+   charge pass: the forward sweep walks the lower DAG's levels, each one
+   batched GEMM wave per dependency rank ([y_i ← y_i − A_ik·y_k], problems
+   padded square to [max (s_i, s_k)], data in column 0); the backward
+   sweep walks the upper DAG the same way and closes every level with one
+   batched TRSV wave over its diagonal factors.  The waves' charges depend
+   only on the pattern — sizes, layout offsets, salt classes — so they
+   hold for every later apply and across refreshes.  Returns the launches'
+   solution (the reference the host sweep must equal bit for bit) and the
+   memo.  [?obs] records the launches themselves; the apply passes none
+   and replays the memo instead. *)
+let launch_waves ?obs st r =
+  let pool = st.c_pool and prec = st.c_prec and layout = st.c_layout in
   let starts = st.s_blk.Supervariable.starts
   and sizes = st.s_blk.Supervariable.sizes in
-  let n = st.s_n in
-  let run_gstep waves sweep level y gs =
-    Array.iteri
-      (fun p i ->
-        let kb = gs.g_srcs.(p) in
-        let b = gs.g_b and c = gs.g_c in
-        for e = 0 to sizes.(kb) - 1 do
-          b.Batch.values.(Batch.index b p e 0) <- y.(starts.(kb) + e)
-        done;
-        for e = 0 to sizes.(i) - 1 do
-          c.Batch.values.(Batch.index c p e 0) <- y.(starts.(i) + e)
-        done)
-      gs.g_rows;
-    let res =
-      Batched_gemm.multiply ?pool ~prec ?obs ~alpha:(-1.0) ~beta:1.0 ~a:gs.g_a
-        ~b:gs.g_b ~c:gs.g_c ()
-    in
-    let pr = res.Batched_gemm.products in
-    Array.iteri
-      (fun p i ->
-        for e = 0 to sizes.(i) - 1 do
-          y.(starts.(i) + e) <- pr.Batch.values.(Batch.index pr p e 0)
-        done)
-      gs.g_rows;
-    let ls = res.Batched_gemm.stats in
-    waves :=
-      {
-        sweep;
-        level;
-        kernel = "gemm";
-        problems = Array.length gs.g_rows;
-        transactions = Counter.transactions ls.Launch.total;
-        modelled_us = ls.Launch.time_us;
-      }
-      :: !waves
+  let y = Array.copy r in
+  let log = ref [] in
+  let note sweep level kernel name problems (ls : Launch.stats) verdicts =
+    let transactions = Counter.transactions ls.Launch.total in
+    let modelled_us = ls.Launch.time_us in
+    log :=
+      ( { sweep; level; kernel; problems; transactions; modelled_us },
+        (name, ls, verdicts) )
+      :: !log
   in
-  fun r ->
-    if Array.length r <> n then
-      invalid_arg "Block_ilu0.apply: dimension mismatch";
-    let y = Array.copy r in
-    let waves = ref [] in
-    Array.iteri
-      (fun level steps ->
-        Array.iter (run_gstep waves "forward" level y) steps)
-      st.s_staging.forward;
-    Array.iteri
-      (fun level (gs, ts) ->
-        Array.iter (run_gstep waves "backward" level y) gs;
-        Array.iteri
-          (fun p i ->
-            let v = ts.t_rhs in
-            for e = 0 to sizes.(i) - 1 do
-              v.Batch.vvalues.(Batch.vec_index v p e) <- y.(starts.(i) + e)
-            done)
-          ts.t_rows;
-        let res =
-          Batched_trsv.solve ?pool ~prec ?obs ~factors:ts.t_factors
-            ~pivots:ts.t_pivots ts.t_rhs
-        in
-        let sol = res.Batched_trsv.solutions in
-        Array.iteri
-          (fun p i ->
-            for e = 0 to sizes.(i) - 1 do
-              y.(starts.(i) + e) <- sol.Batch.vvalues.(Batch.vec_index sol p e)
-            done)
-          ts.t_rows;
-        let ls = res.Batched_trsv.stats in
-        waves :=
-          {
-            sweep = "backward";
-            level;
-            kernel = "trsv";
-            problems = Array.length ts.t_rows;
-            transactions = Counter.transactions ls.Launch.total;
-            modelled_us = ls.Launch.time_us;
-          }
-          :: !waves)
-      st.s_staging.backward;
-    let wv = Array.of_list (List.rev !waves) in
-    let ms =
-      Array.fold_left (fun acc w -> acc +. (w.modelled_us *. 1e-6)) 0.0 wv
-    in
-    st.s_last_apply := Some { waves = wv; modelled_seconds = ms };
-    y
+  let gemm_waves sweep level deps mats rows =
+    let rank = ranks deps rows in
+    for t = 0 to Array.length rank - 1 do
+      let sub = rank.(t) in
+      (* Column segments of [y] as s×1 operands. *)
+      let seg i = Matrix.init sizes.(i) 1 (fun e _ -> y.(starts.(i) + e)) in
+      let probs =
+        Array.map (fun i -> (mats.(i).(t), seg deps.(i).(t), seg i)) sub
+      in
+      let ls = gemm_wave ?pool ~prec ~layout ?obs probs in
+      Array.iteri
+        (fun p i ->
+          let _, _, (c : Matrix.t) = probs.(p) in
+          Array.blit c.a 0 y starts.(i) sizes.(i))
+        sub;
+      note sweep level "gemm" "gemm" (Array.length sub) ls [||]
+    done
+  in
+  Array.iteri
+    (fun level rows ->
+      gemm_waves "forward" level st.s_lower.Levels.deps st.s_lmat rows)
+    st.s_lower.Levels.level_sets;
+  Array.iteri
+    (fun level rows ->
+      gemm_waves "backward" level st.s_upper.Levels.deps st.s_umat rows;
+      let res =
+        Batched_trsv.solve ?pool ~prec ?obs
+          ~factors:
+            (Batch.of_matrices ~layout (Array.map (fun i -> st.s_flu.(i)) rows))
+          ~pivots:(Array.map (fun i -> st.s_fpiv.(i)) rows)
+          (Batch.vec_of_vectors ~layout
+             (Array.map (fun i -> Array.sub y starts.(i) sizes.(i)) rows))
+      in
+      Array.iteri
+        (fun p i ->
+          Array.blit
+            (Batch.vec_get res.Batched_trsv.solutions p)
+            0 y starts.(i) sizes.(i))
+        rows;
+      note "backward" level "trsv" "trsv.eager" (Array.length rows)
+        res.Batched_trsv.stats res.Batched_trsv.verdicts)
+    st.s_upper.Levels.level_sets;
+  let log = Array.of_list (List.rev !log) in
+  let waves = Array.map fst log in
+  let modelled_seconds =
+    Array.fold_left (fun acc w -> acc +. (w.modelled_us *. 1e-6)) 0.0 waves
+  in
+  ( y,
+    {
+      m_published = Some { waves; modelled_seconds };
+      m_launches = Array.map snd log;
+    } )
+
+(* Rounded arithmetic inlined into this unit, bitwise equal to
+   [Precision]'s (DESIGN §5i). *)
+module R = struct
+  let[@inline] round p x =
+    match p with
+    | Precision.Double -> x
+    | Single -> Int32.float_of_bits (Int32.bits_of_float x)
+
+  let[@inline] mul p a b = round p (a *. b)
+  let[@inline] fma p a b c = round p ((a *. b) +. c)
+end
+
+(* [y_i ← y_i − A_ik·y_k] over every coupling block of the rows of one
+   level, in the GEMM wave's rounding sequence: per block an unfused fma
+   chain from +0 over the live columns in order, the ×(−1) scale, then
+   the [+c] fma.  The wave's zero padding only appends [+0·0] terms to a
+   chain that is never −0, so dropping them is bit-exact.  Every load
+   rounds as [Gmem.of_array] stages it. *)
+let[@inline] couple_k prec st (deps : int array array) mats rows y =
+  let starts = st.s_blk.Supervariable.starts
+  and sizes = st.s_blk.Supervariable.sizes in
+  for p = 0 to Array.length rows - 1 do
+    let i = rows.(p) in
+    let si = sizes.(i) and yi = starts.(i) in
+    for t = 0 to Array.length deps.(i) - 1 do
+      let kb = deps.(i).(t) and m = mats.(i).(t).Matrix.a in
+      let sk = sizes.(kb) and yk = starts.(kb) in
+      for e = 0 to si - 1 do
+        let acc = ref 0.0 in
+        for f = 0 to sk - 1 do
+          acc :=
+            R.fma prec
+              (R.round prec m.(e + (f * si)))
+              (R.round prec y.(yk + f))
+              !acc
+        done;
+        y.(yi + e) <-
+          R.fma prec (R.round prec y.(yi + e)) 1.0 (R.mul prec !acc (-1.0))
+      done
+    done
+  done
+
+(* The apply's numerics as one sequential host pass per triangle.  Rows
+   of one level never read each other's rows, so walking each row's
+   dependency ranks in order is bitwise the wave sequence of
+   {!launch_waves}.  A diagonal solve copies the permuted (rounded)
+   segment into [s_buf] and runs the TRSV kernel's host view on the stored
+   factor — already representable at [prec], since it left a device
+   buffer of that precision (or is the identity fallback). *)
+let[@inline] sweep_k prec st y =
+  let lower = st.s_lower and upper = st.s_upper and buf = st.s_buf in
+  for lv = 0 to Array.length lower.Levels.level_sets - 1 do
+    (couple_k [@inlined]) prec st lower.Levels.deps st.s_lmat
+      lower.Levels.level_sets.(lv) y
+  done;
+  for lv = 0 to Array.length upper.Levels.level_sets - 1 do
+    let rows = upper.Levels.level_sets.(lv) in
+    (couple_k [@inlined]) prec st upper.Levels.deps st.s_umat rows y;
+    for p = 0 to Array.length rows - 1 do
+      let i = rows.(p) in
+      let s = st.s_blk.Supervariable.sizes.(i)
+      and y0 = st.s_blk.Supervariable.starts.(i)
+      and piv = st.s_fpiv.(i) in
+      for e = 0 to s - 1 do
+        buf.(e) <- R.round prec y.(y0 + piv.(e))
+      done;
+      let info =
+        Trsv.pair_eager_view ~prec ~m:st.s_flu.(i).Matrix.a ~moff:0 ~n:s ~b:buf
+          ~boff:0 ()
+      in
+      (* Stored factors come from LU with [info = 0] or the identity
+         fallback, and [eliminate] rejects a zero U diagonal. *)
+      assert (info = 0);
+      Array.blit buf 0 y y0 s
+    done
+  done
+
+(* One application: the charge pass on the handle's first apply, then the
+   host sweep, then the memoised charges — republished on every call and,
+   under [?obs], replayed launch by launch exactly as the waves recorded
+   them.  The closure survives refreshes: [update] rewrites the arenas the
+   sweep reads and leaves the pattern-only memo alone. *)
+let apply_state st r =
+  if Array.length r <> st.s_n then
+    invalid_arg "Block_ilu0.apply: dimension mismatch";
+  let memo =
+    match st.s_memo with
+    | Some m -> m
+    | None ->
+      let _, m = launch_waves st r in
+      st.s_memo <- Some m;
+      m
+  in
+  let y = Array.copy r in
+  (match st.c_prec with
+  | Precision.Double -> (sweep_k [@inlined]) Precision.Double st y
+  | Single -> (sweep_k [@inlined]) Precision.Single st y);
+  if Ctx.enabled st.c_obs then
+    Array.iter
+      (fun (name, ls, verdicts) ->
+        Vblu_simt.Sampling.record_launch st.c_obs ~name ~prec:st.c_prec ls;
+        Ctx.record_verdicts st.c_obs verdicts)
+      memo.m_launches;
+  st.s_last_apply := memo.m_published;
+  y
 
 (* Outcome lists rebuilt from the per-row array — ascending and
    deterministic, matching the sequential fold of the original
@@ -660,17 +677,14 @@ let factor_info_of st =
   done;
   !fi
 
-let checked_blocking ~who ~n ?max_block_size ?blocking (a : Csr.t) =
+let checked_blocking ~who ~n ~max_block_size ?blocking (a : Csr.t) =
   let blk =
     match blocking with
     | Some b ->
       if not (Supervariable.validate ~n b) then
         invalid_arg (who ^ ": invalid blocking");
       b
-    | None ->
-      Supervariable.blocking
-        ~max_block_size:(Option.value max_block_size ~default:32)
-        a
+    | None -> Supervariable.blocking ~max_block_size a
   in
   Array.iter
     (fun s ->
@@ -679,59 +693,88 @@ let checked_blocking ~who ~n ?max_block_size ?blocking (a : Csr.t) =
     blk.Supervariable.sizes;
   blk
 
-let create ?pool ?(prec = Precision.Double) ?(layout = Batch.Blocked)
-    ?(policy = (Block_jacobi.Identity_block : Block_jacobi.breakdown_policy))
-    ?faults ?(abft = false) ?(max_block_size = 32) ?blocking ?obs (a : Csr.t) =
-  let n, cols = Csr.dims a in
-  if n <> cols then invalid_arg "Block_ilu0.create: matrix not square";
-  let blk =
-    checked_blocking ~who:"Block_ilu0.create" ~n ~max_block_size ?blocking a
+let info_of st ~launches ~modelled_seconds =
+  let degraded_blocks, perturbed_blocks, recovered_blocks, corrupt_blocks =
+    outcome_lists st
   in
+  {
+    blocking = st.s_blk;
+    lower = st.s_lower;
+    upper = st.s_upper;
+    factor_info = factor_info_of st;
+    degraded_blocks;
+    perturbed_blocks;
+    recovered_blocks;
+    corrupt_blocks;
+    setup_launches = launches;
+    setup_modelled_seconds = modelled_seconds;
+    last_apply = st.s_last_apply;
+  }
+
+(* Shared by [create] and [handle]: partition, eliminate every row, raise
+   under [Fail], and package the apply (wrapped in an ["ilu0.apply"] span
+   under [?obs]).  Returns the state, the elimination's
+   [(launches, transactions, modelled_seconds)] and the preconditioner. *)
+let build ~who ~pool ~prec ~layout ~policy ~faults ~abft ~max_block_size
+    ?blocking ~obs (a : Csr.t) =
+  let n, cols = Csr.dims a in
+  if n <> cols then invalid_arg (who ^ ": matrix not square");
+  let blk = checked_blocking ~who ~n ~max_block_size ?blocking a in
   let k = Array.length blk.Supervariable.starts in
-  let (st, setup_launches, setup_modelled_seconds), setup_seconds =
+  let (st, setup), setup_seconds =
     Preconditioner.timed (fun () ->
         let st =
           init_state ~pool ~prec ~layout ~policy ~faults ~abft ~obs ~blk a
         in
         let mask = Array.make k true in
         fill_state st a mask;
-        let launches, _tx, modelled = eliminate st mask in
-        build_staging st;
-        (st, launches, modelled))
+        (st, eliminate st mask))
   in
-  let apply = make_apply st in
-  let lower = st.s_lower and upper = st.s_upper in
-  let factor_info = factor_info_of st in
-  let degraded_blocks, perturbed_blocks, recovered_blocks, corrupt_blocks =
-    outcome_lists st
-  in
-  let last_apply = st.s_last_apply in
-  (if factor_info <> 0 then
+  (let fi = factor_info_of st in
+   if fi <> 0 then
      match policy with
-     | Block_jacobi.Fail -> raise (Singular_block { block = factor_info - 1 })
+     | Block_jacobi.Fail -> raise (Singular_block { block = fi - 1 })
      | _ -> ());
+  let apply =
+    if Ctx.enabled obs then fun r ->
+      Ctx.with_span obs ~cat:"precond" "ilu0.apply" (fun () ->
+          Ctx.incr obs "precond.ilu0.apply.count" 1.0;
+          apply_state st r)
+    else apply_state st
+  in
   let name = Printf.sprintf "block-ilu0(%d)" max_block_size in
+  (st, setup, { Preconditioner.name; dim = n; setup_seconds; apply })
+
+let create ?pool ?(prec = Precision.Double) ?(layout = Batch.Blocked)
+    ?(policy = (Block_jacobi.Identity_block : Block_jacobi.breakdown_policy))
+    ?faults ?(abft = false) ?(max_block_size = 32) ?blocking ?obs (a : Csr.t) =
+  let st, (launches, _tx, modelled_seconds), p =
+    build ~who:"Block_ilu0.create" ~pool ~prec ~layout ~policy ~faults ~abft
+      ~max_block_size ?blocking ~obs a
+  in
+  let info = info_of st ~launches ~modelled_seconds in
   if Ctx.enabled obs then begin
-    let ls = Levels.stats lower and us = Levels.stats upper in
+    let ls = Levels.stats info.lower and us = Levels.stats info.upper in
     let count = List.length in
     Ctx.span_dur obs ~cat:"precond" ~dur:0.0 "ilu0.setup"
       ~args:
         [
-          ("blocks", Vblu_obs.Trace.Int k);
+          ("blocks", Vblu_obs.Trace.Int (Array.length st.s_flu));
           ("lower_levels", Vblu_obs.Trace.Int ls.Levels.levels);
           ("upper_levels", Vblu_obs.Trace.Int us.Levels.levels);
-          ("launches", Vblu_obs.Trace.Int setup_launches);
-          ("degraded", Vblu_obs.Trace.Int (count degraded_blocks));
-          ("perturbed", Vblu_obs.Trace.Int (count perturbed_blocks));
-          ("recovered", Vblu_obs.Trace.Int (count recovered_blocks));
-          ("corrupt", Vblu_obs.Trace.Int (count corrupt_blocks));
+          ("launches", Vblu_obs.Trace.Int launches);
+          ("degraded", Vblu_obs.Trace.Int (count info.degraded_blocks));
+          ("perturbed", Vblu_obs.Trace.Int (count info.perturbed_blocks));
+          ("recovered", Vblu_obs.Trace.Int (count info.recovered_blocks));
+          ("corrupt", Vblu_obs.Trace.Int (count info.corrupt_blocks));
         ];
-    let l = [ ("precond", name) ] in
-    Ctx.set_gauge_l obs "precond.ilu0.setup_seconds" l setup_seconds;
+    let l = [ ("precond", p.Preconditioner.name) ] in
+    Ctx.set_gauge_l obs "precond.ilu0.setup_seconds" l
+      p.Preconditioner.setup_seconds;
     Ctx.set_gauge_l obs "precond.ilu0.setup_modelled_seconds" l
-      setup_modelled_seconds;
+      modelled_seconds;
     Ctx.set_gauge_l obs "precond.ilu0.setup_launches" l
-      (float_of_int setup_launches);
+      (float_of_int launches);
     Ctx.set_gauge_l obs "precond.ilu0.levels"
       [ ("sweep", "lower") ]
       (float_of_int ls.Levels.levels);
@@ -743,43 +786,23 @@ let create ?pool ?(prec = Precision.Double) ?(layout = Batch.Blocked)
         Ctx.observe_l obs "precond.ilu0.level_occupancy"
           [ ("sweep", "lower") ]
           (float_of_int (Array.length lset)))
-      lower.Levels.level_sets;
+      info.lower.Levels.level_sets;
     Array.iter
       (fun lset ->
         Ctx.observe_l obs "precond.ilu0.level_occupancy"
           [ ("sweep", "upper") ]
           (float_of_int (Array.length lset)))
-      upper.Levels.level_sets;
+      info.upper.Levels.level_sets;
     Ctx.incr_l obs "precond.ilu0.degraded" l
-      (float_of_int (count degraded_blocks));
+      (float_of_int (count info.degraded_blocks));
     Ctx.incr_l obs "precond.ilu0.perturbed" l
-      (float_of_int (count perturbed_blocks));
+      (float_of_int (count info.perturbed_blocks));
     Ctx.incr_l obs "precond.ilu0.recovered" l
-      (float_of_int (count recovered_blocks));
+      (float_of_int (count info.recovered_blocks));
     Ctx.incr_l obs "precond.ilu0.corrupt" l
-      (float_of_int (count corrupt_blocks))
+      (float_of_int (count info.corrupt_blocks))
   end;
-  let apply =
-    if Ctx.enabled obs then fun r ->
-      Ctx.with_span obs ~cat:"precond" "ilu0.apply" (fun () ->
-          Ctx.incr obs "precond.ilu0.apply.count" 1.0;
-          apply r)
-    else apply
-  in
-  ( { Preconditioner.name; dim = n; setup_seconds; apply },
-    {
-      blocking = blk;
-      lower;
-      upper;
-      factor_info;
-      degraded_blocks;
-      perturbed_blocks;
-      recovered_blocks;
-      corrupt_blocks;
-      setup_launches;
-      setup_modelled_seconds;
-      last_apply;
-    } )
+  (p, info)
 
 (* ───────────────────── Amortized setup (handles) ─────────────────────
 
@@ -833,53 +856,24 @@ let range_dirty ~tol old_vals new_vals lo hi =
 let handle ?pool ?(prec = Precision.Double) ?(layout = Batch.Blocked)
     ?(policy = (Block_jacobi.Identity_block : Block_jacobi.breakdown_policy))
     ?(max_block_size = 32) ?blocking ?obs (a : Csr.t) =
-  let n, cols = Csr.dims a in
-  if n <> cols then invalid_arg "Block_ilu0.handle: matrix not square";
-  let blk =
-    checked_blocking ~who:"Block_ilu0.handle" ~n ~max_block_size ?blocking a
+  let st, (launches, setup_transactions, modelled_seconds), p =
+    build ~who:"Block_ilu0.handle" ~pool ~prec ~layout ~policy ~faults:None
+      ~abft:false ~max_block_size ?blocking ~obs a
   in
-  let k = Array.length blk.Supervariable.starts in
-  let (st, stats), setup_seconds =
-    Preconditioner.timed (fun () ->
-        let st =
-          init_state ~pool ~prec ~layout ~policy ~faults:None ~abft:false ~obs
-            ~blk a
-        in
-        let mask = Array.make k true in
-        fill_state st a mask;
-        let launches, setup_transactions, modelled_seconds =
-          eliminate st mask
-        in
-        build_staging st;
-        ( st,
-          {
-            Block_jacobi.dirty_blocks = List.init k Fun.id;
-            refactored = k;
-            reused = 0;
-            launches;
-            setup_transactions;
-            modelled_seconds;
-          } ))
-  in
-  (let fi = factor_info_of st in
-   if fi <> 0 then
-     match policy with
-     | Block_jacobi.Fail -> raise (Singular_block { block = fi - 1 })
-     | _ -> ());
+  let k = Array.length st.s_flu in
   Vblu_obs.Setup_metrics.record obs ~family:"ilu0" ~fresh:k ~reused:0 ~dirty:0;
-  let apply = make_apply st in
-  let apply =
-    if Ctx.enabled obs then fun r ->
-      Ctx.with_span obs ~cat:"precond" "ilu0.apply" (fun () ->
-          Ctx.incr obs "precond.ilu0.apply.count" 1.0;
-          apply r)
-    else apply
-  in
-  let name = Printf.sprintf "block-ilu0(%d)" max_block_size in
   {
     h_state = st;
-    h_precond = { Preconditioner.name; dim = n; setup_seconds; apply };
-    h_last = stats;
+    h_precond = p;
+    h_last =
+      {
+        Block_jacobi.dirty_blocks = List.init k Fun.id;
+        refactored = k;
+        reused = 0;
+        launches;
+        setup_transactions;
+        modelled_seconds;
+      };
   }
 
 let update ?(tol = 0.0) ?(force_all = false) h (a : Csr.t) =
@@ -923,9 +917,7 @@ let update ?(tol = 0.0) ?(force_all = false) h (a : Csr.t) =
     if nd = 0 then (0, 0, 0.0)
     else begin
       fill_state st a mask;
-      let r = eliminate st mask in
-      build_staging st;
-      r
+      eliminate st mask
     end
   in
   Array.blit a.Csr.values 0 st.s_values 0 (Array.length st.s_values);
@@ -951,27 +943,18 @@ let update ?(tol = 0.0) ?(force_all = false) h (a : Csr.t) =
     ~reused:(k - nd) ~dirty:nd;
   stats
 
+let charge_pass ?obs h r =
+  if Array.length r <> h.h_state.s_n then
+    invalid_arg "Block_ilu0.charge_pass: dimension mismatch";
+  let y, m = launch_waves ?obs h.h_state r in
+  (y, Option.get m.m_published)
+
 let precond h = h.h_precond
 let last_update h = h.h_last
 
 let handle_info h =
-  let st = h.h_state in
-  let degraded_blocks, perturbed_blocks, recovered_blocks, corrupt_blocks =
-    outcome_lists st
-  in
-  {
-    blocking = st.s_blk;
-    lower = st.s_lower;
-    upper = st.s_upper;
-    factor_info = factor_info_of st;
-    degraded_blocks;
-    perturbed_blocks;
-    recovered_blocks;
-    corrupt_blocks;
-    setup_launches = h.h_last.Block_jacobi.launches;
-    setup_modelled_seconds = h.h_last.Block_jacobi.modelled_seconds;
-    last_apply = st.s_last_apply;
-  }
+  info_of h.h_state ~launches:h.h_last.Block_jacobi.launches
+    ~modelled_seconds:h.h_last.Block_jacobi.modelled_seconds
 
 let handle_factors h =
   let st = h.h_state in

@@ -23,15 +23,16 @@
     Application solves [M x = r] with [M = L·U] ([L] unit block lower,
     [U] block upper whose diagonal blocks carry their LU factors) as
     {e level-scheduled sparse block-triangular solves} [Li & Saad]: each
-    level of the dependency DAG executes as batched GEMM waves (the
+    level of the dependency DAG is priced as batched GEMM waves (the
     off-diagonal couplings) plus one batched TRSV wave (the diagonal
     solves of the backward sweep), so the simulator's coalescing and
     transaction model prices the real parallel cost of every level.
-
-    Numerics: the GEMM wave rounds each product and the accumulation
-    separately (multiply-then-subtract); with every block of size 1 the
-    whole construction collapses bitwise onto the scalar {!Ilu0}
-    factorization and solve — the equivalence the test suite checks.
+    The charges depend only on the pattern: the first apply launches the
+    waves once (the {e charge pass}) and memoises them, and every apply
+    runs one host sweep per triangle in the kernels' rounding sequences —
+    bitwise the wave sequence — then publishes (under [?obs], replays)
+    the memo.  With every block of size 1 the whole construction
+    collapses bitwise onto the scalar {!Ilu0} factorization and solve.
     Apply is bit-identical across domain counts and storage layouts.
 
     Breakdown of a diagonal block never raises mid-elimination: the
@@ -44,8 +45,8 @@
     failing.
 
     Concurrency caveat (same as {!Block_jacobi}): one preconditioner
-    value must not be applied from several threads at once — the staged
-    wave buffers are reused across applies. *)
+    value must not be applied from several threads at once — the sweep
+    reuses one buffer for its diagonal solves. *)
 
 open Vblu_smallblas
 open Vblu_sparse
@@ -112,7 +113,7 @@ val create :
 (** [create a] partitions, eliminates and packages the preconditioner.
     [max_block_size] (default 32) bounds the supervariable agglomeration;
     [blocking] overrides the partition; [layout] (default [Blocked])
-    selects the storage layout of every staged batch; [policy] (default
+    selects the storage layout of every batched launch; [policy] (default
     [Identity_block]) handles singular diagonal blocks.
 
     [?obs] records the setup (an ["ilu0.setup"] span, the
@@ -152,7 +153,7 @@ val handle :
 (** [handle a] runs the same batched elimination as {!create} (same
     launches, same factors bitwise) but keeps the working state for
     later {!update} calls.  The returned {!precond} stays valid across
-    refreshes — updates swap the staged apply waves in place.
+    refreshes, and keeps its memoised apply charges.
     @raise Invalid_argument / [Singular_block] as {!create}. *)
 
 val update :
@@ -170,6 +171,12 @@ val update :
     @raise Invalid_argument on a dimension or sparsity-pattern mismatch.
     @raise Singular_block under the [Fail] policy when a dirty row
     breaks down (the handle is left partially refreshed). *)
+
+val charge_pass :
+  ?obs:Vblu_obs.Ctx.t -> handle -> float array -> float array * apply_stats
+(** [charge_pass h r] runs the level-wave launches of one apply of [r]
+    (recorded into [?obs]) and returns their solution and charges,
+    leaving the memo alone: the reference a test holds the sweep to. *)
 
 val precond : handle -> Preconditioner.t
 val last_update : handle -> Block_jacobi.update_stats

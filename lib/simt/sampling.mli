@@ -35,6 +35,14 @@ val effective_mode : ?faults:Vblu_fault.Fault.Plan.t -> mode -> mode
     result-shaping code (e.g. the [exact] flag in kernel results) can
     agree with the engine about what ran. *)
 
+val record_launch :
+  Vblu_obs.Ctx.t option -> name:string -> prec:Precision.t -> Launch.stats -> unit
+(** [record_launch obs ~name ~prec stats] is what {!run} records for one
+    launch under an enabled [?obs]: a ["kernel"] span of [stats.time_us]
+    named [name], and the [launch.*] registry totals.  Exposed so a caller
+    that memoised a launch's stats can replay its record without
+    launching again; a no-op when [obs] is disabled. *)
+
 val run :
   ?cfg:Config.t ->
   ?pool:Pool.t ->

@@ -165,6 +165,25 @@ let test_block_jacobi_apply () =
         (64, 248))
     precs
 
+let test_block_ilu0_apply () =
+  (* After the first apply (the charge pass) a Double block-ILU(0) apply
+     is one host sweep per triangle: its result vector (n floats plus a
+     header) and a small constant, never a staged batch or a launch. *)
+  let overhead = 8.0 in
+  check_flat "block-ilu0 apply overhead"
+    (fun n ->
+      let p, _ = Block_ilu0.create ~max_block_size:8 (banded ~n ~bs:8) in
+      let r = Vector.random ~state:(state 5) n in
+      let w =
+        words (fun () -> ignore (Sys.opaque_identity (Preconditioner.apply p r)))
+        -. float_of_int (n + 1)
+      in
+      if w > overhead then
+        Alcotest.failf "block-ilu0 apply: %.0f words beyond the result at n=%d"
+          w n;
+      w)
+    (64, 248)
+
 let test_warp () =
   (* The lane ops run on arena slots.  Charge-free (a cache replay) they
      allocate nothing.  Charging, an op boxes its float counter updates
@@ -1047,6 +1066,7 @@ let () =
           Alcotest.test_case "csr spmv" `Quick test_spmv;
           Alcotest.test_case "trsv and lu views" `Quick test_trsv;
           Alcotest.test_case "block-jacobi apply" `Quick test_block_jacobi_apply;
+          Alcotest.test_case "block-ilu0 apply" `Quick test_block_ilu0_apply;
           Alcotest.test_case "warp lane ops" `Quick test_warp;
           Alcotest.test_case "zero words per Double call" `Quick
             test_zero_alloc;

@@ -1,5 +1,6 @@
 (* Tests for level scheduling and the block-ILU(0) preconditioner family. *)
 
+open Vblu_smallblas
 open Vblu_sparse
 open Vblu_precond
 
@@ -351,10 +352,219 @@ let test_ras_partition_and_determinism () =
   Alcotest.(check int) "local infos" 4
     (Array.length rinfo.Block_ilu0.local_info)
 
+
+(* ------------------------------------------------------------------ *)
+(* Host sweep vs the level-wave launches                               *)
+
+let bits x = Int64.bits_of_float x
+
+(* Right-hand sides salted with the values that expose rounding and
+   ordering slips: NaN (payloads and signs), infinities, signed zeros and
+   subnormals of both precisions. *)
+let specials =
+  [|
+    Float.nan;
+    Int64.float_of_bits 0x7ff8000000000123L;
+    Int64.float_of_bits 0xfff8000000000456L;
+    Float.infinity;
+    Float.neg_infinity;
+    -0.0;
+    0.0;
+    4.9e-324;
+    -2.2e-310;
+    1.0e-40;
+    -3.0e-45;
+  |]
+
+let nasty_rhs st n =
+  Array.init n (fun _ ->
+      if Random.State.int st 6 = 0 then
+        specials.(Random.State.int st (Array.length specials))
+      else Random.State.float st 2.0 -. 1.0)
+
+(* A copy of [a] with rows [rows] scaled by [f] (pattern kept).  With
+   [f = 0.] their eliminated diagonal blocks are singular, so the
+   breakdown policy degrades or perturbs them. *)
+let scaled_rows (a : Csr.t) rows f =
+  let values = Array.copy a.Csr.values in
+  List.iter
+    (fun r ->
+      for p = a.Csr.row_ptr.(r) to a.Csr.row_ptr.(r + 1) - 1 do
+        values.(p) <- values.(p) *. f
+      done)
+    rows;
+  let n, _ = Csr.dims a in
+  Csr.create ~n_rows:n ~n_cols:n ~row_ptr:a.Csr.row_ptr ~col_idx:a.Csr.col_idx
+    ~values
+
+let pool2 = lazy (Vblu_par.Pool.create ~num_domains:2 ())
+
+let same_stats (a : Block_ilu0.apply_stats) (b : Block_ilu0.apply_stats) =
+  bits a.Block_ilu0.modelled_seconds = bits b.Block_ilu0.modelled_seconds
+  && Array.length a.Block_ilu0.waves = Array.length b.Block_ilu0.waves
+  && Array.for_all2
+       (fun (u : Block_ilu0.wave) (v : Block_ilu0.wave) ->
+         u.Block_ilu0.sweep = v.Block_ilu0.sweep
+         && u.Block_ilu0.level = v.Block_ilu0.level
+         && u.Block_ilu0.kernel = v.Block_ilu0.kernel
+         && u.Block_ilu0.problems = v.Block_ilu0.problems
+         && u.Block_ilu0.transactions = v.Block_ilu0.transactions
+         && bits u.Block_ilu0.modelled_us = bits v.Block_ilu0.modelled_us)
+       a.Block_ilu0.waves b.Block_ilu0.waves
+
+(* The interpreter's answer: the level-wave launches with the launch
+   cache (and so the direct path) off. *)
+let interpreted h r =
+  Vblu_simt.Launch.Cache.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Vblu_simt.Launch.Cache.set_enabled true)
+    (fun () -> Block_ilu0.charge_pass h r)
+
+let qcheck_sweep_is_waves =
+  QCheck.Test.make ~count:40
+    ~name:"host sweep == interpreted level waves, memo == charged waves"
+    QCheck.(
+      pair
+        (quad bool bool bool (int_range 1 16))
+        (quad (int_range 0 2) (int_range 2 6) (int_range 2 6)
+           (int_range 0 100_000)))
+    (fun ((single, interleaved, two, max_block_size), (kind, nx, ny, seed)) ->
+      let st = Random.State.make [| 0x5eeb; seed |] in
+      let prec = if single then Precision.Single else Precision.Double in
+      let layout =
+        if interleaved then Vblu_core.Batch.Interleaved else Vblu_core.Batch.Blocked
+      in
+      let pool = if two then Lazy.force pool2 else Vblu_par.Pool.sequential in
+      let module G = Vblu_workloads.Generators in
+      let base =
+        match kind with
+        | 0 ->
+          G.convection_diffusion_2d ~nx ~ny
+            ~peclet:(float_of_int (Random.State.int st 40)) ()
+        | 1 -> G.fem_blocks ~state:st ~nodes:(nx * ny / 2) ~vars_per_node:3 ()
+        | _ ->
+          (* Coupling 0 is block-diagonal: rows no coupling ever touches. *)
+          G.block_tridiagonal ~state:st ~blocks:nx ~block_size:ny
+            ~coupling:(if Random.State.bool st then 0.0 else 0.3)
+            ()
+      in
+      let n, _ = Csr.dims base in
+      (* Jitter every entry off the binary32 grid. *)
+      let base =
+        Csr.create ~n_rows:n ~n_cols:n ~row_ptr:base.Csr.row_ptr
+          ~col_idx:base.Csr.col_idx
+          ~values:
+            (Array.map
+               (fun v -> v *. (1.0 +. Random.State.float st 0.01))
+               base.Csr.values)
+      in
+      let pick () = List.init (Random.State.int st 3) (fun _ -> Random.State.int st n) in
+      let a = scaled_rows base (pick ()) 0.0 in
+      let policy =
+        if Random.State.bool st then Block_jacobi.Identity_block
+        else Block_jacobi.Perturb 1e-3
+      in
+      let h = Block_ilu0.handle ~pool ~prec ~layout ~policy ~max_block_size a in
+      let p = Block_ilu0.precond h in
+      let check r =
+        let y = Preconditioner.apply p r in
+        let y_ref, charged = interpreted h r in
+        let memo = !((Block_ilu0.handle_info h).Block_ilu0.last_apply) in
+        Array.for_all2 (fun u v -> bits u = bits v) y y_ref
+        && match memo with Some m -> same_stats m charged | None -> false
+      in
+      let ok_fresh = check (nasty_rhs st n) in
+      (* A partial refresh: a few rows drift, a few more break down. *)
+      let drifted = scaled_rows (scaled_rows a (pick ()) 1.5) (pick ()) 0.0 in
+      ignore (Block_ilu0.update ~tol:0.0 h drifted);
+      ok_fresh && check (nasty_rhs st n))
+
+(* ------------------------------------------------------------------ *)
+(* Apply charges pinned at the level-wave apply they replaced          *)
+
+(* (matrix, layout, precision, waves, per-wave kernel/problems run-length
+   coded — [g] GEMM, [t] TRSV, then the problem count, [*k] k repeats —,
+   Σ transactions, bits of the modelled seconds), blocking bound 3. *)
+let pinned_charges =
+  let open Vblu_core.Batch in
+  let cd = "g1*27 t1 g1 t1 g1*2 t1 g1*2 t1 g1*2 t1 g1*2 t1 g1*2 t1 g1*2 t1 g1*2 t1 g1*2 t1 g1*2 t1 g1*2 t1 g1*2 t1 g1*2 t1 g1*2 t1" in
+  let fem = "g1*18 t1 g1 t1 g1*2 t1 g1*2 t1 g1*2 t1 g1*2 t1 g1*2 t1 g1*2 t1 g1*2 t1 g1*3 t1" in
+  let bt = "g1*17 t1 g1 t1 g1*2 t1 g1*2 t1 g1*2 t1 g1*2 t1 g1*2 t1 g1*2 t1 g1*2 t1 g1*2 t1" in
+  [
+    ("conv-diff", Blocked, Precision.Double, 69, cd, 1215, 4562245994936526882L);
+    ("conv-diff", Blocked, Precision.Single, 69, cd, 984, 4561380744586064736L);
+    ("conv-diff", Interleaved, Precision.Double, 69, cd, 1215, 4562245994936526882L);
+    ("conv-diff", Interleaved, Precision.Single, 69, cd, 984, 4561380744586064736L);
+    ("fem", Blocked, Precision.Double, 46, fem, 810, 4559276785988351363L);
+    ("fem", Blocked, Precision.Single, 46, fem, 656, 4558633570814566982L);
+    ("fem", Interleaved, Precision.Double, 46, fem, 810, 4559276785988351363L);
+    ("fem", Interleaved, Precision.Single, 46, fem, 656, 4558633570814566982L);
+    ("block-tridiag", Blocked, Precision.Double, 44, bt, 770, 4559000374451816757L);
+    ("block-tridiag", Blocked, Precision.Single, 44, bt, 624, 4558383076372946766L);
+    ("block-tridiag", Interleaved, Precision.Double, 44, bt, 770, 4559000374451816757L);
+    ("block-tridiag", Interleaved, Precision.Single, 44, bt, 624, 4558383076372946766L);
+  ]
+
+let pin_matrix = function
+  | "conv-diff" ->
+    Vblu_workloads.Generators.convection_diffusion_2d ~nx:5 ~ny:9 ~peclet:20.0 ()
+  | "fem" -> Vblu_workloads.Generators.fem_blocks ~nodes:10 ~vars_per_node:3 ()
+  | _ -> Vblu_workloads.Generators.block_tridiagonal ~blocks:6 ~block_size:5 ()
+
+let wave_shape (waves : Block_ilu0.wave array) =
+  let tag (w : Block_ilu0.wave) =
+    Printf.sprintf "%s%d"
+      (if w.Block_ilu0.kernel = "gemm" then "g" else "t")
+      w.Block_ilu0.problems
+  in
+  let runs =
+    Array.fold_left
+      (fun acc w ->
+        match acc with
+        | (t, k) :: rest when t = tag w -> (t, k + 1) :: rest
+        | _ -> (tag w, 1) :: acc)
+      [] waves
+  in
+  String.concat " "
+    (List.rev_map
+       (fun (t, k) -> if k = 1 then t else Printf.sprintf "%s*%d" t k)
+       runs)
+
+let test_pinned_charges () =
+  List.iter
+    (fun (name, layout, prec, nwaves, shape, tx, bits_s) ->
+      let a = pin_matrix name in
+      let n, _ = Csr.dims a in
+      let label =
+        Printf.sprintf "%s/%s/%s" name
+          (Vblu_core.Batch.layout_name layout)
+          (Precision.to_string prec)
+      in
+      let p, info = Block_ilu0.create ~prec ~layout ~max_block_size:3 a in
+      (* Twice: the second apply publishes the memo of the first. *)
+      for _ = 1 to 2 do
+        ignore (Preconditioner.apply p (Array.make n 1.0));
+        match !(info.Block_ilu0.last_apply) with
+        | None -> Alcotest.failf "%s: no apply stats" label
+        | Some s ->
+          let w = s.Block_ilu0.waves in
+          Alcotest.(check int) (label ^ ": waves") nwaves (Array.length w);
+          Alcotest.(check string) (label ^ ": wave shape") shape (wave_shape w);
+          Alcotest.(check int)
+            (label ^ ": transactions")
+            tx
+            (Array.fold_left (fun t w -> t + w.Block_ilu0.transactions) 0 w);
+          Alcotest.(check int64)
+            (label ^ ": modelled seconds bits")
+            bits_s (bits s.Block_ilu0.modelled_seconds)
+      done)
+    pinned_charges
+
 (* ------------------------------------------------------------------ *)
 
 let qcheck_tests =
-  List.map QCheck_alcotest.to_alcotest [ qcheck_scalar_equivalence ]
+  List.map QCheck_alcotest.to_alcotest
+    [ qcheck_scalar_equivalence; qcheck_sweep_is_waves ]
 
 let () =
   Alcotest.run "block_ilu0"
@@ -377,7 +587,10 @@ let () =
             test_apply_bit_identical_domains_layouts;
         ] );
       ( "waves",
-        [ Alcotest.test_case "accounting" `Quick test_wave_accounting ] );
+        [
+          Alcotest.test_case "accounting" `Quick test_wave_accounting;
+          Alcotest.test_case "pinned charges" `Quick test_pinned_charges;
+        ] );
       ( "golden parity",
         [
           Alcotest.test_case "block-diagonal == block-Jacobi" `Quick

@@ -512,6 +512,74 @@ let test_bench_points_deterministic () =
 
 (* ------------------------------------------------------------------ *)
 
+
+(* A traced block-ILU(0) apply replays its memoised waves: one kernel
+   span per wave with the wave's name and modelled duration, the same
+   registry totals the charge pass's launches record, and the untraced
+   result bit for bit. *)
+let test_ilu0_traced_apply () =
+  let module Bi = Vblu_precond.Block_ilu0 in
+  let a =
+    Vblu_workloads.Generators.convection_diffusion_2d ~nx:7 ~ny:6
+      ~peclet:15.0 ()
+  in
+  let n, _ = Vblu_sparse.Csr.dims a in
+  let r = Array.init n (fun i -> sin (float_of_int (i + 1))) in
+  let apply h = Vblu_precond.Preconditioner.apply (Bi.precond h) r in
+  let plain = Bi.handle ~max_block_size:4 a in
+  let tr = Trace.create () and m = Metrics.create () in
+  let h = Bi.handle ~max_block_size:4 ~obs:(Ctx.v ~trace:tr ~metrics:m ()) a in
+  (* The reference registry starts from the setup's totals. *)
+  let m_ref = Metrics.create () and tr_ref = Trace.create () in
+  Metrics.merge_into ~into:m_ref m;
+  let before = Trace.num_events tr in
+  (* The first apply runs the charge pass, the second only replays. *)
+  for pass = 1 to 2 do
+    let y = apply h in
+    let y_plain = apply plain in
+    Array.iteri
+      (fun i v ->
+        if Int64.bits_of_float v <> Int64.bits_of_float y_plain.(i) then
+          Alcotest.failf "apply %d: element %d differs from untraced" pass i)
+      y;
+    ignore
+      (Bi.charge_pass ~obs:(Ctx.v ~trace:tr_ref ~metrics:m_ref ()) h r)
+  done;
+  let kernel_spans events =
+    List.filter_map
+      (function
+        | Trace.Span { name; cat = "kernel"; dur; args; _ } ->
+          Some (name, Int64.bits_of_float dur, args)
+        | _ -> None)
+      events
+  in
+  let spans = kernel_spans (List.filteri (fun i _ -> i >= before) (Trace.events tr)) in
+  let memo =
+    match !((Bi.handle_info h).Bi.last_apply) with
+    | Some s -> s.Bi.waves
+    | None -> Alcotest.fail "no memoised apply"
+  in
+  let expected =
+    List.concat
+      (List.init 2 (fun _ ->
+           Array.to_list
+             (Array.map
+                (fun (w : Bi.wave) ->
+                  ( (if w.Bi.kernel = "gemm" then "gemm" else "trsv.eager"),
+                    Int64.bits_of_float w.Bi.modelled_us ))
+                memo)))
+  in
+  Alcotest.(check (list (pair string int64)))
+    "one kernel span per wave, named and timed as the memo" expected
+    (List.map (fun (name, dur, _) -> (name, dur)) spans);
+  Alcotest.(check bool) "span args equal the charge pass's" true
+    (spans = kernel_spans (Trace.events tr_ref));
+  let totals reg =
+    List.filter (fun (k, _) -> k <> "precond.ilu0.apply.count") (Metrics.snapshot reg)
+  in
+  Alcotest.(check bool) "registry totals equal the charge pass's" true
+    (totals m = totals m_ref)
+
 let () =
   Alcotest.run "obs"
     [
@@ -550,6 +618,8 @@ let () =
             test_obs_disabled_bit_identical;
           Alcotest.test_case "solver obs records" `Quick
             test_solver_obs_records;
+          Alcotest.test_case "ilu0 traced apply replays waves" `Quick
+            test_ilu0_traced_apply;
         ] );
       ( "guards",
         [
