@@ -97,9 +97,11 @@ let geometry ~layout ~per_block sizes =
     offsets.(count) <- !off;
     (offsets, widths, slots)
 
-let create ?(layout = Blocked) sizes =
+let shape ?(layout = Blocked) sizes =
   let sizes = Array.copy sizes in
-  let offsets, widths, slots = geometry ~layout ~per_block:(fun s -> s * s) sizes in
+  let offsets, widths, slots =
+    geometry ~layout ~per_block:(fun s -> s * s) sizes
+  in
   {
     count = Array.length sizes;
     layout;
@@ -107,8 +109,12 @@ let create ?(layout = Blocked) sizes =
     offsets;
     widths;
     slots;
-    values = Array.make offsets.(Array.length sizes) 0.0;
+    values = [||];
   }
+
+let create ?layout sizes =
+  let b = shape ?layout sizes in
+  { b with values = Array.make b.offsets.(b.count) 0.0 }
 
 let layout b = b.layout
 let base b i = b.offsets.(i)
@@ -257,7 +263,7 @@ type vec = {
   vvalues : float array;
 }
 
-let vec_create ?(layout = Blocked) sizes =
+let vec_shape ?(layout = Blocked) sizes =
   let vsizes = Array.copy sizes in
   let voffsets, vwidths, vslots =
     geometry ~layout ~per_block:(fun s -> s) vsizes
@@ -269,8 +275,12 @@ let vec_create ?(layout = Blocked) sizes =
     voffsets;
     vwidths;
     vslots;
-    vvalues = Array.make voffsets.(Array.length vsizes) 0.0;
+    vvalues = [||];
   }
+
+let vec_create ?layout sizes =
+  let v = vec_shape ?layout sizes in
+  { v with vvalues = Array.make v.voffsets.(v.vcount) 0.0 }
 
 let vec_layout v = v.vlayout
 let vec_base v i = v.voffsets.(i)

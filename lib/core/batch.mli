@@ -56,6 +56,12 @@ val create : ?layout:layout -> int array -> t
     layout share offsets, widths and slots.
     @raise Invalid_argument on a non-positive size. *)
 
+val shape : ?layout:layout -> int array -> t
+(** [shape sizes] is {!create}'s geometry — offsets, widths, slots —
+    with an empty [values] array: a values-free batch for computing
+    addressing and cache salts without allocating storage.  Kernels must
+    not be launched on it. *)
+
 val of_matrices : ?layout:layout -> Matrix.t array -> t
 (** Packs square matrices into a batch.  An empty array yields an empty
     batch ([count = 0]), which every batched kernel treats as a no-op.
@@ -166,6 +172,9 @@ val vec_create : ?layout:layout -> int array -> vec
 (** Cohort grouping depends only on the sizes, so a matrix batch and a
     vector batch built from the same sizes and layout agree on widths and
     slots — one warp cohort context serves both buffers. *)
+
+val vec_shape : ?layout:layout -> int array -> vec
+(** The values-free {!vec_create}, as {!shape} is for matrix batches. *)
 
 val vec_layout : vec -> layout
 val vec_base : vec -> int -> int

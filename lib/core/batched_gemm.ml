@@ -68,6 +68,20 @@ let kernel w ga gb gc gout ~off ~st ~s ~alpha ~beta ~with_c =
   let m = float_of_int s in
   Warp.credit_flops w (2.0 *. m *. m *. m)
 
+let name = "gemm"
+
+(* a, b, c and the product share one offset table (sizes are checked
+   equal), so a single alignment class plus the with_c flag keys the
+   charge stream. *)
+let salt ~cfg ~prec ~with_c (a : Batch.t) =
+  let align = Config.elements_per_transaction cfg prec in
+  fun i -> Staging.mix (Bool.to_int with_c) (Batch.salt_class a i ~align)
+
+let charge ?(cfg = Config.p100) ?obs ~prec ~layout ~with_c sizes =
+  Sampling.charge ~cfg ?obs ~name ~prec ~sizes
+    ~salt:(salt ~cfg ~prec ~with_c (Batch.shape ~layout sizes))
+    ()
+
 let multiply ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
     ?(prec = Precision.Double) ?(mode = Sampling.Exact) ?obs ?(alpha = 1.0)
     ?(beta = 0.0) ~(a : Batch.t) ~(b : Batch.t) ?c () =
@@ -101,15 +115,7 @@ let multiply ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
     kernel w ga gb gc gout ~off:(Batch.base a i) ~st:(Batch.stride a i)
       ~s:a.Batch.sizes.(i) ~alpha ~beta ~with_c
   in
-  (* a, b, c and the product share one offset table (sizes are checked
-     equal), so a single alignment class plus the with_c flag keys the
-     charge stream. *)
-  let cache =
-    let align = Config.elements_per_transaction cfg prec in
-    Some
-      (fun i ->
-        Staging.mix (Bool.to_int with_c) (Batch.salt_class a i ~align))
-  in
+  let cache = Some (salt ~cfg ~prec ~with_c a) in
   (* Direct execution: the column-order host GEMM view repeats the
      kernel's rounding sequence exactly (fma chain from zero, then the
      alpha multiply, then the optional beta fma) — reading the staged
@@ -128,7 +134,7 @@ let multiply ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
         0)
   in
   let stats =
-    Sampling.run ~cfg ~pool ?obs ~name:"gemm" ?cache ?direct ~prec ~mode
+    Sampling.run ~cfg ~pool ?obs ~name ?cache ?direct ~prec ~mode
       ~sizes:a.Batch.sizes ~kernel:kern ()
   in
   let products = Batch.create ~layout:(Batch.layout a) a.Batch.sizes in

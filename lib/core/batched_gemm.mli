@@ -38,3 +38,17 @@ val multiply :
 (** [multiply ~a ~b ()] computes [alpha·aᵢ·bᵢ + beta·cᵢ] for every block
     [i] (defaults [alpha = 1], [beta = 0], [c] zero).  All batches must
     share sizes.  @raise Invalid_argument otherwise. *)
+
+val charge :
+  ?cfg:Config.t ->
+  ?obs:Vblu_obs.Ctx.t ->
+  prec:Precision.t ->
+  layout:Batch.layout ->
+  with_c:bool ->
+  int array ->
+  Launch.stats option
+(** [charge ~prec ~layout ~with_c sizes] is {!Sampling.charge} for the
+    {!multiply} launch over batches of [sizes] in [layout] (with [c]
+    when [with_c]): its stats, with the launch cache counted and [?obs]
+    recorded as the launch would, or [None] — nothing counted — when a
+    key is not certified and the caller must multiply instead. *)

@@ -349,6 +349,34 @@ let kernel_nopivot w gin gout ~off ~st ~s ~abft =
   store_tile w gout ~off ~st ~s ~dest;
   (perm, !info, verdict)
 
+let name = function
+  | Implicit -> "getrf.implicit"
+  | Explicit -> "getrf.explicit"
+  | No_pivoting -> "getrf.nopivot"
+
+(* The salt of the cacheable (implicit and unpivoted) launches: the ABFT
+   flag plus the layout-aware transaction-alignment class of both device
+   buffers a problem addresses (tile and pivot vector). *)
+let salt ~cfg ~prec ~abft (b : Batch.t) (pvec : Batch.vec) =
+  let align = Config.elements_per_transaction cfg prec in
+  fun i ->
+    Staging.mix
+      (Staging.mix (Bool.to_int abft) (Batch.salt_class b i ~align))
+      (Batch.vec_salt_class pvec i ~align)
+
+let charge ?(cfg = Config.p100) ?obs ~prec ~layout sizes =
+  let r =
+    Sampling.charge ~cfg ?obs ~name:(name Implicit) ~prec ~sizes
+      ~salt:
+        (salt ~cfg ~prec ~abft:false (Batch.shape ~layout sizes)
+           (Batch.vec_shape ~layout sizes))
+      ()
+  in
+  if r <> None && Vblu_obs.Ctx.enabled obs then
+    Vblu_obs.Ctx.record_verdicts obs
+      (Array.make (Array.length sizes) Fault.Unchecked);
+  r
+
 let factor ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
     ?(prec = Precision.Double) ?(mode = Sampling.Exact) ?(pivoting = Implicit)
     ?faults ?(abft = false) ?obs (b : Batch.t) =
@@ -389,33 +417,19 @@ let factor ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
     Warp.store w gpiv ~active addrs vals;
     Warp.credit_flops w (Flops.getrf s)
   in
-  let name =
-    match pivoting with
-    | Implicit -> "getrf.implicit"
-    | Explicit -> "getrf.explicit"
-    | No_pivoting -> "getrf.nopivot"
-  in
+  let name = name pivoting in
   (* Implicit and unpivoted streams are data-independent (store-address
      sets are permutation-invariant), so their counters cache; the
      explicit kernel's conditional row swaps make its instruction stream
      value-dependent — caching it would just rerun every problem twice.
-     The salt carries the ABFT flag plus the layout-aware
-     transaction-alignment class of both device buffers a problem
-     addresses (tile and pivot vector) — coalescing charges depend on
-     [offset mod] elements-per-transaction for blocked launches and on
-     the cohort width for interleaved ones, and [Batch.salt_class] keeps
-     the two layouts' classes disjoint so an entry recorded under one
-     layout can never replay for the other. *)
+     Coalescing charges depend on [offset mod] elements-per-transaction
+     for blocked launches and on the cohort width for interleaved ones,
+     and [Batch.salt_class] keeps the two layouts' classes disjoint so an
+     entry recorded under one layout can never replay for the other. *)
   let cache =
     match pivoting with
     | Explicit -> None
-    | Implicit | No_pivoting ->
-      let align = Config.elements_per_transaction cfg prec in
-      Some
-        (fun i ->
-          Staging.mix
-            (Staging.mix (Bool.to_int abft) (Batch.salt_class b i ~align))
-            (Batch.vec_salt_class pvec i ~align))
+    | Implicit | No_pivoting -> Some (salt ~cfg ~prec ~abft b pvec)
   in
   (* Direct execution: the cacheable schedules restated as smallblas
      batch-view loops, producing every observable effect of the kernel —

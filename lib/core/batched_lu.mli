@@ -97,3 +97,17 @@ val factor :
     context; absent means nothing is recorded and behaviour is
     bit-identical to the uninstrumented path.
     @raise Invalid_argument if any block exceeds the warp width (32). *)
+
+val charge :
+  ?cfg:Config.t ->
+  ?obs:Vblu_obs.Ctx.t ->
+  prec:Precision.t ->
+  layout:Batch.layout ->
+  int array ->
+  Launch.stats option
+(** [charge ~prec ~layout sizes] is {!Sampling.charge} for the implicit,
+    unprotected {!factor} launch over blocks of [sizes] in [layout]; with
+    [Some], [?obs] also records the launch's (all [Unchecked]) verdicts.
+    [None] — nothing counted — means the caller must factor instead.  A
+    breakdown would take the launch off the cached path, so the caller
+    must only take the charge for blocks it factored with [info = 0]. *)

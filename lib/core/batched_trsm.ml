@@ -86,6 +86,25 @@ let kernel w gmat gvecs gouts ~moff ~mst ~voff ~vst ~s ~perm =
   Warp.credit_flops w (float_of_int nrhs *. Flops.trsv_pair s);
   !info
 
+let name = "trsm"
+
+(* The charge stream scales with the rhs count, and coalescing charges
+   with the buffer alignments, so both go into the cache salt (all rhs
+   sets share one offset table). *)
+let salt ~cfg ~prec ~nrhs (factors : Batch.t) (rhs : Batch.vec) =
+  let align = Config.elements_per_transaction cfg prec in
+  fun i ->
+    Staging.mix
+      (Staging.mix nrhs (Batch.salt_class factors i ~align))
+      (Batch.vec_salt_class rhs i ~align)
+
+let charge ?(cfg = Config.p100) ?obs ~prec ~layout ~nrhs sizes =
+  Sampling.charge ~cfg ?obs ~name ~prec ~sizes
+    ~salt:
+      (salt ~cfg ~prec ~nrhs (Batch.shape ~layout sizes)
+         (Batch.vec_shape ~layout sizes))
+    ()
+
 let solve ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
     ?(prec = Precision.Double) ?(mode = Sampling.Exact) ?obs ~(factors : Batch.t)
     ~pivots (rhs_sets : Batch.vec array) =
@@ -131,17 +150,8 @@ let solve ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
         ~voff:(Batch.vec_base rhs_sets.(0) i)
         ~vst:(Batch.vec_stride rhs_sets.(0) i) ~s ~perm
   in
-  (* The charge stream scales with the rhs count, and coalescing charges
-     with the buffer alignments, so both go into the cache salt (all rhs
-     sets share one offset table — checked above). *)
   let cache =
-    let align = Config.elements_per_transaction cfg prec in
-    let nrhs = Array.length rhs_sets in
-    Some
-      (fun i ->
-        Staging.mix
-          (Staging.mix nrhs (Batch.salt_class factors i ~align))
-          (Batch.vec_salt_class rhs_sets.(0) i ~align))
+    Some (salt ~cfg ~prec ~nrhs:(Array.length rhs_sets) factors rhs_sets.(0))
   in
   (* Direct execution: the kernel's interleaved multi-rhs schedule carries
      no data flow between right-hand sides, so solving each one through
@@ -179,7 +189,7 @@ let solve ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
         !inf)
   in
   let stats =
-    Sampling.run ~cfg ~pool ?obs ~name:"trsm" ?cache ?direct ~prec ~mode
+    Sampling.run ~cfg ~pool ?obs ~name ?cache ?direct ~prec ~mode
       ~sizes:factors.Batch.sizes ~kernel ()
   in
   let solutions =

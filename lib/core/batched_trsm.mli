@@ -41,3 +41,17 @@ val solve :
     partial solutions stored.
     @raise Invalid_argument on shape mismatch, an empty set array, or a
     [pivots] array without exactly one (possibly empty) entry per block. *)
+
+val charge :
+  ?cfg:Config.t ->
+  ?obs:Vblu_obs.Ctx.t ->
+  prec:Precision.t ->
+  layout:Batch.layout ->
+  nrhs:int ->
+  int array ->
+  Launch.stats option
+(** [charge ~prec ~layout ~nrhs sizes] is {!Sampling.charge} for the
+    {!solve} launch of [nrhs] right-hand-side sets over blocks of [sizes]
+    in [layout], or [None] — nothing counted — when the caller must
+    solve instead.  A zero diagonal would break the launch down, so the
+    caller must only take the charge for factors with none. *)

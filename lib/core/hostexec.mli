@@ -9,8 +9,10 @@
 
 type t = {
   tile : float array;  (** [32 × 32] dense scratch tile. *)
+  src : float array;
+      (** second [32 × 32] tile: an input block staged (rounded,
+          transposed) for a view that reads it. *)
   ints : int array;  (** length-32 integer scratch (e.g. pivot steps). *)
-  ints2 : int array;  (** second length-32 integer scratch (e.g. perm). *)
 }
 
 val max_n : int

@@ -51,16 +51,15 @@ let find_dep deps j =
    generalization of patching a zero scalar pivot with [1.0]. *)
 let identity_factors s = (Matrix.identity s, Array.init s (fun r -> r))
 
-(* Whether problem [p]'s stored U factor has an exact zero on its
-   diagonal.  LU reports [info = 0] only for nonzero pivots, but an armed
-   fault plan can zero a stored diagonal after the check; such a block is
-   treated as a breakdown, so the apply's diagonal solves never meet a
-   zero pivot. *)
-let zero_diagonal (f : Batch.t) p =
-  let rec from k =
-    k < f.Batch.sizes.(p)
-    && (f.Batch.values.(Batch.index f p k k) = 0.0 || from (k + 1))
-  in
+(* Whether a packed LU factor has an exact zero on its U diagonal — the
+   breakdown test of the TRSV/TRSM kernels' upper solve.  LU reports
+   [info = 0] only for nonzero pivots, but an armed fault plan can zero a
+   stored diagonal after the check; such a block is treated as a
+   breakdown, so no diagonal solve or right division ever meets a zero
+   pivot. *)
+let zero_diagonal (m : Matrix.t) =
+  let s = m.Matrix.rows in
+  let rec from k = k < s && (m.Matrix.a.(k + (k * s)) = 0.0 || from (k + 1)) in
   from 0
 
 (* Per-row elimination outcome, kept as an array so a partial refresh can
@@ -77,10 +76,18 @@ type memo = {
   m_launches : (string * Launch.stats * Fault.verdict array) array;
 }
 
+(* One trailing update of the elimination, [C ← C − A_ik·B] with
+   [A_ik = L_ik] the rank's coupling block: [u_b] is the upper block
+   [A_kj] of the dependency row and [u_c] the target block of this row
+   ([A_ii], an [L_ij] or a [U_ij]).  [u_size] is the order the GEMM
+   launch pads the problem to. *)
+type update = { u_b : Matrix.t; u_c : Matrix.t; u_size : int }
+
 (* Everything a factorization needs to be re-run incrementally: the
-   kernel configuration, the pattern-derived schedules (invariant across
-   refreshes), the dense working arenas, and the per-row factor
-   storage. *)
+   kernel configuration, the pattern-derived schedules and update lists
+   (invariant across refreshes), the dense working arenas, and the
+   per-row factor storage.  The arenas are allocated once and refilled
+   in place, so the update lists can hold them directly. *)
 type state = {
   c_pool : Vblu_par.Pool.t option;
   c_prec : Precision.t;
@@ -100,6 +107,10 @@ type state = {
   s_dmat : Matrix.t array;
   s_lmat : Matrix.t array array;
   s_umat : Matrix.t array array;
+  (* [s_updates.(i).(t)]: the trailing updates of row [i]'s dependency
+     rank [t] — the intersection of the dependency row's upper pattern
+     with row [i]'s pattern, in that upper pattern's order. *)
+  s_updates : update array array array;
   (* Factor storage: normal factors feed the backward-sweep TRSV waves,
      transposed factors feed the right divisions [L_ik = A_ik·A_kk⁻¹]
      (solved as [L_ikᵀ = lu(A_kkᵀ) \ A_ikᵀ]). *)
@@ -109,6 +120,7 @@ type state = {
   s_tpiv : int array array;
   s_outcome : row_outcome array;
   s_breakdown : bool array;  (* rows whose LU launch flagged a breakdown *)
+  s_pending : bool array;  (* rows a raising update left re-eliminated *)
   s_buf : float array;  (* permuted right-hand side of one diagonal solve *)
   mutable s_memo : memo option;
   s_last_apply : apply_stats option ref;
@@ -126,6 +138,44 @@ let init_state ~pool ~prec ~layout ~policy ~faults ~abft ~obs ~blk (a : Csr.t) =
       row_block.(r) <- i
     done
   done;
+  let ldeps = lower.Levels.deps and udeps = upper.Levels.deps in
+  let square i = Matrix.create sizes.(i) sizes.(i) in
+  let dmat = Array.init k square in
+  let coupling deps =
+    Array.init k (fun i ->
+        Array.map (fun j -> Matrix.create sizes.(i) sizes.(j)) deps.(i))
+  in
+  let lmat = coupling ldeps and umat = coupling udeps in
+  let updates =
+    Array.init k (fun i ->
+        Array.map
+          (fun kb ->
+            let targets = ref [] in
+            Array.iteri
+              (fun tj j ->
+                let target =
+                  if j = i then Some dmat.(i)
+                  else if j < i then begin
+                    let ti = find_dep ldeps.(i) j in
+                    if ti >= 0 then Some lmat.(i).(ti) else None
+                  end
+                  else begin
+                    let ti = find_dep udeps.(i) j in
+                    if ti >= 0 then Some umat.(i).(ti) else None
+                  end
+                in
+                match target with
+                | Some c ->
+                  let b = umat.(kb).(tj) in
+                  let u_size =
+                    max sizes.(i) (max b.Matrix.rows c.Matrix.cols)
+                  in
+                  targets := { u_b = b; u_c = c; u_size } :: !targets
+                | None -> ())
+              udeps.(kb);
+            Array.of_list (List.rev !targets))
+          ldeps.(i))
+  in
   {
     c_pool = pool;
     c_prec = prec;
@@ -142,69 +192,75 @@ let init_state ~pool ~prec ~layout ~policy ~faults ~abft ~obs ~blk (a : Csr.t) =
     s_row_ptr = Array.copy a.Csr.row_ptr;
     s_col_idx = Array.copy a.Csr.col_idx;
     s_values = Array.copy a.Csr.values;
-    s_dmat = Array.init k (fun i -> Matrix.identity sizes.(i));
-    s_lmat = Array.make k [||];
-    s_umat = Array.make k [||];
-    s_flu = Array.make k (Matrix.identity 1);
-    s_fpiv = Array.make k [||];
-    s_tlu = Array.make k (Matrix.identity 1);
-    s_tpiv = Array.make k [||];
+    s_dmat = dmat;
+    s_lmat = lmat;
+    s_umat = umat;
+    s_updates = updates;
+    s_flu = Array.init k square;
+    s_fpiv = Array.init k (fun i -> Array.make sizes.(i) 0);
+    s_tlu = Array.init k square;
+    s_tpiv = Array.init k (fun i -> Array.make sizes.(i) 0);
     s_outcome = Array.make k Row_ok;
     s_breakdown = Array.make k false;
+    s_pending = Array.make k false;
     s_buf = Array.make (Array.fold_left max 1 sizes) 0.0;
     s_memo = None;
     s_last_apply = ref None;
   }
 
-(* Refill the dense working copies of the masked block rows from [a] —
-   the "re-extract values into the existing arenas" step.  [lmat.(i)] /
-   [umat.(i)] run parallel to [ldeps.(i)] / [udeps.(i)].  Unmasked rows
-   keep their post-elimination state, which is exactly what a later
-   partial elimination reads (the upper blocks and transposed factors of
+(* Refill the dense working copies of the masked block rows from [a] in
+   place — zero, then scatter the row's CSR entries: the "re-extract
+   values into the existing arenas" step.  [lmat.(i)] / [umat.(i)] run
+   parallel to [ldeps.(i)] / [udeps.(i)].  Unmasked rows keep their
+   post-elimination state, which is exactly what a later partial
+   elimination reads (the upper blocks and transposed factors of
    finalized dependency rows). *)
 let fill_state st (a : Csr.t) (mask : bool array) =
   let starts = st.s_blk.Supervariable.starts
   and sizes = st.s_blk.Supervariable.sizes in
   let ldeps = st.s_lower.Levels.deps and udeps = st.s_upper.Levels.deps in
-  let k = Array.length starts in
-  for i = 0 to k - 1 do
+  let zero (m : Matrix.t) =
+    Array.fill m.Matrix.a 0 (Array.length m.Matrix.a) 0.0
+  in
+  for i = 0 to Array.length starts - 1 do
     if mask.(i) then begin
-      st.s_dmat.(i) <-
-        Csr.extract_block a ~row_start:starts.(i) ~size:sizes.(i);
-      st.s_lmat.(i) <-
-        Array.map (fun kb -> Matrix.create sizes.(i) sizes.(kb)) ldeps.(i);
-      st.s_umat.(i) <-
-        Array.map (fun j -> Matrix.create sizes.(i) sizes.(j)) udeps.(i);
-      for r = starts.(i) to starts.(i) + sizes.(i) - 1 do
+      zero st.s_dmat.(i);
+      Array.iter zero st.s_lmat.(i);
+      Array.iter zero st.s_umat.(i);
+      let si = sizes.(i) in
+      for r = starts.(i) to starts.(i) + si - 1 do
         for p = a.Csr.row_ptr.(r) to a.Csr.row_ptr.(r + 1) - 1 do
           let c = a.Csr.col_idx.(p) in
           let j = st.s_row_block.(c) in
-          if j < i then
-            Matrix.set
-              st.s_lmat.(i).(find_dep ldeps.(i) j)
-              (r - starts.(i))
-              (c - starts.(j))
-              a.Csr.values.(p)
-          else if j > i then
-            Matrix.set
-              st.s_umat.(i).(find_dep udeps.(i) j)
-              (r - starts.(i))
-              (c - starts.(j))
-              a.Csr.values.(p)
+          let m =
+            if j = i then st.s_dmat.(i)
+            else if j < i then st.s_lmat.(i).(find_dep ldeps.(i) j)
+            else st.s_umat.(i).(find_dep udeps.(i) j)
+          in
+          m.Matrix.a.(r - starts.(i) + (si * (c - starts.(j)))) <-
+            a.Csr.values.(p)
         done
       done
     end
   done
 
-(* [ranks deps rows].(t): the rows of [rows] that have a [t]-th
-   dependency, in order — the problems of dependency rank [t]'s wave. *)
-let ranks (deps : int array array) rows =
-  let max_t =
-    Array.fold_left (fun m i -> max m (Array.length deps.(i))) 0 rows
-  in
-  Array.init max_t (fun t ->
-      Array.of_list
-        (List.filter (fun i -> Array.length deps.(i) > t) (Array.to_list rows)))
+(* The rows of [rows] that [keep] selects, in order. *)
+let filter_rows keep rows =
+  let n = Array.fold_left (fun n i -> if keep i then n + 1 else n) 0 rows in
+  let out = Array.make n 0 in
+  let q = ref 0 in
+  Array.iter
+    (fun i ->
+      if keep i then begin
+        out.(!q) <- i;
+        incr q
+      end)
+    rows;
+  out
+
+(* The largest dependency count among [rows]: their number of ranks. *)
+let max_rank (deps : int array array) rows =
+  Array.fold_left (fun m i -> max m (Array.length deps.(i))) 0 rows
 
 (* One batched GEMM wave [C_p ← C_p − A_p·B_p] over problems [(A, B, C)]
    of shapes (s_i×s_k)·(s_k×s_j), each padded square to the largest of
@@ -250,6 +306,147 @@ let gemm_wave ?pool ~prec ~layout ?obs
     probs;
   res.Batched_gemm.stats
 
+(* Rounded arithmetic inlined into this unit, bitwise equal to
+   [Precision]'s (DESIGN §5i). *)
+module R = struct
+  let[@inline] round p x =
+    match p with
+    | Precision.Double -> x
+    | Single -> Int32.float_of_bits (Int32.bits_of_float x)
+
+  let[@inline] mul p a b = round p (a *. b)
+  let[@inline] fma p a b c = round p ((a *. b) +. c)
+end
+
+(* ───────────────── The elimination's host sweep ─────────────────
+
+   Each wave's numerics run here, straight over the arenas, whenever its
+   charge comes from the launch cache (see [eliminate]).  Every load
+   rounds where [Gmem.of_array] rounds the staged batch, so the results
+   are the kernels' bit for bit. *)
+
+(* The right divisions of rank [t]: every row [r] of [L_ik] is solved
+   against [lu(A_kkᵀ)] — the TRSM kernel's permuted load, then the
+   eager pair on the (representable) stored factor.  The launch's zero
+   right-hand sides for rows past [s_i] solve to nothing anyone reads.
+   Without a fault plan every stored transposed factor has a nonzero
+   diagonal (a clean LU's pivots, or the identity), so the solve cannot
+   break down. *)
+let[@inline] divide_k prec st sub t =
+  let buf = st.s_buf in
+  for p = 0 to Array.length sub - 1 do
+    let i = sub.(p) in
+    let kb = st.s_lower.Levels.deps.(i).(t) in
+    let m = st.s_lmat.(i).(t) in
+    let si = m.Matrix.rows and sk = m.Matrix.cols and l = m.Matrix.a in
+    let piv = st.s_tpiv.(kb) and f = st.s_tlu.(kb).Matrix.a in
+    for r = 0 to si - 1 do
+      for e = 0 to sk - 1 do
+        buf.(e) <- R.round prec l.(r + (si * piv.(e)))
+      done;
+      let info =
+        Trsv.pair_eager_view ~prec ~m:f ~moff:0 ~n:sk ~b:buf ~boff:0 ()
+      in
+      assert (info = 0);
+      for e = 0 to sk - 1 do
+        l.(r + (si * e)) <- buf.(e)
+      done
+    done
+  done
+
+(* [C ← C − A·B] for column-major [A] (m×kk at [ao] of [aa]), [B]
+   (kk×nn at [bo] of [ba]) and [C] (m×nn at [co] of [ca]) in the GEMM
+   kernel's rounding sequence: per element an unfused fma chain from +0
+   over [k] in order, the ×(−1) scale, then the [+c] fma.  A launch pads
+   the live shapes square with zeros, which only appends [+0·0] terms to
+   a chain that is never −0, so dropping them is bit-exact.  Four rows
+   run side by side, each its own chain, so the adds overlap instead of
+   waiting on one another.  [B] and [C] may share an array when their
+   ranges are disjoint. *)
+let[@inline] update_k prec aa ao ba bo ca co m kk nn =
+  let m4 = m - (m mod 4) in
+  for j = 0 to nn - 1 do
+    let bj = bo + (j * kk) and cj = co + (j * m) in
+    for q = 0 to (m4 / 4) - 1 do
+      let r = 4 * q in
+      let acc0 = ref 0.0 and acc1 = ref 0.0 in
+      let acc2 = ref 0.0 and acc3 = ref 0.0 in
+      for f = 0 to kk - 1 do
+        let bf = R.round prec ba.(bj + f) and af = ao + r + (f * m) in
+        acc0 := R.fma prec (R.round prec aa.(af)) bf !acc0;
+        acc1 := R.fma prec (R.round prec aa.(af + 1)) bf !acc1;
+        acc2 := R.fma prec (R.round prec aa.(af + 2)) bf !acc2;
+        acc3 := R.fma prec (R.round prec aa.(af + 3)) bf !acc3
+      done;
+      let cr = cj + r in
+      ca.(cr) <-
+        R.fma prec (R.round prec ca.(cr)) 1.0 (R.mul prec !acc0 (-1.0));
+      ca.(cr + 1) <-
+        R.fma prec (R.round prec ca.(cr + 1)) 1.0 (R.mul prec !acc1 (-1.0));
+      ca.(cr + 2) <-
+        R.fma prec (R.round prec ca.(cr + 2)) 1.0 (R.mul prec !acc2 (-1.0));
+      ca.(cr + 3) <-
+        R.fma prec (R.round prec ca.(cr + 3)) 1.0 (R.mul prec !acc3 (-1.0))
+    done;
+    for r = m4 to m - 1 do
+      let acc = ref 0.0 in
+      for f = 0 to kk - 1 do
+        acc :=
+          R.fma prec
+            (R.round prec aa.(ao + r + (f * m)))
+            (R.round prec ba.(bj + f))
+            !acc
+      done;
+      let cr = cj + r in
+      ca.(cr) <-
+        R.fma prec (R.round prec ca.(cr)) 1.0 (R.mul prec !acc (-1.0))
+    done
+  done
+
+let[@inline] updates_k prec st sub t =
+  for p = 0 to Array.length sub - 1 do
+    let i = sub.(p) in
+    let a = st.s_lmat.(i).(t) and us = st.s_updates.(i).(t) in
+    for u = 0 to Array.length us - 1 do
+      let b = us.(u).u_b in
+      (update_k [@inlined]) prec a.Matrix.a 0 b.Matrix.a 0 us.(u).u_c.Matrix.a
+        0 a.Matrix.rows a.Matrix.cols b.Matrix.cols
+    done
+  done
+
+(* The LU of every row's eliminated diagonal block and of its transpose,
+   straight into the row's factor storage — the implicit-pivoting
+   kernel's host view on the block rounded as the launch stages it, in
+   this domain's [Hostexec] scratch.  Returns whether every
+   factorization is clean: [info = 0] both ways and a nonzero stored U
+   diagonal. *)
+let[@inline] factor_k prec st rows =
+  let sc = Hostexec.get () in
+  let src = sc.Hostexec.src in
+  let clean = ref true in
+  for p = 0 to Array.length rows - 1 do
+    let i = rows.(p) in
+    let d = st.s_dmat.(i).Matrix.a and s = st.s_dmat.(i).Matrix.rows in
+    for e = 0 to (s * s) - 1 do
+      src.(e) <- R.round prec d.(e)
+    done;
+    let info =
+      Lu.factor_implicit_view ~prec ~src ~dst:st.s_flu.(i).Matrix.a ~off:0 ~n:s
+        ~tile:sc.Hostexec.tile ~step:sc.Hostexec.ints ~perm:st.s_fpiv.(i) ()
+    in
+    for c = 0 to s - 1 do
+      for r = 0 to s - 1 do
+        src.(r + (s * c)) <- R.round prec d.(c + (s * r))
+      done
+    done;
+    let tinfo =
+      Lu.factor_implicit_view ~prec ~src ~dst:st.s_tlu.(i).Matrix.a ~off:0 ~n:s
+        ~tile:sc.Hostexec.tile ~step:sc.Hostexec.ints ~perm:st.s_tpiv.(i) ()
+    in
+    if info <> 0 || tinfo <> 0 || zero_diagonal st.s_flu.(i) then clean := false
+  done;
+  !clean
+
 (* Elimination restricted to the masked block rows: one pass over the
    lower-DAG level sets.  Rows of a wave only write their own block row
    and read block rows finalized by strictly earlier waves, so each
@@ -258,7 +455,17 @@ let gemm_wave ?pool ~prec ~layout ?obs
    and the wave closes with one batched LU launch over its eliminated
    diagonals — no scalar factorization anywhere.  Waves with no masked
    rows are skipped outright, which is where a partial refresh saves its
-   launches.  Returns [(launches, transactions, modelled_seconds)]. *)
+   launches.
+
+   Each wave is charged in full, but a wave whose every cache key is
+   certified takes its charge from [Launch.Cache] alone (the kernels'
+   [charge]) and runs its numerics in the host sweep above, with no
+   staging and no launch.  A wave goes through its launch when a key is
+   cold, when a fault plan or ABFT is armed, or — for the LU wave — when
+   a host factorization breaks down, so the launch's own breakdown,
+   rescue and cache-demotion logic runs.  Either way the charges, the
+   cache tallies and the numbers are the launches'.  Returns
+   [(launches, transactions, modelled_seconds)]. *)
 let eliminate st (mask : bool array) =
   let pool = st.c_pool
   and prec = st.c_prec
@@ -267,9 +474,10 @@ let eliminate st (mask : bool array) =
   and faults = st.c_faults
   and abft = st.c_abft
   and obs = st.c_obs in
+  let sweep = faults = None && not abft in
   let sizes = st.s_blk.Supervariable.sizes in
-  let ldeps = st.s_lower.Levels.deps and udeps = st.s_upper.Levels.deps in
-  let dmat = st.s_dmat and lmat = st.s_lmat and umat = st.s_umat in
+  let ldeps = st.s_lower.Levels.deps in
+  let dmat = st.s_dmat and lmat = st.s_lmat in
   let launches = ref 0 and transactions = ref 0 and modelled = ref 0.0 in
   let note (ls : Launch.stats) =
     incr launches;
@@ -288,180 +496,210 @@ let eliminate st (mask : bool array) =
     let ft, pt = identity_factors sizes.(i) in
     store i fn ft pn pt
   in
-  Array.iter
-    (fun all_rows ->
-      let wave_rows =
-        Array.of_list (List.filter (fun i -> mask.(i)) (Array.to_list all_rows))
+  let divide sub t =
+    let srcs = Array.map (fun i -> ldeps.(i).(t)) sub in
+    let vsz = Array.map (fun kb -> sizes.(kb)) srcs in
+    (* GETRS wants a uniform rhs count: pad short problems with zero
+       vectors (their solves are exact no-ops). *)
+    let nrhs = Array.fold_left (fun m i -> max m sizes.(i)) 1 sub in
+    let charged =
+      if sweep then Batched_trsm.charge ?obs ~prec ~layout ~nrhs vsz else None
+    in
+    match charged with
+    | Some ls ->
+      (match prec with
+      | Precision.Double -> (divide_k [@inlined]) Precision.Double st sub t
+      | Single -> (divide_k [@inlined]) Precision.Single st sub t);
+      note ls
+    | None ->
+      let fb =
+        Batch.of_matrices ~layout (Array.map (fun kb -> st.s_tlu.(kb)) srcs)
       in
-      if Array.length wave_rows > 0 then begin
+      let piv = Array.map (fun kb -> st.s_tpiv.(kb)) srcs in
+      let rhs_sets =
+        Array.init nrhs (fun r ->
+            Batch.vec_of_vectors ~layout
+              (Array.mapi
+                 (fun p i ->
+                   Array.init vsz.(p) (fun e ->
+                       if r < sizes.(i) then Matrix.get lmat.(i).(t) r e
+                       else 0.0))
+                 sub))
+      in
+      let tr =
+        Batched_trsm.solve ?pool ~prec ?obs ~factors:fb ~pivots:piv rhs_sets
+      in
+      note tr.Batched_trsm.stats;
+      Array.iteri
+        (fun p i ->
+          for r = 0 to sizes.(i) - 1 do
+            Array.iteri
+              (Matrix.set lmat.(i).(t) r)
+              (Batch.vec_get tr.Batched_trsm.solutions.(r) p)
+          done)
+        sub
+  in
+  (* Trailing updates A_ij -= L_ik·A_kj; distinct (i, j) targets, so one
+     GEMM wave with no write conflicts. *)
+  let update sub t =
+    let psz =
+      Array.concat
+        (Array.to_list
+           (Array.map
+              (fun i -> Array.map (fun u -> u.u_size) st.s_updates.(i).(t))
+              sub))
+    in
+    if Array.length psz > 0 then begin
+      let charged =
+        if sweep then Batched_gemm.charge ?obs ~prec ~layout ~with_c:true psz
+        else None
+      in
+      match charged with
+      | Some ls ->
+        (match prec with
+        | Precision.Double -> (updates_k [@inlined]) Precision.Double st sub t
+        | Single -> (updates_k [@inlined]) Precision.Single st sub t);
+        note ls
+      | None ->
+        let probs =
+          Array.concat
+            (Array.to_list
+               (Array.map
+                  (fun i ->
+                    Array.map
+                      (fun u -> (lmat.(i).(t), u.u_b, u.u_c))
+                      st.s_updates.(i).(t))
+                  sub))
+        in
+        note (gemm_wave ?pool ~prec ~layout ?obs probs)
+    end
+  in
+  (* One batched LU launch factors the wave's eliminated diagonals,
+     normal and transposed problems side by side. *)
+  let factor_launch rows =
+    let nw = Array.length rows in
+    let mats =
+      Array.init (2 * nw) (fun p ->
+          if p < nw then dmat.(rows.(p))
+          else Matrix.transpose dmat.(rows.(p - nw)))
+    in
+    let db = Batch.of_matrices ~layout mats in
+    let lu = Batched_lu.factor ?pool ~prec ?faults ~abft ?obs db in
+    note lu.Batched_lu.stats;
+    let factors = Batch.to_matrices lu.Batched_lu.factors in
+    let broken p =
+      lu.Batched_lu.info.(p) <> 0
+      || lu.Batched_lu.info.(nw + p) <> 0
+      || zero_diagonal factors.(p)
+    in
+    let faulted p =
+      (not (broken p))
+      && abft
+      && (failed lu.Batched_lu.verdicts.(p)
+         || failed lu.Batched_lu.verdicts.(nw + p))
+    in
+    let rescue = ref [] in
+    Array.iteri
+      (fun p i ->
+        if broken p then begin
+          st.s_breakdown.(i) <- true;
+          match policy with
+          | Block_jacobi.Perturb eps -> rescue := (i, `Perturb eps) :: !rescue
+          | Block_jacobi.Identity_block | Block_jacobi.Fail ->
+            (* Fail still finishes the elimination on identity factors
+               (determinism); the raise happens after setup completes,
+               like Block_jacobi. *)
+            st.s_outcome.(i) <- Row_degraded;
+            degrade i
+        end
+        else if faulted p then rescue := (i, `Fault) :: !rescue
+        else
+          store i factors.(p) factors.(nw + p) lu.Batched_lu.pivots.(p)
+            lu.Batched_lu.pivots.(nw + p))
+      rows;
+    (* One combined rescue launch per wave retries the Perturb diagonal
+       shifts and the ABFT-flagged refactorizations (fault-plan claims are
+       one-shot, so the retry runs clean). *)
+    let rescue = Array.of_list (List.rev !rescue) in
+    let nr = Array.length rescue in
+    if nr > 0 then begin
+      let rmats =
+        Array.init (2 * nr) (fun q ->
+            let i, kind = rescue.(q mod nr) in
+            let m =
+              match kind with
+              | `Perturb eps -> Block_jacobi.perturbed_copy ~eps dmat.(i)
+              | `Fault -> dmat.(i)
+            in
+            if q < nr then m else Matrix.transpose m)
+      in
+      let rb = Batch.of_matrices ~layout rmats in
+      let rlu = Batched_lu.factor ?pool ~prec ?faults ~abft ?obs rb in
+      note rlu.Batched_lu.stats;
+      let rfactors = Batch.to_matrices rlu.Batched_lu.factors in
+      Array.iteri
+        (fun q (i, kind) ->
+          let clean =
+            rlu.Batched_lu.info.(q) = 0
+            && rlu.Batched_lu.info.(nr + q) = 0
+            && (not (zero_diagonal rfactors.(q)))
+            && (not abft
+               || not
+                    (failed rlu.Batched_lu.verdicts.(q)
+                    || failed rlu.Batched_lu.verdicts.(nr + q)))
+          in
+          if clean then begin
+            store i rfactors.(q) rfactors.(nr + q) rlu.Batched_lu.pivots.(q)
+              rlu.Batched_lu.pivots.(nr + q);
+            st.s_outcome.(i) <-
+              (match kind with
+              | `Perturb _ -> Row_perturbed
+              | `Fault -> Row_recovered)
+          end
+          else begin
+            degrade i;
+            st.s_outcome.(i) <-
+              (match kind with
+              | `Perturb _ -> Row_degraded
+              | `Fault -> Row_corrupt)
+          end)
+        rescue
+    end
+  in
+  let factor rows =
+    let nw = Array.length rows in
+    let clean =
+      sweep
+      &&
+      match prec with
+      | Precision.Double -> (factor_k [@inlined]) Precision.Double st rows
+      | Single -> (factor_k [@inlined]) Precision.Single st rows
+    in
+    let charged =
+      if clean then
+        Batched_lu.charge ?obs ~prec ~layout
+          (Array.init (2 * nw) (fun p -> sizes.(rows.(p mod nw))))
+      else None
+    in
+    match charged with
+    | Some ls -> note ls
+    | None -> factor_launch rows
+  in
+  Array.iter
+    (fun level ->
+      let rows = filter_rows (fun i -> mask.(i)) level in
+      if Array.length rows > 0 then begin
         Array.iter
           (fun i ->
             st.s_outcome.(i) <- Row_ok;
             st.s_breakdown.(i) <- false)
-          wave_rows;
-        let rank = ranks ldeps wave_rows in
-        for t = 0 to Array.length rank - 1 do
-          let sub = rank.(t) in
-          let srcs = Array.map (fun i -> ldeps.(i).(t)) sub in
-          let vsz = Array.map (fun kb -> sizes.(kb)) srcs in
-          let fb =
-            Batch.of_matrices ~layout
-              (Array.map (fun kb -> st.s_tlu.(kb)) srcs)
-          in
-          let piv = Array.map (fun kb -> st.s_tpiv.(kb)) srcs in
-          (* GETRS wants a uniform rhs count: pad short problems with
-             zero vectors (their solves are exact no-ops). *)
-          let nrhs = Array.fold_left (fun m i -> max m sizes.(i)) 1 sub in
-          let rhs_sets =
-            Array.init nrhs (fun r ->
-                Batch.vec_of_vectors ~layout
-                  (Array.mapi
-                     (fun p i ->
-                       Array.init vsz.(p) (fun e ->
-                           if r < sizes.(i) then Matrix.get lmat.(i).(t) r e
-                           else 0.0))
-                     sub))
-          in
-          let tr =
-            Batched_trsm.solve ?pool ~prec ?obs ~factors:fb ~pivots:piv
-              rhs_sets
-          in
-          note tr.Batched_trsm.stats;
-          Array.iteri
-            (fun p i ->
-              for r = 0 to sizes.(i) - 1 do
-                Array.iteri
-                  (Matrix.set lmat.(i).(t) r)
-                  (Batch.vec_get tr.Batched_trsm.solutions.(r) p)
-              done)
-            sub;
-          (* Trailing updates A_ij -= L_ik·A_kj over the intersection
-             of block row k's upper pattern with block row i's
-             pattern; distinct (i, j) targets, so one GEMM wave with
-             no write conflicts. *)
-          let gp = ref [] in
-          Array.iteri
-            (fun p i ->
-              let kb = srcs.(p) in
-              Array.iteri
-                (fun tj j ->
-                  let target =
-                    if j = i then Some dmat.(i)
-                    else if j < i then begin
-                      let ti = find_dep ldeps.(i) j in
-                      if ti >= 0 then Some lmat.(i).(ti) else None
-                    end
-                    else begin
-                      let ti = find_dep udeps.(i) j in
-                      if ti >= 0 then Some umat.(i).(ti) else None
-                    end
-                  in
-                  match target with
-                  | Some tgt -> gp := (lmat.(i).(t), umat.(kb).(tj), tgt) :: !gp
-                  | None -> ())
-                udeps.(kb))
-            sub;
-          if !gp <> [] then
-            note
-              (gemm_wave ?pool ~prec ~layout ?obs
-                 (Array.of_list (List.rev !gp)))
+          rows;
+        for t = 0 to max_rank ldeps rows - 1 do
+          let sub = filter_rows (fun i -> Array.length ldeps.(i) > t) rows in
+          divide sub t;
+          update sub t
         done;
-        (* One batched LU launch factors the wave's eliminated
-           diagonals, normal and transposed problems side by side. *)
-        let nw = Array.length wave_rows in
-        let mats =
-          Array.init (2 * nw) (fun p ->
-              if p < nw then dmat.(wave_rows.(p))
-              else Matrix.transpose dmat.(wave_rows.(p - nw)))
-        in
-        let db = Batch.of_matrices ~layout mats in
-        let lu = Batched_lu.factor ?pool ~prec ?faults ~abft ?obs db in
-        note lu.Batched_lu.stats;
-        let broken p =
-          lu.Batched_lu.info.(p) <> 0
-          || lu.Batched_lu.info.(nw + p) <> 0
-          || zero_diagonal lu.Batched_lu.factors p
-        in
-        let faulted p =
-          (not (broken p))
-          && abft
-          && (failed lu.Batched_lu.verdicts.(p)
-             || failed lu.Batched_lu.verdicts.(nw + p))
-        in
-        let rescue = ref [] in
-        Array.iteri
-          (fun p i ->
-            if broken p then begin
-              st.s_breakdown.(i) <- true;
-              match policy with
-              | Block_jacobi.Perturb eps ->
-                rescue := (i, `Perturb eps) :: !rescue
-              | Block_jacobi.Identity_block | Block_jacobi.Fail ->
-                (* Fail still finishes the elimination on identity
-                   factors (determinism); the raise happens after
-                   setup completes, like Block_jacobi. *)
-                st.s_outcome.(i) <- Row_degraded;
-                degrade i
-            end
-            else if faulted p then rescue := (i, `Fault) :: !rescue
-            else
-              store i
-                (Batch.get_matrix lu.Batched_lu.factors p)
-                (Batch.get_matrix lu.Batched_lu.factors (nw + p))
-                lu.Batched_lu.pivots.(p)
-                lu.Batched_lu.pivots.(nw + p))
-          wave_rows;
-        (* One combined rescue launch per wave retries the Perturb
-           diagonal shifts and the ABFT-flagged refactorizations
-           (fault-plan claims are one-shot, so the retry runs
-           clean). *)
-        let rescue = Array.of_list (List.rev !rescue) in
-        let nr = Array.length rescue in
-        if nr > 0 then begin
-          let rmats =
-            Array.init (2 * nr) (fun q ->
-                let i, kind = rescue.(q mod nr) in
-                let m =
-                  match kind with
-                  | `Perturb eps -> Block_jacobi.perturbed_copy ~eps dmat.(i)
-                  | `Fault -> dmat.(i)
-                in
-                if q < nr then m else Matrix.transpose m)
-          in
-          let rb = Batch.of_matrices ~layout rmats in
-          let rlu = Batched_lu.factor ?pool ~prec ?faults ~abft ?obs rb in
-          note rlu.Batched_lu.stats;
-          Array.iteri
-            (fun q (i, kind) ->
-              let clean =
-                rlu.Batched_lu.info.(q) = 0
-                && rlu.Batched_lu.info.(nr + q) = 0
-                && (not (zero_diagonal rlu.Batched_lu.factors q))
-                && (not abft
-                   || not
-                        (failed rlu.Batched_lu.verdicts.(q)
-                        || failed rlu.Batched_lu.verdicts.(nr + q)))
-              in
-              if clean then begin
-                store i
-                  (Batch.get_matrix rlu.Batched_lu.factors q)
-                  (Batch.get_matrix rlu.Batched_lu.factors (nr + q))
-                  rlu.Batched_lu.pivots.(q)
-                  rlu.Batched_lu.pivots.(nr + q);
-                st.s_outcome.(i) <-
-                  (match kind with
-                  | `Perturb _ -> Row_perturbed
-                  | `Fault -> Row_recovered)
-              end
-              else begin
-                degrade i;
-                st.s_outcome.(i) <-
-                  (match kind with
-                  | `Perturb _ -> Row_degraded
-                  | `Fault -> Row_corrupt)
-              end)
-            rescue
-        end
+        factor rows
       end)
     st.s_lower.Levels.level_sets;
   (!launches, !transactions, !modelled)
@@ -492,9 +730,8 @@ let launch_waves ?obs st r =
       :: !log
   in
   let gemm_waves sweep level deps mats rows =
-    let rank = ranks deps rows in
-    for t = 0 to Array.length rank - 1 do
-      let sub = rank.(t) in
+    for t = 0 to max_rank deps rows - 1 do
+      let sub = filter_rows (fun i -> Array.length deps.(i) > t) rows in
       (* Column segments of [y] as s×1 operands. *)
       let seg i = Matrix.init sizes.(i) 1 (fun e _ -> y.(starts.(i) + e)) in
       let probs =
@@ -544,45 +781,18 @@ let launch_waves ?obs st r =
       m_launches = Array.map snd log;
     } )
 
-(* Rounded arithmetic inlined into this unit, bitwise equal to
-   [Precision]'s (DESIGN §5i). *)
-module R = struct
-  let[@inline] round p x =
-    match p with
-    | Precision.Double -> x
-    | Single -> Int32.float_of_bits (Int32.bits_of_float x)
-
-  let[@inline] mul p a b = round p (a *. b)
-  let[@inline] fma p a b c = round p ((a *. b) +. c)
-end
-
 (* [y_i ← y_i − A_ik·y_k] over every coupling block of the rows of one
-   level, in the GEMM wave's rounding sequence: per block an unfused fma
-   chain from +0 over the live columns in order, the ×(−1) scale, then
-   the [+c] fma.  The wave's zero padding only appends [+0·0] terms to a
-   chain that is never −0, so dropping them is bit-exact.  Every load
-   rounds as [Gmem.of_array] stages it. *)
+   level: {!update_k} with [y]'s segments as the one-column [B] and [C],
+   the GEMM wave's rounding sequence. *)
 let[@inline] couple_k prec st (deps : int array array) mats rows y =
   let starts = st.s_blk.Supervariable.starts
   and sizes = st.s_blk.Supervariable.sizes in
   for p = 0 to Array.length rows - 1 do
     let i = rows.(p) in
-    let si = sizes.(i) and yi = starts.(i) in
     for t = 0 to Array.length deps.(i) - 1 do
-      let kb = deps.(i).(t) and m = mats.(i).(t).Matrix.a in
-      let sk = sizes.(kb) and yk = starts.(kb) in
-      for e = 0 to si - 1 do
-        let acc = ref 0.0 in
-        for f = 0 to sk - 1 do
-          acc :=
-            R.fma prec
-              (R.round prec m.(e + (f * si)))
-              (R.round prec y.(yk + f))
-              !acc
-        done;
-        y.(yi + e) <-
-          R.fma prec (R.round prec y.(yi + e)) 1.0 (R.mul prec !acc (-1.0))
-      done
+      let kb = deps.(i).(t) in
+      (update_k [@inlined]) prec mats.(i).(t).Matrix.a 0 y starts.(kb) y
+        starts.(i) sizes.(i) sizes.(kb) 1
     done
   done
 
@@ -892,7 +1102,8 @@ let update ?(tol = 0.0) ?(force_all = false) h (a : Csr.t) =
     for i = 0 to k - 1 do
       let lo = st.s_row_ptr.(starts.(i)) in
       let hi = st.s_row_ptr.(starts.(i) + sizes.(i)) in
-      mask.(i) <- range_dirty ~tol st.s_values a.Csr.values lo hi
+      mask.(i) <-
+        st.s_pending.(i) || range_dirty ~tol st.s_values a.Csr.values lo hi
     done;
     (* Close over the lower DAG in level order: dependencies live in
        strictly earlier levels, so one pass settles the closure. *)
@@ -920,14 +1131,21 @@ let update ?(tol = 0.0) ?(force_all = false) h (a : Csr.t) =
       eliminate st mask
     end
   in
-  Array.blit a.Csr.values 0 st.s_values 0 (Array.length st.s_values);
+  (* Under [Fail] a breakdown raises before the value snapshot advances,
+     as in Block_jacobi, so a retry on the same matrix finds the same
+     dirty rows and raises again.  The re-eliminated rows stay pending:
+     whatever matrix comes next, they are eliminated again. *)
   (match st.c_policy with
   | Block_jacobi.Fail ->
     for i = 0 to k - 1 do
-      if mask.(i) && st.s_breakdown.(i) then
+      if mask.(i) && st.s_breakdown.(i) then begin
+        Array.iteri (fun j m -> if m then st.s_pending.(j) <- true) mask;
         raise (Singular_block { block = i })
+      end
     done
   | _ -> ());
+  Array.fill st.s_pending 0 k false;
+  Array.blit a.Csr.values 0 st.s_values 0 (Array.length st.s_values);
   let stats =
     {
       Block_jacobi.dirty_blocks = !dirty;
@@ -958,7 +1176,8 @@ let handle_info h =
 
 let handle_factors h =
   let st = h.h_state in
-  Array.init (Array.length st.s_flu) (fun i -> (st.s_flu.(i), st.s_fpiv.(i)))
+  Array.init (Array.length st.s_flu) (fun i ->
+      (Matrix.copy st.s_flu.(i), Array.copy st.s_fpiv.(i)))
 
 type ras_info = {
   subdomains : int;

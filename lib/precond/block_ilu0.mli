@@ -152,7 +152,9 @@ val handle :
   handle
 (** [handle a] runs the same batched elimination as {!create} (same
     launches, same factors bitwise) but keeps the working state for
-    later {!update} calls.  The returned {!precond} stays valid across
+    later {!update} calls: dense arenas for every block of the pattern
+    and per-row factor storage, allocated once here and refilled in
+    place by every update.  The returned {!precond} stays valid across
     refreshes, and keeps its memoised apply charges.
     @raise Invalid_argument / [Singular_block] as {!create}. *)
 
@@ -165,12 +167,21 @@ val update :
     waves.  [~force_all:true] re-eliminates everything (full-refresh
     baseline).  [dirty_blocks]/[refactored]/[reused] in the returned
     stats count block rows; [launches]/[setup_transactions]/
-    [modelled_seconds] cover the TRSM/GEMM/LU waves actually issued.
-    Records [precond.setup.*] metrics when the handle carries an
-    observability context.
+    [modelled_seconds] cover the TRSM/GEMM/LU waves of those rows, each
+    charged in full.  A wave whose cache keys are all certified takes
+    its charge from the launch cache and runs its numerics as a host
+    sweep over the arenas, without staging or launching; the others
+    (cold keys, host LU breakdowns) launch.  Stats, factors and cache
+    tallies are bitwise those of launching every wave.  Records
+    [precond.setup.*] metrics when the handle carries an observability
+    context.
     @raise Invalid_argument on a dimension or sparsity-pattern mismatch.
     @raise Singular_block under the [Fail] policy when a dirty row
-    breaks down (the handle is left partially refreshed). *)
+    breaks down.  The value snapshot does not advance (as in
+    {!Block_jacobi.update}), so an update with the same matrix raises
+    again; the handle's factors hold the failed elimination, and the
+    rows it re-eliminated are re-eliminated by the next update, whatever
+    its matrix. *)
 
 val charge_pass :
   ?obs:Vblu_obs.Ctx.t -> handle -> float array -> float array * apply_stats
@@ -188,9 +199,8 @@ val handle_info : handle -> info
     build or refresh. *)
 
 val handle_factors : handle -> (Matrix.t * int array) array
-(** Per-block-row diagonal factors (normal storage) and pivots —
-    read-only; exposed so tests can assert bitwise reuse and
-    fresh/update identity. *)
+(** Copies of the per-block-row diagonal factors (normal storage) and
+    pivots, exposed so tests can assert fresh/update identity. *)
 
 type ras_info = {
   subdomains : int;

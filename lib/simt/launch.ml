@@ -154,6 +154,14 @@ module Cache = struct
     | None -> Atomic.incr miss_count);
     r
 
+  let peek k =
+    Mutex.lock lock;
+    let r = Hashtbl.find_opt tbl k in
+    Mutex.unlock lock;
+    r
+
+  let note_hit () = Atomic.incr hit_count
+
   let store k ~counter ~events ~direct_ok =
     Mutex.lock lock;
     (* Last writer wins: counters of a cacheable kernel are deterministic

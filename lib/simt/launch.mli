@@ -105,6 +105,15 @@ module Cache : sig
       {!demote_hit}).  The returned counter is shared — callers must
       {!Counter.copy} before mutating (as [Sampling] does). *)
 
+  val peek : key -> entry option
+  (** {!find} without counting: no hit or miss is recorded.  For callers
+      that must see every key of a launch before deciding how to run it
+      (see [Sampling.charge]); they count with {!note_hit} afterwards.  The
+      returned counter is shared, as with {!find}. *)
+
+  val note_hit : unit -> unit
+  (** Count one hit, as a successful {!find} does. *)
+
   val store : key -> counter:Counter.t -> events:int array -> direct_ok:bool -> unit
   (** [counter] and [events] are owned by the cache after the call; pass
       detached snapshots. *)

@@ -48,6 +48,35 @@ let record_launch obs ~name ~prec (stats : Launch.stats) =
     Vblu_obs.Ctx.observe obs "launch.gflops.hist" stats.Launch.gflops
   end
 
+(* The counter fold: every observed warp counter is added to the launch
+   total in problem-index (resp. sorted-class) order, and the warp with
+   the most issue cycles — the first one on ties — becomes the serial
+   floor's [max_warp].  [run] and [charge] share it, so a launch charged
+   from the cache models exactly the time the launch would. *)
+type fold = {
+  total : Counter.t;
+  mutable max_warp : Counter.t;
+  mutable max_cycles : float;
+}
+
+let new_fold () =
+  { total = Counter.create (); max_warp = Counter.create (); max_cycles = -1.0 }
+
+let note_max cfg prec f c =
+  let cy = Launch.warp_cycles cfg prec c in
+  if cy > f.max_cycles then begin
+    f.max_cycles <- cy;
+    f.max_warp <- c
+  end
+
+let observe cfg prec f c =
+  Counter.add f.total c;
+  note_max cfg prec f c
+
+let finish cfg prec f ~warps ~faults_injected =
+  Launch.time ~cfg ~faults_injected ~prec ~warps ~total:f.total
+    ~max_warp:f.max_warp ()
+
 (* Per-domain warp recycling: warps now own a preallocated scratch arena,
    so creating one per problem would dominate small launches.  Each domain
    keeps one warp per (config fingerprint, precision) — one int compare
@@ -91,17 +120,8 @@ let run ?(cfg = Config.p100) ?(pool = Pool.sequential) ?faults ?obs
     let fired_before =
       match faults with None -> 0 | Some p -> Vblu_fault.Fault.Plan.injected p
     in
-    let total = Counter.create () in
-    let max_warp = ref (Counter.create ()) in
-    let max_cycles = ref (-1.0) in
-    let observe c =
-      Counter.add total c;
-      let cy = Launch.warp_cycles cfg prec c in
-      if cy > !max_cycles then begin
-        max_cycles := cy;
-        max_warp := c
-      end
-    in
+    let f = new_fold () in
+    let observe = observe cfg prec f in
     (* The counter cache applies only to injection-free launches: an armed
        plan must both fire its faults and charge real counters, so it
        bypasses lookups and stores entirely.  Hand-built configs that never
@@ -220,22 +240,56 @@ let run ?(cfg = Config.p100) ?(pool = Pool.sequential) ?faults ?obs
       Array.iteri
         (fun k (_, count) ->
           let c = counters.(k) in
-          let cy = Launch.warp_cycles cfg prec c in
-          if cy > !max_cycles then begin
-            max_cycles := cy;
-            max_warp := c
-          end;
-          Counter.add total (Counter.scale_into c (float_of_int count)))
+          note_max cfg prec f c;
+          Counter.add f.total (Counter.scale_into c (float_of_int count)))
         classes);
     let faults_injected =
       match faults with
       | None -> 0
       | Some p -> Vblu_fault.Fault.Plan.injected p - fired_before
     in
-    let stats =
-      Launch.time ~cfg ~faults_injected ~prec ~warps:n ~total
-        ~max_warp:!max_warp ()
-    in
+    let stats = finish cfg prec f ~warps:n ~faults_injected in
     record_launch obs ~name ~prec stats;
     stats
+  end
+
+(* A launch charged from the cache alone.  Every key is peeked first and
+   nothing is counted unless all of them are certified, so a [None] leaves
+   the cache exactly as it was for the caller's real launch.  Otherwise
+   the tallies move as a cache-served launch moves them — one hit per
+   problem, plus one direct hit when no enabled [?obs] keeps the launch
+   on the interpreter — and the cached counters are folded, timed and
+   recorded as [run] would. *)
+let charge ?(cfg = Config.p100) ?obs ~name ~prec ~sizes ~salt () =
+  let n = Array.length sizes in
+  if n = 0 then Some (Launch.empty_stats ())
+  else if (not (Launch.Cache.enabled ())) || cfg.Config.fingerprint = 0 then
+    None
+  else begin
+    let entries =
+      Array.init n (fun i ->
+          Launch.Cache.peek
+            (Launch.Cache.key ~kernel:name ~prec ~size:sizes.(i) ~salt:(salt i)
+               ~cfg))
+    in
+    let certified = function
+      | Some e -> e.Launch.Cache.direct_ok
+      | None -> false
+    in
+    if not (Array.for_all certified entries) then None
+    else begin
+      let direct = not (Vblu_obs.Ctx.enabled obs) in
+      let f = new_fold () in
+      Array.iter
+        (function
+          | Some e ->
+            Launch.Cache.note_hit ();
+            if direct then Launch.Cache.note_direct ();
+            observe cfg prec f e.Launch.Cache.counter
+          | None -> ())
+        entries;
+      let stats = finish cfg prec f ~warps:n ~faults_injected:0 in
+      record_launch obs ~name ~prec stats;
+      Some stats
+    end
   end

@@ -129,3 +129,29 @@ val run :
 
     An empty batch is a defined no-op returning {!Launch.empty_stats}
     and records nothing. *)
+
+val charge :
+  ?cfg:Config.t ->
+  ?obs:Vblu_obs.Ctx.t ->
+  name:string ->
+  prec:Precision.t ->
+  sizes:int array ->
+  salt:(int -> int) ->
+  unit ->
+  Launch.stats option
+(** [charge ~name ~prec ~sizes ~salt ()] is the charge of an [Exact]
+    cached launch of kernel [name] over problems of [sizes], taken from
+    {!Launch.Cache} alone, with no kernel run and no data.  Problem [i]'s
+    key is built exactly as {!run} builds it from [~cache:salt], so the
+    caller must pass the very salt function its launch would.
+
+    Returns [None], having counted nothing, when the cache is disabled,
+    [cfg] is unvalidated, or any key is missing or not certified for
+    direct execution; the caller then runs the launch itself.  Otherwise
+    every problem counts one hit (and one direct hit unless [?obs] is
+    enabled, as {!run} disables direct execution then), the cached
+    counters fold in problem order into {!Launch.time}, [?obs] records
+    the launch as {!run} would, and the stats are returned: bitwise the
+    stats of the launch whose every problem the direct path serves.  The
+    caller owns the numerics, which must equal the kernel's.  An empty
+    batch returns {!Launch.empty_stats} and records nothing. *)

@@ -181,21 +181,45 @@ let gemv ?(prec = Precision.Double) ?(trans = false) t x =
    [off + stride*(i + j*n)].  Element (i,j) accumulates its k-loop
    with the same once-rounded FMA sequence the warp kernel issues per
    column, then one rounded scale and an optional rounded [beta·C] FMA —
-   bitwise identical to a simulated execution. *)
+   bitwise identical to a simulated execution.  Four rows run side by
+   side, each element keeping its own chain in order: the chains are
+   independent, so their adds overlap instead of each waiting on the
+   last. *)
+let[@inline] gemm_put prec alpha beta c dst ij acc =
+  let v = R.mul prec acc alpha in
+  dst.(ij) <- (match c with None -> v | Some c -> R.fma prec c.(ij) beta v)
+
 let[@inline] gemm_col_k prec stride alpha beta c a b dst off n =
+  let n4 = n - (n mod 4) in
   for j = 0 to n - 1 do
-    for i = 0 to n - 1 do
+    let cj = off + (stride * j * n) in
+    for q = 0 to (n4 / 4) - 1 do
+      let i = 4 * q in
+      let acc0 = ref 0.0 and acc1 = ref 0.0 in
+      let acc2 = ref 0.0 and acc3 = ref 0.0 in
+      for k = 0 to n - 1 do
+        let bkj = b.(cj + (stride * k)) and ik = off + (stride * (i + (k * n))) in
+        acc0 := R.fma prec a.(ik) bkj !acc0;
+        acc1 := R.fma prec a.(ik + stride) bkj !acc1;
+        acc2 := R.fma prec a.(ik + (2 * stride)) bkj !acc2;
+        acc3 := R.fma prec a.(ik + (3 * stride)) bkj !acc3
+      done;
+      let ij = cj + (stride * i) in
+      gemm_put prec alpha beta c dst ij !acc0;
+      gemm_put prec alpha beta c dst (ij + stride) !acc1;
+      gemm_put prec alpha beta c dst (ij + (2 * stride)) !acc2;
+      gemm_put prec alpha beta c dst (ij + (3 * stride)) !acc3
+    done;
+    for i = n4 to n - 1 do
       let acc = ref 0.0 in
       for k = 0 to n - 1 do
         acc :=
           R.fma prec
             a.(off + (stride * (i + (k * n))))
-            b.(off + (stride * (k + (j * n))))
+            b.(cj + (stride * k))
             !acc
       done;
-      let ij = off + (stride * (i + (j * n))) in
-      let v = R.mul prec !acc alpha in
-      dst.(ij) <- (match c with None -> v | Some c -> R.fma prec c.(ij) beta v)
+      gemm_put prec alpha beta c dst (cj + (stride * i)) !acc
     done
   done
 

@@ -184,6 +184,36 @@ let test_block_ilu0_apply () =
       w)
     (64, 248)
 
+let test_block_ilu0_update () =
+  (* A warm forced refresh refills the arenas in place, factors into the
+     existing storage and charges every wave from the launch cache: a
+     bounded number of words per block row — wave shapes, cache keys,
+     launch stats — and none that grow with the block size.  Both sizes
+     keep an s×s block below [Max_young_wosize], so a per-block arena
+     allocation would show on the minor heap. *)
+  let blocks = 12 and bound = 1000.0 in
+  List.iter
+    (fun prec ->
+      check_flat
+        ("block-ilu0 warm update " ^ Precision.to_string prec)
+        (fun bs ->
+          let n = blocks * bs in
+          let a = banded ~n ~bs in
+          let h =
+            Block_ilu0.handle ~prec
+              ~blocking:(Supervariable.uniform ~n ~block_size:bs)
+              a
+          in
+          let w =
+            words (fun () -> ignore (Block_ilu0.update ~force_all:true h a))
+          in
+          if w > bound *. float_of_int blocks then
+            Alcotest.failf "block-ilu0 update: %.0f words for %d blocks of %d" w
+              blocks bs;
+          w)
+        (4, 8))
+    precs
+
 let test_warp () =
   (* The lane ops run on arena slots.  Charge-free (a cache replay) they
      allocate nothing.  Charging, an op boxes its float counter updates
@@ -963,6 +993,55 @@ let test_nan_pivot () =
         (bits_equal (Batch.vec_get x.Batched_trsv.solutions 0) x_ref))
     precs
 
+(* The interleaved-row GEMM view against the interpreted warp kernel,
+   n = 1..32: a blocked batch (stride 1) or an interleaved cohort of two
+   (stride 2), both precisions, with and without C.  The view reads the
+   inputs rounded as [Gmem.of_array] stages them. *)
+let qcheck_gemm_view =
+  QCheck.Test.make ~count:120 ~name:"Matrix.gemm_col_view ≡ GEMM interpreter, bitwise"
+    QCheck.(
+      make
+        ~print:(fun (n, interleaved, single, with_c, _) ->
+          Printf.sprintf "n=%d %s %s %s" n
+            (if interleaved then "interleaved" else "blocked")
+            (if single then "single" else "double")
+            (if with_c then "with C" else "no C"))
+        Gen.(
+          int_range 1 32 >>= fun n ->
+          bool >>= fun interleaved ->
+          bool >>= fun single ->
+          bool >>= fun with_c ->
+          gen_array (6 * n * n) >>= fun vals ->
+          return (n, interleaved, single, with_c, vals)))
+    (fun (n, interleaved, single, with_c, vals) ->
+      let prec = prec_of single in
+      let layout = if interleaved then Batch.Interleaved else Batch.Blocked in
+      let batch k =
+        Batch.of_matrices ~layout
+          (Array.init 2 (fun p ->
+               Matrix.init n n (fun i j -> vals.((((2 * k) + p) * n * n) + i + (j * n)))))
+      in
+      let a = batch 0 and b = batch 1 and c = batch 2 in
+      let alpha = -1.0 and beta = 1.0 in
+      let want =
+        Launch.Cache.set_enabled false;
+        Fun.protect
+          ~finally:(fun () -> Launch.Cache.set_enabled true)
+          (fun () ->
+            (Batched_gemm.multiply ~prec ~alpha ~beta ~a ~b
+               ?c:(if with_c then Some c else None)
+               ())
+              .Batched_gemm.products.Batch.values)
+      in
+      let staged (x : Batch.t) = Array.map (Precision.round prec) x.Batch.values in
+      let dst = Array.make (Array.length want) 0.0 in
+      for p = 0 to 1 do
+        Matrix.gemm_col_view ~prec ~stride:(Batch.stride a p) ~alpha ~beta
+          ?c:(if with_c then Some (staged c) else None)
+          ~a:(staged a) ~b:(staged b) ~dst ~off:(Batch.base a p) ~n ()
+      done;
+      Batch.stride a 1 = (if interleaved then 2 else 1) && bits_equal dst want)
+
 (* NaN and infinities through the other direct kernels (GEMM, TRSM,
    no-pivot LU, both Cholesky views): a warm run, whose certified entries
    the host views serve, equals the cache-off interpreter bitwise, info
@@ -1067,6 +1146,8 @@ let () =
           Alcotest.test_case "trsv and lu views" `Quick test_trsv;
           Alcotest.test_case "block-jacobi apply" `Quick test_block_jacobi_apply;
           Alcotest.test_case "block-ilu0 apply" `Quick test_block_ilu0_apply;
+          Alcotest.test_case "block-ilu0 warm update" `Quick
+            test_block_ilu0_update;
           Alcotest.test_case "warp lane ops" `Quick test_warp;
           Alcotest.test_case "zero words per Double call" `Quick
             test_zero_alloc;
@@ -1074,6 +1155,7 @@ let () =
       ( "bit-identity",
         [
           QCheck_alcotest.to_alcotest qcheck_bit_identity;
+          QCheck_alcotest.to_alcotest qcheck_gemm_view;
           Alcotest.test_case "NaN pivot" `Quick test_nan_pivot;
           Alcotest.test_case "non-finite direct kernels" `Quick
             test_nonfinite_direct;

@@ -479,6 +479,89 @@ let qcheck_sweep_is_waves =
       ignore (Block_ilu0.update ~tol:0.0 h drifted);
       ok_fresh && check (nasty_rhs st n))
 
+(* Everything an elimination leaves observable, bitwise: the update
+   stats, the normal factors and pivots, the outcome lists and
+   [factor_info], and one apply (which reads the eliminated L and U
+   blocks). *)
+let elimination_snapshot h (s : Block_jacobi.update_stats) r =
+  let info = Block_ilu0.handle_info h in
+  ( ( s.Block_jacobi.dirty_blocks,
+      [ s.Block_jacobi.refactored; s.Block_jacobi.reused; s.Block_jacobi.launches;
+        s.Block_jacobi.setup_transactions ],
+      bits s.Block_jacobi.modelled_seconds ),
+    Array.map
+      (fun ((m : Matrix.t), piv) -> (Array.map bits m.Matrix.a, piv))
+      (Block_ilu0.handle_factors h),
+    ( info.Block_ilu0.factor_info,
+      info.Block_ilu0.degraded_blocks,
+      info.Block_ilu0.perturbed_blocks ),
+    Array.map bits (Preconditioner.apply (Block_ilu0.precond h) r) )
+
+let qcheck_elimination_sweep =
+  QCheck.Test.make ~count:30
+    ~name:"elimination sweep == interpreted elimination, bitwise"
+    QCheck.(
+      pair
+        (quad bool bool bool (int_range 1 12))
+        (quad (int_range 0 2) (int_range 2 6) (int_range 2 6)
+           (int_range 0 100_000)))
+    (fun ((single, interleaved, two, max_block_size), (kind, nx, ny, seed)) ->
+      let st = Random.State.make [| 0xe11; seed |] in
+      let prec = if single then Precision.Single else Precision.Double in
+      let layout =
+        if interleaved then Vblu_core.Batch.Interleaved else Vblu_core.Batch.Blocked
+      in
+      let pool = if two then Lazy.force pool2 else Vblu_par.Pool.sequential in
+      let module G = Vblu_workloads.Generators in
+      let base =
+        match kind with
+        | 0 ->
+          G.convection_diffusion_2d ~nx ~ny
+            ~peclet:(float_of_int (Random.State.int st 40)) ()
+        | 1 -> G.fem_blocks ~state:st ~nodes:(nx * ny / 2) ~vars_per_node:3 ()
+        | _ -> G.block_tridiagonal ~state:st ~blocks:nx ~block_size:ny ()
+      in
+      let n, _ = Csr.dims base in
+      let base =
+        Csr.create ~n_rows:n ~n_cols:n ~row_ptr:base.Csr.row_ptr
+          ~col_idx:base.Csr.col_idx
+          ~values:
+            (Array.map
+               (fun v -> v *. (1.0 +. Random.State.float st 0.01))
+               base.Csr.values)
+      in
+      let pick () =
+        List.init (Random.State.int st 3) (fun _ -> Random.State.int st n)
+      in
+      let a = scaled_rows base (pick ()) 0.0 in
+      let drifted = scaled_rows (scaled_rows a (pick ()) 1.5) (pick ()) 0.0 in
+      let policy =
+        if Random.State.bool st then Block_jacobi.Identity_block
+        else Block_jacobi.Perturb 1e-3
+      in
+      let r = rhs_for n in
+      (* A fresh handle, a forced refresh (its keys are warm by then) and a
+         partial drift with breakdowns. *)
+      let run () =
+        let h = Block_ilu0.handle ~pool ~prec ~layout ~policy ~max_block_size a in
+        let fresh = elimination_snapshot h (Block_ilu0.last_update h) r in
+        let forced =
+          elimination_snapshot h (Block_ilu0.update ~force_all:true h a) r
+        in
+        let partial =
+          elimination_snapshot h (Block_ilu0.update ~tol:0.0 h drifted) r
+        in
+        [ fresh; forced; partial ]
+      in
+      let swept = run () in
+      Vblu_simt.Launch.Cache.set_enabled false;
+      let interpreted =
+        Fun.protect
+          ~finally:(fun () -> Vblu_simt.Launch.Cache.set_enabled true)
+          run
+      in
+      swept = interpreted)
+
 (* ------------------------------------------------------------------ *)
 (* Apply charges pinned at the level-wave apply they replaced          *)
 
@@ -561,10 +644,140 @@ let test_pinned_charges () =
     pinned_charges
 
 (* ------------------------------------------------------------------ *)
+(* Setup charges pinned at the launch-per-wave elimination             *)
+
+(* (matrix, layout, precision, fresh handle, partial [update ~tol:0.]
+   after rows n/3 and 2n/3 drift by ×1.5, rows that update refactored);
+   each charge is (launches, setup transactions, bits of the modelled
+   seconds), blocking bound 3. *)
+let pinned_setup =
+  let open Vblu_core.Batch in
+  [
+    ("conv-diff", Blocked, Precision.Double, (69, 1622, 4564882470319181525L), (50, 1174, 4562810066102999303L), 10);
+    ("conv-diff", Blocked, Precision.Single, (69, 1442, 4563039411455837826L), (50, 1044, 4560893780685935627L), 10);
+    ("conv-diff", Interleaved, Precision.Double, (69, 1205, 4564227474647708792L), (50, 876, 4562341987661515186L), 10);
+    ("conv-diff", Interleaved, Precision.Single, (69, 1025, 4562384415784365091L), (50, 746, 4559957623802967399L), 10);
+    ("fem", Blocked, Precision.Double, (46, 964, 4562469254512435004L), (39, 835, 4561054986938380348L), 7);
+    ("fem", Blocked, Precision.Single, (46, 844, 4560334674680765958L), (39, 734, 4559126519466796047L), 7);
+    ("fem", Interleaved, Precision.Double, (46, 774, 4562170815237663251L), (39, 666, 4560524079175891652L), 7);
+    ("fem", Interleaved, Precision.Single, (46, 654, 4559737796131222457L), (39, 565, 4558595611704307353L), 7);
+    ("block-tridiag", Blocked, Precision.Double, (44, 1027, 4562298848717152855L), (35, 817, 4560373363757251750L), 7);
+    ("block-tridiag", Blocked, Precision.Single, (44, 912, 4560055121678181124L), (35, 726, 4558567413461626379L), 7);
+    ("block-tridiag", Interleaved, Precision.Double, (44, 765, 4561628210802833270L), (35, 612, 4559729363216954811L), 7);
+    ("block-tridiag", Interleaved, Precision.Single, (44, 650, 4559232057573021138L), (35, 521, 4557923412921329442L), 7);
+  ]
+
+(* The [pin_matrix] shapes on seeded generator states: unseeded
+   generators draw from one shared stream, so every call of
+   [pin_matrix "fem"] builds a new pattern. *)
+let setup_matrix name =
+  let st = Random.State.make [| 0x5e7; String.length name |] in
+  match name with
+  | "conv-diff" -> pin_matrix name
+  | "fem" ->
+    Vblu_workloads.Generators.fem_blocks ~state:st ~nodes:10 ~vars_per_node:3 ()
+  | _ ->
+    Vblu_workloads.Generators.block_tridiagonal ~state:st ~blocks:6
+      ~block_size:5 ()
+
+let drift_rows (a : Csr.t) =
+  let n, _ = Csr.dims a in
+  scaled_rows a [ n / 3; 2 * n / 3 ] 1.5
+
+let check_charge label (launches, tx, bits_s) (s : Block_jacobi.update_stats) =
+  Alcotest.(check int) (label ^ ": launches") launches s.Block_jacobi.launches;
+  Alcotest.(check int)
+    (label ^ ": setup transactions")
+    tx s.Block_jacobi.setup_transactions;
+  Alcotest.(check int64)
+    (label ^ ": modelled seconds bits")
+    bits_s
+    (bits s.Block_jacobi.modelled_seconds)
+
+let test_pinned_setup_charges () =
+  List.iter
+    (fun (name, layout, prec, fresh, partial, refactored) ->
+      let a = setup_matrix name in
+      let label =
+        Printf.sprintf "%s/%s/%s" name
+          (Vblu_core.Batch.layout_name layout)
+          (Precision.to_string prec)
+      in
+      (* Twice: the second handle runs on a warm launch cache. *)
+      for pass = 1 to 2 do
+        let label = Printf.sprintf "%s (pass %d)" label pass in
+        let h = Block_ilu0.handle ~prec ~layout ~max_block_size:3 a in
+        check_charge (label ^ " fresh") fresh (Block_ilu0.last_update h);
+        let s = Block_ilu0.update ~tol:0.0 h (drift_rows a) in
+        Alcotest.(check int) (label ^ ": refactored") refactored
+          s.Block_jacobi.refactored;
+        check_charge (label ^ " partial") partial s
+      done)
+    pinned_setup
+
+(* Launch-cache tallies of a warm update sequence — fresh handle, forced
+   refresh, a drift, a breakdown, the way back — over every pinned
+   matrix, layout, precision and policy, from an empty cache. *)
+let test_pinned_cache_counts () =
+  let module C = Vblu_simt.Launch.Cache in
+  C.clear ();
+  List.iter
+    (fun name ->
+      let a = setup_matrix name in
+      List.iter
+        (fun layout ->
+          List.iter
+            (fun prec ->
+              List.iter
+                (fun policy ->
+                  let h =
+                    Block_ilu0.handle ~prec ~layout ~policy ~max_block_size:3 a
+                  in
+                  ignore (Block_ilu0.update ~force_all:true h a);
+                  ignore (Block_ilu0.update ~tol:0.0 h (drift_rows a));
+                  ignore (Block_ilu0.update ~tol:0.0 h (scaled_rows a [ 1 ] 0.0));
+                  ignore (Block_ilu0.update ~tol:0.0 h a))
+                [ Block_jacobi.Identity_block; Block_jacobi.Perturb 1e-3 ])
+            [ Precision.Double; Precision.Single ])
+        [ Vblu_core.Batch.Blocked; Vblu_core.Batch.Interleaved ])
+    [ "conv-diff"; "fem"; "block-tridiag" ];
+  let hits, misses = C.stats () in
+  Alcotest.(check int) "hits" 9314 hits;
+  Alcotest.(check int) "misses" 102 misses;
+  Alcotest.(check int) "direct hits" 9314 (C.direct_hits ());
+  Alcotest.(check int) "entries" 18 (C.entries ())
+
+(* Under [Fail] a breakdown raises without advancing the value snapshot,
+   so retrying the same matrix re-eliminates and raises again (as
+   Block_jacobi does) instead of returning identity-fallback factors. *)
+let test_fail_retry_raises () =
+  let a =
+    Vblu_workloads.Generators.block_tridiagonal ~blocks:4 ~block_size:3 ()
+  in
+  let h =
+    Block_ilu0.handle ~policy:Block_jacobi.Fail ~max_block_size:3
+      ~blocking:(Supervariable.uniform ~n:12 ~block_size:3)
+      a
+  in
+  let broken = scaled_rows a [ 3; 4; 5 ] 0.0 in
+  for attempt = 1 to 2 do
+    match Block_ilu0.update ~tol:0.0 h broken with
+    | exception Block_ilu0.Singular_block { block } ->
+      Alcotest.(check int) (Printf.sprintf "attempt %d: block" attempt) 1 block
+    | _ -> Alcotest.failf "attempt %d: Fail policy did not raise" attempt
+  done;
+  (* The original matrix still updates cleanly afterwards. *)
+  let s = Block_ilu0.update ~tol:0.0 h a in
+  Alcotest.(check int) "recovered: factor_info" 0
+    (Block_ilu0.handle_info h).Block_ilu0.factor_info;
+  Alcotest.(check bool) "recovered: rows re-eliminated" true
+    (s.Block_jacobi.refactored > 0)
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ qcheck_scalar_equivalence; qcheck_sweep_is_waves ]
+    [ qcheck_scalar_equivalence; qcheck_sweep_is_waves; qcheck_elimination_sweep ]
 
 let () =
   Alcotest.run "block_ilu0"
@@ -590,6 +803,10 @@ let () =
         [
           Alcotest.test_case "accounting" `Quick test_wave_accounting;
           Alcotest.test_case "pinned charges" `Quick test_pinned_charges;
+          Alcotest.test_case "pinned setup charges" `Quick
+            test_pinned_setup_charges;
+          Alcotest.test_case "pinned cache counts" `Quick
+            test_pinned_cache_counts;
         ] );
       ( "golden parity",
         [
@@ -597,7 +814,11 @@ let () =
             test_block_diagonal_parity;
         ] );
       ( "breakdown",
-        [ Alcotest.test_case "policies" `Quick test_breakdown_policies ] );
+        [
+          Alcotest.test_case "policies" `Quick test_breakdown_policies;
+          Alcotest.test_case "fail retry raises again" `Quick
+            test_fail_retry_raises;
+        ] );
       ( "ras",
         [
           Alcotest.test_case "single domain == create" `Quick
