@@ -1148,79 +1148,6 @@ let timestep_cmd =
       $ refresh_arg $ tol_arg $ full_arg $ family_arg $ domains_arg
       $ layout_arg $ trace_arg $ metrics_arg)
 
-(* CI gate: partial refactorization must cost strictly fewer setup
-   transactions than full refresh at bit-identical solutions, for both
-   families; and the whole trajectory must be domain-count invariant. *)
-let timestep_check_cmd =
-  let module T = Vblu_workloads.Timestep in
-  let run () =
-    setup_logs ();
-    let failures = ref 0 in
-    let fail fmt =
-      Printf.ksprintf
-        (fun msg ->
-          incr failures;
-          Printf.printf "FAIL %s\n" msg)
-        fmt
-    in
-    let run_one ~domains ~family ~mode () =
-      T.run ~pool:(pool_of domains) ~nx:16 ~ny:16 ~steps:10 ~family
-        ~refresh:T.Every_step ~mode ()
-    in
-    List.iter
-      (fun family ->
-        let name = T.family_name family in
-        let full = run_one ~domains:1 ~family ~mode:T.Full () in
-        let partial = run_one ~domains:1 ~family ~mode:(T.Partial 0.0) () in
-        if
-          Int64.bits_of_float partial.T.solution_checksum
-          <> Int64.bits_of_float full.T.solution_checksum
-        then
-          fail "%s: partial refresh changed the solution trajectory" name
-        else
-          Printf.printf "ok   %-6s partial == full, bitwise (checksum %.17g)\n"
-            name partial.T.solution_checksum;
-        if partial.T.total_iterations <> full.T.total_iterations then
-          fail "%s: partial refresh changed iteration counts" name;
-        if
-          partial.T.total_setup_transactions
-          >= full.T.total_setup_transactions
-        then
-          fail "%s: partial setup tx %d not below full %d" name
-            partial.T.total_setup_transactions full.T.total_setup_transactions
-        else
-          Printf.printf "ok   %-6s partial setup tx %d < full %d (%.1f%%)\n"
-            name partial.T.total_setup_transactions
-            full.T.total_setup_transactions
-            (100.0
-            *. float_of_int partial.T.total_setup_transactions
-            /. float_of_int full.T.total_setup_transactions);
-        let p2 = run_one ~domains:2 ~family ~mode:(T.Partial 0.0) () in
-        if
-          Int64.bits_of_float p2.T.solution_checksum
-          <> Int64.bits_of_float partial.T.solution_checksum
-          || p2.T.total_setup_transactions
-             <> partial.T.total_setup_transactions
-        then fail "%s: trajectory differs at domains=2" name
-        else Printf.printf "ok   %-6s domain-count invariant\n" name)
-      [ T.Jacobi; T.Ilu0 ];
-    if !failures > 0 then begin
-      Printf.eprintf "timestep-check: %d gate(s) failed\n" !failures;
-      exit 1
-    end
-    else Printf.printf "timestep-check: all gates passed\n"
-  in
-  Cmd.v
-    (Cmd.info "timestep-check"
-       ~doc:
-         "CI gate for amortized preconditioner setup: partial \
-          refactorization must spend strictly fewer setup transactions \
-          than full refresh at a bit-identical solution trajectory (both \
-          families), invariant across $(b,--domains) values (exit 1 \
-          otherwise).")
-    Term.(const run $ const ())
-
-
 let cmds =
   [
     fig_cmd "fig4" "Figure 4: factorization GFLOPS vs batch size."
@@ -1272,7 +1199,6 @@ let cmds =
     serve_cmd;
     loadgen_cmd;
     timestep_cmd;
-    timestep_check_cmd;
     csv_cmd;
     all_cmd;
     bench_compare_cmd;

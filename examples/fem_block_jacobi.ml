@@ -42,12 +42,14 @@ let () =
   let _, s_none = Idr.solve ~s:4 a b in
   Format.printf "unpreconditioned: %a@." Solver.pp_stats s_none;
 
-  (* The same preconditioner also serves BiCGSTAB and GMRES. *)
+  (* IDR(s) at other shadow-space dimensions: a larger s costs more work
+     per cycle and usually takes fewer iterations. *)
   let precond, _ = Block_jacobi.create ~max_block_size:30 a in
-  let _, s_bicg = Bicgstab.solve ~precond a b in
-  Format.printf "BiCGSTAB, bound 30: %a@." Solver.pp_stats s_bicg;
-  let _, s_gmres = Gmres.solve ~precond ~restart:30 a b in
-  Format.printf "GMRES(30), bound 30: %a@." Solver.pp_stats s_gmres;
+  List.iter
+    (fun s ->
+      let _, stats = Idr.solve ~precond ~s a b in
+      Format.printf "IDR(%d), bound 30: %a@." s Solver.pp_stats stats)
+    [ 2; 8 ];
 
   (* Contrast with the classic global ILU(0): usually fewer iterations per
      solve, but its setup and its triangular sweeps are sequential over

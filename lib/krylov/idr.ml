@@ -1,5 +1,7 @@
 open Vblu_smallblas
 open Vblu_precond
+module Csr = Vblu_sparse.Csr
+module Obs = Vblu_obs.Ctx
 
 (* Rounded arithmetic inlined into this unit, bitwise equal to
    [Precision]'s: under [-opaque] a call into another unit boxes every
@@ -63,53 +65,147 @@ let update_f prec ~beta ms f k s =
   | Precision.Double -> (update_f_k [@inlined]) Precision.Double ~beta ms f k s
   | Single -> (update_f_k [@inlined]) Precision.Single ~beta ms f k s
 
+(* Observability hooks.  Each is a no-op without a context, so a solve
+   with [?obs] absent is bit-identical to the uninstrumented path. *)
+
+(* One residual sample per iteration.  The solver runs host-side (no
+   modelled kernel time) and wall-clock must never enter a trace, so a
+   nominal deterministic 1 µs tick spreads the samples along the
+   simulated timeline. *)
+let record obs rnorm =
+  if Obs.enabled obs then begin
+    Obs.sample obs "idr.residual" (fun () -> [ ("rnorm", rnorm) ]);
+    Obs.incr obs "krylov.records" 1.0;
+    Obs.advance obs 1.0
+  end
+
+(* [solve_seconds] is wall-clock and deliberately left out of both the
+   trace and the registry. *)
+let report obs ~outcome ~iterations ~residual_norm =
+  if Obs.enabled obs then begin
+    let slug =
+      match outcome with
+      | Solver.Converged -> "converged"
+      | Max_iterations -> "max_iterations"
+      | Breakdown _ -> "breakdown"
+    in
+    Obs.instant obs ~cat:"krylov" "idr.done"
+      ~args:
+        [
+          ("outcome", Vblu_obs.Trace.Str slug);
+          ("iterations", Vblu_obs.Trace.Int iterations);
+          ("residual_norm", Vblu_obs.Trace.Float residual_norm);
+        ];
+    Obs.incr_l obs "krylov.outcome" [ ("outcome", slug) ] 1.0;
+    Obs.incr obs "krylov.solves" 1.0;
+    Obs.observe obs "krylov.iterations" (float_of_int iterations)
+  end
+
+(* Soft-error guard: trips on a non-finite residual norm, or on
+   stagnation — no meaningful improvement across [guard_window]
+   consecutive checks.  Built only when the caller passes
+   [?refresh_precond], and it only reads the residual norm, so an armed
+   guard over a healthy solve changes no bit. *)
+type guard = {
+  refresh : unit -> Preconditioner.t;
+  mutable best : float;
+  mutable since : int;
+  mutable used : bool;
+}
+
+let guard_window = 200
+
+(* The first trip rebuilds the preconditioner (flushing any corrupted
+   factors) and returns it as [`Restart]; a second trip is [`Break]. *)
+let guard_check obs g rnorm =
+  let trip =
+    if not (Float.is_finite rnorm) then Some "non-finite residual"
+    else begin
+      if rnorm < 0.999 *. g.best then begin
+        g.best <- rnorm;
+        g.since <- 0
+      end
+      else g.since <- g.since + 1;
+      if g.since > guard_window then Some "stagnation" else None
+    end
+  in
+  match trip with
+  | None -> `Ok
+  | Some why when g.used ->
+    Obs.instant obs ~cat:"krylov" "guard.break"
+      ~args:[ ("why", Vblu_obs.Trace.Str why) ];
+    Obs.incr obs "krylov.guard.breaks" 1.0;
+    `Break ("guard: " ^ why)
+  | Some why ->
+    g.used <- true;
+    g.best <- infinity;
+    g.since <- 0;
+    Obs.instant obs ~cat:"krylov" "guard.restart"
+      ~args:[ ("why", Vblu_obs.Trace.Str why) ];
+    Obs.incr obs "krylov.guard.restarts" 1.0;
+    `Restart (g.refresh ())
+
+exception Restart
+
 let solve ?(prec = Precision.Double) ?precond ?(s = 4) ?(seed = 1)
-    ?(smoothing = false) ?(config = Solver.default_config) ?refresh_precond
-    ?obs a b =
+    ?(config = Solver.default_config) ?refresh_precond ?obs a b =
   if s < 1 then invalid_arg "Idr.solve: s < 1";
-  let ctx = Solver.make_ctx ~prec ?precond ?obs ~name:"idr" a b config in
-  let sguard = Option.map Solver.guard refresh_precond in
+  let n, cols = Csr.dims a in
+  if n <> cols then invalid_arg "Krylov: matrix not square";
+  if Array.length b <> n then invalid_arg "Krylov: rhs dimension mismatch";
+  let precond =
+    ref (match precond with Some p -> p | None -> Preconditioner.identity n)
+  in
+  if !precond.Preconditioner.dim <> n then
+    invalid_arg "Krylov: preconditioner dimension mismatch";
+  let b_norm = Vector.nrm2 ~prec b in
+  let target = config.Solver.rtol *. b_norm in
+  let guard =
+    Option.map
+      (fun refresh -> { refresh; best = infinity; since = 0; used = false })
+      refresh_precond
+  in
   let started = Sys.time () in
-  let n = Array.length b in
   let x = Vector.create n in
   let r = Vector.copy b in
   let p = shadow_space ~prec ~seed n s in
   let g = Array.init s (fun _ -> Vector.create n) in
   let u = Array.init s (fun _ -> Vector.create n) in
+  (* Per-solve workspaces: [v] is the inner step's preconditioner
+     operand, [t] takes the other products with [A], and the spare pair
+     receives each new direction (u_k, g_k) before it is swapped into
+     [u]/[g].  The preconditioner's result is read at once, never kept
+     across another apply, so it may be a buffer the operator reuses. *)
+  let v = Vector.create n and t = Vector.create n in
+  let uk_spare = ref (Vector.create n) and gk_spare = ref (Vector.create n) in
   (* ms is the s×s biorthogonality matrix, lower triangular by
      construction; start from the identity. *)
   let ms = Array.init s (fun i -> Array.init s (fun j -> if i = j then 1.0 else 0.0)) in
   let om = ref 1.0 in
   let iters = ref 0 in
   let rnorm = ref (Vector.nrm2 ~prec r) in
-  (* Optional QMR-style smoothing: (xs, rs) is the returned pair and the
-     pair the stopping test sees; eta minimizes ‖rs + eta (r - rs)‖. *)
-  let xs = Vector.copy x and rs = Vector.copy r in
-  let smooth () =
-    if smoothing then begin
-      let d = Vector.sub ~prec rs r in
-      let dd = Vector.dot ~prec d d in
-      if dd > 0.0 then begin
-        let eta = R.div prec (Vector.dot ~prec rs d) dd in
-        Vector.axpy ~prec (-.eta) d rs;
-        let dx = Vector.sub ~prec xs x in
-        Vector.axpy ~prec (-.eta) dx xs
-      end;
-      rnorm := Vector.nrm2 ~prec rs
-    end
-  in
-  Solver.record ctx !rnorm;
   let outcome = ref None in
-  if !rnorm <= ctx.Solver.target then outcome := Some Solver.Converged;
-  let apply_m v = Preconditioner.apply ctx.Solver.precond v in
+  record obs !rnorm;
+  if !rnorm <= target then outcome := Some Solver.Converged;
+  let apply_m v = Preconditioner.apply !precond v in
+  (* Re-measure [r] after an update and apply the stopping rule. *)
+  let measure () =
+    rnorm := Vector.nrm2 ~prec r;
+    record obs !rnorm;
+    if !rnorm <= target then outcome := Some Solver.Converged
+    else if !iters >= config.Solver.max_iters then
+      outcome := Some Solver.Max_iterations
+  in
   let check_guard () =
-    match sguard with
-    | None -> ()
-    | Some gd -> (
-      match Solver.guard_check ctx gd !rnorm with
+    match guard with
+    | Some gd when !outcome = None -> (
+      match guard_check obs gd !rnorm with
       | `Ok -> ()
       | `Break why -> outcome := Some (Solver.Breakdown why)
-      | `Restart _ -> raise Solver.Guard_restart)
+      | `Restart m ->
+        precond := m;
+        raise Restart)
+    | _ -> ()
   in
   (* Re-arm the recurrences after a guard-triggered preconditioner
      refresh: keep the iterate (zeroing it if the corruption reached it),
@@ -117,129 +213,113 @@ let solve ?(prec = Precision.Double) ?precond ?(s = 4) ?(seed = 1)
   let rearm () =
     if Array.exists (fun v -> not (Float.is_finite v)) x then
       Vector.fill x 0.0;
-    let ax = ctx.Solver.spmv x in
+    Csr.spmv_into ~prec a x t;
     incr iters;
     Vector.blit ~src:b ~dst:r;
-    Vector.axpy ~prec (-1.0) ax r;
+    Vector.axpy ~prec (-1.0) t r;
     for i = 0 to s - 1 do
-      g.(i) <- Vector.create n;
-      u.(i) <- Vector.create n;
+      Vector.fill g.(i) 0.0;
+      Vector.fill u.(i) 0.0;
       for j = 0 to s - 1 do
         ms.(i).(j) <- (if i = j then 1.0 else 0.0)
       done
     done;
     om := 1.0;
-    rnorm := Vector.nrm2 ~prec r;
-    Vector.blit ~src:x ~dst:xs;
-    Vector.blit ~src:r ~dst:rs;
-    Solver.record ctx !rnorm;
-    if !rnorm <= ctx.Solver.target then outcome := Some Solver.Converged
-    else if !iters >= config.Solver.max_iters then
-      outcome := Some Solver.Max_iterations
+    measure ()
+  in
+  (* One IDR cycle: s steps inside the current Sonneveld space, then the
+     dimension-reduction step into the next one. *)
+  let cycle () =
+    let f = Array.init s (fun i -> Vector.dot ~prec p.(i) r) in
+    let k = ref 0 in
+    while !outcome = None && !k < s do
+      let kk = !k in
+      match solve_lower ~prec ms f kk s with
+      | exception Exit ->
+        outcome := Some (Solver.Breakdown "singular biortho system")
+      | c ->
+        (* v = r - Σ c_i g_i over the trailing directions. *)
+        Vector.blit ~src:r ~dst:v;
+        for i = kk to s - 1 do
+          Vector.axpy ~prec (-.c.(i - kk)) g.(i) v
+        done;
+        let vhat = apply_m v in
+        (* u_k = om * vhat + Σ c_i u_i. *)
+        let uk = !uk_spare and gk = !gk_spare in
+        Vector.blit ~src:vhat ~dst:uk;
+        Vector.scal ~prec !om uk;
+        for i = kk to s - 1 do
+          Vector.axpy ~prec c.(i - kk) u.(i) uk
+        done;
+        Csr.spmv_into ~prec a uk gk;
+        incr iters;
+        (* Bi-orthogonalize the new direction against p_0..p_{k-1}. *)
+        for i = 0 to kk - 1 do
+          let alpha = R.div prec (Vector.dot ~prec p.(i) gk) ms.(i).(i) in
+          Vector.axpy ~prec (-.alpha) g.(i) gk;
+          Vector.axpy ~prec (-.alpha) u.(i) uk
+        done;
+        uk_spare := u.(kk);
+        gk_spare := g.(kk);
+        u.(kk) <- uk;
+        g.(kk) <- gk;
+        for i = kk to s - 1 do
+          ms.(i).(kk) <- Vector.dot ~prec p.(i) gk
+        done;
+        if ms.(kk).(kk) = 0.0 then
+          outcome := Some (Solver.Breakdown "zero pivot in IDR recurrence")
+        else begin
+          let beta = R.div prec f.(kk) ms.(kk).(kk) in
+          Vector.axpy ~prec (-.beta) gk r;
+          Vector.axpy ~prec beta uk x;
+          measure ();
+          check_guard ();
+          update_f prec ~beta ms f kk s;
+          f.(kk) <- 0.0
+        end;
+        incr k
+    done;
+    if !outcome = None then begin
+      let vhat = apply_m r in
+      Csr.spmv_into ~prec a vhat t;
+      incr iters;
+      let tt = Vector.dot ~prec t t in
+      let tr = Vector.dot ~prec t r in
+      if tt = 0.0 then
+        outcome := Some (Solver.Breakdown "t = 0 in dimension-reduction step")
+      else begin
+        let tn = sqrt tt and rn = !rnorm in
+        let rho = if tn *. rn = 0.0 then 0.0 else tr /. (tn *. rn) in
+        om := tr /. tt;
+        (* The standard ω-stabilization ("maintaining the convergence"). *)
+        if Float.abs rho < 0.7 && Float.abs rho > 0.0 then
+          om := !om *. 0.7 /. Float.abs rho;
+        if !om = 0.0 then outcome := Some (Solver.Breakdown "omega = 0")
+        else begin
+          Vector.axpy ~prec !om vhat x;
+          Vector.axpy ~prec (-. !om) t r;
+          measure ();
+          check_guard ()
+        end
+      end
+    end
   in
   (try
-     let again = ref true in
-     while !again do
-       again := false;
-       try
-         while !outcome = None do
-       let f = Array.init s (fun i -> Vector.dot ~prec p.(i) r) in
-       let k = ref 0 in
-       while !outcome = None && !k < s do
-         let kk = !k in
-         let c =
-           match solve_lower ~prec ms f kk s with
-           | c -> c
-           | exception Exit ->
-             outcome := Some (Solver.Breakdown "singular biortho system");
-             [||]
-         in
-         if !outcome = None then begin
-           (* v = r - Σ c_i g_i over the trailing directions. *)
-           let v = Vector.copy r in
-           for i = kk to s - 1 do
-             Vector.axpy ~prec (-.c.(i - kk)) g.(i) v
-           done;
-           let vhat = apply_m v in
-           (* u_k = om * vhat + Σ c_i u_i. *)
-           let uk = Vector.copy vhat in
-           Vector.scal ~prec !om uk;
-           for i = kk to s - 1 do
-             Vector.axpy ~prec c.(i - kk) u.(i) uk
-           done;
-           let gk = ctx.Solver.spmv uk in
-           incr iters;
-           (* Bi-orthogonalize the new direction against p_0..p_{k-1}. *)
-           for i = 0 to kk - 1 do
-             let alpha =
-               R.div prec (Vector.dot ~prec p.(i) gk) ms.(i).(i)
-             in
-             Vector.axpy ~prec (-.alpha) g.(i) gk;
-             Vector.axpy ~prec (-.alpha) u.(i) uk
-           done;
-           u.(kk) <- uk;
-           g.(kk) <- gk;
-           for i = kk to s - 1 do
-             ms.(i).(kk) <- Vector.dot ~prec p.(i) gk
-           done;
-           if ms.(kk).(kk) = 0.0 then
-             outcome := Some (Solver.Breakdown "zero pivot in IDR recurrence")
-           else begin
-             let beta = R.div prec f.(kk) ms.(kk).(kk) in
-             Vector.axpy ~prec (-.beta) gk r;
-             Vector.axpy ~prec beta uk x;
-             rnorm := Vector.nrm2 ~prec r;
-             smooth ();
-             Solver.record ctx !rnorm;
-             if !rnorm <= ctx.Solver.target then outcome := Some Solver.Converged
-             else if !iters >= config.Solver.max_iters then
-               outcome := Some Solver.Max_iterations;
-             if !outcome = None then check_guard ();
-             update_f prec ~beta ms f kk s;
-             f.(kk) <- 0.0
-           end;
-           incr k
-         end
-       done;
-       if !outcome = None then begin
-         (* Dimension-reduction step into the next Sonneveld space. *)
-         let vhat = apply_m r in
-         let t = ctx.Solver.spmv vhat in
-         incr iters;
-         let tt = Vector.dot ~prec t t in
-         let tr = Vector.dot ~prec t r in
-         if tt = 0.0 then
-           outcome := Some (Solver.Breakdown "t = 0 in dimension-reduction step")
-         else begin
-           (* rho needs the unsmoothed residual norm. *)
-           let tn = sqrt tt and rn = Vector.nrm2 ~prec r in
-           let rho = if tn *. rn = 0.0 then 0.0 else tr /. (tn *. rn) in
-           om := tr /. tt;
-           (* The standard ω-stabilization ("maintaining the convergence"). *)
-           if Float.abs rho < 0.7 && Float.abs rho > 0.0 then
-             om := !om *. 0.7 /. Float.abs rho;
-           if !om = 0.0 then
-             outcome := Some (Solver.Breakdown "omega = 0")
-           else begin
-             Vector.axpy ~prec !om vhat x;
-             Vector.axpy ~prec (-. !om) t r;
-             rnorm := Vector.nrm2 ~prec r;
-             smooth ();
-             Solver.record ctx !rnorm;
-             if !rnorm <= ctx.Solver.target then outcome := Some Solver.Converged
-             else if !iters >= config.Solver.max_iters then
-               outcome := Some Solver.Max_iterations;
-             if !outcome = None then check_guard ()
-           end
-         end
-       end
-         done
-       with Solver.Guard_restart ->
-         rearm ();
-         again := true
+     while !outcome = None do
+       try cycle () with Restart -> rearm ()
      done
-   with e ->
-     outcome := Some (Solver.Breakdown (Printexc.to_string e)));
-  let outcome = match !outcome with Some o -> o | None -> Solver.Max_iterations in
-  let x = if smoothing then xs else x in
-  (x, Solver.finish ctx ~outcome ~iterations:!iters ~x ~b ~started ~a)
+   with e -> outcome := Some (Solver.Breakdown (Printexc.to_string e)));
+  let outcome =
+    match !outcome with Some o -> o | None -> Solver.Max_iterations
+  in
+  Csr.spmv_into ~prec a x t;
+  let residual_norm = Vector.nrm2 ~prec (Vector.sub ~prec b t) in
+  report obs ~outcome ~iterations:!iters ~residual_norm;
+  ( x,
+    {
+      Solver.outcome;
+      iterations = !iters;
+      residual_norm;
+      rhs_norm = b_norm;
+      solve_seconds = Sys.time () -. started;
+    } )

@@ -214,6 +214,45 @@ let test_block_ilu0_update () =
         (4, 8))
     precs
 
+let test_idr_iteration () =
+  (* Each IDR(4) iteration allocates the identity preconditioner's result
+     (n floats plus a header) and a size-independent constant — s-vectors
+     and boxed scalars — but no n-vector of its own: the products, the
+     inner step's operand and the new directions live in per-solve
+     workspaces.  With rtol 0 the solve runs to its cap, so the words
+     between two caps are those of the extra iterations.  n stays below
+     [Max_young_wosize], so every vector is allocated on the minor heap,
+     whose counter is exact (the major-heap counters behind
+     [Gc.allocated_bytes] are flushed lazily). *)
+  let slack = 128.0 in
+  let a =
+    Vblu_workloads.Generators.convection_diffusion_2d ~nx:15 ~ny:15
+      ~peclet:20.0 ()
+  in
+  let n, _ = Csr.dims a in
+  let b = Vector.random ~state:(state 6) n in
+  List.iter
+    (fun prec ->
+      let words_at max_iters =
+        let config = { Vblu_krylov.Solver.max_iters; rtol = 0.0 } in
+        let w0 = Gc.minor_words () in
+        let _, stats = Vblu_krylov.Idr.solve ~prec ~config a b in
+        let w = Gc.minor_words () -. w0 in
+        Alcotest.(check int)
+          ("runs to the cap " ^ Precision.to_string prec)
+          max_iters stats.Vblu_krylov.Solver.iterations;
+        w
+      in
+      let lo = 20 and hi = 60 in
+      let per_iter =
+        (words_at hi -. words_at lo) /. float_of_int (hi - lo)
+        -. float_of_int (n + 1)
+      in
+      if per_iter > slack then
+        Alcotest.failf "idr %s: %.0f words per iteration beyond the result"
+          (Precision.to_string prec) per_iter)
+    precs
+
 let test_warp () =
   (* The lane ops run on arena slots.  Charge-free (a cache replay) they
      allocate nothing.  Charging, an op boxes its float counter updates
@@ -1148,6 +1187,7 @@ let () =
           Alcotest.test_case "block-ilu0 apply" `Quick test_block_ilu0_apply;
           Alcotest.test_case "block-ilu0 warm update" `Quick
             test_block_ilu0_update;
+          Alcotest.test_case "idr iteration" `Quick test_idr_iteration;
           Alcotest.test_case "warp lane ops" `Quick test_warp;
           Alcotest.test_case "zero words per Double call" `Quick
             test_zero_alloc;

@@ -1,8 +1,8 @@
 (* Tests for the observability subsystem: the JSON codec, RFC-4180 CSV
    quoting, trace golden output and sub/graft determinism, metrics
    registry semantics, cross-domain bit-identity of traces and metrics,
-   the None fast path (obs on/off numeric bit-identity), the Gmres /
-   BiCGSTAB soft-error guards, and the benchmark-artifact schema +
+   the None fast path (obs on/off numeric bit-identity), the IDR
+   soft-error guard's trips, and the benchmark-artifact schema +
    regression gate behind `vblu_cli bench-compare`. *)
 
 open Vblu_obs
@@ -293,13 +293,13 @@ let test_obs_disabled_bit_identical () =
   let n, _ = Vblu_sparse.Csr.dims a in
   let rhs = Array.make n 1.0 in
   let precond () = fst (Bj.create ~max_block_size:8 a) in
-  let x1, s1 = Vblu_krylov.Gmres.solve ~precond:(precond ()) a rhs in
+  let x1, s1 = Vblu_krylov.Idr.solve ~precond:(precond ()) a rhs in
   let x2, s2 =
     let obs = Ctx.v ~trace:(Trace.create ()) ~metrics:(Metrics.create ()) () in
-    Vblu_krylov.Gmres.solve ~precond:(precond ()) ~obs a rhs
+    Vblu_krylov.Idr.solve ~precond:(precond ()) ~obs a rhs
   in
-  check_float "gmres solution identical" 0.0 (Vector.max_abs_diff x1 x2);
-  Alcotest.(check int) "gmres iterations identical"
+  check_float "idr solution identical" 0.0 (Vector.max_abs_diff x1 x2);
+  Alcotest.(check int) "idr iterations identical"
     s1.Vblu_krylov.Solver.iterations s2.Vblu_krylov.Solver.iterations
 
 (* The Krylov obs hooks record residual samples and an outcome. *)
@@ -309,35 +309,32 @@ let test_solver_obs_records () =
   let rhs = Array.make n 1.0 in
   let tr = Trace.create () and mx = Metrics.create () in
   let obs = Ctx.v ~trace:tr ~metrics:mx () in
-  let _, stats = Vblu_krylov.Bicgstab.solve ~obs a rhs in
+  let _, stats = Vblu_krylov.Idr.solve ~obs a rhs in
   Alcotest.(check bool) "solve converged" true
     (Vblu_krylov.Solver.converged stats);
   check_float "one solve counted" 1.0 (Metrics.counter_value mx "krylov.solves");
   check_float "converged outcome counted" 1.0
     (Metrics.counter_value mx
        (Metrics.labelled "krylov.outcome" [ ("outcome", "converged") ]));
-  let has_sample =
-    List.exists
-      (function Trace.Sample s -> s.name = "bicgstab.residual" | _ -> false)
-      (Trace.events tr)
-  and has_done =
-    List.exists
-      (function Trace.Instant i -> i.name = "bicgstab.done" | _ -> false)
-      (Trace.events tr)
-  in
-  Alcotest.(check bool) "residual samples traced" true has_sample;
-  Alcotest.(check bool) "done instant traced" true has_done
+  let count p = List.length (List.filter p (Trace.events tr)) in
+  (* One residual sample for the initial residual, one per product. *)
+  Alcotest.(check int) "one residual sample per iteration"
+    (stats.Vblu_krylov.Solver.iterations + 1)
+    (count (function Trace.Sample s -> s.name = "idr.residual" | _ -> false));
+  Alcotest.(check int) "one done instant" 1
+    (count (function Trace.Instant i -> i.name = "idr.done" | _ -> false))
 
 (* ------------------------------------------------------------------ *)
-(* Gmres / BiCGSTAB soft-error guards — satellite                      *)
+(* IDR soft-error guard                                                *)
 
-let poisoned_setup () =
+(* A refresh that hands back another poisoned preconditioner: the first
+   trip restarts, the second ends the solve. *)
+let test_guard_second_trip_breaks () =
   let a = Vblu_workloads.Generators.laplacian_2d ~nx:12 ~ny:12 () in
   let n, _ = Vblu_sparse.Csr.dims a in
   let b = Array.make n 1.0 in
-  let good () = fst (Bj.create ~max_block_size:8 a) in
-  let poisoned =
-    let g = good () in
+  let poisoned () =
+    let g = fst (Bj.create ~max_block_size:8 a) in
     {
       g with
       Vblu_precond.Preconditioner.apply =
@@ -347,56 +344,62 @@ let poisoned_setup () =
           z);
     }
   in
-  (a, b, good, poisoned)
-
-let test_gmres_guard_recovers () =
-  let a, b, good, poisoned = poisoned_setup () in
-  let x, stats =
-    Vblu_krylov.Gmres.solve ~precond:poisoned ~refresh_precond:good a b
+  let tr = Trace.create () and mx = Metrics.create () in
+  let obs = Ctx.v ~trace:tr ~metrics:mx () in
+  let _, stats =
+    Vblu_krylov.Idr.solve ~precond:(poisoned ()) ~refresh_precond:poisoned
+      ~obs a b
   in
-  Alcotest.(check bool) "guarded gmres converges" true
-    (Vblu_krylov.Solver.converged stats);
-  Alcotest.(check bool) "solution finite" true
-    (Array.for_all Float.is_finite x);
-  let _, unguarded = Vblu_krylov.Gmres.solve ~precond:poisoned a b in
-  Alcotest.(check bool) "unguarded gmres fails" false
-    (Vblu_krylov.Solver.converged unguarded)
-
-let test_bicgstab_guard_recovers () =
-  let a, b, good, poisoned = poisoned_setup () in
-  let x, stats =
-    Vblu_krylov.Bicgstab.solve ~precond:poisoned ~refresh_precond:good a b
+  Alcotest.(check bool) "breakdown" true
+    (stats.Vblu_krylov.Solver.outcome
+    = Vblu_krylov.Solver.Breakdown "guard: non-finite residual");
+  let instants name =
+    List.length
+      (List.filter
+         (function Trace.Instant i -> i.name = name | _ -> false)
+         (Trace.events tr))
   in
-  Alcotest.(check bool) "guarded bicgstab converges" true
-    (Vblu_krylov.Solver.converged stats);
-  Alcotest.(check bool) "solution finite" true
-    (Array.for_all Float.is_finite x);
-  let _, unguarded = Vblu_krylov.Bicgstab.solve ~precond:poisoned a b in
-  Alcotest.(check bool) "unguarded bicgstab fails" false
-    (Vblu_krylov.Solver.converged unguarded)
+  Alcotest.(check int) "one restart instant" 1 (instants "guard.restart");
+  Alcotest.(check int) "one break instant" 1 (instants "guard.break");
+  check_float "restarts counted" 1.0
+    (Metrics.counter_value mx "krylov.guard.restarts");
+  check_float "breaks counted" 1.0
+    (Metrics.counter_value mx "krylov.guard.breaks")
 
+(* Arming the guard and obs over a healthy single-precision solve changes
+   no bit (guard checks only read the residual norm) and reports no trip. *)
 let test_guard_absent_bit_identical () =
-  let a = Vblu_workloads.Generators.laplacian_2d ~nx:10 ~ny:10 () in
+  let a =
+    Vblu_workloads.Generators.convection_diffusion_2d ~nx:10 ~ny:10
+      ~peclet:20.0 ()
+  in
   let n, _ = Vblu_sparse.Csr.dims a in
   let b = Array.make n 1.0 in
-  let precond () = fst (Bj.create ~max_block_size:8 a) in
-  (* Arming a guard over a healthy solve must not change a single bit:
-     guard checks only read the residual norm. *)
-  let x1, s1 = Vblu_krylov.Gmres.solve ~precond:(precond ()) a b in
+  let prec = Precision.Single in
+  let precond () =
+    fst (Vblu_precond.Block_ilu0.create ~prec ~max_block_size:4 a)
+  in
+  let x1, s1 = Vblu_krylov.Idr.solve ~prec ~precond:(precond ()) a b in
+  let tr = Trace.create () and mx = Metrics.create () in
   let x2, s2 =
-    Vblu_krylov.Gmres.solve ~precond:(precond ()) ~refresh_precond:precond a b
+    Vblu_krylov.Idr.solve ~prec ~precond:(precond ()) ~refresh_precond:precond
+      ~obs:(Ctx.v ~trace:tr ~metrics:mx ())
+      a b
   in
-  check_float "gmres same solution" 0.0 (Vector.max_abs_diff x1 x2);
-  Alcotest.(check int) "gmres same iterations"
-    s1.Vblu_krylov.Solver.iterations s2.Vblu_krylov.Solver.iterations;
-  let y1, t1 = Vblu_krylov.Bicgstab.solve ~precond:(precond ()) a b in
-  let y2, t2 =
-    Vblu_krylov.Bicgstab.solve ~precond:(precond ()) ~refresh_precond:precond a
-      b
-  in
-  check_float "bicgstab same solution" 0.0 (Vector.max_abs_diff y1 y2);
-  Alcotest.(check int) "bicgstab same iterations"
-    t1.Vblu_krylov.Solver.iterations t2.Vblu_krylov.Solver.iterations
+  Alcotest.(check bool) "same solution bits" true
+    (Array.for_all2
+       (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+       x1 x2);
+  Alcotest.(check int) "same iterations" s1.Vblu_krylov.Solver.iterations
+    s2.Vblu_krylov.Solver.iterations;
+  Alcotest.(check bool) "no guard instant" false
+    (List.exists
+       (function
+         | Trace.Instant i -> i.name = "guard.restart" || i.name = "guard.break"
+         | _ -> false)
+       (Trace.events tr));
+  check_float "no restart counted" 0.0
+    (Metrics.counter_value mx "krylov.guard.restarts")
 
 (* ------------------------------------------------------------------ *)
 (* Benchmark artifacts and the regression gate                         *)
@@ -623,10 +626,8 @@ let () =
         ] );
       ( "guards",
         [
-          Alcotest.test_case "gmres guard recovers" `Quick
-            test_gmres_guard_recovers;
-          Alcotest.test_case "bicgstab guard recovers" `Quick
-            test_bicgstab_guard_recovers;
+          Alcotest.test_case "second trip breaks" `Quick
+            test_guard_second_trip_breaks;
           Alcotest.test_case "absent guard bit-identical" `Quick
             test_guard_absent_bit_identical;
         ] );

@@ -421,8 +421,8 @@ let test_ilu0_preconditions () =
   let n, _ = Csr.dims a in
   let b = Array.make n 1.0 in
   let p = Ilu0.preconditioner a in
-  let _, plain = Vblu_krylov.Cg.solve a b in
-  let _, pre = Vblu_krylov.Cg.solve ~precond:p a b in
+  let _, plain = Vblu_krylov.Idr.solve a b in
+  let _, pre = Vblu_krylov.Idr.solve ~precond:p a b in
   Alcotest.(check bool) "both converge" true
     (Vblu_krylov.Solver.converged plain && Vblu_krylov.Solver.converged pre);
   Alcotest.(check bool)
@@ -554,7 +554,7 @@ let () =
         [
           Alcotest.test_case "exact without fill" `Quick
             test_ilu0_exact_when_no_fill;
-          Alcotest.test_case "preconditions cg" `Quick test_ilu0_preconditions;
+          Alcotest.test_case "preconditions idr" `Quick test_ilu0_preconditions;
           Alcotest.test_case "errors" `Quick test_ilu0_errors;
         ] );
       ("properties", qcheck_tests);

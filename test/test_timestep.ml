@@ -225,33 +225,62 @@ let test_pattern_mismatch () =
 (* {1 Timestep driver} *)
 
 let quick_cfg =
-  { Vblu_krylov.Solver.default_config with max_iters = 400; rtol = 1e-8 }
+  { Vblu_krylov.Solver.max_iters = 400; rtol = 1e-8 }
 
 let run_ts ?(family = Timestep.Jacobi) ?(refresh = Timestep.Every_step)
     ?(mode = Timestep.Partial 0.0) () =
   Timestep.run ~nx:10 ~ny:10 ~steps:8 ~family ~refresh ~mode ~config:quick_cfg
     ()
 
-let test_partial_cheaper_than_full () =
+(* Partial refresh at tol 0 against a full refresh, for both families:
+   strictly fewer setup transactions at a bit-identical solution
+   trajectory and equal iteration counts. *)
+let check_partial_cheaper label run =
   List.iter
     (fun family ->
-      let partial = run_ts ~family () in
-      let full = run_ts ~family ~mode:Timestep.Full () in
+      let name = Printf.sprintf "%s %s" label (Timestep.family_name family) in
+      let partial = run ~family ~mode:(Timestep.Partial 0.0) in
+      let full = run ~family ~mode:Timestep.Full in
       Alcotest.(check bool)
-        (Timestep.family_name family ^ " partial fewer setup transactions")
+        (name ^ " partial fewer setup transactions")
         true
         (partial.Timestep.total_setup_transactions
         < full.Timestep.total_setup_transactions);
-      (* tol = 0 partial refresh is bit-identical to the full refresh. *)
       Alcotest.(check bool)
-        (Timestep.family_name family ^ " checksum bitwise")
+        (name ^ " checksum bitwise")
         true
         (Int64.equal
            (Int64.bits_of_float partial.Timestep.solution_checksum)
            (Int64.bits_of_float full.Timestep.solution_checksum));
       Alcotest.(check int)
-        (Timestep.family_name family ^ " iterations equal")
+        (name ^ " iterations equal")
         full.Timestep.total_iterations partial.Timestep.total_iterations)
+    [ Timestep.Jacobi; Timestep.Ilu0 ]
+
+let test_partial_cheaper_than_full () =
+  check_partial_cheaper "8 steps at 10x10" (fun ~family ~mode ->
+      run_ts ~family ~mode ());
+  (* The amortized-setup gate: a 16x16 grid over 10 steps at the default
+     solver config, on a one-domain pool; a two-domain pool must then
+     reproduce the partial run's checksum bits and setup transactions. *)
+  let gate ~domains ~family ~mode =
+    Timestep.run
+      ~pool:(Pool.create ~num_domains:domains ())
+      ~nx:16 ~ny:16 ~steps:10 ~family ~refresh:Timestep.Every_step ~mode ()
+  in
+  check_partial_cheaper "10 steps at 16x16" (gate ~domains:1);
+  List.iter
+    (fun family ->
+      let name = Timestep.family_name family ^ " domains=2" in
+      let p1 = gate ~domains:1 ~family ~mode:(Timestep.Partial 0.0) in
+      let p2 = gate ~domains:2 ~family ~mode:(Timestep.Partial 0.0) in
+      Alcotest.(check int64)
+        (name ^ " checksum bits")
+        (Int64.bits_of_float p1.Timestep.solution_checksum)
+        (Int64.bits_of_float p2.Timestep.solution_checksum);
+      Alcotest.(check int)
+        (name ^ " setup transactions")
+        p1.Timestep.total_setup_transactions p2.Timestep.total_setup_transactions)
     [ Timestep.Jacobi; Timestep.Ilu0 ]
 
 let test_every_k_refresh_count () =
