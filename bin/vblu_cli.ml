@@ -133,15 +133,17 @@ let with_obs trace metrics f =
       metrics;
     r
 
-let kernel_cmd name doc driver =
-  let run quick domains trace metrics =
+(* The kernel tables that record no trace or metrics: ablations and the
+   layout sweep. *)
+let kernel_cmd name doc
+    (driver : ?quick:bool -> ?pool:Vblu_par.Pool.t -> Format.formatter -> unit)
+    =
+  let run quick domains =
     setup_logs ();
-    with_obs trace metrics (fun obs ->
-        driver ~quick ~pool:(pool_of domains) ?obs ppf);
+    driver ~quick ~pool:(pool_of domains) ppf;
     Format.pp_print_flush ppf ()
   in
-  Cmd.v (Cmd.info name ~doc)
-    Term.(const run $ quick_arg $ domains_arg $ trace_arg $ metrics_arg)
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ quick_arg $ domains_arg)
 
 let layout_conv = Vblu_core.Batch.(conv_of layout_of_string layout_name)
 
@@ -157,8 +159,15 @@ let layout_arg =
     & opt layout_conv Vblu_core.Batch.Blocked
     & info [ "layout" ] ~docv:"LAYOUT" ~doc)
 
-(* Like [kernel_cmd] for the figure sweeps, which also take --layout. *)
-let fig_cmd name doc driver =
+(* The figure sweeps also take --layout and record traces and metrics. *)
+let fig_cmd name doc
+    (driver :
+      ?quick:bool ->
+      ?pool:Vblu_par.Pool.t ->
+      ?obs:Vblu_obs.Ctx.t ->
+      ?layout:Vblu_core.Batch.layout ->
+      Format.formatter ->
+      unit) =
   let run quick domains layout trace metrics =
     setup_logs ();
     with_obs trace metrics (fun obs ->
@@ -169,69 +178,6 @@ let fig_cmd name doc driver =
     Term.(
       const run $ quick_arg $ domains_arg $ layout_arg $ trace_arg
       $ metrics_arg)
-
-(* CI gate: run the variable-size LU / TRSV workloads in both layouts and
-   fail unless the coalescing model reports strictly fewer gmem
-   transactions for interleaved storage on every kernel. *)
-let layout_check_cmd =
-  let count =
-    Arg.(
-      value & opt int 64
-      & info [ "count" ] ~docv:"N" ~doc:"Number of blocks in the workload.")
-  in
-  let run count =
-    setup_logs ();
-    let module B = Vblu_core.Batch in
-    let module L = Vblu_simt.Launch in
-    let sizes =
-      B.random_sizes
-        ~state:(Random.State.make [| 0x10c; 1 |])
-        ~count ~min_size:5 ~max_size:30 ()
-    in
-    let txns (s : L.stats) = s.L.total.Vblu_simt.Counter.gmem_transactions in
-    let measure layout =
-      let st = Random.State.make [| 0x10c; 2 |] in
-      let b = B.random_diagdom ~state:st ~layout sizes in
-      let lu = Vblu_core.Batched_lu.factor b in
-      let rhs = B.vec_random ~state:st ~layout sizes in
-      let solve variant =
-        Vblu_core.Batched_trsv.solve ~variant
-          ~factors:lu.Vblu_core.Batched_lu.factors
-          ~pivots:lu.Vblu_core.Batched_lu.pivots rhs
-      in
-      [
-        ("getrf.lu", txns lu.Vblu_core.Batched_lu.stats);
-        ( "trsv.eager",
-          txns (solve Vblu_core.Batched_trsv.Eager).Vblu_core.Batched_trsv.stats
-        );
-        ( "trsv.lazy",
-          txns (solve Vblu_core.Batched_trsv.Lazy).Vblu_core.Batched_trsv.stats
-        );
-      ]
-    in
-    let blocked = measure B.Blocked and interleaved = measure B.Interleaved in
-    let ok = ref true in
-    List.iter2
-      (fun (kernel, b) (_, i) ->
-        let pass = i < b in
-        if not pass then ok := false;
-        Printf.printf "%-10s blocked %12.0f  interleaved %12.0f  %.2fx  %s\n"
-          kernel b i (b /. i)
-          (if pass then "ok" else "FAIL"))
-      blocked interleaved;
-    if not !ok then begin
-      Printf.eprintf
-        "layout-check: interleaved storage did not reduce gmem transactions\n";
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "layout-check"
-       ~doc:
-         "Assert the interleaved layout costs strictly fewer gmem \
-          transactions than blocked on the variable-size LU/TRSV workloads \
-          (exit 1 otherwise); the CI coalescing gate.")
-    Term.(const run $ count)
 
 let with_study quick domains policy faults abft recovery ?obs f =
   setup_logs ();
@@ -620,106 +566,6 @@ let precond_cmd =
       const run $ quick_arg $ bound $ subdomains_arg $ overlap_arg
       $ domains_arg $ policy_arg $ trace_arg $ metrics_arg)
 
-(* CI gate: block-ILU(0) apply must be bit-identical across domain counts
-   and storage layouts, and the coupled factorization must actually buy
-   iterations on the convection-dominated suite. *)
-let precond_check_cmd =
-  let run () =
-    setup_logs ();
-    let module Bi = Vblu_precond.Block_ilu0 in
-    let module B = Vblu_core.Batch in
-    let module G = Vblu_workloads.Generators in
-    let failures = ref 0 in
-    let fail fmt =
-      Printf.ksprintf
-        (fun msg ->
-          incr failures;
-          Printf.printf "FAIL %s\n" msg)
-        fmt
-    in
-    let mats =
-      [
-        ("fem_blocks", G.fem_blocks ~nodes:24 ~vars_per_node:4 ());
-        ("convection_2d", G.convection_diffusion_2d ~nx:9 ~ny:8 ());
-        ("block_tridiag", G.block_tridiagonal ~blocks:8 ~block_size:6 ());
-      ]
-    in
-    List.iter
-      (fun (name, a) ->
-        let n, _ = Vblu_sparse.Csr.dims a in
-        let r =
-          Array.init n (fun i -> 1.0 +. (float_of_int (i mod 7) /. 7.0))
-        in
-        let apply domains layout =
-          let precond, _ =
-            Bi.create ~pool:(pool_of domains) ~layout ~max_block_size:16 a
-          in
-          Vblu_precond.Preconditioner.apply precond r
-        in
-        let reference = apply 1 B.Blocked in
-        List.iter
-          (fun (domains, layout) ->
-            let y = apply domains layout in
-            let same =
-              Array.for_all2
-                (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
-                reference y
-            in
-            if same then
-              Printf.printf "ok   %-14s bit-identical at domains=%d layout=%s\n"
-                name domains (B.layout_name layout)
-            else
-              fail "%s: apply differs at domains=%d layout=%s" name domains
-                (B.layout_name layout))
-          [
-            (2, B.Blocked);
-            (4, B.Blocked);
-            (1, B.Interleaved);
-            (4, B.Interleaved);
-          ])
-      mats;
-    let module S = Vblu_workloads.Suite in
-    let module PS = Precond_study in
-    let conv =
-      List.filter (fun (e : S.entry) -> e.S.family = S.Convection) S.all
-    in
-    let study =
-      PS.run_suite ~entries:conv ~families:[ PS.Jacobi; PS.Ilu0 ] ()
-    in
-    let pairs = PS.iteration_improvements study in
-    let improved =
-      List.filter
-        (fun ((j : PS.run), (i : PS.run)) ->
-          i.PS.iterations < j.PS.iterations)
-        pairs
-    in
-    List.iter
-      (fun ((j : PS.run), (i : PS.run)) ->
-        Printf.printf
-          "%-4s %-18s jacobi %4d  ilu0 %4d  waves %2d  tx %7d\n"
-          (if i.PS.iterations < j.PS.iterations then "ok" else "warn")
-          j.PS.entry.S.name j.PS.iterations i.PS.iterations i.PS.apply_waves
-          i.PS.apply_transactions)
-      pairs;
-    if 2 * List.length improved < List.length pairs then
-      fail "block-ilu0 reduced iterations on only %d/%d convection matrices"
-        (List.length improved) (List.length pairs);
-    if !failures > 0 then begin
-      Printf.eprintf "precond-check: %d gate(s) failed\n" !failures;
-      exit 1
-    end
-    else Printf.printf "precond-check: all gates passed\n"
-  in
-  Cmd.v
-    (Cmd.info "precond-check"
-       ~doc:
-         "CI gate for the preconditioner families: assert block-ILU(0) \
-          apply is bit-identical across $(b,--domains) values and storage \
-          layouts, and that it reduces IDR(4) iterations vs block-Jacobi \
-          on at least half the convection-dominated suite (exit 1 \
-          otherwise).")
-    Term.(const run $ const ())
-
 let csv_cmd =
   let dir =
     Arg.(
@@ -773,6 +619,7 @@ let all_cmd =
     Kernel_figs.ablation_cholesky ~quick ~pool ppf;
     Kernel_figs.ablation_variable_size ~quick ~pool ppf;
     Kernel_figs.abft_overhead ~quick ~pool ppf;
+    Kernel_figs.layout_sweep ~quick ~pool ppf;
     with_study quick domains policy faults abft recovery ?obs (fun study ->
         Solver_figs.fig8 ppf study;
         Solver_figs.fig9 ppf study;
@@ -1151,38 +998,30 @@ let timestep_cmd =
 let cmds =
   [
     fig_cmd "fig4" "Figure 4: factorization GFLOPS vs batch size."
-      (fun ~quick ~pool ?obs ~layout ppf ->
-        Kernel_figs.fig4 ~quick ~pool ?obs ~layout ppf);
+      Kernel_figs.fig4;
     fig_cmd "fig5" "Figure 5: factorization GFLOPS vs matrix size."
-      (fun ~quick ~pool ?obs ~layout ppf ->
-        Kernel_figs.fig5 ~quick ~pool ?obs ~layout ppf);
+      Kernel_figs.fig5;
     fig_cmd "fig6" "Figure 6: triangular-solve GFLOPS vs batch size."
-      (fun ~quick ~pool ?obs ~layout ppf ->
-        Kernel_figs.fig6 ~quick ~pool ?obs ~layout ppf);
+      Kernel_figs.fig6;
     fig_cmd "fig7" "Figure 7: triangular-solve GFLOPS vs matrix size."
-      (fun ~quick ~pool ?obs ~layout ppf ->
-        Kernel_figs.fig7 ~quick ~pool ?obs ~layout ppf);
+      Kernel_figs.fig7;
     kernel_cmd "layout-sweep"
       "Blocked vs interleaved storage: transactions and GFLOPS."
-      (fun ~quick ~pool ?obs:_ ppf -> Kernel_figs.layout_sweep ~quick ~pool ppf);
-    layout_check_cmd;
+      Kernel_figs.layout_sweep;
     kernel_cmd "ablation-pivot" "Implicit vs explicit vs no pivoting."
-      (fun ~quick ~pool ?obs:_ ppf -> Kernel_figs.ablation_pivot ~quick ~pool ppf);
+      Kernel_figs.ablation_pivot;
     kernel_cmd "ablation-trsv" "Eager vs lazy triangular solves."
-      (fun ~quick ~pool ?obs:_ ppf -> Kernel_figs.ablation_trsv ~quick ~pool ppf);
+      Kernel_figs.ablation_trsv;
     kernel_cmd "ablation-extract" "Extraction strategies."
-      (fun ~quick ~pool ?obs:_ ppf ->
-        Kernel_figs.ablation_extraction ~quick ~pool ppf);
+      Kernel_figs.ablation_extraction;
     kernel_cmd "ablation-cholesky" "Cholesky (future work) vs LU on SPD."
-      (fun ~quick ~pool ?obs:_ ppf ->
-        Kernel_figs.ablation_cholesky ~quick ~pool ppf);
+      Kernel_figs.ablation_cholesky;
     kernel_cmd "ablation-varsize"
       "Variable-size batches from real supervariable blockings."
-      (fun ~quick ~pool ?obs:_ ppf ->
-        Kernel_figs.ablation_variable_size ~quick ~pool ppf);
+      Kernel_figs.ablation_variable_size;
     kernel_cmd "abft-overhead"
       "ABFT checksum overhead: protected vs unprotected LU/TRSV."
-      (fun ~quick ~pool ?obs:_ ppf -> Kernel_figs.abft_overhead ~quick ~pool ppf);
+      Kernel_figs.abft_overhead;
     solver_cmd "fig8" "Figure 8: LU vs GH convergence histogram."
       Solver_figs.fig8;
     solver_cmd "fig9" "Figure 9: total solver time per matrix."
@@ -1195,7 +1034,6 @@ let cmds =
     solve_cmd;
     levels_cmd;
     precond_cmd;
-    precond_check_cmd;
     serve_cmd;
     loadgen_cmd;
     timestep_cmd;

@@ -174,29 +174,48 @@ let qcheck_scalar_equivalence =
 (* ------------------------------------------------------------------ *)
 (* Cross-domain / cross-layout bit identity                            *)
 
-let test_apply_bit_identical_domains_layouts () =
-  let a = Vblu_workloads.Generators.fem_blocks ~nodes:20 ~vars_per_node:4 () in
-  let n, _ = Csr.dims a in
-  let r = rhs_for n in
+let check_apply_bit_identical name ~max_block_size a r =
   let reference = ref [||] in
   List.iter
     (fun domains ->
       List.iter
         (fun layout ->
           let pool = Vblu_par.Pool.create ~num_domains:domains () in
-          let p, info =
-            Block_ilu0.create ~pool ~layout ~max_block_size:8 a
-          in
-          Alcotest.(check int) "clean" 0 info.Block_ilu0.factor_info;
+          let p, info = Block_ilu0.create ~pool ~layout ~max_block_size a in
+          Alcotest.(check int) (name ^ ": clean") 0 info.Block_ilu0.factor_info;
           let x = Preconditioner.apply p r in
           if Array.length !reference = 0 then reference := x
           else
             check_bitwise
-              (Printf.sprintf "domains=%d layout=%s" domains
+              (Printf.sprintf "%s domains=%d layout=%s" name domains
                  (Vblu_core.Batch.layout_name layout))
               !reference x)
         [ Vblu_core.Batch.Blocked; Vblu_core.Batch.Interleaved ])
     [ 1; 2; 4 ]
+
+let test_apply_bit_identical_domains_layouts () =
+  let module G = Vblu_workloads.Generators in
+  let a = G.fem_blocks ~nodes:20 ~vars_per_node:4 () in
+  let n, _ = Csr.dims a in
+  check_apply_bit_identical "fem_blocks/8" ~max_block_size:8 a (rhs_for n);
+  (* Three structurally different matrices at bound 16 under a
+     deterministic right-hand side.  The two random generators draw, in
+     this order, from a fresh copy of their default stream. *)
+  let st = Random.State.make [| 0x5eed; 0x304ad5 |] in
+  let block_tridiag =
+    G.block_tridiagonal ~state:st ~blocks:8 ~block_size:6 ()
+  in
+  let fem_blocks = G.fem_blocks ~state:st ~nodes:24 ~vars_per_node:4 () in
+  List.iter
+    (fun (name, a) ->
+      let n, _ = Csr.dims a in
+      check_apply_bit_identical name ~max_block_size:16 a
+        (Array.init n (fun i -> 1.0 +. (float_of_int (i mod 7) /. 7.0))))
+    [
+      ("fem_blocks", fem_blocks);
+      ("convection_2d", G.convection_diffusion_2d ~nx:9 ~ny:8 ());
+      ("block_tridiag", block_tridiag);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Wave accounting                                                     *)
@@ -774,6 +793,31 @@ let test_fail_retry_raises () =
     (s.Block_jacobi.refactored > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Convergence: the coupled factorization must buy iterations           *)
+
+let test_ilu0_beats_jacobi_on_convection () =
+  let module S = Vblu_workloads.Suite in
+  let module PS = Vblu_perf.Precond_study in
+  let conv =
+    List.filter (fun (e : S.entry) -> e.S.family = S.Convection) S.all
+  in
+  let study = PS.run_suite ~entries:conv ~families:[ PS.Jacobi; PS.Ilu0 ] () in
+  let pairs = PS.iteration_improvements study in
+  let improved =
+    List.filter
+      (fun ((j : PS.run), (i : PS.run)) -> i.PS.iterations < j.PS.iterations)
+      pairs
+  in
+  Alcotest.(check bool) "convection pairs found" true (pairs <> []);
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "block-ilu0 reduced iterations on %d/%d convection matrices, at least \
+        half"
+       (List.length improved) (List.length pairs))
+    true
+    (2 * List.length improved >= List.length pairs)
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
@@ -825,6 +869,11 @@ let () =
             test_ras_single_domain_is_create;
           Alcotest.test_case "partition and determinism" `Quick
             test_ras_partition_and_determinism;
+        ] );
+      ( "convergence",
+        [
+          Alcotest.test_case "ilu0 beats jacobi on convection" `Slow
+            test_ilu0_beats_jacobi_on_convection;
         ] );
       ("properties", qcheck_tests);
     ]

@@ -336,23 +336,13 @@ let test_cublas_parity prec () =
 (* ------------------------------------------------------------------ *)
 (* Coalescing: interleaved must cost strictly fewer transactions        *)
 
-let test_fewer_transactions () =
-  (* Variable sizes make blocked bases straddle transaction segments, so
-     the cohort-cooperative interleaved layout must win on every strided
-     kernel of the LU / TRSV pipeline (the acceptance criterion). *)
-  let st = state 30 in
-  let sizes = Batch.random_sizes ~state:st ~count:64 ~min_size:5 ~max_size:30
-      () in
-  let bb = Batch.random_diagdom ~state:st sizes in
-  let bi = Batch.with_layout Batch.Interleaved bb in
+let check_fewer_transactions name (bb, rhs) (bi, rhsi) =
   let lb = Batched_lu.factor bb and li = Batched_lu.factor bi in
   Alcotest.(check bool)
-    (Printf.sprintf "LU: interleaved %.0f < blocked %.0f txns"
+    (Printf.sprintf "%s LU: interleaved %.0f < blocked %.0f txns" name
        (txns li.Batched_lu.stats) (txns lb.Batched_lu.stats))
     true
     (txns li.Batched_lu.stats < txns lb.Batched_lu.stats);
-  let rhs = Batch.vec_random ~state:st sizes in
-  let rhsi = Batch.vec_with_layout Batch.Interleaved rhs in
   List.iter
     (fun variant ->
       let tb =
@@ -364,11 +354,38 @@ let test_fewer_transactions () =
           ~pivots:li.Batched_lu.pivots rhsi
       in
       Alcotest.(check bool)
-        (Printf.sprintf "TRSV: interleaved %.0f < blocked %.0f txns"
+        (Printf.sprintf "%s TRSV: interleaved %.0f < blocked %.0f txns" name
            (txns ti.Batched_trsv.stats) (txns tb.Batched_trsv.stats))
         true
         (txns ti.Batched_trsv.stats < txns tb.Batched_trsv.stats))
     [ Batched_trsv.Eager; Batched_trsv.Lazy ]
+
+let test_fewer_transactions () =
+  (* Variable sizes make blocked bases straddle transaction segments, so
+     the cohort-cooperative interleaved layout must win on every strided
+     kernel of the LU / TRSV pipeline (the acceptance criterion). *)
+  let st = state 30 in
+  let sizes = Batch.random_sizes ~state:st ~count:64 ~min_size:5 ~max_size:30
+      () in
+  let bb = Batch.random_diagdom ~state:st sizes in
+  let rhs = Batch.vec_random ~state:st sizes in
+  check_fewer_transactions "converted" (bb, rhs)
+    ( Batch.with_layout Batch.Interleaved bb,
+      Batch.vec_with_layout Batch.Interleaved rhs );
+  (* The coalescing gate's workload: each layout draws its own matrices
+     and right-hand sides from the same seed. *)
+  let sizes =
+    Batch.random_sizes
+      ~state:(Random.State.make [| 0x10c; 1 |])
+      ~count:64 ~min_size:5 ~max_size:30 ()
+  in
+  let drawn layout =
+    let st = Random.State.make [| 0x10c; 2 |] in
+    let b = Batch.random_diagdom ~state:st ~layout sizes in
+    (b, Batch.vec_random ~state:st ~layout sizes)
+  in
+  check_fewer_transactions "drawn" (drawn Batch.Blocked)
+    (drawn Batch.Interleaved)
 
 let test_cache_layout_salts () =
   (* Regression for the layout/cache collision: a blocked and an
