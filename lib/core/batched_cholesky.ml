@@ -5,7 +5,6 @@ type result = {
   factors : Batch.t;
   info : int array;
   stats : Launch.stats;
-  exact : bool;
 }
 
 (* Rounded arithmetic inlined into this unit, bitwise equal to
@@ -139,7 +138,7 @@ let factor ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
   let factors = Batch.create ~layout:(Batch.layout b) b.Batch.sizes in
   let values = Gmem.to_array gout in
   Array.blit values 0 factors.Batch.values 0 (Array.length values);
-  { factors; info; stats; exact = (mode = Sampling.Exact) }
+  { factors; info; stats }
 
 (* Solve arena slots. *)
 let t_b = 0
@@ -296,5 +295,4 @@ let solve ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
     (* Cholesky solves carry no ABFT instrumentation (yet). *)
     verdicts = Array.make factors.Batch.count Vblu_fault.Fault.Unchecked;
     stats;
-    exact = (mode = Sampling.Exact);
   }

@@ -22,7 +22,6 @@ type result = {
           frozen partial factor; the warp completes without raising.  In
           [Sampled] mode only class representatives are flagged. *)
   stats : Launch.stats;
-  exact : bool;
 }
 
 val factor :

@@ -4,7 +4,6 @@ open Vblu_simt
 type result = {
   products : Batch.t;
   stats : Launch.stats;
-  exact : bool;
 }
 
 (* Arena slot map: 0..31 columns of a, 32..63 columns of b, 64 running
@@ -83,7 +82,7 @@ let charge ?(cfg = Config.p100) ?obs ~prec ~layout ~with_c sizes =
     ()
 
 let multiply ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
-    ?(prec = Precision.Double) ?(mode = Sampling.Exact) ?obs ?(alpha = 1.0)
+    ?(prec = Precision.Double) ?obs ?(alpha = 1.0)
     ?(beta = 0.0) ~(a : Batch.t) ~(b : Batch.t) ?c () =
   if a.Batch.sizes <> b.Batch.sizes then
     invalid_arg "Batched_gemm.multiply: size mismatch between a and b";
@@ -134,10 +133,10 @@ let multiply ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
         0)
   in
   let stats =
-    Sampling.run ~cfg ~pool ?obs ~name ?cache ?direct ~prec ~mode
+    Sampling.run ~cfg ~pool ?obs ~name ?cache ?direct ~prec ~mode:Sampling.Exact
       ~sizes:a.Batch.sizes ~kernel:kern ()
   in
   let products = Batch.create ~layout:(Batch.layout a) a.Batch.sizes in
   let values = Gmem.to_array gout in
   Array.blit values 0 products.Batch.values 0 (Array.length values);
-  { products; stats; exact = (mode = Sampling.Exact) }
+  { products; stats }

@@ -17,16 +17,14 @@ open Vblu_simt
 
 type result = {
   products : Batch.t;
-      (** per-block [alpha·a·b + beta·c]; complete in [Exact] mode. *)
+      (** per-block [alpha·a·b + beta·c]. *)
   stats : Launch.stats;
-  exact : bool;
 }
 
 val multiply :
   ?cfg:Config.t ->
   ?pool:Vblu_par.Pool.t ->
   ?prec:Precision.t ->
-  ?mode:Sampling.mode ->
   ?obs:Vblu_obs.Ctx.t ->
   ?alpha:float ->
   ?beta:float ->

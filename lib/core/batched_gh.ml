@@ -7,7 +7,6 @@ type result = {
   info : int array;
   verdicts : Fault.verdict array;
   stats : Launch.stats;
-  exact : bool;
 }
 
 type solve_result = {
@@ -15,7 +14,6 @@ type solve_result = {
   solve_info : int array;
   solve_verdicts : Fault.verdict array;
   solve_stats : Launch.stats;
-  solve_exact : bool;
 }
 
 (* Placeholder for blocks skipped in Sampled mode. *)
@@ -206,13 +204,7 @@ let factor ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
       ?direct ~prec ~mode ~sizes:b.Batch.sizes ~kernel ()
   in
   Vblu_obs.Ctx.record_verdicts obs verdicts;
-  {
-    factors;
-    info;
-    verdicts;
-    stats;
-    exact = (Sampling.effective_mode ?faults mode = Sampling.Exact);
-  }
+  { factors; info; verdicts; stats }
 
 let solve ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
     ?(prec = Precision.Double) ?(mode = Sampling.Exact) ?faults
@@ -283,5 +275,4 @@ let solve ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
       ~mode ~sizes:rhs.Batch.vsizes ~kernel ()
   in
   Vblu_obs.Ctx.record_verdicts obs solve_verdicts;
-  { solutions; solve_info; solve_verdicts; solve_stats = stats;
-    solve_exact = (Sampling.effective_mode ?faults mode = Sampling.Exact) }
+  { solutions; solve_info; solve_verdicts; solve_stats = stats }

@@ -39,7 +39,6 @@ type result = {
           checksum solve against the row-sum vector [A·e], accepted iff
           the residual stays within the backward-stable envelope. *)
   stats : Launch.stats;
-  exact : bool;
 }
 
 type solve_result = {
@@ -53,7 +52,6 @@ type solve_result = {
           modular redundancy — the deterministic reference solve is redone
           and compared bitwise, so any mismatch is corruption. *)
   solve_stats : Launch.stats;
-  solve_exact : bool;
 }
 
 val factor :

@@ -5,13 +5,11 @@ type result = {
   inverses : Matrix.t array;
   info : int array;
   stats : Launch.stats;
-  exact : bool;
 }
 
 type apply_result = {
   products : Batch.vec;
   apply_stats : Launch.stats;
-  apply_exact : bool;
 }
 
 let charge_invert w ~s =
@@ -37,7 +35,7 @@ let charge_invert w ~s =
   Warp.credit_flops w (Flops.invert s)
 
 let invert ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
-    ?(prec = Precision.Double) ?(mode = Sampling.Exact) ?obs (b : Batch.t) =
+    ?(prec = Precision.Double) ?obs (b : Batch.t) =
   Array.iter
     (fun s ->
       if s > cfg.Config.warp_size then
@@ -59,10 +57,10 @@ let invert ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
      the layout tag is the whole salt. *)
   let stats =
     Sampling.run ~cfg ~pool ?obs ~name:"gje.invert"
-      ~cache:(fun i -> Batch.cohort_salt b i) ~prec ~mode ~sizes:b.Batch.sizes
-      ~kernel ()
+      ~cache:(fun i -> Batch.cohort_salt b i) ~prec ~mode:Sampling.Exact
+      ~sizes:b.Batch.sizes ~kernel ()
   in
-  { inverses; info; stats; exact = (mode = Sampling.Exact) }
+  { inverses; info; stats }
 
 let charge_apply w ~s =
   Charge.gmem_coalesced w ~elems:s;
@@ -77,7 +75,7 @@ let charge_apply w ~s =
   Warp.credit_flops w (Flops.gemv s)
 
 let apply ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
-    ?(prec = Precision.Double) ?(mode = Sampling.Exact) ?obs (r : result)
+    ?(prec = Precision.Double) ?obs (r : result)
     (rhs : Batch.vec) =
   if Array.length r.inverses <> rhs.Batch.vcount then
     invalid_arg "Batched_gje.apply: batch count mismatch";
@@ -90,7 +88,7 @@ let apply ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
   in
   let stats =
     Sampling.run ~cfg ~pool ?obs ~name:"gje.apply"
-      ~cache:(fun i -> Batch.vec_cohort_salt rhs i) ~prec ~mode
+      ~cache:(fun i -> Batch.vec_cohort_salt rhs i) ~prec ~mode:Sampling.Exact
       ~sizes:rhs.Batch.vsizes ~kernel ()
   in
-  { products; apply_stats = stats; apply_exact = (mode = Sampling.Exact) }
+  { products; apply_stats = stats }

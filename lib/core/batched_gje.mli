@@ -17,26 +17,22 @@ open Vblu_simt
 
 type result = {
   inverses : Matrix.t array;
-      (** complete in [Exact] mode; representatives only in [Sampled]. *)
   info : int array;
       (** per-problem status: [0] on success, [k + 1] for the first zero
           pivot at (0-based) step [k].  A flagged entry of [inverses] holds
           a frozen partial transform and must be discarded. *)
   stats : Launch.stats;
-  exact : bool;
 }
 
 type apply_result = {
   products : Batch.vec;
   apply_stats : Launch.stats;
-  apply_exact : bool;
 }
 
 val invert :
   ?cfg:Config.t ->
   ?pool:Vblu_par.Pool.t ->
   ?prec:Precision.t ->
-  ?mode:Sampling.mode ->
   ?obs:Vblu_obs.Ctx.t ->
   Batch.t ->
   result
@@ -48,7 +44,6 @@ val apply :
   ?cfg:Config.t ->
   ?pool:Vblu_par.Pool.t ->
   ?prec:Precision.t ->
-  ?mode:Sampling.mode ->
   ?obs:Vblu_obs.Ctx.t ->
   result ->
   Batch.vec ->

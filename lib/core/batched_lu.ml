@@ -10,7 +10,6 @@ type result = {
   info : int array;
   verdicts : Fault.verdict array;
   stats : Launch.stats;
-  exact : bool;
 }
 
 let check_batch cfg (b : Batch.t) =
@@ -491,11 +490,4 @@ let factor ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
     Array.blit values 0 out.Batch.values 0 (Array.length values);
     out
   in
-  {
-    factors;
-    pivots;
-    info;
-    verdicts;
-    stats;
-    exact = (Sampling.effective_mode ?faults mode = Sampling.Exact);
-  }
+  { factors; pivots; info; verdicts; stats }

@@ -62,7 +62,6 @@ type result = {
           fault injected by [?faults] into a checked problem flips its
           verdict to [Failed]; clean problems stay [Passed]. *)
   stats : Launch.stats;  (** modelled kernel performance. *)
-  exact : bool;  (** whether every block was actually computed. *)
 }
 
 val factor :

@@ -5,7 +5,6 @@ type result = {
   solutions : Batch.vec array;
   info : int array;
   stats : Launch.stats;
-  exact : bool;
 }
 
 (* Arena slot map: regs 0..nrhs-1 hold the right-hand sides (falling back
@@ -106,7 +105,7 @@ let charge ?(cfg = Config.p100) ?obs ~prec ~layout ~nrhs sizes =
     ()
 
 let solve ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
-    ?(prec = Precision.Double) ?(mode = Sampling.Exact) ?obs ~(factors : Batch.t)
+    ?(prec = Precision.Double) ?obs ~(factors : Batch.t)
     ~pivots (rhs_sets : Batch.vec array) =
   if Array.length rhs_sets = 0 then
     invalid_arg "Batched_trsm.solve: no right-hand sides";
@@ -189,7 +188,7 @@ let solve ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
         !inf)
   in
   let stats =
-    Sampling.run ~cfg ~pool ?obs ~name ?cache ?direct ~prec ~mode
+    Sampling.run ~cfg ~pool ?obs ~name ?cache ?direct ~prec ~mode:Sampling.Exact
       ~sizes:factors.Batch.sizes ~kernel ()
   in
   let solutions =
@@ -204,4 +203,4 @@ let solve ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
         out)
       gouts
   in
-  { solutions; info; stats; exact = (mode = Sampling.Exact) }
+  { solutions; info; stats }

@@ -21,14 +21,12 @@ type result = {
           block: [0] on success, [k + 1] for a zero diagonal at (0-based)
           step [k] of the upper sweep (see {!Batched_trsv.result}). *)
   stats : Launch.stats;
-  exact : bool;
 }
 
 val solve :
   ?cfg:Config.t ->
   ?pool:Vblu_par.Pool.t ->
   ?prec:Precision.t ->
-  ?mode:Sampling.mode ->
   ?obs:Vblu_obs.Ctx.t ->
   factors:Batch.t ->
   pivots:int array array ->

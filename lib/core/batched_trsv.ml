@@ -9,7 +9,6 @@ type result = {
   info : int array;
   verdicts : Fault.verdict array;
   stats : Launch.stats;
-  exact : bool;
 }
 
 (* Rounded arithmetic inlined into this unit, bitwise equal to
@@ -399,10 +398,4 @@ let solve ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
     Array.blit values 0 out.Batch.vvalues 0 (Array.length values);
     out
   in
-  {
-    solutions;
-    info;
-    verdicts;
-    stats;
-    exact = (Sampling.effective_mode ?faults mode = Sampling.Exact);
-  }
+  { solutions; info; verdicts; stats }

@@ -38,7 +38,6 @@ type result = {
           reads and compares it against the permuted right-hand side
           captured at load time. *)
   stats : Launch.stats;
-  exact : bool;
 }
 
 val solve :

@@ -6,14 +6,12 @@ type result = {
   pivots : int array array;
   info : int array;
   stats : Launch.stats;
-  exact : bool;
 }
 
 type solve_result = {
   solutions : Batch.vec;
   solve_info : int array;
   solve_stats : Launch.stats;
-  solve_exact : bool;
 }
 
 let tile_sizes = [ 8; 16; 32 ]
@@ -102,7 +100,7 @@ let factor ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
       ~cache:(fun i -> Batch.cohort_salt b i) ~prec ~mode ~sizes:b.Batch.sizes
       ~kernel ()
   in
-  { factors; pivots; info; stats; exact = (mode = Sampling.Exact) }
+  { factors; pivots; info; stats }
 
 let charge_solve w ~s =
   (* Pass 1: apply the pivot sequence to the right-hand side in global
@@ -153,4 +151,4 @@ let solve ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
       ~cache:(fun i -> Batch.vec_cohort_salt rhs i) ~prec ~mode
       ~sizes:rhs.Batch.vsizes ~kernel ()
   in
-  { solutions; solve_info; solve_stats = stats; solve_exact = (mode = Sampling.Exact) }
+  { solutions; solve_info; solve_stats = stats }

@@ -40,7 +40,6 @@ type result = {
           step [k].  Flagged blocks hold frozen partial factors.  In
           [Sampled] mode only class representatives are flagged. *)
   stats : Launch.stats;
-  exact : bool;
 }
 
 type solve_result = {
@@ -49,7 +48,6 @@ type solve_result = {
       (** [0] on success; [k + 1] when the triangular solve of problem [i]
           met a zero diagonal at step [k]. *)
   solve_stats : Launch.stats;
-  solve_exact : bool;
 }
 
 val tile_sizes : int list

@@ -7,7 +7,6 @@ type strategy = Row_per_thread | Shared_memory
 type result = {
   blocks : Batch.t;
   stats : Launch.stats;
-  exact : bool;
 }
 
 let blocks_cover ~n ~block_starts ~block_sizes =
@@ -286,8 +285,8 @@ let gather prec a out ~start ~s ~off =
   | Single -> (gather_k [@inlined]) Precision.Single a out ~start ~s ~off
 
 let extract ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
-    ?(prec = Precision.Double) ?(mode = Sampling.Exact)
-    ?(strategy = Shared_memory) ?obs (a : Csr.t) ~block_starts ~block_sizes =
+    ?(prec = Precision.Double) ?(strategy = Shared_memory) ?obs (a : Csr.t)
+    ~block_starts ~block_sizes =
   validate cfg a ~block_starts ~block_sizes;
   let blocks = Batch.create block_sizes in
   let gout = Gmem.create prec (Batch.total_values blocks) in
@@ -334,9 +333,9 @@ let extract ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
         (match strategy with
         | Row_per_thread -> "extract.naive"
         | Shared_memory -> "extract.shared")
-      ~cache ~direct ~prec ~mode ~sizes:block_sizes ~kernel ()
+      ~cache ~direct ~prec ~mode:Sampling.Exact ~sizes:block_sizes ~kernel ()
   in
   let out = Batch.create block_sizes in
   let values = Gmem.to_array gout in
   Array.blit values 0 out.Batch.values 0 (Array.length values);
-  { blocks = out; stats; exact = (mode = Sampling.Exact) }
+  { blocks = out; stats }

@@ -29,16 +29,14 @@ type strategy =
 
 type result = {
   blocks : Batch.t;
-      (** the extracted dense diagonal blocks (complete in [Exact] mode). *)
+      (** the extracted dense diagonal blocks. *)
   stats : Launch.stats;
-  exact : bool;
 }
 
 val extract :
   ?cfg:Config.t ->
   ?pool:Vblu_par.Pool.t ->
   ?prec:Vblu_smallblas.Precision.t ->
-  ?mode:Sampling.mode ->
   ?strategy:strategy ->
   ?obs:Vblu_obs.Ctx.t ->
   Csr.t ->
@@ -49,10 +47,6 @@ val extract :
     blocks [a(start, start) .. (start+size-1, start+size-1)].
     Blocks must be disjoint, in-range, and no larger than the warp.
     @raise Invalid_argument otherwise.
-
-    In [Sampled] mode the representative of a size class is the block with
-    that size encountered first, so modelled imbalance is workload-specific
-    only in [Exact] mode (benches use [Exact]).
 
     The launch uses {!Launch.Cache}: each block's salt is the
     {!Launch.Cache.intern} id of its sparsity signature (row lengths, the

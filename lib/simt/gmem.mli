@@ -1,7 +1,7 @@
 (** Simulated global (device) memory.
 
     A flat array of scalars addressed by element index.  All traffic goes
-    through {!Warp.load} / {!Warp.store}, which count memory transactions
+    through {!Warp.load_into} / {!Warp.store}, which count memory transactions
     with the coalescing rule of the hardware model: the distinct
     [transaction_bytes]-sized segments touched by the active lanes of one
     access, each charged in full — so a warp reading 32 consecutive

@@ -133,12 +133,6 @@ let run ?(cfg = Config.p100) ?(pool = Pool.sequential) ?faults ?obs
         Launch.Cache.enabled () && cfg.Config.fingerprint <> 0
       | _ -> false
     in
-    (* Direct execution serves only cache hits certified at store time,
-       and only when nothing observes the interpreted stream: an enabled
-       [?obs] context wants real spans, so it keeps the simulated path. *)
-    let direct_exec =
-      if use_cache && not (Vblu_obs.Ctx.enabled obs) then direct else None
-    in
     let salt_of = match cache with Some f -> f | None -> fun _ -> 0 in
     (* First (or healing) execution of a key class: certify the direct
        closure by running it — [direct_ok] iff it completes without
@@ -174,13 +168,15 @@ let run ?(cfg = Config.p100) ?(pool = Pool.sequential) ?faults ?obs
       match Launch.Cache.find key with
       | None -> with_warp ~cfg prec (fun w -> charge_and_store w key i)
       | Some entry -> (
-        match direct_exec with
+        match direct with
         | Some d when entry.Launch.Cache.direct_ok ->
           (* The fast path: no warp, no interpretation — the problem's
              numerics run straight through host loops and the cached
-             counters are attached.  A breakdown ([info <> 0]) means the
-             cached charge stream no longer applies either, so the
-             problem reruns charging and the entry is de-certified. *)
+             counters are attached.  A traced launch takes it too, as its
+             span and totals are folded from those same counters.  A
+             breakdown ([info <> 0]) means the cached charge stream no
+             longer applies either, so the problem reruns charging and
+             the entry is de-certified. *)
           if d i = 0 then begin
             Launch.Cache.note_direct ();
             Counter.copy entry.Launch.Cache.counter
@@ -256,10 +252,9 @@ let run ?(cfg = Config.p100) ?(pool = Pool.sequential) ?faults ?obs
 (* A launch charged from the cache alone.  Every key is peeked first and
    nothing is counted unless all of them are certified, so a [None] leaves
    the cache exactly as it was for the caller's real launch.  Otherwise
-   the tallies move as a cache-served launch moves them — one hit per
-   problem, plus one direct hit when no enabled [?obs] keeps the launch
-   on the interpreter — and the cached counters are folded, timed and
-   recorded as [run] would. *)
+   the tallies move as a direct-served launch moves them — one hit and
+   one direct hit per problem — and the cached counters are folded, timed
+   and recorded as [run] would. *)
 let charge ?(cfg = Config.p100) ?obs ~name ~prec ~sizes ~salt () =
   let n = Array.length sizes in
   if n = 0 then Some (Launch.empty_stats ())
@@ -278,13 +273,12 @@ let charge ?(cfg = Config.p100) ?obs ~name ~prec ~sizes ~salt () =
     in
     if not (Array.for_all certified entries) then None
     else begin
-      let direct = not (Vblu_obs.Ctx.enabled obs) in
       let f = new_fold () in
       Array.iter
         (function
           | Some e ->
             Launch.Cache.note_hit ();
-            if direct then Launch.Cache.note_direct ();
+            Launch.Cache.note_direct ();
             observe cfg prec f e.Launch.Cache.counter
           | None -> ())
         entries;

@@ -9,8 +9,8 @@
     [Exact] runs every warp (and thus computes every result); [Sampled]
     runs one representative warp per distinct problem size and scales its
     counters by the class population.  The test suite checks that the two
-    modes agree on the modelled counters; result-consuming code (the
-    preconditioner setup) always uses [Exact].
+    modes agree on the modelled counters.  Only the kernels the figure
+    sweeps run sampled take a [?mode]; every other launch is [Exact].
 
     Both modes optionally fan the independent warps (resp. size-class
     representatives) out over the domains of a {!Vblu_par.Pool.t}.  Each
@@ -25,15 +25,6 @@ open Vblu_par
 type mode =
   | Exact
   | Sampled
-
-val effective_mode : ?faults:Vblu_fault.Fault.Plan.t -> mode -> mode
-(** The mode {!run} will actually execute under: [Sampled] with an armed
-    fault plan degrades to [Exact].  A plan's sites are keyed by problem
-    index, but [Sampled] executes only the first problem of each size
-    class — faults addressed to any other problem would be silently
-    dropped, so the launch runs every problem instead.  Exposed so
-    result-shaping code (e.g. the [exact] flag in kernel results) can
-    agree with the engine about what ran. *)
 
 val record_launch :
   Vblu_obs.Ctx.t option -> name:string -> prec:Precision.t -> Launch.stats -> unit
@@ -72,10 +63,10 @@ val run :
     of faults fired by {e this} launch is reported in
     [stats.faults_injected].  Plan claims are one-shot and keyed by
     problem index, so injection is deterministic across domain counts.
-    [Sampled] with an armed plan degrades to [Exact] (see
-    {!effective_mode}): sampling executes only class representatives, so
-    any other problem's faults would silently never fire — per-problem
-    execution keeps the plan's addressing meaningful.
+    [Sampled] with an armed plan degrades to [Exact]: sampling executes
+    only class representatives, so any other problem's faults would
+    silently never fire — per-problem execution keeps the plan's
+    addressing meaningful.
 
     [?obs] records the launch into an observability context: a trace span
     named [?name] (default ["launch"]) whose duration is the modelled
@@ -122,10 +113,11 @@ val run :
     a direct run ([info <> 0]) demotes the hit and reruns the problem
     through the charging interpreter, so values, [info] and counters
     remain exactly those of the simulated path in every case.  An
-    enabled [?obs] context disables direct execution for the launch
-    (spans must reflect interpreted streams); [Launch.Cache.set_enabled
-    false] disables it with the rest of the cache.  Direct-served hits
-    are counted by {!Launch.Cache.direct_hits}.
+    enabled [?obs] context does not change the path: the launch's span
+    and registry totals are folded from the same counters whether the
+    interpreter or [direct] ran.  [Launch.Cache.set_enabled false]
+    disables direct execution with the rest of the cache.  Direct-served
+    hits are counted by {!Launch.Cache.direct_hits}.
 
     An empty batch is a defined no-op returning {!Launch.empty_stats}
     and records nothing. *)
@@ -148,8 +140,7 @@ val charge :
     Returns [None], having counted nothing, when the cache is disabled,
     [cfg] is unvalidated, or any key is missing or not certified for
     direct execution; the caller then runs the launch itself.  Otherwise
-    every problem counts one hit (and one direct hit unless [?obs] is
-    enabled, as {!run} disables direct execution then), the cached
+    every problem counts one hit and one direct hit, the cached
     counters fold in problem order into {!Launch.time}, [?obs] records
     the launch as {!run} would, and the stats are returned: bitwise the
     stats of the launch whose every problem the direct path serves.  The

@@ -113,7 +113,6 @@ let reset ?inject t =
   t.co_slot <- 0
 
 let set_charging t b = t.charging <- b
-let charging t = t.charging
 
 let set_cohort t ~width ~slot =
   if width < 0 || slot < 0 || (width > 1 && slot >= width) then
@@ -165,12 +164,10 @@ let size t = t.size
 let prec t = t.prec
 let counter t = t.counter
 let cfg t = t.cfg
-let lanes t = Array.init t.size (fun i -> i)
 
 let reg t i = t.regs.(i)
 let mask_slot t i = t.masks.(i)
 let addr_slot t i = t.addrs.(i)
-let all_lanes t = t.all_true
 
 let check_lanes t a name =
   if Array.length a <> t.size then
@@ -238,8 +235,7 @@ let charge_gmem_elems t n =
 
 let credit_flops t f = if t.charging then Counter.credit_flops t.counter f
 
-(* {1 Arithmetic} — in-place primitives first; the allocating API wraps
-   them with a fresh destination, so both share one charging path. *)
+(* {1 Arithmetic} — every op writes a caller-chosen destination. *)
 
 (* [dst <- ±a·b + c] on the active lanes; [neg] is a constant at each
    instantiation. *)
@@ -264,14 +260,14 @@ let fma_into_gen t ~neg ?active ~dst a b c name =
   ignore (apply_fault t Register dst)
 
 let fma_into t ?active ~dst a b c =
-  fma_into_gen t ~neg:false ?active ~dst a b c "Warp.fma"
+  fma_into_gen t ~neg:false ?active ~dst a b c "Warp.fma_into"
 
 let fnma_into t ?active ~dst a b c =
-  fma_into_gen t ~neg:true ?active ~dst a b c "Warp.fnma"
+  fma_into_gen t ~neg:true ?active ~dst a b c "Warp.fnma_into"
 
 (* The operator is a tag, not a closure: a closure call per lane would box
    both operands and the result. *)
-type lane_op = Add | Sub | Mul
+type lane_op = Add | Mul
 
 let[@inline] lanewise2_k prec op act ~dst a b n =
   for i = 0 to n - 1 do
@@ -279,7 +275,7 @@ let[@inline] lanewise2_k prec op act ~dst a b n =
       (if act.(i) then
          let x = a.(i) and y = b.(i) in
          R.round prec
-           (match op with Add -> x +. y | Sub -> x -. y | Mul -> x *. y)
+           (match op with Add -> x +. y | Mul -> x *. y)
        else a.(i))
   done
 
@@ -295,9 +291,11 @@ let lanewise2_into t ?active op name ~dst a b =
   | Single -> (lanewise2_k [@inlined]) Precision.Single op act ~dst a b t.size);
   ignore (apply_fault t Register dst)
 
-let add_into t ?active ~dst a b = lanewise2_into t ?active Add "Warp.add" ~dst a b
-let sub_into t ?active ~dst a b = lanewise2_into t ?active Sub "Warp.sub" ~dst a b
-let mul_into t ?active ~dst a b = lanewise2_into t ?active Mul "Warp.mul" ~dst a b
+let add_into t ?active ~dst a b =
+  lanewise2_into t ?active Add "Warp.add_into" ~dst a b
+
+let mul_into t ?active ~dst a b =
+  lanewise2_into t ?active Mul "Warp.mul_into" ~dst a b
 
 let[@inline] div_k prec act ~dst a b n =
   for i = 0 to n - 1 do
@@ -305,9 +303,9 @@ let[@inline] div_k prec act ~dst a b n =
   done
 
 let div_into t ?active ~dst a b =
-  check_lanes t a "Warp.div";
-  check_lanes t b "Warp.div";
-  check_lanes t dst "Warp.div";
+  check_lanes t a "Warp.div_into";
+  check_lanes t b "Warp.div_into";
+  check_lanes t dst "Warp.div_into";
   let act = active_or_all t active in
   charge_div t 1.0;
   (match t.prec with
@@ -321,8 +319,8 @@ let[@inline] sqrt_k prec act ~dst a n =
   done
 
 let sqrt_into t ?active ~dst a =
-  check_lanes t a "Warp.sqrt_lanes";
-  check_lanes t dst "Warp.sqrt_lanes";
+  check_lanes t a "Warp.sqrt_into";
+  check_lanes t dst "Warp.sqrt_into";
   let act = active_or_all t active in
   charge_div t 1.0;
   (match t.prec with
@@ -330,69 +328,15 @@ let sqrt_into t ?active ~dst a =
   | Single -> (sqrt_k [@inlined]) Precision.Single act ~dst a t.size);
   ignore (apply_fault t Register dst)
 
-let select_into t ~dst m a b =
-  check_lanes t m "Warp.select";
-  check_lanes t a "Warp.select";
-  check_lanes t b "Warp.select";
-  check_lanes t dst "Warp.select";
-  charge_fma t 1.0;
-  for i = 0 to t.size - 1 do
-    dst.(i) <- (if m.(i) then a.(i) else b.(i))
-  done
-
 let broadcast_into t ~dst x ~src =
-  check_lanes t x "Warp.broadcast";
-  check_lanes t dst "Warp.broadcast";
-  if src < 0 || src >= t.size then invalid_arg "Warp.broadcast: bad source lane";
+  check_lanes t x "Warp.broadcast_into";
+  check_lanes t dst "Warp.broadcast_into";
+  if src < 0 || src >= t.size then
+    invalid_arg "Warp.broadcast_into: bad source lane";
   charge_shfl t 1.0;
   (* Read before fill: [dst] may alias [x]. *)
   let v = x.(src) in
   Array.fill dst 0 t.size v
-
-let fma t ?active a b c =
-  let dst = Array.make t.size 0.0 in
-  fma_into t ?active ~dst a b c;
-  dst
-
-let fnma t ?active a b c =
-  let dst = Array.make t.size 0.0 in
-  fnma_into t ?active ~dst a b c;
-  dst
-
-let add t ?active a b =
-  let dst = Array.make t.size 0.0 in
-  add_into t ?active ~dst a b;
-  dst
-
-let sub t ?active a b =
-  let dst = Array.make t.size 0.0 in
-  sub_into t ?active ~dst a b;
-  dst
-
-let mul t ?active a b =
-  let dst = Array.make t.size 0.0 in
-  mul_into t ?active ~dst a b;
-  dst
-
-let div t ?active a b =
-  let dst = Array.make t.size 0.0 in
-  div_into t ?active ~dst a b;
-  dst
-
-let sqrt_lanes t ?active a =
-  let dst = Array.make t.size 0.0 in
-  sqrt_into t ?active ~dst a;
-  dst
-
-let select t m a b =
-  let dst = Array.make t.size 0.0 in
-  select_into t ~dst m a b;
-  dst
-
-let broadcast t x ~src =
-  let dst = Array.make t.size 0.0 in
-  broadcast_into t ~dst x ~src;
-  dst
 
 (* Exact integer ceil(log2 n) — the float round-trip through [log] it
    replaces was correct only by luck of the libm at the sizes we use. *)
@@ -515,8 +459,8 @@ let count_transactions t mem addrs act =
   end
 
 let load_into t mem ?active addrs ~dst =
-  check_lanes t addrs "Warp.load";
-  check_lanes t dst "Warp.load";
+  check_lanes t addrs "Warp.load_into";
+  check_lanes t dst "Warp.load_into";
   let act = active_or_all t active in
   count_transactions t mem addrs act;
   let data = Gmem.raw mem in
@@ -524,11 +468,6 @@ let load_into t mem ?active addrs ~dst =
     dst.(i) <- (if act.(i) then data.(addrs.(i)) else 0.0)
   done;
   ignore (apply_fault t Global dst)
-
-let load t mem ?active addrs =
-  let dst = Array.make t.size 0.0 in
-  load_into t mem ?active addrs ~dst;
-  dst
 
 (* Rounded scatter of the active lanes, shared by global and shared
    stores. *)
@@ -609,18 +548,13 @@ let smem_store t sm ?active addrs values =
     | _ -> ()))
 
 let smem_load_into t sm ?active addrs ~dst =
-  check_lanes t addrs "Warp.smem_load";
-  check_lanes t dst "Warp.smem_load";
+  check_lanes t addrs "Warp.smem_load_into";
+  check_lanes t dst "Warp.smem_load_into";
   let act = active_or_all t active in
   charge_smem_access t sm addrs act;
   for i = 0 to t.size - 1 do
     dst.(i) <- (if act.(i) then sm.data.(addrs.(i)) else 0.0)
   done;
   ignore (apply_fault t Shared dst)
-
-let smem_load t sm ?active addrs =
-  let dst = Array.make t.size 0.0 in
-  smem_load_into t sm ?active addrs ~dst;
-  dst
 
 let smem_read sm i = sm.data.(i)

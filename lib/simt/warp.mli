@@ -14,9 +14,7 @@
     [*_into] variant writing a caller-chosen destination.  Kernel inner
     loops run allocation-free: they borrow arena slots ({!reg},
     {!mask_slot}, {!addr_slot}), fill masks/addresses with plain loops,
-    and chain [*_into] ops.  The allocating API remains as thin wrappers
-    (fresh destination + the same in-place primitive), so both surfaces
-    charge identically.
+    and chain [*_into] ops.
 
     {b Charge-free replay.}  {!set_charging}[ w false] turns off the
     floating-point counter work (including the coalescing segment count)
@@ -59,9 +57,6 @@ val counter : t -> Counter.t
 
 val cfg : t -> Config.t
 
-val lanes : t -> int array
-(** [|0; 1; …; size-1|] — the lane indices ("threadIdx"). *)
-
 (** {1 Scratch arena} *)
 
 val reg : t -> int -> float array
@@ -78,18 +73,12 @@ val mask_slot : t -> int -> bool array
 val addr_slot : t -> int -> int array
 (** Arena address-vector slot (4 exist). *)
 
-val all_lanes : t -> bool array
-(** The cached all-true mask (what [?active:None] uses internally).
-    {b Never mutate it} — it is shared by every unpredicated op. *)
-
 (** {1 Charge-free replay} *)
 
 val set_charging : t -> bool -> unit
 (** Enable/disable counter charging.  Charge-free mode skips all float
     counter updates and the coalescing/bank analyses; numerics, faults and
     the {!events} signature are unaffected.  {!reset} re-enables. *)
-
-val charging : t -> bool
 
 val events : t -> int array
 (** The op-event signature: issuing-call counts
@@ -163,9 +152,9 @@ val credit_flops : t -> float -> unit
 
 (** {1 Arithmetic} — one warp instruction each, lanewise, rounded to the
     warp's precision.  [?active] defaults to all lanes; inactive lanes
-    pass their [c]/first-operand value through unchanged.  The [*_into]
-    forms write [~dst] (which may alias any operand — lanes are
-    independent); the plain forms allocate the result. *)
+    pass their [c]/first-operand value through unchanged.  Each op
+    writes [~dst], which may alias any operand — lanes are
+    independent. *)
 
 val fma_into :
   t -> ?active:bool array -> dst:float array -> float array -> float array ->
@@ -181,51 +170,23 @@ val fnma_into :
 val add_into :
   t -> ?active:bool array -> dst:float array -> float array -> float array -> unit
 
-val sub_into :
-  t -> ?active:bool array -> dst:float array -> float array -> float array -> unit
-
 val mul_into :
   t -> ?active:bool array -> dst:float array -> float array -> float array -> unit
 
 val div_into :
   t -> ?active:bool array -> dst:float array -> float array -> float array -> unit
-
-val sqrt_into : t -> ?active:bool array -> dst:float array -> float array -> unit
-
-val select_into :
-  t -> dst:float array -> bool array -> float array -> float array -> unit
-(** [select_into w ~dst m a b] is lanewise [dst ← if m then a else b]. *)
-
-val broadcast_into : t -> dst:float array -> float array -> src:int -> unit
-(** Every lane of [dst] gets [x.(src)] ([x] read before [dst] is filled,
-    so aliasing is fine); one shuffle instruction. *)
-
-val fma : t -> ?active:bool array -> float array -> float array -> float array -> float array
-(** [fma w a b c] is lanewise [a*b + c] (single rounding). *)
-
-val fnma : t -> ?active:bool array -> float array -> float array -> float array -> float array
-(** [fnma w a b c] is lanewise [c - a*b] (single rounding) — the
-    elimination update, one instruction like {!fma}. *)
-
-val add : t -> ?active:bool array -> float array -> float array -> float array
-val sub : t -> ?active:bool array -> float array -> float array -> float array
-val mul : t -> ?active:bool array -> float array -> float array -> float array
-
-val div : t -> ?active:bool array -> float array -> float array -> float array
 (** Charged at the hardware model's division expansion cost. *)
 
-val sqrt_lanes : t -> ?active:bool array -> float array -> float array
+val sqrt_into : t -> ?active:bool array -> dst:float array -> float array -> unit
 (** Lanewise square root; like division, GPUs expand it into a
     multi-instruction sequence, so it is charged at the division cost. *)
 
-val select : t -> bool array -> float array -> float array -> float array
-(** [select w m a b] is lanewise [if m then a else b]; one instruction. *)
-
 (** {1 Cross-lane communication} *)
 
-val broadcast : t -> float array -> src:int -> float array
-(** [broadcast w x ~src] gives every lane [x.(src)] — [__shfl_sync] from a
-    single source lane; one shuffle instruction. *)
+val broadcast_into : t -> dst:float array -> float array -> src:int -> unit
+(** Every lane of [dst] gets [x.(src)] — [__shfl_sync] from a single
+    source lane ([x] is read before [dst] is filled, so aliasing is
+    fine); one shuffle instruction. *)
 
 val argmax_abs : t -> ?active:bool array -> float array -> int
 (** Index of the lane holding the largest magnitude among active lanes —
@@ -239,14 +200,10 @@ val argmax_abs : t -> ?active:bool array -> float array -> int
 
 val load_into :
   t -> Gmem.t -> ?active:bool array -> int array -> dst:float array -> unit
-(** In-place {!load}: active lanes read [mem\[addrs.(lane)\]] into [dst],
-    inactive lanes write 0 — every lane of [dst] is written, so reused
-    arena slots carry no stale data into the kernel. *)
-
-val load : t -> Gmem.t -> ?active:bool array -> int array -> float array
-(** [load w mem addrs] reads [mem\[addrs.(lane)\]] into each active lane
-    (inactive lanes read 0); charges the coalescing-derived number of
-    transactions and their full bytes. *)
+(** [load_into w mem addrs ~dst]: active lanes read [mem\[addrs.(lane)\]]
+    into [dst], inactive lanes write 0 — every lane of [dst] is written,
+    so reused arena slots carry no stale data into the kernel.  Charges
+    the coalescing-derived number of transactions and their full bytes. *)
 
 val store : t -> Gmem.t -> ?active:bool array -> int array -> float array -> unit
 
@@ -268,8 +225,6 @@ val smem_store : t -> smem -> ?active:bool array -> int array -> float array -> 
 
 val smem_load_into :
   t -> smem -> ?active:bool array -> int array -> dst:float array -> unit
-
-val smem_load : t -> smem -> ?active:bool array -> int array -> float array
 
 val smem_read : smem -> int -> float
 (** Host-side peek (no cost); for tests. *)

@@ -273,7 +273,6 @@ let test_warp () =
           ("fma_into", fun () -> Warp.fma_into w ~dst a b c);
           ("fnma_into", fun () -> Warp.fnma_into w ~dst a b c);
           ("add_into", fun () -> Warp.add_into w ~dst a b);
-          ("sub_into", fun () -> Warp.sub_into w ~dst a b);
           ("mul_into", fun () -> Warp.mul_into w ~dst a b);
           ("div_into", fun () -> Warp.div_into w ~dst a b);
           ("sqrt_into", fun () -> Warp.sqrt_into w ~dst a);

@@ -130,7 +130,6 @@ let test_vec_batch () =
 let test_batched_lu_matches_reference () =
   let b = general_batch 2 ~count:30 ~min_size:1 ~max_size:32 in
   let r = Batched_lu.factor b in
-  Alcotest.(check bool) "exact mode" true r.Batched_lu.exact;
   Array.iteri
     (fun i m ->
       let f = Lu.factor_implicit m in
@@ -294,7 +293,6 @@ let test_batched_lu_sampled_stats () =
   done;
   let e = Batched_lu.factor ~mode:S.Exact b in
   let s = Batched_lu.factor ~mode:S.Sampled b in
-  Alcotest.(check bool) "sampled flagged" false s.Batched_lu.exact;
   check_float "same modelled time" e.Batched_lu.stats.L.time_us
     s.Batched_lu.stats.L.time_us
 
@@ -444,12 +442,14 @@ let test_batched_trsm_amortizes_matrix_reads () =
   let st = state 42 in
   let sizes = Batch.uniform_sizes ~count:1000 ~size:32 in
   let b = Batch.create sizes in
-  Batch.set_matrix b 0 (Matrix.random_diagdom ~state:st 32);
-  let f = Batched_lu.factor ~mode:S.Sampled b in
+  for i = 0 to 999 do
+    Batch.set_matrix b i (Matrix.random_diagdom ~state:st 32)
+  done;
+  let f = Batched_lu.factor b in
   let one = [| Batch.vec_random ~state:st sizes |] in
   let four = Array.init 4 (fun _ -> Batch.vec_random ~state:st sizes) in
   let run sets =
-    (Batched_trsm.solve ~mode:S.Sampled ~factors:f.Batched_lu.factors
+    (Batched_trsm.solve ~factors:f.Batched_lu.factors
        ~pivots:f.Batched_lu.pivots sets)
       .Batched_trsm.stats
   in
@@ -537,17 +537,19 @@ let test_gje_setup_costlier_apply_cheaper () =
   let size = 24 and count = 2000 in
   let st = state 18 in
   let b = Batch.create (Batch.uniform_sizes ~count ~size) in
-  Batch.set_matrix b 0 (Matrix.random_diagdom ~state:st size);
+  for i = 0 to count - 1 do
+    Batch.set_matrix b i (Matrix.random_diagdom ~state:st size)
+  done;
   let rhs = Batch.vec_random ~state:st b.Batch.sizes in
-  let lu = Batched_lu.factor ~mode:S.Sampled b in
-  let gje = Batched_gje.invert ~mode:S.Sampled b in
+  let lu = Batched_lu.factor b in
+  let gje = Batched_gje.invert b in
   Alcotest.(check bool) "inversion setup costs more" true
     (gje.Batched_gje.stats.L.time_us > lu.Batched_lu.stats.L.time_us);
   let trsv =
-    Batched_trsv.solve ~mode:S.Sampled ~factors:lu.Batched_lu.factors
+    Batched_trsv.solve ~factors:lu.Batched_lu.factors
       ~pivots:lu.Batched_lu.pivots rhs
   in
-  let gemv = Batched_gje.apply ~mode:S.Sampled gje rhs in
+  let gemv = Batched_gje.apply gje rhs in
   Alcotest.(check bool) "gemv apply at least as fast" true
     (gemv.Batched_gje.apply_stats.L.time_us
     <= trsv.Batched_trsv.stats.L.time_us *. 1.05)

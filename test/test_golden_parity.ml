@@ -67,32 +67,55 @@ let test_direct_active () =
      kernel — a kernel that silently fell off it would still agree with
      the goldens.  The first pass over the cases warms the cache (and runs
      each case's setup launch); on the second, every case of a
-     direct-capable kernel must add direct hits, and no other case may. *)
+     direct-capable kernel must add direct hits, and no other case may.
+     The second pass then runs again under a trace and metrics context:
+     tracing must keep the same kernels on the direct path. *)
   let module C = Vblu_simt.Launch.Cache in
   C.clear ();
   let cases = Golden_cases.cases () in
-  let run (c : Golden_cases.case) =
-    check_outcome c.Golden_cases.name (c.Golden_cases.run ())
+  let run ?obs (c : Golden_cases.case) =
+    check_outcome c.Golden_cases.name (c.Golden_cases.run ?obs ())
   in
-  List.iter run cases;
-  let served =
+  List.iter (fun c -> run c) cases;
+  let served ?obs () =
     List.map
       (fun (c : Golden_cases.case) ->
         let before = C.direct_hits () in
-        run c;
+        run ?obs c;
         let name = c.Golden_cases.name in
         (name, List.hd (String.split_on_char '/' name), C.direct_hits () > before))
       cases
   in
+  let untraced = served () in
+  let obs = Ctx.v ~trace:(Trace.create ()) ~metrics:(Metrics.create ()) () in
+  let traced = served ~obs () in
   C.clear ();
-  let cases_where p =
-    List.filter_map (fun (name, k, d) -> if p k d then Some name else None) served
+  List.iter
+    (fun (label, served) ->
+      let cases_where p =
+        List.filter_map
+          (fun (name, k, d) -> if p k d then Some name else None)
+          served
+      in
+      Alcotest.(check (list string))
+        (label ^ ": direct-capable cases served directly")
+        []
+        (cases_where (fun k d -> List.mem k direct_kernels && not d));
+      Alcotest.(check (list string))
+        (label ^ ": other cases never served directly")
+        []
+        (cases_where (fun k d ->
+             d && not (List.mem k direct_kernels || List.mem k value_dependent))))
+    [ ("untraced", untraced); ("traced", traced) ];
+  let served_directly served =
+    List.filter_map
+      (fun (name, k, d) ->
+        if List.mem k value_dependent then None else Some (name, d))
+      served
   in
-  Alcotest.(check (list string)) "direct-capable cases served directly" []
-    (cases_where (fun k d -> List.mem k direct_kernels && not d));
-  Alcotest.(check (list string)) "other cases never served directly" []
-    (cases_where (fun k d ->
-         d && not (List.mem k direct_kernels || List.mem k value_dependent)))
+  Alcotest.(check (list (pair string bool)))
+    "traced pass served the same cases directly" (served_directly untraced)
+    (served_directly traced)
 
 let test_no_missing_goldens () =
   (* Every recorded golden corresponds to a live case — catches silently

@@ -449,6 +449,68 @@ let test_ilu0_errors () =
     = 0.0)
 
 (* ------------------------------------------------------------------ *)
+(* Tracing keeps the direct path                                       *)
+
+(* A handle's build, update and apply for both block families on a warm
+   launch cache, traced and untraced: the results must be bitwise equal,
+   and the cache must count the same hits, misses and direct hits — so a
+   traced setup runs the same direct path as an untraced one. *)
+let test_traced_handles_stay_direct () =
+  let module C = Vblu_simt.Launch.Cache in
+  let a =
+    Vblu_workloads.Generators.fem_blocks ~state:(Random.State.make [| 23 |])
+      ~nodes:40 ~vars_per_node:4 ()
+  in
+  let n, _ = Csr.dims a in
+  let a' =
+    let values = Array.copy a.Csr.values in
+    for r = n / 3 to (n / 3) + 7 do
+      for p = a.Csr.row_ptr.(r) to a.Csr.row_ptr.(r + 1) - 1 do
+        values.(p) <- values.(p) *. 1.5
+      done
+    done;
+    Csr.create ~n_rows:n ~n_cols:n ~row_ptr:a.Csr.row_ptr ~col_idx:a.Csr.col_idx
+      ~values
+  in
+  let r = Array.init n (fun i -> 1.0 +. float_of_int (i mod 5)) in
+  let run ?obs () =
+    let hj = Block_jacobi.handle ?obs ~max_block_size:8 a in
+    let sj = Block_jacobi.update hj a' in
+    let yj = Preconditioner.apply (Block_jacobi.precond hj) r in
+    let hi = Block_ilu0.handle ?obs ~max_block_size:8 a in
+    let si = Block_ilu0.update hi a' in
+    let yi = Preconditioner.apply (Block_ilu0.precond hi) r in
+    ((sj.Block_jacobi.refactored, si.Block_jacobi.refactored), yj, yi)
+  in
+  let counted ?obs () =
+    let (h0, m0), d0 = (C.stats (), C.direct_hits ()) in
+    let out = run ?obs () in
+    let (h1, m1), d1 = (C.stats (), C.direct_hits ()) in
+    (out, (h1 - h0, m1 - m0, d1 - d0))
+  in
+  C.clear ();
+  ignore (run ());
+  let (refac_u, yj_u, yi_u), (hu, mu, du) = counted () in
+  let obs =
+    Vblu_obs.Ctx.v ~trace:(Vblu_obs.Trace.create ())
+      ~metrics:(Vblu_obs.Metrics.create ()) ()
+  in
+  let (refac_t, yj_t, yi_t), (ht, mt, dt) = counted ~obs () in
+  C.clear ();
+  let bitwise x y =
+    Array.for_all2
+      (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+      x y
+  in
+  Alcotest.(check (pair int int)) "same refactored blocks" refac_u refac_t;
+  Alcotest.(check bool) "jacobi apply bitwise" true (bitwise yj_u yj_t);
+  Alcotest.(check bool) "ilu0 apply bitwise" true (bitwise yi_u yi_t);
+  Alcotest.(check int) "hits" hu ht;
+  Alcotest.(check int) "misses" mu mt;
+  Alcotest.(check int) "direct hits" du dt;
+  Alcotest.(check bool) "the warm pass is served directly" true (du > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 
 let qcheck_tests =
@@ -556,6 +618,11 @@ let () =
             test_ilu0_exact_when_no_fill;
           Alcotest.test_case "preconditions idr" `Quick test_ilu0_preconditions;
           Alcotest.test_case "errors" `Quick test_ilu0_errors;
+        ] );
+      ( "tracing",
+        [
+          Alcotest.test_case "traced handles stay direct" `Quick
+            test_traced_handles_stay_direct;
         ] );
       ("properties", qcheck_tests);
     ]

@@ -8,6 +8,15 @@ let check_float = Alcotest.(check (float 1e-9))
 
 let fresh ?(prec = Precision.Double) () = Warp.create prec ()
 
+(* Runs [op dst] on a fresh lane-width destination and returns it. *)
+let lanes w op =
+  let dst = Array.make (Warp.size w) 0.0 in
+  op dst;
+  dst
+
+let load w mem ?active addrs =
+  lanes w (fun dst -> Warp.load_into w mem ?active addrs ~dst)
+
 (* ------------------------------------------------------------------ *)
 (* Warp arithmetic                                                     *)
 
@@ -15,13 +24,13 @@ let test_lanewise_ops () =
   let w = fresh () in
   let a = Array.init 32 float_of_int in
   let b = Array.make 32 2.0 in
-  let c = Warp.mul w a b in
+  let c = lanes w (fun dst -> Warp.mul_into w ~dst a b) in
   check_float "mul" 62.0 c.(31);
-  let d = Warp.fma w a b c in
+  let d = lanes w (fun dst -> Warp.fma_into w ~dst a b c) in
   check_float "fma" (62.0 +. 62.0) d.(31);
-  let e = Warp.fnma w a b d in
+  let e = lanes w (fun dst -> Warp.fnma_into w ~dst a b d) in
   check_float "fnma" 62.0 e.(31);
-  let q = Warp.div w a b in
+  let q = lanes w (fun dst -> Warp.div_into w ~dst a b) in
   check_float "div" 15.5 q.(31);
   Alcotest.(check bool) "fma counted" true
     ((Warp.counter w).Counter.fma_instrs = 3.0);
@@ -32,7 +41,7 @@ let test_predication () =
   let w = fresh () in
   let active = Array.init 32 (fun i -> i < 4) in
   let a = Array.make 32 1.0 and b = Array.make 32 1.0 in
-  let c = Warp.add w ~active a b in
+  let c = lanes w (fun dst -> Warp.add_into w ~active ~dst a b) in
   check_float "active lane updated" 2.0 c.(0);
   check_float "inactive lane passthrough" 1.0 c.(31);
   (* Predicated-off lanes still cost a full instruction. *)
@@ -41,15 +50,15 @@ let test_predication () =
 let test_single_precision_rounding () =
   let w = fresh ~prec:Precision.Single () in
   let a = Array.make 32 0.1 and b = Array.make 32 0.2 in
-  let c = Warp.add w a b in
+  let c = lanes w (fun dst -> Warp.add_into w ~dst a b) in
   check_float "binary32 sum" (Precision.add Precision.Single 0.1 0.2) c.(7)
 
 let test_fnma_and_sqrt () =
   let w = fresh () in
   let a = Array.make 32 3.0 and b = Array.make 32 2.0 and c = Array.make 32 10.0 in
-  let r = Warp.fnma w a b c in
+  let r = lanes w (fun dst -> Warp.fnma_into w ~dst a b c) in
   check_float "c - a*b" 4.0 r.(0);
-  let s = Warp.sqrt_lanes w (Array.make 32 9.0) in
+  let s = lanes w (fun dst -> Warp.sqrt_into w ~dst (Array.make 32 9.0)) in
   check_float "sqrt" 3.0 s.(5);
   (* sqrt is charged at division cost. *)
   check_float "div-class charge" 1.0 (Warp.counter w).Counter.div_instrs
@@ -64,11 +73,11 @@ let test_scattered_load_replays () =
     (Warp.counter w).Counter.gmem_instrs
   in
   let coalesced =
-    issue (fun w mem -> ignore (Warp.load w mem (Array.init 32 (fun i -> i))))
+    issue (fun w mem -> ignore (load w mem (Array.init 32 (fun i -> i))))
   in
   let scattered =
     issue (fun w mem ->
-        ignore (Warp.load w mem (Array.init 32 (fun i -> i * 1024))))
+        ignore (load w mem (Array.init 32 (fun i -> i * 1024))))
   in
   Alcotest.(check bool)
     (Printf.sprintf "scattered %.1f > coalesced %.1f slots" scattered coalesced)
@@ -77,7 +86,7 @@ let test_scattered_load_replays () =
 let test_broadcast () =
   let w = fresh () in
   let x = Array.init 32 float_of_int in
-  let y = Warp.broadcast w x ~src:5 in
+  let y = lanes w (fun dst -> Warp.broadcast_into w ~dst x ~src:5) in
   Alcotest.(check bool) "all lanes get lane 5" true
     (Array.for_all (fun v -> v = 5.0) y);
   check_float "one shuffle" 1.0 (Warp.counter w).Counter.shfl_instrs
@@ -99,7 +108,7 @@ let test_gmem_roundtrip () =
   let w = fresh () in
   let mem = Gmem.of_array Precision.Double (Array.init 64 float_of_int) in
   let addrs = Array.init 32 (fun i -> i + 8) in
-  let v = Warp.load w mem addrs in
+  let v = load w mem addrs in
   check_float "loaded" 39.0 v.(31);
   Warp.store w mem addrs (Array.make 32 0.5);
   check_float "stored" 0.5 (Gmem.get mem 8)
@@ -113,15 +122,15 @@ let test_coalescing_counts () =
   in
   (* 32 consecutive doubles = 8 transactions of 32 B. *)
   Alcotest.(check int) "coalesced" 8
-    (count (fun w mem -> ignore (Warp.load w mem (Array.init 32 (fun i -> i)))));
+    (count (fun w mem -> ignore (load w mem (Array.init 32 (fun i -> i)))));
   (* Stride 32: every lane its own sector. *)
   Alcotest.(check int) "strided" 32
     (count (fun w mem ->
-         ignore (Warp.load w mem (Array.init 32 (fun i -> i * 32)))));
+         ignore (load w mem (Array.init 32 (fun i -> i * 32)))));
   (* Single precision packs twice as many scalars per sector. *)
   let w = fresh ~prec:Precision.Single () in
   let mem = Gmem.create Precision.Single 4096 in
-  ignore (Warp.load w mem (Array.init 32 (fun i -> i)));
+  ignore (load w mem (Array.init 32 (fun i -> i)));
   Alcotest.(check int) "single coalesced" 4
     (Counter.transactions (Warp.counter w))
 
@@ -129,7 +138,7 @@ let test_inactive_lanes_no_traffic () =
   let w = fresh () in
   let mem = Gmem.create Precision.Double 4096 in
   let active = Array.init 32 (fun i -> i = 0) in
-  ignore (Warp.load w mem ~active (Array.init 32 (fun i -> i * 100)));
+  ignore (load w mem ~active (Array.init 32 (fun i -> i * 100)));
   Alcotest.(check int) "one active lane = one transaction" 1
     (Counter.transactions (Warp.counter w))
 
@@ -269,7 +278,7 @@ let test_sampling_exact_vs_sampled () =
      counters exactly when all problems have the same size. *)
   let kernel w _i =
     let a = Array.make 32 1.0 in
-    ignore (Warp.fma w a a a);
+    Warp.fma_into w ~dst:(Array.make 32 0.0) a a a;
     Counter.credit_flops (Warp.counter w) 64.0
   in
   let sizes = Array.make 500 16 in
@@ -284,7 +293,8 @@ let test_sampling_representatives () =
   let executed = ref [] in
   let kernel w i =
     executed := i :: !executed;
-    ignore (Warp.fma w (Array.make 32 1.0) (Array.make 32 1.0) (Array.make 32 1.0))
+    let a = Array.make 32 1.0 in
+    Warp.fma_into w ~dst:(Array.make 32 0.0) a a a
   in
   let sizes = [| 4; 8; 4; 16; 8; 4 |] in
   ignore (Sampling.run ~prec:Precision.Double ~mode:Sampling.Sampled ~sizes ~kernel ());
@@ -310,8 +320,8 @@ let test_sampling_parallel_bit_identical () =
      bit-identical to the sequential run, in both modes. *)
   let kernel w i =
     let x = Array.make 32 (1.0 +. (float_of_int i /. 7.0)) in
-    let y = Warp.fma w x x x in
-    ignore (Warp.mul w y x);
+    let y = lanes w (fun dst -> Warp.fma_into w ~dst x x x) in
+    Warp.mul_into w ~dst:(Array.make 32 0.0) y x;
     Counter.credit_flops (Warp.counter w) (float_of_int (64 + (i mod 5)))
   in
   let sizes = Array.init 37 (fun i -> 4 + (i mod 9)) in
@@ -349,8 +359,8 @@ let qcheck_sampling =
       (fun (size, count) ->
         let kernel w _i =
           let a = Array.make 32 1.0 in
-          let b = Warp.fma w a a a in
-          ignore (Warp.add w a b);
+          let b = lanes w (fun dst -> Warp.fma_into w ~dst a a a) in
+          Warp.add_into w ~dst:(Array.make 32 0.0) a b;
           Counter.credit_flops (Warp.counter w) (float_of_int (2 * size * size))
         in
         let sizes = Array.make count size in
