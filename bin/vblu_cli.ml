@@ -14,23 +14,64 @@ let quick_arg =
   let doc = "Run a reduced sweep (fewer batch sizes / matrices)." in
   Arg.(value & flag & info [ "quick" ] ~doc)
 
-let domains_arg =
-  let doc =
-    "Host domains for parallel batch execution (default: the runtime's \
-     recommended domain count).  Results are bit-identical for any value; \
-     only wall-clock time changes."
-  in
-  Arg.(
-    value
-    & opt int (Domain.recommended_domain_count ())
-    & info [ "domains" ] ~docv:"N" ~doc)
-
 (* A cmdliner converter from a library parser returning [(_, string)
    result] and its printer. *)
 let conv_of parse print =
   Arg.conv
     ( (fun s -> Result.map_error (fun m -> `Msg m) (parse s)),
       fun ppf v -> Format.pp_print_string ppf (print v) )
+
+(* An integer confined to [lo..hi], rejected at parse time (exit 124). *)
+let bounded_int ~lo ~hi =
+  conv_of
+    (fun s ->
+      match int_of_string_opt s with
+      | Some v when v >= lo && v <= hi -> Ok v
+      | _ ->
+        Error (Printf.sprintf "expected an integer in %d..%d, got %S" lo hi s))
+    string_of_int
+
+let domains_arg =
+  let doc =
+    "Host domains for parallel batch execution, 1 to 128 (default: the \
+     runtime's recommended domain count).  Results are bit-identical for \
+     any value; only wall-clock time changes."
+  in
+  Arg.(
+    value
+    & opt
+        (bounded_int ~lo:1 ~hi:Vblu_par.Pool.max_domains)
+        (Domain.recommended_domain_count ())
+    & info [ "domains" ] ~docv:"N" ~doc)
+
+(* The supervariable agglomeration bound.  Every diagonal block is
+   factored by one warp, so the bound is 1..32, the range
+   [Serve.Batcher.validate] enforces on served problems. *)
+let block_size_arg ?(doc = "Supervariable agglomeration bound, 1 to 32.")
+    default =
+  Arg.(
+    value
+    & opt (bounded_int ~lo:1 ~hi:32) default
+    & info [ "block-size" ] ~docv:"B" ~doc)
+
+(* Reads the square system named on the command line; an unreadable,
+   malformed or non-square file is a one-line diagnosis and exit 2, not an
+   uncaught exception. *)
+let read_matrix file =
+  match Vblu_sparse.Mm_io.read file with
+  | a ->
+    let rows, cols = Vblu_sparse.Csr.dims a in
+    if rows <> cols then begin
+      Printf.eprintf "vblu: %s: matrix is %dx%d, not square\n" file rows cols;
+      exit 2
+    end;
+    a
+  | exception Sys_error msg ->
+    Printf.eprintf "vblu: %s\n" msg;
+    exit 2
+  | exception Vblu_sparse.Mm_io.Parse_error { line; msg } ->
+    Printf.eprintf "vblu: %s:%d: %s\n" file line msg;
+    exit 2
 
 let policy_conv =
   Vblu_precond.Block_jacobi.(conv_of policy_of_string policy_name)
@@ -284,11 +325,7 @@ let solve_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"MATRIX.mtx" ~doc:"Matrix Market file to solve.")
   in
-  let bound =
-    Arg.(
-      value & opt int 32
-      & info [ "block-size" ] ~doc:"Supervariable agglomeration bound.")
-  in
+  let bound = block_size_arg 32 in
   let variant =
     let variant_conv =
       Arg.enum
@@ -312,7 +349,7 @@ let solve_cmd =
   let run file bound variant family subdomains overlap domains policy faults
       abft recovery trace metrics =
     setup_logs ();
-    let a = Vblu_sparse.Mm_io.read file in
+    let a = read_matrix file in
     let n, _ = Vblu_sparse.Csr.dims a in
     let b = Array.make n 1.0 in
     with_obs trace metrics @@ fun obs ->
@@ -412,11 +449,7 @@ let solve_cmd =
       $ recovery_arg $ trace_arg $ metrics_arg)
 
 let levels_cmd =
-  let bound =
-    Arg.(
-      value & opt int 16
-      & info [ "block-size" ] ~doc:"Supervariable agglomeration bound.")
-  in
+  let bound = block_size_arg 16 in
   let matrix =
     Arg.(
       value
@@ -455,7 +488,7 @@ let levels_cmd =
     in
     match matrix with
     | Some file ->
-      analyse (Filename.basename file) (Vblu_sparse.Mm_io.read file)
+      analyse (Filename.basename file) (read_matrix file)
     | None ->
       List.iter
         (fun (e : Vblu_workloads.Suite.entry) ->
@@ -539,10 +572,9 @@ let improvement_summary ppf (study : Precond_study.t) =
 
 let precond_cmd =
   let bound =
-    Arg.(
-      value & opt int 16
-      & info [ "block-size" ]
-          ~doc:"Supervariable agglomeration bound shared by every family.")
+    block_size_arg
+      ~doc:"Supervariable agglomeration bound shared by every family, 1 to 32."
+      16
   in
   let run quick bound subdomains overlap domains policy trace metrics =
     setup_logs ();

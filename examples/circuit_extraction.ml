@@ -13,7 +13,11 @@ open Vblu_krylov
 module L = Vblu_simt.Launch
 
 let () =
-  let a = Vblu_workloads.Generators.circuit_like ~n:2048 ~hubs:16 ~hub_degree:500 () in
+  let a =
+    Vblu_workloads.Generators.circuit_like
+      ~state:(Random.State.make [| 0x5eed; 0x304ad5 |])
+      ~n:2048 ~hubs:16 ~hub_degree:500 ()
+  in
   Format.printf "circuit-like system: %a@." Csr.pp_stats a;
 
   (* A uniform 16-wide partition for the kernel comparison. *)

@@ -13,7 +13,11 @@ open Vblu_workloads
 let () =
   (* A system with 300 nodes of 5 variables each: every node's variables
      share a column pattern, so each node is one supervariable. *)
-  let a = Generators.fem_blocks ~nodes:300 ~vars_per_node:5 ~coupling:0.3 () in
+  let a =
+    Generators.fem_blocks
+      ~state:(Random.State.make [| 0x5eed; 0x304ad5 |])
+      ~nodes:300 ~vars_per_node:5 ~coupling:0.3 ()
+  in
   let n, _ = Csr.dims a in
   let b = Array.make n 1.0 in
   Format.printf "system: %a@." Csr.pp_stats a;

@@ -166,20 +166,14 @@ let of_matrices ?layout ms =
     ms;
   b
 
-let get_matrix_into b i m =
-  let r, c = Matrix.dims m in
-  if r <> b.sizes.(i) || c <> b.sizes.(i) then
-    invalid_arg "Batch.get_matrix_into: size mismatch";
+let get_matrix b i =
   let s = b.sizes.(i) and off = b.offsets.(i) and st = b.widths.(i) in
+  let m = Matrix.create s s in
   for j = 0 to s - 1 do
     for row = 0 to s - 1 do
       m.Matrix.a.(row + (j * s)) <- b.values.(off + (st * (row + (j * s))))
     done
-  done
-
-let get_matrix b i =
-  let m = Matrix.create b.sizes.(i) b.sizes.(i) in
-  get_matrix_into b i m;
+  done;
   m
 
 let to_matrices b = Array.init b.count (get_matrix b)
@@ -211,8 +205,6 @@ let with_layout layout b =
   end
 
 let count b = b.count
-
-let max_size b = Array.fold_left max 0 b.sizes
 
 let total_values b = Array.length b.values
 
@@ -309,20 +301,13 @@ let vec_of_vectors ?layout vs =
     vs;
   v
 
-let vec_get_into v i dst =
-  if Array.length dst <> v.vsizes.(i) then
-    invalid_arg "Batch.vec_get_into: size mismatch";
+let vec_get v i =
+  let dst = Array.make v.vsizes.(i) 0.0 in
   let off = v.voffsets.(i) and st = v.vwidths.(i) in
   for k = 0 to v.vsizes.(i) - 1 do
     dst.(k) <- v.vvalues.(off + (st * k))
-  done
-
-let vec_get v i =
-  let dst = Array.make v.vsizes.(i) 0.0 in
-  vec_get_into v i dst;
+  done;
   dst
-
-let vec_to_vectors v = Array.init v.vcount (vec_get v)
 
 let vec_set v i x =
   if Array.length x <> v.vsizes.(i) then invalid_arg "Batch.vec_set: size mismatch";
@@ -356,31 +341,3 @@ let vec_random ?state ?layout sizes =
     done
   done;
   v
-
-let vec_of_flat ?layout ~sizes x =
-  let v = vec_create ?layout sizes in
-  let total = Array.fold_left ( + ) 0 v.vsizes in
-  if Array.length x <> total then
-    invalid_arg "Batch.vec_of_flat: length mismatch";
-  let pos = ref 0 in
-  for i = 0 to v.vcount - 1 do
-    let off = v.voffsets.(i) and st = v.vwidths.(i) in
-    for k = 0 to v.vsizes.(i) - 1 do
-      v.vvalues.(off + (st * k)) <- x.(!pos);
-      incr pos
-    done
-  done;
-  v
-
-let vec_to_flat v =
-  let total = Array.fold_left ( + ) 0 v.vsizes in
-  let out = Array.make total 0.0 in
-  let pos = ref 0 in
-  for i = 0 to v.vcount - 1 do
-    let off = v.voffsets.(i) and st = v.vwidths.(i) in
-    for k = 0 to v.vsizes.(i) - 1 do
-      out.(!pos) <- v.vvalues.(off + (st * k));
-      incr pos
-    done
-  done;
-  out

@@ -70,12 +70,7 @@ val of_matrices : ?layout:layout -> Matrix.t array -> t
 val to_matrices : t -> Matrix.t array
 
 val get_matrix : t -> int -> Matrix.t
-(** Dense copy of block [i] (allocating; see {!get_matrix_into} for hot
-    paths). *)
-
-val get_matrix_into : t -> int -> Matrix.t -> unit
-(** Non-allocating {!get_matrix}: overwrites the caller's matrix with
-    block [i].  @raise Invalid_argument on a size mismatch. *)
+(** Dense copy of block [i]. *)
 
 val set_matrix : t -> int -> Matrix.t -> unit
 (** Overwrites block [i].  @raise Invalid_argument on a size mismatch. *)
@@ -118,8 +113,6 @@ val cohort_salt : t -> int -> int
     interleaved. *)
 
 val count : t -> int
-
-val max_size : t -> int
 
 val total_values : t -> int
 (** Storage length of [values], interleaved padding included. *)
@@ -194,26 +187,11 @@ val vec_of_vectors : ?layout:layout -> Vector.t array -> vec
 (** Packs vectors into a vector batch; an empty array yields an empty
     batch. *)
 
-val vec_to_vectors : vec -> Vector.t array
-
 val vec_get : vec -> int -> Vector.t
-(** Fresh copy of problem [i]'s vector (allocating; see {!vec_get_into}). *)
-
-val vec_get_into : vec -> int -> Vector.t -> unit
-(** Non-allocating {!vec_get}: fills the caller's buffer.
-    @raise Invalid_argument on a length mismatch. *)
+(** Fresh copy of problem [i]'s vector. *)
 
 val vec_set : vec -> int -> Vector.t -> unit
 
 val vec_random : ?state:Random.State.t -> ?layout:layout -> int array -> vec
 (** Entries uniform in [(-1, 1)]; follows the seeding contract of the
     [random_*] batch builders above. *)
-
-val vec_of_flat : ?layout:layout -> sizes:int array -> Vector.t -> vec
-(** Splits a flat vector (e.g. a Krylov residual) into per-block segments;
-    the segment boundaries are the size prefix sums.
-    @raise Invalid_argument if the lengths disagree. *)
-
-val vec_to_flat : vec -> Vector.t
-(** Concatenation in batch order — inverse of {!vec_of_flat} for either
-    layout. *)

@@ -69,18 +69,4 @@ let gmem_strided_read w ~elems ~stride_bytes =
     end
   end
 
-let gmem_strided_write w ~elems ~stride_bytes =
-  if elems > 0 then begin
-    elems_touched w elems;
-    let cfg = Warp.cfg w in
-    let tx = cfg.Config.transaction_bytes in
-    let bytes = Precision.bytes (Warp.prec w) in
-    if stride_bytes >= tx then
-      charge_custom w ~instrs:(float_of_int (max 1 (elems / 2))) ~txns:elems
-    else begin
-      let span = ((elems - 1) * stride_bytes) + bytes in
-      charge_txns w ((span + tx - 1) / tx)
-    end
-  end
-
 let round w = Warp.round_barrier w

@@ -38,9 +38,5 @@ val gmem_strided_read : Warp.t -> elems:int -> stride_bytes:int -> unit
     contiguous strip shared by the cohort, charged amortized — strided
     reads stop paying one transaction per element. *)
 
-val gmem_strided_write : Warp.t -> elems:int -> stride_bytes:int -> unit
-(** A non-coalesced write: replays {e and} one full sector of traffic per
-    lane — stores cannot be coalesced by the cache. *)
-
 val round : Warp.t -> unit
 (** One dependent memory round-trip (latency term). *)

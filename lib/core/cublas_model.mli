@@ -50,9 +50,6 @@ type solve_result = {
   solve_stats : Launch.stats;
 }
 
-val tile_sizes : int list
-(** The modelled kernel specializations, ascending. *)
-
 val factor :
   ?cfg:Config.t ->
   ?pool:Vblu_par.Pool.t ->

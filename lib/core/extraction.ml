@@ -9,18 +9,6 @@ type result = {
   stats : Launch.stats;
 }
 
-let blocks_cover ~n ~block_starts ~block_sizes =
-  let k = Array.length block_starts in
-  Array.length block_sizes = k
-  &&
-  let pos = ref 0 in
-  let ok = ref true in
-  for i = 0 to k - 1 do
-    if block_starts.(i) <> !pos || block_sizes.(i) <= 0 then ok := false;
-    pos := !pos + block_sizes.(i)
-  done;
-  !ok && !pos = n
-
 let validate cfg (a : Csr.t) ~block_starts ~block_sizes =
   let k = Array.length block_starts in
   if Array.length block_sizes <> k then

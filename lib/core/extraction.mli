@@ -56,7 +56,3 @@ val extract :
     gathered straight from the host CSR without the warp interpreter.  The
     device copies of the CSR are staged only if some block is
     interpreted. *)
-
-val blocks_cover : n:int -> block_starts:int array -> block_sizes:int array -> bool
-(** Whether the blocks exactly tile [0..n-1] — the supervariable-blocking
-    postcondition block-Jacobi requires. *)

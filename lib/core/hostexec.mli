@@ -15,9 +15,5 @@ type t = {
   ints : int array;  (** length-32 integer scratch (e.g. pivot steps). *)
 }
 
-val max_n : int
-(** The largest problem size the scratch accommodates (32, the warp
-    width every kernel in this project assumes). *)
-
 val get : unit -> t
 (** This domain's scratch. *)

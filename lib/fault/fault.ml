@@ -117,12 +117,6 @@ module Plan = struct
     t.injected <- t.injected + 1;
     Mutex.unlock t.mutex
 
-  let reset t =
-    Mutex.lock t.mutex;
-    Hashtbl.reset t.fired;
-    t.injected <- 0;
-    Mutex.unlock t.mutex
-
   let to_spec t =
     let base =
       Printf.sprintf "seed=%d,every=%d,phase=%d,target=%s,kind=%s" t.seed

@@ -51,9 +51,6 @@ type verdict =
   | Passed
   | Failed  (** the checksum test flagged a corrupted result. *)
 
-val target_name : target -> string
-val kind_name : kind -> string
-
 val corrupt : kind -> float -> float
 (** Apply a corruption to a value ([Bit_flip] works on the raw IEEE
     bits, bypassing any precision rounding). *)
@@ -111,10 +108,6 @@ module Plan : sig
   val note_injected : t -> unit
   (** Count one applied corruption (used by host-level injection paths;
       warp-level injection counts through {!Injector}). *)
-
-  val reset : t -> unit
-  (** Forget all claims and the injected count, so the same plan can
-      drive a fresh, identical campaign. *)
 end
 
 module Injector : sig

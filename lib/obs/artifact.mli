@@ -34,8 +34,6 @@ type meta = {
 
 type t = { meta : meta; entries : entry list }
 
-val schema_version : string
-
 val entry_key : entry -> string
 (** ["kernel/prec/nSIZE/bBATCH"] — the key entries are compared under. *)
 

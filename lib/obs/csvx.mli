@@ -4,10 +4,5 @@
     which the plain [String.concat ","] emitters turned into misaligned
     columns.  These helpers quote exactly when needed. *)
 
-val quote : string -> string
-(** Wrap the field in double quotes — doubling any embedded quotes — iff
-    it contains a comma, double quote, CR or LF; otherwise return it
-    unchanged. *)
-
 val row : string list -> string
 (** Join quoted fields with commas (no trailing newline). *)

@@ -54,13 +54,6 @@ val incr_l : t -> string -> (string * string) list -> float -> unit
 val set_gauge_l : t -> string -> (string * string) list -> float -> unit
 val observe_l : t -> string -> (string * string) list -> float -> unit
 
-val num_buckets : int
-(** Number of buckets per histogram, including the overflow bucket. *)
-
-val bucket_le : int -> float
-(** Upper bound of bucket [i] (inclusive); [infinity] for the overflow
-    bucket. *)
-
 type snapshot =
   | Counter of float
   | Gauge of float

@@ -8,6 +8,8 @@ let create ?num_domains () =
   in
   { domains = max 1 n }
 
+let max_domains = 128
+
 let sequential = { domains = 1 }
 
 let num_domains t = t.domains

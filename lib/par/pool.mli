@@ -16,6 +16,11 @@ val create : ?num_domains:int -> unit -> t
     one).  [?num_domains] overrides the probe; values [<= 1] force
     sequential execution. *)
 
+val max_domains : int
+(** 128, the OCaml runtime's default limit on live domains.  Command
+    lines reject a larger [--domains] up front: a pool that tried to
+    spawn past the limit would fail part-way through a fan-out. *)
+
 val sequential : t
 (** A handle that always runs work in the calling domain. *)
 

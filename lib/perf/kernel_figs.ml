@@ -497,8 +497,6 @@ let ablation_extraction ?(quick = false) ?(pool = Pool.sequential) ppf =
           ~nx:(if quick then 16 else 32)
           ~ny:(if quick then 16 else 32)
           () );
-      (* Seeded like the generators' default stream, so the row does not
-         depend on what drew from that stream earlier in the process. *)
       ( "circuit (unbalanced)",
         Vblu_workloads.Generators.circuit_like
           ~state:(Random.State.make [| 0x5eed; 0x304ad5 |])

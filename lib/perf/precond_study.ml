@@ -12,12 +12,6 @@ let family_label = function
   | Ilu0 -> "block-ilu0"
   | Ras -> "ras-ilu0"
 
-let family_of_string = function
-  | "block-jacobi" | "jacobi" -> Ok Jacobi
-  | "block-ilu0" | "ilu0" -> Ok Ilu0
-  | "ras-ilu0" | "ras" -> Ok Ras
-  | s -> Error (Printf.sprintf "unknown preconditioner family %S" s)
-
 type run = {
   entry : Suite.entry;
   family : family;

@@ -25,8 +25,6 @@ type family =
 val family_label : family -> string
 (** ["block-jacobi" | "block-ilu0" | "ras-ilu0"] — CLI spelling. *)
 
-val family_of_string : string -> (family, string) result
-
 type run = {
   entry : Suite.entry;
   family : family;

@@ -41,9 +41,6 @@ type t = {
   bounds : int list;  (** the block-size bounds swept (Table I columns). *)
 }
 
-val bounds : int list
-(** [8; 12; 16; 24; 32] — the paper's sweep. *)
-
 val run_suite :
   ?quick:bool ->
   ?pool:Vblu_par.Pool.t ->

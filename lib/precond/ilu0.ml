@@ -7,8 +7,6 @@ type factors = {
   diag_pos : int array;  (** position of (i,i) within [values]. *)
 }
 
-let values f = f.values
-
 (* Rounded arithmetic inlined into this unit, bitwise equal to
    [Precision]'s: under [-opaque] a call into another unit boxes every
    float it passes or returns.  The elimination and the sweeps are

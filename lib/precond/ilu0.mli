@@ -56,10 +56,6 @@ val solve : ?prec:Precision.t -> factors -> Vector.t -> Vector.t
     substitution (multiply-then-subtract sweeps, diagonal division last —
     the scalar shadow of the block path's GEMM + TRSV waves). *)
 
-val values : factors -> float array
-(** The factored values on the matrix pattern (CSR entry order) — for
-    tests that compare factorizations bitwise. *)
-
 val preconditioner :
   ?prec:Precision.t ->
   ?policy:Block_jacobi.breakdown_policy ->

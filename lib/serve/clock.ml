@@ -1,17 +1,10 @@
-type t =
-  | Manual of { mutable now : float }
-  | System of { epoch : float }
+type t = { mutable now : float }
 
-let manual ?(start = 0.0) () = Manual { now = start }
-let system () = System { epoch = Sys.time () }
+let manual ?(start = 0.0) () = { now = start }
 
-let now = function
-  | Manual m -> m.now
-  | System s -> Sys.time () -. s.epoch
+let now t = t.now
 
 let advance t dt =
   if (not (Float.is_finite dt)) || dt < 0.0 then
     invalid_arg "Clock.advance: negative or non-finite delta";
-  match t with Manual m -> m.now <- m.now +. dt | System _ -> ()
-
-let is_manual = function Manual _ -> true | System _ -> false
+  t.now <- t.now +. dt

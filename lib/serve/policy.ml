@@ -5,36 +5,7 @@ let priority_rank = function
   | Standard -> 1
   | Best_effort -> 2
 
-let priority_name = function
-  | Interactive -> "interactive"
-  | Standard -> "standard"
-  | Best_effort -> "best-effort"
-
-let priority_of_string s =
-  match String.lowercase_ascii s with
-  | "interactive" -> Ok Interactive
-  | "standard" -> Ok Standard
-  | "best-effort" | "best_effort" -> Ok Best_effort
-  | _ ->
-    Error
-      (Printf.sprintf
-         "invalid priority %S: expected interactive, standard, or best-effort"
-         s)
-
 type breakdown = Identity_block | Fail_request
-
-let breakdown_name = function
-  | Identity_block -> "identity"
-  | Fail_request -> "fail"
-
-let breakdown_of_string s =
-  match String.lowercase_ascii s with
-  | "identity" -> Ok Identity_block
-  | "fail" -> Ok Fail_request
-  | _ ->
-    Error
-      (Printf.sprintf "invalid breakdown policy %S: expected identity or fail"
-         s)
 
 type retry = {
   budget : int;

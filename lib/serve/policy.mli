@@ -24,11 +24,6 @@ val priority_rank : priority -> int
 (** [0] for [Interactive], [1] for [Standard], [2] for [Best_effort] —
     smaller drains first. *)
 
-val priority_name : priority -> string
-(** ["interactive" | "standard" | "best-effort"] — the CLI spelling. *)
-
-val priority_of_string : string -> (priority, string) result
-
 (** What to do with a request one of whose diagonal blocks breaks down
     (a numerically singular block — deterministic, so retrying is
     pointless):
@@ -39,11 +34,6 @@ val priority_of_string : string -> (priority, string) result
     - {!Fail_request}: fail this request (only this one; batchmates are
       untouched). *)
 type breakdown = Identity_block | Fail_request
-
-val breakdown_name : breakdown -> string
-(** ["identity" | "fail"]. *)
-
-val breakdown_of_string : string -> (breakdown, string) result
 
 type retry = {
   budget : int;  (** max retries per request; 0 disables retrying. *)

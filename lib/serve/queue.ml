@@ -20,10 +20,7 @@ let create ~capacity =
     length = 0;
   }
 
-let capacity t = t.capacity
 let length t = t.length
-let is_empty t = t.length = 0
-
 let submit t ~priority x =
   if t.length >= t.capacity then false
   else begin

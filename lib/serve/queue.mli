@@ -15,11 +15,7 @@ type 'a t
 val create : capacity:int -> 'a t
 (** @raise Invalid_argument when [capacity < 1]. *)
 
-val capacity : 'a t -> int
-
 val length : 'a t -> int
-
-val is_empty : 'a t -> bool
 
 val submit : 'a t -> priority:Policy.priority -> 'a -> bool
 (** Enqueue, or return [false] when the queue is at capacity (the caller

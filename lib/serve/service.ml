@@ -364,8 +364,6 @@ let drain t =
 
 let now t = locked t (fun () -> Clock.now t.clock)
 
-let breaker_state t = locked t (fun () -> Policy.breaker_state t.brk)
-
 type health = {
   h_now : float;
   h_queue_depth : int;

@@ -132,8 +132,6 @@ val now : t -> float
 val pending : t -> int
 (** Requests submitted but not yet terminal. *)
 
-val breaker_state : t -> Policy.breaker_state
-
 type health = {
   h_now : float;
   h_queue_depth : int;

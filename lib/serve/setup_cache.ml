@@ -32,13 +32,11 @@ type t = {
   capacity : int;
   tbl : (string, entry) Hashtbl.t;
   mutable order : string list;  (* insertion order, oldest first *)
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create ?(capacity = 256) () =
   if capacity < 1 then invalid_arg "Serve.Setup_cache.create: capacity < 1";
-  { capacity; tbl = Hashtbl.create 64; order = []; hits = 0; misses = 0 }
+  { capacity; tbl = Hashtbl.create 64; order = [] }
 
 (* The fingerprint hashes the full pattern (not a sample), so distinct
    patterns practically never collide; the stored pattern arrays are
@@ -53,11 +51,8 @@ let key ~tag ~max_block_size (a : Csr.t) =
 let find (type h) t (family : h family) ~a ~max_block_size : h option =
   match Hashtbl.find_opt t.tbl (key ~tag:(tag family) ~max_block_size a) with
   | Some e when e.e_row_ptr = a.Csr.row_ptr && e.e_col_idx = a.Csr.col_idx ->
-    t.hits <- t.hits + 1;
     unwrap family e.e_data
-  | _ ->
-    t.misses <- t.misses + 1;
-    None
+  | _ -> None
 
 let store t family ~a ~max_block_size h =
   let k = key ~tag:(tag family) ~max_block_size a in
@@ -75,5 +70,3 @@ let store t family ~a ~max_block_size h =
     Hashtbl.replace t.tbl k
       { e_row_ptr = a.Csr.row_ptr; e_col_idx = a.Csr.col_idx; e_data = data };
     t.order <- t.order @ [ k ]
-
-let stats t = (t.hits, t.misses)

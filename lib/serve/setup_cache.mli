@@ -32,11 +32,8 @@ type _ family =
           DAG closure. *)
 
 val find : t -> 'h family -> a:Csr.t -> max_block_size:int -> 'h option
-(** The live handle stored for [a]'s fingerprint, if any (counts a hit or
-    a miss). *)
+(** The live handle stored for [a]'s fingerprint, if any. *)
 
 val store : t -> 'h family -> a:Csr.t -> max_block_size:int -> 'h -> unit
 (** Keep [h] for [a]'s fingerprint, replacing any handle stored there. *)
 
-val stats : t -> int * int
-(** [(hits, misses)] over the cache's lifetime. *)

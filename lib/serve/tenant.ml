@@ -76,16 +76,3 @@ let snapshot t =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let totals t = List.fold_left (fun acc (_, c) -> add acc c) zero (snapshot t)
-
-let pp ppf t =
-  Format.fprintf ppf "%-12s %9s %9s %8s %6s %6s %7s %7s@." "tenant"
-    "submitted" "completed" "rejected" "shed" "failed" "retried" "demoted";
-  List.iter
-    (fun (name, c) ->
-      Format.fprintf ppf "%-12s %9d %9d %8d %6d %6d %7d %7d@." name
-        c.submitted c.completed c.rejected c.shed c.failed c.retried c.demoted)
-    (snapshot t);
-  let tot = totals t in
-  Format.fprintf ppf "%-12s %9d %9d %8d %6d %6d %7d %7d@." "TOTAL"
-    tot.submitted tot.completed tot.rejected tot.shed tot.failed tot.retried
-    tot.demoted

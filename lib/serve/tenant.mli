@@ -19,8 +19,6 @@ type event =
   | Demoted  (** non-terminal marker: completed via the identity fallback
                  while the breaker was open (also counted [Completed]). *)
 
-val event_name : event -> string
-
 type counts = {
   submitted : int;
   completed : int;
@@ -30,8 +28,6 @@ type counts = {
   retried : int;
   demoted : int;
 }
-
-val zero : counts
 
 type t
 
@@ -50,5 +46,3 @@ val totals : t -> counts
 val snapshot : t -> (string * counts) list
 (** All tenants, sorted by name. *)
 
-val pp : Format.formatter -> t -> unit
-(** A per-tenant accounting table. *)

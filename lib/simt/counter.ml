@@ -83,17 +83,8 @@ let scale_into x f =
 
 let credit_flops t f = t.useful_flops <- t.useful_flops +. f
 
-let total_instrs t =
-  t.fma_instrs +. t.div_instrs +. t.shfl_instrs +. t.smem_accesses
-
 let transactions t = int_of_float (Float.round t.gmem_transactions)
 
 let bytes t = int_of_float (Float.round t.gmem_bytes)
 
 let elems t = int_of_float (Float.round t.gmem_elems)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "fma=%.0f div=%.0f shfl=%.0f smem=%.0f gmem_ld=%.0f gmem_txn=%.0f gmem_bytes=%.0f gmem_elems=%.0f rounds=%d flops=%.0f"
-    t.fma_instrs t.div_instrs t.shfl_instrs t.smem_accesses t.gmem_instrs t.gmem_transactions
-    t.gmem_bytes t.gmem_elems t.gmem_rounds t.useful_flops

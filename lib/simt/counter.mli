@@ -76,7 +76,3 @@ val elems : t -> int
     rounded to the nearest integer. *)
 
 val credit_flops : t -> float -> unit
-
-val total_instrs : t -> float
-
-val pp : Format.formatter -> t -> unit

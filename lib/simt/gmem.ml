@@ -25,13 +25,9 @@ let of_array prec a =
     done);
   { data; prec }
 
-let length t = Array.length t.data
-
 let prec t = t.prec
 
 let get t i = t.data.(i)
-
-let set t i v = t.data.(i) <- R.round t.prec v
 
 let corrupt t i f = t.data.(i) <- f t.data.(i)
 

@@ -20,14 +20,10 @@ val of_array : Precision.t -> float array -> t
 (** Stages host data; values are rounded to [prec] on the way in, as a
     host-to-device copy of a narrower type would. *)
 
-val length : t -> int
-
 val prec : t -> Precision.t
 
 val get : t -> int -> float
 (** Direct host-side access (no traffic counted); for staging and tests. *)
-
-val set : t -> int -> float -> unit
 
 val corrupt : t -> int -> (float -> float) -> unit
 (** [corrupt t i f] replaces cell [i] with [f] of its current value,

@@ -26,20 +26,3 @@ let growth_factor a f =
     done;
     !maxu /. maxa
   end
-
-let one_norm a =
-  let rows, cols = Matrix.dims a in
-  let m = ref 0.0 in
-  for j = 0 to cols - 1 do
-    let s = ref 0.0 in
-    for i = 0 to rows - 1 do
-      s := !s +. Float.abs (Matrix.unsafe_get a i j)
-    done;
-    m := Float.max !m !s
-  done;
-  !m
-
-let condition_estimate a =
-  match Gauss_jordan.invert a with
-  | inv -> one_norm a *. one_norm inv
-  | exception Error.Singular _ -> infinity

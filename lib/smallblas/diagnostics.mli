@@ -14,8 +14,3 @@ val solve_residual : Matrix.t -> Vector.t -> Vector.t -> float
 val growth_factor : Matrix.t -> Lu.factors -> float
 (** The element-growth factor [max|U| / max|A|] of the factorization; the
     quantity partial pivoting keeps small in practice. *)
-
-val condition_estimate : Matrix.t -> float
-(** A one-norm condition-number estimate [‖A‖₁ · ‖A⁻¹‖₁], computed via
-    explicit inversion — fine for the ≤ 32×32 blocks this library targets.
-    Returns [infinity] for singular blocks. *)

@@ -26,6 +26,3 @@ let invert n =
 let gemv n =
   let n = float_of_int n in
   2.0 *. n *. n
-
-let batch_total per_block sizes =
-  Array.fold_left (fun acc n -> acc +. per_block n) 0.0 sizes

@@ -14,12 +14,6 @@ val getrf : int -> float
 val trsv_pair : int -> float
 (** One unit-lower plus one upper triangular solve: [2 n²] flops. *)
 
-val trsv_lower_unit : int -> float
-(** [n(n-1)] flops. *)
-
-val trsv_upper : int -> float
-(** [n(n-1) + n] flops ([n] divisions). *)
-
 val gauss_huard_factor : int -> float
 (** Same leading term as {!getrf} (the paper: "the same properties ...
     distinct algorithms"). *)
@@ -32,6 +26,3 @@ val invert : int -> float
 
 val gemv : int -> float
 (** Dense matrix-vector product: [2 n²] flops. *)
-
-val batch_total : (int -> float) -> int array -> float
-(** [batch_total per_block sizes] sums a per-block count over a batch. *)

@@ -274,15 +274,6 @@ let factor_nopivot_view ?(prec = Precision.Double) ?(stride = 1) ~src ~dst ~off
     (nopivot_view_k [@inlined]) Precision.Double stride dst off n
   | Single -> (nopivot_view_k [@inlined]) Precision.Single stride dst off n
 
-let unpack { lu; _ } =
-  let n, _ = Matrix.dims lu in
-  let l =
-    Matrix.init n n (fun i j ->
-        if i > j then Matrix.unsafe_get lu i j else if i = j then 1.0 else 0.0)
-  in
-  let u = Matrix.init n n (fun i j -> if i <= j then Matrix.unsafe_get lu i j else 0.0) in
-  (l, u)
-
 let solve_in_place ?(prec = Precision.Double) f b =
   let x = Trsv.apply_perm f.perm b in
   Trsv.lower_unit_in_place ~prec f.lu x;
@@ -295,29 +286,11 @@ let solve ?(prec = Precision.Double) f b =
 let solve_status ?(prec = Precision.Double) f b =
   Trsv.solve_status ~prec f.lu f.perm b
 
-let det f =
-  let n, _ = Matrix.dims f.lu in
-  (* Sign of the permutation by cycle counting. *)
-  let seen = Array.make n false in
-  let sign = ref 1.0 in
-  for k = 0 to n - 1 do
-    if not seen.(k) then begin
-      let len = ref 0 in
-      let r = ref k in
-      while not seen.(!r) do
-        seen.(!r) <- true;
-        r := f.perm.(!r);
-        incr len
-      done;
-      if !len land 1 = 0 then sign := -. !sign
-    end
-  done;
-  let d = ref !sign in
-  for k = 0 to n - 1 do
-    d := !d *. f.lu.Matrix.a.(k + (k * n))
-  done;
-  !d
-
-let reconstruct f =
-  let l, u = unpack f in
+let reconstruct { lu; _ } =
+  let n, _ = Matrix.dims lu in
+  let l =
+    Matrix.init n n (fun i j ->
+        if i > j then Matrix.unsafe_get lu i j else if i = j then 1.0 else 0.0)
+  in
+  let u = Matrix.init n n (fun i j -> if i <= j then Matrix.unsafe_get lu i j else 0.0) in
   Matrix.matmul l u

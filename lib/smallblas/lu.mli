@@ -44,8 +44,6 @@ val factor_explicit_status : ?prec:Precision.t -> Matrix.t -> factors * int
 
 val factor_implicit_status : ?prec:Precision.t -> Matrix.t -> factors * int
 
-val factor_nopivot_status : ?prec:Precision.t -> Matrix.t -> factors * int
-
 val factor_explicit : ?prec:Precision.t -> Matrix.t -> factors
 (** Reference LU with explicit partial pivoting.  The input matrix is not
     modified.  @raise Singular on pivot breakdown.
@@ -97,9 +95,6 @@ val factor_nopivot_view :
 (** Unpivoted factorization, eliminating in place inside [dst] after a block
     copy from [src]; no scratch needed.  Returns [info]. *)
 
-val unpack : factors -> Matrix.t * Matrix.t
-(** [(l, u)] with [l] unit lower triangular and [u] upper triangular. *)
-
 val solve : ?prec:Precision.t -> factors -> Vector.t -> Vector.t
 (** [solve f b] returns [x] with [A x = b], i.e. applies the permutation to
     [b] then performs the two triangular solves (both "eager"/AXPY variant,
@@ -112,10 +107,6 @@ val solve_status : ?prec:Precision.t -> factors -> Vector.t -> Vector.t * int
 (** Non-raising {!solve}: [(x, info)] with [info = 0] on success or
     [k + 1] for a zero diagonal of [U] at step [k] (see
     {!Trsv.solve_status}). *)
-
-val det : factors -> float
-(** Determinant of the original matrix (product of pivots times the
-    permutation sign). *)
 
 val reconstruct : factors -> Matrix.t
 (** [L*U] — equals [P*A] up to roundoff; used by tests. *)

@@ -25,8 +25,6 @@ let of_rows rows =
     rows;
   init m n (fun i j -> rows.(i).(j))
 
-let to_rows t = Array.init t.rows (fun i -> Array.init t.cols (fun j -> t.a.(i + (j * t.rows))))
-
 let copy t = { t with a = Array.copy t.a }
 
 let dims t = (t.rows, t.cols)
@@ -43,10 +41,6 @@ let set t i j v =
 
 let unsafe_get t i j = Array.unsafe_get t.a (i + (j * t.rows))
 let unsafe_set t i j v = Array.unsafe_set t.a (i + (j * t.rows)) v
-
-let col t j = Array.sub t.a (j * t.rows) t.rows
-
-let row t i = Array.init t.cols (fun j -> t.a.(i + (j * t.rows)))
 
 let transpose t = init t.cols t.rows (fun i j -> t.a.(j + (i * t.rows)))
 
@@ -254,14 +248,10 @@ let permute_rows t perm =
   done;
   z
 
-let default_state = lazy (Random.State.make [| 0x5eed; 0x3a7 |])
-
-let random ?state ?(lo = -1.0) ?(hi = 1.0) m n =
-  let st = match state with Some s -> s | None -> Lazy.force default_state in
+let random ~state:st ?(lo = -1.0) ?(hi = 1.0) m n =
   init m n (fun _ _ -> lo +. ((hi -. lo) *. Random.State.float st 1.0))
 
-let random_diagdom ?state n =
-  let st = match state with Some s -> s | None -> Lazy.force default_state in
+let random_diagdom ~state:st n =
   let t = random ~state:st n n in
   for i = 0 to n - 1 do
     let rowsum = ref 0.0 in
@@ -306,8 +296,7 @@ let well_pivoted t =
    with Exit -> ());
   !ok
 
-let random_general ?state n =
-  let st = match state with Some s -> s | None -> Lazy.force default_state in
+let random_general ~state:st n =
   let rec draw () =
     let t = random ~state:st n n in
     if well_pivoted t then t else draw ()
@@ -337,40 +326,3 @@ let max_abs_diff x y =
     m := Float.max !m (Float.abs (x.a.(k) -. y.a.(k)))
   done;
   !m
-
-let is_lower_unit ?(tol = 0.0) t =
-  t.rows = t.cols
-  &&
-  let ok = ref true in
-  for j = 0 to t.cols - 1 do
-    for i = 0 to t.rows - 1 do
-      let v = t.a.(i + (j * t.rows)) in
-      if i = j then begin
-        if Float.abs (v -. 1.0) > tol then ok := false
-      end
-      else if i < j && Float.abs v > tol then ok := false
-    done
-  done;
-  !ok
-
-let is_upper ?(tol = 0.0) t =
-  let ok = ref true in
-  for j = 0 to t.cols - 1 do
-    for i = j + 1 to t.rows - 1 do
-      if Float.abs t.a.(i + (j * t.rows)) > tol then ok := false
-    done
-  done;
-  !ok
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to t.rows - 1 do
-    Format.fprintf ppf "@[<h>";
-    for j = 0 to t.cols - 1 do
-      if j > 0 then Format.fprintf ppf " ";
-      Format.fprintf ppf "%10.4g" t.a.(i + (j * t.rows))
-    done;
-    Format.fprintf ppf "@]";
-    if i < t.rows - 1 then Format.fprintf ppf "@,"
-  done;
-  Format.fprintf ppf "@]"

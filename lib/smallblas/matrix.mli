@@ -24,8 +24,6 @@ val of_rows : float array array -> t
 (** Builds a matrix from an array of rows (each a [float array] of equal
     length).  @raise Invalid_argument if the rows are ragged or empty. *)
 
-val to_rows : t -> float array array
-
 val copy : t -> t
 
 val dims : t -> int * int
@@ -37,11 +35,6 @@ val set : t -> int -> int -> float -> unit
 
 val unsafe_get : t -> int -> int -> float
 val unsafe_set : t -> int -> int -> float -> unit
-
-val col : t -> int -> float array
-(** [col a j] is a fresh copy of column [j]. *)
-
-val row : t -> int -> float array
 
 val transpose : t -> t
 
@@ -87,15 +80,19 @@ val permute_rows : t -> int array -> t
     [P] of partial pivoting ([PA]).  @raise Invalid_argument if [perm] is
     not a permutation of [0..rows-1]. *)
 
-val random : ?state:Random.State.t -> ?lo:float -> ?hi:float -> int -> int -> t
+val random : state:Random.State.t -> ?lo:float -> ?hi:float -> int -> int -> t
+(** [random ~state m n] draws every entry uniformly from [\[lo, hi)]
+    (default [\[-1, 1)]).  This and the two generators below read only
+    [state]: there is no shared default stream, so a result depends on
+    nothing that ran before. *)
 
-val random_diagdom : ?state:Random.State.t -> int -> t
+val random_diagdom : state:Random.State.t -> int -> t
 (** A random strictly row-diagonally-dominant matrix of order [n]:
     guaranteed nonsingular, LU-factorizable without pivoting breakdown,
     and well conditioned — the standard workload for batched-kernel
     benchmarks. *)
 
-val random_general : ?state:Random.State.t -> int -> t
+val random_general : state:Random.State.t -> int -> t
 (** A random dense matrix with entries in [\[-1,1)] but a guaranteed
     nonzero pivot structure (resampled until the explicit-pivot LU
     succeeds); exercises non-trivial pivoting paths. *)
@@ -108,11 +105,3 @@ val max_abs : t -> float
 
 val max_abs_diff : t -> t -> float
 (** Infinity distance between same-shaped matrices; handy in tests. *)
-
-val is_lower_unit : ?tol:float -> t -> bool
-(** True when the strict upper triangle is ≤ [tol] in magnitude and the
-    diagonal is within [tol] of 1. *)
-
-val is_upper : ?tol:float -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -13,8 +13,6 @@ let bytes = function Single -> 4 | Double -> 8
 
 let to_string = function Single -> "single" | Double -> "double"
 
-let pp ppf p = Format.pp_print_string ppf (to_string p)
-
 let add p a b = round p (a +. b)
 let sub p a b = round p (a -. b)
 let mul p a b = round p (a *. b)

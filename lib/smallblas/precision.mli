@@ -31,8 +31,6 @@ val bytes : t -> int
 val to_string : t -> string
 (** ["single"] or ["double"]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val add : t -> float -> float -> float
 val sub : t -> float -> float -> float
 val mul : t -> float -> float -> float

@@ -199,13 +199,6 @@ let apply_perm perm b =
     invalid_arg "Trsv.apply_perm: dimension mismatch";
   Array.map (fun k -> b.(k)) perm
 
-let apply_perm_inv perm b =
-  if Array.length perm <> Array.length b then
-    invalid_arg "Trsv.apply_perm_inv: dimension mismatch";
-  let out = Array.make (Array.length b) 0.0 in
-  Array.iteri (fun k p -> out.(p) <- b.(k)) perm;
-  out
-
 let solve_status ?(prec = Precision.Double) ?(variant = Eager) lu perm b =
   let x = apply_perm perm b in
   lower_unit_in_place ~prec ~variant lu x;

@@ -68,9 +68,6 @@ val apply_perm : int array -> Vector.t -> Vector.t
     element [k] of the result is [b.(perm.(k))] — exactly the fused
     permutation-on-load the batched TRSV kernel performs. *)
 
-val apply_perm_inv : int array -> Vector.t -> Vector.t
-(** Inverse permutation: element [perm.(k)] of the result is [b.(k)]. *)
-
 val solve : ?prec:Precision.t -> ?variant:variant -> Matrix.t -> int array -> Vector.t -> Vector.t
 (** [solve lu perm b]: permute, lower solve, upper solve — the full GETRS
     sequence on packed factors, returning a fresh solution vector.

@@ -1,9 +1,7 @@
 type t = float array
 
 let create n = Array.make n 0.0
-let init = Array.init
 let copy = Array.copy
-let dim = Array.length
 let fill x v = Array.fill x 0 (Array.length x) v
 
 let blit ~src ~dst =
@@ -11,10 +9,7 @@ let blit ~src ~dst =
     invalid_arg "Vector.blit: dimension mismatch";
   Array.blit src 0 dst 0 (Array.length src)
 
-let default_state = lazy (Random.State.make [| 0x5eed; 0xba7c4 |])
-
-let random ?state ?(lo = -1.0) ?(hi = 1.0) n =
-  let st = match state with Some s -> s | None -> Lazy.force default_state in
+let random ~state:st ?(lo = -1.0) ?(hi = 1.0) n =
   Array.init n (fun _ -> lo +. ((hi -. lo) *. Random.State.float st 1.0))
 
 (* Rounded arithmetic inlined into this unit, bitwise equal to
@@ -104,8 +99,6 @@ let sub ?(prec = Precision.Double) x y =
   | Single -> (add_sub_k [@inlined]) Precision.Single ~sub:true x y z);
   z
 
-let map = Array.map
-
 let max_abs_diff x y =
   if Array.length x <> Array.length y then
     invalid_arg "Vector.max_abs_diff: dimension mismatch";
@@ -114,10 +107,3 @@ let max_abs_diff x y =
     m := Float.max !m (Float.abs (x.(i) -. y.(i)))
   done;
   !m
-
-let pp ppf x =
-  Format.fprintf ppf "[@[%a@]]"
-    (Format.pp_print_array
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-       (fun ppf v -> Format.fprintf ppf "%g" v))
-    x

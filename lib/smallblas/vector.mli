@@ -11,11 +11,7 @@ type t = float array
 val create : int -> t
 (** [create n] is a zero vector of length [n]. *)
 
-val init : int -> (int -> float) -> t
-
 val copy : t -> t
-
-val dim : t -> int
 
 val fill : t -> float -> unit
 
@@ -23,9 +19,10 @@ val blit : src:t -> dst:t -> unit
 (** Copies [src] into [dst].  @raise Invalid_argument on dimension
     mismatch. *)
 
-val random : ?state:Random.State.t -> ?lo:float -> ?hi:float -> int -> t
-(** [random n] draws every entry uniformly from [\[lo, hi)] (default
-    [\[-1, 1)]) using [state] (default a fixed deterministic state). *)
+val random : state:Random.State.t -> ?lo:float -> ?hi:float -> int -> t
+(** [random ~state n] draws every entry uniformly from [\[lo, hi)]
+    (default [\[-1, 1)]) from [state] alone: there is no shared default
+    stream, so the result depends on nothing that ran before. *)
 
 val dot : ?prec:Precision.t -> t -> t -> float
 (** Inner product with sequential accumulation in the working precision. *)
@@ -44,9 +41,5 @@ val axpy : ?prec:Precision.t -> float -> t -> t -> unit
 val add : ?prec:Precision.t -> t -> t -> t
 val sub : ?prec:Precision.t -> t -> t -> t
 
-val map : (float -> float) -> t -> t
-
 val max_abs_diff : t -> t -> float
 (** Componentwise infinity-norm distance; handy in tests. *)
-
-val pp : Format.formatter -> t -> unit

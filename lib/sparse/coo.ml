@@ -33,12 +33,6 @@ let add t i j v =
   t.vals.(t.len) <- v;
   t.len <- t.len + 1
 
-let add_sym t i j v =
-  add t i j v;
-  if i <> j then add t j i v
-
-let entry_count t = t.len
-
 let to_csr ?(drop_zeros = false) t =
   let n = t.len in
   let order = Array.init n (fun k -> k) in

@@ -13,13 +13,6 @@ val add : t -> int -> int -> float -> unit
 (** [add t i j v] accumulates [v] into entry (i,j).
     @raise Invalid_argument if out of range. *)
 
-val add_sym : t -> int -> int -> float -> unit
-(** [add_sym t i j v] accumulates into both (i,j) and (j,i); the diagonal
-    is added once. *)
-
-val entry_count : t -> int
-(** Number of accumulated triplets (before duplicate merging). *)
-
 val to_csr : ?drop_zeros:bool -> t -> Csr.t
 (** Sort, merge duplicates by summation, and build the CSR matrix.
     [drop_zeros] (default false) removes entries that cancelled to 0. *)

@@ -150,51 +150,6 @@ let diagonal t =
   let n = min t.n_rows t.n_cols in
   Array.init n (fun i -> get t i i)
 
-let is_permutation perm n =
-  Array.length perm = n
-  &&
-  let seen = Array.make n false in
-  Array.for_all
-    (fun p ->
-      p >= 0 && p < n && not seen.(p)
-      &&
-      (seen.(p) <- true;
-       true))
-    perm
-
-let permute_symmetric t p =
-  if t.n_rows <> t.n_cols then
-    invalid_arg "Csr.permute_symmetric: matrix not square";
-  if not (is_permutation p t.n_rows) then
-    invalid_arg "Csr.permute_symmetric: not a permutation";
-  let n = t.n_rows in
-  (* inv.(old) = new position of old index *)
-  let inv = Array.make n 0 in
-  Array.iteri (fun k old -> inv.(old) <- k) p;
-  let row_ptr = Array.make (n + 1) 0 in
-  for k = 0 to n - 1 do
-    let old = p.(k) in
-    row_ptr.(k + 1) <- row_ptr.(k) + (t.row_ptr.(old + 1) - t.row_ptr.(old))
-  done;
-  let m = nnz t in
-  let col_idx = Array.make m 0 in
-  let values = Array.make m 0.0 in
-  for k = 0 to n - 1 do
-    let old = t.row_ptr.(p.(k)) in
-    let len = row_ptr.(k + 1) - row_ptr.(k) in
-    (* Gather the row, remap columns, then sort by new column index. *)
-    let pairs =
-      Array.init len (fun q -> (inv.(t.col_idx.(old + q)), t.values.(old + q)))
-    in
-    Array.sort (fun (a, _) (b, _) -> compare a b) pairs;
-    Array.iteri
-      (fun q (j, v) ->
-        col_idx.(row_ptr.(k) + q) <- j;
-        values.(row_ptr.(k) + q) <- v)
-      pairs
-  done;
-  { n_rows = n; n_cols = n; row_ptr; col_idx; values }
-
 let extract_block t ~row_start ~size =
   if row_start < 0 || row_start + size > t.n_rows || row_start + size > t.n_cols
   then invalid_arg "Csr.extract_block: block out of range";

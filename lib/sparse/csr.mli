@@ -50,25 +50,14 @@ val transpose : t -> t
 val diagonal : t -> Vector.t
 (** The main diagonal (zeros where absent). *)
 
-val permute_symmetric : t -> int array -> t
-(** [permute_symmetric a p] is [P·A·Pᵀ] where row/column [k] of the result
-    is row/column [p.(k)] of [a] — the symmetric reordering used before
-    supervariable blocking.  @raise Invalid_argument if [a] is not square
-    or [p] is not a permutation. *)
-
 val extract_block : t -> row_start:int -> size:int -> Matrix.t
 (** Dense copy of the square diagonal block
     [a(row_start .. row_start+size-1, row_start .. row_start+size-1)] —
     the reference against which the extraction kernels are validated. *)
 
-val row_nnz : t -> int array
-
 val row_imbalance : t -> float
 (** [max row nnz / mean row nnz] — the load-imbalance statistic motivating
     the shared-memory extraction strategy (≫1 for circuit-like systems). *)
-
-val bandwidth : t -> int
-(** Maximum [|i - j|] over stored entries. *)
 
 val is_symmetric_pattern : t -> bool
 

@@ -1,7 +1,5 @@
 type triangle = Lower | Upper
 
-let triangle_name = function Lower -> "lower" | Upper -> "upper"
-
 type schedule = {
   triangle : triangle;
   starts : int array;

@@ -23,9 +23,6 @@ type triangle =
   | Upper  (** strictly-upper coupling: block [i] depends on blocks [j > i]
                — the backward-substitution DAG. *)
 
-val triangle_name : triangle -> string
-(** ["lower" | "upper"]. *)
-
 type schedule = {
   triangle : triangle;
   starts : int array;  (** first row of each block, ascending. *)

@@ -42,9 +42,12 @@ let int_tok ~line ~what s =
   | Some v -> v
   | None -> fail ~line (Printf.sprintf "%s is not an integer: %S" what s)
 
+(* A non-finite value would only surface later as a NaN residual after
+   the solver's full iteration budget; reject it here, with its line. *)
 let float_tok ~line s =
   match float_of_string_opt s with
-  | Some v -> v
+  | Some v when Float.is_finite v -> v
+  | Some _ -> fail ~line (Printf.sprintf "entry value is not finite: %S" s)
   | None -> fail ~line (Printf.sprintf "entry value is not a number: %S" s)
 
 let read_lines next_line =
@@ -157,11 +160,6 @@ let read_string s =
   in
   read_lines next_line
 
-let read_string_opt s =
-  match read_string s with
-  | csr -> Ok csr
-  | exception Parse_error { line; msg } -> Error (line, msg)
-
 let write_channel oc (m : Csr.t) =
   output_string oc "%%MatrixMarket matrix coordinate real general\n";
   Printf.fprintf oc "%d %d %d\n" m.n_rows m.n_cols (Csr.nnz m);
@@ -178,18 +176,3 @@ let write path m =
      close_out oc;
      raise e);
   close_out oc
-
-let write_string m =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "%%MatrixMarket matrix coordinate real general\n";
-  Buffer.add_string buf
-    (Printf.sprintf "%d %d %d\n" m.Csr.n_rows m.Csr.n_cols (Csr.nnz m));
-  for i = 0 to m.Csr.n_rows - 1 do
-    for k = m.Csr.row_ptr.(i) to m.Csr.row_ptr.(i + 1) - 1 do
-      Buffer.add_string buf
-        (Printf.sprintf "%d %d %.17g\n" (i + 1)
-           (m.Csr.col_idx.(k) + 1)
-           m.Csr.values.(k))
-    done
-  done;
-  Buffer.contents buf

@@ -10,8 +10,9 @@ exception Parse_error of { line : int; msg : string }
 (** Raised by {!read} / {!read_string} on malformed input.  [line] is the
     1-based source line the problem was found on (0 for empty input), and
     [msg] says what was wrong — unsupported header, non-numeric token,
-    1-based index outside the announced dimensions, or an entry count that
-    does not match the size line.  A printer is registered, so uncaught it
+    non-finite entry value ([nan], [inf]), 1-based index outside the
+    announced dimensions, or an entry count that does not match the size
+    line.  A printer is registered, so uncaught it
     renders as [Mm_io.Parse_error (line N: ...)]. *)
 
 val read : string -> Csr.t
@@ -26,9 +27,3 @@ val write : string -> Csr.t -> unit
 val read_string : string -> Csr.t
 (** {!read} from an in-memory buffer; used by the tests.
     @raise Parse_error as {!read}. *)
-
-val read_string_opt : string -> (Csr.t, int * string) result
-(** Exception-free {!read_string}: [Error (line, msg)] instead of raising
-    {!Parse_error}. *)
-
-val write_string : Csr.t -> string

@@ -70,8 +70,6 @@ let anisotropic_2d ?(nx = 32) ?(ny = 32) ?(epsilon = 0.01) () =
   done;
   Coo.to_csr coo
 
-let default_state = lazy (Random.State.make [| 0x5eed; 0x304ad5 |])
-
 (* A ring-plus-chords node graph: connected, planar-ish locality so that
    natural ordering keeps neighbours close (good supervariable input). *)
 let node_graph st nodes =
@@ -92,9 +90,8 @@ let node_graph st nodes =
   done;
   neighbors
 
-let fem_blocks ?state ?(nodes = 200) ?(vars_per_node = 4) ?(coupling = 0.25)
+let fem_blocks ~state:st ?(nodes = 200) ?(vars_per_node = 4) ?(coupling = 0.25)
     ?(margin = 0.05) () =
-  let st = match state with Some s -> s | None -> Lazy.force default_state in
   let m = vars_per_node in
   let n = nodes * m in
   let graph = node_graph st nodes in
@@ -133,9 +130,8 @@ let fem_blocks ?state ?(nodes = 200) ?(vars_per_node = 4) ?(coupling = 0.25)
   done;
   Coo.to_csr coo
 
-let block_tridiagonal ?state ?(blocks = 64) ?(block_size = 16)
+let block_tridiagonal ~state:st ?(blocks = 64) ?(block_size = 16)
     ?(margin = 0.05) ?(coupling = 0.4) () =
-  let st = match state with Some s -> s | None -> Lazy.force default_state in
   let m = block_size in
   let n = blocks * m in
   let coo = Coo.create ~n_rows:n ~n_cols:n in
@@ -160,8 +156,7 @@ let block_tridiagonal ?state ?(blocks = 64) ?(block_size = 16)
   done;
   Coo.to_csr coo
 
-let circuit_like ?state ?(n = 2000) ?(hubs = 8) ?(hub_degree = 400) () =
-  let st = match state with Some s -> s | None -> Lazy.force default_state in
+let circuit_like ~state:st ?(n = 2000) ?(hubs = 8) ?(hub_degree = 400) () =
   let coo = Coo.create ~n_rows:n ~n_cols:n in
   let offdiag = Array.make n 0.0 in
   let couple i j v =

@@ -4,7 +4,10 @@
     Table I.  Each generator controls the properties the block-Jacobi
     experiments actually depend on: an inherent diagonal block structure
     (supervariables), nonzero balance, symmetry, and conditioning.  All
-    generators are deterministic for a given seed. *)
+    generators are deterministic for a given seed: the random ones
+    ([fem_blocks], [block_tridiagonal], [circuit_like]) draw only from the
+    [~state] they are given, so a matrix depends on that state and on
+    nothing that ran before. *)
 
 open Vblu_sparse
 
@@ -20,7 +23,7 @@ val convection_diffusion_2d : ?nx:int -> ?ny:int -> ?peclet:float -> unit -> Csr
     part growing with [peclet]; the workload IDR(s) is designed for. *)
 
 val fem_blocks :
-  ?state:Random.State.t ->
+  state:Random.State.t ->
   ?nodes:int ->
   ?vars_per_node:int ->
   ?coupling:float ->
@@ -38,7 +41,7 @@ val fem_blocks :
     discover. *)
 
 val block_tridiagonal :
-  ?state:Random.State.t ->
+  state:Random.State.t ->
   ?blocks:int ->
   ?block_size:int ->
   ?margin:float ->
@@ -50,7 +53,7 @@ val block_tridiagonal :
     diagonal — the idealized block-Jacobi target. *)
 
 val circuit_like :
-  ?state:Random.State.t -> ?n:int -> ?hubs:int -> ?hub_degree:int -> unit -> Csr.t
+  state:Random.State.t -> ?n:int -> ?hubs:int -> ?hub_degree:int -> unit -> Csr.t
 (** A diagonally dominant system whose pattern mixes a sparse mesh with a
     few very dense hub rows (power-grid / circuit-simulation style): the
     unbalanced-nonzero workload that motivates the shared-memory

@@ -48,7 +48,11 @@ let test_levels_chain () =
 
 let test_levels_block_tridiagonal () =
   let blocks = 6 and bs = 4 in
-  let a = Vblu_workloads.Generators.block_tridiagonal ~blocks ~block_size:bs () in
+  let a =
+    Vblu_workloads.Generators.block_tridiagonal
+      ~state:(Random.State.make [| 101 |])
+      ~blocks ~block_size:bs ()
+  in
   let blk = Supervariable.uniform ~n:(blocks * bs) ~block_size:bs in
   let s =
     Levels.schedule Levels.Lower ~starts:blk.Supervariable.starts
@@ -148,7 +152,9 @@ let test_scalar_equivalence_fixed () =
   check_scalar_equivalence "laplace"
     (Vblu_workloads.Generators.laplacian_2d ~nx:6 ~ny:5 ());
   check_scalar_equivalence "fem"
-    (Vblu_workloads.Generators.fem_blocks ~nodes:12 ~vars_per_node:3 ())
+    (Vblu_workloads.Generators.fem_blocks
+       ~state:(Random.State.make [| 102 |])
+       ~nodes:12 ~vars_per_node:3 ())
 
 let qcheck_scalar_equivalence =
   QCheck.Test.make ~count:15 ~name:"size-1 block-ILU0 == scalar ILU0 bitwise"
@@ -195,12 +201,16 @@ let check_apply_bit_identical name ~max_block_size a r =
 
 let test_apply_bit_identical_domains_layouts () =
   let module G = Vblu_workloads.Generators in
-  let a = G.fem_blocks ~nodes:20 ~vars_per_node:4 () in
+  let a =
+    G.fem_blocks
+      ~state:(Random.State.make [| 103 |])
+      ~nodes:20 ~vars_per_node:4 ()
+  in
   let n, _ = Csr.dims a in
   check_apply_bit_identical "fem_blocks/8" ~max_block_size:8 a (rhs_for n);
   (* Three structurally different matrices at bound 16 under a
      deterministic right-hand side.  The two random generators draw, in
-     this order, from a fresh copy of their default stream. *)
+     this order, from one state. *)
   let st = Random.State.make [| 0x5eed; 0x304ad5 |] in
   let block_tridiag =
     G.block_tridiagonal ~state:st ~blocks:8 ~block_size:6 ()
@@ -221,7 +231,11 @@ let test_apply_bit_identical_domains_layouts () =
 (* Wave accounting                                                     *)
 
 let test_wave_accounting () =
-  let a = Vblu_workloads.Generators.fem_blocks ~nodes:16 ~vars_per_node:4 () in
+  let a =
+    Vblu_workloads.Generators.fem_blocks
+      ~state:(Random.State.make [| 104 |])
+      ~nodes:16 ~vars_per_node:4 ()
+  in
   let n, _ = Csr.dims a in
   let p, info = Block_ilu0.create ~max_block_size:8 a in
   Alcotest.(check bool) "setup issued batched launches" true
@@ -267,7 +281,9 @@ let test_wave_accounting () =
 let test_block_diagonal_parity () =
   let blocks = 5 and bs = 4 in
   let a =
-    Vblu_workloads.Generators.block_tridiagonal ~blocks ~block_size:bs
+    Vblu_workloads.Generators.block_tridiagonal
+      ~state:(Random.State.make [| 105 |])
+      ~blocks ~block_size:bs
       ~coupling:0.0 ()
   in
   let n = blocks * bs in
@@ -610,8 +626,14 @@ let pinned_charges =
 let pin_matrix = function
   | "conv-diff" ->
     Vblu_workloads.Generators.convection_diffusion_2d ~nx:5 ~ny:9 ~peclet:20.0 ()
-  | "fem" -> Vblu_workloads.Generators.fem_blocks ~nodes:10 ~vars_per_node:3 ()
-  | _ -> Vblu_workloads.Generators.block_tridiagonal ~blocks:6 ~block_size:5 ()
+  | "fem" ->
+    Vblu_workloads.Generators.fem_blocks
+      ~state:(Random.State.make [| 106 |])
+      ~nodes:10 ~vars_per_node:3 ()
+  | _ ->
+    Vblu_workloads.Generators.block_tridiagonal
+      ~state:(Random.State.make [| 107 |])
+      ~blocks:6 ~block_size:5 ()
 
 let wave_shape (waves : Block_ilu0.wave array) =
   let tag (w : Block_ilu0.wave) =
@@ -686,9 +708,8 @@ let pinned_setup =
     ("block-tridiag", Interleaved, Precision.Single, (44, 650, 4559232057573021138L), (35, 521, 4557923412921329442L), 7);
   ]
 
-(* The [pin_matrix] shapes on seeded generator states: unseeded
-   generators draw from one shared stream, so every call of
-   [pin_matrix "fem"] builds a new pattern. *)
+(* The [pin_matrix] shapes on the generator states the setup charges were
+   pinned with. *)
 let setup_matrix name =
   let st = Random.State.make [| 0x5e7; String.length name |] in
   match name with
@@ -771,7 +792,9 @@ let test_pinned_cache_counts () =
    Block_jacobi does) instead of returning identity-fallback factors. *)
 let test_fail_retry_raises () =
   let a =
-    Vblu_workloads.Generators.block_tridiagonal ~blocks:4 ~block_size:3 ()
+    Vblu_workloads.Generators.block_tridiagonal
+      ~state:(Random.State.make [| 108 |])
+      ~blocks:4 ~block_size:3 ()
   in
   let h =
     Block_ilu0.handle ~policy:Block_jacobi.Fail ~max_block_size:3

@@ -1,7 +1,12 @@
 (* The command-line front end's help pages: the root command and every
    subcommand render with [--help=plain], exit 0 and write nothing to
    stderr.  cmdliner reports doc-string markup errors on stderr while
-   still exiting 0, so the exit code alone cannot catch them. *)
+   still exiting 0, so the exit code alone cannot catch them.
+
+   Bad input ends in a clean exit: an unreadable or malformed matrix file
+   exits 2 with a one-line diagnosis, an out-of-range option exits 124
+   (cmdliner's usage error), and neither is cmdliner's exit 125
+   "internal error, uncaught exception". *)
 
 let cli =
   List.fold_left Filename.concat
@@ -51,6 +56,67 @@ let check_help args () =
   Alcotest.(check string) "stderr" "" err;
   Alcotest.(check bool) "page rendered" true (String.length out > 0)
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+(* Writes a coordinate Matrix Market file from its size line and entries;
+   the file is removed when the test binary exits. *)
+let write_mtx size entries =
+  let path = Filename.temp_file "vblu_cli" ".mtx" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc "%%MatrixMarket matrix coordinate real general\n";
+      List.iter (fun l -> output_string oc (l ^ "\n")) (size :: entries));
+  at_exit (fun () -> Sys.remove path);
+  path
+
+let check_exit ~code ?stderr_has args () =
+  let got, _, err = run args in
+  Alcotest.(check int) (args ^ ": exit code") code got;
+  Alcotest.(check bool) (args ^ ": no internal error") false
+    (contains ~sub:"internal error" err);
+  Option.iter
+    (fun sub ->
+      Alcotest.(check bool) (args ^ ": stderr names " ^ sub) true
+        (contains ~sub err))
+    stderr_has
+
+let input_error_cases () =
+  (* A 2×2 system: its blocking has at most two blocks, so even a binary
+     that ignored an out-of-range [--domains] would start at most one
+     domain on it. *)
+  let good = Filename.quote (write_mtx "2 2 2" [ "1 1 4.0"; "2 2 4.0" ]) in
+  let bad_path = write_mtx "2 2 2" [ "1 1 4.0"; "2 2 x" ] in
+  let bad = Filename.quote bad_path in
+  let bad_at = Filename.basename bad_path ^ ":4:" in
+  let rect = Filename.quote (write_mtx "2 3 2" [ "1 1 4.0"; "2 2 4.0" ]) in
+  let missing =
+    Filename.quote
+      (Filename.concat (Filename.get_temp_dir_name ()) "vblu_missing.mtx")
+  in
+  let unreadable args = check_exit ~code:2 ~stderr_has:"vblu_missing.mtx" args in
+  let malformed args = check_exit ~code:2 ~stderr_has:bad_at args in
+  let usage args = check_exit ~code:124 args in
+  [
+    ("missing solve", unreadable ("solve " ^ missing));
+    ("missing levels", unreadable ("levels " ^ missing));
+    ("malformed solve", malformed ("solve " ^ bad));
+    ("malformed levels", malformed ("levels " ^ bad));
+    ("non-square solve", check_exit ~code:2 ~stderr_has:"not square" ("solve " ^ rect));
+    ("block-size 0", usage ("solve " ^ good ^ " --block-size 0"));
+    ("block-size 33", usage ("solve " ^ good ^ " --block-size 33"));
+    ("levels block-size 0", usage ("levels " ^ good ^ " --block-size 0"));
+    ( "ilu0 block-size 40",
+      usage ("solve " ^ good ^ " --precond block-ilu0 --block-size 40") );
+    ("domains 0", usage ("solve " ^ good ^ " --domains 0"));
+    ("domains 1000", usage ("solve " ^ good ^ " --domains 1000"));
+    ("fixture solves", check_exit ~code:0 ("solve " ^ good ^ " --domains 1"));
+  ]
+  |> List.map (fun (name, f) -> Alcotest.test_case name `Quick f)
+
 let () =
   let _, root, _ = run "--help=plain" in
   let cmds = subcommands root in
@@ -63,4 +129,5 @@ let () =
         Alcotest.test_case "root" `Quick (check_help "")
         :: List.map (fun c -> Alcotest.test_case c `Quick (check_help c)) cmds
       );
+      ("input errors", input_error_cases ());
     ]

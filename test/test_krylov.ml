@@ -70,7 +70,11 @@ let check_preconditioning_helps name a precond =
     (pre.Solver.iterations <= plain.Solver.iterations)
 
 let test_idr_preconditioned () =
-  let a = Vblu_workloads.Generators.fem_blocks ~nodes:80 ~vars_per_node:4 () in
+  let a =
+    Vblu_workloads.Generators.fem_blocks
+      ~state:(Random.State.make [| 101 |])
+      ~nodes:80 ~vars_per_node:4 ()
+  in
   check_preconditioning_helps "fem blocks" a
     (fst (Block_jacobi.create ~max_block_size:16 a))
 

@@ -56,11 +56,11 @@ let test_jsonx_errors () =
 (* CSV quoting (RFC 4180) — satellite                                  *)
 
 let test_csv_quoting () =
-  Alcotest.(check string) "plain passes through" "abc" (Csvx.quote "abc");
-  Alcotest.(check string) "comma quoted" "\"a,b\"" (Csvx.quote "a,b");
-  Alcotest.(check string) "quote doubled" "\"a\"\"b\"" (Csvx.quote "a\"b");
-  Alcotest.(check string) "newline quoted" "\"a\nb\"" (Csvx.quote "a\nb");
-  Alcotest.(check string) "CR quoted" "\"a\rb\"" (Csvx.quote "a\rb");
+  Alcotest.(check string) "plain passes through" "abc" (Csvx.row [ "abc" ]);
+  Alcotest.(check string) "comma quoted" "\"a,b\"" (Csvx.row [ "a,b" ]);
+  Alcotest.(check string) "quote doubled" "\"a\"\"b\"" (Csvx.row [ "a\"b" ]);
+  Alcotest.(check string) "newline quoted" "\"a\nb\"" (Csvx.row [ "a\nb" ]);
+  Alcotest.(check string) "CR quoted" "\"a\rb\"" (Csvx.row [ "a\rb" ]);
   Alcotest.(check string) "row joins" "a,\"b,c\",d" (Csvx.row [ "a"; "b,c"; "d" ])
 
 let test_report_csv_quoting () =

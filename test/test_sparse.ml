@@ -78,14 +78,6 @@ let test_diagonal () =
   check_float "diag extract" 0.0
     (Vector.max_abs_diff (Csr.diagonal a) [| 4.0; 4.0; 4.0 |])
 
-let test_permute_symmetric () =
-  let m = random_dense 5 6 6 in
-  let a = Csr.of_dense m in
-  let p = [| 3; 1; 5; 0; 2; 4 |] in
-  let b = Csr.permute_symmetric a p in
-  let expect = Matrix.init 6 6 (fun i j -> Matrix.get m p.(i) p.(j)) in
-  check_float "PAP^T" 0.0 (Matrix.max_abs_diff (Csr.to_dense b) expect)
-
 let test_extract_block () =
   let m = random_dense 2 10 10 in
   let a = Csr.of_dense m in
@@ -98,7 +90,8 @@ let test_extract_block () =
 
 let test_stats () =
   let a = small_csr () in
-  Alcotest.(check int) "bandwidth" 1 (Csr.bandwidth a);
+  Alcotest.(check string) "bandwidth" "3x3, nnz=7, imbalance=1.29, bandwidth=1"
+    (Format.asprintf "%a" Csr.pp_stats a);
   Alcotest.(check bool) "symmetric pattern" true (Csr.is_symmetric_pattern a);
   Alcotest.(check bool) "imbalance mild" true (Csr.row_imbalance a < 1.5)
 
@@ -110,7 +103,6 @@ let test_coo_accumulates () =
   Coo.add c 0 0 1.0;
   Coo.add c 0 0 2.0;
   Coo.add c 1 0 5.0;
-  Alcotest.(check int) "entries" 3 (Coo.entry_count c);
   let a = Coo.to_csr c in
   check_float "summed" 3.0 (Csr.get a 0 0);
   check_float "kept" 5.0 (Csr.get a 1 0);
@@ -124,14 +116,6 @@ let test_coo_drop_zeros () =
   Alcotest.(check int) "kept explicit zero" 2 (Csr.nnz (Coo.to_csr c));
   Alcotest.(check int) "dropped" 1 (Csr.nnz (Coo.to_csr ~drop_zeros:true c))
 
-let test_coo_sym () =
-  let c = Coo.create ~n_rows:3 ~n_cols:3 in
-  Coo.add_sym c 0 1 2.0;
-  Coo.add_sym c 2 2 7.0;
-  let a = Coo.to_csr c in
-  check_float "mirrored" 2.0 (Csr.get a 1 0);
-  check_float "diag once" 7.0 (Csr.get a 2 2)
-
 let test_coo_growth () =
   let c = Coo.create ~n_rows:1 ~n_cols:1000 in
   for j = 0 to 999 do
@@ -144,12 +128,18 @@ let test_coo_growth () =
 (* ------------------------------------------------------------------ *)
 (* Matrix Market                                                       *)
 
+let mm_roundtrip a =
+  let path = Filename.temp_file "vblu" ".mtx" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Mm_io.write path a;
+      Mm_io.read path)
+
 let test_mm_roundtrip () =
   let m = random_dense 9 12 7 in
   let a = Csr.of_dense m in
-  let s = Mm_io.write_string a in
-  let b = Mm_io.read_string s in
-  Alcotest.(check bool) "roundtrip" true (Csr.equal ~tol:1e-15 a b)
+  Alcotest.(check bool) "roundtrip" true (Csr.equal ~tol:1e-15 a (mm_roundtrip a))
 
 let test_mm_symmetric () =
   let s =
@@ -198,14 +188,13 @@ let test_mm_errors () =
     (rejected_at 3 (hdr ^ "2 2 1\n1 0 5.0\n"));
   Alcotest.(check bool) "excess entries rejected" true
     (rejected_at 4 (hdr ^ "2 2 1\n1 1 5.0\n2 2 6.0\n"));
-  (match Mm_io.read_string_opt (hdr ^ "2 2 1\n1 1 abc\n") with
-  | Error (3, _) -> ()
-  | Error (l, m) ->
-    Alcotest.failf "read_string_opt: wrong line %d (%s)" l m
-  | Ok _ -> Alcotest.fail "read_string_opt accepted a malformed value");
-  match Mm_io.read_string_opt (hdr ^ "1 1 1\n1 1 5.0\n") with
-  | Ok a -> check_float "read_string_opt ok" 5.0 (Csr.get a 0 0)
-  | Error (l, m) -> Alcotest.failf "read_string_opt rejected (line %d: %s)" l m
+  (* Non-finite values are rejected on their own line, like a served
+     problem's; a comment line before the entries shifts the count. *)
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) (v ^ " rejected") true
+        (rejected_at 5 (hdr ^ "% entries\n2 2 2\n1 1 5.0\n2 2 " ^ v ^ "\n")))
+    [ "nan"; "inf"; "-inf"; "1e999" ]
 
 let test_mm_file_roundtrip () =
   let m = random_dense 4 9 9 in
@@ -215,43 +204,6 @@ let test_mm_file_roundtrip () =
   let b = Mm_io.read path in
   Sys.remove path;
   Alcotest.(check bool) "file roundtrip" true (Csr.equal ~tol:1e-15 a b)
-
-(* ------------------------------------------------------------------ *)
-(* Reordering                                                          *)
-
-let test_rcm_is_permutation () =
-  let a = Vblu_workloads.Generators.laplacian_2d ~nx:8 ~ny:8 () in
-  let p = Reorder.reverse_cuthill_mckee a in
-  Alcotest.(check (list int)) "permutation" (List.init 64 (fun i -> i))
-    (List.sort compare (Array.to_list p))
-
-let test_rcm_reduces_bandwidth () =
-  let a = Vblu_workloads.Generators.laplacian_2d ~nx:10 ~ny:10 () in
-  (* Scramble, then ask RCM to recover locality. *)
-  let scramble = Reorder.random ~state:(Random.State.make [| 4 |]) 100 in
-  let scrambled = Csr.permute_symmetric a scramble in
-  let p = Reorder.reverse_cuthill_mckee scrambled in
-  let restored = Csr.permute_symmetric scrambled p in
-  Alcotest.(check bool)
-    (Printf.sprintf "bandwidth %d -> %d" (Csr.bandwidth scrambled)
-       (Csr.bandwidth restored))
-    true
-    (Csr.bandwidth restored < Csr.bandwidth scrambled)
-
-let test_rcm_disconnected () =
-  (* Two disconnected 2x2 blocks. *)
-  let m =
-    Matrix.of_rows
-      [|
-        [| 2.0; 1.0; 0.0; 0.0 |];
-        [| 1.0; 2.0; 0.0; 0.0 |];
-        [| 0.0; 0.0; 2.0; 1.0 |];
-        [| 0.0; 0.0; 1.0; 2.0 |];
-      |]
-  in
-  let p = Reorder.reverse_cuthill_mckee (Csr.of_dense m) in
-  Alcotest.(check (list int)) "covers all vertices" [ 0; 1; 2; 3 ]
-    (List.sort compare (Array.to_list p))
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -270,17 +222,7 @@ let qcheck_tests =
         Csr.equal a (Csr.transpose (Csr.transpose a)));
     QCheck.Test.make ~count:50 ~name:"mm roundtrip" gen (fun (seed, n) ->
         let a = Csr.of_dense (random_dense seed n n) in
-        Csr.equal ~tol:1e-14 a (Mm_io.read_string (Mm_io.write_string a)));
-    QCheck.Test.make ~count:50 ~name:"symmetric permutation preserves spmv" gen
-      (fun (seed, n) ->
-        let a = Csr.of_dense (random_dense seed n n) in
-        let p = Reorder.random ~state:(Random.State.make [| seed |]) n in
-        let b = Csr.permute_symmetric a p in
-        let x = Vector.random ~state:(Random.State.make [| seed + 1 |]) n in
-        let px = Array.map (fun i -> x.(i)) p in
-        let y = Csr.spmv a x in
-        let py = Array.map (fun i -> y.(i)) p in
-        Vector.max_abs_diff (Csr.spmv b px) py < 1e-12);
+        Csr.equal ~tol:1e-14 a (mm_roundtrip a));
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
@@ -295,7 +237,6 @@ let () =
           Alcotest.test_case "spmv" `Quick test_spmv;
           Alcotest.test_case "transpose" `Quick test_transpose;
           Alcotest.test_case "diagonal" `Quick test_diagonal;
-          Alcotest.test_case "permute symmetric" `Quick test_permute_symmetric;
           Alcotest.test_case "extract block" `Quick test_extract_block;
           Alcotest.test_case "stats" `Quick test_stats;
         ] );
@@ -303,7 +244,6 @@ let () =
         [
           Alcotest.test_case "accumulates" `Quick test_coo_accumulates;
           Alcotest.test_case "drop zeros" `Quick test_coo_drop_zeros;
-          Alcotest.test_case "symmetric add" `Quick test_coo_sym;
           Alcotest.test_case "growth" `Quick test_coo_growth;
         ] );
       ( "matrix-market",
@@ -313,12 +253,6 @@ let () =
           Alcotest.test_case "pattern" `Quick test_mm_pattern;
           Alcotest.test_case "errors" `Quick test_mm_errors;
           Alcotest.test_case "file roundtrip" `Quick test_mm_file_roundtrip;
-        ] );
-      ( "reorder",
-        [
-          Alcotest.test_case "rcm permutation" `Quick test_rcm_is_permutation;
-          Alcotest.test_case "rcm bandwidth" `Quick test_rcm_reduces_bandwidth;
-          Alcotest.test_case "rcm disconnected" `Quick test_rcm_disconnected;
         ] );
       ("properties", qcheck_tests);
     ]

@@ -46,7 +46,11 @@ let test_anisotropic () =
     (Float.abs (Csr.get a 12 7) < Float.abs (Csr.get a 12 11))
 
 let test_fem_blocks_structure () =
-  let a = Generators.fem_blocks ~nodes:30 ~vars_per_node:4 () in
+  let a =
+    Generators.fem_blocks
+      ~state:(Random.State.make [| 101 |])
+      ~nodes:30 ~vars_per_node:4 ()
+  in
   Alcotest.(check (pair int int)) "dims" (120, 120) (Csr.dims a);
   Alcotest.(check bool) "nonsingular margin" true (dominance_margin a > 1.0);
   (* Node blocks are dense: every intra-node entry present. *)
@@ -60,14 +64,22 @@ let test_fem_blocks_structure () =
   done
 
 let test_block_tridiagonal () =
-  let a = Generators.block_tridiagonal ~blocks:5 ~block_size:3 () in
+  let a =
+    Generators.block_tridiagonal
+      ~state:(Random.State.make [| 102 |])
+      ~blocks:5 ~block_size:3 ()
+  in
   Alcotest.(check (pair int int)) "dims" (15, 15) (Csr.dims a);
   Alcotest.(check bool) "coupling present" true (Csr.get a 3 0 <> 0.0);
   Alcotest.(check (float 0.0)) "no long-range" 0.0 (Csr.get a 0 8);
   Alcotest.(check bool) "dominant" true (dominance_margin a > 1.0)
 
 let test_circuit_imbalance () =
-  let a = Generators.circuit_like ~n:500 ~hubs:4 ~hub_degree:150 () in
+  let a =
+    Generators.circuit_like
+      ~state:(Random.State.make [| 103 |])
+      ~n:500 ~hubs:4 ~hub_degree:150 ()
+  in
   Alcotest.(check bool) "strong imbalance" true (Csr.row_imbalance a > 5.0);
   Alcotest.(check bool) "dominant (nonsingular)" true (dominance_margin a > 1.0);
   Alcotest.(check bool) "symmetric pattern" true (Csr.is_symmetric_pattern a)
