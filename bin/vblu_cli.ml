@@ -352,97 +352,109 @@ let solve_cmd =
     let a = read_matrix file in
     let n, _ = Vblu_sparse.Csr.dims a in
     let b = Array.make n 1.0 in
-    with_obs trace metrics @@ fun obs ->
-    let pool = pool_of domains in
-    Format.printf "matrix: %a@." Vblu_sparse.Csr.pp_stats a;
-    let stats =
-      match family with
-      | Precond_study.Jacobi ->
-        let make_precond () =
-          Vblu_precond.Block_jacobi.create ~pool ~variant ~policy ?faults
-            ~abft ~recovery ?obs ~max_block_size:bound a
-        in
-        let precond, info = make_precond () in
-        let refresh_precond =
-          if abft then Some (fun () -> fst (make_precond ())) else None
-        in
-        let _, stats =
-          Vblu_krylov.Idr.solve ~precond ?refresh_precond ?obs ~s:4 a b
-        in
-        Format.printf "preconditioner: %s (%d blocks, setup %.3fs)@."
-          precond.Vblu_precond.Preconditioner.name
-          (Array.length
-             info.Vblu_precond.Block_jacobi.blocking
-               .Vblu_precond.Supervariable.starts)
-          precond.Vblu_precond.Preconditioner.setup_seconds;
-        let degraded = info.Vblu_precond.Block_jacobi.degraded_blocks
-        and perturbed = info.Vblu_precond.Block_jacobi.perturbed_blocks
-        and recovered = info.Vblu_precond.Block_jacobi.recovered_blocks
-        and corrupt = info.Vblu_precond.Block_jacobi.corrupt_blocks in
-        if degraded <> [] || perturbed <> [] then
-          Format.printf
-            "breakdowns (policy %s): %d identity-fallback, %d perturbed@."
-            (Vblu_precond.Block_jacobi.policy_name policy)
-            (List.length degraded) (List.length perturbed);
-        (match faults with
-        | None -> ()
-        | Some plan ->
-          let blocking = info.Vblu_precond.Block_jacobi.blocking in
-          let planted =
-            List.length
-              (Vblu_fault.Fault.Plan.targeted plan
-                 ~problems:
-                   (Array.length blocking.Vblu_precond.Supervariable.starts)
-                 ~sizes:blocking.Vblu_precond.Supervariable.sizes)
+    let converged =
+      with_obs trace metrics @@ fun obs ->
+      let pool = pool_of domains in
+      Format.printf "matrix: %a@." Vblu_sparse.Csr.pp_stats a;
+      let stats =
+        match family with
+        | Precond_study.Jacobi ->
+          let make_precond () =
+            Vblu_precond.Block_jacobi.create ~pool ~variant ~policy ?faults
+              ~abft ~recovery ?obs ~max_block_size:bound a
           in
-          Format.printf
-            "faults: planted=%d fired=%d detected=%d recovered=%d corrupt=%d@."
-            planted
-            (Vblu_fault.Fault.Plan.injected plan)
-            (List.length recovered + List.length corrupt)
-            (List.length recovered) (List.length corrupt));
-        stats
-      | Precond_study.Ilu0 ->
-        let precond, info =
-          Vblu_precond.Block_ilu0.create ~pool ~policy ?faults ~abft ?obs
-            ~max_block_size:bound a
-        in
-        let _, stats = Vblu_krylov.Idr.solve ~precond ?obs ~s:4 a b in
-        Format.printf "preconditioner: %s (%d blocks, setup %.3fs)@."
-          precond.Vblu_precond.Preconditioner.name
-          (Array.length
-             info.Vblu_precond.Block_ilu0.blocking
-               .Vblu_precond.Supervariable.starts)
-          precond.Vblu_precond.Preconditioner.setup_seconds;
-        report_ilu0 policy info;
-        stats
-      | Precond_study.Ras ->
-        let precond, rinfo =
-          Vblu_precond.Block_ilu0.ras ~pool ~policy ?faults ~abft ?obs
-            ~max_block_size:bound ~subdomains ~overlap a
-        in
-        let _, stats = Vblu_krylov.Idr.solve ~precond ?obs ~s:4 a b in
-        Format.printf "preconditioner: %s (setup %.3fs)@."
-          precond.Vblu_precond.Preconditioner.name
-          precond.Vblu_precond.Preconditioner.setup_seconds;
-        Array.iteri
-          (fun d (info : Vblu_precond.Block_ilu0.info) ->
-            let lo, hi = rinfo.Vblu_precond.Block_ilu0.extended.(d) in
-            Format.printf "  subdomain %d: rows [%d, %d), %d blocks@." d lo hi
-              (Array.length
-                 info.Vblu_precond.Block_ilu0.blocking
-                   .Vblu_precond.Supervariable.starts);
-            report_ilu0 ~indent:"    " policy info)
-          rinfo.Vblu_precond.Block_ilu0.local_info;
-        stats
+          let precond, info = make_precond () in
+          let refresh_precond =
+            if abft then Some (fun () -> fst (make_precond ())) else None
+          in
+          let _, stats =
+            Vblu_krylov.Idr.solve ~precond ?refresh_precond ?obs ~s:4 a b
+          in
+          Format.printf "preconditioner: %s (%d blocks, setup %.3fs)@."
+            precond.Vblu_precond.Preconditioner.name
+            (Array.length
+               info.Vblu_precond.Block_jacobi.blocking
+                 .Vblu_precond.Supervariable.starts)
+            precond.Vblu_precond.Preconditioner.setup_seconds;
+          let degraded = info.Vblu_precond.Block_jacobi.degraded_blocks
+          and perturbed = info.Vblu_precond.Block_jacobi.perturbed_blocks
+          and recovered = info.Vblu_precond.Block_jacobi.recovered_blocks
+          and corrupt = info.Vblu_precond.Block_jacobi.corrupt_blocks in
+          if degraded <> [] || perturbed <> [] then
+            Format.printf
+              "breakdowns (policy %s): %d identity-fallback, %d perturbed@."
+              (Vblu_precond.Block_jacobi.policy_name policy)
+              (List.length degraded) (List.length perturbed);
+          (match faults with
+          | None -> ()
+          | Some plan ->
+            let blocking = info.Vblu_precond.Block_jacobi.blocking in
+            let planted =
+              List.length
+                (Vblu_fault.Fault.Plan.targeted plan
+                   ~problems:
+                     (Array.length blocking.Vblu_precond.Supervariable.starts)
+                   ~sizes:blocking.Vblu_precond.Supervariable.sizes)
+            in
+            Format.printf
+              "faults: planted=%d fired=%d detected=%d recovered=%d corrupt=%d@."
+              planted
+              (Vblu_fault.Fault.Plan.injected plan)
+              (List.length recovered + List.length corrupt)
+              (List.length recovered) (List.length corrupt));
+          stats
+        | Precond_study.Ilu0 ->
+          let precond, info =
+            Vblu_precond.Block_ilu0.create ~pool ~policy ?faults ~abft ?obs
+              ~max_block_size:bound a
+          in
+          let _, stats = Vblu_krylov.Idr.solve ~precond ?obs ~s:4 a b in
+          Format.printf "preconditioner: %s (%d blocks, setup %.3fs)@."
+            precond.Vblu_precond.Preconditioner.name
+            (Array.length
+               info.Vblu_precond.Block_ilu0.blocking
+                 .Vblu_precond.Supervariable.starts)
+            precond.Vblu_precond.Preconditioner.setup_seconds;
+          report_ilu0 policy info;
+          stats
+        | Precond_study.Ras ->
+          let precond, rinfo =
+            Vblu_precond.Block_ilu0.ras ~pool ~policy ?faults ~abft ?obs
+              ~max_block_size:bound ~subdomains ~overlap a
+          in
+          let _, stats = Vblu_krylov.Idr.solve ~precond ?obs ~s:4 a b in
+          Format.printf "preconditioner: %s (setup %.3fs)@."
+            precond.Vblu_precond.Preconditioner.name
+            precond.Vblu_precond.Preconditioner.setup_seconds;
+          Array.iteri
+            (fun d (info : Vblu_precond.Block_ilu0.info) ->
+              let lo, hi = rinfo.Vblu_precond.Block_ilu0.extended.(d) in
+              Format.printf "  subdomain %d: rows [%d, %d), %d blocks@." d lo hi
+                (Array.length
+                   info.Vblu_precond.Block_ilu0.blocking
+                     .Vblu_precond.Supervariable.starts);
+              report_ilu0 ~indent:"    " policy info)
+            rinfo.Vblu_precond.Block_ilu0.local_info;
+          stats
+      in
+      Format.printf "IDR(4): %a@." Vblu_krylov.Solver.pp_stats stats;
+      Vblu_krylov.Solver.converged stats
     in
-    Format.printf "IDR(4): %a@." Vblu_krylov.Solver.pp_stats stats
+    if not converged then exit 1
   in
   Cmd.v
     (Cmd.info "solve"
        ~doc:
          "Solve a Matrix Market system with IDR(4) under a block-Jacobi, \
-          block-ILU(0), or RAS-ILU(0) preconditioner.")
+          block-ILU(0), or RAS-ILU(0) preconditioner."
+       ~exits:
+         (Cmd.Exit.info 1
+            ~doc:
+              "the solve did not converge: IDR(4) broke down or reached its \
+               iteration limit (the $(b,IDR(4):) line names the outcome)."
+         :: Cmd.Exit.info 2
+              ~doc:"the matrix file is unreadable, malformed or not square."
+         :: Cmd.Exit.defaults))
     Term.(
       const run $ file $ bound $ variant $ precond_arg $ subdomains_arg
       $ overlap_arg $ domains_arg $ policy_arg $ faults_arg $ abft_arg

@@ -4,7 +4,11 @@
     Every refresh event — a fresh construction, a partial [update], or a
     serve-side cache hit — records the same four counters, labelled by
     preconditioner family, so amortization is observable per time step
-    and per serve wave from one place:
+    and per serve wave from one place.  The code that decides to refresh
+    records, once per event: [Serve.Batcher.run] once per family and
+    wave, [Timestep.run] for its build, each update and each guard
+    refresh.  The preconditioner families themselves never record, so no
+    event is counted twice.
 
     - [precond.setup.fresh{family=..}]        blocks factored from scratch
       (full setups and [~force_all] refreshes included);

@@ -62,11 +62,6 @@ let zero_diagonal (m : Matrix.t) =
   let rec from k = k < s && (m.Matrix.a.(k + (k * s)) = 0.0 || from (k + 1)) in
   from 0
 
-(* Per-row elimination outcome, kept as an array so a partial refresh can
-   rewrite just the re-eliminated rows and the info lists stay
-   reconstructible (and deterministic) at any point. *)
-type row_outcome = Row_ok | Row_degraded | Row_perturbed | Row_recovered | Row_corrupt
-
 (* The charges of one apply, computed once by the charge pass:
    the published record (kept as an option so republishing it allocates
    nothing) and, per wave, what an [?obs] replay records — the launch
@@ -118,7 +113,10 @@ type state = {
   s_fpiv : int array array;
   s_tlu : Matrix.t array;
   s_tpiv : int array array;
-  s_outcome : row_outcome array;
+  (* Per-row elimination outcome, kept as an array so a partial refresh
+     can rewrite just the re-eliminated rows and the info lists stay
+     reconstructible (and deterministic) at any point. *)
+  s_outcome : Block_jacobi.outcome array;
   s_breakdown : bool array;  (* rows whose LU launch flagged a breakdown *)
   s_pending : bool array;  (* rows a raising update left re-eliminated *)
   s_buf : float array;  (* permuted right-hand side of one diagonal solve *)
@@ -200,7 +198,7 @@ let init_state ~pool ~prec ~layout ~policy ~faults ~abft ~obs ~blk (a : Csr.t) =
     s_fpiv = Array.init k (fun i -> Array.make sizes.(i) 0);
     s_tlu = Array.init k square;
     s_tpiv = Array.init k (fun i -> Array.make sizes.(i) 0);
-    s_outcome = Array.make k Row_ok;
+    s_outcome = Array.make k Block_jacobi.Healthy;
     s_breakdown = Array.make k false;
     s_pending = Array.make k false;
     s_buf = Array.make (Array.fold_left max 1 sizes) 0.0;
@@ -609,7 +607,7 @@ let eliminate st (mask : bool array) =
             (* Fail still finishes the elimination on identity factors
                (determinism); the raise happens after setup completes,
                like Block_jacobi. *)
-            st.s_outcome.(i) <- Row_degraded;
+            st.s_outcome.(i) <- Block_jacobi.Degraded;
             degrade i
         end
         else if faulted p then rescue := (i, `Fault) :: !rescue
@@ -653,15 +651,15 @@ let eliminate st (mask : bool array) =
               rlu.Batched_lu.pivots.(nr + q);
             st.s_outcome.(i) <-
               (match kind with
-              | `Perturb _ -> Row_perturbed
-              | `Fault -> Row_recovered)
+              | `Perturb _ -> Block_jacobi.Perturbed
+              | `Fault -> Block_jacobi.Recovered)
           end
           else begin
             degrade i;
             st.s_outcome.(i) <-
               (match kind with
-              | `Perturb _ -> Row_degraded
-              | `Fault -> Row_corrupt)
+              | `Perturb _ -> Block_jacobi.Degraded
+              | `Fault -> Block_jacobi.Corrupt)
           end)
         rescue
     end
@@ -691,7 +689,7 @@ let eliminate st (mask : bool array) =
       if Array.length rows > 0 then begin
         Array.iter
           (fun i ->
-            st.s_outcome.(i) <- Row_ok;
+            st.s_outcome.(i) <- Block_jacobi.Healthy;
             st.s_breakdown.(i) <- false)
           rows;
         for t = 0 to max_rank ldeps rows - 1 do
@@ -860,26 +858,6 @@ let apply_state st r =
   st.s_last_apply := memo.m_published;
   y
 
-(* Outcome lists rebuilt from the per-row array — ascending and
-   deterministic, matching the sequential fold of the original
-   single-shot setup. *)
-let outcome_lists st =
-  let degraded = ref [] and perturbed = ref [] in
-  let recovered = ref [] and corrupt = ref [] in
-  for i = Array.length st.s_outcome - 1 downto 0 do
-    match st.s_outcome.(i) with
-    | Row_ok -> ()
-    | Row_degraded -> degraded := i :: !degraded
-    | Row_perturbed -> perturbed := i :: !perturbed
-    | Row_recovered -> recovered := i :: !recovered
-    | Row_corrupt ->
-      corrupt := i :: !corrupt
-  done;
-  ( List.merge compare !degraded !corrupt,
-    !perturbed,
-    !recovered,
-    !corrupt )
-
 let factor_info_of st =
   let fi = ref 0 in
   for i = Array.length st.s_breakdown - 1 downto 0 do
@@ -887,51 +865,113 @@ let factor_info_of st =
   done;
   !fi
 
-let checked_blocking ~who ~n ~max_block_size ?blocking (a : Csr.t) =
-  let blk =
-    match blocking with
-    | Some b ->
-      if not (Supervariable.validate ~n b) then
-        invalid_arg (who ^ ": invalid blocking");
-      b
-    | None -> Supervariable.blocking ~max_block_size a
-  in
-  Array.iter
-    (fun s ->
-      if s > 32 then
-        invalid_arg (who ^ ": diagonal block exceeds the warp width"))
-    blk.Supervariable.sizes;
-  blk
+(* ───────────────────── Amortized setup (handles) ─────────────────────
 
-let info_of st ~launches ~modelled_seconds =
-  let degraded_blocks, perturbed_blocks, recovered_blocks, corrupt_blocks =
-    outcome_lists st
-  in
+   The pattern — hence the blocking, both level schedules, and every
+   dependency list — is invariant under value drift, so a handle keeps
+   the elimination state alive and [update] re-runs only the dirty part:
+   block rows whose own CSR entries moved past the tolerance, closed
+   over the lower DAG (a row whose dependency re-eliminates has changed
+   inputs and must re-eliminate too).  Waves with no dirty rows issue no
+   launches at all.  Clean rows keep their post-elimination blocks and
+   factors bitwise, and since elimination of a row writes only that
+   row's blocks, a [~tol:0.] refresh reproduces a fresh factorization
+   bit for bit.  [create] is a handle build. *)
+
+type handle = {
+  h_state : state;
+  h_precond : Preconditioner.t;
+  mutable h_last : Block_jacobi.update_stats;
+}
+
+let handle_info h =
+  let st = h.h_state in
+  let o = Block_jacobi.info_of_outcomes st.s_blk st.s_outcome in
   {
     blocking = st.s_blk;
     lower = st.s_lower;
     upper = st.s_upper;
     factor_info = factor_info_of st;
-    degraded_blocks;
-    perturbed_blocks;
-    recovered_blocks;
-    corrupt_blocks;
-    setup_launches = launches;
-    setup_modelled_seconds = modelled_seconds;
+    degraded_blocks = o.Block_jacobi.degraded_blocks;
+    perturbed_blocks = o.Block_jacobi.perturbed_blocks;
+    recovered_blocks = o.Block_jacobi.recovered_blocks;
+    corrupt_blocks = o.Block_jacobi.corrupt_blocks;
+    setup_launches = h.h_last.Block_jacobi.launches;
+    setup_modelled_seconds = h.h_last.Block_jacobi.modelled_seconds;
     last_apply = st.s_last_apply;
   }
 
-(* Shared by [create] and [handle]: partition, eliminate every row, raise
-   under [Fail], and package the apply (wrapped in an ["ilu0.apply"] span
-   under [?obs]).  Returns the state, the elimination's
-   [(launches, transactions, modelled_seconds)] and the preconditioner. *)
-let build ~who ~pool ~prec ~layout ~policy ~faults ~abft ~max_block_size
-    ?blocking ~obs (a : Csr.t) =
+(* A build's record under [?obs]: an ["ilu0.setup"] span and the
+   [precond.ilu0.*] setup metrics. *)
+let record_setup obs h =
+  let info = handle_info h in
+  let ls = Levels.stats info.lower and us = Levels.stats info.upper in
+  let count = List.length in
+  let launches = info.setup_launches in
+  Ctx.span_dur obs ~cat:"precond" ~dur:0.0 "ilu0.setup"
+    ~args:
+      [
+        ("blocks", Vblu_obs.Trace.Int (Array.length h.h_state.s_flu));
+        ("lower_levels", Vblu_obs.Trace.Int ls.Levels.levels);
+        ("upper_levels", Vblu_obs.Trace.Int us.Levels.levels);
+        ("launches", Vblu_obs.Trace.Int launches);
+        ("degraded", Vblu_obs.Trace.Int (count info.degraded_blocks));
+        ("perturbed", Vblu_obs.Trace.Int (count info.perturbed_blocks));
+        ("recovered", Vblu_obs.Trace.Int (count info.recovered_blocks));
+        ("corrupt", Vblu_obs.Trace.Int (count info.corrupt_blocks));
+      ];
+  let p = h.h_precond in
+  let l = [ ("precond", p.Preconditioner.name) ] in
+  Ctx.set_gauge_l obs "precond.ilu0.setup_seconds" l
+    p.Preconditioner.setup_seconds;
+  Ctx.set_gauge_l obs "precond.ilu0.setup_modelled_seconds" l
+    info.setup_modelled_seconds;
+  Ctx.set_gauge_l obs "precond.ilu0.setup_launches" l (float_of_int launches);
+  Ctx.set_gauge_l obs "precond.ilu0.levels"
+    [ ("sweep", "lower") ]
+    (float_of_int ls.Levels.levels);
+  Ctx.set_gauge_l obs "precond.ilu0.levels"
+    [ ("sweep", "upper") ]
+    (float_of_int us.Levels.levels);
+  Array.iter
+    (fun lset ->
+      Ctx.observe_l obs "precond.ilu0.level_occupancy"
+        [ ("sweep", "lower") ]
+        (float_of_int (Array.length lset)))
+    info.lower.Levels.level_sets;
+  Array.iter
+    (fun lset ->
+      Ctx.observe_l obs "precond.ilu0.level_occupancy"
+        [ ("sweep", "upper") ]
+        (float_of_int (Array.length lset)))
+    info.upper.Levels.level_sets;
+  Ctx.incr_l obs "precond.ilu0.degraded" l
+    (float_of_int (count info.degraded_blocks));
+  Ctx.incr_l obs "precond.ilu0.perturbed" l
+    (float_of_int (count info.perturbed_blocks));
+  Ctx.incr_l obs "precond.ilu0.recovered" l
+    (float_of_int (count info.recovered_blocks));
+  Ctx.incr_l obs "precond.ilu0.corrupt" l
+    (float_of_int (count info.corrupt_blocks))
+
+(* Partition, eliminate every row, raise under [Fail], and package the
+   apply (wrapped in an ["ilu0.apply"] span under [?obs]). *)
+let handle ?pool ?(prec = Precision.Double) ?(layout = Batch.Blocked)
+    ?(policy = (Block_jacobi.Identity_block : Block_jacobi.breakdown_policy))
+    ?faults ?(abft = false) ?(max_block_size = 32) ?blocking ?obs (a : Csr.t) =
   let n, cols = Csr.dims a in
-  if n <> cols then invalid_arg (who ^ ": matrix not square");
-  let blk = checked_blocking ~who ~n ~max_block_size ?blocking a in
+  if n <> cols then invalid_arg "Block_ilu0.handle: matrix not square";
+  let blk =
+    Block_jacobi.resolve_blocking ~who:"Block_ilu0.handle" ~max_block_size
+      blocking a
+  in
+  Array.iter
+    (fun s ->
+      if s > 32 then
+        invalid_arg "Block_ilu0.handle: diagonal block exceeds the warp width")
+    blk.Supervariable.sizes;
   let k = Array.length blk.Supervariable.starts in
-  let (st, setup), setup_seconds =
+  let (st, (launches, setup_transactions, modelled_seconds)), setup_seconds =
     Preconditioner.timed (fun () ->
         let st =
           init_state ~pool ~prec ~layout ~policy ~faults ~abft ~obs ~blk a
@@ -953,138 +993,31 @@ let build ~who ~pool ~prec ~layout ~policy ~faults ~abft ~max_block_size
     else apply_state st
   in
   let name = Printf.sprintf "block-ilu0(%d)" max_block_size in
-  (st, setup, { Preconditioner.name; dim = n; setup_seconds; apply })
-
-let create ?pool ?(prec = Precision.Double) ?(layout = Batch.Blocked)
-    ?(policy = (Block_jacobi.Identity_block : Block_jacobi.breakdown_policy))
-    ?faults ?(abft = false) ?(max_block_size = 32) ?blocking ?obs (a : Csr.t) =
-  let st, (launches, _tx, modelled_seconds), p =
-    build ~who:"Block_ilu0.create" ~pool ~prec ~layout ~policy ~faults ~abft
-      ~max_block_size ?blocking ~obs a
+  let h =
+    {
+      h_state = st;
+      h_precond = { Preconditioner.name; dim = n; setup_seconds; apply };
+      h_last =
+        {
+          Block_jacobi.dirty_blocks = List.init k Fun.id;
+          refactored = k;
+          reused = 0;
+          launches;
+          setup_transactions;
+          modelled_seconds;
+        };
+    }
   in
-  let info = info_of st ~launches ~modelled_seconds in
-  if Ctx.enabled obs then begin
-    let ls = Levels.stats info.lower and us = Levels.stats info.upper in
-    let count = List.length in
-    Ctx.span_dur obs ~cat:"precond" ~dur:0.0 "ilu0.setup"
-      ~args:
-        [
-          ("blocks", Vblu_obs.Trace.Int (Array.length st.s_flu));
-          ("lower_levels", Vblu_obs.Trace.Int ls.Levels.levels);
-          ("upper_levels", Vblu_obs.Trace.Int us.Levels.levels);
-          ("launches", Vblu_obs.Trace.Int launches);
-          ("degraded", Vblu_obs.Trace.Int (count info.degraded_blocks));
-          ("perturbed", Vblu_obs.Trace.Int (count info.perturbed_blocks));
-          ("recovered", Vblu_obs.Trace.Int (count info.recovered_blocks));
-          ("corrupt", Vblu_obs.Trace.Int (count info.corrupt_blocks));
-        ];
-    let l = [ ("precond", p.Preconditioner.name) ] in
-    Ctx.set_gauge_l obs "precond.ilu0.setup_seconds" l
-      p.Preconditioner.setup_seconds;
-    Ctx.set_gauge_l obs "precond.ilu0.setup_modelled_seconds" l
-      modelled_seconds;
-    Ctx.set_gauge_l obs "precond.ilu0.setup_launches" l
-      (float_of_int launches);
-    Ctx.set_gauge_l obs "precond.ilu0.levels"
-      [ ("sweep", "lower") ]
-      (float_of_int ls.Levels.levels);
-    Ctx.set_gauge_l obs "precond.ilu0.levels"
-      [ ("sweep", "upper") ]
-      (float_of_int us.Levels.levels);
-    Array.iter
-      (fun lset ->
-        Ctx.observe_l obs "precond.ilu0.level_occupancy"
-          [ ("sweep", "lower") ]
-          (float_of_int (Array.length lset)))
-      info.lower.Levels.level_sets;
-    Array.iter
-      (fun lset ->
-        Ctx.observe_l obs "precond.ilu0.level_occupancy"
-          [ ("sweep", "upper") ]
-          (float_of_int (Array.length lset)))
-      info.upper.Levels.level_sets;
-    Ctx.incr_l obs "precond.ilu0.degraded" l
-      (float_of_int (count info.degraded_blocks));
-    Ctx.incr_l obs "precond.ilu0.perturbed" l
-      (float_of_int (count info.perturbed_blocks));
-    Ctx.incr_l obs "precond.ilu0.recovered" l
-      (float_of_int (count info.recovered_blocks));
-    Ctx.incr_l obs "precond.ilu0.corrupt" l
-      (float_of_int (count info.corrupt_blocks))
-  end;
-  (p, info)
+  if Ctx.enabled obs then record_setup obs h;
+  h
 
-(* ───────────────────── Amortized setup (handles) ─────────────────────
-
-   The pattern — hence the blocking, both level schedules, and every
-   dependency list — is invariant under value drift, so a handle keeps
-   the elimination state alive and [update] re-runs only the dirty part:
-   block rows whose own CSR entries moved past the tolerance, closed
-   over the lower DAG (a row whose dependency re-eliminates has changed
-   inputs and must re-eliminate too).  Waves with no dirty rows issue no
-   launches at all.  Clean rows keep their post-elimination blocks and
-   factors bitwise, and since elimination of a row writes only that
-   row's blocks, a [~tol:0.] refresh reproduces a fresh factorization
-   bit for bit.  Handles take no fault plan and no ABFT — amortization
-   targets the fault-free steady state. *)
-
-type handle = {
-  h_state : state;
-  h_precond : Preconditioner.t;
-  mutable h_last : Block_jacobi.update_stats;
-}
-
-(* Dirty test over one contiguous CSR value range (a block row's entries
-   are contiguous in CSR order).  Same contract as the Block_jacobi
-   per-block test: [tol = 0.] compares bit patterns, a positive
-   tolerance compares max |Δa| with non-finite deltas always dirty. *)
-let range_dirty ~tol old_vals new_vals lo hi =
-  if tol <= 0.0 then begin
-    let d = ref false in
-    let p = ref lo in
-    while (not !d) && !p < hi do
-      if
-        not
-          (Int64.equal
-             (Int64.bits_of_float old_vals.(!p))
-             (Int64.bits_of_float new_vals.(!p)))
-      then d := true;
-      incr p
-    done;
-    !d
-  end
-  else begin
-    let delta = ref 0.0 in
-    for p = lo to hi - 1 do
-      let d = Float.abs (new_vals.(p) -. old_vals.(p)) in
-      if Float.is_nan d then delta := Float.infinity
-      else if d > !delta then delta := d
-    done;
-    !delta > tol
-  end
-
-let handle ?pool ?(prec = Precision.Double) ?(layout = Batch.Blocked)
-    ?(policy = (Block_jacobi.Identity_block : Block_jacobi.breakdown_policy))
-    ?(max_block_size = 32) ?blocking ?obs (a : Csr.t) =
-  let st, (launches, setup_transactions, modelled_seconds), p =
-    build ~who:"Block_ilu0.handle" ~pool ~prec ~layout ~policy ~faults:None
-      ~abft:false ~max_block_size ?blocking ~obs a
+let create ?pool ?prec ?layout ?policy ?faults ?abft ?max_block_size ?blocking
+    ?obs a =
+  let h =
+    handle ?pool ?prec ?layout ?policy ?faults ?abft ?max_block_size ?blocking
+      ?obs a
   in
-  let k = Array.length st.s_flu in
-  Vblu_obs.Setup_metrics.record obs ~family:"ilu0" ~fresh:k ~reused:0 ~dirty:0;
-  {
-    h_state = st;
-    h_precond = p;
-    h_last =
-      {
-        Block_jacobi.dirty_blocks = List.init k Fun.id;
-        refactored = k;
-        reused = 0;
-        launches;
-        setup_transactions;
-        modelled_seconds;
-      };
-  }
+  (h.h_precond, handle_info h)
 
 let update ?(tol = 0.0) ?(force_all = false) h (a : Csr.t) =
   let st = h.h_state in
@@ -1103,7 +1036,9 @@ let update ?(tol = 0.0) ?(force_all = false) h (a : Csr.t) =
       let lo = st.s_row_ptr.(starts.(i)) in
       let hi = st.s_row_ptr.(starts.(i) + sizes.(i)) in
       mask.(i) <-
-        st.s_pending.(i) || range_dirty ~tol st.s_values a.Csr.values lo hi
+        st.s_pending.(i)
+        || st.s_outcome.(i) = Block_jacobi.Corrupt
+        || Block_jacobi.range_dirty ~tol st.s_values a.Csr.values lo hi
     done;
     (* Close over the lower DAG in level order: dependencies live in
        strictly earlier levels, so one pass settles the closure. *)
@@ -1157,8 +1092,6 @@ let update ?(tol = 0.0) ?(force_all = false) h (a : Csr.t) =
     }
   in
   h.h_last <- stats;
-  Vblu_obs.Setup_metrics.record st.c_obs ~family:"ilu0" ~fresh:nd
-    ~reused:(k - nd) ~dirty:nd;
   stats
 
 let charge_pass ?obs h r =
@@ -1169,10 +1102,6 @@ let charge_pass ?obs h r =
 
 let precond h = h.h_precond
 let last_update h = h.h_last
-
-let handle_info h =
-  info_of h.h_state ~launches:h.h_last.Block_jacobi.launches
-    ~modelled_seconds:h.h_last.Block_jacobi.modelled_seconds
 
 let handle_factors h =
   let st = h.h_state in

@@ -52,7 +52,7 @@ open Vblu_smallblas
 open Vblu_sparse
 
 exception Singular_block of { block : int }
-(** Raised by {!create} under the [Fail] breakdown policy for the first
+(** Raised by {!handle} under the [Fail] breakdown policy for the first
     (smallest index) block whose eliminated diagonal was singular. *)
 
 (** Modelled cost of one batched wave of the most recent apply. *)
@@ -110,19 +110,8 @@ val create :
   ?obs:Vblu_obs.Ctx.t ->
   Csr.t ->
   Preconditioner.t * info
-(** [create a] partitions, eliminates and packages the preconditioner.
-    [max_block_size] (default 32) bounds the supervariable agglomeration;
-    [blocking] overrides the partition; [layout] (default [Blocked])
-    selects the storage layout of every batched launch; [policy] (default
-    [Identity_block]) handles singular diagonal blocks.
-
-    [?obs] records the setup (an ["ilu0.setup"] span, the
-    [precond.ilu0.*] labelled registry metrics — setup seconds, level
-    counts, per-level occupancy, degraded blocks — plus every kernel
-    launch) and wraps the returned apply in an ["ilu0.apply"] span.
-    @raise Invalid_argument if [a] is not square, a diagonal block
-    exceeds the warp width, or the blocking is invalid.
-    @raise Singular_block under the [Fail] policy. *)
+(** [create a] is [(precond h, handle_info h)] of [h = handle a]: the
+    one setup path, for callers that never refresh. *)
 
 (** {1 Amortized setup}
 
@@ -134,9 +123,7 @@ val create :
     row whose dependency re-eliminated has changed inputs and must
     re-eliminate too).  Elimination waves with no dirty rows issue no
     launches.  Clean rows keep their post-elimination blocks and factors
-    bitwise, so [update ~tol:0.] is bit-identical to a fresh setup.
-    Handles take no fault plan and no ABFT — amortization targets the
-    fault-free steady state. *)
+    bitwise, so [update ~tol:0.] is bit-identical to a fresh setup. *)
 
 type handle
 
@@ -145,36 +132,50 @@ val handle :
   ?prec:Precision.t ->
   ?layout:Vblu_core.Batch.layout ->
   ?policy:Block_jacobi.breakdown_policy ->
+  ?faults:Vblu_fault.Fault.Plan.t ->
+  ?abft:bool ->
   ?max_block_size:int ->
   ?blocking:Supervariable.blocking ->
   ?obs:Vblu_obs.Ctx.t ->
   Csr.t ->
   handle
-(** [handle a] runs the same batched elimination as {!create} (same
-    launches, same factors bitwise) but keeps the working state for
-    later {!update} calls: dense arenas for every block of the pattern
-    and per-row factor storage, allocated once here and refilled in
-    place by every update.  The returned {!precond} stays valid across
+(** [handle a] partitions and eliminates [a], and keeps the working
+    state for later {!update} calls: dense arenas for every block of the
+    pattern and per-row factor storage, allocated once here and refilled
+    in place by every update.  The returned {!precond} stays valid across
     refreshes, and keeps its memoised apply charges.
-    @raise Invalid_argument / [Singular_block] as {!create}. *)
+    [max_block_size] (default 32) bounds the supervariable agglomeration;
+    [blocking] overrides the partition; [layout] (default [Blocked])
+    selects the storage layout of every batched launch; [policy] (default
+    [Identity_block]) handles singular diagonal blocks.  [?faults] arms
+    a fault plan on the elimination's LU launches, and [~abft:true]
+    (default false) checks them; both stay armed for every {!update}.
+
+    [?obs] records the build (an ["ilu0.setup"] span, the
+    [precond.ilu0.*] labelled registry metrics — setup seconds, level
+    counts, per-level occupancy, degraded blocks — plus every kernel
+    launch) and wraps the apply in an ["ilu0.apply"] span.
+    @raise Invalid_argument if [a] is not square, a diagonal block
+    exceeds the warp width, or the blocking is invalid.
+    @raise Singular_block under the [Fail] policy. *)
 
 val update :
   ?tol:float -> ?force_all:bool -> handle -> Csr.t -> Block_jacobi.update_stats
 (** [update h a] re-extracts values from [a] (same pattern as the handle
     matrix), marks dirty the block rows whose entries changed by more
-    than [tol] (default [0.] — any bitwise change) plus the DAG closure,
-    and re-eliminates exactly those rows through the filtered batched
-    waves.  [~force_all:true] re-eliminates everything (full-refresh
+    than [tol] (default [0.] — any bitwise change; see
+    {!Block_jacobi.range_dirty}) or that ABFT left corrupt, plus the DAG
+    closure, and re-eliminates exactly those rows through the filtered
+    batched waves.  [~force_all:true] re-eliminates everything (full-refresh
     baseline).  [dirty_blocks]/[refactored]/[reused] in the returned
     stats count block rows; [launches]/[setup_transactions]/
     [modelled_seconds] cover the TRSM/GEMM/LU waves of those rows, each
     charged in full.  A wave whose cache keys are all certified takes
     its charge from the launch cache and runs its numerics as a host
     sweep over the arenas, without staging or launching; the others
-    (cold keys, host LU breakdowns) launch.  Stats, factors and cache
-    tallies are bitwise those of launching every wave.  Records
-    [precond.setup.*] metrics when the handle carries an observability
-    context.
+    (cold keys, host LU breakdowns, a fault plan or ABFT) launch.  Stats,
+    factors and cache tallies are bitwise those of launching every
+    wave.
     @raise Invalid_argument on a dimension or sparsity-pattern mismatch.
     @raise Singular_block under the [Fail] policy when a dirty row
     breaks down.  The value snapshot does not advance (as in

@@ -412,12 +412,11 @@ let instrument_apply obs apply =
         apply r)
   else apply
 
-(* The caller's blocking (validated) or the supervariable partition. *)
-let resolve_blocking ~fn ~max_block_size blocking (a : Csr.t) =
+let resolve_blocking ~who ~max_block_size blocking (a : Csr.t) =
   match blocking with
   | Some b ->
     if not (Supervariable.validate ~n:a.Csr.n_rows b) then
-      invalid_arg (Printf.sprintf "Block_jacobi.%s: invalid blocking" fn);
+      invalid_arg (who ^ ": invalid blocking");
     b
   | None -> Supervariable.blocking ~max_block_size a
 
@@ -458,7 +457,8 @@ let create ?(pool = Pool.sequential) ?(prec = Precision.Double) ?(variant = Lu)
           ("jacobi", blk, apply, outcomes)
         | Lu | Gh | Ght | Gje_inverse | Cholesky ->
           let blk =
-            resolve_blocking ~fn:"create" ~max_block_size blocking a
+            resolve_blocking ~who:"Block_jacobi.create" ~max_block_size
+              blocking a
           in
           let k = Array.length blk.Supervariable.starts in
           let blocks =
@@ -598,33 +598,43 @@ type handle = {
   mutable u_last : update_stats;
 }
 
-(* Dirty test for block [i]: a sweep over the entries of its rows that
-   fall inside the block (off-diagonal drift cannot dirty a Jacobi
-   block).  [tol = 0.] compares bit patterns — any changed representation
+(* [tol = 0.] compares bit patterns — any changed representation
    (including ±0 flips and NaN payloads) must refactor for the
-   fresh-setup bit-identity contract to hold; a positive tolerance
-   compares max |Δa|, with a non-finite delta always dirty. *)
+   fresh-setup bit-identity contract to hold. *)
+let range_dirty ~tol (old : float array) (cur : float array) lo hi =
+  let dirty = ref false and p = ref lo in
+  while (not !dirty) && !p < hi do
+    let o = old.(!p) and v = cur.(!p) in
+    (dirty :=
+       if tol <= 0.0 then
+         not (Int64.equal (Int64.bits_of_float o) (Int64.bits_of_float v))
+       else
+         let d = Float.abs (v -. o) in
+         Float.is_nan d || d > tol);
+    incr p
+  done;
+  !dirty
+
+(* Dirty test for block [i]: the entries of its rows that fall inside the
+   block (off-diagonal drift cannot dirty a Jacobi block) — one
+   contiguous range per row, since CSR columns ascend. *)
 let block_dirty ~tol h (a : Csr.t) i =
   let lo = h.u_blocking.Supervariable.starts.(i) in
   let hi = lo + h.u_blocking.Supervariable.sizes.(i) in
-  let changed = ref false and delta = ref 0.0 in
-  for r = lo to hi - 1 do
-    for p = h.u_row_ptr.(r) to h.u_row_ptr.(r + 1) - 1 do
-      let c = h.u_col_idx.(p) in
-      if c >= lo && c < hi then begin
-        let old = h.u_values.(p) and v = a.Csr.values.(p) in
-        if tol <= 0.0 then begin
-          if not (Int64.equal (Int64.bits_of_float old) (Int64.bits_of_float v))
-          then changed := true
-        end
-        else
-          let d = Float.abs (v -. old) in
-          if Float.is_nan d then delta := Float.infinity
-          else if d > !delta then delta := d
-      end
-    done
+  let dirty = ref false and r = ref lo in
+  while (not !dirty) && !r < hi do
+    let p = ref h.u_row_ptr.(!r) and e = h.u_row_ptr.(!r + 1) in
+    while !p < e && h.u_col_idx.(!p) < lo do
+      incr p
+    done;
+    let q = ref !p in
+    while !q < e && h.u_col_idx.(!q) < hi do
+      incr q
+    done;
+    dirty := range_dirty ~tol h.u_values a.Csr.values !p !q;
+    incr r
   done;
-  !changed || !delta > tol
+  !dirty
 
 (* [h] applying through its own per-block state: block [i]'s solver is
    built on first use from its factors and outcome — only blocks that
@@ -667,7 +677,9 @@ let unfactored ?(pool = Pool.sequential) ?(prec = Precision.Double)
     ?(max_block_size = 32) ?blocking ?obs (a : Csr.t) =
   let n, cols = Csr.dims a in
   if n <> cols then invalid_arg "Block_jacobi.handle: matrix not square";
-  let blk = resolve_blocking ~fn:"handle" ~max_block_size blocking a in
+  let blk =
+    resolve_blocking ~who:"Block_jacobi.handle" ~max_block_size blocking a
+  in
   let k = Array.length blk.Supervariable.starts in
   with_apply
     {
@@ -864,15 +876,11 @@ let handle ?pool ?prec ?policy ?layout ?max_block_size ?blocking ?obs a =
         h.u_last <- fst (refresh_jobs ~fn:"handle" [| (h, a) |]);
         h)
   in
-  Vblu_obs.Setup_metrics.record obs ~family:"jacobi"
-    ~fresh:h.u_last.refactored ~reused:0 ~dirty:0;
   { h with u_precond = { h.u_precond with setup_seconds } }
 
 let update ?tol ?force_all h a =
   let stats, _ = refresh_jobs ~fn:"update" ?tol ?force_all [| (h, a) |] in
   h.u_last <- stats;
-  Vblu_obs.Setup_metrics.record h.u_obs ~family:"jacobi"
-    ~fresh:stats.refactored ~reused:stats.reused ~dirty:stats.refactored;
   stats
 
 let precond h = h.u_precond

@@ -119,6 +119,33 @@ type info = {
           fallback), ascending; also counted in [degraded_blocks]. *)
 }
 
+(** Per-block setup outcome, shared by both preconditioner families
+    ({!Block_ilu0} records one per block row).  [Pending] marks a handle
+    block not factored yet. *)
+type outcome = Healthy | Degraded | Perturbed | Recovered | Corrupt | Pending
+
+val info_of_outcomes : Supervariable.blocking -> outcome array -> info
+(** The outcome lists, folded in block order (ascending whatever the
+    domain count).  [Healthy] and [Pending] blocks appear in none. *)
+
+val resolve_blocking :
+  who:string ->
+  max_block_size:int ->
+  Supervariable.blocking option ->
+  Csr.t ->
+  Supervariable.blocking
+(** The caller's blocking, or the supervariable partition of [a] under
+    [max_block_size] when there is none.
+    @raise Invalid_argument ["WHO: invalid blocking"] if the given
+    blocking does not tile [a]'s rows. *)
+
+val range_dirty :
+  tol:float -> float array -> float array -> int -> int -> bool
+(** [range_dirty ~tol old cur lo hi]: the refresh dirty test of both
+    families over the CSR value range [\[lo, hi)].  At [tol = 0.] an
+    entry is dirty when its bit pattern changed; at [tol > 0.] when
+    [|cur - old| > tol] or the difference is NaN.  Allocates nothing. *)
+
 val create :
   ?pool:Pool.t ->
   ?prec:Precision.t ->
@@ -253,7 +280,7 @@ val refresh :
     corrupt (identity fallback, reported in [corrupt_blocks]) and dirty
     for the next refresh.  Returns the stats and the launches' summed
     modelled time in microseconds (the unit the launch clock reports).
-    Does not touch {!last_update} or the [precond.setup.*] metrics.
+    Does not touch {!last_update}.
     @raise Invalid_argument on a dimension or pattern mismatch, a
     repeated handle, or mixed precision/layout.
     @raise Singular_block for the first handle under the {!Fail} policy
@@ -266,9 +293,7 @@ val update : ?tol:float -> ?force_all:bool -> handle -> Csr.t -> update_stats
     [~force_all:true] refactors every block regardless of the tolerance
     (the full-refresh baseline; also the guard-rebuild path).  With
     [tol = 0.] the handle's factors, pivots and outcomes afterwards are
-    bit-identical to a fresh {!handle} on [a].  Records
-    [precond.setup.*] metrics when the handle carries an observability
-    context.
+    bit-identical to a fresh {!handle} on [a].
     @raise Invalid_argument on a dimension or sparsity-pattern mismatch.
     @raise Singular_block under the {!Fail} breakdown policy when a dirty
     block breaks down (the handle is left partially refreshed). *)

@@ -60,91 +60,59 @@ let empty_report =
   { outcomes = [||]; problems = 0; coalesced_blocks = 0;
     setup_fresh_blocks = 0; setup_reused_blocks = 0; modelled_seconds = 0.0 }
 
-(* One block-ILU(0) request: its own batched setup (elimination waves)
-   plus one level-scheduled apply — the bits of a direct
-   Block_ilu0.create + apply, priced at its modelled wave times.  With a
-   cache (fault-free waves only) the setup lives in a Block_ilu0.handle
-   keyed by the problem's fingerprint, and a recurring request pays only
-   the dirty-closure re-elimination of [Block_ilu0.update ~tol:0.] —
-   whose factors are bitwise the fresh ones. *)
+(* One block-ILU(0) request: a Block_ilu0 handle — the cached one on a
+   fingerprint hit, refreshed by [update ~tol:0.] (whose factors are
+   bitwise the fresh ones, and which re-eliminates rows ABFT flagged),
+   else a new one — and one level-scheduled apply, priced at its
+   modelled wave times. *)
 let run_ilu0 ~pool ~prec ?faults ~abft ?cache ?obs (p : problem) =
-  match cache with
-  | Some c when faults = None ->
-    let h, fresh, reused, setup_modelled =
-      match
-        Setup_cache.find c Setup_cache.Ilu0 ~a:p.a
-          ~max_block_size:p.max_block_size
-      with
-      | Some h ->
-        let u = Block_ilu0.update ~tol:0.0 h p.a in
-        ( h,
-          u.Block_jacobi.refactored,
-          u.Block_jacobi.reused,
-          u.Block_jacobi.modelled_seconds )
-      | None ->
-        let h =
-          Block_ilu0.handle ~pool ~prec ?obs ~max_block_size:p.max_block_size
-            p.a
-        in
-        Setup_cache.store c Setup_cache.Ilu0 ~a:p.a
-          ~max_block_size:p.max_block_size h;
-        let u = Block_ilu0.last_update h in
-        (h, u.Block_jacobi.refactored, 0, u.Block_jacobi.modelled_seconds)
-    in
-    let y = (Block_ilu0.precond h).Preconditioner.apply p.rhs in
-    let info = Block_ilu0.handle_info h in
-    let apply_modelled =
-      match !(info.Block_ilu0.last_apply) with
-      | Some s -> s.Block_ilu0.modelled_seconds
-      | None -> 0.0
-    in
-    let blocks = Array.length info.Block_ilu0.blocking.Supervariable.starts in
-    ( {
-        y;
-        blocks;
-        degraded_blocks = info.Block_ilu0.degraded_blocks;
-        faulted_blocks = [];
-      },
-      fresh,
-      reused,
-      setup_modelled +. apply_modelled )
-  | _ ->
-    let precond, info =
-      Block_ilu0.create ~pool ~prec ?faults ~abft ?obs
-        ~max_block_size:p.max_block_size p.a
-    in
-    let y = precond.Preconditioner.apply p.rhs in
-    let apply_modelled =
-      match !(info.Block_ilu0.last_apply) with
-      | Some s -> s.Block_ilu0.modelled_seconds
-      | None -> 0.0
-    in
-    let blocks = Array.length info.Block_ilu0.blocking.Supervariable.starts in
-    ( {
-        y;
-        blocks;
-        degraded_blocks = info.Block_ilu0.degraded_blocks;
-        faulted_blocks = info.Block_ilu0.corrupt_blocks;
-      },
-      blocks,
-      0,
-      info.Block_ilu0.setup_modelled_seconds +. apply_modelled )
+  let max_block_size = p.max_block_size in
+  let h =
+    match
+      Option.bind cache (fun c ->
+          Setup_cache.find c Setup_cache.Ilu0 ~a:p.a ~max_block_size)
+    with
+    | Some h ->
+      ignore (Block_ilu0.update ~tol:0.0 h p.a);
+      h
+    | None ->
+      let h =
+        Block_ilu0.handle ~pool ~prec ?faults ~abft ?obs ~max_block_size p.a
+      in
+      Option.iter
+        (fun c -> Setup_cache.store c Setup_cache.Ilu0 ~a:p.a ~max_block_size h)
+        cache;
+      h
+  in
+  let y = (Block_ilu0.precond h).Preconditioner.apply p.rhs in
+  let info = Block_ilu0.handle_info h and u = Block_ilu0.last_update h in
+  let apply_modelled =
+    match !(info.Block_ilu0.last_apply) with
+    | Some s -> s.Block_ilu0.modelled_seconds
+    | None -> 0.0
+  in
+  ( {
+      y;
+      blocks = Array.length info.Block_ilu0.blocking.Supervariable.starts;
+      degraded_blocks = info.Block_ilu0.degraded_blocks;
+      faulted_blocks = info.Block_ilu0.corrupt_blocks;
+    },
+    u.Block_jacobi.refactored,
+    u.Block_jacobi.reused,
+    u.Block_jacobi.modelled_seconds +. apply_modelled )
 
 (* The coalesced block-Jacobi path over a subset of the wave's problems;
    returns one outcome per subset member, in subset order.  Each problem
    gets a Block_jacobi handle: the cached one on a fingerprint hit, else
-   a new one.  Fault waves bypass the cache, so their plans address every
-   block by its position in the coalesced LU launch.  One multi-handle
-   refresh factors every dirty block of the wave in one LU launch; one
-   TRSV launch then solves every block against the handles' packed
-   factors, and the scatter copies each solution segment out — or the
-   rhs segment for a block that broke down, the same identity fallback
-   (and bits) as Block_jacobi's. *)
+   a new one.  One multi-handle refresh factors every dirty block of the
+   wave in one LU launch; one TRSV launch then solves every block against
+   the handles' packed factors, and the scatter copies each solution
+   segment out — or the rhs segment for a block that broke down, the
+   same identity fallback (and bits) as Block_jacobi's. *)
 let run_jacobi ~pool ~prec ?faults ~abft ?cache ?obs (problems : problem array)
     =
   if Array.length problems = 0 then empty_report
   else begin
-    let cache = if faults = None then cache else None in
     let found =
       Array.map
         (fun p ->
@@ -267,6 +235,10 @@ let run ?(pool = Vblu_par.Pool.sequential) ?(prec = Precision.Double) ?faults
         | Ok () -> ()
         | Error msg -> invalid_arg ("Serve.Batcher.run: " ^ msg))
       problems;
+    (* Fault waves bypass the cache, in both families: a plan addresses
+       blocks by their place in this wave's launches, which reuse would
+       shift, and a handle built under a plan keeps it armed. *)
+    let cache = if faults = None then cache else None in
     let jac_idx = ref [] and ilu_idx = ref [] in
     Array.iteri
       (fun i p ->

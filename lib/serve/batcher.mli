@@ -105,9 +105,13 @@ val run :
     fingerprint that recurs within one wave gives each later problem a
     {!Vblu_precond.Block_jacobi.copy} of the cached handle, so every
     occurrence reuses the blocks it left bitwise unchanged, and the
-    wave's last occurrence owns the cache entry afterwards.  A block
-    flagged by either launch's ABFT verdict is refactored on its next
-    wave.  The cache is bypassed whenever a fault plan is armed.
-    Records [precond.setup.*] metrics per family when [?obs] is given.
+    wave's last occurrence owns the cache entry afterwards.  One bypass
+    rule covers both families: with a fault plan armed the cache is
+    neither read nor written; otherwise each problem refreshes its
+    cached handle or builds one (under the wave's [abft], as an uncached
+    run would) and stores it.  A Jacobi block flagged by either launch's
+    ABFT verdict, and an ILU(0) block row ABFT left corrupt, is
+    refactored on its next wave.  Records [precond.setup.*] metrics once
+    per family and wave when [?obs] is given.
     @raise Invalid_argument on an invalid problem — callers are expected
     to have {!validate}d at admission. *)

@@ -145,7 +145,3 @@ let solve_status ?(prec = Precision.Double) f b =
 
 let solve ?(prec = Precision.Double) f b =
   fst (solve_status ~prec f b)
-
-let solve_in_place ?(prec = Precision.Double) f b =
-  let x = solve ~prec f b in
-  Array.blit x 0 b 0 (Array.length b)

@@ -55,5 +55,3 @@ val solve_status : ?prec:Precision.t -> factors -> Vector.t -> Vector.t * int
     frozen {!factor_status}): on a zero diagonal at step [k] the sweep
     stops, [info = k + 1], and the unpermuted tail of the solution keeps
     its frozen partial values. *)
-
-val solve_in_place : ?prec:Precision.t -> factors -> Vector.t -> unit

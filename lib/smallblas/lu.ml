@@ -274,12 +274,6 @@ let factor_nopivot_view ?(prec = Precision.Double) ?(stride = 1) ~src ~dst ~off
     (nopivot_view_k [@inlined]) Precision.Double stride dst off n
   | Single -> (nopivot_view_k [@inlined]) Precision.Single stride dst off n
 
-let solve_in_place ?(prec = Precision.Double) f b =
-  let x = Trsv.apply_perm f.perm b in
-  Trsv.lower_unit_in_place ~prec f.lu x;
-  Trsv.upper_in_place ~prec f.lu x;
-  Array.blit x 0 b 0 (Array.length b)
-
 let solve ?(prec = Precision.Double) f b =
   Trsv.solve ~prec f.lu f.perm b
 

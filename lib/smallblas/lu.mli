@@ -100,9 +100,6 @@ val solve : ?prec:Precision.t -> factors -> Vector.t -> Vector.t
     [b] then performs the two triangular solves (both "eager"/AXPY variant,
     as the batched kernel does).  The input vector is not modified. *)
 
-val solve_in_place : ?prec:Precision.t -> factors -> Vector.t -> unit
-(** Same, overwriting the argument with the solution. *)
-
 val solve_status : ?prec:Precision.t -> factors -> Vector.t -> Vector.t * int
 (** Non-raising {!solve}: [(x, info)] with [info = 0] on success or
     [k + 1] for a zero diagonal of [U] at step [k] (see

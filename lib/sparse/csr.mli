@@ -45,8 +45,6 @@ val spmv : ?prec:Precision.t -> t -> Vector.t -> Vector.t
 val spmv_into : ?prec:Precision.t -> t -> Vector.t -> Vector.t -> unit
 (** [spmv_into a x y] overwrites [y] with [A·x] without allocating. *)
 
-val transpose : t -> t
-
 val diagonal : t -> Vector.t
 (** The main diagonal (zeros where absent). *)
 

@@ -87,6 +87,4 @@ let all =
          let id = i + 1 in
          { id; name; family; generate = (fun () -> gen id ()) })
 
-let find name = List.find_opt (fun e -> e.name = name) all
-
 let matrix e = e.generate ()

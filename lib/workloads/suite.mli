@@ -33,8 +33,5 @@ type entry = {
 val all : entry list
 (** All 48 entries, ascending [id]. *)
 
-val find : string -> entry option
-(** Lookup by name. *)
-
 val matrix : entry -> Csr.t
 (** Generate (deterministic per entry). *)

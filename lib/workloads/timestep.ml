@@ -116,6 +116,12 @@ let run ?pool ?(nx = 24) ?(ny = 24) ?(peclet = 10.0) ?(drift = 0.05)
   let n = nx * ny in
   let t0 = Sys.time () in
   let a0 = matrix ~nx ~ny ~peclet ~drift ~step:0 () in
+  (* Every build and refresh is one [precond.setup.*] event. *)
+  let record ~dirty (u : Block_jacobi.update_stats) =
+    Vblu_obs.Setup_metrics.record obs ~family:(family_name family)
+      ~fresh:u.Block_jacobi.refactored ~reused:u.Block_jacobi.reused ~dirty;
+    u
+  in
   let h =
     match family with
     | Jacobi ->
@@ -126,24 +132,28 @@ let run ?pool ?(nx = 24) ?(ny = 24) ?(peclet = 10.0) ?(drift = 0.05)
     match h with Hj h -> Block_jacobi.precond h | Hi h -> Block_ilu0.precond h
   in
   let build_stats =
-    match h with Hj h -> Block_jacobi.last_update h | Hi h -> Block_ilu0.last_update h
+    record ~dirty:0
+      (match h with
+      | Hj h -> Block_jacobi.last_update h
+      | Hi h -> Block_ilu0.last_update h)
   in
-  let update a =
-    let tol, force_all =
-      match mode with Full -> (0.0, true) | Partial tol -> (tol, false)
+  let tol, force_all =
+    match mode with Full -> (0.0, true) | Partial tol -> (tol, false)
+  in
+  let update ~tol ~force_all a =
+    let u =
+      match h with
+      | Hj h -> Block_jacobi.update ~tol ~force_all h a
+      | Hi h -> Block_ilu0.update ~tol ~force_all h a
     in
-    match h with
-    | Hj h -> Block_jacobi.update ~tol ~force_all h a
-    | Hi h -> Block_ilu0.update ~tol ~force_all h a
+    record ~dirty:u.Block_jacobi.refactored u
   in
   (* The guard rebuild is always a full refresh on the current operator:
      a tripped solve should restart from factors as fresh as possible. *)
   let guard_refreshes = ref 0 in
   let refresh_precond a () =
     incr guard_refreshes;
-    (match h with
-    | Hj h -> ignore (Block_jacobi.update ~force_all:true h a)
-    | Hi h -> ignore (Block_ilu0.update ~force_all:true h a));
+    ignore (update ~tol:0.0 ~force_all:true a);
     precond
   in
   let stats = Array.make steps None in
@@ -167,7 +177,7 @@ let run ?pool ?(nx = 24) ?(ny = 24) ?(peclet = 10.0) ?(drift = 0.05)
       if step = 0 then Some build_stats
       else if do_refresh then begin
         incr refreshes;
-        Some (update a)
+        Some (update ~tol ~force_all a)
       end
       else None
     in

@@ -755,6 +755,28 @@ let test_pinned_setup_charges () =
       done)
     pinned_setup
 
+(* A handle takes [create]'s ABFT: under [~abft:true] both build the
+   same info (outcome lists, schedules, setup launches and modelled
+   time) and apply bits, and the checked launches take more modelled
+   time than an unchecked handle's. *)
+let test_handle_abft_is_create () =
+  List.iter
+    (fun name ->
+      let a = setup_matrix name in
+      let n, _ = Csr.dims a in
+      let p, info = Block_ilu0.create ~abft:true ~max_block_size:3 a in
+      let h = Block_ilu0.handle ~abft:true ~max_block_size:3 a in
+      Alcotest.(check bool) (name ^ ": info") true
+        (info = Block_ilu0.handle_info h);
+      let r = rhs_for n in
+      check_bitwise (name ^ ": apply") (Preconditioner.apply p r)
+        (Preconditioner.apply (Block_ilu0.precond h) r);
+      let plain = Block_ilu0.handle ~max_block_size:3 a in
+      Alcotest.(check bool) (name ^ ": abft charged") true
+        ((Block_ilu0.last_update h).Block_jacobi.modelled_seconds
+        > (Block_ilu0.last_update plain).Block_jacobi.modelled_seconds))
+    [ "conv-diff"; "fem"; "block-tridiag" ]
+
 (* Launch-cache tallies of a warm update sequence — fresh handle, forced
    refresh, a drift, a breakdown, the way back — over every pinned
    matrix, layout, precision and policy, from an empty cache. *)
@@ -874,6 +896,8 @@ let () =
             test_pinned_setup_charges;
           Alcotest.test_case "pinned cache counts" `Quick
             test_pinned_cache_counts;
+          Alcotest.test_case "handle == create under abft" `Quick
+            test_handle_abft_is_create;
         ] );
       ( "golden parity",
         [

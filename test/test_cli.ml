@@ -6,7 +6,8 @@
    Bad input ends in a clean exit: an unreadable or malformed matrix file
    exits 2 with a one-line diagnosis, an out-of-range option exits 124
    (cmdliner's usage error), and neither is cmdliner's exit 125
-   "internal error, uncaught exception". *)
+   "internal error, uncaught exception".  A solve that does not converge
+   exits 1. *)
 
 let cli =
   List.fold_left Filename.concat
@@ -89,6 +90,8 @@ let input_error_cases () =
      that ignored an out-of-range [--domains] would start at most one
      domain on it. *)
   let good = Filename.quote (write_mtx "2 2 2" [ "1 1 4.0"; "2 2 4.0" ]) in
+  (* Row 2 is empty: IDR(4) breaks down on it. *)
+  let unsolvable = Filename.quote (write_mtx "2 2 1" [ "1 1 4.0" ]) in
   let bad_path = write_mtx "2 2 2" [ "1 1 4.0"; "2 2 x" ] in
   let bad = Filename.quote bad_path in
   let bad_at = Filename.basename bad_path ^ ":4:" in
@@ -114,6 +117,8 @@ let input_error_cases () =
     ("domains 0", usage ("solve " ^ good ^ " --domains 0"));
     ("domains 1000", usage ("solve " ^ good ^ " --domains 1000"));
     ("fixture solves", check_exit ~code:0 ("solve " ^ good ^ " --domains 1"));
+    ( "unconverged solve exits 1",
+      check_exit ~code:1 ("solve " ^ unsolvable ^ " --domains 1") );
   ]
   |> List.map (fun (name, f) -> Alcotest.test_case name `Quick f)
 

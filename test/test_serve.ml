@@ -595,19 +595,36 @@ let test_setup_cache_jacobi () = test_setup_cache_recurring Batcher.Jacobi
 let test_setup_cache_ilu0 () = test_setup_cache_recurring Batcher.Ilu0
 
 (* With no recurring requests the cache must be inert: the report
-   checksum (latencies included) matches the uncached run bit for bit. *)
+   checksum (latencies included) matches the uncached run bit for bit —
+   for ILU(0) traffic too, under [quick_config]'s ABFT. *)
 let test_setup_cache_inert_without_repeats () =
-  let spec =
-    { Loadgen.default_spec with Loadgen.requests = 30; deadline_windows = 8.0 }
-  in
-  let off = Loadgen.run ~config:quick_config spec in
-  let on_ =
-    Loadgen.run
-      ~config:{ quick_config with Service.setup_cache = true }
-      spec
-  in
-  Alcotest.(check string) "checksums equal" (Loadgen.checksum off)
-    (Loadgen.checksum on_)
+  List.iter
+    (fun ilu0_share ->
+      let spec =
+        { Loadgen.default_spec with
+          Loadgen.requests = 30; deadline_windows = 8.0; ilu0_share }
+      in
+      let off = Loadgen.run ~config:quick_config spec in
+      let on_ =
+        Loadgen.run
+          ~config:{ quick_config with Service.setup_cache = true }
+          spec
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "checksums equal (ilu0 share %g)" ilu0_share)
+        (Loadgen.checksum off) (Loadgen.checksum on_))
+    [ 0.0; 0.3 ]
+
+(* A traced wave records each [precond.setup.*] event once: a cached
+   ILU(0) build counts each of its block rows once as fresh. *)
+let test_setup_metrics_counted_once () =
+  let p = { (random_problem (state 47)) with Batcher.precond = Batcher.Ilu0 } in
+  let metrics = Metrics.create () in
+  let obs = Vblu_obs.Ctx.v ~trace:(Vblu_obs.Trace.create ()) ~metrics () in
+  let r = Batcher.run ~cache:(Setup_cache.create ()) ~obs [| p |] in
+  Alcotest.(check (float 0.0)) "fresh block rows"
+    (float_of_int r.Batcher.coalesced_blocks)
+    (Metrics.counter_value metrics "precond.setup.fresh{family=ilu0}")
 
 let test_loadgen_repeat_share () =
   let spec =
@@ -854,6 +871,8 @@ let () =
             test_setup_cache_ilu0;
           Alcotest.test_case "cache inert without repeats" `Quick
             test_setup_cache_inert_without_repeats;
+          Alcotest.test_case "traced ilu0 build counted once" `Quick
+            test_setup_metrics_counted_once;
           Alcotest.test_case "loadgen repeat-share verified with cache" `Quick
             test_loadgen_repeat_share;
           Alcotest.test_case "recurring singular request keeps its fallback"

@@ -154,15 +154,6 @@ let test_lu_solve () =
       (Diagnostics.solve_residual a x b < 1e-12)
   done
 
-let test_lu_solve_in_place () =
-  let a = matrix_of_seed 3 7 in
-  let b = vector_of_seed 3 7 in
-  let f = Lu.factor_implicit a in
-  let x = Lu.solve f b in
-  let b' = Vector.copy b in
-  Lu.solve_in_place f b';
-  check_float "in place agrees" 0.0 (Vector.max_abs_diff x b')
-
 let test_lu_singular () =
   let z = Matrix.create 3 3 in
   Alcotest.check_raises "all zero" (Lu.Singular 0) (fun () ->
@@ -274,15 +265,6 @@ let test_gh_vs_lu () =
 let test_gh_singular () =
   Alcotest.check_raises "gh singular" (Error.Singular 0) (fun () ->
       ignore (Gauss_huard.factor (Matrix.create 2 2)))
-
-let test_gh_solve_in_place () =
-  let a = matrix_of_seed 5 6 in
-  let b = vector_of_seed 5 6 in
-  let f = Gauss_huard.factor a in
-  let x = Gauss_huard.solve f b in
-  let b' = Vector.copy b in
-  Gauss_huard.solve_in_place f b';
-  check_float "in-place" 0.0 (Vector.max_abs_diff x b')
 
 (* ------------------------------------------------------------------ *)
 (* Gauss-Jordan                                                        *)
@@ -513,7 +495,6 @@ let () =
           Alcotest.test_case "implicit = explicit" `Quick
             test_lu_implicit_equals_explicit;
           Alcotest.test_case "solve" `Quick test_lu_solve;
-          Alcotest.test_case "solve in place" `Quick test_lu_solve_in_place;
           Alcotest.test_case "singular" `Quick test_lu_singular;
           Alcotest.test_case "non-square" `Quick test_lu_nonsquare;
           Alcotest.test_case "nopivot diagdom" `Quick test_lu_nopivot_diagdom;
@@ -533,7 +514,6 @@ let () =
           Alcotest.test_case "transposed matches" `Quick test_ght_matches_gh;
           Alcotest.test_case "matches lu" `Quick test_gh_vs_lu;
           Alcotest.test_case "singular" `Quick test_gh_singular;
-          Alcotest.test_case "solve in place" `Quick test_gh_solve_in_place;
         ] );
       ( "gauss-jordan",
         [

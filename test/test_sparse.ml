@@ -62,17 +62,6 @@ let test_spmv () =
       (Vector.max_abs_diff (Csr.spmv a x) (Matrix.gemv m x))
   done
 
-let test_transpose () =
-  for seed = 0 to 9 do
-    let m = random_dense seed 6 9 in
-    let a = Csr.of_dense m in
-    let t = Csr.transpose a in
-    check_float "transpose" 0.0
-      (Matrix.max_abs_diff (Csr.to_dense t) (Matrix.transpose m));
-    Alcotest.(check bool) "double transpose" true
-      (Csr.equal a (Csr.transpose t))
-  done
-
 let test_diagonal () =
   let a = small_csr () in
   check_float "diag extract" 0.0
@@ -217,9 +206,6 @@ let qcheck_tests =
         let a = Csr.of_dense m in
         let x = Vector.random ~state:(Random.State.make [| seed |]) n in
         Vector.max_abs_diff (Csr.spmv a x) (Matrix.gemv m x) < 1e-12);
-    QCheck.Test.make ~count:50 ~name:"transpose involution" gen (fun (seed, n) ->
-        let a = Csr.of_dense (random_dense seed n (n + 3)) in
-        Csr.equal a (Csr.transpose (Csr.transpose a)));
     QCheck.Test.make ~count:50 ~name:"mm roundtrip" gen (fun (seed, n) ->
         let a = Csr.of_dense (random_dense seed n n) in
         Csr.equal ~tol:1e-14 a (mm_roundtrip a));
@@ -235,7 +221,6 @@ let () =
           Alcotest.test_case "get" `Quick test_get;
           Alcotest.test_case "dense roundtrip" `Quick test_dense_roundtrip;
           Alcotest.test_case "spmv" `Quick test_spmv;
-          Alcotest.test_case "transpose" `Quick test_transpose;
           Alcotest.test_case "diagonal" `Quick test_diagonal;
           Alcotest.test_case "extract block" `Quick test_extract_block;
           Alcotest.test_case "stats" `Quick test_stats;

@@ -117,10 +117,6 @@ let test_suite_deterministic () =
   Alcotest.(check bool) "regeneration identical" true
     (Csr.equal (Suite.matrix e) (Suite.matrix e))
 
-let test_suite_find () =
-  Alcotest.(check bool) "find known" true (Suite.find "cage10" <> None);
-  Alcotest.(check bool) "find unknown" true (Suite.find "nope" = None)
-
 let qcheck_tests =
   [
     QCheck.Test.make ~count:20 ~name:"fem generator rows are dominant"
@@ -162,7 +158,6 @@ let () =
           Alcotest.test_case "matrices well-formed" `Slow
             test_suite_matrices_wellformed;
           Alcotest.test_case "deterministic" `Quick test_suite_deterministic;
-          Alcotest.test_case "find" `Quick test_suite_find;
         ] );
       ("properties", qcheck_tests);
     ]
