@@ -920,10 +920,7 @@ let record_setup obs h =
         ("recovered", Vblu_obs.Trace.Int (count info.recovered_blocks));
         ("corrupt", Vblu_obs.Trace.Int (count info.corrupt_blocks));
       ];
-  let p = h.h_precond in
-  let l = [ ("precond", p.Preconditioner.name) ] in
-  Ctx.set_gauge_l obs "precond.ilu0.setup_seconds" l
-    p.Preconditioner.setup_seconds;
+  let l = [ ("precond", h.h_precond.Preconditioner.name) ] in
   Ctx.set_gauge_l obs "precond.ilu0.setup_modelled_seconds" l
     info.setup_modelled_seconds;
   Ctx.set_gauge_l obs "precond.ilu0.setup_launches" l (float_of_int launches);

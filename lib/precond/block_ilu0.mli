@@ -152,8 +152,8 @@ val handle :
     (default false) checks them; both stay armed for every {!update}.
 
     [?obs] records the build (an ["ilu0.setup"] span, the
-    [precond.ilu0.*] labelled registry metrics — setup seconds, level
-    counts, per-level occupancy, degraded blocks — plus every kernel
+    [precond.ilu0.*] labelled registry metrics — modelled setup seconds,
+    level counts, per-level occupancy, degraded blocks — plus every kernel
     launch) and wraps the apply in an ["ilu0.apply"] span.
     @raise Invalid_argument if [a] is not square, a diagonal block
     exceeds the warp width, or the blocking is invalid.

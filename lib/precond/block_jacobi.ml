@@ -173,20 +173,20 @@ let into_of_solve ~s solve =
     Array.blit r st seg 0 s;
     Array.blit (solve seg) 0 y st s
 
-(* The in-place LU apply: permuted gather, unit-lower sweep, upper sweep
-   — [Lu.solve] step for step (a clean factorization has no zero pivot,
-   so the upper sweep cannot raise).  The [Some prec] the sweeps take is
-   built here once, not on every apply. *)
+(* The in-place LU apply, [Lu.solve] step for step: the permutation is
+   fused into the load of [y]'s segment, which the eager pair then solves
+   in place.  The [Some prec] the pair takes is built here once, not on
+   every apply. *)
 let solver_of_factors ~prec s (f : Lu.factors) =
-  let buf = Array.make s 0.0 in
-  let oprec = Some prec in
+  let m = f.Lu.lu.Matrix.a and perm = f.Lu.perm and oprec = Some prec in
   let solve_into r st y =
     for k = 0 to s - 1 do
-      buf.(k) <- r.(st + f.Lu.perm.(k))
+      y.(st + k) <- r.(st + perm.(k))
     done;
-    Trsv.lower_unit_in_place ?prec:oprec f.Lu.lu buf;
-    Trsv.upper_in_place ?prec:oprec f.Lu.lu buf;
-    Array.blit buf 0 y st s
+    let info =
+      Trsv.pair_eager_view ?prec:oprec ~m ~moff:0 ~n:s ~b:y ~boff:st ()
+    in
+    if info <> 0 then raise (Error.Singular (info - 1))
   in
   { solve = (fun rhs -> Lu.solve ~prec f rhs); solve_into }
 

@@ -1,5 +1,3 @@
-type variant = Lazy | Eager
-
 (* Rounded arithmetic inlined into this unit, bitwise equal to
    [Precision]'s: under [-opaque] a call into another unit boxes every
    float it passes or returns.  Each sweep below is an [@inline] body that
@@ -18,90 +16,6 @@ module R = struct
   let[@inline] fma p a b c = round p ((a *. b) +. c)
 end
 
-let check (m : Matrix.t) b name =
-  if m.rows <> m.cols then invalid_arg (name ^ ": matrix not square");
-  if Array.length b <> m.rows then invalid_arg (name ^ ": dimension mismatch")
-
-let[@inline] lower_unit_k prec variant ma b n =
-  match variant with
-  | Lazy ->
-    for k = 1 to n - 1 do
-      let acc = ref b.(k) in
-      for j = 0 to k - 1 do
-        acc := R.fma prec (-.ma.(k + (j * n))) b.(j) !acc
-      done;
-      b.(k) <- !acc
-    done
-  | Eager ->
-    for k = 0 to n - 2 do
-      let bk = b.(k) in
-      for i = k + 1 to n - 1 do
-        b.(i) <- R.fma prec (-.ma.(i + (k * n))) bk b.(i)
-      done
-    done
-
-let lower_unit_in_place ?(prec = Precision.Double) ?(variant = Eager) m b =
-  check m b "Trsv.lower_unit_in_place";
-  let n = Array.length b and ma = m.Matrix.a in
-  match prec with
-  | Precision.Double ->
-    (lower_unit_k [@inlined]) Precision.Double variant ma b n
-  | Single -> (lower_unit_k [@inlined]) Precision.Single variant ma b n
-
-(* On a zero diagonal entry at step [k] the sweep freezes: [info] is set
-   to [k + 1], no further element of [b] is written, and the partial
-   state (steps [n-1 .. k+1] already applied) is left in place — the same
-   state the batched kernel stores back when a warp predicates off a dead
-   problem. *)
-let[@inline] upper_k prec variant ma b n =
-  let info = ref 0 in
-  (try
-     match variant with
-     | Lazy ->
-       for k = n - 1 downto 0 do
-         let acc = ref b.(k) in
-         for j = k + 1 to n - 1 do
-           acc := R.fma prec (-.ma.(k + (j * n))) b.(j) !acc
-         done;
-         let d = ma.(k + (k * n)) in
-         if d = 0.0 then begin
-           info := k + 1;
-           raise Exit
-         end;
-         b.(k) <- R.div prec !acc d
-       done
-     | Eager ->
-       for k = n - 1 downto 0 do
-         let d = ma.(k + (k * n)) in
-         if d = 0.0 then begin
-           info := k + 1;
-           raise Exit
-         end;
-         b.(k) <- R.div prec b.(k) d;
-         let bk = b.(k) in
-         for i = 0 to k - 1 do
-           b.(i) <- R.fma prec (-.ma.(i + (k * n))) bk b.(i)
-         done
-       done
-   with Exit -> ());
-  !info
-
-(* Shared by both public forms below: one calling the other through its
-   optional [?prec] would allocate a [Some] per call. *)
-let upper_status prec variant m b =
-  check m b "Trsv.upper_in_place";
-  let n = Array.length b and ma = m.Matrix.a in
-  match prec with
-  | Precision.Double -> (upper_k [@inlined]) Precision.Double variant ma b n
-  | Single -> (upper_k [@inlined]) Precision.Single variant ma b n
-
-let upper_in_place_status ?(prec = Precision.Double) ?(variant = Eager) m b =
-  upper_status prec variant m b
-
-let upper_in_place ?(prec = Precision.Double) ?(variant = Eager) m b =
-  let info = upper_status prec variant m b in
-  if info <> 0 then raise (Error.Singular (info - 1))
-
 (* Batch-view solves for the direct-execution fast path: the unit-lower /
    upper pair over a column-major n-by-n factor block at [moff] and a
    solution segment at [boff], solved in place.  [mstride]/[bstride]
@@ -114,41 +28,94 @@ let upper_in_place ?(prec = Precision.Double) ?(variant = Eager) m b =
    element, the lazy (DOT) form a rounded product per row element folded
    left-to-right — so results are bitwise identical. *)
 
-let[@inline] pair_eager_k prec mstride bstride m moff n b boff =
-  for k = 0 to n - 2 do
-    let bk = b.(boff + (bstride * k)) in
-    for i = k + 1 to n - 1 do
-      let bi = boff + (bstride * i) in
-      b.(bi) <- R.fma prec (-.m.(moff + (mstride * (i + (k * n))))) bk b.(bi)
-    done
+(* The eager pair takes two columns per pass: each element below (lower
+   sweep) or above (upper sweep) the pair gets column [k]'s update and
+   then column [k+1]'s (upper: [k], then [k-1]) in one read-modify-write,
+   so every element sees the one-column schedule's FMAs in the same order
+   and the result is bitwise that schedule's.  In the lower sweep the
+   pass at [k = n-2] has no element below its second column.  In the
+   upper sweep, a zero diagonal freezes the state the one-column sweep
+   leaves: at the pass's first column nothing of the pass is written
+   ([info = k+1]); at its second column, the first column's step is
+   finished for every row above it before [info = k] is returned. *)
+let[@inline] pair_eager_k prec ms bs m moff n b boff =
+  let k = ref 0 in
+  while !k < n - 1 do
+    let k0 = !k in
+    let c0 = moff + (ms * (k0 * n)) in
+    let c1 = c0 + (ms * n) in
+    let x0 = b.(boff + (bs * k0)) in
+    let j1 = boff + (bs * (k0 + 1)) in
+    let x1 = R.fma prec (-.m.(c0 + (ms * (k0 + 1)))) x0 b.(j1) in
+    b.(j1) <- x1;
+    for i = k0 + 2 to n - 1 do
+      let j = boff + (bs * i) in
+      b.(j) <-
+        R.fma prec (-.m.(c1 + (ms * i))) x1
+          (R.fma prec (-.m.(c0 + (ms * i))) x0 b.(j))
+    done;
+    k := k0 + 2
   done;
   let info = ref 0 in
-  (try
-     for k = n - 1 downto 0 do
-       let d = m.(moff + (mstride * (k + (k * n)))) in
-       if d = 0.0 then begin
-         info := k + 1;
-         raise Exit
-       end;
-       let bk = boff + (bstride * k) in
-       b.(bk) <- R.div prec b.(bk) d;
-       let bk = b.(bk) in
-       for i = 0 to k - 1 do
-         let bi = boff + (bstride * i) in
-         b.(bi) <-
-           R.fma prec (-.m.(moff + (mstride * (i + (k * n))))) bk b.(bi)
-       done
-     done
-   with Exit -> ());
+  k := n - 1;
+  while !info = 0 && !k >= 0 do
+    let k0 = !k in
+    let c0 = moff + (ms * (k0 * n)) in
+    let j0 = boff + (bs * k0) in
+    let d0 = m.(c0 + (ms * k0)) in
+    if d0 = 0.0 then info := k0 + 1
+    else begin
+      let x0 = R.div prec b.(j0) d0 in
+      b.(j0) <- x0;
+      if k0 > 0 then begin
+        let c1 = c0 - (ms * n) and j1 = j0 - bs in
+        let y1 = R.fma prec (-.m.(c0 + (ms * (k0 - 1)))) x0 b.(j1) in
+        let d1 = m.(c1 + (ms * (k0 - 1))) in
+        if d1 = 0.0 then begin
+          b.(j1) <- y1;
+          for i = 0 to k0 - 2 do
+            let j = boff + (bs * i) in
+            b.(j) <- R.fma prec (-.m.(c0 + (ms * i))) x0 b.(j)
+          done;
+          info := k0
+        end
+        else begin
+          let x1 = R.div prec y1 d1 in
+          b.(j1) <- x1;
+          for i = 0 to k0 - 2 do
+            let j = boff + (bs * i) in
+            b.(j) <-
+              R.fma prec (-.m.(c1 + (ms * i))) x1
+                (R.fma prec (-.m.(c0 + (ms * i))) x0 b.(j))
+          done
+        end
+      end;
+      k := k0 - 2
+    end
+  done;
   !info
+
+(* Four instances: per precision, and unit strides apart from the
+   interleaved ones, so the blocked layout's index arithmetic has no
+   stride multiply left. *)
+let pair_eager prec mstride bstride m moff n b boff =
+  match prec with
+  | Precision.Double ->
+    if mstride = 1 && bstride = 1 then
+      (pair_eager_k [@inlined]) Precision.Double 1 1 m moff n b boff
+    else
+      (pair_eager_k [@inlined]) Precision.Double mstride bstride m moff n b
+        boff
+  | Single ->
+    if mstride = 1 && bstride = 1 then
+      (pair_eager_k [@inlined]) Precision.Single 1 1 m moff n b boff
+    else
+      (pair_eager_k [@inlined]) Precision.Single mstride bstride m moff n b
+        boff
 
 let pair_eager_view ?(prec = Precision.Double) ?(mstride = 1) ?(bstride = 1)
     ~m ~moff ~n ~b ~boff () =
-  match prec with
-  | Precision.Double ->
-    (pair_eager_k [@inlined]) Precision.Double mstride bstride m moff n b boff
-  | Single ->
-    (pair_eager_k [@inlined]) Precision.Single mstride bstride m moff n b boff
+  pair_eager prec mstride bstride m moff n b boff
 
 let[@inline] pair_lazy_k prec mstride bstride m moff n b boff =
   for k = 1 to n - 1 do
@@ -194,18 +161,27 @@ let pair_lazy_view ?(prec = Precision.Double) ?(mstride = 1) ?(bstride = 1)
   | Single ->
     (pair_lazy_k [@inlined]) Precision.Single mstride bstride m moff n b boff
 
+(* A written-out loop: [Array.map] with a float-returning closure would
+   box every element. *)
 let apply_perm perm b =
-  if Array.length perm <> Array.length b then
+  let n = Array.length perm in
+  if Array.length b <> n then
     invalid_arg "Trsv.apply_perm: dimension mismatch";
-  Array.map (fun k -> b.(k)) perm
+  let x = Array.make n 0.0 in
+  for k = 0 to n - 1 do
+    x.(k) <- b.(perm.(k))
+  done;
+  x
 
-let solve_status ?(prec = Precision.Double) ?(variant = Eager) lu perm b =
+let solve_status ?(prec = Precision.Double) (lu : Matrix.t) perm b =
   let x = apply_perm perm b in
-  lower_unit_in_place ~prec ~variant lu x;
-  let info = upper_in_place_status ~prec ~variant lu x in
+  if lu.rows <> lu.cols then invalid_arg "Trsv.solve: matrix not square";
+  if Array.length x <> lu.rows then
+    invalid_arg "Trsv.solve: dimension mismatch";
+  let info = pair_eager prec 1 1 lu.a 0 lu.rows x 0 in
   (x, info)
 
-let solve ?(prec = Precision.Double) ?(variant = Eager) lu perm b =
-  let x, info = solve_status ~prec ~variant lu perm b in
+let solve ?(prec = Precision.Double) lu perm b =
+  let x, info = solve_status ~prec lu perm b in
   if info <> 0 then raise (Error.Singular (info - 1));
   x

@@ -12,31 +12,6 @@
     upper solvers read the upper triangle including the diagonal.  They can
     therefore be applied directly to {!Lu.factors}. *)
 
-type variant =
-  | Lazy   (** row-oriented, one DOT per step (Figure 2, top). *)
-  | Eager  (** column-oriented, one AXPY per step (Figure 2, bottom). *)
-
-val lower_unit_in_place :
-  ?prec:Precision.t -> ?variant:variant -> Matrix.t -> Vector.t -> unit
-(** [lower_unit_in_place m b] overwrites [b] with the solution of [L y = b]
-    where [L] is the unit lower triangle packed in [m].
-    @raise Invalid_argument on dimension mismatch. *)
-
-val upper_in_place :
-  ?prec:Precision.t -> ?variant:variant -> Matrix.t -> Vector.t -> unit
-(** [upper_in_place m b] overwrites [b] with the solution of [U x = b]
-    where [U] is the upper triangle (with diagonal) packed in [m].
-    @raise Error.Singular on a zero diagonal entry. *)
-
-val upper_in_place_status :
-  ?prec:Precision.t -> ?variant:variant -> Matrix.t -> Vector.t -> int
-(** Non-raising variant of {!upper_in_place} with the LAPACK [info]
-    convention: returns [0] on success, or [k + 1] if the sweep hit a zero
-    diagonal entry at (0-based) step [k].  On breakdown the sweep freezes —
-    steps [n-1 .. k+1] have been applied, [b.(k) ..] are left untouched —
-    mirroring exactly the state the batched kernel writes back for a dead
-    problem, so the two stay bit-for-bit comparable. *)
-
 (** {2 Batch-view variants}
 
     Allocation-free solve pairs (unit lower, then upper with diagonal) over
@@ -68,13 +43,13 @@ val apply_perm : int array -> Vector.t -> Vector.t
     element [k] of the result is [b.(perm.(k))] — exactly the fused
     permutation-on-load the batched TRSV kernel performs. *)
 
-val solve : ?prec:Precision.t -> ?variant:variant -> Matrix.t -> int array -> Vector.t -> Vector.t
-(** [solve lu perm b]: permute, lower solve, upper solve — the full GETRS
-    sequence on packed factors, returning a fresh solution vector.
+val solve : ?prec:Precision.t -> Matrix.t -> int array -> Vector.t -> Vector.t
+(** [solve lu perm b]: {!apply_perm}, then {!pair_eager_view} — the full
+    GETRS sequence on packed factors, returning a fresh solution vector.
     @raise Error.Singular on a zero diagonal entry of [U]. *)
 
 val solve_status :
-  ?prec:Precision.t -> ?variant:variant -> Matrix.t -> int array -> Vector.t -> Vector.t * int
+  ?prec:Precision.t -> Matrix.t -> int array -> Vector.t -> Vector.t * int
 (** Non-raising {!solve}: returns [(x, info)] with [info = 0] on success or
-    [k + 1] for a zero diagonal at step [k] of the upper sweep (see
-    {!upper_in_place_status} for the frozen partial state of [x]). *)
+    [k + 1] for a zero diagonal at step [k] of the upper sweep, [x] then
+    frozen as in {!pair_eager_view}. *)

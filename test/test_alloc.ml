@@ -54,6 +54,17 @@ let banded ~n ~bs =
   Csr.create ~n_rows:n ~n_cols:n ~row_ptr ~col_idx:(Array.map fst entries)
     ~values:(Array.map snd entries)
 
+(* [a] laid out at offset 1 with element stride 2, gaps filled with 7.0 —
+   a view's off/stride addressing must neither miss an element nor touch
+   a gap. *)
+let strided a =
+  Array.init
+    ((2 * Array.length a) + 1)
+    (fun e -> if e >= 1 && (e - 1) mod 2 = 0 then a.((e - 1) / 2) else 7.0)
+
+(* [a] at offset 1 and unit stride. *)
+let shifted a = Array.append [| 7.0 |] a
+
 (* ------------------------------------------------------------------ *)
 (* Allocation guards                                                   *)
 
@@ -114,23 +125,31 @@ let test_trsv () =
       let factors n =
         Lu.factor_implicit ~prec (Matrix.random_diagdom ~state:(state n) n)
       in
-      check_flat ("lower_unit_in_place + upper_in_place " ^ ps)
+      List.iter
+        (fun (stride, view) ->
+          check_flat
+            (Printf.sprintf "pair_eager_view stride %d %s" stride ps)
+            (fun n ->
+              let f = factors n in
+              let m = view f.Lu.lu.Matrix.a in
+              let b = view (Vector.random ~state:(state 3) n) in
+              words (fun () ->
+                  ignore
+                    (Sys.opaque_identity
+                       (Trsv.pair_eager_view ~prec ~mstride:stride
+                          ~bstride:stride ~m ~moff:1 ~n ~b ~boff:1 ()))))
+            (16, 96))
+        [ (1, shifted); (2, strided) ];
+      (* A solve allocates its result (n floats plus a header) and
+         nothing per element. *)
+      check_flat ("solve " ^ ps)
         (fun n ->
           let f = factors n in
           let b = Vector.random ~state:(state 2) n in
           words (fun () ->
-              Trsv.lower_unit_in_place ~prec f.Lu.lu b;
-              Trsv.upper_in_place ~prec f.Lu.lu b))
-        (16, 96);
-      check_flat ("pair_eager_view " ^ ps)
-        (fun n ->
-          let f = factors n in
-          let m = Array.append [| 0.0 |] f.Lu.lu.Matrix.a in
-          let b = Vector.random ~state:(state 3) (n + 1) in
-          words (fun () ->
               ignore
-                (Sys.opaque_identity
-                   (Trsv.pair_eager_view ~prec ~m ~moff:1 ~n ~b ~boff:1 ()))))
+                (Sys.opaque_identity (Trsv.solve ~prec f.Lu.lu f.Lu.perm b)))
+          -. float_of_int (n + 1))
         (16, 96);
       check_flat ("factor_implicit_view " ^ ps)
         (fun n ->
@@ -149,20 +168,27 @@ let test_block_jacobi_apply () =
   (* The apply allocates its result vector (n floats plus a header) and a
      size-independent constant — nothing per block or per element.  Both
      sizes keep the result below [Max_young_wosize] (256 words), so it is
-     allocated on the minor heap where [words] sees it. *)
+     allocated on the minor heap where [words] sees it.  Blocks of order 7
+     run the eager pair's one-column tail. *)
   List.iter
     (fun prec ->
-      check_flat
-        ("block-jacobi apply overhead " ^ Precision.to_string prec)
-        (fun n ->
-          let p, _ =
-            Block_jacobi.create ~prec ~max_block_size:8 (banded ~n ~bs:8)
-          in
-          let r = Vector.random ~state:(state 4) n in
-          words (fun () ->
-              ignore (Sys.opaque_identity (Preconditioner.apply p r)))
-          -. float_of_int (n + 1))
-        (64, 248))
+      List.iter
+        (fun (bs, sizes) ->
+          check_flat
+            (Printf.sprintf "block-jacobi apply overhead %s bs=%d"
+               (Precision.to_string prec) bs)
+            (fun n ->
+              let p, _ =
+                Block_jacobi.create ~prec ~max_block_size:bs
+                  ~blocking:(Supervariable.uniform ~n ~block_size:bs)
+                  (banded ~n ~bs)
+              in
+              let r = Vector.random ~state:(state 4) n in
+              words (fun () ->
+                  ignore (Sys.opaque_identity (Preconditioner.apply p r)))
+              -. float_of_int (n + 1))
+            sizes)
+        [ (8, (64, 248)); (7, (63, 245)) ])
     precs
 
 let test_block_ilu0_apply () =
@@ -305,6 +331,7 @@ let test_zero_alloc () =
   let x = Vector.random ~state:st n and y = Vector.random ~state:st n in
   let mat = Matrix.random_diagdom ~state:st n in
   let lu = (Lu.factor_implicit mat).Lu.lu in
+  let lu2 = strided lu.Matrix.a and y2 = strided y in
   let src = mat.Matrix.a in
   let spd =
     Matrix.init n n (fun i j ->
@@ -330,12 +357,13 @@ let test_zero_alloc () =
         fun () ->
           Matrix.gemm_col_view ~alpha:1.0 ~beta:0.5 ?c ~a:src ~b:src ~dst ~off:0
             ~n () );
-      ("Trsv.lower_unit_in_place", fun () -> Trsv.lower_unit_in_place lu y);
-      ( "Trsv.upper_in_place_status",
-        int_result (fun () -> Trsv.upper_in_place_status lu y) );
       ( "Trsv.pair_eager_view",
         int_result (fun () ->
             Trsv.pair_eager_view ~m:lu.Matrix.a ~moff:0 ~n ~b:y ~boff:0 ()) );
+      ( "Trsv.pair_eager_view stride 2",
+        int_result (fun () ->
+            Trsv.pair_eager_view ~mstride:2 ~bstride:2 ~m:lu2 ~moff:1 ~n ~b:y2
+              ~boff:1 ()) );
       ( "Trsv.pair_lazy_view",
         int_result (fun () ->
             Trsv.pair_lazy_view ~m:lu.Matrix.a ~moff:0 ~n ~b:y ~boff:0 ()) );
@@ -427,15 +455,6 @@ module Ref = struct
       done
     done
 
-  let lower_lazy p n m b =
-    for k = 1 to n - 1 do
-      let acc = ref b.(k) in
-      for j = 0 to k - 1 do
-        acc := P.fma p (-.m.(k + (j * n))) b.(j) !acc
-      done;
-      b.(k) <- !acc
-    done
-
   let upper_eager p n m b =
     let info = ref 0 in
     (try
@@ -446,21 +465,6 @@ module Ref = struct
          for i = 0 to k - 1 do
            b.(i) <- P.fma p (-.m.(i + (k * n))) b.(k) b.(i)
          done
-       done
-     with Exit -> ());
-    !info
-
-  let upper_lazy p n m b =
-    let info = ref 0 in
-    (try
-       for k = n - 1 downto 0 do
-         let acc = ref b.(k) in
-         for j = k + 1 to n - 1 do
-           acc := P.fma p (-.m.(k + (j * n))) b.(j) !acc
-         done;
-         let d = m.(k + (k * n)) in
-         if d = 0.0 then (info := k + 1; raise Exit);
-         b.(k) <- P.div p !acc d
        done
      with Exit -> ());
     !info
@@ -740,14 +744,6 @@ module Ref = struct
     !info
 end
 
-(* [a] laid out at offset 1 with element stride 2, gaps filled with 7.0 —
-   a view's off/stride addressing must neither miss an element nor touch
-   a gap. *)
-let strided a =
-  Array.init
-    ((2 * Array.length a) + 1)
-    (fun e -> if e >= 1 && (e - 1) mod 2 = 0 then a.((e - 1) / 2) else 7.0)
-
 let qcheck_bit_identity =
   QCheck.Test.make ~count:400
     ~name:"rewritten kernels ≡ Precision.* references, bitwise" arb_case
@@ -801,36 +797,37 @@ let qcheck_bit_identity =
        expect "spmv_into" y want;
        expect "extract_block" (Csr.extract_block a ~row_start:0 ~size:n).Matrix.a
          (Array.map (fun x -> if x = 0.0 then 0.0 else x) m));
-      (* In-place TRSV, both schedules. *)
-      List.iter
-        (fun (vname, variant, lower, upper) ->
-          let b = Array.copy v and b' = Array.copy v in
-          Trsv.lower_unit_in_place ~prec ~variant mat b;
-          lower prec n m b';
-          let info = Trsv.upper_in_place_status ~prec ~variant mat b in
-          let info' = upper prec n m b' in
-          expect ("trsv in place " ^ vname) b b';
-          expect_int ("trsv info " ^ vname) info info')
-        [
-          ("eager", Trsv.Eager, Ref.lower_eager, Ref.upper_eager);
-          ("lazy", Trsv.Lazy, Ref.lower_lazy, Ref.upper_lazy);
-        ];
-      (* Batch-view TRSV pairs at an offset and stride 2. *)
-      (let sm = strided m in
-       let b = strided v in
-       let info =
-         Trsv.pair_eager_view ~prec ~mstride:2 ~bstride:2 ~m:sm ~moff:1 ~n ~b
-           ~boff:1 ()
-       in
-       let b' = Array.copy v in
+      (* The eager TRSV pair at an offset, in its unit-stride and its
+         strided instance, and behind the permuted [Trsv.solve_status]. *)
+      (let b' = Array.copy v in
        Ref.lower_eager prec n m b';
        let info' = Ref.upper_eager prec n m b' in
-       expect "pair_eager_view" b (strided b');
-       expect_int "pair_eager_view info" info info';
-       let b = strided v in
+       List.iter
+         (fun (stride, view) ->
+           let b = view v in
+           let info =
+             Trsv.pair_eager_view ~prec ~mstride:stride ~bstride:stride
+               ~m:(view m) ~moff:1 ~n ~b ~boff:1 ()
+           in
+           expect
+             (Printf.sprintf "pair_eager_view stride %d" stride)
+             b (view b');
+           expect_int
+             (Printf.sprintf "pair_eager_view stride %d info" stride)
+             info info')
+         [ (1, shifted); (2, strided) ];
+       let perm = Array.init n (fun k -> n - 1 - k) in
+       let pv = Array.map (fun k -> v.(k)) perm in
+       Ref.lower_eager prec n m pv;
+       let info' = Ref.upper_eager prec n m pv in
+       let x, info = Trsv.solve_status ~prec mat perm v in
+       expect "trsv solve_status" x pv;
+       expect_int "trsv solve_status info" info info');
+      (* The lazy pair at an offset and stride 2. *)
+      (let b = strided v in
        let info =
-         Trsv.pair_lazy_view ~prec ~mstride:2 ~bstride:2 ~m:sm ~moff:1 ~n ~b
-           ~boff:1 ()
+         Trsv.pair_lazy_view ~prec ~mstride:2 ~bstride:2 ~m:(strided m) ~moff:1
+           ~n ~b ~boff:1 ()
        in
        let b' = Array.copy v in
        let info' = Ref.pair_lazy prec n m b' in
@@ -962,6 +959,47 @@ let qcheck_bit_identity =
        Warp.sqrt_into wp ~dst a;
        expect "warp sqrt" dst (Array.map (fun x -> Precision.round prec (sqrt x)) a));
       true)
+
+(* A zero diagonal of U at every step of the upper sweep, at both
+   parities of the two-column pass, in both precisions and both stride
+   instances: [info] and the frozen partial state match the one-column
+   reference bit for bit. *)
+let test_eager_freeze () =
+  List.iter
+    (fun prec ->
+      List.iter
+        (fun n ->
+          for k = 0 to n - 1 do
+            let m =
+              Array.init (n * n) (fun e ->
+                  let i = e mod n and j = e / n in
+                  if i <> j then 1.0 /. float_of_int (2 + i + (3 * j))
+                  else if i = k then 0.0
+                  else 3.0 +. float_of_int i)
+            in
+            let v = Array.init n (fun i -> 1.0 +. (0.37 *. float_of_int i)) in
+            let b' = Array.copy v in
+            Ref.lower_eager prec n m b';
+            let info' = Ref.upper_eager prec n m b' in
+            Alcotest.(check int) "reference info" (k + 1) info';
+            List.iter
+              (fun (stride, view) ->
+                let name =
+                  Printf.sprintf "%s n=%d zero at %d stride %d"
+                    (Precision.to_string prec) n k stride
+                in
+                let b = view v in
+                let info =
+                  Trsv.pair_eager_view ~prec ~mstride:stride ~bstride:stride
+                    ~m:(view m) ~moff:1 ~n ~b ~boff:1 ()
+                in
+                Alcotest.(check int) (name ^ " info") info' info;
+                Alcotest.(check bool) (name ^ " frozen state") true
+                  (bits_equal b (view b')))
+              [ (1, shifted); (2, strided) ]
+          done)
+        [ 5; 6 ])
+    precs
 
 (* A NaN pivot is not a zero pivot: the direct views, the interpreter and
    the CPU reference all return info = 0 with NaN-poisoned factors and
@@ -1195,6 +1233,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_bit_identity;
           QCheck_alcotest.to_alcotest qcheck_gemm_view;
+          Alcotest.test_case "eager pair breakdown freeze" `Quick
+            test_eager_freeze;
           Alcotest.test_case "NaN pivot" `Quick test_nan_pivot;
           Alcotest.test_case "non-finite direct kernels" `Quick
             test_nonfinite_direct;

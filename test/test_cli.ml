@@ -122,6 +122,39 @@ let input_error_cases () =
   ]
   |> List.map (fun (name, f) -> Alcotest.test_case name `Quick f)
 
+(* Metrics files carry modelled time and counts only, so two identical
+   block-ILU(0) solves write the same bytes. *)
+let metrics_deterministic () =
+  let entries =
+    List.concat_map
+      (fun r ->
+        List.filter_map
+          (fun (c, v) ->
+            if c >= 1 && c <= 10 then Some (Printf.sprintf "%d %d %s" r c v)
+            else None)
+          [ (r - 2, "-0.5"); (r - 1, "-1.0"); (r, "4.0"); (r + 1, "-1.5") ])
+      (List.init 10 succ)
+  in
+  let banded =
+    write_mtx (Printf.sprintf "10 10 %d" (List.length entries)) entries
+  in
+  let metrics () =
+    let f = Filename.temp_file "vblu_metrics" ".json" in
+    let code, _, _ =
+      run
+        (Printf.sprintf
+           "solve %s --precond block-ilu0 --block-size 2 --domains 1 \
+            --metrics %s"
+           (Filename.quote banded) (Filename.quote f))
+    in
+    Alcotest.(check int) "exit code" 0 code;
+    let s = In_channel.with_open_bin f In_channel.input_all in
+    Sys.remove f;
+    s
+  in
+  let first = metrics () in
+  Alcotest.(check string) "second run's metrics" first (metrics ())
+
 let () =
   let _, root, _ = run "--help=plain" in
   let cmds = subcommands root in
@@ -135,4 +168,9 @@ let () =
         :: List.map (fun c -> Alcotest.test_case c `Quick (check_help c)) cmds
       );
       ("input errors", input_error_cases ());
+      ( "metrics",
+        [
+          Alcotest.test_case "block-ilu0 solve metrics deterministic" `Quick
+            metrics_deterministic;
+        ] );
     ]

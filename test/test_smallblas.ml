@@ -204,13 +204,14 @@ let test_trsv_variants_agree () =
     let a = matrix_of_seed seed n in
     let f = Lu.factor_implicit a in
     let b = vector_of_seed (seed + 100) n in
-    let run variant =
+    let m = f.Lu.lu.Matrix.a in
+    let run pair =
       let x = Trsv.apply_perm f.Lu.perm b in
-      Trsv.lower_unit_in_place ~variant f.Lu.lu x;
-      Trsv.upper_in_place ~variant f.Lu.lu x;
+      ignore (pair x);
       x
     in
-    let xe = run Trsv.Eager and xl = run Trsv.Lazy in
+    let xe = run (fun b -> Trsv.pair_eager_view ~m ~moff:0 ~n ~b ~boff:0 ())
+    and xl = run (fun b -> Trsv.pair_lazy_view ~m ~moff:0 ~n ~b ~boff:0 ()) in
     Alcotest.(check bool) "eager ≈ lazy" true (Vector.max_abs_diff xe xl < 1e-10)
   done
 
@@ -227,7 +228,7 @@ let test_trsv_perm_roundtrip () =
 let test_trsv_singular_diag () =
   let m = Matrix.create 2 2 in
   Alcotest.check_raises "upper zero diag" (Error.Singular 1) (fun () ->
-      Trsv.upper_in_place m [| 1.0; 1.0 |])
+      ignore (Trsv.solve m [| 0; 1 |] [| 1.0; 1.0 |]))
 
 (* ------------------------------------------------------------------ *)
 (* Gauss-Huard                                                         *)
@@ -399,13 +400,14 @@ let test_status_flags_breakdown () =
   let sorted = Array.copy f.Lu.perm in
   Array.sort compare sorted;
   Alcotest.(check (array int)) "total permutation" [| 0; 1; 2 |] sorted;
-  (* Triangular sweeps flag instead of raising, in both variants. *)
-  List.iter
-    (fun variant ->
-      let x = [| 1.0; 1.0 |] in
-      Alcotest.(check int) "trsv upper zero diag" 2
-        (Trsv.upper_in_place_status ~variant z2 x))
-    [ Trsv.Eager; Trsv.Lazy ]
+  (* Triangular sweeps flag instead of raising, in both schedules. *)
+  let m = z2.Matrix.a in
+  Alcotest.(check int) "trsv eager zero diag" 2
+    (Trsv.pair_eager_view ~m ~moff:0 ~n:2 ~b:[| 1.0; 1.0 |] ~boff:0 ());
+  Alcotest.(check int) "trsv lazy zero diag" 2
+    (Trsv.pair_lazy_view ~m ~moff:0 ~n:2 ~b:[| 1.0; 1.0 |] ~boff:0 ());
+  Alcotest.(check int) "trsv solve_status zero diag" 2
+    (snd (Trsv.solve_status z2 [| 0; 1 |] [| 1.0; 1.0 |]))
 
 (* ------------------------------------------------------------------ *)
 (* Diagnostics & Flops                                                 *)
