@@ -193,38 +193,23 @@ let run_suite ?(quick = false) ?entries ?(families = [ Jacobi; Ilu0; Ras ])
          (fun (entry, a, b) -> List.map (fun f -> (entry, a, b, f)) families)
          prepared)
   in
-  (* A one-domain pool reproduces the historical path exactly: jobs run in
-     order with the pool handed to the preconditioners.  A multi-domain
-     pool instead fans the (entry × family) jobs across the domains — the
+  (* The (entry × family) jobs fan out across the pool's domains — the
      study loop itself parallelizes — with sequential inner
-     preconditioners, so the total domain count stays bounded.  Either
-     way every run's iteration counts and modelled numbers are bitwise
-     identical (the batched kernels are domain-count invariant), which is
-     what the CI cross-domain gate checks; only wall-clock fields vary.
-     Observability: each parallel job records into a [Ctx.sub] child
-     grafted back in job order, so traces and metrics stay
-     deterministic. *)
-  let runs =
-    if Pool.num_domains pool <= 1 || Array.length jobs <= 1 then
-      Array.to_list
-        (Array.map
-           (fun (entry, a, b, family) ->
-             one_run ~pool ~policy ~max_block_size ~subdomains ~overlap ?obs
-               entry a b family)
-           jobs)
-    else begin
-      let subs = Array.map (fun _ -> Ctx.sub obs) jobs in
-      let results =
-        Pool.parallel_init pool (Array.length jobs) (fun i ->
-            let entry, a, b, family = jobs.(i) in
-            one_run ~pool:Pool.sequential ~policy ~max_block_size ~subdomains
-              ~overlap ?obs:subs.(i) entry a b family)
-      in
-      Array.iter (fun s -> Ctx.graft ~into:obs s) subs;
-      Array.to_list results
-    end
+     preconditioners, so the total domain count stays bounded.  Every
+     run's iteration counts and modelled numbers are bitwise identical for
+     any domain count (the batched kernels are domain-count invariant),
+     which is what the CI cross-domain gate checks; only wall-clock fields
+     vary.  Observability: each job records into a [Ctx.sub] child grafted
+     back in job order, so traces and metrics stay deterministic. *)
+  let subs = Array.map (fun _ -> Ctx.sub obs) jobs in
+  let results =
+    Pool.parallel_init pool (Array.length jobs) (fun i ->
+        let entry, a, b, family = jobs.(i) in
+        one_run ~pool:Pool.sequential ~policy ~max_block_size ~subdomains
+          ~overlap ?obs:subs.(i) entry a b family)
   in
-  { runs; max_block_size; subdomains; overlap }
+  Array.iter (fun s -> Ctx.graft ~into:obs s) subs;
+  { runs = Array.to_list results; max_block_size; subdomains; overlap }
 
 let find t entry family =
   List.find_opt

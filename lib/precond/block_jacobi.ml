@@ -173,22 +173,20 @@ let into_of_solve ~s solve =
     Array.blit r st seg 0 s;
     Array.blit (solve seg) 0 y st s
 
-(* The in-place LU apply, [Lu.solve] step for step: the permutation is
-   fused into the load of [y]'s segment, which the eager pair then solves
-   in place.  The [Some prec] the pair takes is built here once, not on
-   every apply. *)
-let solver_of_factors ~prec s (f : Lu.factors) =
-  let m = f.Lu.lu.Matrix.a and perm = f.Lu.perm and oprec = Some prec in
-  let solve_into r st y =
-    for k = 0 to s - 1 do
-      y.(st + k) <- r.(st + perm.(k))
-    done;
-    let info =
-      Trsv.pair_eager_view ?prec:oprec ~m ~moff:0 ~n:s ~b:y ~boff:st ()
-    in
-    if info <> 0 then raise (Error.Singular (info - 1))
+(* The in-place LU apply of one block of order [s], [Lu.solve] step for
+   step: the permutation is fused into the load of [y]'s segment, which
+   the eager pair then solves in place.  [oprec] is the [Some prec] the
+   pair takes, built once by the caller rather than on every apply. *)
+let lu_solve_into oprec (f : Lu.factors) s r st y =
+  let perm = f.Lu.perm in
+  for k = 0 to s - 1 do
+    y.(st + k) <- r.(st + perm.(k))
+  done;
+  let info =
+    Trsv.pair_eager_view ?prec:oprec ~m:f.Lu.lu.Matrix.a ~moff:0 ~n:s ~b:y
+      ~boff:st ()
   in
-  { solve = (fun rhs -> Lu.solve ~prec f rhs); solve_into }
+  if info <> 0 then raise (Error.Singular (info - 1))
 
 (* [m] with [eps * scale] added to every diagonal entry, where [scale] is
    the largest absolute entry of the block (1.0 for an all-zero block) —
@@ -255,7 +253,10 @@ let block_solvers ~pool ~prec ~variant ~policy ~faults ~abft ~recovery blocks =
       if inf <> 0 then None
       else
         let s, _ = Matrix.dims m in
-        Some (solver_of_factors ~prec s f, matrix_corrupt f.Lu.lu)
+        Some
+          ( { solve = (fun rhs -> Lu.solve ~prec f rhs);
+              solve_into = lu_solve_into (Some prec) f s },
+            matrix_corrupt f.Lu.lu )
     in
     match variant with
     | Scalar ->
@@ -312,12 +313,15 @@ let block_solvers ~pool ~prec ~variant ~policy ~faults ~abft ~recovery blocks =
         let f, inf = Cholesky.factor_status ~prec m in
         if inf = 0 then
           let s, _ = Matrix.dims m in
-          let buf = Array.make s 0.0 in
-          let oprec = Some prec in
+          let l = f.Cholesky.l.Matrix.a and oprec = Some prec in
+          (* A clean factor has a positive diagonal, so [info] is 0 unless
+             a planted fault zeroed an entry; the solve then freezes as
+             the kernel's does. *)
           let solve_into r st y =
-            Array.blit r st buf 0 s;
-            Cholesky.solve_in_place ?prec:oprec f buf;
-            Array.blit buf 0 y st s
+            Array.blit r st y st s;
+            ignore
+              (Cholesky.solve_view ?prec:oprec ~m:l ~moff:0 ~n:s ~b:y ~boff:st ()
+                : int)
           in
           Some
             ( { solve = (fun rhs -> Cholesky.solve ~prec f rhs); solve_into },
@@ -593,8 +597,8 @@ type handle = {
       (* as the last launch left them: a broken-down block keeps its
          frozen partial factors *)
   u_outcomes : outcome array;
-  u_solvers : block_solver option array;  (* built on first apply *)
-  u_precond : Preconditioner.t;  (* applies through [u_solvers]; stays valid *)
+  u_precond : Preconditioner.t;
+      (* applies straight from [u_packed] and [u_outcomes]; stays valid *)
   mutable u_last : update_stats;
 }
 
@@ -636,35 +640,24 @@ let block_dirty ~tol h (a : Csr.t) i =
   done;
   !dirty
 
-(* [h] applying through its own per-block state: block [i]'s solver is
-   built on first use from its factors and outcome — only blocks that
-   factored cleanly apply their factors, every other one the identity —
-   so a handle refreshed but never applied builds no solver.  The apply
-   closure captures the per-block arrays only, never [h] itself, so the
-   preconditioner [h] replaces (and everything it retains) is freed. *)
+(* [h] applying straight from its per-block state: only blocks that
+   factored cleanly apply their factors, every other one the identity.
+   The apply closure captures the per-block arrays only, never [h]
+   itself, so the preconditioner [h] replaces (and everything it retains)
+   is freed. *)
 let with_apply h =
-  let pool = h.u_pool and prec = h.u_prec in
+  let pool = h.u_pool and oprec = Some h.u_prec in
   let packed = h.u_packed and outcomes = h.u_outcomes in
-  let solvers = h.u_solvers in
   let starts = h.u_blocking.Supervariable.starts in
   let sizes = h.u_blocking.Supervariable.sizes in
-  let solver i =
-    match solvers.(i) with
-    | Some s -> s
-    | None ->
-      let s =
-        match outcomes.(i) with
-        | Healthy | Perturbed -> solver_of_factors ~prec sizes.(i) packed.(i)
-        | Degraded | Corrupt | Recovered | Pending -> identity_solver sizes.(i)
-      in
-      solvers.(i) <- Some s;
-      s
-  in
   let n = h.u_precond.Preconditioner.dim in
   let apply r =
     let y = Array.make n 0.0 in
     Pool.parallel_for pool ~lo:0 ~hi:(Array.length starts) (fun i ->
-        (solver i).solve_into r starts.(i) y);
+        let st = starts.(i) and s = sizes.(i) in
+        match outcomes.(i) with
+        | Healthy | Perturbed -> lu_solve_into oprec packed.(i) s r st y
+        | Degraded | Corrupt | Recovered | Pending -> Array.blit r st y st s);
     y
   in
   { h with
@@ -694,7 +687,6 @@ let unfactored ?(pool = Pool.sequential) ?(prec = Precision.Double)
       u_values = Array.copy a.Csr.values;
       u_packed = Array.make k { Lu.lu = Matrix.create 0 0; perm = [||] };
       u_outcomes = Array.make k Pending;
-      u_solvers = Array.make k None;
       u_precond =
         {
           Preconditioner.name =
@@ -721,15 +713,13 @@ let copy h =
       u_values = Array.copy h.u_values;
       u_packed = Array.copy h.u_packed;
       u_outcomes = Array.copy h.u_outcomes;
-      u_solvers = Array.make (Array.length h.u_solvers) None;
     }
 
-(* Record block [i]'s new factors and outcome; its solver is rebuilt on
-   the next apply. *)
+(* Record block [i]'s new factors and outcome; the next apply reads
+   them. *)
 let install h i (f : Lu.factors) outcome =
   h.u_packed.(i) <- f;
-  h.u_outcomes.(i) <- outcome;
-  h.u_solvers.(i) <- None
+  h.u_outcomes.(i) <- outcome
 
 let invalidate h i = install h i h.u_packed.(i) Corrupt
 

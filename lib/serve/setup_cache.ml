@@ -28,15 +28,14 @@ type entry = {
   mutable e_data : data;
 }
 
+let capacity = 256
+
 type t = {
-  capacity : int;
   tbl : (string, entry) Hashtbl.t;
-  mutable order : string list;  (* insertion order, oldest first *)
+  order : string Stdlib.Queue.t;  (* insertion order, oldest first *)
 }
 
-let create ?(capacity = 256) () =
-  if capacity < 1 then invalid_arg "Serve.Setup_cache.create: capacity < 1";
-  { capacity; tbl = Hashtbl.create 64; order = [] }
+let create () = { tbl = Hashtbl.create 64; order = Stdlib.Queue.create () }
 
 (* The fingerprint hashes the full pattern (not a sample), so distinct
    patterns practically never collide; the stored pattern arrays are
@@ -60,13 +59,8 @@ let store t family ~a ~max_block_size h =
   match Hashtbl.find_opt t.tbl k with
   | Some e -> e.e_data <- data
   | None ->
-    if List.length t.order >= t.capacity then begin
-      match t.order with
-      | oldest :: rest ->
-        Hashtbl.remove t.tbl oldest;
-        t.order <- rest
-      | [] -> ()
-    end;
+    if Stdlib.Queue.length t.order >= capacity then
+      Hashtbl.remove t.tbl (Stdlib.Queue.pop t.order);
     Hashtbl.replace t.tbl k
       { e_row_ptr = a.Csr.row_ptr; e_col_idx = a.Csr.col_idx; e_data = data };
-    t.order <- t.order @ [ k ]
+    Stdlib.Queue.push k t.order

@@ -11,15 +11,14 @@
 
     Reused factors are bitwise the ones a fresh setup would compute, so
     cached waves keep the service's bit-identity contract.  Eviction is
-    FIFO at [capacity] fingerprints.  One cache serves one precision and
+    FIFO at 256 fingerprints.  One cache serves one precision and
     one pool.  Not thread-safe — callers hold the service lock. *)
 
 open Vblu_sparse
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Default capacity 256 fingerprints. *)
+val create : unit -> t
 
 (** The preconditioner family an entry belongs to, indexed by the type
     of its handle: one entry per fingerprint and family. *)

@@ -84,7 +84,3 @@ let scale_into x f =
 let credit_flops t f = t.useful_flops <- t.useful_flops +. f
 
 let transactions t = int_of_float (Float.round t.gmem_transactions)
-
-let bytes t = int_of_float (Float.round t.gmem_bytes)
-
-let elems t = int_of_float (Float.round t.gmem_elems)

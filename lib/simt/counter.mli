@@ -68,11 +68,4 @@ val scale_into : t -> float -> t
 val transactions : t -> int
 (** Global-memory transaction total, rounded to the nearest integer. *)
 
-val bytes : t -> int
-(** Global-memory byte total, rounded to the nearest integer. *)
-
-val elems : t -> int
-(** Global-memory element total (active-lane accesses before coalescing),
-    rounded to the nearest integer. *)
-
 val credit_flops : t -> float -> unit

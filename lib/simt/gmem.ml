@@ -27,8 +27,6 @@ let of_array prec a =
 
 let prec t = t.prec
 
-let get t i = t.data.(i)
-
 let corrupt t i f = t.data.(i) <- f t.data.(i)
 
 let to_array t = Array.copy t.data

@@ -22,12 +22,9 @@ val of_array : Precision.t -> float array -> t
 
 val prec : t -> Precision.t
 
-val get : t -> int -> float
-(** Direct host-side access (no traffic counted); for staging and tests. *)
-
 val corrupt : t -> int -> (float -> float) -> unit
 (** [corrupt t i f] replaces cell [i] with [f] of its current value,
-    {e bypassing} the precision rounding of {!set} — the hook fault
+    {e bypassing} the precision rounding of staging — the hook fault
     injection uses to model a raw DRAM bit flip. *)
 
 val to_array : t -> float array

@@ -21,92 +21,6 @@ module R = struct
   let[@inline] fma p a b c = round p ((a *. b) +. c)
 end
 
-let[@inline] factor_k prec wa n =
-  let info = ref 0 in
-  (try
-     for k = 0 to n - 1 do
-       let d = wa.(k + (k * n)) in
-       if not (d > 0.0) then begin
-         (* Non-positive (or NaN) diagonal: the matrix is not positive
-            definite.  Freeze after steps 0..k-1, flag info = k + 1. *)
-         info := k + 1;
-         raise Exit
-       end;
-       let dk = R.round prec (sqrt d) in
-       wa.(k + (k * n)) <- dk;
-       for i = k + 1 to n - 1 do
-         wa.(i + (k * n)) <- R.div prec wa.(i + (k * n)) dk
-       done;
-       (* Right-looking trailing update of the lower triangle. *)
-       for j = k + 1 to n - 1 do
-         let ljk = wa.(j + (k * n)) in
-         if ljk <> 0.0 then
-           for i = j to n - 1 do
-             wa.(i + (j * n)) <-
-               R.fma prec (-.wa.(i + (k * n))) ljk wa.(i + (j * n))
-           done
-       done
-     done
-   with Exit -> ());
-  !info
-
-let factor_status ?(prec = Precision.Double) m =
-  let rows, cols = Matrix.dims m in
-  if rows <> cols then invalid_arg "Cholesky.factor: matrix not square";
-  let n = rows in
-  (* Work on a lower-triangular copy; the strict upper part is ignored. *)
-  let w = Matrix.create n n in
-  let wa = w.Matrix.a in
-  for j = 0 to n - 1 do
-    for i = j to n - 1 do
-      wa.(i + (j * n)) <- m.Matrix.a.(i + (j * n))
-    done
-  done;
-  let info =
-    match prec with
-    | Precision.Double -> (factor_k [@inlined]) Precision.Double wa n
-    | Single -> (factor_k [@inlined]) Precision.Single wa n
-  in
-  ({ l = w }, info)
-
-let factor ?prec m =
-  let f, info = factor_status ?prec m in
-  if info <> 0 then raise (Not_positive_definite (info - 1));
-  f
-
-let[@inline] solve_k prec la x n =
-  (* Forward: L y = b (non-unit diagonal, eager). *)
-  for k = 0 to n - 1 do
-    x.(k) <- R.div prec x.(k) la.(k + (k * n));
-    let xk = x.(k) in
-    for i = k + 1 to n - 1 do
-      x.(i) <- R.fma prec (-.la.(i + (k * n))) xk x.(i)
-    done
-  done;
-  (* Backward: Lᵀ x = y — reading columns of L as rows of Lᵀ. *)
-  for k = n - 1 downto 0 do
-    let acc = ref x.(k) in
-    for i = k + 1 to n - 1 do
-      acc := R.fma prec (-.la.(i + (k * n))) x.(i) !acc
-    done;
-    x.(k) <- R.div prec !acc la.(k + (k * n))
-  done
-
-(* [f], not a [{ l }] pattern: a destructured parameter after [?prec]
-   splits the function in two, and the first half allocates a closure per
-   call. *)
-let solve_in_place ?(prec = Precision.Double) f x =
-  let n = f.l.Matrix.rows and la = f.l.Matrix.a in
-  if Array.length x <> n then invalid_arg "Cholesky.solve: dimension mismatch";
-  match prec with
-  | Precision.Double -> (solve_k [@inlined]) Precision.Double la x n
-  | Single -> (solve_k [@inlined]) Precision.Single la x n
-
-let solve ?prec f b =
-  let x = Array.copy b in
-  solve_in_place ?prec f x;
-  x
-
 (* Batch-view factor/solve for the direct-execution fast path, over the
    column-major block layout of Vblu_core.Batch: element (i,j) of a block
    sits at [off + stride*(i + j*n)], element i of a segment at
@@ -197,6 +111,36 @@ let solve_view ?(prec = Precision.Double) ?(mstride = 1) ?(bstride = 1) ~m
     (solve_view_k [@inlined]) Precision.Double mstride bstride m moff n b boff
   | Single ->
     (solve_view_k [@inlined]) Precision.Single mstride bstride m moff n b boff
+
+(* The Matrix-level references are the batch views at offset 0 and unit
+   stride, so they compute the kernels' bits: [factor_status] factors into
+   a fresh matrix whose strict upper triangle stays zero. *)
+let factor_status ?prec m =
+  let rows, cols = Matrix.dims m in
+  if rows <> cols then invalid_arg "Cholesky.factor: matrix not square";
+  let l = Matrix.create rows rows in
+  let info =
+    factor_view ?prec ~src:m.Matrix.a ~dst:l.Matrix.a ~off:0 ~n:rows ()
+  in
+  ({ l }, info)
+
+let factor ?prec m =
+  let f, info = factor_status ?prec m in
+  if info <> 0 then raise (Not_positive_definite (info - 1));
+  f
+
+(* [f], not a [{ l }] pattern: a destructured parameter after [?prec]
+   splits the function in two, and the first half allocates a closure per
+   call. *)
+let solve_in_place ?prec f x =
+  let n = f.l.Matrix.rows in
+  if Array.length x <> n then invalid_arg "Cholesky.solve: dimension mismatch";
+  ignore (solve_view ?prec ~m:f.l.Matrix.a ~moff:0 ~n ~b:x ~boff:0 () : int)
+
+let solve ?prec f b =
+  let x = Array.copy b in
+  solve_in_place ?prec f x;
+  x
 
 let flops n =
   let n = float_of_int n in

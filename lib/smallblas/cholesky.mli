@@ -16,7 +16,9 @@ type factors = {
 
 val factor : ?prec:Precision.t -> Matrix.t -> factors
 (** Right-looking Cholesky of a square block; only the lower triangle of
-    the input is read (the upper is assumed symmetric).
+    the input is read (the upper is assumed symmetric).  It is
+    {!factor_view} into a fresh matrix, so its bits are the batched
+    kernel's.
     @raise Not_positive_definite on breakdown.
     @raise Invalid_argument if the matrix is not square. *)
 
@@ -27,12 +29,13 @@ val factor_status : ?prec:Precision.t -> Matrix.t -> factors * int
     frozen partial state — steps [0 .. k-1] applied. *)
 
 val solve : ?prec:Precision.t -> factors -> Vector.t -> Vector.t
-(** [solve f b] returns [x] with [L·Lᵀ·x = b] (forward then transposed
-    backward sweep, both "eager"). *)
+(** [solve f b] returns [x] with [L·Lᵀ·x = b]: {!solve_view} on a copy
+    of [b] (an eager forward sweep, then a DOT backward sweep through the
+    columns of [L]).  A zero diagonal, which only a corrupted factor has,
+    freezes the sweep as in {!solve_view}. *)
 
 val solve_in_place : ?prec:Precision.t -> factors -> Vector.t -> unit
-(** Allocation-free {!solve}: overwrites [b] with the solution (the hot
-    path of the block-Jacobi apply). *)
+(** Allocation-free {!solve}: overwrites [b] with the solution. *)
 
 (** {2 Batch-view variants}
 

@@ -88,7 +88,7 @@ let factor_explicit ?prec m =
   f
 
 (* Implicit-pivoting elimination of the n-by-n block [w] (column-major,
-   offset 0), shared by the reference and the batch view.
+   offset 0): the body of [factor_implicit_view], run on its gathered tile.
    [step.(r)] = elimination step at which row r was chosen as pivot (the
    paper's [p]); on return it is a total map from rows to packed rows. *)
 let[@inline] implicit_k prec w step n =
@@ -143,74 +143,14 @@ let[@inline] implicit_k prec w step n =
   end;
   !info
 
-let implicit_elim prec w step n =
-  match prec with
-  | Precision.Double -> (implicit_k [@inlined]) Precision.Double w step n
-  | Single -> (implicit_k [@inlined]) Precision.Single w step n
-
-let factor_implicit_status ?(prec = Precision.Double) m =
-  let n = check_square m "Lu.factor_implicit" in
-  let w = Matrix.copy m in
-  let step = Array.make n (-1) in
-  let info = implicit_elim prec w.Matrix.a step n in
-  (* Combined row swap, fused with the write-back in the real kernel:
-     the row pivoted at step k lands in row k of the packed factors. *)
-  let perm = Array.make n 0 in
-  Array.iteri (fun r k -> perm.(k) <- r) step;
-  ({ lu = Matrix.permute_rows w perm; perm }, info)
-
-let factor_implicit ?prec m =
-  let f, info = factor_implicit_status ?prec m in
-  if info <> 0 then raise (Singular (info - 1));
-  f
-
-let[@inline] nopivot_k prec wa n =
-  let info = ref 0 in
-  (try
-     for k = 0 to n - 1 do
-       let d = wa.(k + (k * n)) in
-       if d = 0.0 then begin
-         info := k + 1;
-         raise Exit
-       end;
-       for i = k + 1 to n - 1 do
-         wa.(i + (k * n)) <- R.div prec wa.(i + (k * n)) d
-       done;
-       for j = k + 1 to n - 1 do
-         let ukj = wa.(k + (j * n)) in
-         if ukj <> 0.0 then
-           for i = k + 1 to n - 1 do
-             wa.(i + (j * n)) <-
-               R.fma prec (-.wa.(i + (k * n))) ukj wa.(i + (j * n))
-           done
-       done
-     done
-   with Exit -> ());
-  !info
-
-let factor_nopivot_status ?(prec = Precision.Double) m =
-  let n = check_square m "Lu.factor_nopivot" in
-  let w = Matrix.copy m in
-  let info =
-    match prec with
-    | Precision.Double -> (nopivot_k [@inlined]) Precision.Double w.Matrix.a n
-    | Single -> (nopivot_k [@inlined]) Precision.Single w.Matrix.a n
-  in
-  ({ lu = w; perm = Array.init n (fun i -> i) }, info)
-
-let factor_nopivot ?prec m =
-  let f, info = factor_nopivot_status ?prec m in
-  if info <> 0 then raise (Singular (info - 1));
-  f
-
 (* ------------------------------------------------------------------ *)
 (* In-place batch-view factorizations for the direct-execution fast path
-   ([Vblu_simt.Sampling.run]'s [?direct]): the same freeze-on-breakdown
-   numerics as the [_status] references above, restated over a column-major
-   n-by-n block living at [off] inside a batch value array — no [Matrix]
-   wrapper, no allocation.  Each element sees the same once-rounded
-   [Precision] op sequence as under the warp interpreter, so outputs are
-   bitwise identical to a simulated execution. *)
+   ([Vblu_simt.Sampling.run]'s [?direct]) and, at offset 0 and unit
+   stride, for the Matrix-level references below: a column-major n-by-n
+   block living at [off] inside a batch value array — no [Matrix] wrapper,
+   no allocation.  Each element sees the same once-rounded [Precision] op
+   sequence as under the warp interpreter, so outputs are bitwise
+   identical to a simulated execution. *)
 
 let factor_implicit_view ?(prec = Precision.Double) ?(stride = 1) ~src ~dst
     ~off ~n ~tile ~step ~perm () =
@@ -218,10 +158,16 @@ let factor_implicit_view ?(prec = Precision.Double) ?(stride = 1) ~src ~dst
      interleaved layouts): element e of the block lives at
      [off + stride*e].  The gather packs the block contiguously so the
      elimination runs stride-free; only the copy edges are strided. *)
-  for e = 0 to (n * n) - 1 do
-    tile.(e) <- src.(off + (stride * e))
-  done;
-  let info = implicit_elim prec tile step n in
+  if stride = 1 then Array.blit src off tile 0 (n * n)
+  else
+    for e = 0 to (n * n) - 1 do
+      tile.(e) <- src.(off + (stride * e))
+    done;
+  let info =
+    match prec with
+    | Precision.Double -> (implicit_k [@inlined]) Precision.Double tile step n
+    | Single -> (implicit_k [@inlined]) Precision.Single tile step n
+  in
   for r = 0 to n - 1 do
     perm.(step.(r)) <- r
   done;
@@ -273,6 +219,29 @@ let factor_nopivot_view ?(prec = Precision.Double) ?(stride = 1) ~src ~dst ~off
   | Precision.Double ->
     (nopivot_view_k [@inlined]) Precision.Double stride dst off n
   | Single -> (nopivot_view_k [@inlined]) Precision.Single stride dst off n
+
+(* The Matrix-level references are the views at offset 0 and unit
+   stride, writing into a fresh matrix, so they compute the kernels' bits. *)
+let factor_implicit_status ?prec m =
+  let n = check_square m "Lu.factor_implicit" in
+  let lu = Matrix.create n n and perm = Array.make n 0 in
+  let info =
+    factor_implicit_view ?prec ~src:m.Matrix.a ~dst:lu.Matrix.a ~off:0 ~n
+      ~tile:(Array.create_float (n * n)) ~step:(Array.make n 0) ~perm ()
+  in
+  ({ lu; perm }, info)
+
+let factor_implicit ?prec m =
+  let f, info = factor_implicit_status ?prec m in
+  if info <> 0 then raise (Singular (info - 1));
+  f
+
+let factor_nopivot ?prec m =
+  let n = check_square m "Lu.factor_nopivot" in
+  let lu = Matrix.create n n in
+  match factor_nopivot_view ?prec ~src:m.Matrix.a ~dst:lu.Matrix.a ~off:0 ~n () with
+  | 0 -> { lu; perm = Array.init n Fun.id }
+  | info -> raise (Singular (info - 1))
 
 let solve ?(prec = Precision.Double) f b =
   Trsv.solve ~prec f.lu f.perm b

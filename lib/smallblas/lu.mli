@@ -51,12 +51,14 @@ val factor_explicit : ?prec:Precision.t -> Matrix.t -> factors
 
 val factor_implicit : ?prec:Precision.t -> Matrix.t -> factors
 (** The paper's implicit-pivoting LU.  Same contract and — by construction —
-    same result as {!factor_explicit}. *)
+    same result as {!factor_explicit}.  It is {!factor_implicit_view} into
+    a fresh matrix, so its bits are the batched kernel's. *)
 
 val factor_nopivot : ?prec:Precision.t -> Matrix.t -> factors
 (** LU without any pivoting ([perm] is the identity).  Only safe for
     matrices that are known to need no pivoting (e.g. diagonally dominant);
-    used by stability ablations.  @raise Singular on a zero pivot. *)
+    used by stability ablations.  It is {!factor_nopivot_view} into a
+    fresh matrix.  @raise Singular on a zero pivot. *)
 
 (** {2 Batch-view variants}
 

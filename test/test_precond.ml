@@ -391,6 +391,90 @@ let test_cholesky_variant_on_nonsym_falls_back () =
      /. (1.0 +. Vector.norm_inf r)
     < 1e-10)
 
+(* The Cholesky variant applies the batched Cholesky kernel's bits: on a
+   block-diagonal SPD system with blocks of every order 1..32, its apply
+   equals [Batched_cholesky.factor] plus [solve] on the extracted blocks,
+   bit for bit, whether the kernels run interpreted (cache off) or on the
+   direct path (a warm cache).  Values are pre-rounded to the precision,
+   as the kernels stage them. *)
+let test_cholesky_variant_is_the_kernel () =
+  let module C = Vblu_simt.Launch.Cache in
+  let module Batch = Vblu_core.Batch in
+  let module Bc = Vblu_core.Batched_cholesky in
+  let sizes = Array.init 32 (fun i -> i + 1) in
+  let starts = Array.make 32 0 in
+  for i = 1 to 31 do
+    starts.(i) <- starts.(i - 1) + sizes.(i - 1)
+  done;
+  let n = starts.(31) + sizes.(31) in
+  let bitwise x y =
+    Array.length x = Array.length y
+    && Array.for_all2
+         (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+         x y
+  in
+  List.iter
+    (fun prec ->
+      let st = Random.State.make [| 107 |] in
+      let draw () = Precision.round prec (Random.State.float st 2.0 -. 1.0) in
+      (* Symmetric with a dominant positive diagonal: SPD. *)
+      let dense = Matrix.create n n in
+      Array.iteri
+        (fun b s ->
+          let o = starts.(b) in
+          for j = 0 to s - 1 do
+            let d = float_of_int s +. Random.State.float st 1.0 in
+            Matrix.set dense (o + j) (o + j) (Precision.round prec d);
+            for i = j + 1 to s - 1 do
+              let v = draw () in
+              Matrix.set dense (o + i) (o + j) v;
+              Matrix.set dense (o + j) (o + i) v
+            done
+          done)
+        sizes;
+      let a = Csr.of_dense dense in
+      let r = Array.init n (fun _ -> draw ()) in
+      let p, info =
+        Block_jacobi.create ~prec ~variant:Block_jacobi.Cholesky
+          ~blocking:{ Supervariable.starts; sizes } a
+      in
+      Alcotest.(check (list int)) "no singular blocks" []
+        info.Block_jacobi.singular_blocks;
+      let y = Preconditioner.apply p r in
+      let kernels () =
+        let blocks =
+          Batch.of_matrices
+            (Array.mapi
+               (fun i s -> Csr.extract_block a ~row_start:starts.(i) ~size:s)
+               sizes)
+        in
+        let f = Bc.factor ~prec blocks in
+        Alcotest.(check bool) "every block factors" true
+          (Array.for_all (( = ) 0) f.Bc.info);
+        let rhs =
+          Batch.vec_of_vectors
+            (Array.mapi (fun i s -> Array.sub r starts.(i) s) sizes)
+        in
+        let x = Bc.solve ~prec ~factors:f.Bc.factors rhs in
+        let x = x.Vblu_core.Batched_trsv.solutions in
+        Array.concat (List.init 32 (Batch.vec_get x))
+      in
+      let name = Precision.to_string prec in
+      C.set_enabled false;
+      let interpreted =
+        Fun.protect ~finally:(fun () -> C.set_enabled true) kernels
+      in
+      Alcotest.(check bool) (name ^ " apply = interpreted kernels") true
+        (bitwise y interpreted);
+      ignore (kernels ());
+      let d0 = C.direct_hits () in
+      let direct = kernels () in
+      Alcotest.(check bool) (name ^ " warm kernels run direct") true
+        (C.direct_hits () > d0);
+      Alcotest.(check bool) (name ^ " apply = direct kernels") true
+        (bitwise y direct))
+    [ Precision.Double; Precision.Single ]
+
 let test_identity_preconditioner () =
   let p = Preconditioner.identity 3 in
   let r = [| 1.0; 2.0; 3.0 |] in
@@ -611,6 +695,8 @@ let () =
           Alcotest.test_case "variants agree" `Quick test_variants_agree;
           Alcotest.test_case "dimension checks" `Quick test_dimension_checks;
           Alcotest.test_case "identity" `Quick test_identity_preconditioner;
+          Alcotest.test_case "cholesky is the batched kernel" `Quick
+            test_cholesky_variant_is_the_kernel;
           Alcotest.test_case "cholesky fallback" `Quick
             test_cholesky_variant_on_nonsym_falls_back;
         ] );

@@ -691,6 +691,27 @@ let test_setup_cache_repeat_in_wave () =
   Alcotest.(check int) "the last occurrence owns the entry" 0
     r3.Batcher.setup_fresh_blocks
 
+(* The cache holds 256 fingerprints and evicts the oldest first: after
+   257 distinct patterns (diagonal matrices of orders 1..257) the first
+   is gone and the second is still found. *)
+let test_setup_cache_fifo_eviction () =
+  let diag n =
+    Csr.create ~n_rows:n ~n_cols:n ~row_ptr:(Array.init (n + 1) Fun.id)
+      ~col_idx:(Array.init n Fun.id) ~values:(Array.make n 2.0)
+  in
+  let h = Vblu_precond.Block_jacobi.handle ~max_block_size:1 (diag 1) in
+  let cache = Setup_cache.create () in
+  let found n =
+    Setup_cache.find cache Setup_cache.Jacobi ~a:(diag n) ~max_block_size:1
+    <> None
+  in
+  for n = 1 to 257 do
+    Setup_cache.store cache Setup_cache.Jacobi ~a:(diag n) ~max_block_size:1 h
+  done;
+  Alcotest.(check bool) "first pattern evicted" false (found 1);
+  Alcotest.(check bool) "second pattern kept" true (found 2);
+  Alcotest.(check bool) "newest pattern kept" true (found 257)
+
 (* A copy of [p] whose diagonal entries drift bitwise (each with
    probability 1/3, by a few ulps): same pattern, so a recurring request
    reuses the clean blocks of its cached setup. *)
@@ -879,6 +900,8 @@ let () =
             `Quick test_setup_cache_singular_recurring;
           Alcotest.test_case "tenant repeated in one wave reuses setup"
             `Quick test_setup_cache_repeat_in_wave;
+          Alcotest.test_case "fifo eviction at 256 patterns" `Quick
+            test_setup_cache_fifo_eviction;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

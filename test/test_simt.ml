@@ -111,7 +111,7 @@ let test_gmem_roundtrip () =
   let v = load w mem addrs in
   check_float "loaded" 39.0 v.(31);
   Warp.store w mem addrs (Array.make 32 0.5);
-  check_float "stored" 0.5 (Gmem.get mem 8)
+  check_float "stored" 0.5 (Gmem.raw mem).(8)
 
 let test_coalescing_counts () =
   let count f =
@@ -146,7 +146,7 @@ let test_gmem_precision_staging () =
   let mem = Gmem.of_array Precision.Single [| 0.1 |] in
   check_float "rounded on staging"
     (Precision.round Precision.Single 0.1)
-    (Gmem.get mem 0)
+    (Gmem.raw mem).(0)
 
 let test_smem_bank_conflicts () =
   let w = fresh () in
@@ -170,7 +170,7 @@ let test_counter_add_scale () =
   a.Counter.gmem_rounds <- 2;
   let b = Counter.scale_into a 3.0 in
   check_float "scaled fma" 6.0 b.Counter.fma_instrs;
-  Alcotest.(check int) "scaled bytes" 300 (Counter.bytes b);
+  check_float "scaled bytes" 300.0 b.Counter.gmem_bytes;
   Alcotest.(check int) "rounds not scaled" 2 b.Counter.gmem_rounds;
   let acc = Counter.create () in
   Counter.add acc a;
