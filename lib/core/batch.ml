@@ -116,6 +116,11 @@ let create ?layout sizes =
   let b = shape ?layout sizes in
   { b with values = Array.make b.offsets.(b.count) 0.0 }
 
+let with_values b values =
+  if Array.length values <> b.offsets.(b.count) then
+    invalid_arg "Batch.with_values: length mismatch";
+  { b with values }
+
 let layout b = b.layout
 let base b i = b.offsets.(i)
 let stride b i = b.widths.(i)
@@ -206,7 +211,7 @@ let with_layout layout b =
 
 let count b = b.count
 
-let total_values b = Array.length b.values
+let total_values b = b.offsets.(b.count)
 
 let uniform_sizes ~count ~size =
   if count < 0 then invalid_arg "Batch.uniform_sizes: negative count";
@@ -273,6 +278,11 @@ let vec_shape ?(layout = Blocked) sizes =
 let vec_create ?layout sizes =
   let v = vec_shape ?layout sizes in
   { v with vvalues = Array.make v.voffsets.(v.vcount) 0.0 }
+
+let vec_with_values v vvalues =
+  if Array.length vvalues <> v.voffsets.(v.vcount) then
+    invalid_arg "Batch.vec_with_values: length mismatch";
+  { v with vvalues }
 
 let vec_layout v = v.vlayout
 let vec_base v i = v.voffsets.(i)

@@ -62,6 +62,13 @@ val shape : ?layout:layout -> int array -> t
     addressing and cache salts without allocating storage.  Kernels must
     not be launched on it. *)
 
+val with_values : t -> float array -> t
+(** [with_values b values] is a batch with [b]'s geometry (sharing its
+    sizes and offset tables) over [values], adopted without a copy — how a
+    launch returns the device buffer its kernels wrote.  [b] may be a
+    {!shape}.
+    @raise Invalid_argument unless [values] has {!total_values} entries. *)
+
 val of_matrices : ?layout:layout -> Matrix.t array -> t
 (** Packs square matrices into a batch.  An empty array yields an empty
     batch ([count = 0]), which every batched kernel treats as a no-op.
@@ -115,7 +122,8 @@ val cohort_salt : t -> int -> int
 val count : t -> int
 
 val total_values : t -> int
-(** Storage length of [values], interleaved padding included. *)
+(** Storage length of the batch, interleaved padding included: the length
+    of [values], or the length a {!shape} would need. *)
 
 val uniform_sizes : count:int -> size:int -> int array
 (** The fixed-size batch shape of the kernel benchmarks.  [count = 0]
@@ -168,6 +176,10 @@ val vec_create : ?layout:layout -> int array -> vec
 
 val vec_shape : ?layout:layout -> int array -> vec
 (** The values-free {!vec_create}, as {!shape} is for matrix batches. *)
+
+val vec_with_values : vec -> float array -> vec
+(** {!with_values} for vector batches.
+    @raise Invalid_argument unless the length is [voffsets.(vcount)]. *)
 
 val vec_layout : vec -> layout
 val vec_base : vec -> int -> int

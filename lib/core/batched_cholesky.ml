@@ -135,10 +135,7 @@ let factor ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
     Sampling.run ~cfg ~pool ?obs ~name:"potrf" ?cache ?direct ~prec ~mode
       ~sizes:b.Batch.sizes ~kernel ()
   in
-  let factors = Batch.create ~layout:(Batch.layout b) b.Batch.sizes in
-  let values = Gmem.to_array gout in
-  Array.blit values 0 factors.Batch.values 0 (Array.length values);
-  { factors; info; stats }
+  { factors = Batch.with_values b (Gmem.raw gout); info; stats }
 
 (* Solve arena slots. *)
 let t_b = 0
@@ -286,11 +283,8 @@ let solve ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
     Sampling.run ~cfg ~pool ?obs ~name:"potrs" ?cache ?direct ~prec ~mode
       ~sizes:factors.Batch.sizes ~kernel ()
   in
-  let solutions = Batch.vec_create ~layout:rhs.Batch.vlayout rhs.Batch.vsizes in
-  let values = Gmem.to_array gout in
-  Array.blit values 0 solutions.Batch.vvalues 0 (Array.length values);
   {
-    Batched_trsv.solutions;
+    Batched_trsv.solutions = Batch.vec_with_values rhs (Gmem.raw gout);
     info;
     (* Cholesky solves carry no ABFT instrumentation (yet). *)
     verdicts = Array.make factors.Batch.count Vblu_fault.Fault.Unchecked;

@@ -136,7 +136,4 @@ let multiply ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
     Sampling.run ~cfg ~pool ?obs ~name ?cache ?direct ~prec ~mode:Sampling.Exact
       ~sizes:a.Batch.sizes ~kernel:kern ()
   in
-  let products = Batch.create ~layout:(Batch.layout a) a.Batch.sizes in
-  let values = Gmem.to_array gout in
-  Array.blit values 0 products.Batch.values 0 (Array.length values);
-  { products; stats }
+  { products = Batch.with_values a (Gmem.raw gout); stats }

@@ -385,8 +385,8 @@ let factor ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
   (* Pivot vectors live in their own device buffer, one entry per row,
      laid out like the batch (a vector batch over the same sizes shares
      the matrix batch's cohort geometry). *)
-  let pvec = Batch.vec_create ~layout:(Batch.layout b) b.Batch.sizes in
-  let gpiv = Gmem.create prec (Array.length pvec.Batch.vvalues) in
+  let pvec = Batch.vec_shape ~layout:(Batch.layout b) b.Batch.sizes in
+  let gpiv = Gmem.create prec pvec.Batch.voffsets.(pvec.Batch.vcount) in
   let pivots = Array.make b.Batch.count [||] in
   let info = Array.make b.Batch.count 0 in
   let verdicts = Array.make b.Batch.count Fault.Unchecked in
@@ -483,11 +483,5 @@ let factor ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
       ~sizes:b.Batch.sizes ~kernel ()
   in
   Vblu_obs.Ctx.record_verdicts obs verdicts;
-  let values = Gmem.to_array gout in
-  let factors =
-    (* Rebuild a batch sharing the shape (and layout) of the input. *)
-    let out = Batch.create ~layout:(Batch.layout b) b.Batch.sizes in
-    Array.blit values 0 out.Batch.values 0 (Array.length values);
-    out
-  in
+  let factors = Batch.with_values b (Gmem.raw gout) in
   { factors; pivots; info; verdicts; stats }

@@ -192,15 +192,6 @@ let solve ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
       ~sizes:factors.Batch.sizes ~kernel ()
   in
   let solutions =
-    Array.mapi
-      (fun r g ->
-        let out =
-          Batch.vec_create ~layout:rhs_sets.(r).Batch.vlayout
-            rhs_sets.(r).Batch.vsizes
-        in
-        let values = Gmem.to_array g in
-        Array.blit values 0 out.Batch.vvalues 0 (Array.length values);
-        out)
-      gouts
+    Array.mapi (fun r g -> Batch.vec_with_values rhs_sets.(r) (Gmem.raw g)) gouts
   in
   { solutions; info; stats }

@@ -392,10 +392,5 @@ let solve ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
       ~sizes:factors.Batch.sizes ~kernel ()
   in
   Vblu_obs.Ctx.record_verdicts obs verdicts;
-  let solutions =
-    let out = Batch.vec_create ~layout:rhs.Batch.vlayout rhs.Batch.vsizes in
-    let values = Gmem.to_array gout in
-    Array.blit values 0 out.Batch.vvalues 0 (Array.length values);
-    out
-  in
+  let solutions = Batch.vec_with_values rhs (Gmem.raw gout) in
   { solutions; info; verdicts; stats }

@@ -276,7 +276,7 @@ let extract ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
     ?(prec = Precision.Double) ?(strategy = Shared_memory) ?obs (a : Csr.t)
     ~block_starts ~block_sizes =
   validate cfg a ~block_starts ~block_sizes;
-  let blocks = Batch.create block_sizes in
+  let blocks = Batch.shape block_sizes in
   let gout = Gmem.create prec (Batch.total_values blocks) in
   (* Device staging waits for the first problem that is interpreted: a
      launch served entirely by the direct path never needs it.  Domains
@@ -323,7 +323,4 @@ let extract ?(cfg = Config.p100) ?(pool = Vblu_par.Pool.sequential)
         | Shared_memory -> "extract.shared")
       ~cache ~direct ~prec ~mode:Sampling.Exact ~sizes:block_sizes ~kernel ()
   in
-  let out = Batch.create block_sizes in
-  let values = Gmem.to_array gout in
-  Array.blit values 0 out.Batch.values 0 (Array.length values);
-  { blocks = out; stats }
+  { blocks = Batch.with_values blocks (Gmem.raw gout); stats }

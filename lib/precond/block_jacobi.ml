@@ -219,25 +219,28 @@ let matrix_corrupt mat (site : Fault.site) =
    vector w = A·e and accept iff A·u - w stays within the backward-stable
    envelope rowwise, evaluated against the matrix that was actually
    factored (the perturbed copy under a [Perturb] rescue — a deliberate
-   diagonal shift must not read as corruption). *)
+   diagonal shift must not read as corruption).  A solve that breaks down
+   on the corrupted factors (a zeroed pivot) fails the check too. *)
 let abft_ok ~prec mfact (solver : block_solver) =
   let s, _ = Matrix.dims mfact in
   let e = Array.make s 1.0 in
   let w = Matrix.gemv ~prec mfact e in
-  let u = solver.solve w in
-  let au = Matrix.gemv ~prec mfact u in
-  let eps = Precision.eps prec in
-  let ok = ref true in
-  for r = 0 to s - 1 do
-    let scale = ref (Float.abs w.(r)) in
-    for c = 0 to s - 1 do
-      scale := !scale +. Float.abs (mfact.Matrix.a.(r + (c * s)) *. u.(c))
+  match solver.solve w with
+  | exception Error.Singular _ -> false
+  | u ->
+    let au = Matrix.gemv ~prec mfact u in
+    let eps = Precision.eps prec in
+    let ok = ref true in
+    for r = 0 to s - 1 do
+      let scale = ref (Float.abs w.(r)) in
+      for c = 0 to s - 1 do
+        scale := !scale +. Float.abs (mfact.Matrix.a.(r + (c * s)) *. u.(c))
+      done;
+      let tol = 1024.0 *. float_of_int s *. eps *. !scale in
+      if (not (Float.is_finite au.(r))) || Float.abs (au.(r) -. w.(r)) > tol then
+        ok := false
     done;
-    let tol = 1024.0 *. float_of_int s *. eps *. !scale in
-    if (not (Float.is_finite au.(r))) || Float.abs (au.(r) -. w.(r)) > tol then
-      ok := false
-  done;
-  !ok
+    !ok
 
 let block_solvers ~pool ~prec ~variant ~policy ~faults ~abft ~recovery blocks =
   let k = Array.length blocks in

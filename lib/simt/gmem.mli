@@ -17,8 +17,12 @@ val create : Precision.t -> int -> t
 (** [create prec n] allocates [n] scalars of zero. *)
 
 val of_array : Precision.t -> float array -> t
-(** Stages host data; values are rounded to [prec] on the way in, as a
-    host-to-device copy of a narrower type would. *)
+(** Stages host data as a launch input.  In [Double] the buffer {e is}
+    the host array — no copy; in [Single] it is a copy rounded to [prec],
+    as a host-to-device copy of a narrower type would be.  Contract: a
+    launch stores only into {!create} buffers, never through one staged
+    here, so its inputs leave the launch bitwise unchanged (fault
+    injection corrupts store targets and loaded registers only). *)
 
 val prec : t -> Precision.t
 
@@ -27,13 +31,12 @@ val corrupt : t -> int -> (float -> float) -> unit
     {e bypassing} the precision rounding of staging — the hook fault
     injection uses to model a raw DRAM bit flip. *)
 
-val to_array : t -> float array
-(** Host-side copy of the full contents. *)
-
 val raw : t -> float array
-(** The live backing store — no copy, no traffic counted.  The
-    direct-execution fast path reads and writes device values in place
-    through it.  Writers must store only values already representable at
-    {!prec}: the batch-view kernels do, since every value they produce went
-    through a rounding [Precision] op (and {!of_array} pre-rounds staged
-    inputs). *)
+(** The live backing store — no copy, no traffic counted: the host array
+    itself for a Double {!of_array} buffer.  The direct-execution fast
+    path reads inputs and writes {!create} outputs in place through it,
+    and a finished launch adopts its output buffer as the result batch's
+    values.  Writers must store only values already representable at
+    {!prec}: the batch-view kernels do, since every value they produce
+    went through a rounding [Precision] op (and {!of_array} pre-rounds
+    Single inputs). *)

@@ -240,6 +240,40 @@ let test_block_ilu0_update () =
         (4, 8))
     precs
 
+let test_launch_major_words () =
+  (* A warm Double launch reads its input batch in place and returns the
+     buffer its kernels wrote: the major heap takes that one output buffer
+     (plus the LU's pivot vector), not also a staged input copy, a
+     copy-out and a result batch to blit it into.  Every batch-sized
+     buffer here is far above [Max_young_wosize], so it is allocated on
+     the major heap directly. *)
+  let st = state 11 in
+  let sizes =
+    Batch.random_sizes ~state:st ~count:200 ~min_size:1 ~max_size:32 ()
+  in
+  let b = Batch.random_diagdom ~state:st sizes in
+  let rhs = Batch.vec_random ~state:st sizes in
+  let total = float_of_int (Batch.total_values b) in
+  let per_value f =
+    f ();
+    let _, _, m0 = Gc.counters () in
+    f ();
+    let _, _, m1 = Gc.counters () in
+    (m1 -. m0) /. total
+  in
+  let lu = Batched_lu.factor b in
+  let getrf = per_value (fun () -> ignore (Batched_lu.factor b)) in
+  let trsv =
+    per_value (fun () ->
+        ignore
+          (Batched_trsv.solve ~factors:lu.Batched_lu.factors
+             ~pivots:lu.Batched_lu.pivots rhs))
+  in
+  if getrf >= 1.5 then
+    Alcotest.failf "warm getrf: %.2f major words per batch value" getrf;
+  if trsv >= 0.5 then
+    Alcotest.failf "warm trsv: %.2f major words per batch value" trsv
+
 let test_idr_iteration () =
   (* Each IDR(4) iteration allocates the identity preconditioner's result
      (n floats plus a header) and a size-independent constant — s-vectors
@@ -944,7 +978,7 @@ let qcheck_bit_identity =
          cold.Batched_trsm.info.(0));
       (* Simulated memory and the warp's lane ops. *)
       (let g = Gmem.of_array prec v in
-       expect "gmem of_array" (Gmem.to_array g) (Array.map (Precision.round prec) v));
+       expect "gmem of_array" (Gmem.raw g) (Array.map (Precision.round prec) v));
       (let wp = Warp.create prec () in
        let lanes a = Array.init (Warp.size wp) (fun i -> a.(i mod n)) in
        let a = lanes v and b = lanes w and c = lanes (Array.sub m 0 n) in
@@ -1225,6 +1259,8 @@ let () =
           Alcotest.test_case "block-ilu0 warm update" `Quick
             test_block_ilu0_update;
           Alcotest.test_case "idr iteration" `Quick test_idr_iteration;
+          Alcotest.test_case "warm launch major words" `Quick
+            test_launch_major_words;
           Alcotest.test_case "warp lane ops" `Quick test_warp;
           Alcotest.test_case "zero words per Double call" `Quick
             test_zero_alloc;

@@ -155,6 +155,36 @@ let metrics_deterministic () =
   let first = metrics () in
   Alcotest.(check string) "second run's metrics" first (metrics ())
 
+(* A fault that zeroes a factor entry must end as a detected fault, not as
+   an uncaught breakdown in the ABFT check (cmdliner's exit 125).  Four
+   2×2 blocks [[2,1],[1,2]], every block faulted. *)
+let zeroed_factor_entry () =
+  let entries =
+    List.concat_map
+      (fun b ->
+        List.concat_map
+          (fun r ->
+            List.map
+              (fun c ->
+                Printf.sprintf "%d %d %s" ((2 * b) + r) ((2 * b) + c)
+                  (if r = c then "2.0" else "1.0"))
+              [ 1; 2 ])
+          [ 1; 2 ])
+      [ 0; 1; 2; 3 ]
+  in
+  let blocks = Filename.quote (write_mtx "8 8 16" entries) in
+  let args policy =
+    Printf.sprintf
+      "solve %s --block-size 2 --domains 1 --inject-faults \
+       seed=1,every=1,kind=set:0 --abft%s"
+      blocks policy
+  in
+  check_exit ~code:0 (args "") ();
+  let code, out, _ = run (args " --recovery-policy recompute") in
+  Alcotest.(check int) "recompute: exit code" 0 code;
+  Alcotest.(check bool) "recompute: every fired fault detected" true
+    (contains ~sub:"fired=4 detected=4 recovered=4 corrupt=0" out)
+
 let () =
   let _, root, _ = run "--help=plain" in
   let cmds = subcommands root in
@@ -168,6 +198,11 @@ let () =
         :: List.map (fun c -> Alcotest.test_case c `Quick (check_help c)) cmds
       );
       ("input errors", input_error_cases ());
+      ( "faults",
+        [
+          Alcotest.test_case "zeroed factor entry under abft" `Quick
+            zeroed_factor_entry;
+        ] );
       ( "metrics",
         [
           Alcotest.test_case "block-ilu0 solve metrics deterministic" `Quick

@@ -299,6 +299,23 @@ let qcheck_direct_lu_parity =
       && r.Batched_lu.info = reference.Batched_lu.info
       && stats_equal r.Batched_lu.stats reference.Batched_lu.stats)
 
+(* Symmetrize (lower triangle wins) and lift the diagonal so every block
+   is SPD and the Cholesky sweep runs unflagged — a breakdown would
+   de-certify the entry and mask the direct path. *)
+let spd_batch ?layout st sizes =
+  Batch.of_matrices ?layout
+    (Array.map
+       (fun s ->
+         let m = Matrix.random_diagdom ~state:st s in
+         for r = 0 to s - 1 do
+           for c = 0 to r - 1 do
+             Matrix.set m c r (Matrix.get m r c)
+           done;
+           Matrix.set m r r (Float.abs (Matrix.get m r r) +. float_of_int s)
+         done;
+         m)
+       sizes)
+
 let test_direct_all_kernels () =
   (* Every kernel exposing a direct closure, both precisions: bitwise
      value/info parity against the cache-off interpreter, with the direct
@@ -356,24 +373,7 @@ let test_direct_all_kernels () =
         ( r.Batched_gemm.products.Batch.values
           = reference.Batched_gemm.products.Batch.values,
           dh );
-      let spd =
-        (* Symmetrize (lower triangle wins) and lift the diagonal so every
-           block is SPD and the Cholesky sweep runs unflagged — a breakdown
-           would de-certify the entry and mask the direct path. *)
-        Batch.of_matrices
-          (Array.map
-             (fun s ->
-               let m = Matrix.random_diagdom ~state:st s in
-               for r = 0 to s - 1 do
-                 for c = 0 to r - 1 do
-                   Matrix.set m c r (Matrix.get m r c)
-                 done;
-                 Matrix.set m r r
-                   (Float.abs (Matrix.get m r r) +. float_of_int s)
-               done;
-               m)
-             sizes)
-      in
+      let spd = spd_batch st sizes in
       let ch = with_cache_off (fun () -> Batched_cholesky.factor ~prec spd) in
       let run_potrf () = Batched_cholesky.factor ~prec spd in
       let reference = with_cache_off run_potrf in
@@ -651,6 +651,149 @@ let test_extraction_no_alias () =
 (* ------------------------------------------------------------------ *)
 (* Config fingerprints                                                 *)
 
+(* ------------------------------------------------------------------ *)
+(* Launch inputs                                                       *)
+
+(* A Double launch reads its inputs in place and returns the buffer its
+   kernels wrote, so no run may change an input array by a bit or return
+   an output array [==] to an input.  Modes: cache off (interpreter
+   only), a cold cache, a warm cache (the second of two runs, served by
+   the direct path), and an armed gmem fault plan with ABFT, for the
+   kernels that take them. *)
+type launch_mode = Cache_off | Cold | Warm | Faulted
+
+type launch_case = {
+  kernel : string;
+  floats : float array list;  (** every float input *)
+  ints : int array list;  (** every int input *)
+  faultable : bool;  (** takes [?faults] and [~abft] *)
+  direct : bool;  (** a warm run is served by the direct path *)
+  run : Vblu_fault.Fault.Plan.t option -> float array list;
+}
+
+let launch_cases prec layout =
+  let sizes = [| 8; 8; 8; 16; 16; 32; 7; 7; 1; 1 |] in
+  let st = state 23 in
+  let b = Batch.random_general ~state:st ~layout sizes in
+  let spd = spd_batch ~layout st sizes in
+  let rhs = Batch.vec_random ~state:st ~layout sizes
+  and rhs2 = Batch.vec_random ~state:st ~layout sizes in
+  let c = Batch.random_general ~state:st ~layout sizes in
+  let lu = with_cache_off (fun () -> Batched_lu.factor ~prec b) in
+  let ch = with_cache_off (fun () -> Batched_cholesky.factor ~prec spd) in
+  let a, block_starts, block_sizes = random_extraction_input st in
+  let factors = lu.Batched_lu.factors and pivots = lu.Batched_lu.pivots in
+  let chf = ch.Batched_cholesky.factors in
+  let case ?(ints = []) ?(faultable = false) ?(direct = true) kernel floats
+      run =
+    { kernel; floats; ints; faultable; direct; run }
+  in
+  let getrf name pivoting =
+    case name [ b.Batch.values ] ~faultable:true
+      ~direct:(pivoting <> Batched_lu.Explicit) (fun faults ->
+        let r =
+          Batched_lu.factor ~prec ~pivoting ?faults ~abft:(faults <> None) b
+        in
+        [ r.Batched_lu.factors.Batch.values ])
+  in
+  let trsv name variant =
+    case name
+      [ factors.Batch.values; rhs.Batch.vvalues ]
+      ~ints:(Array.to_list pivots) ~faultable:true (fun faults ->
+        let r =
+          Batched_trsv.solve ~prec ~variant ?faults ~abft:(faults <> None)
+            ~factors ~pivots rhs
+        in
+        [ r.Batched_trsv.solutions.Batch.vvalues ])
+  in
+  [
+    case "extract" [ a.Vblu_sparse.Csr.values ]
+      ~ints:[ a.Vblu_sparse.Csr.row_ptr; a.Vblu_sparse.Csr.col_idx ]
+      (fun _ ->
+        let r = Extraction.extract ~prec a ~block_starts ~block_sizes in
+        [ r.Extraction.blocks.Batch.values ]);
+    getrf "getrf implicit" Batched_lu.Implicit;
+    getrf "getrf explicit" Batched_lu.Explicit;
+    getrf "getrf nopivot" Batched_lu.No_pivoting;
+    trsv "trsv eager" Batched_trsv.Eager;
+    trsv "trsv lazy" Batched_trsv.Lazy;
+    case "trsm"
+      [ factors.Batch.values; rhs.Batch.vvalues; rhs2.Batch.vvalues ]
+      ~ints:(Array.to_list pivots)
+      (fun _ ->
+        let r = Batched_trsm.solve ~prec ~factors ~pivots [| rhs; rhs2 |] in
+        Array.to_list
+          (Array.map (fun (v : Batch.vec) -> v.Batch.vvalues)
+             r.Batched_trsm.solutions));
+    case "gemm" [ b.Batch.values; spd.Batch.values; c.Batch.values ]
+      (fun _ ->
+        let r =
+          Batched_gemm.multiply ~prec ~alpha:1.25 ~beta:0.5 ~a:b ~b:spd ~c ()
+        in
+        [ r.Batched_gemm.products.Batch.values ]);
+    case "potrf" [ spd.Batch.values ] (fun _ ->
+        [ (Batched_cholesky.factor ~prec spd).Batched_cholesky.factors
+            .Batch.values ]);
+    case "potrs" [ chf.Batch.values; rhs.Batch.vvalues ] (fun _ ->
+        let r = Batched_cholesky.solve ~prec ~factors:chf rhs in
+        [ r.Batched_trsv.solutions.Batch.vvalues ]);
+  ]
+
+let check_launch_case name mode lc =
+  let fsnap = List.map Array.copy lc.floats
+  and isnap = List.map Array.copy lc.ints in
+  Launch.Cache.clear ();
+  let outs =
+    match mode with
+    | Cache_off -> with_cache_off (fun () -> lc.run None)
+    | Cold -> lc.run None
+    | Warm ->
+      ignore (lc.run None);
+      let outs = lc.run None in
+      Alcotest.(check bool) (name ^ ": served directly") lc.direct
+        (Launch.Cache.direct_hits () > 0);
+      outs
+    | Faulted ->
+      let module F = Vblu_fault.Fault in
+      lc.run (Some (F.Plan.make ~seed:5 ~every:2 ~target:F.Global ()))
+  in
+  Launch.Cache.clear ();
+  List.iter2
+    (fun snap x ->
+      Alcotest.(check bool) (name ^ ": input unchanged") true
+        (same_bits snap x))
+    fsnap lc.floats;
+  List.iter2
+    (fun snap x ->
+      Alcotest.(check (array int)) (name ^ ": int input unchanged") snap x)
+    isnap lc.ints;
+  List.iter
+    (fun o ->
+      Alcotest.(check bool) (name ^ ": output is not an input") false
+        (List.exists (fun i -> o == i) lc.floats))
+    outs
+
+let test_launch_inputs_untouched () =
+  List.iter
+    (fun prec ->
+      List.iter
+        (fun layout ->
+          List.iter
+            (fun lc ->
+              List.iter
+                (fun (mname, mode) ->
+                  if mode <> Faulted || lc.faultable then
+                    check_launch_case
+                      (String.concat " "
+                         [ lc.kernel; Precision.to_string prec;
+                           Batch.layout_name layout; mname ])
+                      mode lc)
+                [ ("cache off", Cache_off); ("cold", Cold); ("warm", Warm);
+                  ("gmem faults", Faulted) ])
+            (launch_cases prec layout))
+        [ Batch.Blocked; Batch.Interleaved ])
+    [ Precision.Double; Precision.Single ]
+
 let test_config_fingerprints () =
   Alcotest.(check bool) "p100 fingerprint stamped" true
     (Config.p100.Config.fingerprint <> 0);
@@ -747,6 +890,11 @@ let () =
           qtest qcheck_extraction_direct_parity;
           Alcotest.test_case "distinct patterns never alias" `Quick
             test_extraction_no_alias;
+        ] );
+      ( "launch inputs",
+        [
+          Alcotest.test_case "read in place, never written" `Quick
+            test_launch_inputs_untouched;
         ] );
       ( "config",
         [

@@ -328,6 +328,52 @@ let test_bj_degrade_and_fail_policies () =
   Alcotest.(check bool) "corruption actually landed" true
     (Vector.max_abs_diff (apply_to_ones clean) (apply_to_ones silent) > 0.0)
 
+(* A zeroed factor entry can zero a pivot, so the ABFT check's own solve
+   breaks down.  That must read as a failed check, for every variant:
+   recompute repairs every fired fault and [Fail] names a block, where the
+   LU check once let [Error.Singular] escape the setup. *)
+let test_bj_zeroed_entry_every_variant () =
+  let s = 2 and nb = 16 in
+  let m = Matrix.create (s * nb) (s * nb) in
+  for b = 0 to nb - 1 do
+    for r = 0 to s - 1 do
+      for c = 0 to s - 1 do
+        Matrix.unsafe_set m ((b * s) + r) ((b * s) + c)
+          (if r = c then 2.0 else 1.0)
+      done
+    done
+  done;
+  let a = Vblu_sparse.Csr.of_dense m in
+  let blocking = Vblu_precond.Supervariable.uniform ~n:(s * nb) ~block_size:s in
+  let plan () =
+    Fault.Plan.make ~seed:1 ~every:1 ~kind:(Fault.Set_value 0.0) ()
+  in
+  List.iter
+    (fun (name, variant) ->
+      let create ?faults ?abft ?recovery () =
+        Bj.create ~variant ?faults ?abft ?recovery ~blocking a
+      in
+      let clean, _ = create () in
+      let prot, info =
+        create ~faults:(plan ()) ~abft:true ~recovery:(Bj.Recompute 1) ()
+      in
+      Alcotest.(check (list int)) (name ^ ": nothing left corrupt") []
+        info.Bj.corrupt_blocks;
+      Alcotest.(check bool) (name ^ ": faults recovered") true
+        (info.Bj.recovered_blocks <> []);
+      check_float (name ^ ": recovered apply is bit-identical") 0.0
+        (Vector.max_abs_diff (apply_to_ones clean) (apply_to_ones prot));
+      match create ~faults:(plan ()) ~abft:true ~recovery:Bj.Fail () with
+      | exception Bj.Fault_detected _ -> ()
+      | _ -> Alcotest.failf "%s: recovery policy fail did not raise" name)
+    [
+      ("lu", Bj.Lu);
+      ("gh", Bj.Gh);
+      ("ght", Bj.Ght);
+      ("gje", Bj.Gje_inverse);
+      ("cholesky", Bj.Cholesky);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Krylov soft-error guard                                             *)
 
@@ -531,6 +577,8 @@ let () =
             test_bj_recovery_deterministic_across_domains;
           Alcotest.test_case "degrade and fail policies" `Quick
             test_bj_degrade_and_fail_policies;
+          Alcotest.test_case "zeroed entry, every variant" `Quick
+            test_bj_zeroed_entry_every_variant;
         ] );
       ( "krylov-guard",
         [
