@@ -7,6 +7,12 @@ open Vblu_perf
 
 let setup_logs () =
   Fmt_tty.setup_std_outputs ();
+  (* Setups log from pool domains; one lock keeps the shared formatter
+     consistent and each message whole. *)
+  let m = Mutex.create () in
+  Logs.set_reporter_mutex
+    ~lock:(fun () -> Mutex.lock m)
+    ~unlock:(fun () -> Mutex.unlock m);
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some Logs.Warning)
 
@@ -224,8 +230,8 @@ let with_study quick domains policy faults abft recovery ?obs f =
   setup_logs ();
   let progress msg = Printf.eprintf "[suite] %s\n%!" msg in
   let study =
-    Solver_study.run_suite ~quick ~pool:(pool_of domains) ~policy ?faults ~abft
-      ~recovery ?obs ~progress ()
+    Study.run ~quick ~pool:(pool_of domains) ~policy ?faults ~abft ~recovery
+      ?obs ~progress (Study.sweep ~quick)
   in
   f study;
   Format.pp_print_flush ppf ()
@@ -261,11 +267,7 @@ let suite_cmd =
 let precond_arg =
   let family_conv =
     Arg.enum
-      [
-        ("block-jacobi", Precond_study.Jacobi);
-        ("block-ilu0", Precond_study.Ilu0);
-        ("ras-ilu0", Precond_study.Ras);
-      ]
+      [ ("block-jacobi", `Jacobi); ("block-ilu0", `Ilu0); ("ras-ilu0", `Ras) ]
   in
   let doc =
     "Preconditioner family: $(b,block-jacobi) (default; decoupled \
@@ -274,10 +276,7 @@ let precond_arg =
      $(b,ras-ilu0) (restricted additive Schwarz over block-ILU(0) \
      subdomain solves)."
   in
-  Arg.(
-    value
-    & opt family_conv Precond_study.Jacobi
-    & info [ "precond" ] ~docv:"FAMILY" ~doc)
+  Arg.(value & opt family_conv `Jacobi & info [ "precond" ] ~docv:"FAMILY" ~doc)
 
 let subdomains_arg =
   Arg.(
@@ -346,8 +345,17 @@ let solve_cmd =
             "Batched factorization variant for the preconditioner \
              ($(b,block-jacobi) only).")
   in
-  let run file bound variant family subdomains overlap domains policy faults
-      abft recovery trace metrics =
+  let spec =
+    let make family variant bound subdomains overlap =
+      match family with
+      | `Jacobi -> Study.Block_jacobi (variant, bound)
+      | `Ilu0 -> Study.Ilu0 bound
+      | `Ras -> Study.Ras { bound; subdomains; overlap }
+    in
+    Term.(
+      const make $ precond_arg $ variant $ bound $ subdomains_arg $ overlap_arg)
+  in
+  let run file spec domains policy faults abft recovery trace metrics =
     setup_logs ();
     let a = read_matrix file in
     let n, _ = Vblu_sparse.Csr.dims a in
@@ -356,44 +364,41 @@ let solve_cmd =
       with_obs trace metrics @@ fun obs ->
       let pool = pool_of domains in
       Format.printf "matrix: %a@." Vblu_sparse.Csr.pp_stats a;
-      let stats =
-        match family with
-        | Precond_study.Jacobi ->
-          let make_precond () =
-            Vblu_precond.Block_jacobi.create ~pool ~variant ~policy ?faults
-              ~abft ~recovery ?obs ~max_block_size:bound a
-          in
-          let precond, info = make_precond () in
-          let refresh_precond =
-            if abft then Some (fun () -> fst (make_precond ())) else None
-          in
-          let _, stats =
-            Vblu_krylov.Idr.solve ~precond ?refresh_precond ?obs ~s:4 a b
-          in
-          Format.printf "preconditioner: %s (%d blocks, setup %.3fs)@."
-            precond.Vblu_precond.Preconditioner.name
-            (Array.length
-               info.Vblu_precond.Block_jacobi.blocking
-                 .Vblu_precond.Supervariable.starts)
-            precond.Vblu_precond.Preconditioner.setup_seconds;
-          let degraded = info.Vblu_precond.Block_jacobi.degraded_blocks
-          and perturbed = info.Vblu_precond.Block_jacobi.perturbed_blocks
-          and recovered = info.Vblu_precond.Block_jacobi.recovered_blocks
-          and corrupt = info.Vblu_precond.Block_jacobi.corrupt_blocks in
-          if degraded <> [] || perturbed <> [] then
-            Format.printf
-              "breakdowns (policy %s): %d identity-fallback, %d perturbed@."
-              (Vblu_precond.Block_jacobi.policy_name policy)
-              (List.length degraded) (List.length perturbed);
-          (match faults with
-          | None -> ()
-          | Some plan ->
-            let blocking = info.Vblu_precond.Block_jacobi.blocking in
+      let build ?obs () =
+        Study.build ~pool ~policy ?faults ~abft ~recovery ?obs spec a
+      in
+      let precond, info = build ?obs () in
+      let refresh_precond =
+        if abft then Some (fun () -> fst (build ())) else None
+      in
+      let _, stats =
+        Vblu_krylov.Idr.solve ~precond ?refresh_precond ?obs ~s:4 a b
+      in
+      let name = precond.Vblu_precond.Preconditioner.name
+      and setup = precond.Vblu_precond.Preconditioner.setup_seconds in
+      let blocks (blocking : Vblu_precond.Supervariable.blocking) =
+        Array.length blocking.Vblu_precond.Supervariable.starts
+      in
+      (match info with
+      | Study.Jacobi_info info ->
+        let module Bj = Vblu_precond.Block_jacobi in
+        let blocking = info.Bj.blocking in
+        Format.printf "preconditioner: %s (%d blocks, setup %.3fs)@." name
+          (blocks blocking) setup;
+        let degraded = info.Bj.degraded_blocks
+        and perturbed = info.Bj.perturbed_blocks
+        and recovered = info.Bj.recovered_blocks
+        and corrupt = info.Bj.corrupt_blocks in
+        if degraded <> [] || perturbed <> [] then
+          Format.printf
+            "breakdowns (policy %s): %d identity-fallback, %d perturbed@."
+            (Bj.policy_name policy) (List.length degraded)
+            (List.length perturbed);
+        Option.iter
+          (fun plan ->
             let planted =
               List.length
-                (Vblu_fault.Fault.Plan.targeted plan
-                   ~problems:
-                     (Array.length blocking.Vblu_precond.Supervariable.starts)
+                (Vblu_fault.Fault.Plan.targeted plan ~problems:(blocks blocking)
                    ~sizes:blocking.Vblu_precond.Supervariable.sizes)
             in
             Format.printf
@@ -401,42 +406,22 @@ let solve_cmd =
               planted
               (Vblu_fault.Fault.Plan.injected plan)
               (List.length recovered + List.length corrupt)
-              (List.length recovered) (List.length corrupt));
-          stats
-        | Precond_study.Ilu0 ->
-          let precond, info =
-            Vblu_precond.Block_ilu0.create ~pool ~policy ?faults ~abft ?obs
-              ~max_block_size:bound a
-          in
-          let _, stats = Vblu_krylov.Idr.solve ~precond ?obs ~s:4 a b in
-          Format.printf "preconditioner: %s (%d blocks, setup %.3fs)@."
-            precond.Vblu_precond.Preconditioner.name
-            (Array.length
-               info.Vblu_precond.Block_ilu0.blocking
-                 .Vblu_precond.Supervariable.starts)
-            precond.Vblu_precond.Preconditioner.setup_seconds;
-          report_ilu0 policy info;
-          stats
-        | Precond_study.Ras ->
-          let precond, rinfo =
-            Vblu_precond.Block_ilu0.ras ~pool ~policy ?faults ~abft ?obs
-              ~max_block_size:bound ~subdomains ~overlap a
-          in
-          let _, stats = Vblu_krylov.Idr.solve ~precond ?obs ~s:4 a b in
-          Format.printf "preconditioner: %s (setup %.3fs)@."
-            precond.Vblu_precond.Preconditioner.name
-            precond.Vblu_precond.Preconditioner.setup_seconds;
-          Array.iteri
-            (fun d (info : Vblu_precond.Block_ilu0.info) ->
-              let lo, hi = rinfo.Vblu_precond.Block_ilu0.extended.(d) in
-              Format.printf "  subdomain %d: rows [%d, %d), %d blocks@." d lo hi
-                (Array.length
-                   info.Vblu_precond.Block_ilu0.blocking
-                     .Vblu_precond.Supervariable.starts);
-              report_ilu0 ~indent:"    " policy info)
-            rinfo.Vblu_precond.Block_ilu0.local_info;
-          stats
-      in
+              (List.length recovered) (List.length corrupt))
+          faults
+      | Study.Ilu0_info info ->
+        Format.printf "preconditioner: %s (%d blocks, setup %.3fs)@." name
+          (blocks info.Vblu_precond.Block_ilu0.blocking)
+          setup;
+        report_ilu0 policy info
+      | Study.Ras_info rinfo ->
+        Format.printf "preconditioner: %s (setup %.3fs)@." name setup;
+        Array.iteri
+          (fun d (info : Vblu_precond.Block_ilu0.info) ->
+            let lo, hi = rinfo.Vblu_precond.Block_ilu0.extended.(d) in
+            Format.printf "  subdomain %d: rows [%d, %d), %d blocks@." d lo hi
+              (blocks info.Vblu_precond.Block_ilu0.blocking);
+            report_ilu0 ~indent:"    " policy info)
+          rinfo.Vblu_precond.Block_ilu0.local_info);
       Format.printf "IDR(4): %a@." Vblu_krylov.Solver.pp_stats stats;
       Vblu_krylov.Solver.converged stats
     in
@@ -456,9 +441,8 @@ let solve_cmd =
               ~doc:"the matrix file is unreadable, malformed or not square."
          :: Cmd.Exit.defaults))
     Term.(
-      const run $ file $ bound $ variant $ precond_arg $ subdomains_arg
-      $ overlap_arg $ domains_arg $ policy_arg $ faults_arg $ abft_arg
-      $ recovery_arg $ trace_arg $ metrics_arg)
+      const run $ file $ spec $ domains_arg $ policy_arg $ faults_arg
+      $ abft_arg $ recovery_arg $ trace_arg $ metrics_arg)
 
 let levels_cmd =
   let bound = block_size_arg 16 in
@@ -518,69 +502,57 @@ let levels_cmd =
           matrix or the whole suite.")
     Term.(const run $ bound $ matrix $ scalar)
 
-let precond_table ppf (study : Precond_study.t) =
-  let module PS = Precond_study in
+(* One row per matrix, one column group per spec; block-ILU(0)'s group
+   adds its level depths, waves and transactions. *)
+let precond_table ppf (study : Study.t) =
   let module S = Vblu_workloads.Suite in
   let entries =
     List.sort_uniq
       (fun (a : S.entry) b -> compare a.S.id b.S.id)
-      (List.map (fun (r : PS.run) -> r.PS.entry) study.PS.runs)
+      (List.map (fun (r : Study.run) -> r.Study.entry) study.Study.runs)
   in
-  Format.fprintf ppf "%-3s %-18s %-10s | %-16s | %-39s | %-16s@," "id"
-    "matrix" "family" "block-jacobi" "block-ilu0" "ras-ilu0";
-  Format.fprintf ppf
-    "%-3s %-18s %-10s | %6s %9s | %6s %7s %5s %8s %9s | %6s %9s@," "" "" ""
-    "iters" "us/apply" "iters" "lv(l+u)" "waves" "txns" "us/apply" "iters"
-    "us/apply";
-  let iters (r : PS.run) =
-    Printf.sprintf "%5d%s" r.PS.iterations
-      (if r.PS.converged then " " else "*")
-  in
+  let leveled = function Study.Ilu0 _ -> true | _ -> false in
+  let each f = List.iter f study.Study.specs in
+  Format.fprintf ppf "%-3s %-18s %-10s" "id" "matrix" "family";
+  each (fun s ->
+      Format.fprintf ppf " | %-*s"
+        (if leveled s then 39 else 16)
+        (Study.label s));
+  Format.fprintf ppf "@,%-3s %-18s %-10s" "" "" "";
+  each (fun s ->
+      if leveled s then
+        Format.fprintf ppf " | %6s %7s %5s %8s %9s" "iters" "lv(l+u)" "waves"
+          "txns" "us/apply"
+      else Format.fprintf ppf " | %6s %9s" "iters" "us/apply");
+  Format.fprintf ppf "@,";
   List.iter
     (fun (e : S.entry) ->
-      let j = PS.find study e PS.Jacobi
-      and i = PS.find study e PS.Ilu0
-      and r = PS.find study e PS.Ras in
-      Format.fprintf ppf "%3d %-18s %-10s |" e.S.id e.S.name
+      Format.fprintf ppf "%3d %-18s %-10s" e.S.id e.S.name
         (S.family_name e.S.family);
-      (match j with
-      | Some j ->
-        Format.fprintf ppf " %s %9.2f |" (iters j)
-          (j.PS.modelled_apply_seconds *. 1e6)
-      | None -> Format.fprintf ppf " %6s %9s |" "-" "-");
-      (match i with
-      | Some i ->
-        Format.fprintf ppf " %s %3d+%-3d %5d %8d %9.2f |" (iters i)
-          i.PS.lower_levels i.PS.upper_levels i.PS.apply_waves
-          i.PS.apply_transactions
-          (i.PS.modelled_apply_seconds *. 1e6)
-      | None ->
-        Format.fprintf ppf " %6s %7s %5s %8s %9s |" "-" "-" "-" "-" "-");
-      match r with
-      | Some r ->
-        Format.fprintf ppf " %s %9.2f@," (iters r)
-          (r.PS.modelled_apply_seconds *. 1e6)
-      | None -> Format.fprintf ppf " %6s %9s@," "-" "-")
+      each (fun s ->
+          match Study.find study e s with
+          | Some r ->
+            Format.fprintf ppf " | %5d%s" r.Study.iterations
+              (if r.Study.converged then " " else "*");
+            if leveled s then
+              Format.fprintf ppf " %3d+%-3d %5d %8d" r.Study.lower_levels
+                r.Study.upper_levels r.Study.apply_waves
+                r.Study.apply_transactions;
+            Format.fprintf ppf " %9.2f" (r.Study.modelled_apply_seconds *. 1e6)
+          | None ->
+            if leveled s then
+              Format.fprintf ppf " | %6s %7s %5s %8s %9s" "-" "-" "-" "-" "-"
+            else Format.fprintf ppf " | %6s %9s" "-" "-");
+      Format.fprintf ppf "@,")
     entries
 
-let improvement_summary ppf (study : Precond_study.t) =
-  let module PS = Precond_study in
-  let module S = Vblu_workloads.Suite in
-  let pairs = PS.iteration_improvements study in
-  let better ((j : PS.run), (i : PS.run)) = i.PS.iterations < j.PS.iterations in
-  let improved = List.filter better pairs in
-  let conv =
-    List.filter
-      (fun ((j : PS.run), _) -> j.PS.entry.S.family = S.Convection)
-      pairs
-  in
-  let conv_improved = List.filter better conv in
+let improvement_summary ppf (study : Study.t) =
+  let v = Study.ilu0_verdict study in
   Format.fprintf ppf
     "block-ilu0 reduced IDR(4) iterations on %d/%d matrices (%d/%d \
      convection-dominated)@,"
-    (List.length improved) (List.length pairs)
-    (List.length conv_improved)
-    (List.length conv)
+    v.Study.improved v.Study.compared v.Study.convection_improved
+    v.Study.convection
 
 let precond_cmd =
   let bound =
@@ -593,8 +565,8 @@ let precond_cmd =
     with_obs trace metrics @@ fun obs ->
     let progress msg = Printf.eprintf "[suite] %s\n%!" msg in
     let study =
-      Precond_study.run_suite ~quick ~max_block_size:bound ~subdomains
-        ~overlap ~pool:(pool_of domains) ~policy ?obs ~progress ()
+      Study.run ~quick ~pool:(pool_of domains) ~policy ?obs ~progress
+        (Study.families ~bound ~subdomains ~overlap)
     in
     Format.printf "@[<v>%a%a@]@." precond_table study improvement_summary
       study

@@ -1,7 +1,7 @@
 (** Block-ILU(0): pattern-restricted block incomplete LU with
     level-scheduled batched triangular solves.
 
-    The second preconditioner family (ROADMAP item 3).  Where
+    The second preconditioner family.  Where
     block-Jacobi factorizes the diagonal blocks and ignores everything
     else, block-ILU(0) keeps the whole matrix coupled [Bollhöfer et al.,
     "High Performance Block Incomplete LU Factorization"]: the rows are

@@ -842,25 +842,22 @@ let test_fail_retry_raises () =
 
 let test_ilu0_beats_jacobi_on_convection () =
   let module S = Vblu_workloads.Suite in
-  let module PS = Vblu_perf.Precond_study in
+  let module St = Vblu_perf.Study in
   let conv =
     List.filter (fun (e : S.entry) -> e.S.family = S.Convection) S.all
   in
-  let study = PS.run_suite ~entries:conv ~families:[ PS.Jacobi; PS.Ilu0 ] () in
-  let pairs = PS.iteration_improvements study in
-  let improved =
-    List.filter
-      (fun ((j : PS.run), (i : PS.run)) -> i.PS.iterations < j.PS.iterations)
-      pairs
+  let study =
+    St.run ~entries:conv [ St.Block_jacobi (Block_jacobi.Lu, 16); St.Ilu0 16 ]
   in
-  Alcotest.(check bool) "convection pairs found" true (pairs <> []);
+  let v = St.ilu0_verdict study in
+  Alcotest.(check bool) "convection pairs found" true (v.St.convection > 0);
   Alcotest.(check bool)
     (Printf.sprintf
        "block-ilu0 reduced iterations on %d/%d convection matrices, at least \
         half"
-       (List.length improved) (List.length pairs))
+       v.St.convection_improved v.St.convection)
     true
-    (2 * List.length improved >= List.length pairs)
+    (2 * v.St.convection_improved >= v.St.convection)
 
 (* ------------------------------------------------------------------ *)
 

@@ -185,6 +185,19 @@ let zeroed_factor_entry () =
   Alcotest.(check bool) "recompute: every fired fault detected" true
     (contains ~sub:"fired=4 detected=4 recovered=4 corrupt=0" out)
 
+(* Block-Jacobi setups log each identity fallback, and the study's
+   fan-out runs setups on two domains at once: their warnings must not
+   corrupt the shared log formatter (it raised [Queue.Empty], exit 125). *)
+let concurrent_fallback_warnings () =
+  let code, _, err =
+    run
+      "fig8 --quick --domains 2 --inject-faults seed=7,every=2 --abft \
+       --recovery-policy degrade"
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check bool) "fallbacks logged" true
+    (contains ~sub:"identity fallback" err)
+
 let () =
   let _, root, _ = run "--help=plain" in
   let cmds = subcommands root in
@@ -202,6 +215,8 @@ let () =
         [
           Alcotest.test_case "zeroed factor entry under abft" `Quick
             zeroed_factor_entry;
+          Alcotest.test_case "concurrent fallback warnings" `Quick
+            concurrent_fallback_warnings;
         ] );
       ( "metrics",
         [

@@ -142,49 +142,72 @@ let test_kernel_figs_run () =
   Kernel_figs.ablation_variable_size ~quick:true ppf
 
 let test_solver_study_and_figs () =
-  let study = Solver_study.run_suite ~quick:true () in
+  let study = Study.run ~quick:true (Study.sweep ~quick:true) in
   (* Quick mode: first 12 matrices, bounds 8 and 32: per matrix one scalar
      run, two variants per bound, plus GH-T and GJE at 32. *)
-  Alcotest.(check int) "run count" (12 * 7) (List.length study.Solver_study.runs);
+  Alcotest.(check int) "run count" (12 * 7) (List.length study.Study.runs);
   List.iter
-    (fun (r : Solver_study.run) ->
-      Alcotest.(check bool) "iterations recorded" true (r.Solver_study.iterations > 0);
+    (fun (r : Study.run) ->
+      Alcotest.(check bool) "iterations recorded" true (r.Study.iterations > 0);
       Alcotest.(check bool) "times nonnegative" true
-        (Solver_study.total_seconds r >= 0.0))
-    study.Solver_study.runs;
+        (Study.total_seconds r >= 0.0))
+    study.Study.runs;
   let entry = List.hd Vblu_workloads.Suite.all in
+  let lu bound = Study.Block_jacobi (Vblu_precond.Block_jacobi.Lu, bound) in
   Alcotest.(check bool) "find works" true
-    (Solver_study.find study entry Vblu_precond.Block_jacobi.Lu 8 <> None);
+    (Study.find study entry (lu 8) <> None);
   Alcotest.(check bool) "find misses absent bound" true
-    (Solver_study.find study entry Vblu_precond.Block_jacobi.Lu 12 = None);
+    (Study.find study entry (lu 12) = None);
   let ppf = null_formatter () in
   Solver_figs.fig8 ppf study;
   Solver_figs.fig9 ppf study;
   Solver_figs.table1 ppf study;
   Solver_figs.ablation_variants ppf study
 
-(* The precond study's job fan-out must not perturb results: a
-   multi-domain pool produces bitwise the same iteration counts and
-   modelled numbers as the sequential loop. *)
-let test_precond_study_pool_identity () =
+(* The study's job fan-out must not perturb results: every spec kind, on
+   a 3-domain pool, gives bitwise the same runs, trace and metrics as the
+   sequential loop. *)
+let test_study_pool_identity () =
+  let module Obs = Vblu_obs in
   let entries = List.filteri (fun i _ -> i < 2) Vblu_workloads.Suite.all in
-  let families = [ Precond_study.Jacobi; Precond_study.Ilu0 ] in
-  let seq = Precond_study.run_suite ~entries ~families () in
-  let pool = Vblu_par.Pool.create ~num_domains:3 () in
-  let par = Precond_study.run_suite ~entries ~families ~pool () in
-  Alcotest.(check int) "run count" (List.length seq.Precond_study.runs)
-    (List.length par.Precond_study.runs);
+  let specs =
+    Study.sweep ~quick:true @ Study.families ~bound:16 ~subdomains:4 ~overlap:8
+  in
+  let run domains =
+    let tr = Obs.Trace.create () and mx = Obs.Metrics.create () in
+    let pool = Vblu_par.Pool.create ~num_domains:domains () in
+    let study =
+      Study.run ~entries ~pool ~obs:(Obs.Ctx.v ~trace:tr ~metrics:mx ()) specs
+    in
+    ( study,
+      Obs.Jsonx.to_string (Obs.Trace.to_chrome_json tr),
+      Obs.Jsonx.to_string (Obs.Metrics.to_json mx) )
+  in
+  let seq, seq_trace, seq_metrics = run 1 in
+  let par, par_trace, par_metrics = run 3 in
+  Alcotest.(check int) "run count"
+    (List.length entries * List.length specs)
+    (List.length par.Study.runs);
   List.iter2
-    (fun (a : Precond_study.run) (b : Precond_study.run) ->
-      Alcotest.(check int) "iterations" a.Precond_study.iterations
-        b.Precond_study.iterations;
-      Alcotest.(check int) "apply transactions"
-        a.Precond_study.apply_transactions b.Precond_study.apply_transactions;
-      Alcotest.(check bool) "modelled apply bitwise" true
+    (fun (a : Study.run) (b : Study.run) ->
+      let name = Study.label a.Study.spec in
+      Alcotest.(check bool) (name ^ " spec") true (a.Study.spec = b.Study.spec);
+      Alcotest.(check int) (name ^ " iterations") a.Study.iterations
+        b.Study.iterations;
+      Alcotest.(check bool) (name ^ " converged") a.Study.converged
+        b.Study.converged;
+      Alcotest.(check int) (name ^ " blocks") a.Study.blocks b.Study.blocks;
+      Alcotest.(check int) (name ^ " degraded") a.Study.degraded
+        b.Study.degraded;
+      Alcotest.(check int) (name ^ " apply transactions")
+        a.Study.apply_transactions b.Study.apply_transactions;
+      Alcotest.(check bool) (name ^ " modelled apply bitwise") true
         (Int64.equal
-           (Int64.bits_of_float a.Precond_study.modelled_apply_seconds)
-           (Int64.bits_of_float b.Precond_study.modelled_apply_seconds)))
-    seq.Precond_study.runs par.Precond_study.runs
+           (Int64.bits_of_float a.Study.modelled_apply_seconds)
+           (Int64.bits_of_float b.Study.modelled_apply_seconds)))
+    seq.Study.runs par.Study.runs;
+  Alcotest.(check bool) "trace identical" true (seq_trace = par_trace);
+  Alcotest.(check bool) "metrics identical" true (seq_metrics = par_metrics)
 
 let () =
   Alcotest.run "perf"
@@ -208,7 +231,7 @@ let () =
           Alcotest.test_case "kernel figures (quick)" `Slow test_kernel_figs_run;
           Alcotest.test_case "solver study (quick)" `Slow
             test_solver_study_and_figs;
-          Alcotest.test_case "precond study pool identity" `Quick
-            test_precond_study_pool_identity;
+          Alcotest.test_case "study pool identity" `Quick
+            test_study_pool_identity;
         ] );
     ]
