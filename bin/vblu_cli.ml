@@ -317,6 +317,26 @@ let report_ilu0 ?(indent = "  ") policy (info : Vblu_precond.Block_ilu0.info) =
       tx
       (s.Bi.modelled_seconds *. 1e6)
 
+(* The [faults:] line of a solve under [--inject-faults]: the faults the
+   plan fired, the detections ABFT made, and the blocks a rescue recovered
+   or left corrupt.  [detected] counts in the unit the plan fires in: a
+   block-Jacobi block is one launch problem, an ILU(0) block two (its
+   normal and transposed factorizations).  [planted] counts the blocks the
+   plan targets, which only block-Jacobi's launch indices name; ILU(0)
+   factors its blocks in wave launches, so its line has no planted
+   field. *)
+let report_faults ?planted faults ~detected ~recovered ~corrupt =
+  Option.iter
+    (fun plan ->
+      let planted =
+        Option.fold ~none:"" ~some:(Printf.sprintf "planted=%d ") planted
+      in
+      Format.printf "faults: %sfired=%d detected=%d recovered=%d corrupt=%d@."
+        planted
+        (Vblu_fault.Fault.Plan.injected plan)
+        detected recovered corrupt)
+    faults
+
 let solve_cmd =
   let file =
     Arg.(
@@ -394,34 +414,44 @@ let solve_cmd =
             "breakdowns (policy %s): %d identity-fallback, %d perturbed@."
             (Bj.policy_name policy) (List.length degraded)
             (List.length perturbed);
-        Option.iter
-          (fun plan ->
-            let planted =
+        let planted =
+          Option.map
+            (fun plan ->
               List.length
-                (Vblu_fault.Fault.Plan.targeted plan ~problems:(blocks blocking)
-                   ~sizes:blocking.Vblu_precond.Supervariable.sizes)
-            in
-            Format.printf
-              "faults: planted=%d fired=%d detected=%d recovered=%d corrupt=%d@."
-              planted
-              (Vblu_fault.Fault.Plan.injected plan)
-              (List.length recovered + List.length corrupt)
-              (List.length recovered) (List.length corrupt))
-          faults
+                (Vblu_fault.Fault.Plan.targeted plan
+                   ~problems:(blocks blocking)
+                   ~sizes:blocking.Vblu_precond.Supervariable.sizes))
+            faults
+        in
+        let recovered = List.length recovered
+        and corrupt = List.length corrupt in
+        report_faults ?planted faults ~detected:(recovered + corrupt)
+          ~recovered ~corrupt
       | Study.Ilu0_info info ->
+        let module Bi = Vblu_precond.Block_ilu0 in
         Format.printf "preconditioner: %s (%d blocks, setup %.3fs)@." name
-          (blocks info.Vblu_precond.Block_ilu0.blocking)
-          setup;
-        report_ilu0 policy info
+          (blocks info.Bi.blocking) setup;
+        report_ilu0 policy info;
+        report_faults faults ~detected:info.Bi.abft_failures
+          ~recovered:(List.length info.Bi.recovered_blocks)
+          ~corrupt:(List.length info.Bi.corrupt_blocks)
       | Study.Ras_info rinfo ->
+        let module Bi = Vblu_precond.Block_ilu0 in
         Format.printf "preconditioner: %s (setup %.3fs)@." name setup;
         Array.iteri
-          (fun d (info : Vblu_precond.Block_ilu0.info) ->
-            let lo, hi = rinfo.Vblu_precond.Block_ilu0.extended.(d) in
+          (fun d (info : Bi.info) ->
+            let lo, hi = rinfo.Bi.extended.(d) in
             Format.printf "  subdomain %d: rows [%d, %d), %d blocks@." d lo hi
-              (blocks info.Vblu_precond.Block_ilu0.blocking);
+              (blocks info.Bi.blocking);
             report_ilu0 ~indent:"    " policy info)
-          rinfo.Vblu_precond.Block_ilu0.local_info);
+          rinfo.Bi.local_info;
+        let sum f =
+          Array.fold_left (fun acc info -> acc + f info) 0 rinfo.Bi.local_info
+        in
+        report_faults faults
+          ~detected:(sum (fun i -> i.Bi.abft_failures))
+          ~recovered:(sum (fun i -> List.length i.Bi.recovered_blocks))
+          ~corrupt:(sum (fun i -> List.length i.Bi.corrupt_blocks)));
       Format.printf "IDR(4): %a@." Vblu_krylov.Solver.pp_stats stats;
       Vblu_krylov.Solver.converged stats
     in

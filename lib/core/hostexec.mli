@@ -8,7 +8,9 @@
     is race-free. *)
 
 type t = {
-  tile : float array;  (** [32 × 32] dense scratch tile. *)
+  tile : float array;
+      (** [32 × 32] dense scratch tile; during implicit-pivoting LU it
+          holds the block row-major ([tile.(r*n + j)]). *)
   src : float array;
       (** second [32 × 32] tile: an input block staged (rounded,
           transposed) for a view that reads it. *)

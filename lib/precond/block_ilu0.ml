@@ -28,6 +28,7 @@ type info = {
   perturbed_blocks : int list;
   recovered_blocks : int list;
   corrupt_blocks : int list;
+  abft_failures : int;
   setup_launches : int;
   setup_modelled_seconds : float;
   last_apply : apply_stats option ref;
@@ -120,6 +121,9 @@ type state = {
   s_breakdown : bool array;  (* rows whose LU launch flagged a breakdown *)
   s_pending : bool array;  (* rows a raising update left re-eliminated *)
   s_buf : float array;  (* permuted right-hand side of one diagonal solve *)
+  mutable s_failures : int;
+      (* failed ABFT verdicts over the last build's or update's LU
+         launches, rescues included *)
   mutable s_memo : memo option;
   s_last_apply : apply_stats option ref;
 }
@@ -202,6 +206,7 @@ let init_state ~pool ~prec ~layout ~policy ~faults ~abft ~obs ~blk (a : Csr.t) =
     s_breakdown = Array.make k false;
     s_pending = Array.make k false;
     s_buf = Array.make (Array.fold_left max 1 sizes) 0.0;
+    s_failures = 0;
     s_memo = None;
     s_last_apply = ref None;
   }
@@ -483,6 +488,12 @@ let eliminate st (mask : bool array) =
     modelled := !modelled +. (ls.Launch.time_us *. 1e-6)
   in
   let failed = function Fault.Failed -> true | _ -> false in
+  st.s_failures <- 0;
+  let count_failures verdicts =
+    Array.iter
+      (fun v -> if failed v then st.s_failures <- st.s_failures + 1)
+      verdicts
+  in
   let store i fn ft pn pt =
     st.s_flu.(i) <- fn;
     st.s_tlu.(i) <- ft;
@@ -584,6 +595,7 @@ let eliminate st (mask : bool array) =
     let db = Batch.of_matrices ~layout mats in
     let lu = Batched_lu.factor ?pool ~prec ?faults ~abft ?obs db in
     note lu.Batched_lu.stats;
+    count_failures lu.Batched_lu.verdicts;
     let factors = Batch.to_matrices lu.Batched_lu.factors in
     let broken p =
       lu.Batched_lu.info.(p) <> 0
@@ -634,6 +646,7 @@ let eliminate st (mask : bool array) =
       let rb = Batch.of_matrices ~layout rmats in
       let rlu = Batched_lu.factor ?pool ~prec ?faults ~abft ?obs rb in
       note rlu.Batched_lu.stats;
+      count_failures rlu.Batched_lu.verdicts;
       let rfactors = Batch.to_matrices rlu.Batched_lu.factors in
       Array.iteri
         (fun q (i, kind) ->
@@ -896,6 +909,7 @@ let handle_info h =
     perturbed_blocks = o.Block_jacobi.perturbed_blocks;
     recovered_blocks = o.Block_jacobi.recovered_blocks;
     corrupt_blocks = o.Block_jacobi.corrupt_blocks;
+    abft_failures = st.s_failures;
     setup_launches = h.h_last.Block_jacobi.launches;
     setup_modelled_seconds = h.h_last.Block_jacobi.modelled_seconds;
     last_apply = st.s_last_apply;

@@ -90,6 +90,11 @@ type info = {
   corrupt_blocks : int list;
       (** blocks still failing ABFT after rescue (identity fallback),
           ascending; also counted in [degraded_blocks]. *)
+  abft_failures : int;
+      (** failed ABFT verdicts over the LU launches of the most recent
+          build or update, rescues included.  A block is two
+          factorization problems (normal and transposed), so this counts
+          detections in the unit a fault plan fires in. *)
   setup_launches : int;  (** batched kernel launches issued by setup. *)
   setup_modelled_seconds : float;
       (** summed modelled time of the setup launches. *)

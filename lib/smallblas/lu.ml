@@ -87,47 +87,106 @@ let factor_explicit ?prec m =
   if info <> 0 then raise (Singular (info - 1));
   f
 
-(* Implicit-pivoting elimination of the n-by-n block [w] (column-major,
+(* Index in [act.(0 .. na-1)] of the first row whose column-[col] entry has
+   the largest magnitude: the strict [>] keeps the first maximum in row
+   order, and a NaN neither wins nor loses a comparison, so ties and NaNs
+   resolve as the kernel's predicated warp reduction does. *)
+let[@inline] pivot_index w act na n col =
+  let best = ref 0 and mag = ref (Float.abs w.((act.(0) * n) + col)) in
+  for i = 1 to na - 1 do
+    let m = Float.abs w.((act.(i) * n) + col) in
+    if m > !mag then begin
+      best := i;
+      mag := m
+    end
+  done;
+  !best
+
+(* Drop entry [i] of the ascending list [act.(0 .. na-1)], keeping the
+   order. *)
+let[@inline] remove (act : int array) na i =
+  for a = i to na - 2 do
+    act.(a) <- act.(a + 1)
+  done
+
+(* Implicit-pivoting elimination of the n-by-n block [w] (row-major,
    offset 0): the body of [factor_implicit_view], run on its gathered tile.
    [step.(r)] = elimination step at which row r was chosen as pivot (the
-   paper's [p]); on return it is a total map from rows to packed rows. *)
-let[@inline] implicit_k prec w step n =
+   paper's [p]); on return it is a total map from rows to packed rows.
+   [act] holds the rows not yet pivoted, ascending — the host form of the
+   warp's predicated lanes.  Steps run in pairs (k, k+1): scale column k
+   and update column k+1, pick pivot k+1, finish step k on that pivot
+   row, then give every other row [fma(-l1, u1j, fma(-l0, u0j, w))] in
+   one unit-stride pass.  Each element receives the one-step schedule's
+   once-rounded ops in the same order, so the bits are that schedule's
+   (DESIGN §5i). *)
+let[@inline] implicit_k prec w step act n =
   for r = 0 to n - 1 do
-    step.(r) <- -1
+    step.(r) <- -1;
+    act.(r) <- r
   done;
-  let info = ref 0 in
-  (try
-     for k = 0 to n - 1 do
-       (* Pivot search restricted to rows not yet pivoted — in the kernel
-          this is a predicated warp reduction over column k. *)
-       let piv = ref (-1) in
-       for r = 0 to n - 1 do
-         if
-           step.(r) < 0
-           && (!piv < 0
-              || Float.abs w.(r + (k * n)) > Float.abs w.(!piv + (k * n)))
-         then piv := r
-       done;
-       let d = w.(!piv + (k * n)) in
-       if d = 0.0 then begin
-         info := k + 1;
-         raise Exit
-       end;
-       step.(!piv) <- k;
-       (* Every still-unpivoted row scales its k-th element and updates its
-          trailing part against the pivot row — no data movement. *)
-       for r = 0 to n - 1 do
-         if step.(r) < 0 then begin
-           let l = R.div prec w.(r + (k * n)) d in
-           w.(r + (k * n)) <- l;
-           for j = k + 1 to n - 1 do
-             w.(r + (j * n)) <-
-               R.fma prec (-.l) w.(!piv + (j * n)) w.(r + (j * n))
-           done
-         end
-       done
-     done
-   with Exit -> ());
+  let info = ref 0 and na = ref n and k = ref 0 in
+  while !info = 0 && !k < n do
+    let k0 = !k in
+    let i0 = pivot_index w act !na n k0 in
+    let p0 = act.(i0) in
+    let d0 = w.((p0 * n) + k0) in
+    if d0 = 0.0 then info := k0 + 1
+    else begin
+      step.(p0) <- k0;
+      remove act !na i0;
+      decr na;
+      let k1 = k0 + 1 and r0 = p0 * n in
+      if k1 = n then k := n
+      else begin
+        (* Step k on columns k and k+1 only, so pivot k+1 can be picked. *)
+        let u0 = w.(r0 + k1) in
+        for a = 0 to !na - 1 do
+          let ri = act.(a) * n in
+          let l0 = R.div prec w.(ri + k0) d0 in
+          w.(ri + k0) <- l0;
+          w.(ri + k1) <- R.fma prec (-.l0) u0 w.(ri + k1)
+        done;
+        let i1 = pivot_index w act !na n k1 in
+        let p1 = act.(i1) in
+        let d1 = w.((p1 * n) + k1) in
+        if d1 = 0.0 then begin
+          (* Breakdown at k+1: finish step k everywhere, apply nothing of
+             step k+1. *)
+          for a = 0 to !na - 1 do
+            let ri = act.(a) * n in
+            let l0 = w.(ri + k0) in
+            for j = k1 + 1 to n - 1 do
+              w.(ri + j) <- R.fma prec (-.l0) w.(r0 + j) w.(ri + j)
+            done
+          done;
+          info := k1 + 1
+        end
+        else begin
+          step.(p1) <- k1;
+          remove act !na i1;
+          decr na;
+          let r1 = p1 * n in
+          let l0 = w.(r1 + k0) in
+          for j = k1 + 1 to n - 1 do
+            w.(r1 + j) <- R.fma prec (-.l0) w.(r0 + j) w.(r1 + j)
+          done;
+          for a = 0 to !na - 1 do
+            let ri = act.(a) * n in
+            let l0 = w.(ri + k0) in
+            let l1 = R.div prec w.(ri + k1) d1 in
+            w.(ri + k1) <- l1;
+            for j = k1 + 1 to n - 1 do
+              w.(ri + j) <-
+                R.fma prec (-.l1) w.(r1 + j)
+                  (R.fma prec (-.l0) w.(r0 + j) w.(ri + j))
+            done
+          done;
+          k := k1 + 1
+        end
+      end
+    end
+  done;
   (* A breakdown at step k leaves rows unpivoted; they take the remaining
      steps k, k+1, ... in increasing row order so the fused write-back
      permutation stays total (and deterministic — the kernel applies the
@@ -156,25 +215,28 @@ let factor_implicit_view ?(prec = Precision.Double) ?(stride = 1) ~src ~dst
     ~off ~n ~tile ~step ~perm () =
   (* [stride] is the batch's element stride (1 = blocked, cohort width for
      interleaved layouts): element e of the block lives at
-     [off + stride*e].  The gather packs the block contiguously so the
-     elimination runs stride-free; only the copy edges are strided. *)
-  if stride = 1 then Array.blit src off tile 0 (n * n)
-  else
-    for e = 0 to (n * n) - 1 do
-      tile.(e) <- src.(off + (stride * e))
-    done;
+     [off + stride*e].  The gather transposes the column-major block into
+     a row-major tile, so the elimination runs stride-free along rows;
+     only the copy edges are strided.  [perm] is the active-row list's
+     scratch until the pivot map overwrites it. *)
+  for j = 0 to n - 1 do
+    for r = 0 to n - 1 do
+      tile.((r * n) + j) <- src.(off + (stride * (r + (j * n))))
+    done
+  done;
   let info =
     match prec with
-    | Precision.Double -> (implicit_k [@inlined]) Precision.Double tile step n
-    | Single -> (implicit_k [@inlined]) Precision.Single tile step n
+    | Precision.Double -> (implicit_k [@inlined]) Precision.Double tile step perm n
+    | Single -> (implicit_k [@inlined]) Precision.Single tile step perm n
   in
   for r = 0 to n - 1 do
     perm.(step.(r)) <- r
   done;
-  (* Fused write-back permutation: row [r] lands in packed row [step.(r)]. *)
+  (* Fused write-back permutation, transposing back to column-major: row
+     [r] lands in packed row [step.(r)]. *)
   for j = 0 to n - 1 do
     for r = 0 to n - 1 do
-      dst.(off + (stride * (step.(r) + (j * n)))) <- tile.(r + (j * n))
+      dst.(off + (stride * (step.(r) + (j * n)))) <- tile.((r * n) + j)
     done
   done;
   info

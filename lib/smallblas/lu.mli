@@ -87,8 +87,10 @@ val factor_implicit_view :
 (** Implicit-pivoting factorization of the block at [src.(off ...)], written
     to [dst.(off ...)] packed in pivot order (the fused write-back row swap
     of the batched kernel).  [tile] (length ≥ [n²]) and [step] (length ≥
-    [n]) are caller-owned scratch; [perm] (length ≥ [n]) receives the
-    step-to-original-row permutation.  [src] and [dst] must be distinct
+    [n]) are caller-owned scratch; the elimination runs on [tile] holding
+    the block row-major.  [perm] (length ≥ [n]) receives the
+    step-to-original-row permutation, and serves as the list of
+    unpivoted rows until then.  [src] and [dst] must be distinct
     arrays.  Returns [info]. *)
 
 val factor_nopivot_view :

@@ -526,7 +526,9 @@ module Ref = struct
      with Exit -> ());
     !info
 
-  (* Implicit-pivoting LU, packed in pivot order, freeze on a zero pivot. *)
+  (* Implicit-pivoting LU one step at a time over a column-major copy,
+     scanning every row for the unpivoted ones: packed in pivot order,
+     freeze on a zero pivot.  Returns the factors, [perm] and [info]. *)
   let lu_implicit p n src =
     let w = Array.copy src and step = Array.make n (-1) in
     let info = ref 0 in
@@ -555,13 +557,14 @@ module Ref = struct
      with Exit -> ());
     let next = ref (max 0 (!info - 1)) in
     Array.iteri (fun r s -> if s < 0 then (step.(r) <- !next; incr next)) step;
-    let out = Array.make (n * n) 0.0 in
+    let out = Array.make (n * n) 0.0 and perm = Array.make n 0 in
     for j = 0 to n - 1 do
       for r = 0 to n - 1 do
         out.(step.(r) + (j * n)) <- w.(r + (j * n))
       done
     done;
-    (out, !info)
+    Array.iteri (fun r s -> perm.(s) <- r) step;
+    (out, perm, !info)
 
   (* Right-looking Cholesky on the lower triangle, no [ljk] skip. *)
   let cholesky p n src =
@@ -868,7 +871,7 @@ let qcheck_bit_identity =
        expect "pair_lazy_view" b (strided b');
        expect_int "pair_lazy_view info" info info');
       (* LU: the reference status factorization and the batch view. *)
-      (let want, info' = Ref.lu_implicit prec n m in
+      (let want, _, info' = Ref.lu_implicit prec n m in
        let f, info = Lu.factor_implicit_status ~prec mat in
        expect "factor_implicit_status" f.Lu.lu.Matrix.a want;
        expect_int "factor_implicit_status info" info info';
@@ -993,6 +996,94 @@ let qcheck_bit_identity =
        Warp.sqrt_into wp ~dst a;
        expect "warp sqrt" dst (Array.map (fun x -> Precision.round prec (sqrt x)) a));
       true)
+
+(* The implicit-pivoting view (row-major tile, active-row list, two steps
+   per trailing pass) against the one-step reference: factors, [perm] and
+   [info] bitwise, at a nonzero offset and stride, in both precisions. *)
+let check_lu_view ~prec ~n ~off ~stride m =
+  let want, perm', info' = Ref.lu_implicit prec n m in
+  let place a =
+    let out = Array.make (off + (stride * n * n)) 7.0 in
+    Array.iteri (fun e x -> out.(off + (stride * e)) <- x) a;
+    out
+  in
+  let dst = place (Array.make (n * n) 5.0) and perm = Array.make n (-1) in
+  let info =
+    Lu.factor_implicit_view ~prec ~stride ~src:(place m) ~dst ~off ~n
+      ~tile:(Array.make (n * n) 0.0) ~step:(Array.make n 0) ~perm ()
+  in
+  (bits_equal dst (place want) && perm = perm' && info = info', info')
+
+(* Orders 1..32.  Besides dense blocks with specials, three shapes aim at
+   the pivot logic: entries from {0, ±1} (ties and breakdowns anywhere),
+   a zero column at a random position over generic entries (the first
+   zero pivot at that step, so at either half of a step pair), and small
+   integers with NaN and -0.0 mixed in (NaN and signed-zero pivot
+   candidates among tied magnitudes). *)
+let gen_lu_case =
+  QCheck.Gen.(
+    int_range 1 32 >>= fun n ->
+    let generic = map (fun x -> x -. 1.0) (float_bound_inclusive 2.0) in
+    let entries g = array_size (return (n * n)) g in
+    oneof
+      [
+        map (fun m -> ("specials", m)) (gen_array (n * n));
+        map (fun m -> ("0/±1", m)) (entries (oneofl [ 0.0; 1.0; -1.0 ]));
+        ( int_range 0 (n - 1) >>= fun c ->
+          map
+            (fun m ->
+              ( Printf.sprintf "zero column %d" c,
+                Array.mapi (fun e x -> if e / n = c then 0.0 else x) m ))
+            (entries generic) );
+        map
+          (fun m -> ("NaN/-0.0/ties", m))
+          (entries (oneofl [ 0.0; -0.0; 1.0; -1.0; 2.0; -2.0; Float.nan ]));
+      ]
+    >>= fun (shape, m) ->
+    int_range 0 3 >>= fun off ->
+    int_range 1 3 >>= fun stride ->
+    bool >>= fun single -> return (n, shape, m, off, stride, single))
+
+let qcheck_lu_view =
+  QCheck.Test.make ~count:1500
+    ~name:"implicit LU view ≡ one-step reference, bitwise"
+    (QCheck.make gen_lu_case ~print:(fun (n, shape, _, off, stride, single) ->
+         Printf.sprintf "n=%d %s off=%d stride=%d %s" n shape off stride
+           (if single then "single" else "double")))
+    (fun (n, _, m, off, stride, single) ->
+      fst (check_lu_view ~prec:(prec_of single) ~n ~off ~stride m))
+
+(* A zero column at every position of blocks of both parities, in both
+   precisions, unit and strided: the first zero pivot lands on each step,
+   so on both halves of a step pair, and [info] names it. *)
+let test_lu_freeze () =
+  List.iter
+    (fun prec ->
+      List.iter
+        (fun n ->
+          for c = 0 to n - 1 do
+            let m =
+              Array.init (n * n) (fun e ->
+                  let i = e mod n and j = e / n in
+                  if j = c then 0.0
+                  else if i = j then 0.25 +. float_of_int i
+                  else 1.0 /. float_of_int (2 + ((5 * i) + (3 * j)) mod 11))
+            in
+            List.iter
+              (fun (off, stride) ->
+                let same, info =
+                  check_lu_view ~prec ~n ~off ~stride m
+                in
+                let name =
+                  Printf.sprintf "%s n=%d zero column %d off %d stride %d"
+                    (Precision.to_string prec) n c off stride
+                in
+                Alcotest.(check int) (name ^ " info") (c + 1) info;
+                Alcotest.(check bool) (name ^ " frozen state") true same)
+              [ (0, 1); (3, 2) ]
+          done)
+        [ 7; 8 ])
+    precs
 
 (* A zero diagonal of U at every step of the upper sweep, at both
    parities of the two-column pass, in both precisions and both stride
@@ -1271,6 +1362,9 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_gemm_view;
           Alcotest.test_case "eager pair breakdown freeze" `Quick
             test_eager_freeze;
+          QCheck_alcotest.to_alcotest qcheck_lu_view;
+          Alcotest.test_case "implicit LU breakdown freeze" `Quick
+            test_lu_freeze;
           Alcotest.test_case "NaN pivot" `Quick test_nan_pivot;
           Alcotest.test_case "non-finite direct kernels" `Quick
             test_nonfinite_direct;
