@@ -121,15 +121,33 @@ let recovery_conv =
 
 let recovery_arg =
   let doc =
-    "What to do with a diagonal block whose ABFT check fails: \
-     $(b,recompute[:N]) (default, N=1) refactorizes up to N times, \
-     $(b,degrade) replaces the block with the identity, $(b,fail) \
-     aborts with Fault_detected."
+    "What to do with a diagonal block whose ABFT check fails, in every \
+     preconditioner family: $(b,recompute[:N]) (default, N=1) \
+     refactorizes up to N times, $(b,degrade) replaces the block with the \
+     identity, $(b,fail) aborts with Fault_detected (exit 3)."
   in
   Arg.(
     value
     & opt recovery_conv (Vblu_precond.Block_jacobi.Recompute 1)
     & info [ "recovery-policy" ] ~docv:"POLICY" ~doc)
+
+(* A [fail] breakdown or recovery policy ends a setup by raising; the
+   command prints the exception's one line, which names it and the block,
+   and exits 3. *)
+let policy_exits f =
+  match f () with
+  | v -> v
+  | exception
+      (( Vblu_precond.Block_jacobi.Singular_block _
+       | Vblu_precond.Block_jacobi.Fault_detected _ ) as e) ->
+    Printf.eprintf "vblu: %s\n%!" (Printexc.to_string e);
+    exit 3
+
+let policy_exit_info =
+  Cmd.Exit.info 3
+    ~doc:
+      "a $(b,fail) breakdown or recovery policy rejected a diagonal block \
+       (stderr names Singular_block or Fault_detected and the block)."
 
 let pool_of n = Vblu_par.Pool.create ~num_domains:n ()
 let ppf = Format.std_formatter
@@ -230,8 +248,9 @@ let with_study quick domains policy faults abft recovery ?obs f =
   setup_logs ();
   let progress msg = Printf.eprintf "[suite] %s\n%!" msg in
   let study =
-    Study.run ~quick ~pool:(pool_of domains) ~policy ?faults ~abft ~recovery
-      ?obs ~progress (Study.sweep ~quick)
+    policy_exits (fun () ->
+        Study.run ~quick ~pool:(pool_of domains) ~policy ?faults ~abft
+          ~recovery ?obs ~progress (Study.sweep ~quick))
   in
   f study;
   Format.pp_print_flush ppf ()
@@ -242,7 +261,8 @@ let solver_cmd name doc driver =
         with_study quick domains policy faults abft recovery ?obs (fun study ->
             driver ppf study))
   in
-  Cmd.v (Cmd.info name ~doc)
+  Cmd.v
+    (Cmd.info name ~doc ~exits:(policy_exit_info :: Cmd.Exit.defaults))
     Term.(
       const run $ quick_arg $ domains_arg $ policy_arg $ faults_arg $ abft_arg
       $ recovery_arg $ trace_arg $ metrics_arg)
@@ -387,12 +407,13 @@ let solve_cmd =
       let build ?obs () =
         Study.build ~pool ~policy ?faults ~abft ~recovery ?obs spec a
       in
-      let precond, info = build ?obs () in
+      let precond, info = policy_exits (fun () -> build ?obs ()) in
       let refresh_precond =
         if abft then Some (fun () -> fst (build ())) else None
       in
       let _, stats =
-        Vblu_krylov.Idr.solve ~precond ?refresh_precond ?obs ~s:4 a b
+        policy_exits (fun () ->
+            Vblu_krylov.Idr.solve ~precond ?refresh_precond ?obs ~s:4 a b)
       in
       let name = precond.Vblu_precond.Preconditioner.name
       and setup = precond.Vblu_precond.Preconditioner.setup_seconds in
@@ -469,7 +490,7 @@ let solve_cmd =
                iteration limit (the $(b,IDR(4):) line names the outcome)."
          :: Cmd.Exit.info 2
               ~doc:"the matrix file is unreadable, malformed or not square."
-         :: Cmd.Exit.defaults))
+         :: policy_exit_info :: Cmd.Exit.defaults))
     Term.(
       const run $ file $ spec $ domains_arg $ policy_arg $ faults_arg
       $ abft_arg $ recovery_arg $ trace_arg $ metrics_arg)
@@ -595,8 +616,9 @@ let precond_cmd =
     with_obs trace metrics @@ fun obs ->
     let progress msg = Printf.eprintf "[suite] %s\n%!" msg in
     let study =
-      Study.run ~quick ~pool:(pool_of domains) ~policy ?obs ~progress
-        (Study.families ~bound ~subdomains ~overlap)
+      policy_exits (fun () ->
+          Study.run ~quick ~pool:(pool_of domains) ~policy ?obs ~progress
+            (Study.families ~bound ~subdomains ~overlap))
     in
     Format.printf "@[<v>%a%a@]@." precond_table study improvement_summary
       study
@@ -607,7 +629,8 @@ let precond_cmd =
          "Head-to-head preconditioner-family study over the workload \
           suite: block-Jacobi vs block-ILU(0) vs RAS-ILU(0) — IDR(4) \
           iterations against modelled time per application (level waves \
-          and their memory transactions).")
+          and their memory transactions)."
+       ~exits:(policy_exit_info :: Cmd.Exit.defaults))
     Term.(
       const run $ quick_arg $ bound $ subdomains_arg $ overlap_arg
       $ domains_arg $ policy_arg $ trace_arg $ metrics_arg)
@@ -673,7 +696,8 @@ let all_cmd =
         Solver_figs.ablation_variants ppf study)
   in
   Cmd.v
-    (Cmd.info "all" ~doc:"Regenerate every figure, table and ablation.")
+    (Cmd.info "all" ~doc:"Regenerate every figure, table and ablation."
+       ~exits:(policy_exit_info :: Cmd.Exit.defaults))
     Term.(
       const run $ quick_arg $ domains_arg $ policy_arg $ faults_arg $ abft_arg
       $ recovery_arg $ trace_arg $ metrics_arg)

@@ -15,9 +15,9 @@ let label = function
   | Ilu0 _ -> "block-ilu0"
   | Ras _ -> "ras-ilu0"
 
-(* GH runs before LU at each bound, and GJE before GH-T: one-shot
-   fault-plan claims and the grafted trace follow the job order, and
-   fig8's trace file is pinned to this one. *)
+(* GH runs before LU at each bound, and GJE before GH-T: the grafted
+   trace follows the job order, and fig8's trace file is pinned to this
+   one. *)
 let sweep ~quick =
   let bj v b = Block_jacobi (v, b) in
   let bounds = if quick then [ 8; 32 ] else [ 8; 12; 16; 24; 32 ] in
@@ -49,13 +49,14 @@ let build ?pool ?policy ?faults ?abft ?recovery ?obs spec a =
     (p, Jacobi_info info)
   | Ilu0 bound ->
     let p, info =
-      Block_ilu0.create ?pool ?policy ?faults ?abft ?obs ~max_block_size:bound a
+      Block_ilu0.create ?pool ?policy ?faults ?abft ?recovery ?obs
+        ~max_block_size:bound a
     in
     (p, Ilu0_info info)
   | Ras { bound; subdomains; overlap } ->
     let p, info =
-      Block_ilu0.ras ?pool ?policy ?faults ?abft ?obs ~max_block_size:bound
-        ~subdomains ~overlap a
+      Block_ilu0.ras ?pool ?policy ?faults ?abft ?recovery ?obs
+        ~max_block_size:bound ~subdomains ~overlap a
     in
     (p, Ras_info info)
 
@@ -200,12 +201,19 @@ let run ?(quick = false) ?entries ?(pool = Pool.sequential)
   (* The (matrix × spec) jobs fan out across the pool's domains with
      sequential inner preconditioners, so the total domain count stays
      bounded.  Each job records into its own [Ctx.sub] child, grafted back
-     in job order, so traces and metrics are deterministic too. *)
+     in job order, so traces and metrics are deterministic too.  Each job
+     also gets its own copy of the fault plan: claims are one-shot per
+     plan, so a shared plan would let the domain schedule decide which
+     job absorbs a fault. *)
   let subs = Array.map (fun _ -> Ctx.sub obs) jobs in
+  let plan_copy p =
+    Result.get_ok Vblu_fault.Fault.Plan.(of_spec (to_spec p))
+  in
+  let plans = Array.map (fun _ -> Option.map plan_copy faults) jobs in
   let runs =
     Pool.parallel_init pool (Array.length jobs) (fun i ->
         let m, spec = jobs.(i) in
-        one_run ~policy ?faults ~abft ?recovery ?obs:subs.(i) m spec)
+        one_run ~policy ?faults:plans.(i) ~abft ?recovery ?obs:subs.(i) m spec)
   in
   Array.iter (fun s -> Ctx.graft ~into:obs s) subs;
   { specs; runs = Array.to_list runs }

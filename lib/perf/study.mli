@@ -48,9 +48,10 @@ val build :
   spec ->
   Vblu_sparse.Csr.t ->
   Preconditioner.t * info
-(** The preconditioner a spec names, built over [a].  [faults] and
-    [abft] go to every family; [recovery] to block-Jacobi, the one
-    family that takes it. *)
+(** The preconditioner a spec names, built over [a].  [policy],
+    [faults], [abft] and [recovery] go to every family.
+    @raise Vblu_precond.Block_jacobi.Singular_block or
+    [Vblu_precond.Block_jacobi.Fault_detected] under a [Fail] policy. *)
 
 type run = {
   entry : Suite.entry;

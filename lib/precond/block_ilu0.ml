@@ -6,8 +6,6 @@ module Launch = Vblu_simt.Launch
 module Counter = Vblu_simt.Counter
 module Ctx = Vblu_obs.Ctx
 
-exception Singular_block of { block : int }
-
 type wave = {
   sweep : string;
   level : int;
@@ -50,18 +48,8 @@ let find_dep deps j =
    right-hand side and the right division a bitwise copy of the coupling
    block, so a degraded block is simply not preconditioned — the block
    generalization of patching a zero scalar pivot with [1.0]. *)
-let identity_factors s = (Matrix.identity s, Array.init s (fun r -> r))
-
-(* Whether a packed LU factor has an exact zero on its U diagonal — the
-   breakdown test of the TRSV/TRSM kernels' upper solve.  LU reports
-   [info = 0] only for nonzero pivots, but an armed fault plan can zero a
-   stored diagonal after the check; such a block is treated as a
-   breakdown, so no diagonal solve or right division ever meets a zero
-   pivot. *)
-let zero_diagonal (m : Matrix.t) =
-  let s = m.Matrix.rows in
-  let rec from k = k < s && (m.Matrix.a.(k + (k * s)) = 0.0 || from (k + 1)) in
-  from 0
+let identity_factors s =
+  { Lu.lu = Matrix.identity s; perm = Array.init s Fun.id }
 
 (* The charges of one apply, computed once by the charge pass:
    the published record (kept as an option so republishing it allocates
@@ -89,6 +77,7 @@ type state = {
   c_prec : Precision.t;
   c_layout : Batch.layout;
   c_policy : Block_jacobi.breakdown_policy;
+  c_recovery : Block_jacobi.recovery_policy;
   c_faults : Fault.Plan.t option;
   c_abft : bool;
   c_obs : Ctx.t option;
@@ -118,7 +107,6 @@ type state = {
      can rewrite just the re-eliminated rows and the info lists stay
      reconstructible (and deterministic) at any point. *)
   s_outcome : Block_jacobi.outcome array;
-  s_breakdown : bool array;  (* rows whose LU launch flagged a breakdown *)
   s_pending : bool array;  (* rows a raising update left re-eliminated *)
   s_buf : float array;  (* permuted right-hand side of one diagonal solve *)
   mutable s_failures : int;
@@ -128,7 +116,8 @@ type state = {
   s_last_apply : apply_stats option ref;
 }
 
-let init_state ~pool ~prec ~layout ~policy ~faults ~abft ~obs ~blk (a : Csr.t) =
+let init_state ~pool ~prec ~layout ~policy ~recovery ~faults ~abft ~obs ~blk
+    (a : Csr.t) =
   let n, _ = Csr.dims a in
   let starts = blk.Supervariable.starts and sizes = blk.Supervariable.sizes in
   let k = Array.length starts in
@@ -183,6 +172,7 @@ let init_state ~pool ~prec ~layout ~policy ~faults ~abft ~obs ~blk (a : Csr.t) =
     c_prec = prec;
     c_layout = layout;
     c_policy = policy;
+    c_recovery = recovery;
     c_faults = faults;
     c_abft = abft;
     c_obs = obs;
@@ -203,7 +193,6 @@ let init_state ~pool ~prec ~layout ~policy ~faults ~abft ~obs ~blk (a : Csr.t) =
     s_tlu = Array.init k square;
     s_tpiv = Array.init k (fun i -> Array.make sizes.(i) 0);
     s_outcome = Array.make k Block_jacobi.Healthy;
-    s_breakdown = Array.make k false;
     s_pending = Array.make k false;
     s_buf = Array.make (Array.fold_left max 1 sizes) 0.0;
     s_failures = 0;
@@ -421,8 +410,8 @@ let[@inline] updates_k prec st sub t =
    straight into the row's factor storage — the implicit-pivoting
    kernel's host view on the block rounded as the launch stages it, in
    this domain's [Hostexec] scratch.  Returns whether every
-   factorization is clean: [info = 0] both ways and a nonzero stored U
-   diagonal. *)
+   factorization is clean: [info = 0] both ways (with no fault plan
+   armed, that leaves no zero on a stored U diagonal). *)
 let[@inline] factor_k prec st rows =
   let sc = Hostexec.get () in
   let src = sc.Hostexec.src in
@@ -446,7 +435,7 @@ let[@inline] factor_k prec st rows =
       Lu.factor_implicit_view ~prec ~src ~dst:st.s_tlu.(i).Matrix.a ~off:0 ~n:s
         ~tile:sc.Hostexec.tile ~step:sc.Hostexec.ints ~perm:st.s_tpiv.(i) ()
     in
-    if info <> 0 || tinfo <> 0 || zero_diagonal st.s_flu.(i) then clean := false
+    if info <> 0 || tinfo <> 0 then clean := false
   done;
   !clean
 
@@ -473,7 +462,6 @@ let eliminate st (mask : bool array) =
   let pool = st.c_pool
   and prec = st.c_prec
   and layout = st.c_layout
-  and policy = st.c_policy
   and faults = st.c_faults
   and abft = st.c_abft
   and obs = st.c_obs in
@@ -487,24 +475,7 @@ let eliminate st (mask : bool array) =
     transactions := !transactions + Counter.transactions ls.Launch.total;
     modelled := !modelled +. (ls.Launch.time_us *. 1e-6)
   in
-  let failed = function Fault.Failed -> true | _ -> false in
   st.s_failures <- 0;
-  let count_failures verdicts =
-    Array.iter
-      (fun v -> if failed v then st.s_failures <- st.s_failures + 1)
-      verdicts
-  in
-  let store i fn ft pn pt =
-    st.s_flu.(i) <- fn;
-    st.s_tlu.(i) <- ft;
-    st.s_fpiv.(i) <- pn;
-    st.s_tpiv.(i) <- pt
-  in
-  let degrade i =
-    let fn, pn = identity_factors sizes.(i) in
-    let ft, pt = identity_factors sizes.(i) in
-    store i fn ft pn pt
-  in
   let divide sub t =
     let srcs = Array.map (fun i -> ldeps.(i).(t)) sub in
     let vsz = Array.map (fun kb -> sizes.(kb)) srcs in
@@ -583,100 +554,11 @@ let eliminate st (mask : bool array) =
         note (gemm_wave ?pool ~prec ~layout ?obs probs)
     end
   in
-  (* One batched LU launch factors the wave's eliminated diagonals,
-     normal and transposed problems side by side. *)
-  let factor_launch rows =
-    let nw = Array.length rows in
-    let mats =
-      Array.init (2 * nw) (fun p ->
-          if p < nw then dmat.(rows.(p))
-          else Matrix.transpose dmat.(rows.(p - nw)))
-    in
-    let db = Batch.of_matrices ~layout mats in
-    let lu = Batched_lu.factor ?pool ~prec ?faults ~abft ?obs db in
-    note lu.Batched_lu.stats;
-    count_failures lu.Batched_lu.verdicts;
-    let factors = Batch.to_matrices lu.Batched_lu.factors in
-    let broken p =
-      lu.Batched_lu.info.(p) <> 0
-      || lu.Batched_lu.info.(nw + p) <> 0
-      || zero_diagonal factors.(p)
-    in
-    let faulted p =
-      (not (broken p))
-      && abft
-      && (failed lu.Batched_lu.verdicts.(p)
-         || failed lu.Batched_lu.verdicts.(nw + p))
-    in
-    let rescue = ref [] in
-    Array.iteri
-      (fun p i ->
-        if broken p then begin
-          st.s_breakdown.(i) <- true;
-          match policy with
-          | Block_jacobi.Perturb eps -> rescue := (i, `Perturb eps) :: !rescue
-          | Block_jacobi.Identity_block | Block_jacobi.Fail ->
-            (* Fail still finishes the elimination on identity factors
-               (determinism); the raise happens after setup completes,
-               like Block_jacobi. *)
-            st.s_outcome.(i) <- Block_jacobi.Degraded;
-            degrade i
-        end
-        else if faulted p then rescue := (i, `Fault) :: !rescue
-        else
-          store i factors.(p) factors.(nw + p) lu.Batched_lu.pivots.(p)
-            lu.Batched_lu.pivots.(nw + p))
-      rows;
-    (* One combined rescue launch per wave retries the Perturb diagonal
-       shifts and the ABFT-flagged refactorizations (fault-plan claims are
-       one-shot, so the retry runs clean). *)
-    let rescue = Array.of_list (List.rev !rescue) in
-    let nr = Array.length rescue in
-    if nr > 0 then begin
-      let rmats =
-        Array.init (2 * nr) (fun q ->
-            let i, kind = rescue.(q mod nr) in
-            let m =
-              match kind with
-              | `Perturb eps -> Block_jacobi.perturbed_copy ~eps dmat.(i)
-              | `Fault -> dmat.(i)
-            in
-            if q < nr then m else Matrix.transpose m)
-      in
-      let rb = Batch.of_matrices ~layout rmats in
-      let rlu = Batched_lu.factor ?pool ~prec ?faults ~abft ?obs rb in
-      note rlu.Batched_lu.stats;
-      count_failures rlu.Batched_lu.verdicts;
-      let rfactors = Batch.to_matrices rlu.Batched_lu.factors in
-      Array.iteri
-        (fun q (i, kind) ->
-          let clean =
-            rlu.Batched_lu.info.(q) = 0
-            && rlu.Batched_lu.info.(nr + q) = 0
-            && (not (zero_diagonal rfactors.(q)))
-            && (not abft
-               || not
-                    (failed rlu.Batched_lu.verdicts.(q)
-                    || failed rlu.Batched_lu.verdicts.(nr + q)))
-          in
-          if clean then begin
-            store i rfactors.(q) rfactors.(nr + q) rlu.Batched_lu.pivots.(q)
-              rlu.Batched_lu.pivots.(nr + q);
-            st.s_outcome.(i) <-
-              (match kind with
-              | `Perturb _ -> Block_jacobi.Perturbed
-              | `Fault -> Block_jacobi.Recovered)
-          end
-          else begin
-            degrade i;
-            st.s_outcome.(i) <-
-              (match kind with
-              | `Perturb _ -> Block_jacobi.Degraded
-              | `Fault -> Block_jacobi.Corrupt)
-          end)
-        rescue
-    end
-  in
+  (* The wave's eliminated diagonals and their transposes: the host
+     factorization charged from the cache when it is clean, else settled
+     by [Block_jacobi.settle].  A row that ends degraded or corrupt takes
+     identity factors; under a [Fail] policy the elimination still
+     finishes on them (determinism) and the raise comes after setup. *)
   let factor rows =
     let nw = Array.length rows in
     let clean =
@@ -694,17 +576,37 @@ let eliminate st (mask : bool array) =
     in
     match charged with
     | Some ls -> note ls
-    | None -> factor_launch rows
+    | None ->
+      let s =
+        Block_jacobi.settle ?pool ~prec ~layout ?obs ?faults ~abft
+          ~recovery:st.c_recovery ~policy:(fun _ -> st.c_policy)
+          [| Array.map (fun i -> dmat.(i)) rows;
+             Array.map (fun i -> Matrix.transpose dmat.(i)) rows |]
+      in
+      List.iter note s.Block_jacobi.launch_stats;
+      st.s_failures <- st.s_failures + s.Block_jacobi.failed_verdicts;
+      Array.iteri
+        (fun p i ->
+          let outcome = s.Block_jacobi.outcomes.(p) in
+          let fn, ft =
+            match outcome with
+            | Block_jacobi.Healthy | Perturbed | Recovered ->
+              (s.Block_jacobi.factors.(0).(p), s.Block_jacobi.factors.(1).(p))
+            | Degraded | Corrupt | Pending ->
+              (identity_factors sizes.(i), identity_factors sizes.(i))
+          in
+          st.s_outcome.(i) <- outcome;
+          st.s_flu.(i) <- fn.Lu.lu;
+          st.s_fpiv.(i) <- fn.Lu.perm;
+          st.s_tlu.(i) <- ft.Lu.lu;
+          st.s_tpiv.(i) <- ft.Lu.perm)
+        rows
   in
   Array.iter
     (fun level ->
       let rows = filter_rows (fun i -> mask.(i)) level in
       if Array.length rows > 0 then begin
-        Array.iter
-          (fun i ->
-            st.s_outcome.(i) <- Block_jacobi.Healthy;
-            st.s_breakdown.(i) <- false)
-          rows;
+        Array.iter (fun i -> st.s_outcome.(i) <- Block_jacobi.Healthy) rows;
         for t = 0 to max_rank ldeps rows - 1 do
           let sub = filter_rows (fun i -> Array.length ldeps.(i) > t) rows in
           divide sub t;
@@ -871,12 +773,22 @@ let apply_state st r =
   st.s_last_apply := memo.m_published;
   y
 
-let factor_info_of st =
-  let fi = ref 0 in
-  for i = Array.length st.s_breakdown - 1 downto 0 do
-    if st.s_breakdown.(i) then fi := i + 1
-  done;
-  !fi
+(* Row [i]'s diagonal broke down, whatever the policy then did. *)
+let broke st i =
+  match st.s_outcome.(i) with
+  | Block_jacobi.Degraded | Perturbed -> true
+  | Healthy | Recovered | Corrupt | Pending -> false
+
+(* The first row [p] holds for, if any. *)
+let first_row st p =
+  let rec from i =
+    if i >= Array.length st.s_outcome then None
+    else if p i then Some i
+    else from (i + 1)
+  in
+  from 0
+
+let factor_info_of st = Option.fold ~none:0 ~some:succ (first_row st (broke st))
 
 (* ───────────────────── Amortized setup (handles) ─────────────────────
 
@@ -965,11 +877,25 @@ let record_setup obs h =
   Ctx.incr_l obs "precond.ilu0.corrupt" l
     (float_of_int (count info.corrupt_blocks))
 
-(* Partition, eliminate every row, raise under [Fail], and package the
-   apply (wrapped in an ["ilu0.apply"] span under [?obs]). *)
+(* What a [Fail] policy raises after an elimination over [mask]: the
+   first masked row that broke down under the breakdown policy's, else
+   the first one left corrupt under the recovery policy's. *)
+let rejected st mask =
+  let first p = first_row st (fun i -> mask.(i) && p i) in
+  let corrupt i = st.s_outcome.(i) = Block_jacobi.Corrupt in
+  match (st.c_policy, first (broke st), st.c_recovery, first corrupt) with
+  | Block_jacobi.Fail, Some block, _, _ ->
+    Some (Block_jacobi.Singular_block { block; variant = Block_jacobi.Lu })
+  | _, _, Block_jacobi.Fail, Some block ->
+    Some (Block_jacobi.Fault_detected { block; variant = Block_jacobi.Lu })
+  | _ -> None
+
+(* Partition, eliminate every row, raise under a [Fail] policy, and
+   package the apply (wrapped in an ["ilu0.apply"] span under [?obs]). *)
 let handle ?pool ?(prec = Precision.Double) ?(layout = Batch.Blocked)
     ?(policy = (Block_jacobi.Identity_block : Block_jacobi.breakdown_policy))
-    ?faults ?(abft = false) ?(max_block_size = 32) ?blocking ?obs (a : Csr.t) =
+    ?(recovery = Block_jacobi.Recompute 1) ?faults ?(abft = false)
+    ?(max_block_size = 32) ?blocking ?obs (a : Csr.t) =
   let n, cols = Csr.dims a in
   if n <> cols then invalid_arg "Block_ilu0.handle: matrix not square";
   let blk =
@@ -985,17 +911,14 @@ let handle ?pool ?(prec = Precision.Double) ?(layout = Batch.Blocked)
   let (st, (launches, setup_transactions, modelled_seconds)), setup_seconds =
     Preconditioner.timed (fun () ->
         let st =
-          init_state ~pool ~prec ~layout ~policy ~faults ~abft ~obs ~blk a
+          init_state ~pool ~prec ~layout ~policy ~recovery ~faults ~abft ~obs
+            ~blk a
         in
         let mask = Array.make k true in
         fill_state st a mask;
         (st, eliminate st mask))
   in
-  (let fi = factor_info_of st in
-   if fi <> 0 then
-     match policy with
-     | Block_jacobi.Fail -> raise (Singular_block { block = fi - 1 })
-     | _ -> ());
+  Option.iter raise (rejected st (Array.make k true));
   let apply =
     if Ctx.enabled obs then fun r ->
       Ctx.with_span obs ~cat:"precond" "ilu0.apply" (fun () ->
@@ -1022,11 +945,11 @@ let handle ?pool ?(prec = Precision.Double) ?(layout = Batch.Blocked)
   if Ctx.enabled obs then record_setup obs h;
   h
 
-let create ?pool ?prec ?layout ?policy ?faults ?abft ?max_block_size ?blocking
-    ?obs a =
+let create ?pool ?prec ?layout ?policy ?recovery ?faults ?abft ?max_block_size
+    ?blocking ?obs a =
   let h =
-    handle ?pool ?prec ?layout ?policy ?faults ?abft ?max_block_size ?blocking
-      ?obs a
+    handle ?pool ?prec ?layout ?policy ?recovery ?faults ?abft ?max_block_size
+      ?blocking ?obs a
   in
   (h.h_precond, handle_info h)
 
@@ -1077,19 +1000,15 @@ let update ?(tol = 0.0) ?(force_all = false) h (a : Csr.t) =
       eliminate st mask
     end
   in
-  (* Under [Fail] a breakdown raises before the value snapshot advances,
-     as in Block_jacobi, so a retry on the same matrix finds the same
-     dirty rows and raises again.  The re-eliminated rows stay pending:
-     whatever matrix comes next, they are eliminated again. *)
-  (match st.c_policy with
-  | Block_jacobi.Fail ->
-    for i = 0 to k - 1 do
-      if mask.(i) && st.s_breakdown.(i) then begin
-        Array.iteri (fun j m -> if m then st.s_pending.(j) <- true) mask;
-        raise (Singular_block { block = i })
-      end
-    done
-  | _ -> ());
+  (* Under a [Fail] policy the raise comes before the value snapshot
+     advances, as in Block_jacobi, so a retry on the same matrix finds the
+     same dirty rows and raises again.  The re-eliminated rows stay
+     pending: whatever matrix comes next, they are eliminated again. *)
+  Option.iter
+    (fun e ->
+      Array.iteri (fun j m -> if m then st.s_pending.(j) <- true) mask;
+      raise e)
+    (rejected st mask);
   Array.fill st.s_pending 0 k false;
   Array.blit a.Csr.values 0 st.s_values 0 (Array.length st.s_values);
   let stats =
@@ -1155,7 +1074,7 @@ let principal_submatrix (a : Csr.t) lo hi =
 
 let ras ?pool ?(prec = Precision.Double) ?(layout = Batch.Blocked)
     ?(policy = (Block_jacobi.Identity_block : Block_jacobi.breakdown_policy))
-    ?faults ?(abft = false) ?(max_block_size = 32) ?(subdomains = 4)
+    ?recovery ?faults ?(abft = false) ?(max_block_size = 32) ?(subdomains = 4)
     ?(overlap = 8) ?obs (a : Csr.t) =
   let n, cols = Csr.dims a in
   if n <> cols then invalid_arg "Block_ilu0.ras: matrix not square";
@@ -1174,8 +1093,8 @@ let ras ?pool ?(prec = Precision.Double) ?(layout = Batch.Blocked)
           Array.map
             (fun (elo, ehi) ->
               let sub = principal_submatrix a elo ehi in
-              create ?pool ~prec ~layout ~policy ?faults ~abft ~max_block_size
-                ?obs sub)
+              create ?pool ~prec ~layout ~policy ?recovery ?faults ~abft
+                ~max_block_size ?obs sub)
             extended
         in
         (Array.map fst pairs, Array.map snd pairs))

@@ -35,14 +35,10 @@
     collapses bitwise onto the scalar {!Ilu0} factorization and solve.
     Apply is bit-identical across domain counts and storage layouts.
 
-    Breakdown of a diagonal block never raises mid-elimination: the
-    batched kernels flag it in [info], and the {!Block_jacobi}
-    [breakdown_policy] decides between identity fallback, an
-    [eps·scale] diagonal shift (retried in one batched rescue launch per
-    wave), or failing after setup completes.  [~abft:true] verifies the
-    factor launches by row checksums; a flagged block is refactored once
-    in the wave's rescue launch and degraded to the identity if still
-    failing.
+    Each wave's diagonal factorizations settle through
+    {!Block_jacobi.settle}, as block-Jacobi handles do: an ABFT fault
+    goes to the {!Block_jacobi.recovery_policy}, a breakdown to the
+    {!Block_jacobi.breakdown_policy}, and a [Fail] raises after setup.
 
     Concurrency caveat (same as {!Block_jacobi}): one preconditioner
     value must not be applied from several threads at once — the sweep
@@ -50,10 +46,6 @@
 
 open Vblu_smallblas
 open Vblu_sparse
-
-exception Singular_block of { block : int }
-(** Raised by {!handle} under the [Fail] breakdown policy for the first
-    (smallest index) block whose eliminated diagonal was singular. *)
 
 (** Modelled cost of one batched wave of the most recent apply. *)
 type wave = {
@@ -85,10 +77,10 @@ type info = {
   perturbed_blocks : int list;
       (** blocks salvaged by the [Perturb] diagonal shift, ascending. *)
   recovered_blocks : int list;
-      (** blocks whose ABFT failure a rescue refactorization repaired,
-          ascending. *)
+      (** blocks whose ABFT failure a [Recompute] refactorization
+          repaired, ascending. *)
   corrupt_blocks : int list;
-      (** blocks still failing ABFT after rescue (identity fallback),
+      (** blocks ABFT flagged that recovery left at the identity,
           ascending; also counted in [degraded_blocks]. *)
   abft_failures : int;
       (** failed ABFT verdicts over the LU launches of the most recent
@@ -108,6 +100,7 @@ val create :
   ?prec:Precision.t ->
   ?layout:Vblu_core.Batch.layout ->
   ?policy:Block_jacobi.breakdown_policy ->
+  ?recovery:Block_jacobi.recovery_policy ->
   ?faults:Vblu_fault.Fault.Plan.t ->
   ?abft:bool ->
   ?max_block_size:int ->
@@ -137,6 +130,7 @@ val handle :
   ?prec:Precision.t ->
   ?layout:Vblu_core.Batch.layout ->
   ?policy:Block_jacobi.breakdown_policy ->
+  ?recovery:Block_jacobi.recovery_policy ->
   ?faults:Vblu_fault.Fault.Plan.t ->
   ?abft:bool ->
   ?max_block_size:int ->
@@ -154,7 +148,8 @@ val handle :
     selects the storage layout of every batched launch; [policy] (default
     [Identity_block]) handles singular diagonal blocks.  [?faults] arms
     a fault plan on the elimination's LU launches, and [~abft:true]
-    (default false) checks them; both stay armed for every {!update}.
+    (default false) checks them under [recovery] (default
+    [Recompute 1]); all three hold for every {!update}.
 
     [?obs] records the build (an ["ilu0.setup"] span, the
     [precond.ilu0.*] labelled registry metrics — modelled setup seconds,
@@ -162,7 +157,9 @@ val handle :
     launch) and wraps the apply in an ["ilu0.apply"] span.
     @raise Invalid_argument if [a] is not square, a diagonal block
     exceeds the warp width, or the blocking is invalid.
-    @raise Singular_block under the [Fail] policy. *)
+    @raise Block_jacobi.Singular_block or [Block_jacobi.Fault_detected]
+    (variant [Lu], first block) under a [Fail] breakdown or recovery
+    policy. *)
 
 val update :
   ?tol:float -> ?force_all:bool -> handle -> Csr.t -> Block_jacobi.update_stats
@@ -182,12 +179,13 @@ val update :
     factors and cache tallies are bitwise those of launching every
     wave.
     @raise Invalid_argument on a dimension or sparsity-pattern mismatch.
-    @raise Singular_block under the [Fail] policy when a dirty row
-    breaks down.  The value snapshot does not advance (as in
-    {!Block_jacobi.update}), so an update with the same matrix raises
-    again; the handle's factors hold the failed elimination, and the
-    rows it re-eliminated are re-eliminated by the next update, whatever
-    its matrix. *)
+    @raise Block_jacobi.Singular_block under the [Fail] breakdown policy
+    when a dirty row breaks down, and [Block_jacobi.Fault_detected] under
+    the [Fail] recovery policy when ABFT flags one.  The value snapshot
+    does not advance (as in {!Block_jacobi.update}), so an update with
+    the same matrix raises again; the handle's factors hold the failed
+    elimination, and the rows it re-eliminated are re-eliminated by the
+    next update, whatever its matrix. *)
 
 val charge_pass :
   ?obs:Vblu_obs.Ctx.t -> handle -> float array -> float array * apply_stats
@@ -221,6 +219,7 @@ val ras :
   ?prec:Precision.t ->
   ?layout:Vblu_core.Batch.layout ->
   ?policy:Block_jacobi.breakdown_policy ->
+  ?recovery:Block_jacobi.recovery_policy ->
   ?faults:Vblu_fault.Fault.Plan.t ->
   ?abft:bool ->
   ?max_block_size:int ->

@@ -726,13 +726,96 @@ let install h i (f : Lu.factors) outcome =
 
 let invalidate h i = install h i h.u_packed.(i) Corrupt
 
-(* The refresh behind [handle], [update] and [refresh]: one batched LU
-   launch over every dirty block of [jobs], plus one rescue launch over
-   the diagonal-shifted copies of the broken blocks of [Perturb] handles.
-   Raises [Singular_block] for the first handle under [Fail] with a
-   broken dirty block (smallest index, after the launches complete, with
-   no value snapshot advanced).  Returns the stats and the launches'
-   summed modelled time in microseconds. *)
+(* An exact zero on a packed LU factor's U diagonal, which an armed fault
+   plan can leave behind a clean [info = 0]. *)
+let zero_diagonal (m : Matrix.t) =
+  let s = m.Matrix.rows in
+  let rec from k = k < s && (m.Matrix.a.(k + (k * s)) = 0.0 || from (k + 1)) in
+  from 0
+
+type settlement = {
+  factors : Lu.factors array array;
+  outcomes : outcome array;
+  failed_verdicts : int;
+  launch_stats : Launch.stats list;
+}
+
+(* One launch per round over the pending sites' copies, copy-major.
+   Verdicts are read before breakdowns, so a fault that zeroes a pivot is
+   rescued as a fault. *)
+let settle ?pool ~prec ~layout ?obs ?faults ~abft ~recovery ~policy
+    (copies : Matrix.t array array) =
+  let nc = Array.length copies and ns = Array.length copies.(0) in
+  let mats = Array.map Array.copy copies in
+  let none = { Lu.lu = Matrix.create 0 0; perm = [||] } in
+  let factors = Array.map (fun _ -> Array.make ns none) copies in
+  let outcomes = Array.make ns Pending and shifted = Array.make ns false in
+  let retries = Array.make ns 0 and failed = ref 0 and stats = ref [] in
+  let rec round first pending =
+    let np = Array.length pending in
+    if np > 0 then begin
+      let res =
+        Batched_lu.factor ?pool ~prec ?faults ~abft ?obs
+          (Batch.of_matrices ~layout
+             (Array.init (nc * np) (fun p ->
+                  mats.(p / np).(pending.(p mod np)))))
+      in
+      stats := res.Batched_lu.stats :: !stats;
+      Array.iter
+        (fun v -> if v = Fault.Failed then incr failed)
+        res.Batched_lu.verdicts;
+      let next = ref [] in
+      Array.iteri
+        (fun r q ->
+          let got =
+            Array.init nc (fun c ->
+                let p = (c * np) + r in
+                { Lu.lu = Batch.get_matrix res.Batched_lu.factors p;
+                  perm = res.Batched_lu.pivots.(p) })
+          in
+          let rec any test c =
+            c < nc && (test ((c * np) + r) got.(c) || any test (c + 1))
+          in
+          if first then Array.iteri (fun c f -> factors.(c).(q) <- f) got;
+          let faulted p _ = res.Batched_lu.verdicts.(p) = Fault.Failed in
+          if abft && any faulted 0 then (
+            match recovery with
+            | Recompute n when retries.(q) < n ->
+              retries.(q) <- retries.(q) + 1;
+              next := q :: !next
+            | _ -> outcomes.(q) <- Corrupt)
+          else if
+            any
+              (fun p (f : Lu.factors) ->
+                res.Batched_lu.info.(p) <> 0 || zero_diagonal f.Lu.lu)
+              0
+          then (
+            match policy q with
+            | Perturb eps when not shifted.(q) ->
+              shifted.(q) <- true;
+              Array.iter (fun m -> m.(q) <- perturbed_copy ~eps m.(q)) mats;
+              next := q :: !next
+            | _ -> outcomes.(q) <- Degraded)
+          else begin
+            Array.iteri (fun c f -> factors.(c).(q) <- f) got;
+            outcomes.(q) <-
+              (if retries.(q) > 0 then Recovered
+               else if shifted.(q) then Perturbed
+               else Healthy)
+          end)
+        pending;
+      round false (Array.of_list (List.rev !next))
+    end
+  in
+  round true (Array.init ns Fun.id);
+  { factors; outcomes; failed_verdicts = !failed;
+    launch_stats = List.rev !stats }
+
+(* The refresh behind [handle], [update] and [refresh]: every dirty block
+   of [jobs] through one [settle] under [Degrade_to_identity] (a corrupt
+   block stays dirty, so the next refresh is its retry).  Raises
+   [Singular_block] for the first handle under [Fail] with a broken dirty
+   block, after the launches and before any value snapshot advances. *)
 let refresh_jobs ~fn ?faults ?(abft = false) ?(tol = 0.0) ?(force_all = false)
     (jobs : (handle * Csr.t) array) =
   let fail msg = invalid_arg (Printf.sprintf "Block_jacobi.%s: %s" fn msg) in
@@ -771,91 +854,54 @@ let refresh_jobs ~fn ?faults ?(abft = false) ?(tol = 0.0) ?(force_all = false)
     jobs;
   let sites = Array.of_list (List.rev !sites) in
   let nd = Array.length sites in
-  let launches = ref 0 and transactions = ref 0 in
-  let modelled = ref 0.0 and us = ref 0.0 in
-  if nd > 0 then begin
-    let h0, _ = jobs.(0) in
-    let launch ?faults mats =
-      let res =
-        Batched_lu.factor ~pool:h0.u_pool ~prec:h0.u_prec ?faults ~abft
-          ?obs:h0.u_obs
-          (Batch.of_matrices ~layout:h0.u_layout mats)
+  let stats =
+    if nd = 0 then []
+    else begin
+      let h0, _ = jobs.(0) in
+      let mats =
+        Pool.parallel_init h0.u_pool nd (fun q ->
+            let h, a, i, _ = sites.(q) in
+            Csr.extract_block a
+              ~row_start:h.u_blocking.Supervariable.starts.(i)
+              ~size:h.u_blocking.Supervariable.sizes.(i))
       in
-      let st = res.Batched_lu.stats in
-      incr launches;
-      transactions := !transactions + Counter.transactions st.Launch.total;
-      modelled := !modelled +. (st.Launch.time_us *. 1e-6);
-      us := !us +. st.Launch.time_us;
-      res
-    in
-    let factors_at (res : Batched_lu.result) q =
-      { Lu.lu = Batch.get_matrix res.Batched_lu.factors q;
-        perm = res.Batched_lu.pivots.(q) }
-    in
-    let verified (res : Batched_lu.result) q outcome =
-      if res.Batched_lu.verdicts.(q) = Fault.Failed then Corrupt else outcome
-    in
-    let mats =
-      Pool.parallel_init h0.u_pool nd (fun q ->
-          let h, a, i, _ = sites.(q) in
-          Csr.extract_block a
-            ~row_start:h.u_blocking.Supervariable.starts.(i)
-            ~size:h.u_blocking.Supervariable.sizes.(i))
-    in
-    let res = launch ?faults mats in
-    (* Rescue pass: the broken blocks of [Perturb] handles share one
-       follow-up launch over their diagonal-shifted copies, mirroring the
-       fresh path's per-block retry. *)
-    let broken =
-      List.filter_map
-        (fun q ->
-          let h, _, _, _ = sites.(q) in
-          match h.u_policy with
-          | Perturb eps when res.Batched_lu.info.(q) <> 0 -> Some (q, eps)
-          | Perturb _ | Fail | Identity_block -> None)
-        (List.init nd Fun.id)
-    in
-    let rescued = Array.make nd None in
-    if broken <> [] then begin
-      let rres =
-        launch
-          (Array.of_list
-             (List.map (fun (q, eps) -> perturbed_copy ~eps mats.(q)) broken))
+      let s =
+        settle ~pool:h0.u_pool ~prec:h0.u_prec ~layout:h0.u_layout
+          ?obs:h0.u_obs ?faults ~abft ~recovery:Degrade_to_identity
+          ~policy:(fun q ->
+            let h, _, _, _ = sites.(q) in
+            h.u_policy)
+          [| mats |]
       in
-      List.iteri
-        (fun r (q, _) ->
-          if rres.Batched_lu.info.(r) = 0 then
-            rescued.(q) <- Some (factors_at rres r, verified rres r Perturbed))
-        broken
-    end;
-    Array.iteri
-      (fun q (h, _, i, _) ->
-        if res.Batched_lu.info.(q) = 0 then
-          install h i (factors_at res q) (verified res q Healthy)
-        else
-          match rescued.(q) with
-          | Some (f, outcome) -> install h i f outcome
-          | None -> install h i (factors_at res q) Degraded)
-      sites;
-    Array.iter
-      (fun (h, _, i, _) ->
-        if h.u_policy = Fail && h.u_outcomes.(i) = Degraded then
-          raise (Singular_block { block = i; variant = Lu }))
-      sites
-  end;
+      Array.iteri
+        (fun q (h, _, i, _) -> install h i s.factors.(0).(q) s.outcomes.(q))
+        sites;
+      Array.iter
+        (fun (h, _, i, _) ->
+          if h.u_policy = Fail && h.u_outcomes.(i) = Degraded then
+            raise (Singular_block { block = i; variant = Lu }))
+        sites;
+      s.launch_stats
+    end
+  in
   Array.iter
     (fun (h, (a : Csr.t)) ->
       Array.blit a.Csr.values 0 h.u_values 0 (Array.length h.u_values))
     jobs;
+  let us = List.fold_left (fun t st -> t +. st.Launch.time_us) 0.0 stats in
   ( {
       dirty_blocks = Array.to_list (Array.map (fun (_, _, _, g) -> g) sites);
       refactored = nd;
       reused = !total - nd;
-      launches = !launches;
-      setup_transactions = !transactions;
-      modelled_seconds = !modelled;
+      launches = List.length stats;
+      setup_transactions =
+        List.fold_left
+          (fun n st -> n + Counter.transactions st.Launch.total)
+          0 stats;
+      modelled_seconds =
+        List.fold_left (fun t st -> t +. (st.Launch.time_us *. 1e-6)) 0.0 stats;
     },
-    !us )
+    us )
 
 let refresh ?faults ?abft jobs = refresh_jobs ~fn:"refresh" ?faults ?abft jobs
 

@@ -187,6 +187,45 @@ val create :
     @raise Singular_block under the {!Fail} breakdown policy.
     @raise Fault_detected under the [Fail] recovery policy. *)
 
+(** {1 Settling a batched factorization} *)
+
+type settlement = {
+  factors : Lu.factors array array;
+      (** [factors.(c).(q)]: copy [c] of site [q] from the launch that
+          settled it; a [Degraded] or [Corrupt] site keeps its first
+          launch's (frozen or faulted) factors. *)
+  outcomes : outcome array;  (** per site, never [Pending]. *)
+  failed_verdicts : int;  (** [Failed] ABFT verdicts over every launch. *)
+  launch_stats : Vblu_simt.Launch.stats list;  (** in launch order. *)
+}
+
+val settle :
+  ?pool:Pool.t ->
+  prec:Precision.t ->
+  layout:Vblu_core.Batch.layout ->
+  ?obs:Vblu_obs.Ctx.t ->
+  ?faults:Fault.Plan.t ->
+  abft:bool ->
+  recovery:recovery_policy ->
+  policy:(int -> breakdown_policy) ->
+  Matrix.t array array ->
+  settlement
+(** The one outcome rule of batched LU setup, shared by {!refresh} and
+    block-ILU(0)'s elimination waves ({!create} keeps its per-block path
+    as the reference).  [settle ~recovery ~policy copies] factors every
+    site's copies ([copies.(c).(q)], at least one copy: the block for
+    block-Jacobi, the block and its transpose for block-ILU(0)) in one
+    {!Vblu_core.Batched_lu.factor} launch, copy-major, [?faults] armed,
+    and classifies each site in this order:
+    + [abft] and any copy's verdict [Failed]: a fault, retried up to [n]
+      times under [Recompute n] ([Recovered] once clean), else [Corrupt];
+    + any copy with [info <> 0] or a zero on its U diagonal: a breakdown,
+      retried once on {!perturbed_copy}s under [policy q = Perturb eps]
+      ([Perturbed] once clean), else [Degraded];
+    + else [Healthy].
+    Each retry round is one launch over the sites still pending, plan
+    armed.  Nothing raises: the callers apply the [Fail] policies. *)
+
 (** {1 Amortized setup}
 
     Time-stepping drivers and the serving layer re-solve systems whose
@@ -266,21 +305,17 @@ val refresh :
   (handle * Csr.t) array ->
   update_stats * float
 (** [refresh [| (h1, a1); ... |]] refreshes every handle from its matrix
-    (same pattern as the one it was built from) through {e one} batched
-    LU launch over all their dirty blocks, in (handle, block) order, plus
-    one rescue launch for the broken blocks of [Perturb] handles.  The
-    launch runs on the first handle's pool and observability context;
-    all handles must share precision and layout, and none may appear
-    twice.  Dirty means: any entry changed bitwise, never factored, or
-    flagged by ABFT.
-
-    [?faults] arms the fault plan on the main launch, so its sites
-    address blocks by launch position.  [~abft:true] (default false)
-    checks every factored block: a [Failed] verdict marks the block
-    corrupt (identity fallback, reported in [corrupt_blocks]) and dirty
-    for the next refresh.  Returns the stats and the launches' summed
-    modelled time in microseconds (the unit the launch clock reports).
-    Does not touch {!last_update}.
+    (same pattern as the one it was built from): their dirty blocks, in
+    (handle, block) order, go through one {!settle} call on the first
+    handle's pool and observability context, so [?faults] sites address
+    blocks by launch position.  All handles must share precision and
+    layout, and none may appear twice.  Dirty means: any entry changed
+    bitwise, never factored, or flagged by ABFT.  A handle settles under
+    [Degrade_to_identity]: with [~abft:true] (default false) a [Failed]
+    verdict leaves the block corrupt (identity fallback, in
+    [corrupt_blocks]) and dirty, and the next refresh is its retry.
+    Returns the stats and the launches' summed modelled time in
+    microseconds.  Does not touch {!last_update}.
     @raise Invalid_argument on a dimension or pattern mismatch, a
     repeated handle, or mixed precision/layout.
     @raise Singular_block for the first handle under the {!Fail} policy

@@ -338,7 +338,8 @@ let test_breakdown_policies () =
     (Preconditioner.apply pp r);
   (* Fail: raises after setup with the offending block. *)
   match Block_ilu0.create ~blocking ~policy:Block_jacobi.Fail a with
-  | exception Block_ilu0.Singular_block { block } ->
+  | exception
+      Block_jacobi.Singular_block { block; variant = Block_jacobi.Lu } ->
     Alcotest.(check int) "fail: block index" 0 block
   | _ -> Alcotest.fail "Fail policy did not raise"
 
@@ -826,7 +827,8 @@ let test_fail_retry_raises () =
   let broken = scaled_rows a [ 3; 4; 5 ] 0.0 in
   for attempt = 1 to 2 do
     match Block_ilu0.update ~tol:0.0 h broken with
-    | exception Block_ilu0.Singular_block { block } ->
+    | exception
+      Block_jacobi.Singular_block { block; variant = Block_jacobi.Lu } ->
       Alcotest.(check int) (Printf.sprintf "attempt %d: block" attempt) 1 block
     | _ -> Alcotest.failf "attempt %d: Fail policy did not raise" attempt
   done;
@@ -859,11 +861,90 @@ let test_ilu0_beats_jacobi_on_convection () =
     true
     (2 * v.St.convection_improved >= v.St.convection)
 
+(* A block-diagonal matrix of [blocks] dense blocks of orders 1..5 drawn
+   from [seed], each healthy (diagonally dominant), all zero, or a
+   constant [c·ones] (singular from order 2), every block entry stored. *)
+let planted_block_diagonal seed blocks =
+  let st = Random.State.make [| 0xb1d; seed |] in
+  let sizes = Array.init blocks (fun _ -> 1 + Random.State.int st 5) in
+  let starts = Array.make blocks 0 in
+  for i = 1 to blocks - 1 do
+    starts.(i) <- starts.(i - 1) + sizes.(i - 1)
+  done;
+  let n = Array.fold_left ( + ) 0 sizes in
+  let m = Matrix.create n n in
+  Array.iteri
+    (fun b s ->
+      let kind = Random.State.int st 3 in
+      let c = 1.0 +. Random.State.float st 1.0 in
+      for r = 0 to s - 1 do
+        for q = 0 to s - 1 do
+          let v =
+            match kind with
+            | 0 ->
+              (Random.State.float st 2.0 -. 1.0)
+              +. if r = q then float_of_int (s + 1) else 0.0
+            | 1 -> 0.0
+            | _ -> c
+          in
+          Matrix.set m (starts.(b) + r) (starts.(b) + q) v
+        done
+      done)
+    sizes;
+  let row_ptr = Array.make (n + 1) 0 in
+  let cols = ref [] and vals = ref [] in
+  Array.iteri
+    (fun b s ->
+      for r = starts.(b) to starts.(b) + s - 1 do
+        for q = starts.(b) to starts.(b) + s - 1 do
+          cols := q :: !cols;
+          vals := Matrix.get m r q :: !vals
+        done;
+        row_ptr.(r + 1) <- row_ptr.(r) + s
+      done)
+    sizes;
+  ( Csr.create ~n_rows:n ~n_cols:n ~row_ptr
+      ~col_idx:(Array.of_list (List.rev !cols))
+      ~values:(Array.of_list (List.rev !vals)),
+    { Supervariable.starts; sizes } )
+
+(* With no fault plan, both families settle their diagonal blocks by
+   one rule: on a block-diagonal matrix with planted singular blocks the
+   block-Jacobi and block-ILU(0) handles report the same outcome lists
+   and apply bitwise the same. *)
+let qcheck_settle_parity =
+  QCheck.Test.make ~count:40 ~name:"planted breakdowns: jacobi == ilu0 handle"
+    QCheck.(pair (int_range 0 100_000) (int_range 1 6))
+    (fun (seed, blocks) ->
+      let a, blocking = planted_block_diagonal seed blocks in
+      let n, _ = Csr.dims a in
+      let r = rhs_for n in
+      List.for_all
+        (fun policy ->
+          let hj = Block_jacobi.handle ~policy ~blocking a in
+          let hi = Block_ilu0.handle ~policy ~blocking a in
+          let ij = Block_jacobi.handle_info hj
+          and ii = Block_ilu0.handle_info hi in
+          ij.Block_jacobi.degraded_blocks = ii.Block_ilu0.degraded_blocks
+          && ij.Block_jacobi.perturbed_blocks = ii.Block_ilu0.perturbed_blocks
+          && ij.Block_jacobi.recovered_blocks = ii.Block_ilu0.recovered_blocks
+          && ij.Block_jacobi.corrupt_blocks = ii.Block_ilu0.corrupt_blocks
+          && Array.for_all2
+               (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v)
+               (Preconditioner.apply (Block_jacobi.precond hj) r)
+               (Preconditioner.apply (Block_ilu0.precond hi) r))
+        [ Block_jacobi.Identity_block; Block_jacobi.Perturb 1e-3 ])
+
 (* ------------------------------------------------------------------ *)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ qcheck_scalar_equivalence; qcheck_sweep_is_waves; qcheck_elimination_sweep ]
+    [
+      qcheck_scalar_equivalence;
+      qcheck_sweep_is_waves;
+      qcheck_elimination_sweep;
+      qcheck_settle_parity;
+    ]
 
 let () =
   Alcotest.run "block_ilu0"

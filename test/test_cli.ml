@@ -7,7 +7,8 @@
    exits 2 with a one-line diagnosis, an out-of-range option exits 124
    (cmdliner's usage error), and neither is cmdliner's exit 125
    "internal error, uncaught exception".  A solve that does not converge
-   exits 1. *)
+   exits 1, and one a [fail] breakdown or recovery policy rejects exits 3
+   naming the exception and the block. *)
 
 let exe dir name =
   List.fold_left Filename.concat
@@ -230,6 +231,28 @@ let ilu0_faults_line () =
         detected)
     [ "block-ilu0"; "ras-ilu0" ]
 
+(* A [fail] policy ends the setup in every family with exit 3 and one
+   line naming the exception and the block: a breakdown on a matrix with
+   a zero diagonal, a detected fault under an armed plan. *)
+let fail_policies_exit_3 () =
+  let singular = Filename.quote (write_mtx "2 2 2" [ "1 2 1.0"; "2 1 1.0" ]) in
+  let blocks = blocks_mtx () in
+  List.iter
+    (fun precond ->
+      check_exit ~code:3 ~stderr_has:"Singular_block: diagonal block 0"
+        (Printf.sprintf
+           "solve %s --precond %s --block-size 1 --domains 1 \
+            --breakdown-policy fail"
+           singular precond)
+        ();
+      check_exit ~code:3 ~stderr_has:"Fault_detected: diagonal block"
+        (Printf.sprintf
+           "solve %s --precond %s --block-size 2 --domains 1 --inject-faults \
+            seed=7,every=2 --abft --recovery-policy fail"
+           blocks precond)
+        ())
+    [ "block-jacobi"; "block-ilu0"; "ras-ilu0" ]
+
 (* Block-Jacobi setups log each identity fallback, and the study's
    fan-out runs setups on two domains at once: their warnings must not
    corrupt the shared log formatter (it raised [Queue.Empty], exit 125). *)
@@ -276,6 +299,8 @@ let () =
             ilu0_faults_line;
           Alcotest.test_case "concurrent fallback warnings" `Quick
             concurrent_fallback_warnings;
+          Alcotest.test_case "fail policies exit 3" `Quick
+            fail_policies_exit_3;
         ] );
       ( "bench",
         [

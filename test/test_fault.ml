@@ -375,6 +375,70 @@ let test_bj_zeroed_entry_every_variant () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Block-ILU(0) recovery                                               *)
+
+module Bi = Vblu_precond.Block_ilu0
+
+(* Block-ILU(0) and RAS settle their diagonal blocks by block-Jacobi's
+   rule, faults before breakdowns: a zeroed factor entry is a detected
+   fault, so [Recompute 1] recovers it bitwise, [Degrade_to_identity]
+   leaves it corrupt, and recovery [Fail] raises [Fault_detected]. *)
+let test_ilu0_zeroed_entry_policies () =
+  let s = 2 and nb = 4 in
+  let m = Matrix.create (s * nb) (s * nb) in
+  for b = 0 to nb - 1 do
+    for r = 0 to s - 1 do
+      for c = 0 to s - 1 do
+        Matrix.unsafe_set m ((b * s) + r) ((b * s) + c)
+          (if r = c then 2.0 else 1.0)
+      done
+    done
+  done;
+  let a = Vblu_sparse.Csr.of_dense m in
+  let families =
+    [
+      ( "block-ilu0",
+        fun faults recovery ->
+          let p, info =
+            Bi.create ?faults ~abft:true ~recovery ~max_block_size:s a
+          in
+          (p, [ info ]) );
+      ( "ras-ilu0",
+        fun faults recovery ->
+          let p, info =
+            Bi.ras ?faults ~abft:true ~recovery ~max_block_size:s
+              ~subdomains:2 ~overlap:2 a
+          in
+          (p, Array.to_list info.Bi.local_info) );
+    ]
+  in
+  let plan () =
+    Some (Fault.Plan.make ~seed:2 ~every:2 ~kind:(Fault.Set_value 0.0) ())
+  in
+  let count f infos =
+    List.fold_left (fun n i -> n + List.length (f i)) 0 infos
+  in
+  List.iter
+    (fun (name, build) ->
+      let clean, _ = build None (Bj.Recompute 1) in
+      let prot, infos = build (plan ()) (Bj.Recompute 1) in
+      Alcotest.(check bool) (name ^ ": recompute recovers") true
+        (count (fun i -> i.Bi.recovered_blocks) infos > 0);
+      Alcotest.(check int) (name ^ ": recompute degrades nothing") 0
+        (count (fun i -> i.Bi.degraded_blocks) infos);
+      check_float (name ^ ": recovered apply is bit-identical") 0.0
+        (Vector.max_abs_diff (apply_to_ones clean) (apply_to_ones prot));
+      let _, infos = build (plan ()) Bj.Degrade_to_identity in
+      Alcotest.(check bool) (name ^ ": degrade leaves blocks corrupt") true
+        (count (fun i -> i.Bi.corrupt_blocks) infos > 0);
+      Alcotest.(check int) (name ^ ": degrade recovers nothing") 0
+        (count (fun i -> i.Bi.recovered_blocks) infos);
+      match build (plan ()) Bj.Fail with
+      | exception Bj.Fault_detected { variant = Bj.Lu; _ } -> ()
+      | _ -> Alcotest.failf "%s: recovery policy fail did not raise" name)
+    families
+
+(* ------------------------------------------------------------------ *)
 (* Krylov soft-error guard                                             *)
 
 let test_guard_recovers_poisoned_precond () =
@@ -579,6 +643,11 @@ let () =
             test_bj_degrade_and_fail_policies;
           Alcotest.test_case "zeroed entry, every variant" `Quick
             test_bj_zeroed_entry_every_variant;
+        ] );
+      ( "block-ilu0",
+        [
+          Alcotest.test_case "zeroed entry, recovery policies" `Quick
+            test_ilu0_zeroed_entry_policies;
         ] );
       ( "krylov-guard",
         [

@@ -166,48 +166,73 @@ let test_solver_study_and_figs () =
 
 (* The study's job fan-out must not perturb results: every spec kind, on
    a 3-domain pool, gives bitwise the same runs, trace and metrics as the
-   sequential loop. *)
+   sequential loop.  Under a fault plan too: every job gets its own copy
+   of the plan, so each run absorbs the same faults whatever runs before
+   or beside it, and equals the run of a study of its spec alone. *)
 let test_study_pool_identity () =
   let module Obs = Vblu_obs in
   let entries = List.filteri (fun i _ -> i < 2) Vblu_workloads.Suite.all in
   let specs =
     Study.sweep ~quick:true @ Study.families ~bound:16 ~subdomains:4 ~overlap:8
   in
-  let run domains =
+  let run ?(faulted = false) domains specs =
     let tr = Obs.Trace.create () and mx = Obs.Metrics.create () in
     let pool = Vblu_par.Pool.create ~num_domains:domains () in
+    let faults =
+      if faulted then Some (Vblu_fault.Fault.Plan.make ~seed:7 ~every:2 ())
+      else None
+    in
     let study =
-      Study.run ~entries ~pool ~obs:(Obs.Ctx.v ~trace:tr ~metrics:mx ()) specs
+      Study.run ~entries ~pool ?faults ~abft:faulted
+        ~recovery:Vblu_precond.Block_jacobi.Degrade_to_identity
+        ~obs:(Obs.Ctx.v ~trace:tr ~metrics:mx ())
+        specs
     in
     ( study,
       Obs.Jsonx.to_string (Obs.Trace.to_chrome_json tr),
       Obs.Jsonx.to_string (Obs.Metrics.to_json mx) )
   in
-  let seq, seq_trace, seq_metrics = run 1 in
-  let par, par_trace, par_metrics = run 3 in
-  Alcotest.(check int) "run count"
-    (List.length entries * List.length specs)
-    (List.length par.Study.runs);
-  List.iter2
-    (fun (a : Study.run) (b : Study.run) ->
-      let name = Study.label a.Study.spec in
-      Alcotest.(check bool) (name ^ " spec") true (a.Study.spec = b.Study.spec);
-      Alcotest.(check int) (name ^ " iterations") a.Study.iterations
-        b.Study.iterations;
-      Alcotest.(check bool) (name ^ " converged") a.Study.converged
-        b.Study.converged;
-      Alcotest.(check int) (name ^ " blocks") a.Study.blocks b.Study.blocks;
-      Alcotest.(check int) (name ^ " degraded") a.Study.degraded
-        b.Study.degraded;
-      Alcotest.(check int) (name ^ " apply transactions")
-        a.Study.apply_transactions b.Study.apply_transactions;
-      Alcotest.(check bool) (name ^ " modelled apply bitwise") true
-        (Int64.equal
-           (Int64.bits_of_float a.Study.modelled_apply_seconds)
-           (Int64.bits_of_float b.Study.modelled_apply_seconds)))
-    seq.Study.runs par.Study.runs;
-  Alcotest.(check bool) "trace identical" true (seq_trace = par_trace);
-  Alcotest.(check bool) "metrics identical" true (seq_metrics = par_metrics)
+  let check_run label (a : Study.run) (b : Study.run) =
+    let name = label ^ Study.label a.Study.spec in
+    Alcotest.(check bool) (name ^ " spec") true (a.Study.spec = b.Study.spec);
+    Alcotest.(check int) (name ^ " iterations") a.Study.iterations
+      b.Study.iterations;
+    Alcotest.(check bool) (name ^ " converged") a.Study.converged
+      b.Study.converged;
+    Alcotest.(check int) (name ^ " blocks") a.Study.blocks b.Study.blocks;
+    Alcotest.(check int) (name ^ " degraded") a.Study.degraded b.Study.degraded;
+    Alcotest.(check int) (name ^ " apply transactions")
+      a.Study.apply_transactions b.Study.apply_transactions;
+    Alcotest.(check bool) (name ^ " modelled apply bitwise") true
+      (Int64.equal
+         (Int64.bits_of_float a.Study.modelled_apply_seconds)
+         (Int64.bits_of_float b.Study.modelled_apply_seconds))
+  in
+  List.iter
+    (fun faulted ->
+      let label = if faulted then "faults: " else "" in
+      let seq, seq_trace, seq_metrics = run ~faulted 1 specs in
+      let par, par_trace, par_metrics = run ~faulted 3 specs in
+      Alcotest.(check int) (label ^ "run count")
+        (List.length entries * List.length specs)
+        (List.length par.Study.runs);
+      List.iter2 (check_run label) seq.Study.runs par.Study.runs;
+      Alcotest.(check bool) (label ^ "trace identical") true
+        (seq_trace = par_trace);
+      Alcotest.(check bool) (label ^ "metrics identical") true
+        (seq_metrics = par_metrics);
+      if faulted then
+        List.iter
+          (fun spec ->
+            let alone, _, _ = run ~faulted 1 [ spec ] in
+            List.iter
+              (fun (r : Study.run) ->
+                match Study.find seq r.Study.entry spec with
+                | Some s -> check_run "faults alone: " r s
+                | None -> Alcotest.fail "run missing from the full study")
+              alone.Study.runs)
+          specs)
+    [ false; true ]
 
 let () =
   Alcotest.run "perf"
