@@ -427,9 +427,7 @@ let solve_cmd =
         Format.printf "preconditioner: %s (%d blocks, setup %.3fs)@." name
           (blocks blocking) setup;
         let degraded = info.Bj.degraded_blocks
-        and perturbed = info.Bj.perturbed_blocks
-        and recovered = info.Bj.recovered_blocks
-        and corrupt = info.Bj.corrupt_blocks in
+        and perturbed = info.Bj.perturbed_blocks in
         if degraded <> [] || perturbed <> [] then
           Format.printf
             "breakdowns (policy %s): %d identity-fallback, %d perturbed@."
@@ -444,10 +442,9 @@ let solve_cmd =
                    ~sizes:blocking.Vblu_precond.Supervariable.sizes))
             faults
         in
-        let recovered = List.length recovered
-        and corrupt = List.length corrupt in
-        report_faults ?planted faults ~detected:(recovered + corrupt)
-          ~recovered ~corrupt
+        report_faults ?planted faults ~detected:info.Bj.abft_failures
+          ~recovered:(List.length info.Bj.recovered_blocks)
+          ~corrupt:(List.length info.Bj.corrupt_blocks)
       | Study.Ilu0_info info ->
         let module Bi = Vblu_precond.Block_ilu0 in
         Format.printf "preconditioner: %s (%d blocks, setup %.3fs)@." name

@@ -584,7 +584,8 @@ let eliminate st (mask : bool array) =
              Array.map (fun i -> Matrix.transpose dmat.(i)) rows |]
       in
       List.iter note s.Block_jacobi.launch_stats;
-      st.s_failures <- st.s_failures + s.Block_jacobi.failed_verdicts;
+      st.s_failures <-
+        Array.fold_left ( + ) st.s_failures s.Block_jacobi.failures;
       Array.iteri
         (fun p i ->
           let outcome = s.Block_jacobi.outcomes.(p) in
@@ -811,7 +812,10 @@ type handle = {
 
 let handle_info h =
   let st = h.h_state in
-  let o = Block_jacobi.info_of_outcomes st.s_blk st.s_outcome in
+  let o =
+    Block_jacobi.info_of_outcomes ~abft_failures:st.s_failures st.s_blk
+      st.s_outcome
+  in
   {
     blocking = st.s_blk;
     lower = st.s_lower;
@@ -821,7 +825,7 @@ let handle_info h =
     perturbed_blocks = o.Block_jacobi.perturbed_blocks;
     recovered_blocks = o.Block_jacobi.recovered_blocks;
     corrupt_blocks = o.Block_jacobi.corrupt_blocks;
-    abft_failures = st.s_failures;
+    abft_failures = o.Block_jacobi.abft_failures;
     setup_launches = h.h_last.Block_jacobi.launches;
     setup_modelled_seconds = h.h_last.Block_jacobi.modelled_seconds;
     last_apply = st.s_last_apply;
@@ -877,22 +881,14 @@ let record_setup obs h =
   Ctx.incr_l obs "precond.ilu0.corrupt" l
     (float_of_int (count info.corrupt_blocks))
 
-(* What a [Fail] policy raises after an elimination over [mask]: the
-   first masked row that broke down under the breakdown policy's, else
-   the first one left corrupt under the recovery policy's. *)
-let rejected st mask =
-  let first p = first_row st (fun i -> mask.(i) && p i) in
-  let corrupt i = st.s_outcome.(i) = Block_jacobi.Corrupt in
-  match (st.c_policy, first (broke st), st.c_recovery, first corrupt) with
-  | Block_jacobi.Fail, Some block, _, _ ->
-    Some (Block_jacobi.Singular_block { block; variant = Block_jacobi.Lu })
-  | _, _, Block_jacobi.Fail, Some block ->
-    Some (Block_jacobi.Fault_detected { block; variant = Block_jacobi.Lu })
-  | _ -> None
+(* What [st]'s [Fail] policies raise over [outcomes]. *)
+let rejection st outcomes =
+  Block_jacobi.rejection ~policy:st.c_policy ~recovery:st.c_recovery
+    Block_jacobi.Lu outcomes
 
-(* Partition, eliminate every row, raise under a [Fail] policy, and
-   package the apply (wrapped in an ["ilu0.apply"] span under [?obs]). *)
-let handle ?pool ?(prec = Precision.Double) ?(layout = Batch.Blocked)
+(* Partition, eliminate every row, and package the apply (wrapped in an
+   ["ilu0.apply"] span under [?obs]); the caller applies [rejection]. *)
+let build ?pool ?(prec = Precision.Double) ?(layout = Batch.Blocked)
     ?(policy = (Block_jacobi.Identity_block : Block_jacobi.breakdown_policy))
     ?(recovery = Block_jacobi.Recompute 1) ?faults ?(abft = false)
     ?(max_block_size = 32) ?blocking ?obs (a : Csr.t) =
@@ -918,7 +914,6 @@ let handle ?pool ?(prec = Precision.Double) ?(layout = Batch.Blocked)
         fill_state st a mask;
         (st, eliminate st mask))
   in
-  Option.iter raise (rejected st (Array.make k true));
   let apply =
     if Ctx.enabled obs then fun r ->
       Ctx.with_span obs ~cat:"precond" "ilu0.apply" (fun () ->
@@ -943,6 +938,15 @@ let handle ?pool ?(prec = Precision.Double) ?(layout = Batch.Blocked)
     }
   in
   if Ctx.enabled obs then record_setup obs h;
+  h
+
+let handle ?pool ?prec ?layout ?policy ?recovery ?faults ?abft ?max_block_size
+    ?blocking ?obs a =
+  let h =
+    build ?pool ?prec ?layout ?policy ?recovery ?faults ?abft ?max_block_size
+      ?blocking ?obs a
+  in
+  Option.iter raise (rejection h.h_state h.h_state.s_outcome);
   h
 
 let create ?pool ?prec ?layout ?policy ?recovery ?faults ?abft ?max_block_size
@@ -1008,7 +1012,7 @@ let update ?(tol = 0.0) ?(force_all = false) h (a : Csr.t) =
     (fun e ->
       Array.iteri (fun j m -> if m then st.s_pending.(j) <- true) mask;
       raise e)
-    (rejected st mask);
+    (rejection st st.s_outcome);
   Array.fill st.s_pending 0 k false;
   Array.blit a.Csr.values 0 st.s_values 0 (Array.length st.s_values);
   let stats =
@@ -1087,18 +1091,19 @@ let ras ?pool ?(prec = Precision.Double) ?(layout = Batch.Blocked)
       (fun (lo, hi) -> (max 0 (lo - overlap), min n (hi + overlap)))
       owned
   in
-  let (locals, infos), setup_seconds =
+  let hs, setup_seconds =
     Preconditioner.timed (fun () ->
-        let pairs =
-          Array.map
-            (fun (elo, ehi) ->
-              let sub = principal_submatrix a elo ehi in
-              create ?pool ~prec ~layout ~policy ?recovery ?faults ~abft
-                ~max_block_size ?obs sub)
-            extended
-        in
-        (Array.map fst pairs, Array.map snd pairs))
+        Array.map
+          (fun (elo, ehi) ->
+            build ?pool ~prec ~layout ~policy ?recovery ?faults ~abft
+              ~max_block_size ?obs (principal_submatrix a elo ehi))
+          extended)
   in
+  (* Blocks are numbered over the concatenated subdomain blockings, as
+     [update_stats.dirty_blocks] numbers them over several handles. *)
+  let outcomes = Array.to_list (Array.map (fun h -> h.h_state.s_outcome) hs) in
+  Option.iter raise (rejection hs.(0).h_state (Array.concat outcomes));
+  let locals = Array.map precond hs and infos = Array.map handle_info hs in
   let name = Printf.sprintf "ras-ilu0(%d,%d)" sd overlap in
   (* Restricted scatter: every subdomain solves on its extended range but
      writes only its owned rows — disjoint writes, so the result does not

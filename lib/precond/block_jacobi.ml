@@ -114,6 +114,7 @@ type info = {
   perturbed_blocks : int list;
   recovered_blocks : int list;
   corrupt_blocks : int list;
+  abft_failures : int;
 }
 
 (* Per-block setup outcome, recorded race-free: each pool worker writes
@@ -127,7 +128,7 @@ type outcome = Healthy | Degraded | Perturbed | Recovered | Corrupt | Pending
 (* Sequential fold in block order: deterministic lists whatever the
    domain count.  Residual corruption counts as degradation too: the
    block ends up unpreconditioned exactly like a singular one. *)
-let info_of_outcomes blocking outcomes =
+let info_of_outcomes ~abft_failures blocking outcomes =
   let degraded = ref [] and perturbed = ref [] in
   let recovered = ref [] and corrupt = ref [] in
   for i = Array.length outcomes - 1 downto 0 do
@@ -145,6 +146,7 @@ let info_of_outcomes blocking outcomes =
     perturbed_blocks = !perturbed;
     recovered_blocks = !recovered;
     corrupt_blocks = !corrupt;
+    abft_failures;
   }
 
 (* Per-block solver closures.  [solve] is the allocating form (the ABFT
@@ -242,172 +244,190 @@ let abft_ok ~prec mfact (solver : block_solver) =
     done;
     !ok
 
+(* An exact zero on [m]'s diagonal, which an apply divides by: U's for a
+   packed LU, the pivots for Gauss-Huard, L's for Cholesky.  An armed
+   fault plan can leave one behind a clean [info = 0]. *)
+let zero_diagonal (m : Matrix.t) =
+  let s = m.Matrix.rows in
+  let rec from k = k < s && (m.Matrix.a.(k + (k * s)) = 0.0 || from (k + 1)) in
+  from 0
+
+(* One copy of one pending site as a round left it. *)
+type 'f attempt = { got : 'f; broken : bool; failed : bool }
+
+(* The one outcome rule of every block setup (DESIGN §5b).  [factor mats
+   pending] factors the current copies [mats.(c).(q)] of the [pending]
+   sites and returns [.(c).(r)] for copy [c] of site [pending.(r)]; the
+   first round covers every site.  Failed checks are read before
+   breakdowns, so a fault that zeroes a pivot is rescued as a fault.
+   Returns each copy's factors from the round that settled the site (a
+   [Degraded] or [Corrupt] site keeps its first round's), the outcomes,
+   and each site's failed checks over every round. *)
+let rounds ~recovery ~policy ~factor (copies : Matrix.t array array) =
+  let ns = Array.length copies.(0) in
+  let mats = Array.map Array.copy copies in
+  let factors = Array.map (fun _ -> [||]) copies in
+  let outcomes = Array.make ns Pending and shifted = Array.make ns false in
+  let retries = Array.make ns 0 and failures = Array.make ns 0 in
+  let rec round first pending =
+    if Array.length pending > 0 then begin
+      let got = factor mats pending in
+      if first then
+        Array.iteri (fun c g -> factors.(c) <- Array.map (fun a -> a.got) g)
+          got;
+      let next = ref [] in
+      Array.iteri
+        (fun r q ->
+          let failed =
+            Array.fold_left (fun n g -> n + Bool.to_int g.(r).failed) 0 got
+          in
+          failures.(q) <- failures.(q) + failed;
+          if failed > 0 then (
+            match recovery with
+            | Recompute n when retries.(q) < n ->
+              retries.(q) <- retries.(q) + 1;
+              next := q :: !next
+            | _ -> outcomes.(q) <- Corrupt)
+          else if Array.exists (fun g -> g.(r).broken) got then (
+            match policy q with
+            | Perturb eps when not shifted.(q) ->
+              shifted.(q) <- true;
+              Array.iter (fun m -> m.(q) <- perturbed_copy ~eps m.(q)) mats;
+              next := q :: !next
+            | _ -> outcomes.(q) <- Degraded)
+          else begin
+            Array.iteri (fun c g -> factors.(c).(q) <- g.(r).got) got;
+            outcomes.(q) <-
+              (if retries.(q) > 0 then Recovered
+               else if shifted.(q) then Perturbed
+               else Healthy)
+          end)
+        pending;
+      round false (Array.of_list (List.rev !next))
+    end
+  in
+  round true (Array.init ns Fun.id);
+  (factors, outcomes, failures)
+
+(* The first [Degraded] block under breakdown [Fail], else the first
+   [Corrupt] one under recovery [Fail], numbered by index. *)
+let rejection ~policy ~recovery variant outcomes =
+  let first armed o =
+    if armed then Array.find_index (( = ) o) outcomes else None
+  in
+  match
+    (first (policy = Fail) Degraded,
+     first (recovery = (Fail : recovery_policy)) Corrupt)
+  with
+  | Some block, _ -> Some (Singular_block { block; variant })
+  | None, Some block -> Some (Fault_detected { block; variant })
+  | None, None -> None
+
+(* One block factored on the host by [variant], via the status API so no
+   exception crosses a worker boundary: its solver, the factor storage a
+   fault corrupts, the factorization's [info], and whether an apply
+   divides by that storage's diagonal (GJE's inverse has none). *)
+let host_factor ~prec variant (m : Matrix.t) =
+  let s = m.Matrix.rows and oprec = Some prec in
+  (* The implicit-pivoting factorization — identical floats to the
+     simulated register kernel (cross-checked by the test suite). *)
+  let lu () =
+    let f, info = Lu.factor_implicit_status ~prec m in
+    ( { solve = (fun rhs -> Lu.solve ~prec f rhs);
+        solve_into = lu_solve_into oprec f s },
+      f.Lu.lu, info, true )
+  in
+  match variant with
+  | Scalar -> assert false (* [create] handles it without factors *)
+  | Lu -> lu ()
+  | Gh | Ght ->
+    let storage =
+      if variant = Ght then Gauss_huard.Transposed else Gauss_huard.Normal
+    in
+    let f, info = Gauss_huard.factor_status ~prec ~storage m in
+    let solve rhs = Gauss_huard.solve ~prec f rhs in
+    let solver = { solve; solve_into = into_of_solve ~s solve } in
+    (solver, f.Gauss_huard.gh, info, true)
+  | Gje_inverse ->
+    let inv, info = Gauss_jordan.invert_status ~prec m in
+    let xb = Array.make s 0.0 and yb = Array.make s 0.0 in
+    let solve_into r st y =
+      Array.blit r st xb 0 s;
+      Matrix.gemv_into ?prec:oprec inv xb yb;
+      Array.blit yb 0 y st s
+    in
+    let solve rhs = Matrix.gemv ~prec inv rhs in
+    ({ solve; solve_into }, inv, info, false)
+  | Cholesky ->
+    (* SPD fast path.  Cholesky reads only the lower triangle, so a
+       nonsymmetric block would be silently mis-factored — check symmetry
+       first, and fall back to the pivoted LU when the block is
+       nonsymmetric or fails the positivity test (that switch is a
+       variant detail, not a breakdown; only a broken LU counts as
+       one). *)
+    let symmetric = ref true in
+    for r = 0 to s - 1 do
+      for c = r + 1 to s - 1 do
+        if m.Matrix.a.(r + (c * s)) <> m.Matrix.a.(c + (r * s)) then
+          symmetric := false
+      done
+    done;
+    match
+      if !symmetric then Some (Cholesky.factor_status ~prec m) else None
+    with
+    | Some (f, 0) ->
+      let l = f.Cholesky.l.Matrix.a in
+      (* A zero on L's diagonal settles as a breakdown, so the solve's
+         [info] is always 0 here. *)
+      let solve_into r st y =
+        Array.blit r st y st s;
+        ignore
+          (Cholesky.solve_view ?prec:oprec ~m:l ~moff:0 ~n:s ~b:y ~boff:st ()
+            : int)
+      in
+      ( { solve = (fun rhs -> Cholesky.solve ~prec f rhs); solve_into },
+        f.Cholesky.l, 0, true )
+    | Some _ | None -> lu ()
+
+(* [create]'s rounds: one [parallel_init] over the pending blocks of
+   [host_factor], the plan's sites corrupting the stored factors (claims
+   are keyed by block index and one-shot, so a retry runs clean) and,
+   under [abft], the residual check against the matrix actually
+   factored.  Blocks that did not settle apply the identity. *)
 let block_solvers ~pool ~prec ~variant ~policy ~faults ~abft ~recovery blocks =
-  let k = Array.length blocks in
-  let outcomes = Array.make k Healthy in
-  (* [attempt m] factorizes one block via the status API and returns the
-     solver closure plus the corruption hook into its factor storage, or
-     [None] on breakdown — no exceptions cross the worker boundary. *)
-  let attempt (m : Matrix.t) : (block_solver * (Fault.site -> unit)) option =
-    (* The implicit-pivoting factorization — identical floats to the
-       simulated register kernel (cross-checked by the test suite). *)
-    let lu_solver (m : Matrix.t) =
-      let f, inf = Lu.factor_implicit_status ~prec m in
-      if inf <> 0 then None
-      else
-        let s, _ = Matrix.dims m in
-        Some
-          ( { solve = (fun rhs -> Lu.solve ~prec f rhs);
-              solve_into = lu_solve_into (Some prec) f s },
-            matrix_corrupt f.Lu.lu )
-    in
-    match variant with
-    | Scalar ->
-      (* Handled at the top level; never reaches here. *)
-      assert false
-    | Lu -> lu_solver m
-    | Gh | Ght ->
-      let storage =
-        if variant = Ght then Gauss_huard.Transposed else Gauss_huard.Normal
-      in
-      let f, inf = Gauss_huard.factor_status ~prec ~storage m in
-      if inf = 0 then
-        let s, _ = Matrix.dims m in
-        let solve rhs = Gauss_huard.solve ~prec f rhs in
-        Some
-          ( { solve; solve_into = into_of_solve ~s solve },
-            matrix_corrupt f.Gauss_huard.gh )
-      else None
-    | Gje_inverse ->
-      let inv, inf = Gauss_jordan.invert_status ~prec m in
-      if inf = 0 then
-        let s, _ = Matrix.dims m in
-        let xb = Array.make s 0.0 and yb = Array.make s 0.0 in
-        let oprec = Some prec in
-        let solve_into r st y =
-          Array.blit r st xb 0 s;
-          Matrix.gemv_into ?prec:oprec inv xb yb;
-          Array.blit yb 0 y st s
-        in
-        Some
-          ( { solve = (fun rhs -> Matrix.gemv ~prec inv rhs); solve_into },
-            matrix_corrupt inv )
-      else None
-    | Cholesky ->
-      (* SPD fast path.  Cholesky reads only the lower triangle, so a
-         nonsymmetric block would be silently mis-factored — check
-         symmetry first, and fall back to the pivoted LU when the block is
-         nonsymmetric or fails the positivity test (that switch is a
-         variant detail, not a breakdown; only a failure of the LU rescue
-         counts as one). *)
-      let symmetric =
-        let n, _ = Matrix.dims m in
-        let ok = ref true in
-        for r = 0 to n - 1 do
-          for c = r + 1 to n - 1 do
-            if m.Matrix.a.(r + (c * n)) <> m.Matrix.a.(c + (r * n)) then
-              ok := false
-          done
-        done;
-        !ok
-      in
-      if not symmetric then lu_solver m
-      else
-        let f, inf = Cholesky.factor_status ~prec m in
-        if inf = 0 then
-          let s, _ = Matrix.dims m in
-          let l = f.Cholesky.l.Matrix.a and oprec = Some prec in
-          (* A clean factor has a positive diagonal, so [info] is 0 unless
-             a planted fault zeroed an entry; the solve then freezes as
-             the kernel's does. *)
-          let solve_into r st y =
-            Array.blit r st y st s;
-            ignore
-              (Cholesky.solve_view ?prec:oprec ~m:l ~moff:0 ~n:s ~b:y ~boff:st ()
-                : int)
-          in
-          Some
-            ( { solve = (fun rhs -> Cholesky.solve ~prec f rhs); solve_into },
-              matrix_corrupt f.Cholesky.l )
-        else lu_solver m
+  let factor mats pending =
+    [| Pool.parallel_init pool (Array.length pending) (fun r ->
+           let q = pending.(r) in
+           let m = mats.(0).(q) in
+           let solver, fmat, info, pivots = host_factor ~prec variant m in
+           Option.iter
+             (fun plan ->
+               List.iter
+                 (fun (site : Fault.site) ->
+                   if Fault.Plan.claim plan ~problem:q ~step:site.Fault.step
+                   then begin
+                     matrix_corrupt fmat site;
+                     Fault.Plan.note_injected plan
+                   end)
+                 (Fault.Plan.sites_for plan ~problem:q ~size:m.Matrix.rows))
+             faults;
+           { got = solver;
+             broken = info <> 0 || (pivots && zero_diagonal fmat);
+             failed = abft && info = 0 && not (abft_ok ~prec m solver) }) |]
   in
-  (* Factorize block [i] under the breakdown policy, then let any armed
-     fault sites corrupt the factors.  Returns the solver plus the matrix
-     actually factored (for the ABFT check), or [None] when the block
-     degraded to the identity.  Plan claims are one-shot per (problem,
-     step), so calling [build] again — the [Recompute] retry — runs
-     clean and converges. *)
-  let build i (m : Matrix.t) : (block_solver * Matrix.t) option =
-    let factored =
-      match attempt m with
-      | Some (s, corrupt) -> Some (s, corrupt, m)
-      | None -> (
-        match policy with
-        | Fail | Identity_block ->
-          (* Under [Fail] the caller raises after the join (block order,
-             so the reported index is deterministic); the solver built
-             here is never applied. *)
-          outcomes.(i) <- Degraded;
-          None
-        | Perturb eps -> (
-          let m' = perturbed_copy ~eps m in
-          match attempt m' with
-          | Some (s, corrupt) ->
-            outcomes.(i) <- Perturbed;
-            Some (s, corrupt, m')
-          | None ->
-            outcomes.(i) <- Degraded;
-            None))
-    in
-    match factored with
-    | None -> None
-    | Some (solver, corrupt, mfact) ->
-      (match faults with
-      | None -> ()
-      | Some plan ->
-        let s, _ = Matrix.dims m in
-        List.iter
-          (fun (site : Fault.site) ->
-            if Fault.Plan.claim plan ~problem:i ~step:site.Fault.step then begin
-              corrupt site;
-              Fault.Plan.note_injected plan
-            end)
-          (Fault.Plan.sites_for plan ~problem:i ~size:s));
-      Some (solver, mfact)
+  let factors, outcomes, failures =
+    rounds ~recovery ~policy:(fun _ -> policy) ~factor [| blocks |]
   in
-  let make i (m : Matrix.t) : block_solver =
-    let s, _ = Matrix.dims m in
-    match build i m with
-    | None -> identity_solver s
-    | Some (solver, mfact) ->
-      if (not abft) || abft_ok ~prec mfact solver then solver
-      else begin
-        match recovery with
-        | Recompute max_retries ->
-          let rec retry left =
-            if left <= 0 then begin
-              outcomes.(i) <- Corrupt;
-              identity_solver s
-            end
-            else
-              match build i m with
-              | None -> identity_solver s
-              | Some (solver, mfact) ->
-                if abft_ok ~prec mfact solver then begin
-                  outcomes.(i) <- Recovered;
-                  solver
-                end
-                else retry (left - 1)
-          in
-          retry max_retries
-        | Degrade_to_identity | (Fail : recovery_policy) ->
-          (* Under recovery [Fail] the caller raises after the join. *)
-          outcomes.(i) <- Corrupt;
-          identity_solver s
-      end
+  let solvers =
+    Array.mapi
+      (fun q solver ->
+        match outcomes.(q) with
+        | Healthy | Perturbed | Recovered -> solver
+        | Degraded | Corrupt | Pending ->
+          identity_solver blocks.(q).Matrix.rows)
+      factors.(0)
   in
-  let solvers = Pool.parallel_init pool k (fun i -> make i blocks.(i)) in
-  (solvers, outcomes)
+  (solvers, outcomes, Array.fold_left ( + ) 0 failures)
 
 (* [apply] wrapped to record a ["bj.apply"] span and bump
    [bj.apply.count] — only when a context is present, so disabled runs
@@ -433,7 +453,7 @@ let create ?(pool = Pool.sequential) ?(prec = Precision.Double) ?(variant = Lu)
     (a : Csr.t) =
   let n, cols = Csr.dims a in
   if n <> cols then invalid_arg "Block_jacobi.create: matrix not square";
-  let (name, blk, apply, outcomes), setup_seconds =
+  let (name, blk, apply, outcomes, abft_failures), setup_seconds =
     Preconditioner.timed (fun () ->
         match variant with
         | Scalar ->
@@ -461,7 +481,7 @@ let create ?(pool = Pool.sequential) ?(prec = Precision.Double) ?(variant = Lu)
             scale_into prec inv r y;
             y
           in
-          ("jacobi", blk, apply, outcomes)
+          ("jacobi", blk, apply, outcomes, 0)
         | Lu | Gh | Ght | Gje_inverse | Cholesky ->
           let blk =
             resolve_blocking ~who:"Block_jacobi.create" ~max_block_size
@@ -473,7 +493,7 @@ let create ?(pool = Pool.sequential) ?(prec = Precision.Double) ?(variant = Lu)
                 Csr.extract_block a ~row_start:blk.Supervariable.starts.(i)
                   ~size:blk.Supervariable.sizes.(i))
           in
-          let solvers, outcomes =
+          let solvers, outcomes, failures =
             block_solvers ~pool ~prec ~variant ~policy ~faults ~abft ~recovery
               blocks
           in
@@ -490,34 +510,28 @@ let create ?(pool = Pool.sequential) ?(prec = Precision.Double) ?(variant = Lu)
             Printf.sprintf "block-jacobi(%s,%d)" (variant_name variant)
               max_block_size
           in
-          (name, blk, apply, outcomes))
+          (name, blk, apply, outcomes, failures))
   in
-  let info = info_of_outcomes blk outcomes in
-  (match (policy, info.singular_blocks) with
-  | Fail, i :: _ -> raise (Singular_block { block = i; variant })
-  | _ -> ());
-  (match (recovery, info.corrupt_blocks) with
-  | (Fail : recovery_policy), i :: _ -> raise (Fault_detected { block = i; variant })
-  | _ -> ());
+  Option.iter raise (rejection ~policy ~recovery variant outcomes);
+  let info = info_of_outcomes ~abft_failures blk outcomes in
+  (* Each outcome list's log lines, trace arg and counter, in one order. *)
+  let lists =
+    [ ("degraded", info.singular_blocks, Logs.Warning, "singular",
+       "identity fallback");
+      ("perturbed", info.perturbed_blocks, Logs.Info, "singular",
+       "factored after diagonal shift");
+      ("recovered", info.recovered_blocks, Logs.Info, "fault detected in",
+       "recomputed cleanly");
+      ("corrupt", info.corrupt_blocks, Logs.Warning, "fault detected in",
+       "identity fallback") ]
+  in
   List.iter
-    (fun i ->
-      Log.warn (fun m -> m "singular diagonal block %d: identity fallback" i))
-    info.singular_blocks;
-  List.iter
-    (fun i ->
-      Log.info (fun m ->
-          m "singular diagonal block %d: factored after diagonal shift" i))
-    info.perturbed_blocks;
-  List.iter
-    (fun i ->
-      Log.info (fun m ->
-          m "fault detected in diagonal block %d: recomputed cleanly" i))
-    info.recovered_blocks;
-  List.iter
-    (fun i ->
-      Log.warn (fun m ->
-          m "fault detected in diagonal block %d: identity fallback" i))
-    info.corrupt_blocks;
+    (fun (_, blocks, level, what, fate) ->
+      List.iter
+        (fun i ->
+          Log.msg level (fun m -> m "%s diagonal block %d: %s" what i fate))
+        blocks)
+    lists;
   (* Observability: outcome counters, a block-size histogram, and a
      zero-duration setup span (this CPU path has no modelled kernel time;
      [setup_seconds] is wall-clock and deliberately kept out of the
@@ -525,27 +539,20 @@ let create ?(pool = Pool.sequential) ?(prec = Precision.Double) ?(variant = Lu)
      present, so disabled runs get the original closure untouched. *)
   (if Vblu_obs.Ctx.enabled obs then begin
      let k = Array.length blk.Supervariable.sizes in
-     let count = List.length in
      Vblu_obs.Ctx.span_dur obs ~cat:"precond" ~dur:0.0 "bj.setup"
        ~args:
-         [
-           ("variant", Vblu_obs.Trace.Str (variant_name variant));
-           ("blocks", Vblu_obs.Trace.Int k);
-           ("degraded", Vblu_obs.Trace.Int (count info.singular_blocks));
-           ("perturbed", Vblu_obs.Trace.Int (count info.perturbed_blocks));
-           ("recovered", Vblu_obs.Trace.Int (count info.recovered_blocks));
-           ("corrupt", Vblu_obs.Trace.Int (count info.corrupt_blocks));
-         ];
+         (("variant", Vblu_obs.Trace.Str (variant_name variant))
+          :: ("blocks", Vblu_obs.Trace.Int k)
+          :: List.map
+               (fun (key, l, _, _, _) ->
+                 (key, Vblu_obs.Trace.Int (List.length l)))
+               lists);
      Vblu_obs.Ctx.incr obs "bj.setup.count" 1.0;
      Vblu_obs.Ctx.incr obs "bj.blocks" (float_of_int k);
-     Vblu_obs.Ctx.incr obs "bj.degraded"
-       (float_of_int (count info.singular_blocks));
-     Vblu_obs.Ctx.incr obs "bj.perturbed"
-       (float_of_int (count info.perturbed_blocks));
-     Vblu_obs.Ctx.incr obs "bj.recovered"
-       (float_of_int (count info.recovered_blocks));
-     Vblu_obs.Ctx.incr obs "bj.corrupt"
-       (float_of_int (count info.corrupt_blocks));
+     List.iter
+       (fun (key, l, _, _, _) ->
+         Vblu_obs.Ctx.incr obs ("bj." ^ key) (float_of_int (List.length l)))
+       lists;
      Array.iter
        (fun s -> Vblu_obs.Ctx.observe obs "bj.block_size" (float_of_int s))
        blk.Supervariable.sizes
@@ -600,6 +607,7 @@ type handle = {
       (* as the last launch left them: a broken-down block keeps its
          frozen partial factors *)
   u_outcomes : outcome array;
+  mutable u_failures : int;  (* failed checks of the last refresh *)
   u_precond : Preconditioner.t;
       (* applies straight from [u_packed] and [u_outcomes]; stays valid *)
   mutable u_last : update_stats;
@@ -690,6 +698,7 @@ let unfactored ?(pool = Pool.sequential) ?(prec = Precision.Double)
       u_values = Array.copy a.Csr.values;
       u_packed = Array.make k { Lu.lu = Matrix.create 0 0; perm = [||] };
       u_outcomes = Array.make k Pending;
+      u_failures = 0;
       u_precond =
         {
           Preconditioner.name =
@@ -726,95 +735,40 @@ let install h i (f : Lu.factors) outcome =
 
 let invalidate h i = install h i h.u_packed.(i) Corrupt
 
-(* An exact zero on a packed LU factor's U diagonal, which an armed fault
-   plan can leave behind a clean [info = 0]. *)
-let zero_diagonal (m : Matrix.t) =
-  let s = m.Matrix.rows in
-  let rec from k = k < s && (m.Matrix.a.(k + (k * s)) = 0.0 || from (k + 1)) in
-  from 0
-
 type settlement = {
   factors : Lu.factors array array;
   outcomes : outcome array;
-  failed_verdicts : int;
+  failures : int array;
   launch_stats : Launch.stats list;
 }
 
-(* One launch per round over the pending sites' copies, copy-major.
-   Verdicts are read before breakdowns, so a fault that zeroes a pivot is
-   rescued as a fault. *)
-let settle ?pool ~prec ~layout ?obs ?faults ~abft ~recovery ~policy
-    (copies : Matrix.t array array) =
-  let nc = Array.length copies and ns = Array.length copies.(0) in
-  let mats = Array.map Array.copy copies in
-  let none = { Lu.lu = Matrix.create 0 0; perm = [||] } in
-  let factors = Array.map (fun _ -> Array.make ns none) copies in
-  let outcomes = Array.make ns Pending and shifted = Array.make ns false in
-  let retries = Array.make ns 0 and failed = ref 0 and stats = ref [] in
-  let rec round first pending =
-    let np = Array.length pending in
-    if np > 0 then begin
-      let res =
-        Batched_lu.factor ?pool ~prec ?faults ~abft ?obs
-          (Batch.of_matrices ~layout
-             (Array.init (nc * np) (fun p ->
-                  mats.(p / np).(pending.(p mod np)))))
-      in
-      stats := res.Batched_lu.stats :: !stats;
-      Array.iter
-        (fun v -> if v = Fault.Failed then incr failed)
-        res.Batched_lu.verdicts;
-      let next = ref [] in
-      Array.iteri
-        (fun r q ->
-          let got =
-            Array.init nc (fun c ->
-                let p = (c * np) + r in
-                { Lu.lu = Batch.get_matrix res.Batched_lu.factors p;
-                  perm = res.Batched_lu.pivots.(p) })
-          in
-          let rec any test c =
-            c < nc && (test ((c * np) + r) got.(c) || any test (c + 1))
-          in
-          if first then Array.iteri (fun c f -> factors.(c).(q) <- f) got;
-          let faulted p _ = res.Batched_lu.verdicts.(p) = Fault.Failed in
-          if abft && any faulted 0 then (
-            match recovery with
-            | Recompute n when retries.(q) < n ->
-              retries.(q) <- retries.(q) + 1;
-              next := q :: !next
-            | _ -> outcomes.(q) <- Corrupt)
-          else if
-            any
-              (fun p (f : Lu.factors) ->
-                res.Batched_lu.info.(p) <> 0 || zero_diagonal f.Lu.lu)
-              0
-          then (
-            match policy q with
-            | Perturb eps when not shifted.(q) ->
-              shifted.(q) <- true;
-              Array.iter (fun m -> m.(q) <- perturbed_copy ~eps m.(q)) mats;
-              next := q :: !next
-            | _ -> outcomes.(q) <- Degraded)
-          else begin
-            Array.iteri (fun c f -> factors.(c).(q) <- f) got;
-            outcomes.(q) <-
-              (if retries.(q) > 0 then Recovered
-               else if shifted.(q) then Perturbed
-               else Healthy)
-          end)
-        pending;
-      round false (Array.of_list (List.rev !next))
-    end
+(* [rounds] with one launch per round over the pending sites' copies,
+   copy-major. *)
+let settle ?pool ~prec ~layout ?obs ?faults ~abft ~recovery ~policy copies =
+  let stats = ref [] in
+  let factor mats pending =
+    let nc = Array.length mats and np = Array.length pending in
+    let res =
+      Batched_lu.factor ?pool ~prec ?faults ~abft ?obs
+        (Batch.of_matrices ~layout
+           (Array.init (nc * np) (fun p -> mats.(p / np).(pending.(p mod np)))))
+    in
+    stats := res.Batched_lu.stats :: !stats;
+    Array.init nc (fun c ->
+        Array.init np (fun r ->
+            let p = (c * np) + r in
+            let lu = Batch.get_matrix res.Batched_lu.factors p in
+            { got = { Lu.lu; perm = res.Batched_lu.pivots.(p) };
+              broken = res.Batched_lu.info.(p) <> 0 || zero_diagonal lu;
+              failed = res.Batched_lu.verdicts.(p) = Fault.Failed }))
   in
-  round true (Array.init ns Fun.id);
-  { factors; outcomes; failed_verdicts = !failed;
-    launch_stats = List.rev !stats }
+  let factors, outcomes, failures = rounds ~recovery ~policy ~factor copies in
+  { factors; outcomes; failures; launch_stats = List.rev !stats }
 
 (* The refresh behind [handle], [update] and [refresh]: every dirty block
    of [jobs] through one [settle] under [Degrade_to_identity] (a corrupt
    block stays dirty, so the next refresh is its retry).  Raises
-   [Singular_block] for the first handle under [Fail] with a broken dirty
+   [Singular_block] for the first handle under [Fail] with a degraded
    block, after the launches and before any value snapshot advances. *)
 let refresh_jobs ~fn ?faults ?(abft = false) ?(tol = 0.0) ?(force_all = false)
     (jobs : (handle * Csr.t) array) =
@@ -833,7 +787,8 @@ let refresh_jobs ~fn ?faults ?(abft = false) ?(tol = 0.0) ?(force_all = false)
       let same x y = x == y || x = y in
       if not (same a.Csr.row_ptr h.u_row_ptr && same a.Csr.col_idx h.u_col_idx)
       then
-        fail "sparsity pattern changed (build a new handle)")
+        fail "sparsity pattern changed (build a new handle)";
+      h.u_failures <- 0)
     jobs;
   (* Launch sites in (handle, block) order: handle, matrix, block index,
      and the block's index over the concatenated handles. *)
@@ -868,19 +823,20 @@ let refresh_jobs ~fn ?faults ?(abft = false) ?(tol = 0.0) ?(force_all = false)
       let s =
         settle ~pool:h0.u_pool ~prec:h0.u_prec ~layout:h0.u_layout
           ?obs:h0.u_obs ?faults ~abft ~recovery:Degrade_to_identity
-          ~policy:(fun q ->
-            let h, _, _, _ = sites.(q) in
-            h.u_policy)
+          ~policy:(fun q -> let h, _, _, _ = sites.(q) in h.u_policy)
           [| mats |]
       in
       Array.iteri
-        (fun q (h, _, i, _) -> install h i s.factors.(0).(q) s.outcomes.(q))
+        (fun q (h, _, i, _) ->
+          install h i s.factors.(0).(q) s.outcomes.(q);
+          h.u_failures <- h.u_failures + s.failures.(q))
         sites;
       Array.iter
-        (fun (h, _, i, _) ->
-          if h.u_policy = Fail && h.u_outcomes.(i) = Degraded then
-            raise (Singular_block { block = i; variant = Lu }))
-        sites;
+        (fun (h, _) ->
+          Option.iter raise
+            (rejection ~policy:h.u_policy ~recovery:Degrade_to_identity Lu
+               h.u_outcomes))
+        jobs;
       s.launch_stats
     end
   in
@@ -934,6 +890,7 @@ let handle_factors h =
     h.u_packed
 
 let handle_packed h = h.u_packed
-let handle_info h = info_of_outcomes h.u_blocking h.u_outcomes
+let handle_info h =
+  info_of_outcomes ~abft_failures:h.u_failures h.u_blocking h.u_outcomes
 let is_singular h i = h.u_outcomes.(i) = Degraded
 let is_corrupt h i = h.u_outcomes.(i) = Corrupt

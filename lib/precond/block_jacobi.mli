@@ -87,12 +87,6 @@ val policy_of_string : string -> (breakdown_policy, string) result
 (** Inverse of {!policy_name} (case-insensitive, [EPS > 0]); [Error]
     carries the message the front ends print. *)
 
-val perturbed_copy : eps:float -> Matrix.t -> Matrix.t
-(** [m] with [eps * scale] added to every diagonal entry, where [scale] is
-    the largest absolute entry of the block ([1.0] for an all-zero block)
-    — the diagonal-shift rescue behind the [Perturb] policy, shared with
-    {!Block_ilu0} so both families patch broken blocks identically. *)
-
 exception Singular_block of { block : int; variant : variant }
 (** Raised by {!create} under the {!Fail} policy for the first (smallest
     index) block whose factorization broke down. *)
@@ -117,6 +111,9 @@ type info = {
   corrupt_blocks : int list;
       (** indices whose ABFT check still failed after recovery (identity
           fallback), ascending; also counted in [degraded_blocks]. *)
+  abft_failures : int;
+      (** failed ABFT checks of the setup, retries included: of {!create},
+          or of a handle's blocks in its most recent refresh. *)
 }
 
 (** Per-block setup outcome, shared by both preconditioner families
@@ -124,9 +121,21 @@ type info = {
     block not factored yet. *)
 type outcome = Healthy | Degraded | Perturbed | Recovered | Corrupt | Pending
 
-val info_of_outcomes : Supervariable.blocking -> outcome array -> info
+val info_of_outcomes :
+  abft_failures:int -> Supervariable.blocking -> outcome array -> info
 (** The outcome lists, folded in block order (ascending whatever the
     domain count).  [Healthy] and [Pending] blocks appear in none. *)
+
+val rejection :
+  policy:breakdown_policy ->
+  recovery:recovery_policy ->
+  variant ->
+  outcome array ->
+  exn option
+(** What a [Fail] policy raises once every block has settled, on every
+    setup path: {!Singular_block} for the first [Degraded] block under the
+    breakdown policy [Fail], else {!Fault_detected} for the first [Corrupt]
+    one under the recovery policy [Fail].  Blocks are array indices. *)
 
 val resolve_blocking :
   who:string ->
@@ -175,14 +184,18 @@ val create :
     span and bumps [bj.apply.count].  Absent means no recording and a
     closure identical to the uninstrumented one.
 
-    [?faults] lets each claimed site corrupt one entry of the affected
-    block's stored factors after setup (claims are one-shot, keyed by
-    block index, so injection is deterministic across domain counts; the
-    {!Scalar} variant carries no factor storage and ignores the plan).
+    Every block settles by {!settle}'s rule, each round a pool task per
+    pending block running [variant]'s host factorization.  [?faults]
+    lets each claimed site corrupt one entry of the block's stored
+    factors right after it is factored (claims are one-shot, keyed by
+    block index, so injection is deterministic across domain counts and a
+    retry runs clean; {!Scalar} has no factor storage and ignores it).
     [~abft:true] verifies every factored block by a residual check
     against the matrix actually factored and applies [?recovery]
-    (default [Recompute 1]) to the blocks that fail.  With both left at
-    their defaults the setup is bit-identical to the unprotected path.
+    (default [Recompute 1]) to the blocks that fail.  Without [abft], a
+    fault that zeroes a pivot is a breakdown and [policy] settles it.
+    With both left at their defaults the setup is bit-identical to the
+    unprotected path.
     @raise Invalid_argument if [a] is not square or the blocking invalid.
     @raise Singular_block under the {!Fail} breakdown policy.
     @raise Fault_detected under the [Fail] recovery policy. *)
@@ -195,7 +208,7 @@ type settlement = {
           settled it; a [Degraded] or [Corrupt] site keeps its first
           launch's (frozen or faulted) factors. *)
   outcomes : outcome array;  (** per site, never [Pending]. *)
-  failed_verdicts : int;  (** [Failed] ABFT verdicts over every launch. *)
+  failures : int array;  (** per site, [Failed] verdicts of every launch. *)
   launch_stats : Vblu_simt.Launch.stats list;  (** in launch order. *)
 }
 
@@ -210,21 +223,25 @@ val settle :
   policy:(int -> breakdown_policy) ->
   Matrix.t array array ->
   settlement
-(** The one outcome rule of batched LU setup, shared by {!refresh} and
-    block-ILU(0)'s elimination waves ({!create} keeps its per-block path
-    as the reference).  [settle ~recovery ~policy copies] factors every
-    site's copies ([copies.(c).(q)], at least one copy: the block for
-    block-Jacobi, the block and its transpose for block-ILU(0)) in one
-    {!Vblu_core.Batched_lu.factor} launch, copy-major, [?faults] armed,
-    and classifies each site in this order:
-    + [abft] and any copy's verdict [Failed]: a fault, retried up to [n]
-      times under [Recompute n] ([Recovered] once clean), else [Corrupt];
-    + any copy with [info <> 0] or a zero on its U diagonal: a breakdown,
-      retried once on {!perturbed_copy}s under [policy q = Perturb eps]
-      ([Perturbed] once clean), else [Degraded];
+(** The one outcome rule of every block setup.  {!create}, {!refresh}
+    and block-ILU(0)'s elimination waves settle their blocks through the
+    same rounds; they differ only in what a round factors with, and
+    [settle] is the batched one: [settle ~recovery ~policy copies]
+    factors every site's copies ([copies.(c).(q)], at least one copy: the
+    block for block-Jacobi, the block and its transpose for block-ILU(0))
+    in one {!Vblu_core.Batched_lu.factor} launch, copy-major, [?faults]
+    armed, and classifies each site in this order:
+    + any copy's ABFT check failed (only under [abft]): a fault, retried
+      up to [n] times under [Recompute n] ([Recovered] once clean), else
+      [Corrupt];
+    + any copy with [info <> 0] or a zero on the factor diagonal an apply
+      divides by: a breakdown, retried once on copies shifted by
+      [eps * scale] ([scale] = largest absolute entry, [1.0] for an
+      all-zero block) under [policy q = Perturb eps] ([Perturbed] once
+      clean), else [Degraded];
     + else [Healthy].
     Each retry round is one launch over the sites still pending, plan
-    armed.  Nothing raises: the callers apply the [Fail] policies. *)
+    armed.  Nothing raises: the callers apply {!rejection}. *)
 
 (** {1 Amortized setup}
 
@@ -319,8 +336,7 @@ val refresh :
     @raise Invalid_argument on a dimension or pattern mismatch, a
     repeated handle, or mixed precision/layout.
     @raise Singular_block for the first handle under the {!Fail} policy
-    with a broken-down dirty block (handles are left partially
-    refreshed). *)
+    with a [Degraded] block (handles are left partially refreshed). *)
 
 val update : ?tol:float -> ?force_all:bool -> handle -> Csr.t -> update_stats
 (** [update h a] is the one-handle {!refresh}, with entries dirty when
@@ -330,8 +346,8 @@ val update : ?tol:float -> ?force_all:bool -> handle -> Csr.t -> update_stats
     [tol = 0.] the handle's factors, pivots and outcomes afterwards are
     bit-identical to a fresh {!handle} on [a].
     @raise Invalid_argument on a dimension or sparsity-pattern mismatch.
-    @raise Singular_block under the {!Fail} breakdown policy when a dirty
-    block breaks down (the handle is left partially refreshed). *)
+    @raise Singular_block under the {!Fail} breakdown policy when a block
+    is [Degraded] (the handle is left partially refreshed). *)
 
 val invalidate : handle -> int -> unit
 (** [invalidate h i] marks block [i] corrupt — a caller's own check

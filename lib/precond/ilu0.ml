@@ -63,8 +63,8 @@ let[@inline] factorize_k prec policy (a : Csr.t) v diag_pos n =
       | Block_jacobi.Identity_block -> v.(diag_pos.(!i)) <- 1.0
       | Block_jacobi.Perturb eps ->
         (* A zero pivot means the 1x1 breakdown "block" is all zero, so
-           the [eps * scale] shift of [Block_jacobi.perturbed_copy]
-           reduces to [eps] ([scale = 1.0]). *)
+           the [Perturb] rescue's [eps * scale] diagonal shift reduces to
+           [eps] ([scale = 1.0]). *)
         v.(diag_pos.(!i)) <- eps
       | Block_jacobi.Fail -> frozen := true
     end;

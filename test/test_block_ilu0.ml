@@ -360,6 +360,38 @@ let test_ras_single_domain_is_create () =
   check_bitwise "ras(1,0) == create" (Preconditioner.apply p r)
     (Preconditioner.apply pr r)
 
+(* Under [Fail], every family names a broken block by its index over the
+   whole matrix: RAS numbers blocks over its concatenated subdomain
+   blockings, so without overlap it agrees with the other two. *)
+let test_ras_fail_names_global_block () =
+  let m = Matrix.create 8 8 in
+  for b = 0 to 3 do
+    for r = 0 to 1 do
+      for c = 0 to 1 do
+        Matrix.set m ((2 * b) + r) ((2 * b) + c)
+          (if b = 3 then 1.0 else if r = c then 2.0 else 1.0)
+      done
+    done
+  done;
+  let a = Csr.of_dense m and policy = Block_jacobi.Fail in
+  List.iter
+    (fun (name, build) ->
+      match build () with
+      | exception Block_jacobi.Singular_block { block; _ } ->
+        Alcotest.(check int) (name ^ ": block") 3 block
+      | _ -> Alcotest.failf "%s: Fail policy did not raise" name)
+    [
+      ( "block-jacobi",
+        fun () -> ignore (Block_jacobi.create ~policy ~max_block_size:2 a) );
+      ( "block-ilu0",
+        fun () -> ignore (Block_ilu0.create ~policy ~max_block_size:2 a) );
+      ( "ras-ilu0",
+        fun () ->
+          ignore
+            (Block_ilu0.ras ~policy ~max_block_size:2 ~subdomains:4 ~overlap:0
+               a) );
+    ]
+
 let test_ras_partition_and_determinism () =
   let a = Vblu_workloads.Generators.laplacian_2d ~nx:9 ~ny:8 () in
   let n, _ = Csr.dims a in
@@ -908,10 +940,11 @@ let planted_block_diagonal seed blocks =
       ~values:(Array.of_list (List.rev !vals)),
     { Supervariable.starts; sizes } )
 
-(* With no fault plan, both families settle their diagonal blocks by
+(* With no fault plan, every setup path settles its diagonal blocks by
    one rule: on a block-diagonal matrix with planted singular blocks the
-   block-Jacobi and block-ILU(0) handles report the same outcome lists
-   and apply bitwise the same. *)
+   block-Jacobi handle, [Block_jacobi.create ~variant:Lu] and the
+   block-ILU(0) handle report the same outcome lists and apply bitwise
+   the same. *)
 let qcheck_settle_parity =
   QCheck.Test.make ~count:40 ~name:"planted breakdowns: jacobi == ilu0 handle"
     QCheck.(pair (int_range 0 100_000) (int_range 1 6))
@@ -919,20 +952,33 @@ let qcheck_settle_parity =
       let a, blocking = planted_block_diagonal seed blocks in
       let n, _ = Csr.dims a in
       let r = rhs_for n in
+      let all_equal = function
+        | x :: rest -> List.for_all (( = ) x) rest
+        | [] -> true
+      in
+      let lists (i : Block_jacobi.info) =
+        Block_jacobi.
+          ( i.degraded_blocks, i.perturbed_blocks, i.recovered_blocks,
+            i.corrupt_blocks )
+      in
       List.for_all
         (fun policy ->
           let hj = Block_jacobi.handle ~policy ~blocking a in
+          let pc, ic =
+            Block_jacobi.create ~variant:Block_jacobi.Lu ~policy ~blocking a
+          in
           let hi = Block_ilu0.handle ~policy ~blocking a in
-          let ij = Block_jacobi.handle_info hj
-          and ii = Block_ilu0.handle_info hi in
-          ij.Block_jacobi.degraded_blocks = ii.Block_ilu0.degraded_blocks
-          && ij.Block_jacobi.perturbed_blocks = ii.Block_ilu0.perturbed_blocks
-          && ij.Block_jacobi.recovered_blocks = ii.Block_ilu0.recovered_blocks
-          && ij.Block_jacobi.corrupt_blocks = ii.Block_ilu0.corrupt_blocks
-          && Array.for_all2
-               (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v)
-               (Preconditioner.apply (Block_jacobi.precond hj) r)
-               (Preconditioner.apply (Block_ilu0.precond hi) r))
+          let ii = Block_ilu0.handle_info hi in
+          all_equal
+            [ lists (Block_jacobi.handle_info hj); lists ic;
+              Block_ilu0.
+                (ii.degraded_blocks, ii.perturbed_blocks, ii.recovered_blocks,
+                 ii.corrupt_blocks) ]
+          && all_equal
+               (List.map
+                  (fun p ->
+                    Array.map Int64.bits_of_float (Preconditioner.apply p r))
+                  [ Block_jacobi.precond hj; pc; Block_ilu0.precond hi ]))
         [ Block_jacobi.Identity_block; Block_jacobi.Perturb 1e-3 ])
 
 (* ------------------------------------------------------------------ *)
@@ -994,6 +1040,8 @@ let () =
             test_ras_single_domain_is_create;
           Alcotest.test_case "partition and determinism" `Quick
             test_ras_partition_and_determinism;
+          Alcotest.test_case "fail names the global block" `Quick
+            test_ras_fail_names_global_block;
         ] );
       ( "convergence",
         [

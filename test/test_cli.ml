@@ -194,6 +194,28 @@ let zeroed_factor_entry () =
   Alcotest.(check bool) "recompute: every fired fault detected" true
     (contains ~sub:"fired=4 detected=4 recovered=4 corrupt=0" out)
 
+(* Without ABFT nothing checks the factors, but a fault that zeroes a
+   pivot is still a breakdown: both families settle it under the default
+   identity policy and the solve converges. *)
+let zeroed_pivot_without_abft () =
+  let blocks = blocks_mtx () in
+  List.iter
+    (fun (precond, fallback) ->
+      let code, out, _ =
+        run
+          (Printf.sprintf
+             "solve %s --precond %s --block-size 2 --domains 1 \
+              --inject-faults seed=1,every=1,kind=set:0"
+             blocks precond)
+      in
+      Alcotest.(check int) (precond ^ ": exit code") 0 code;
+      Alcotest.(check bool) (precond ^ ": " ^ fallback) true
+        (contains ~sub:fallback out))
+    [
+      ("block-jacobi", "2 identity-fallback");
+      ("block-ilu0", "identity-fallback");
+    ]
+
 (* The integer after [key=] on the [faults:] line, if there is one. *)
 let faults_field key out =
   List.find_map
@@ -295,6 +317,8 @@ let () =
         [
           Alcotest.test_case "zeroed factor entry under abft" `Quick
             zeroed_factor_entry;
+          Alcotest.test_case "zeroed pivot without abft" `Quick
+            zeroed_pivot_without_abft;
           Alcotest.test_case "ilu0 and ras faults line" `Quick
             ilu0_faults_line;
           Alcotest.test_case "concurrent fallback warnings" `Quick

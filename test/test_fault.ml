@@ -328,22 +328,27 @@ let test_bj_degrade_and_fail_policies () =
   Alcotest.(check bool) "corruption actually landed" true
     (Vector.max_abs_diff (apply_to_ones clean) (apply_to_ones silent) > 0.0)
 
+(* [nb] diagonal blocks [[2, 1], [1, 2]]: symmetric positive definite, so
+   every variant, Cholesky's fast path included, factors them cleanly. *)
+let pair_blocks nb =
+  let m = Matrix.create (2 * nb) (2 * nb) in
+  for b = 0 to nb - 1 do
+    for r = 0 to 1 do
+      for c = 0 to 1 do
+        Matrix.unsafe_set m ((b * 2) + r) ((b * 2) + c)
+          (if r = c then 2.0 else 1.0)
+      done
+    done
+  done;
+  Vblu_sparse.Csr.of_dense m
+
 (* A zeroed factor entry can zero a pivot, so the ABFT check's own solve
    breaks down.  That must read as a failed check, for every variant:
    recompute repairs every fired fault and [Fail] names a block, where the
    LU check once let [Error.Singular] escape the setup. *)
 let test_bj_zeroed_entry_every_variant () =
   let s = 2 and nb = 16 in
-  let m = Matrix.create (s * nb) (s * nb) in
-  for b = 0 to nb - 1 do
-    for r = 0 to s - 1 do
-      for c = 0 to s - 1 do
-        Matrix.unsafe_set m ((b * s) + r) ((b * s) + c)
-          (if r = c then 2.0 else 1.0)
-      done
-    done
-  done;
-  let a = Vblu_sparse.Csr.of_dense m in
+  let a = pair_blocks nb in
   let blocking = Vblu_precond.Supervariable.uniform ~n:(s * nb) ~block_size:s in
   let plan () =
     Fault.Plan.make ~seed:1 ~every:1 ~kind:(Fault.Set_value 0.0) ()
@@ -374,6 +379,51 @@ let test_bj_zeroed_entry_every_variant () =
       ("cholesky", Bj.Cholesky);
     ]
 
+(* Without ABFT nothing checks the factors, but a zero on the factor
+   diagonal an apply divides by is still a breakdown: the breakdown
+   policy settles it, as it does a singular block, and no apply raises.
+   The zeroed blocks are those whose site lands on the diagonal. *)
+let test_bj_zeroed_pivot_without_abft () =
+  let nb = 16 in
+  let a = pair_blocks nb in
+  let blocking = Vblu_precond.Supervariable.uniform ~n:(2 * nb) ~block_size:2 in
+  let plan () =
+    Fault.Plan.make ~seed:1 ~every:1 ~kind:(Fault.Set_value 0.0) ()
+  in
+  let zeroed =
+    List.filter
+      (fun i ->
+        List.exists
+          (fun (site : Fault.site) ->
+            site.Fault.lane mod 2 = site.Fault.step mod 2)
+          (Fault.Plan.sites_for (plan ()) ~problem:i ~size:2))
+      (List.init nb Fun.id)
+  in
+  Alcotest.(check bool) "some blocks zeroed, not all" true
+    (zeroed <> [] && List.length zeroed < nb);
+  List.iter
+    (fun (name, variant) ->
+      let create policy =
+        Bj.create ~variant ~policy ~faults:(plan ()) ~blocking a
+      in
+      let finite p = Array.for_all Float.is_finite (apply_to_ones p) in
+      let p, info = create Bj.Identity_block in
+      Alcotest.(check (list int)) (name ^ ": identity degrades them") zeroed
+        info.Bj.degraded_blocks;
+      Alcotest.(check bool) (name ^ ": identity apply") true (finite p);
+      let p, info = create (Bj.Perturb 1e-3) in
+      Alcotest.(check (list int)) (name ^ ": perturb shifts them") zeroed
+        info.Bj.perturbed_blocks;
+      Alcotest.(check (list int)) (name ^ ": perturb degrades none") []
+        info.Bj.degraded_blocks;
+      Alcotest.(check bool) (name ^ ": perturb apply") true (finite p);
+      match create Bj.Fail with
+      | exception Bj.Singular_block { block; _ } ->
+        Alcotest.(check int) (name ^ ": fail names the first") (List.hd zeroed)
+          block
+      | _ -> Alcotest.failf "%s: breakdown policy fail did not raise" name)
+    [ ("lu", Bj.Lu); ("gh", Bj.Gh); ("ght", Bj.Ght); ("cholesky", Bj.Cholesky) ]
+
 (* ------------------------------------------------------------------ *)
 (* Block-ILU(0) recovery                                               *)
 
@@ -384,17 +434,8 @@ module Bi = Vblu_precond.Block_ilu0
    fault, so [Recompute 1] recovers it bitwise, [Degrade_to_identity]
    leaves it corrupt, and recovery [Fail] raises [Fault_detected]. *)
 let test_ilu0_zeroed_entry_policies () =
-  let s = 2 and nb = 4 in
-  let m = Matrix.create (s * nb) (s * nb) in
-  for b = 0 to nb - 1 do
-    for r = 0 to s - 1 do
-      for c = 0 to s - 1 do
-        Matrix.unsafe_set m ((b * s) + r) ((b * s) + c)
-          (if r = c then 2.0 else 1.0)
-      done
-    done
-  done;
-  let a = Vblu_sparse.Csr.of_dense m in
+  let s = 2 in
+  let a = pair_blocks 4 in
   let families =
     [
       ( "block-ilu0",
@@ -643,6 +684,8 @@ let () =
             test_bj_degrade_and_fail_policies;
           Alcotest.test_case "zeroed entry, every variant" `Quick
             test_bj_zeroed_entry_every_variant;
+          Alcotest.test_case "zeroed pivot without abft" `Quick
+            test_bj_zeroed_pivot_without_abft;
         ] );
       ( "block-ilu0",
         [
