@@ -40,7 +40,8 @@ module Plan = struct
     at : site list;
     mutex : Mutex.t;
     fired : (int * int, unit) Hashtbl.t;
-    mutable injected : int;
+    injected : int ref;
+    problem_of : int -> int;
   }
 
   let make ?(seed = 1) ?(every = 1) ?(phase = 0) ?(target = Register)
@@ -57,8 +58,13 @@ module Plan = struct
       at;
       mutex = Mutex.create ();
       fired = Hashtbl.create 16;
-      injected = 0;
+      injected = ref 0;
+      problem_of = Fun.id;
     }
+
+  (* A view shares the claims and the count; only the numbering moves. *)
+  let view t ~problems =
+    { t with problem_of = (fun i -> t.problem_of problems.(i)) }
 
   (* Site placement is a pure function of (seed, problem): the generated
      step/lane come from a problem-keyed PRNG stream, so two runs of the
@@ -66,6 +72,7 @@ module Plan = struct
   let sites_for t ~problem ~size =
     if size <= 0 then []
     else begin
+      let problem = t.problem_of problem in
       let clamp s =
         {
           s with
@@ -110,11 +117,11 @@ module Plan = struct
     Mutex.unlock t.mutex;
     fresh
 
-  let injected t = t.injected
+  let injected t = !(t.injected)
 
   let note_injected t =
     Mutex.lock t.mutex;
-    t.injected <- t.injected + 1;
+    incr t.injected;
     Mutex.unlock t.mutex
 
   let to_spec t =

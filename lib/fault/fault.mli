@@ -88,6 +88,12 @@ module Plan : sig
   val to_spec : t -> string
   (** Round-trips through {!of_spec}. *)
 
+  val view : t -> problems:int array -> t
+  (** [view p ~problems] is [p] with problem [i] renumbered
+      [problems.(i)]: a launch that runs only some of a plan's problems,
+      in another order, still meets each one's own sites.  The view
+      shares [p]'s claims and its {!injected} count. *)
+
   val sites_for : t -> problem:int -> size:int -> site list
   (** The sites this plan places in the given problem, step/lane clamped
       to [size]; pure and deterministic.  Empty for [size <= 0]. *)

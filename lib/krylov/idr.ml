@@ -35,35 +35,37 @@ let shadow_space ~prec ~seed n s =
   done;
   cols
 
-(* Forward substitution with the lower-triangular trailing block
-   ms(k.., k..) — the small system of the biortho variant. *)
+(* [ms] is stored by columns: [ms.(j).(i)] is M(i, j), so the cycle's
+   fused passes write a new column [ms.(k)] in place.  Forward
+   substitution with the lower-triangular trailing block M(k.., k..) —
+   the small system of the biortho variant — into [c.(1 ..)]. *)
 let[@inline] solve_lower_k prec ms f c k s =
   for i = k to s - 1 do
     let acc = ref f.(i) in
     for j = k to i - 1 do
-      acc := R.fma prec (-.ms.(i).(j)) c.(j - k) !acc
+      acc := R.fma prec (-.ms.(j).(i)) c.(1 + j - k) !acc
     done;
     if ms.(i).(i) = 0.0 then raise Exit;
-    c.(i - k) <- R.div prec !acc ms.(i).(i)
+    c.(1 + i - k) <- R.div prec !acc ms.(i).(i)
   done
 
-let solve_lower ~prec ms f k s =
-  let c = Array.make (s - k) 0.0 in
-  (match prec with
-  | Precision.Double -> (solve_lower_k [@inlined]) Precision.Double ms f c k s
-  | Single -> (solve_lower_k [@inlined]) Precision.Single ms f c k s);
-  c
-
-(* [f.(i) <- f.(i) - beta·ms(i, k)] for the directions after [k]. *)
-let[@inline] update_f_k prec ~beta ms f k s =
-  for i = k + 1 to s - 1 do
-    f.(i) <- R.fma prec (-.beta) ms.(i).(k) f.(i)
-  done
-
-let update_f prec ~beta ms f k s =
+let solve_lower prec ms f c k s =
   match prec with
-  | Precision.Double -> (update_f_k [@inlined]) Precision.Double ~beta ms f k s
-  | Single -> (update_f_k [@inlined]) Precision.Single ~beta ms f k s
+  | Precision.Double -> (solve_lower_k [@inlined]) Precision.Double ms f c k s
+  | Single -> (solve_lower_k [@inlined]) Precision.Single ms f c k s
+
+(* [f.(i) <- f.(i) - beta·M(i, k)] for the directions after [k], with
+   [beta = sc.(0)]. *)
+let[@inline] update_f_k prec sc ms f k s =
+  let beta = sc.(0) in
+  for i = k + 1 to s - 1 do
+    f.(i) <- R.fma prec (-.beta) ms.(k).(i) f.(i)
+  done
+
+let update_f prec sc ms f k s =
+  match prec with
+  | Precision.Double -> (update_f_k [@inlined]) Precision.Double sc ms f k s
+  | Single -> (update_f_k [@inlined]) Precision.Single sc ms f k s
 
 (* Observability hooks.  Each is a no-op without a context, so a solve
    with [?obs] absent is bit-identical to the uninstrumented path. *)
@@ -179,8 +181,17 @@ let solve ?(prec = Precision.Double) ?precond ?(s = 4) ?(seed = 1)
   let v = Vector.create n and t = Vector.create n in
   let uk_spare = ref (Vector.create n) and gk_spare = ref (Vector.create n) in
   (* ms is the s×s biorthogonality matrix, lower triangular by
-     construction; start from the identity. *)
-  let ms = Array.init s (fun i -> Array.init s (fun j -> if i = j then 1.0 else 0.0)) in
+     construction and stored by columns; start from the identity. *)
+  let ms =
+    Array.init s (fun j -> Array.init s (fun i -> if i = j then 1.0 else 0.0))
+  in
+  (* Scalar workspaces, so no pass boxes a float: [f = P·r]; [c.(0)] is
+     ω and [c.(1 ..)] the biortho coefficients; [sc.(0)] is the current
+     α or β; [d] takes the dots a pass carries ([d.(0)] is [r·r] after
+     an update). *)
+  let f = Array.make s 0.0 and c = Array.make (s + 1) 0.0 in
+  let sc = [| 0.0 |] and d = Array.make (s + 1) 0.0 in
+  let tr_ws = [| t; r |] and oprec = Some prec in
   let om = ref 1.0 in
   let iters = ref 0 in
   let rnorm = ref (Vector.nrm2 ~prec r) in
@@ -188,13 +199,18 @@ let solve ?(prec = Precision.Double) ?precond ?(s = 4) ?(seed = 1)
   record obs !rnorm;
   if !rnorm <= target then outcome := Some Solver.Converged;
   let apply_m v = Preconditioner.apply !precond v in
-  (* Re-measure [r] after an update and apply the stopping rule. *)
+  (* Take the norm of [r] from [d.(0) = r·r], as an update leaves it, and
+     apply the stopping rule. *)
   let measure () =
-    rnorm := Vector.nrm2 ~prec r;
+    rnorm := R.round prec (sqrt d.(0));
     record obs !rnorm;
     if !rnorm <= target then outcome := Some Solver.Converged
     else if !iters >= config.Solver.max_iters then
       outcome := Some Solver.Max_iterations
+  in
+  let shadow_dots () =
+    Vector.dots_into ?prec:oprec ~y_left:false r ~ws:p ~woff:0 ~nd:s ~out:f
+      ~ooff:0
   in
   let check_guard () =
     match guard with
@@ -225,66 +241,75 @@ let solve ?(prec = Precision.Double) ?precond ?(s = 4) ?(seed = 1)
       done
     done;
     om := 1.0;
-    measure ()
+    d.(0) <- Vector.dot ~prec r r;
+    measure ();
+    shadow_dots ()
   in
   (* One IDR cycle: s steps inside the current Sonneveld space, then the
-     dimension-reduction step into the next one. *)
+     dimension-reduction step into the next one.  [f] holds [P·r] on
+     entry: the previous cycle's last update carried it.  Each vector a
+     step writes is written by one fused pass that also takes the dots
+     read from it (DESIGN §5i). *)
   let cycle () =
-    let f = Array.init s (fun i -> Vector.dot ~prec p.(i) r) in
     let k = ref 0 in
     while !outcome = None && !k < s do
-      let kk = !k in
-      match solve_lower ~prec ms f kk s with
+      let kk = !k and m = s - !k in
+      match solve_lower prec ms f c kk s with
       | exception Exit ->
         outcome := Some (Solver.Breakdown "singular biortho system")
-      | c ->
+      | () ->
         (* v = r - Σ c_i g_i over the trailing directions. *)
-        Vector.blit ~src:r ~dst:v;
-        for i = kk to s - 1 do
-          Vector.axpy ~prec (-.c.(i - kk)) g.(i) v
-        done;
+        Fused.sub_terms ?prec:oprec ~c ~coff:1 ~xs:g ~xoff:kk ~m r v;
         let vhat = apply_m v in
         (* u_k = om * vhat + Σ c_i u_i. *)
         let uk = !uk_spare and gk = !gk_spare in
-        Vector.blit ~src:vhat ~dst:uk;
-        Vector.scal ~prec !om uk;
-        for i = kk to s - 1 do
-          Vector.axpy ~prec c.(i - kk) u.(i) uk
-        done;
-        Csr.spmv_into ~prec a uk gk;
+        c.(0) <- !om;
+        Fused.scale_terms ?prec:oprec ~c ~coff:0 ~xs:u ~xoff:kk ~m vhat uk;
+        (* g_k = A·u_k, carrying the column M(k.., k) when no direction
+           precedes it, else the first biortho dot p_0·g_k. *)
+        if kk = 0 then
+          Csr.spmv_dots_into ?prec:oprec ~y_left:false a uk gk ~ws:p ~woff:0
+            ~nd:m ~out:ms.(0) ~ooff:0
+        else
+          Csr.spmv_dots_into ?prec:oprec ~y_left:false a uk gk ~ws:p ~woff:0
+            ~nd:1 ~out:d ~ooff:0;
         incr iters;
-        (* Bi-orthogonalize the new direction against p_0..p_{k-1}. *)
+        (* Bi-orthogonalize the new direction against p_0..p_{k-1}; each
+           pass carries the next pass's dot, and the last one the column
+           M(k.., k). *)
         for i = 0 to kk - 1 do
-          let alpha = R.div prec (Vector.dot ~prec p.(i) gk) ms.(i).(i) in
-          Vector.axpy ~prec (-.alpha) g.(i) gk;
-          Vector.axpy ~prec (-.alpha) u.(i) uk
+          sc.(0) <- R.div prec d.(0) ms.(i).(i);
+          if i < kk - 1 then
+            Fused.biortho ?prec:oprec ~c:sc ~ci:0 ~g:g.(i) ~u:u.(i) gk uk
+              ~ws:p ~woff:(i + 1) ~nd:1 ~out:d ~ooff:0
+          else
+            Fused.biortho ?prec:oprec ~c:sc ~ci:0 ~g:g.(i) ~u:u.(i) gk uk
+              ~ws:p ~woff:kk ~nd:m ~out:ms.(kk) ~ooff:kk
         done;
         uk_spare := u.(kk);
         gk_spare := g.(kk);
         u.(kk) <- uk;
         g.(kk) <- gk;
-        for i = kk to s - 1 do
-          ms.(i).(kk) <- Vector.dot ~prec p.(i) gk
-        done;
         if ms.(kk).(kk) = 0.0 then
           outcome := Some (Solver.Breakdown "zero pivot in IDR recurrence")
         else begin
-          let beta = R.div prec f.(kk) ms.(kk).(kk) in
-          Vector.axpy ~prec (-.beta) gk r;
-          Vector.axpy ~prec beta uk x;
+          sc.(0) <- R.div prec f.(kk) ms.(kk).(kk);
+          Fused.update ?prec:oprec ~c:sc ~ci:0 ~y:gk ~z:uk r x ~ws:p ~woff:0
+            ~nd:0 ~out:d ~ooff:0;
           measure ();
           check_guard ();
-          update_f prec ~beta ms f kk s;
+          update_f prec sc ms f kk s;
           f.(kk) <- 0.0
         end;
         incr k
     done;
     if !outcome = None then begin
       let vhat = apply_m r in
-      Csr.spmv_into ~prec a vhat t;
+      (* t = A·vhat, carrying t·t and t·r. *)
+      Csr.spmv_dots_into ?prec:oprec ~y_left:true a vhat t ~ws:tr_ws ~woff:0
+        ~nd:2 ~out:d ~ooff:0;
       incr iters;
-      let tt = Vector.dot ~prec t t in
-      let tr = Vector.dot ~prec t r in
+      let tt = d.(0) and tr = d.(1) in
       if tt = 0.0 then
         outcome := Some (Solver.Breakdown "t = 0 in dimension-reduction step")
       else begin
@@ -296,14 +321,19 @@ let solve ?(prec = Precision.Double) ?precond ?(s = 4) ?(seed = 1)
           om := !om *. 0.7 /. Float.abs rho;
         if !om = 0.0 then outcome := Some (Solver.Breakdown "omega = 0")
         else begin
-          Vector.axpy ~prec !om vhat x;
-          Vector.axpy ~prec (-. !om) t r;
+          (* x += om·vhat, r -= om·t, carrying ‖r‖² and the next
+             cycle's f = P·r. *)
+          c.(0) <- !om;
+          Fused.update ?prec:oprec ~c ~ci:0 ~y:t ~z:vhat r x ~ws:p ~woff:0
+            ~nd:s ~out:d ~ooff:0;
+          Array.blit d 1 f 0 s;
           measure ();
           check_guard ()
         end
       end
     end
   in
+  shadow_dots ();
   (try
      while !outcome = None do
        try cycle () with Restart -> rearm ()

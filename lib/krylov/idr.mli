@@ -11,8 +11,12 @@
     block) from a deterministic RNG by default so experiments are
     reproducible; pass [~seed] to vary it.
 
-    Each solve allocates its n-vectors once; per iteration the only fresh
-    n-vector is the preconditioner's result. *)
+    Each solve allocates its n-vectors and its small arrays once; per
+    iteration the only fresh n-vector is the preconditioner's result.
+    The cycle's vector work runs as {!Fused} passes and
+    [Csr.spmv_dots_into]: each vector a step writes is written once, with
+    the dots read from it, and the iterates keep the bits of one
+    [Vector] call per term. *)
 
 open Vblu_smallblas
 open Vblu_precond

@@ -743,11 +743,22 @@ type settlement = {
 }
 
 (* [rounds] with one launch per round over the pending sites' copies,
-   copy-major. *)
+   copy-major.  Copy [c] of site [q] is fault-plan problem [c·ns + q] in
+   every round, its first-round position, so a retry meets only the
+   sites its first launch claimed. *)
 let settle ?pool ~prec ~layout ?obs ?faults ~abft ~recovery ~policy copies =
   let stats = ref [] in
   let factor mats pending =
     let nc = Array.length mats and np = Array.length pending in
+    let ns = Array.length mats.(0) in
+    let faults =
+      Option.map
+        (Fault.Plan.view
+           ~problems:
+             (Array.init (nc * np) (fun p ->
+                  (p / np * ns) + pending.(p mod np))))
+        faults
+    in
     let res =
       Batched_lu.factor ?pool ~prec ?faults ~abft ?obs
         (Batch.of_matrices ~layout

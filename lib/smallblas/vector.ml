@@ -43,6 +43,69 @@ let dot ?(prec = Precision.Double) x y =
   | Precision.Double -> (dot_k [@inlined]) Precision.Double x y
   | Single -> (dot_k [@inlined]) Precision.Single x y
 
+(* One pass over [y] for [nd <= 4] dots, [nd] and [y_left] constant at
+   each instantiation: [out.(ooff + j) <- dot w_j y], or [dot y w_j] with
+   [y_left] ([dot]'s operand order, which picks a NaN's payload), each
+   accumulated in index order exactly as [dot_k] does. *)
+let[@inline] dots4_k prec ~y_left nd y ws woff out ooff =
+  let w0 = if nd > 0 then ws.(woff) else y in
+  let w1 = if nd > 1 then ws.(woff + 1) else y in
+  let w2 = if nd > 2 then ws.(woff + 2) else y in
+  let w3 = if nd > 3 then ws.(woff + 3) else y in
+  let d0 = ref 0.0 and d1 = ref 0.0 and d2 = ref 0.0 and d3 = ref 0.0 in
+  for i = 0 to Array.length y - 1 do
+    if y_left then begin
+      if nd > 0 then d0 := R.fma prec y.(i) w0.(i) !d0;
+      if nd > 1 then d1 := R.fma prec y.(i) w1.(i) !d1;
+      if nd > 2 then d2 := R.fma prec y.(i) w2.(i) !d2;
+      if nd > 3 then d3 := R.fma prec y.(i) w3.(i) !d3
+    end
+    else begin
+      if nd > 0 then d0 := R.fma prec w0.(i) y.(i) !d0;
+      if nd > 1 then d1 := R.fma prec w1.(i) y.(i) !d1;
+      if nd > 2 then d2 := R.fma prec w2.(i) y.(i) !d2;
+      if nd > 3 then d3 := R.fma prec w3.(i) y.(i) !d3
+    end
+  done;
+  if nd > 0 then out.(ooff) <- !d0;
+  if nd > 1 then out.(ooff + 1) <- !d1;
+  if nd > 2 then out.(ooff + 2) <- !d2;
+  if nd > 3 then out.(ooff + 3) <- !d3
+
+let[@inline] dots_k prec ~y_left y ws woff nd out ooff =
+  let j = ref 0 in
+  while !j < nd do
+    let o = !j in
+    (match nd - o with
+    | 1 -> (dots4_k [@inlined]) prec ~y_left 1 y ws (woff + o) out (ooff + o)
+    | 2 -> (dots4_k [@inlined]) prec ~y_left 2 y ws (woff + o) out (ooff + o)
+    | 3 -> (dots4_k [@inlined]) prec ~y_left 3 y ws (woff + o) out (ooff + o)
+    | _ -> (dots4_k [@inlined]) prec ~y_left 4 y ws (woff + o) out (ooff + o));
+    j := o + 4
+  done
+
+let check_dots fn y ~ws ~woff ~nd ~out ~ooff ~gap =
+  if
+    nd < 0 || woff < 0 || woff + nd > Array.length ws || ooff < 0
+    || (gap + nd > 0 && ooff + gap + nd > Array.length out)
+  then invalid_arg (fn ^ ": dot range out of bounds");
+  for j = woff to woff + nd - 1 do
+    if Array.length ws.(j) <> Array.length y then
+      invalid_arg (fn ^ ": dimension mismatch")
+  done
+
+let dots_into ?(prec = Precision.Double) ~y_left y ~ws ~woff ~nd ~out ~ooff =
+  check_dots "Vector.dots_into" y ~ws ~woff ~nd ~out ~ooff ~gap:0;
+  match (prec, y_left) with
+  | Precision.Double, false ->
+    (dots_k [@inlined]) Precision.Double ~y_left:false y ws woff nd out ooff
+  | Double, true ->
+    (dots_k [@inlined]) Precision.Double ~y_left:true y ws woff nd out ooff
+  | Single, false ->
+    (dots_k [@inlined]) Precision.Single ~y_left:false y ws woff nd out ooff
+  | Single, true ->
+    (dots_k [@inlined]) Precision.Single ~y_left:true y ws woff nd out ooff
+
 let[@inline] nrm2_k prec x = R.round prec (sqrt ((dot_k [@inlined]) prec x x))
 
 let nrm2 ?(prec = Precision.Double) x =

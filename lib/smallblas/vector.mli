@@ -27,6 +27,23 @@ val random : state:Random.State.t -> ?lo:float -> ?hi:float -> int -> t
 val dot : ?prec:Precision.t -> t -> t -> float
 (** Inner product with sequential accumulation in the working precision. *)
 
+val dots_into :
+  ?prec:Precision.t -> y_left:bool -> t -> ws:t array -> woff:int ->
+  nd:int -> out:float array -> ooff:int -> unit
+(** [dots_into ~y_left y ~ws ~woff ~nd ~out ~ooff] sets
+    [out.(ooff + j)] to [dot ws.(woff + j) y] for [j < nd], or to
+    [dot y ws.(woff + j)] with [y_left] (the order decides which NaN
+    payload a product of two NaNs keeps), bit for bit, in one pass over
+    [y] per four dots.
+    @raise Invalid_argument on a range or dimension mismatch. *)
+
+val check_dots :
+  string -> t -> ws:t array -> woff:int -> nd:int -> out:float array ->
+  ooff:int -> gap:int -> unit
+(** The argument check of a pass carrying [nd] dots of [y] against
+    [ws.(woff ..)] into [out.(ooff + gap ..)], raising
+    [Invalid_argument] prefixed by the function name. *)
+
 val nrm2 : ?prec:Precision.t -> t -> float
 (** Euclidean norm. *)
 

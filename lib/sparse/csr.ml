@@ -2,8 +2,8 @@ open Vblu_smallblas
 
 (* Rounded FMA inlined into this unit, bitwise equal to [Precision.fma]:
    under [-opaque] a call into another unit boxes every float it passes or
-   returns.  [spmv_into]'s loop is an [@inline] body instantiated once per
-   precision, so in Double [round] folds away (DESIGN §5i). *)
+   returns.  The SpMV loop is an [@inline] body instantiated once per
+   precision and dot count, so in Double [round] folds away (DESIGN §5i). *)
 module R = struct
   let[@inline] round p x =
     match p with
@@ -103,21 +103,81 @@ let to_dense t =
   done;
   m
 
-let[@inline] spmv_k prec t x y =
+(* [y = A·x] row by row, carrying [nd <= 4] dots of [y] against
+   [ws.(woff + j)] into [out.(ooff + j)], each read back from the row just
+   written and accumulated in index order: [Vector.dots_into]'s bits,
+   operand order included ([y_left]).  [nd] and [y_left] are constants at
+   each instantiation, so [spmv_into] is the [nd = 0] loop alone. *)
+let[@inline] spmv_k prec ~y_left nd t x y ws woff out ooff =
+  let w0 = if nd > 0 then ws.(woff) else y in
+  let w1 = if nd > 1 then ws.(woff + 1) else y in
+  let w2 = if nd > 2 then ws.(woff + 2) else y in
+  let w3 = if nd > 3 then ws.(woff + 3) else y in
+  let d0 = ref 0.0 and d1 = ref 0.0 and d2 = ref 0.0 and d3 = ref 0.0 in
   for i = 0 to t.n_rows - 1 do
     let acc = ref 0.0 in
     for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
       acc := R.fma prec t.values.(k) x.(t.col_idx.(k)) !acc
     done;
-    y.(i) <- !acc
-  done
+    y.(i) <- !acc;
+    if y_left then begin
+      if nd > 0 then d0 := R.fma prec y.(i) w0.(i) !d0;
+      if nd > 1 then d1 := R.fma prec y.(i) w1.(i) !d1;
+      if nd > 2 then d2 := R.fma prec y.(i) w2.(i) !d2;
+      if nd > 3 then d3 := R.fma prec y.(i) w3.(i) !d3
+    end
+    else begin
+      if nd > 0 then d0 := R.fma prec w0.(i) y.(i) !d0;
+      if nd > 1 then d1 := R.fma prec w1.(i) y.(i) !d1;
+      if nd > 2 then d2 := R.fma prec w2.(i) y.(i) !d2;
+      if nd > 3 then d3 := R.fma prec w3.(i) y.(i) !d3
+    end
+  done;
+  if nd > 0 then out.(ooff) <- !d0;
+  if nd > 1 then out.(ooff + 1) <- !d1;
+  if nd > 2 then out.(ooff + 2) <- !d2;
+  if nd > 3 then out.(ooff + 3) <- !d3
+
+let[@inline] spmv_n prec ~y_left t x y ws woff nd out ooff =
+  match nd with
+  | 0 -> (spmv_k [@inlined]) prec ~y_left 0 t x y ws woff out ooff
+  | 1 -> (spmv_k [@inlined]) prec ~y_left 1 t x y ws woff out ooff
+  | 2 -> (spmv_k [@inlined]) prec ~y_left 2 t x y ws woff out ooff
+  | 3 -> (spmv_k [@inlined]) prec ~y_left 3 t x y ws woff out ooff
+  | _ -> (spmv_k [@inlined]) prec ~y_left 4 t x y ws woff out ooff
+
+let check_spmv t x y =
+  if Array.length x <> t.n_cols || Array.length y <> t.n_rows then
+    invalid_arg "Csr.spmv: dimension mismatch"
 
 let spmv_into ?(prec = Precision.Double) t x y =
-  if Array.length x <> t.n_cols || Array.length y <> t.n_rows then
-    invalid_arg "Csr.spmv: dimension mismatch";
+  check_spmv t x y;
   match prec with
-  | Precision.Double -> (spmv_k [@inlined]) Precision.Double t x y
-  | Single -> (spmv_k [@inlined]) Precision.Single t x y
+  | Precision.Double ->
+    (spmv_k [@inlined]) Precision.Double ~y_left:false 0 t x y [||] 0 [||] 0
+  | Single ->
+    (spmv_k [@inlined]) Precision.Single ~y_left:false 0 t x y [||] 0 [||] 0
+
+let spmv_dots_into ?prec ~y_left t x y ~ws ~woff ~nd ~out ~ooff =
+  check_spmv t x y;
+  Vector.check_dots "Csr.spmv_dots_into" y ~ws ~woff ~nd ~out ~ooff ~gap:0;
+  let n4 = min nd 4 in
+  (match (Option.value prec ~default:Precision.Double, y_left) with
+  | Precision.Double, false ->
+    (spmv_n [@inlined]) Precision.Double ~y_left:false t x y ws woff n4 out
+      ooff
+  | Double, true ->
+    (spmv_n [@inlined]) Precision.Double ~y_left:true t x y ws woff n4 out ooff
+  | Single, false ->
+    (spmv_n [@inlined]) Precision.Single ~y_left:false t x y ws woff n4 out
+      ooff
+  | Single, true ->
+    (spmv_n [@inlined]) Precision.Single ~y_left:true t x y ws woff n4 out
+      ooff);
+  (* [?prec] is passed on as given: a fresh [Some] would allocate. *)
+  if nd > 4 then
+    Vector.dots_into ?prec ~y_left y ~ws ~woff:(woff + 4) ~nd:(nd - 4) ~out
+      ~ooff:(ooff + 4)
 
 let spmv ?(prec = Precision.Double) t x =
   let y = Array.make t.n_rows 0.0 in

@@ -45,6 +45,16 @@ val spmv : ?prec:Precision.t -> t -> Vector.t -> Vector.t
 val spmv_into : ?prec:Precision.t -> t -> Vector.t -> Vector.t -> unit
 (** [spmv_into a x y] overwrites [y] with [A·x] without allocating. *)
 
+val spmv_dots_into :
+  ?prec:Precision.t -> y_left:bool -> t -> Vector.t -> Vector.t ->
+  ws:Vector.t array -> woff:int -> nd:int -> out:float array -> ooff:int ->
+  unit
+(** [spmv_into a x y] followed by
+    [Vector.dots_into ~y_left y ~ws ~woff ~nd ~out ~ooff], bit for bit, in
+    one pass over the rows for up to four dots (more take one further
+    pass over [y] per four).  [spmv_into] is its zero-dot case.
+    @raise Invalid_argument on a dimension or range mismatch. *)
+
 val diagonal : t -> Vector.t
 (** The main diagonal (zeros where absent). *)
 

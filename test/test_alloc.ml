@@ -18,6 +18,7 @@ open Vblu_sparse
 open Vblu_simt
 open Vblu_core
 open Vblu_precond
+module Fused = Vblu_krylov.Fused
 
 let precs = [ Precision.Double; Precision.Single ]
 
@@ -276,15 +277,17 @@ let test_launch_major_words () =
 
 let test_idr_iteration () =
   (* Each IDR(4) iteration allocates the identity preconditioner's result
-     (n floats plus a header) and a size-independent constant — s-vectors
-     and boxed scalars — but no n-vector of its own: the products, the
-     inner step's operand and the new directions live in per-solve
-     workspaces.  With rtol 0 the solve runs to its cap, so the words
-     between two caps are those of the extra iterations.  n stays below
-     [Max_young_wosize], so every vector is allocated on the minor heap,
-     whose counter is exact (the major-heap counters behind
-     [Gc.allocated_bytes] are flushed lazily). *)
-  let slack = 128.0 in
+     (n floats plus a header) and, over a cycle, two words of boxed
+     scalars per iteration, but no n-vector and no s-vector of its own:
+     the products, the inner step's operand, the new directions, [f], the
+     biortho coefficients and every dot live in per-solve workspaces, and
+     no pass takes a float argument.  With rtol 0 the solve runs to its
+     cap, so the words between two caps (both at a cycle's end) are those
+     of the extra iterations.  n stays below [Max_young_wosize], so every
+     vector is allocated on the minor heap, whose counter is exact (the
+     major-heap counters behind [Gc.allocated_bytes] are flushed
+     lazily). *)
+  let slack = 2.0 in
   let a =
     Vblu_workloads.Generators.convection_diffusion_2d ~nx:15 ~ny:15
       ~peclet:20.0 ()
@@ -377,6 +380,11 @@ let test_zero_alloc () =
   let dst = Array.make (n * n) 0.0 and tile = Array.make (n * n) 0.0 in
   let step = Array.make n 0 and perm = Array.make n 0 in
   let c = Some (Array.copy src) in
+  (* Five terms or dots: a full group of four and a second group. *)
+  let ws = Array.init 5 (fun _ -> Vector.random ~state:st n) in
+  let ws96 = Array.init 5 (fun _ -> Vector.random ~state:st 96) in
+  let coef = Array.make 6 0.25 and out = Array.make 6 0.0 in
+  let dst24 = Array.make n 0.0 in
   let int_result f () = ignore (Sys.opaque_identity (f ())) in
   List.iter
     (fun (name, f) ->
@@ -414,6 +422,25 @@ let test_zero_alloc () =
             Cholesky.solve_view ~m:chol.Cholesky.l.Matrix.a ~moff:0 ~n ~b:y
               ~boff:0 ()) );
       ("Cholesky.solve_in_place", fun () -> Cholesky.solve_in_place chol y);
+      ( "Vector.dots_into",
+        fun () ->
+          Vector.dots_into ~y_left:false x ~ws ~woff:0 ~nd:5 ~out ~ooff:0 );
+      ( "Csr.spmv_dots_into",
+        fun () ->
+          Csr.spmv_dots_into ~y_left:true a xs ys ~ws:ws96 ~woff:0 ~nd:5 ~out
+            ~ooff:0 );
+      ( "Fused.sub_terms",
+        fun () -> Fused.sub_terms ~c:coef ~coff:1 ~xs:ws ~xoff:0 ~m:5 x y );
+      ( "Fused.scale_terms",
+        fun () -> Fused.scale_terms ~c:coef ~coff:0 ~xs:ws ~xoff:0 ~m:5 x y );
+      ( "Fused.biortho",
+        fun () ->
+          Fused.biortho ~c:coef ~ci:0 ~g:x ~u:x y dst24 ~ws ~woff:0 ~nd:5 ~out
+            ~ooff:0 );
+      ( "Fused.update",
+        fun () ->
+          Fused.update ~c:coef ~ci:0 ~y:x ~z:x y dst24 ~ws ~woff:0 ~nd:5 ~out
+            ~ooff:0 );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1337,6 +1364,107 @@ let test_nonfinite_direct () =
         (bits_equal dst interp.Batched_cholesky.factors.Batch.values))
     precs
 
+(* Each fused pass of the IDR(s) cycle against the sequential [Vector]
+   composition it replaces, bit for bit: lengths 0..64, 1..8 terms or
+   dots (so past four a second group), NaN, infinities, subnormals and
+   signed zeros in every operand and coefficient, both precisions. *)
+let qcheck_fused =
+  let gen =
+    QCheck.Gen.(
+      int_range 0 64 >>= fun n ->
+      int_range 1 8 >>= fun m ->
+      bool >>= fun single ->
+      list_repeat (m + 12) (gen_array n) >>= fun vs ->
+      gen_array (m + 2) >>= fun c ->
+      gen_array (n * n) >>= fun entries ->
+      int_bound 1000 >>= fun seed ->
+      return (n, m, single, Array.of_list vs, c, entries, seed))
+  in
+  let print (n, m, single, _, _, _, seed) =
+    Printf.sprintf "n=%d m=%d seed=%d %s" n m seed
+      (if single then "single" else "double")
+  in
+  QCheck.Test.make ~count:300 ~name:"fused idr passes ≡ Vector compositions"
+    (QCheck.make gen ~print)
+    (fun (n, m, single, vs, c, entries, seed) ->
+      let prec = prec_of single in
+      let v i = Array.copy vs.(i) in
+      (* [ws.(1 .. m)] are the terms and the dot partners. *)
+      let ws = Array.sub vs 0 (m + 1) in
+      let dots_ref ~y_left y out ooff =
+        for j = 0 to m - 1 do
+          out.(ooff + j) <-
+            (if y_left then Vector.dot ~prec y ws.(1 + j)
+             else Vector.dot ~prec ws.(1 + j) y)
+        done
+      in
+      let sub =
+        let got = v (m + 1) and want = v (m + 1) in
+        Vblu_krylov.Fused.sub_terms ~prec ~c ~coff:1 ~xs:ws ~xoff:1 ~m
+          vs.(m + 2) got;
+        Vector.blit ~src:vs.(m + 2) ~dst:want;
+        for j = 0 to m - 1 do
+          Vector.axpy ~prec (-.c.(1 + j)) ws.(1 + j) want
+        done;
+        bits_equal got want
+      in
+      let scale =
+        let got = v (m + 1) and want = v (m + 1) in
+        Vblu_krylov.Fused.scale_terms ~prec ~c ~coff:0 ~xs:ws ~xoff:1 ~m
+          vs.(m + 2) got;
+        Vector.blit ~src:vs.(m + 2) ~dst:want;
+        Vector.scal ~prec c.(0) want;
+        for j = 0 to m - 1 do
+          Vector.axpy ~prec c.(1 + j) ws.(1 + j) want
+        done;
+        bits_equal got want
+      in
+      let biortho =
+        let gk = v (m + 3) and uk = v (m + 4) in
+        let gk' = v (m + 3) and uk' = v (m + 4) in
+        let out = Array.make (m + 1) 0.0 and out' = Array.make (m + 1) 0.0 in
+        Vblu_krylov.Fused.biortho ~prec ~c ~ci:(m + 1) ~g:vs.(m + 5)
+          ~u:vs.(m + 6) gk uk ~ws ~woff:1 ~nd:m ~out ~ooff:1;
+        Vector.axpy ~prec (-.c.(m + 1)) vs.(m + 5) gk';
+        Vector.axpy ~prec (-.c.(m + 1)) vs.(m + 6) uk';
+        dots_ref ~y_left:false gk' out' 1;
+        bits_equal gk gk' && bits_equal uk uk' && bits_equal out out'
+      in
+      let update =
+        let r = v (m + 7) and x = v (m + 8) in
+        let r' = v (m + 7) and x' = v (m + 8) in
+        let out = Array.make (m + 2) 0.0 and out' = Array.make (m + 2) 0.0 in
+        Vblu_krylov.Fused.update ~prec ~c ~ci:0 ~y:vs.(m + 9) ~z:vs.(m + 10) r
+          x ~ws ~woff:1 ~nd:m ~out ~ooff:1;
+        Vector.axpy ~prec (-.c.(0)) vs.(m + 9) r';
+        Vector.axpy ~prec c.(0) vs.(m + 10) x';
+        out'.(1) <- Vector.dot ~prec r' r';
+        dots_ref ~y_left:false r' out' 2;
+        bits_equal r r' && bits_equal x x' && bits_equal out out'
+      in
+      let a =
+        let mask = Random.State.make [| 0xf05e; seed |] in
+        Csr.of_dense
+          (Matrix.init n n (fun i j ->
+               if Random.State.int mask 3 = 0 then entries.(i + (j * n))
+               else 0.0))
+      in
+      let with_order y_left =
+        let out = Array.make m 0.0 and out' = Array.make m 0.0 in
+        Vector.dots_into ~prec ~y_left vs.(m + 11) ~ws ~woff:1 ~nd:m ~out
+          ~ooff:0;
+        dots_ref ~y_left vs.(m + 11) out' 0;
+        let y = Array.make n 0.0 and y' = Array.make n 0.0 in
+        let sout = Array.make m 0.0 and sout' = Array.make m 0.0 in
+        Csr.spmv_dots_into ~prec ~y_left a vs.(m + 11) y ~ws ~woff:1 ~nd:m
+          ~out:sout ~ooff:0;
+        Csr.spmv_into ~prec a vs.(m + 11) y';
+        dots_ref ~y_left y' sout' 0;
+        bits_equal out out' && bits_equal y y' && bits_equal sout sout'
+      in
+      sub && scale && biortho && update && with_order false
+      && with_order true)
+
 let () =
   Alcotest.run "host numerics"
     [
@@ -1359,6 +1487,7 @@ let () =
       ( "bit-identity",
         [
           QCheck_alcotest.to_alcotest qcheck_bit_identity;
+          QCheck_alcotest.to_alcotest qcheck_fused;
           QCheck_alcotest.to_alcotest qcheck_gemm_view;
           Alcotest.test_case "eager pair breakdown freeze" `Quick
             test_eager_freeze;

@@ -479,6 +479,78 @@ let test_ilu0_zeroed_entry_policies () =
       | _ -> Alcotest.failf "%s: recovery policy fail did not raise" name)
     families
 
+(* Dense diagonal blocks of the given sizes, 4 on the diagonal and 1
+   elsewhere: every block factors cleanly. *)
+let mixed_blocks sizes =
+  let n = Array.fold_left ( + ) 0 sizes in
+  let m = Matrix.create n n in
+  ignore
+    (Array.fold_left
+       (fun o s ->
+         for r = 0 to s - 1 do
+           for c = 0 to s - 1 do
+             Matrix.unsafe_set m (o + r) (o + c) (if r = c then 4.0 else 1.0)
+           done
+         done;
+         o + s)
+       0 sizes);
+  Vblu_sparse.Csr.of_dense m
+
+(* A retry launch holds only the pending copies, so its launch positions
+   differ from the first round's.  Each copy keeps its first-round fault
+   problem, so the retry meets no fresh site: with every problem faulted,
+   the faults fired are exactly the first round's (one per factored copy,
+   a block and its transpose per block-ILU(0) block), and recompute
+   leaves no block corrupt or degraded and rebuilds the clean factors. *)
+let test_ilu0_recompute_mixed_sizes () =
+  let a = mixed_blocks [| 1; 2; 3; 4; 3; 2; 1; 4; 2; 3 |] in
+  let plan () = Fault.Plan.make ~seed:1 ~every:1 () in
+  let families =
+    [
+      ( "block-ilu0",
+        fun faults ->
+          let p, info =
+            Bi.create ?faults ~abft:true ~recovery:(Bj.Recompute 1)
+              ~max_block_size:4 a
+          in
+          (p, [ info ]) );
+      ( "ras-ilu0",
+        fun faults ->
+          let p, info =
+            Bi.ras ?faults ~abft:true ~recovery:(Bj.Recompute 1)
+              ~max_block_size:4 ~subdomains:4 ~overlap:8 a
+          in
+          (p, Array.to_list info.Bi.local_info) );
+    ]
+  in
+  let count f infos =
+    List.fold_left (fun n i -> n + List.length (f i)) 0 infos
+  in
+  List.iter
+    (fun (name, build) ->
+      let clean, _ = build None in
+      let faults = plan () in
+      let prot, infos = build (Some faults) in
+      let detected =
+        List.fold_left (fun n i -> n + i.Bi.abft_failures) 0 infos
+      in
+      Alcotest.(check bool) (name ^ ": faults detected") true (detected > 0);
+      Alcotest.(check int) (name ^ ": nothing corrupt") 0
+        (count (fun i -> i.Bi.corrupt_blocks) infos);
+      Alcotest.(check int) (name ^ ": nothing degraded") 0
+        (count (fun i -> i.Bi.degraded_blocks) infos);
+      Alcotest.(check bool) (name ^ ": blocks recovered") true
+        (count (fun i -> i.Bi.recovered_blocks) infos > 0);
+      check_float (name ^ ": recovered apply is bit-identical") 0.0
+        (Vector.max_abs_diff (apply_to_ones clean) (apply_to_ones prot));
+      if name = "block-ilu0" then
+        Alcotest.(check int) (name ^ ": only first-round sites fire")
+          (2
+          * Array.length
+              (List.hd infos).Bi.blocking.Vblu_precond.Supervariable.sizes)
+          (Fault.Plan.injected faults))
+    families
+
 (* ------------------------------------------------------------------ *)
 (* Krylov soft-error guard                                             *)
 
@@ -691,6 +763,8 @@ let () =
         [
           Alcotest.test_case "zeroed entry, recovery policies" `Quick
             test_ilu0_zeroed_entry_policies;
+          Alcotest.test_case "recompute on mixed block sizes" `Quick
+            test_ilu0_recompute_mixed_sizes;
         ] );
       ( "krylov-guard",
         [

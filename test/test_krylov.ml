@@ -286,6 +286,119 @@ let test_pinned_idr () =
     "fingerprints" pinned_expected
     (runs @ [ ("convection/guarded", guarded) ])
 
+(* IDR(s) for s other than the default: s = 1..3 run partial term groups
+   and s = 5, 8 several groups per pass, with and without a
+   preconditioner, in both precisions. *)
+let pinned_s_systems =
+  List.filter (fun (sys, _) -> sys <> "laplacian") pinned_systems
+
+let pinned_s_expected =
+  [
+    ( "convection/s=1/double/none",
+      "converged its=38 r=0x3ed44e00ee74250e x=0xc91785d85a299b91" );
+    ( "convection/s=1/double/block-jacobi",
+      "converged its=27 r=0x3ed2c03355777768 x=0x6b0b3597b061628d" );
+    ( "convection/s=1/single/none",
+      "converged its=38 r=0x3ef83774c0000000 x=0x242f7e4f9d378ac1" );
+    ( "convection/s=1/single/block-jacobi",
+      "converged its=27 r=0x3ed51b5de0000000 x=0x8e185c2730b32a3d" );
+    ( "convection/s=2/double/none",
+      "converged its=39 r=0x3ed15f93ae683de2 x=0x1236636c9cb907fb" );
+    ( "convection/s=2/double/block-jacobi",
+      "converged its=26 r=0x3ecc193d7600f73a x=0xc9329cdf7dd9d9e1" );
+    ( "convection/s=2/single/none",
+      "converged its=39 r=0x3ed90a0060000000 x=0xc1654ee6c2dca0bb" );
+    ( "convection/s=2/single/block-jacobi",
+      "converged its=26 r=0x3ecc5d42c0000000 x=0x929f859f9feddf6f" );
+    ( "convection/s=3/double/none",
+      "converged its=36 r=0x3ed4de814e2ec70c x=0xc1ec400cc9399d6f" );
+    ( "convection/s=3/double/block-jacobi",
+      "converged its=24 r=0x3ed65b07f2f1c3af x=0x1a71de956f3363cc" );
+    ( "convection/s=3/single/none",
+      "converged its=36 r=0x3ed96b9ba0000000 x=0x4996069ad8715a8b" );
+    ( "convection/s=3/single/block-jacobi",
+      "converged its=24 r=0x3ed965e6c0000000 x=0xdac517554ec8b908" );
+    ( "convection/s=5/double/none",
+      "converged its=38 r=0x3ec753a6f50be189 x=0x229faa54894b7d98" );
+    ( "convection/s=5/double/block-jacobi",
+      "converged its=25 r=0x3eb187a81b90f1df x=0x1781e3c9a6fd606b" );
+    ( "convection/s=5/single/none",
+      "converged its=38 r=0x3eea5a6ea0000000 x=0xb83a6b56152bc71d" );
+    ( "convection/s=5/single/block-jacobi",
+      "converged its=25 r=0x3ed86c4be0000000 x=0xb6dfe1263a1f2919" );
+    ( "convection/s=8/double/none",
+      "converged its=34 r=0x3edcd210b9a461fc x=0x1b70c8233f600eb9" );
+    ( "convection/s=8/double/block-jacobi",
+      "converged its=24 r=0x3ebf07aecc8d6bd4 x=0xa9c5f9b23e96196f" );
+    ( "convection/s=8/single/none",
+      "converged its=34 r=0x3f309e88c0000000 x=0xe84adb32d6e47381" );
+    ( "convection/s=8/single/block-jacobi",
+      "converged its=24 r=0x3ef2884dc0000000 x=0x314114f6406c648e" );
+    ( "fem/s=1/double/none",
+      "converged its=43 r=0x3ed07f7ab616931c x=0x95f81ee2d654e993" );
+    ( "fem/s=1/double/block-jacobi",
+      "converged its=30 r=0x3ed6b2e462e532b3 x=0xaae9f14ddee4f509" );
+    ( "fem/s=1/single/none",
+      "converged its=43 r=0x3edc1ced60000000 x=0xf0dbe5c46a394151" );
+    ( "fem/s=1/single/block-jacobi",
+      "converged its=30 r=0x3edc42aac0000000 x=0xf0a54f8df759ce1c" );
+    ( "fem/s=2/double/none",
+      "converged its=43 r=0x3e9b093e01444064 x=0x469dbbc0213c9618" );
+    ( "fem/s=2/double/block-jacobi",
+      "converged its=29 r=0x3e6f1fcba099e5bc x=0x8fc20e68ab346255" );
+    ( "fem/s=2/single/none",
+      "converged its=43 r=0x3ed73d6000000000 x=0xa004e70c224de0f2" );
+    ( "fem/s=2/single/block-jacobi",
+      "converged its=29 r=0x3ecaf96d00000000 x=0x22cd3147766de965" );
+    ( "fem/s=3/double/none",
+      "converged its=37 r=0x3ed66f251b06599c x=0x83f95df48521b918" );
+    ( "fem/s=3/double/block-jacobi",
+      "converged its=26 r=0x3ec14d26fb35e483 x=0x67af4aa1c4dfa2ea" );
+    ( "fem/s=3/single/none",
+      "converged its=37 r=0x3f2648fe80000000 x=0xadf388293b428e29" );
+    ( "fem/s=3/single/block-jacobi",
+      "converged its=26 r=0x3ee3519120000000 x=0x4fbaf6485cdd4c8a" );
+    ( "fem/s=5/double/none",
+      "converged its=34 r=0x3ec0d95d64ea11af x=0x1d5107bc5f147652" );
+    ( "fem/s=5/double/block-jacobi",
+      "converged its=26 r=0x3ea3f6a9805059e0 x=0x7afaa44589ad8f4" );
+    ( "fem/s=5/single/none",
+      "converged its=34 r=0x3ed91068e0000000 x=0x3e8fd66178745173" );
+    ( "fem/s=5/single/block-jacobi",
+      "converged its=26 r=0x3ecf5c6e20000000 x=0x434a1778996c2190" );
+    ( "fem/s=8/double/none",
+      "converged its=37 r=0x3eb1045e420ed651 x=0x648412dd93257f18" );
+    ( "fem/s=8/double/block-jacobi",
+      "converged its=23 r=0x3ed9d72a74ffb81a x=0xb76d10fb8cb1712c" );
+    ( "fem/s=8/single/none",
+      "converged its=36 r=0x3f02bc57a0000000 x=0xb40b3978eb7bf54" );
+    ( "fem/s=8/single/block-jacobi",
+      "converged its=23 r=0x3ee80f5380000000 x=0x562821b7ac9e265d" );
+  ]
+
+let test_pinned_idr_s () =
+  let runs =
+    List.concat_map
+      (fun (sys, a) ->
+        let b = pinned_rhs a in
+        List.concat_map
+          (fun s ->
+            List.concat_map
+              (fun prec ->
+                List.map
+                  (fun (pname, make) ->
+                    ( Printf.sprintf "%s/s=%d/%s/%s" sys s
+                        (Precision.to_string prec) pname,
+                      fingerprint
+                        (Idr.solve ~prec ~s ?precond:(make ~prec a) a b) ))
+                  (List.filter (fun (p, _) -> p <> "block-ilu0") pinned_precs))
+              [ Precision.Double; Precision.Single ])
+          [ 1; 2; 3; 5; 8 ])
+      pinned_s_systems
+  in
+  Alcotest.(check (list (pair string string)))
+    "fingerprints" pinned_s_expected runs
+
 (* ------------------------------------------------------------------ *)
 
 let qcheck_tests =
@@ -329,6 +442,10 @@ let () =
           Alcotest.test_case "true residual" `Quick
             test_final_residual_is_true_residual;
         ] );
-      ("pinned", [ Alcotest.test_case "pinned idr" `Quick test_pinned_idr ]);
+      ( "pinned",
+        [
+          Alcotest.test_case "pinned idr" `Quick test_pinned_idr;
+          Alcotest.test_case "pinned idr(s)" `Quick test_pinned_idr_s;
+        ] );
       ("properties", qcheck_tests);
     ]
