@@ -109,6 +109,9 @@ type state = {
   s_outcome : Block_jacobi.outcome array;
   s_pending : bool array;  (* rows a raising update left re-eliminated *)
   s_buf : float array;  (* permuted right-hand side of one diagonal solve *)
+  s_nzr : int array;  (* an L block's nonzero rows in a trailing update *)
+  s_nzi : int array;  (* one B column's nonzero rows in a trailing update *)
+  s_nzv : float array;  (* and their (rounded) values *)
   mutable s_failures : int;
       (* failed ABFT verdicts over the last build's or update's LU
          launches, rescues included *)
@@ -195,6 +198,9 @@ let init_state ~pool ~prec ~layout ~policy ~recovery ~faults ~abft ~obs ~blk
     s_outcome = Array.make k Block_jacobi.Healthy;
     s_pending = Array.make k false;
     s_buf = Array.make (Array.fold_left max 1 sizes) 0.0;
+    s_nzr = Array.make (Array.fold_left max 1 sizes) 0;
+    s_nzi = Array.make (Array.fold_left max 1 sizes) 0;
+    s_nzv = Array.make (Array.fold_left max 1 sizes) 0.0;
     s_failures = 0;
     s_memo = None;
     s_last_apply = ref None;
@@ -395,14 +401,131 @@ let[@inline] update_k prec aa ao ba bo ca co m kk nn =
     done
   done
 
+(* [C ← C − A·B] as {!update_k} at offset 0, with every term that is an
+   exact ±0 left out: the caller guarantees every (rounded) entry of [A]
+   and [B] is finite, so a zero on either side makes its term ±0.  Only
+   [A]'s [nr] nonzero rows [nzr] run chains, each over the [nz] nonzero
+   rows [nzi]/[nzv] its column of [B] gathers once.  A chain that leaves
+   terms out differs from the full one only in the sign of a zero
+   accumulator (a Single sum can round to −0), so one that ends at zero
+   after any term is recomputed in full; a chain with no term is the full
+   chain's +0.  Every C entry still goes through the [+c] fma, which in
+   Single rounds it even when nothing else touches it; in Double that
+   write is the identity and rows of [A] that are all zero are not
+   visited at all (DESIGN §5i). *)
+let[@inline] finish_k prec aa ba ca m kk r bj cj nz acc =
+  let acc =
+    if nz > 0 && acc = 0.0 then begin
+      let full = ref 0.0 in
+      for f = 0 to kk - 1 do
+        full :=
+          R.fma prec (R.round prec aa.(r + (f * m))) (R.round prec ba.(bj + f))
+            !full
+      done;
+      !full
+    end
+    else acc
+  in
+  let cr = cj + r in
+  ca.(cr) <- R.fma prec (R.round prec ca.(cr)) 1.0 (R.mul prec acc (-1.0))
+
+let[@inline] sparse_update_k prec nzr nr nzi nzv aa ba ca m kk nn =
+  let nr4 = nr - (nr mod 4) in
+  for j = 0 to nn - 1 do
+    let bj = j * kk and cj = j * m in
+    (match prec with
+    | Precision.Double -> ()
+    | Single ->
+      for r = 0 to m - 1 do
+        ca.(cj + r) <- R.round prec ca.(cj + r)
+      done);
+    let nz = ref 0 in
+    for f = 0 to kk - 1 do
+      let bf = R.round prec ba.(bj + f) in
+      if bf <> 0.0 then begin
+        nzi.(!nz) <- f * m;
+        nzv.(!nz) <- bf;
+        incr nz
+      end
+    done;
+    let nz = !nz in
+    for q = 0 to (nr4 / 4) - 1 do
+      let r0 = nzr.(4 * q) and r1 = nzr.((4 * q) + 1) in
+      let r2 = nzr.((4 * q) + 2) and r3 = nzr.((4 * q) + 3) in
+      let acc0 = ref 0.0 and acc1 = ref 0.0 in
+      let acc2 = ref 0.0 and acc3 = ref 0.0 in
+      for e = 0 to nz - 1 do
+        let bf = nzv.(e) and af = nzi.(e) in
+        acc0 := R.fma prec (R.round prec aa.(af + r0)) bf !acc0;
+        acc1 := R.fma prec (R.round prec aa.(af + r1)) bf !acc1;
+        acc2 := R.fma prec (R.round prec aa.(af + r2)) bf !acc2;
+        acc3 := R.fma prec (R.round prec aa.(af + r3)) bf !acc3
+      done;
+      (finish_k [@inlined]) prec aa ba ca m kk r0 bj cj nz !acc0;
+      (finish_k [@inlined]) prec aa ba ca m kk r1 bj cj nz !acc1;
+      (finish_k [@inlined]) prec aa ba ca m kk r2 bj cj nz !acc2;
+      (finish_k [@inlined]) prec aa ba ca m kk r3 bj cj nz !acc3
+    done;
+    for q = nr4 to nr - 1 do
+      let r = nzr.(q) in
+      let acc = ref 0.0 in
+      for e = 0 to nz - 1 do
+        acc := R.fma prec (R.round prec aa.(nzi.(e) + r)) nzv.(e) !acc
+      done;
+      (finish_k [@inlined]) prec aa ba ca m kk r bj cj nz !acc
+    done
+  done
+
+(* The number of [a]'s nonzero entries rounded to [prec], or -1 when one
+   of them is not finite. *)
+let[@inline] nonzeros_k prec (a : float array) =
+  let nz = ref 0 and finite = ref true in
+  for e = 0 to Array.length a - 1 do
+    let x = R.round prec a.(e) in
+    if x -. x <> 0.0 then finite := false;
+    if x <> 0.0 then incr nz
+  done;
+  if !finite then !nz else -1
+
+(* The rows of the [m]×[kk] block [a] with a nonzero (rounded) entry,
+   into [nzr]; returns their count. *)
+let[@inline] nonzero_rows_k prec nzr (a : float array) m kk =
+  let nr = ref 0 in
+  for r = 0 to m - 1 do
+    let f = ref 0 in
+    while !f < kk && R.round prec a.(r + (!f * m)) = 0.0 do
+      incr f
+    done;
+    if !f < kk then begin
+      nzr.(!nr) <- r;
+      incr nr
+    end
+  done;
+  !nr
+
+(* The trailing updates of rank [t]: the exact-zero terms are left out
+   whenever the row's [L_ik] and the update's [B] are all finite, where
+   a left-out term can only be ±0, and there are enough of them to pay
+   for the gathers — [L_ik] has an all-zero row or [B] is at most half
+   nonzero. *)
 let[@inline] updates_k prec st sub t =
   for p = 0 to Array.length sub - 1 do
     let i = sub.(p) in
     let a = st.s_lmat.(i).(t) and us = st.s_updates.(i).(t) in
+    let m = a.Matrix.rows and kk = a.Matrix.cols in
+    let finite = (nonzeros_k [@inlined]) prec a.Matrix.a >= 0 in
+    let nr =
+      if finite then (nonzero_rows_k [@inlined]) prec st.s_nzr a.Matrix.a m kk
+      else 0
+    in
     for u = 0 to Array.length us - 1 do
-      let b = us.(u).u_b in
-      (update_k [@inlined]) prec a.Matrix.a 0 b.Matrix.a 0 us.(u).u_c.Matrix.a
-        0 a.Matrix.rows a.Matrix.cols b.Matrix.cols
+      let b = us.(u).u_b.Matrix.a and c = us.(u).u_c.Matrix.a in
+      let nn = us.(u).u_b.Matrix.cols in
+      let nzb = if finite then (nonzeros_k [@inlined]) prec b else -1 in
+      if nzb >= 0 && (nr < m || 2 * nzb <= kk * nn) then
+        (sparse_update_k [@inlined]) prec st.s_nzr nr st.s_nzi st.s_nzv
+          a.Matrix.a b c m kk nn
+      else (update_k [@inlined]) prec a.Matrix.a 0 b 0 c 0 m kk nn
     done
   done
 

@@ -177,15 +177,16 @@ let into_of_solve ~s solve =
 
 (* The in-place LU apply of one block of order [s], [Lu.solve] step for
    step: the permutation is fused into the load of [y]'s segment, which
-   the eager pair then solves in place.  [oprec] is the [Some prec] the
+   the eager pair then solves in place — over [c], [f]'s compression,
+   when [f] qualified (bitwise the same).  [oprec] is the [Some prec] the
    pair takes, built once by the caller rather than on every apply. *)
-let lu_solve_into oprec (f : Lu.factors) s r st y =
+let lu_solve_into oprec c (f : Lu.factors) s r st y =
   let perm = f.Lu.perm in
   for k = 0 to s - 1 do
     y.(st + k) <- r.(st + perm.(k))
   done;
   let info =
-    Trsv.pair_eager_view ?prec:oprec ~m:f.Lu.lu.Matrix.a ~moff:0 ~n:s ~b:y
+    Trsv.pair_compressed_view ?prec:oprec ~c ~m:f.Lu.lu.Matrix.a ~n:s ~b:y
       ~boff:st ()
   in
   if info <> 0 then raise (Error.Singular (info - 1))
@@ -334,7 +335,7 @@ let host_factor ~prec variant (m : Matrix.t) =
   let lu () =
     let f, info = Lu.factor_implicit_status ~prec m in
     ( { solve = (fun rhs -> Lu.solve ~prec f rhs);
-        solve_into = lu_solve_into oprec f s },
+        solve_into = lu_solve_into oprec Trsv.uncompressed f s },
       f.Lu.lu, info, true )
   in
   match variant with
@@ -607,6 +608,11 @@ type handle = {
       (* as the last launch left them: a broken-down block keeps its
          frozen partial factors *)
   u_outcomes : outcome array;
+  u_sparse : bool array;
+      (* blocks whose pattern is at most half nonzero: a factor's pattern
+         holds its block's (cancellation aside), so only these are worth
+         scanning for compression *)
+  u_comp : Trsv.compressed array;  (* [u_packed]'s compressions *)
   mutable u_failures : int;  (* failed checks of the last refresh *)
   u_precond : Preconditioner.t;
       (* applies straight from [u_packed] and [u_outcomes]; stays valid *)
@@ -658,7 +664,7 @@ let block_dirty ~tol h (a : Csr.t) i =
    is freed. *)
 let with_apply h =
   let pool = h.u_pool and oprec = Some h.u_prec in
-  let packed = h.u_packed and outcomes = h.u_outcomes in
+  let packed = h.u_packed and outcomes = h.u_outcomes and comp = h.u_comp in
   let starts = h.u_blocking.Supervariable.starts in
   let sizes = h.u_blocking.Supervariable.sizes in
   let n = h.u_precond.Preconditioner.dim in
@@ -667,7 +673,8 @@ let with_apply h =
     Pool.parallel_for pool ~lo:0 ~hi:(Array.length starts) (fun i ->
         let st = starts.(i) and s = sizes.(i) in
         match outcomes.(i) with
-        | Healthy | Perturbed -> lu_solve_into oprec packed.(i) s r st y
+        | Healthy | Perturbed ->
+          lu_solve_into oprec comp.(i) packed.(i) s r st y
         | Degraded | Corrupt | Recovered | Pending -> Array.blit r st y st s);
     y
   in
@@ -698,6 +705,19 @@ let unfactored ?(pool = Pool.sequential) ?(prec = Precision.Double)
       u_values = Array.copy a.Csr.values;
       u_packed = Array.make k { Lu.lu = Matrix.create 0 0; perm = [||] };
       u_outcomes = Array.make k Pending;
+      u_sparse =
+        Array.init k (fun i ->
+            let lo = blk.Supervariable.starts.(i) in
+            let s = blk.Supervariable.sizes.(i) in
+            let nnz = ref 0 in
+            for r = lo to lo + s - 1 do
+              for p = a.Csr.row_ptr.(r) to a.Csr.row_ptr.(r + 1) - 1 do
+                let c = a.Csr.col_idx.(p) in
+                if c >= lo && c < lo + s then incr nnz
+              done
+            done;
+            2 * !nnz <= s * s);
+      u_comp = Array.make k Trsv.uncompressed;
       u_failures = 0;
       u_precond =
         {
@@ -725,12 +745,25 @@ let copy h =
       u_values = Array.copy h.u_values;
       u_packed = Array.copy h.u_packed;
       u_outcomes = Array.copy h.u_outcomes;
+      u_comp =
+        Array.mapi
+          (fun i (f : Lu.factors) ->
+            if h.u_sparse.(i) then
+              Trsv.compress ~prec:h.u_prec Trsv.uncompressed
+                ~m:f.Lu.lu.Matrix.a ~n:f.Lu.lu.Matrix.rows
+            else Trsv.uncompressed)
+          h.u_packed;
     }
 
-(* Record block [i]'s new factors and outcome; the next apply reads
-   them. *)
+(* Record block [i]'s new factors, their compression (into the block's
+   own storage, kept from the last refresh) and outcome; the next apply
+   reads them. *)
 let install h i (f : Lu.factors) outcome =
   h.u_packed.(i) <- f;
+  if h.u_sparse.(i) then
+    h.u_comp.(i) <-
+      Trsv.compress ~prec:h.u_prec h.u_comp.(i) ~m:f.Lu.lu.Matrix.a
+        ~n:f.Lu.lu.Matrix.rows;
   h.u_outcomes.(i) <- outcome
 
 let invalidate h i = install h i h.u_packed.(i) Corrupt

@@ -117,6 +117,146 @@ let pair_eager_view ?(prec = Precision.Double) ?(mstride = 1) ?(bstride = 1)
     ~m ~moff ~n ~b ~boff () =
   pair_eager prec mstride bstride m moff n b boff
 
+(* A packed factor's stored entries, negated, by column in the order the
+   eager pair visits them: lower column [k] (k = 0 .. n-2) is segment
+   [k], upper column [k] (k = n-1 down to 1) is segment [2n-2-k], and
+   segment [g] holds rows [idx.(ptr.(g)) ..] with values [nv.(ptr.(g))
+   ..].  [order] is the [n] the entries were compressed for, 0 when the
+   factor did not qualify; [w] is the solve's scratch. *)
+type compressed = {
+  mutable order : int;
+  ptr : int array;
+  idx : int array;
+  nv : float array;
+  diag : float array;
+  w : float array;
+}
+
+let uncompressed =
+  { order = 0; ptr = [||]; idx = [||]; nv = [||]; diag = [||]; w = [||] }
+
+(* Each domain's scan buffers: a column's kept rows and negated values go
+   here first, so one pass over the factor both decides and compresses. *)
+let scan_key = Domain.DLS.new_key (fun () -> ref ([||], [||], [||]))
+
+(* Entry (i, j) of an order-[n] factor is kept when it is nonzero, or in
+   Single when it is the first FMA an element meets in the eager pair
+   (column 0 of L for the rows below 0, U's (0, n-1) for row 0), whose
+   rounding the element must see even when the term is zero.  Scans rows
+   [lo .. hi-1] of column [j] into [idx]/[nv] from [!p] on, [first]
+   telling whether they are such first terms, and counts the nonzeros. *)
+let[@inline] keep_column first m n j lo hi idx nv p nnz =
+  let base = j * n in
+  for i = lo to hi - 1 do
+    let v = m.(base + i) in
+    if v <> 0.0 || first then begin
+      if v <> 0.0 then incr nnz;
+      idx.(!p) <- i;
+      nv.(!p) <- -.v;
+      incr p
+    end
+  done
+
+let compress ?(prec = Precision.Double) c ~m ~n =
+  let single = prec = Precision.Single and half = n * n / 2 in
+  let zero_diag = ref false in
+  for k = 0 to n - 1 do
+    if m.(k + (k * n)) = 0.0 then zero_diag := true
+  done;
+  let buf = Domain.DLS.get scan_key in
+  (let idx, _, _ = !buf in
+   if Array.length idx < n * n then
+     buf := (Array.make (n * n) 0, Array.make (n * n) 0.0, Array.make (2 * n) 0));
+  let idx, nv, ends = !buf in
+  (* The diagonal's [n] nonzeros, then each column until the factor
+     cannot qualify; [ends] takes each segment's end. *)
+  let nnz = ref n and p = ref 0 and k = ref 0 in
+  while (not !zero_diag) && !k < n - 1 && !nnz <= half do
+    keep_column (single && !k = 0) m n !k (!k + 1) n idx nv p nnz;
+    ends.(!k) <- !p;
+    incr k
+  done;
+  k := n - 1;
+  while (not !zero_diag) && !k >= 1 && !nnz <= half do
+    if single && !k = n - 1 then begin
+      keep_column true m n !k 0 1 idx nv p nnz;
+      keep_column false m n !k 1 !k idx nv p nnz
+    end
+    else keep_column false m n !k 0 !k idx nv p nnz;
+    ends.((2 * n) - 2 - !k) <- !p;
+    decr k
+  done;
+  if n < 2 || !zero_diag || !nnz > half then begin
+    if c.order <> 0 then c.order <- 0;
+    c
+  end
+  else begin
+    let kept = !p in
+    let c =
+      if Array.length c.diag = n && Array.length c.idx >= kept then c
+      else
+        { order = 0; ptr = Array.make ((2 * n) - 1) 0;
+          idx = Array.make kept 0; nv = Array.make kept 0.0;
+          diag = Array.make n 0.0; w = Array.make n 0.0 }
+    in
+    Array.blit idx 0 c.idx 0 kept;
+    Array.blit nv 0 c.nv 0 kept;
+    Array.blit ends 0 c.ptr 1 ((2 * n) - 2);
+    for k = 0 to n - 1 do
+      c.diag.(k) <- m.(k + (k * n))
+    done;
+    c.order <- n;
+    c
+  end
+
+(* The eager pair's per-element FMA sequence over the stored entries only,
+   in the scratch [w]; written back to [b] only if every output is finite
+   and nonzero (DESIGN §5i), else [false] with [b] untouched. *)
+let[@inline] compressed_k prec bs c n b boff =
+  let w = c.w and ptr = c.ptr and idx = c.idx and nv = c.nv in
+  for i = 0 to n - 1 do
+    w.(i) <- b.(boff + (bs * i))
+  done;
+  for k = 0 to n - 2 do
+    let x = w.(k) in
+    for p = ptr.(k) to ptr.(k + 1) - 1 do
+      let i = idx.(p) in
+      w.(i) <- R.fma prec nv.(p) x w.(i)
+    done
+  done;
+  let ok = ref true in
+  for k = n - 1 downto 0 do
+    let x = R.div prec w.(k) c.diag.(k) in
+    w.(k) <- x;
+    if x -. x <> 0.0 || x = 0.0 then ok := false;
+    if k > 0 then begin
+      let g = (2 * n) - 2 - k in
+      for p = ptr.(g) to ptr.(g + 1) - 1 do
+        let i = idx.(p) in
+        w.(i) <- R.fma prec nv.(p) x w.(i)
+      done
+    end
+  done;
+  if !ok then
+    for i = 0 to n - 1 do
+      b.(boff + (bs * i)) <- w.(i)
+    done;
+  !ok
+
+let pair_compressed_view ?(prec = Precision.Double) ?(bstride = 1) ~c ~m ~n ~b
+    ~boff () =
+  let solved =
+    c.order = n
+    &&
+    match prec with
+    | Precision.Double ->
+      if bstride = 1 then
+        (compressed_k [@inlined]) Precision.Double 1 c n b boff
+      else (compressed_k [@inlined]) Precision.Double bstride c n b boff
+    | Single -> (compressed_k [@inlined]) Precision.Single bstride c n b boff
+  in
+  if solved then 0 else pair_eager prec 1 bstride m 0 n b boff
+
 let[@inline] pair_lazy_k prec mstride bstride m moff n b boff =
   for k = 1 to n - 1 do
     let acc = ref 0.0 in

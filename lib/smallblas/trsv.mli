@@ -30,6 +30,43 @@ val pair_eager_view :
 (** Eager (AXPY) schedule: one FMA per column element, one division per
     final solution element.  Returns [info]. *)
 
+(** {2 Compressed factors}
+
+    A packed LU factor whose stored entries are mostly exact zeros solves
+    faster over its nonzeros alone.  {!compress} keeps, per column, the
+    negated strictly-lower and strictly-upper nonzeros in the eager pair's
+    visiting order, plus the diagonal; {!pair_compressed_view} then issues
+    the eager pair's FMAs minus the exact-zero terms, and keeps the result
+    only when every output is finite and nonzero — otherwise it reruns
+    {!pair_eager_view} from the untouched input.  So its result and
+    [info] are always {!pair_eager_view}'s, bit for bit (DESIGN §5i). *)
+
+type compressed
+(** One factor's compression, with its own solve scratch: mutable, so one
+    value serves one block and one solve at a time. *)
+
+val uncompressed : compressed
+(** Holds no factor: a solve through it is {!pair_eager_view}.  A shared
+    constant that {!compress} never writes. *)
+
+val compress :
+  ?prec:Precision.t -> compressed -> m:float array -> n:int -> compressed
+(** [compress c ~m ~n] compresses the column-major packed factor [m]
+    (order [n], offset 0, unit stride) into [c]'s storage, or into fresh
+    storage when [c]'s is too small, and returns it.  Only factors of
+    order at least 2 with no zero on the diagonal and at most half their
+    entries nonzero qualify; for any other the result holds no factor.
+    In Single, column 0 of L and U's entry (0, n-1) are kept even when
+    zero: each is the first FMA its element meets, whose rounding the
+    element must see. *)
+
+val pair_compressed_view :
+  ?prec:Precision.t -> ?bstride:int -> c:compressed ->
+  m:float array -> n:int -> b:float array -> boff:int -> unit -> int
+(** [pair_compressed_view ~c ~m ~n ~b ~boff ()] is [pair_eager_view ~m
+    ~moff:0 ~n ~b ~boff ()] bitwise, [info] included, for the factor [m]
+    that [c] was last compressed from with the same [prec]. *)
+
 val pair_lazy_view :
   ?prec:Precision.t -> ?mstride:int -> ?bstride:int ->
   m:float array -> moff:int -> n:int -> b:float array -> boff:int ->

@@ -55,6 +55,16 @@ let banded ~n ~bs =
   Csr.create ~n_rows:n ~n_cols:n ~row_ptr ~col_idx:(Array.map fst entries)
     ~values:(Array.map snd entries)
 
+(* The tridiagonal [4, -1] matrix of order [n]. *)
+let tridiagonal n =
+  let m = Matrix.create n n in
+  for i = 0 to n - 1 do
+    Matrix.set m i i 4.0;
+    if i > 0 then Matrix.set m i (i - 1) (-1.0);
+    if i < n - 1 then Matrix.set m i (i + 1) (-1.0)
+  done;
+  Csr.of_dense m
+
 (* [a] laid out at offset 1 with element stride 2, gaps filled with 7.0 —
    a view's off/stride addressing must neither miss an element nor touch
    a gap. *)
@@ -190,6 +200,34 @@ let test_block_jacobi_apply () =
               -. float_of_int (n + 1))
             sizes)
         [ (8, (64, 248)); (7, (63, 245)) ])
+    precs;
+  (* A handle's apply after a warm refresh, at the same bound: dense
+     blocks (the eager pair) and tridiagonal ones (their factors are at
+     most half nonzero, so they apply through their compressions, which
+     the refresh refilled in place). *)
+  List.iter
+    (fun prec ->
+      List.iter
+        (fun (name, matrix) ->
+          check_flat
+            (Printf.sprintf "block-jacobi handle apply overhead %s %s"
+               (Precision.to_string prec) name)
+            (fun n ->
+              let a = matrix n in
+              let h =
+                Block_jacobi.handle ~prec
+                  ~blocking:(Supervariable.uniform ~n ~block_size:8)
+                  a
+              in
+              ignore (Block_jacobi.update ~force_all:true h a);
+              ignore (Block_jacobi.update ~force_all:true h a);
+              let p = Block_jacobi.precond h in
+              let r = Vector.random ~state:(state 4) n in
+              words (fun () ->
+                  ignore (Sys.opaque_identity (Preconditioner.apply p r)))
+              -. float_of_int (n + 1))
+            (64, 248))
+        [ ("banded", fun n -> banded ~n ~bs:8); ("tridiagonal", tridiagonal) ])
     precs
 
 let test_block_ilu0_apply () =
@@ -1153,6 +1191,93 @@ let test_eager_freeze () =
         [ 5; 6 ])
     precs
 
+(* The compressed solve against the eager pair it skips terms of, on the
+   unit-stride and the strided right-hand side, through fresh storage and
+   through storage a previous factor of another shape left behind. *)
+let check_compressed ~prec ~n m v =
+  let want = Array.copy v in
+  let info' =
+    Trsv.pair_eager_view ~prec ~m ~moff:0 ~n ~b:want ~boff:0 ()
+  in
+  let reused =
+    Trsv.compress ~prec Trsv.uncompressed
+      ~m:(Array.init (n * n) (fun e -> if e mod (n + 1) = 0 then 1.0 else 0.0))
+      ~n
+  in
+  List.for_all
+    (fun c ->
+      let c = Trsv.compress ~prec c ~m ~n in
+      List.for_all
+        (fun (stride, view) ->
+          let b = view v in
+          let info =
+            Trsv.pair_compressed_view ~prec ~bstride:stride ~c ~m ~n ~b
+              ~boff:1 ()
+          in
+          info = info' && bits_equal b (view want))
+        [ (1, shifted); (2, strided) ])
+    [ Trsv.uncompressed; reused ]
+
+(* Factors with planted exact zeros (most blocks at most half nonzero, so
+   they compress), zero diagonals and NaN/∞ entries; right-hand sides
+   with ±0, NaN and ∞; odd and even orders in both precisions. *)
+let qcheck_compressed =
+  let open QCheck.Gen in
+  let entry =
+    frequency
+      [ (12, return 0.0); (2, return (-0.0)); (1, oneofa specials);
+        (8, map (fun x -> x -. 1.0) (float_bound_inclusive 2.0)) ]
+  in
+  let diag =
+    frequency
+      [ (1, return 0.0); (1, oneofa specials);
+        (8, map (fun x -> 2.0 +. x) (float_bound_inclusive 2.0)) ]
+  in
+  let rhs =
+    frequency
+      [ (1, oneofl [ 0.0; -0.0; Float.nan; Float.infinity;
+                     Float.neg_infinity ]);
+        (1, oneofa specials);
+        (6, map (fun x -> x -. 1.0) (float_bound_inclusive 2.0)) ]
+  in
+  let gen =
+    int_range 1 13 >>= fun n ->
+    array_size (return (n * n)) entry >>= fun m ->
+    array_size (return n) diag >>= fun d ->
+    array_size (return n) rhs >>= fun v ->
+    bool >>= fun single ->
+    Array.iteri (fun k x -> m.(k * (n + 1)) <- x) d;
+    return (n, m, v, single)
+  in
+  QCheck.Test.make ~count:2000
+    ~name:"compressed solve ≡ eager pair, bitwise"
+    (QCheck.make gen ~print:(fun (n, m, v, single) ->
+         let hex a =
+           String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") a))
+         in
+         Printf.sprintf "n=%d %s m=[%s] b=[%s]" n
+           (if single then "single" else "double")
+           (hex m) (hex v)))
+    (fun (n, m, v, single) ->
+      check_compressed ~prec:(prec_of single) ~n m v)
+
+(* L₂₁ = 0, U = I, b = [−1, −0]: the eager pair's skipped-term FMA turns
+   −0 into +0, so only the zero-output rerun gives its answer. *)
+let test_compressed_signed_zero () =
+  let m = [| 1.0; 0.0; 0.0; 1.0 |] and v = [| -1.0; -0.0 |] in
+  List.iter
+    (fun prec ->
+      let b = Array.copy v in
+      ignore (Trsv.pair_eager_view ~prec ~m ~moff:0 ~n:2 ~b ~boff:0 () : int);
+      Alcotest.(check bool)
+        (Precision.to_string prec ^ " eager pair gives +0") true
+        (Int64.equal (Int64.bits_of_float b.(1)) 0L);
+      Alcotest.(check bool)
+        (Precision.to_string prec ^ " compressed matches")
+        true
+        (check_compressed ~prec ~n:2 m v))
+    precs
+
 (* A NaN pivot is not a zero pivot: the direct views, the interpreter and
    the CPU reference all return info = 0 with NaN-poisoned factors and
    solution, bitwise alike. *)
@@ -1491,6 +1616,9 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_gemm_view;
           Alcotest.test_case "eager pair breakdown freeze" `Quick
             test_eager_freeze;
+          QCheck_alcotest.to_alcotest qcheck_compressed;
+          Alcotest.test_case "compressed solve signed zero" `Quick
+            test_compressed_signed_zero;
           QCheck_alcotest.to_alcotest qcheck_lu_view;
           Alcotest.test_case "implicit LU breakdown freeze" `Quick
             test_lu_freeze;

@@ -300,6 +300,44 @@ let host_throughput_one_domain () =
       Alcotest.(check bool) (args ^ ": usage") true (contains ~sub:"usage" err))
     [ "--domains 2"; "--domains=4 --json /dev/null" ]
 
+(* The time-stepping transcript holds no wall-clock, so it must be
+   byte-identical across domain counts and with or without [--trace], and
+   the trace file across domain counts: the refresh-policy table of the
+   default family, then both families traced and untraced. *)
+let timestep_args = "timestep --steps 8 --nx 12 --ny 12 --refresh every:2"
+
+let timestep_stdout args =
+  let code, out, _ = run (timestep_args ^ " " ^ args) in
+  Alcotest.(check int) (args ^ ": exit code") 0 code;
+  out
+
+let timestep_domain_independent () =
+  Alcotest.(check string) "domains 1 = 2"
+    (timestep_stdout "--domains 1")
+    (timestep_stdout "--domains 2")
+
+let timestep_trace_invariant () =
+  List.iter
+    (fun p ->
+      let trace d =
+        let f = Filename.temp_file "vblu_timestep" ".json" in
+        let out =
+          timestep_stdout
+            (Printf.sprintf "--precond %s --domains %d --trace %s" p d f)
+        in
+        let t = In_channel.with_open_bin f In_channel.input_all in
+        Sys.remove f;
+        (out, t)
+      in
+      let d1 = timestep_stdout ("--precond " ^ p ^ " --domains 1") in
+      let d2 = timestep_stdout ("--precond " ^ p ^ " --domains 2") in
+      let t1, f1 = trace 1 and t2, f2 = trace 2 in
+      Alcotest.(check string) (p ^ ": domains 1 = 2") d1 d2;
+      Alcotest.(check string) (p ^ ": traced at 1 domain") d1 t1;
+      Alcotest.(check string) (p ^ ": traced at 2 domains") d1 t2;
+      Alcotest.(check string) (p ^ ": trace files") f1 f2)
+    [ "ilu0"; "jacobi" ]
+
 let () =
   let _, root, _ = run "--help=plain" in
   let cmds = subcommands root in
@@ -335,5 +373,12 @@ let () =
         [
           Alcotest.test_case "block-ilu0 solve metrics deterministic" `Quick
             metrics_deterministic;
+        ] );
+      ( "steps",
+        [
+          Alcotest.test_case "refresh table domain-independent" `Quick
+            timestep_domain_independent;
+          Alcotest.test_case "trace- and domain-invariant" `Quick
+            timestep_trace_invariant;
         ] );
     ]

@@ -328,6 +328,43 @@ let test_bj_degrade_and_fail_policies () =
   Alcotest.(check bool) "corruption actually landed" true
     (Vector.max_abs_diff (apply_to_ones clean) (apply_to_ones silent) > 0.0)
 
+(* The same silent faults where the apply reads compressed factors: the
+   diagonal blocks of a convection-diffusion grid are tridiagonal, so a
+   handle compresses their LU factors, which are at most half nonzero.  A
+   block is compressed only once its factors are final, and again on
+   every refresh, so what a clean handle refactored under the plan
+   applies is the corrupted factor: the apply moves, and equals the eager
+   pair over its stored (corrupted) factors, block by block. *)
+let test_bj_faults_reach_compressed_factors () =
+  let a =
+    Vblu_workloads.Generators.convection_diffusion_2d ~nx:8 ~ny:8 ~peclet:5.0
+      ()
+  in
+  let blocking = Vblu_precond.Supervariable.uniform ~n:64 ~block_size:8 in
+  let plan = Fault.Plan.make ~seed:31 ~every:2 () in
+  let clean, _ = Bj.create ~blocking a in
+  let h = Bj.handle ~blocking a in
+  for i = 0 to 7 do
+    Bj.invalidate h i
+  done;
+  ignore (Bj.refresh ~faults:plan [| (h, a) |]);
+  let got = apply_to_ones (Bj.precond h) in
+  Alcotest.(check bool) "handle: corruption actually landed" true
+    (Vector.max_abs_diff (apply_to_ones clean) got > 0.0);
+  let want = Array.make 64 1.0 in
+  Array.iteri
+    (fun i f ->
+      match f with
+      | None -> ()
+      | Some (f : Lu.factors) ->
+        let x = Trsv.solve f.Lu.lu f.Lu.perm (Array.make 8 1.0) in
+        Array.blit x 0 want (8 * i) 8)
+    (Bj.handle_factors h);
+  Alcotest.(check bool) "handle applies its stored factors" true
+    (Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       want got)
+
 (* [nb] diagonal blocks [[2, 1], [1, 2]]: symmetric positive definite, so
    every variant, Cholesky's fast path included, factors them cleanly. *)
 let pair_blocks nb =
@@ -754,6 +791,8 @@ let () =
             test_bj_recovery_deterministic_across_domains;
           Alcotest.test_case "degrade and fail policies" `Quick
             test_bj_degrade_and_fail_policies;
+          Alcotest.test_case "faults reach compressed factors" `Quick
+            test_bj_faults_reach_compressed_factors;
           Alcotest.test_case "zeroed entry, every variant" `Quick
             test_bj_zeroed_entry_every_variant;
           Alcotest.test_case "zeroed pivot without abft" `Quick
