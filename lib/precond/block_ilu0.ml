@@ -64,8 +64,11 @@ type memo = {
    [A_ik = L_ik] the rank's coupling block: [u_b] is the upper block
    [A_kj] of the dependency row and [u_c] the target block of this row
    ([A_ii], an [L_ij] or a [U_ij]).  [u_size] is the order the GEMM
-   launch pads the problem to. *)
-type update = { u_b : Matrix.t; u_c : Matrix.t; u_size : int }
+   launch pads the problem to.  [u_sparse]: the matrix's pattern leaves
+   [A_ik] an all-zero row or [B] at most half nonzero, the only case in
+   which the host sweep looks for terms to skip (elimination fill only
+   adds nonzeros, cancellation aside). *)
+type update = { u_b : Matrix.t; u_c : Matrix.t; u_size : int; u_sparse : bool }
 
 (* Everything a factorization needs to be re-run incrementally: the
    kernel configuration, the pattern-derived schedules and update lists
@@ -140,10 +143,33 @@ let init_state ~pool ~prec ~layout ~policy ~recovery ~faults ~abft ~obs ~blk
         Array.map (fun j -> Matrix.create sizes.(i) sizes.(j)) deps.(i))
   in
   let lmat = coupling ldeps and umat = coupling udeps in
+  (* Each coupling block's pattern: its nonzero count, and for the lower
+     ones whether some row is empty. *)
+  let lcount = Array.map (fun d -> Array.make (Array.length d) 0) ldeps in
+  let ucount = Array.map (fun d -> Array.make (Array.length d) 0) udeps in
+  let lfull = Array.map (fun d -> Array.make (Array.length d) 0) ldeps in
+  for i = 0 to k - 1 do
+    for r = starts.(i) to starts.(i) + sizes.(i) - 1 do
+      let seen = Array.make (Array.length ldeps.(i)) false in
+      for p = a.Csr.row_ptr.(r) to a.Csr.row_ptr.(r + 1) - 1 do
+        let j = row_block.(a.Csr.col_idx.(p)) in
+        if j < i then begin
+          let t = find_dep ldeps.(i) j in
+          lcount.(i).(t) <- lcount.(i).(t) + 1;
+          seen.(t) <- true
+        end
+        else if j > i then begin
+          let t = find_dep udeps.(i) j in
+          ucount.(i).(t) <- ucount.(i).(t) + 1
+        end
+      done;
+      Array.iteri (fun t b -> if b then lfull.(i).(t) <- lfull.(i).(t) + 1) seen
+    done
+  done;
   let updates =
     Array.init k (fun i ->
-        Array.map
-          (fun kb ->
+        Array.mapi
+          (fun t kb ->
             let targets = ref [] in
             Array.iteri
               (fun tj j ->
@@ -164,7 +190,11 @@ let init_state ~pool ~prec ~layout ~policy ~recovery ~faults ~abft ~obs ~blk
                   let u_size =
                     max sizes.(i) (max b.Matrix.rows c.Matrix.cols)
                   in
-                  targets := { u_b = b; u_c = c; u_size } :: !targets
+                  let u_sparse =
+                    lfull.(i).(t) < sizes.(i)
+                    || 2 * ucount.(kb).(tj) <= b.Matrix.rows * b.Matrix.cols
+                  in
+                  targets := { u_b = b; u_c = c; u_size; u_sparse } :: !targets
                 | None -> ())
               udeps.(kb);
             Array.of_list (List.rev !targets))
@@ -507,13 +537,18 @@ let[@inline] nonzero_rows_k prec nzr (a : float array) m kk =
    whenever the row's [L_ik] and the update's [B] are all finite, where
    a left-out term can only be ±0, and there are enough of them to pay
    for the gathers — [L_ik] has an all-zero row or [B] is at most half
-   nonzero. *)
+   nonzero.  Updates whose pattern rules both out ([u_sparse]) are not
+   even scanned. *)
 let[@inline] updates_k prec st sub t =
   for p = 0 to Array.length sub - 1 do
     let i = sub.(p) in
     let a = st.s_lmat.(i).(t) and us = st.s_updates.(i).(t) in
     let m = a.Matrix.rows and kk = a.Matrix.cols in
-    let finite = (nonzeros_k [@inlined]) prec a.Matrix.a >= 0 in
+    let tried = ref false in
+    for u = 0 to Array.length us - 1 do
+      if us.(u).u_sparse then tried := true
+    done;
+    let finite = !tried && (nonzeros_k [@inlined]) prec a.Matrix.a >= 0 in
     let nr =
       if finite then (nonzero_rows_k [@inlined]) prec st.s_nzr a.Matrix.a m kk
       else 0
@@ -521,7 +556,10 @@ let[@inline] updates_k prec st sub t =
     for u = 0 to Array.length us - 1 do
       let b = us.(u).u_b.Matrix.a and c = us.(u).u_c.Matrix.a in
       let nn = us.(u).u_b.Matrix.cols in
-      let nzb = if finite then (nonzeros_k [@inlined]) prec b else -1 in
+      let nzb =
+        if finite && us.(u).u_sparse then (nonzeros_k [@inlined]) prec b
+        else -1
+      in
       if nzb >= 0 && (nr < m || 2 * nzb <= kk * nn) then
         (sparse_update_k [@inlined]) prec st.s_nzr nr st.s_nzi st.s_nzv
           a.Matrix.a b c m kk nn
